@@ -4,7 +4,8 @@ summarize, compare, import.
 Conventions: diagnostics go to stderr, data goes to ``-o`` targets or
 stdout; exit codes are 0 (ok), 1 (validation/data errors), 2 (usage),
 3 (I/O). Multi-file subcommands process inputs in parallel (capped by
-SOCNAV_THREADS, 0 = auto) and merge results in input order.
+SOCNAV_THREADS, 0 = auto, and always by the CPU count and the number of
+inputs) and merge results in input order.
 """
 
 from __future__ import annotations
@@ -29,18 +30,19 @@ EXIT_IO = 3
 
 
 def _thread_count() -> int:
-    raw = os.environ.get("SOCNAV_THREADS", "0")
+    """SOCNAV_THREADS (0 or unset: one per CPU), never more than the CPU count."""
+    cpus = os.cpu_count() or 1
     try:
-        n = int(raw)
+        n = int(os.environ.get("SOCNAV_THREADS", "0"))
     except ValueError:
         n = 0
-    return os.cpu_count() or 1 if n <= 0 else n
+    return cpus if n <= 0 else min(n, cpus)
 
 
 def _pmap(fn, items):
     """Parallel map preserving input order."""
-    workers = min(_thread_count(), max(1, len(items)))
-    if workers == 1 or len(items) <= 1:
+    workers = min(_thread_count(), len(items))
+    if workers <= 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))

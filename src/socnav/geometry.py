@@ -25,11 +25,6 @@ def wrap_angle(theta):
     return wrapped
 
 
-def angle_between(a, b):
-    """Absolute wrapped difference between two angles, in [0, pi]."""
-    return np.abs(wrap_angle(np.asarray(a) - np.asarray(b)))
-
-
 def point_segment_distance(points: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray) -> np.ndarray:
     """Distance from each point to each segment.
 
@@ -47,16 +42,6 @@ def point_segment_distance(points: np.ndarray, seg_a: np.ndarray, seg_b: np.ndar
     t = np.clip(t, 0.0, 1.0)
     closest = seg_a[None, :, :] + t[:, :, None] * d[None, :, :]
     return np.linalg.norm(points[:, None, :] - closest, axis=2)
-
-
-def segment_nearest_point(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Nearest point on segment [a, b] to point p. All shape (2,)."""
-    d = b - a
-    len2 = float(d @ d)
-    if len2 == 0.0:
-        return a
-    t = float(np.clip((p - a) @ d / len2, 0.0, 1.0))
-    return a + t * d
 
 
 def segments_intersect(p1, p2, q1, q2, eps: float = 1e-12) -> bool:

@@ -440,9 +440,11 @@ def import_tsv(rows: str | bytes, frame_rate: float, robot_id: str | None = None
     humans except ``robot_id``; when no robot id is given the first agent
     id (sorted) is promoted to robot under test. Agents whose time span
     does not overlap the robot's are dropped (the episode is robot-centric).
+    The result is checked as a parsed episode would be: InvariantError
+    names the first violation, so no import yields a file validate rejects.
     """
-    if frame_rate <= 0:
-        raise InvariantError("/frame_rate", "must be > 0")
+    if not (math.isfinite(frame_rate) and frame_rate > 0):
+        raise InvariantError("/frame_rate", f"must be a positive finite number, got {frame_rate}")
     if isinstance(rows, bytes):
         rows = rows.decode("utf-8")
 
@@ -490,9 +492,13 @@ def import_tsv(rows: str | bytes, frame_rate: float, robot_id: str | None = None
     robot = next(r for r in records if r.id == effective_robot)
     kept = tuple(r for r in records
                  if r.t_start <= robot.t_end and r.t_end >= robot.t_start)
-    return Episode(
+    episode = Episode(
         episode_id=episode_id,
         robot_under_test=effective_robot,
         agents=kept,
         metadata={"source": "tsv", "frame_rate": repr(float(frame_rate))},
     )
+    violations = check_episode(episode)
+    if violations:
+        raise InvariantError(violations[0][0], violations[0][1])
+    return episode

@@ -7,6 +7,9 @@ accelerations). The worst-case baseline policy walks straight toward its
 goal and freezes whenever anything sits within stopping distance ahead.
 
 Identical (seed, config) pairs produce byte-identical serialized episodes.
+The step loops over agents on plain Python floats, because crowds are
+small enough that numpy's per-call overhead would dominate; the float
+arithmetic is fixed, so reruns stay byte-identical.
 """
 
 from __future__ import annotations
@@ -128,9 +131,9 @@ def init_state(config: SimConfig) -> SimState:
     for i, spec in enumerate(config.agents):
         target = _current_target(spec, 0)
         if target is not None:
-            d = target - pos[i]
-            if np.linalg.norm(d) > 1e-9:
-                heading[i] = wrap_angle(math.atan2(d[1], d[0]))
+            dx, dy = target.x - spec.position.x, target.y - spec.position.y
+            if math.hypot(dx, dy) > 1e-9:
+                heading[i] = _wrap(math.atan2(dy, dx))
     for i, spec in enumerate(config.agents):
         if spec.policy == "replay":
             pos[i] = (spec.replay_states[0].position.x, spec.replay_states[0].position.y)
@@ -142,13 +145,10 @@ def init_state(config: SimConfig) -> SimState:
                     reached=np.zeros(n, dtype=bool))
 
 
-def _current_target(spec: AgentSpec, waypoint_idx: int) -> Optional[np.ndarray]:
+def _current_target(spec: AgentSpec, waypoint_idx: int) -> Optional[Vec2]:
     if waypoint_idx < len(spec.waypoints):
-        w = spec.waypoints[waypoint_idx]
-        return np.array([w.x, w.y])
-    if spec.goal is not None:
-        return spec.goal.position.as_array()
-    return None
+        return spec.waypoints[waypoint_idx]
+    return spec.goal.position if spec.goal is not None else None
 
 
 def _replay_record(spec: AgentSpec) -> AgentRecord:
@@ -156,163 +156,167 @@ def _replay_record(spec: AgentSpec) -> AgentRecord:
                        states=spec.replay_states, goal=spec.goal)
 
 
+def _wrap(theta: float) -> float:
+    """wrap_angle for one float; atan2 may return exactly -pi, which maps to pi."""
+    return theta if -math.pi < theta <= math.pi else wrap_angle(theta)
+
+
+def _away_from_segment(px: float, py: float, seg: tuple) -> tuple[float, float]:
+    """(px, py) minus its closest point on seg = (ax, ay, dx, dy, |d|^2)."""
+    ax, ay, sx, sy, len2 = seg
+    u = 0.0 if len2 == 0.0 else min(1.0, max(0.0, ((px - ax) * sx + (py - ay) * sy) / len2))
+    return px - (ax + u * sx), py - (ay + u * sy)
+
+
 def step(state: SimState, config: SimConfig) -> SimState:
     """Advance the simulation by one dt; pure function of (state, config)."""
-    n = len(config.agents)
     p = config.sfm
     dt = config.dt
-    pos = state.pos
-    new_vel = np.zeros_like(state.vel)
-    new_heading = state.heading.copy()
-    waypoint_idx = state.waypoint_idx.copy()
-
+    pos = state.pos.tolist()
+    vel = state.vel.tolist()
+    headings = state.heading.tolist()
+    waypoint_idx = state.waypoint_idx.tolist()
+    reached = state.reached.tolist()
     seg_a, seg_b = config.scene.active_segments(state.t)
-    radii = np.array([a.radius for a in config.agents])
+    segs = []  # (ax, ay, dx, dy, |d|^2) per active segment
+    for (ax, ay), (bx, by) in zip(seg_a.tolist(), seg_b.tolist()):
+        sx, sy = bx - ax, by - ay
+        segs.append((ax, ay, sx, sy, sx * sx + sy * sy))
+    radii = [a.radius for a in config.agents]
+    new_pos, new_vel, new_heading = [], [], []
 
-    # Advance waypoints for agents that got close enough to the current one.
     for i, spec in enumerate(config.agents):
+        px, py = pos[i]
+        vx, vy = vel[i]
+        r_i = radii[i]
+        # Advance waypoints while the agent is close enough to the current one.
         while waypoint_idx[i] < len(spec.waypoints):
             w = spec.waypoints[waypoint_idx[i]]
-            if np.linalg.norm(pos[i] - (w.x, w.y)) <= _WAYPOINT_TOLERANCE:
-                waypoint_idx[i] += 1
-            else:
+            if math.hypot(px - w.x, py - w.y) > _WAYPOINT_TOLERANCE:
                 break
+            waypoint_idx[i] += 1
+        heading = headings[i]
+        goal = spec.goal
+        nvx = nvy = 0.0
 
-    # Pairwise geometry, shared by the SFM and the stopping rule.
-    diff = pos[:, None, :] - pos[None, :, :]          # (n, n, 2), i - j
-    dist = np.linalg.norm(diff, axis=2)
-    np.fill_diagonal(dist, np.inf)
-    safe = np.maximum(dist, 1e-6)
-
-    for i, spec in enumerate(config.agents):
         if spec.policy == "replay":
             t_next = min(state.t + dt, spec.replay_states[-1].t)
             t_next = max(t_next, spec.replay_states[0].t)
             s = interpolate_state(_replay_record(spec), t_next)
-            new_vel[i] = ((s.position.x - pos[i, 0]) / dt, (s.position.y - pos[i, 1]) / dt)
-            continue
-
-        target = _current_target(spec, int(waypoint_idx[i]))
-        at_goal = False
-        if spec.goal is not None:
-            at_goal = (np.linalg.norm(pos[i] - spec.goal.position.as_array())
-                       <= spec.goal.tolerance)
-
-        if spec.policy == "scripted_waypoints":
-            if target is None or (at_goal and waypoint_idx[i] >= len(spec.waypoints)):
-                continue
-            to_target = target - pos[i]
-            d = np.linalg.norm(to_target)
-            if d > 1e-9:
-                speed = min(spec.desired_speed, d / dt, p.v_max)
-                new_vel[i] = to_target / d * speed
-            continue
-
-        if spec.policy == "straight_line_stop":
-            if target is None or at_goal:
-                continue
-            to_target = target - pos[i]
-            d = np.linalg.norm(to_target)
-            if d < 1e-9:
-                continue
-            e = to_target / d
-            new_heading[i] = math.atan2(e[1], e[0])
-            forward_agent = np.einsum("jd,d->j", -diff[i], e) > 0.0
-            close_agent = dist[i] <= radii[i] + radii + _STOP_LOOKAHEAD
-            blocked = bool(np.any(forward_agent & close_agent))
-            if not blocked and len(seg_a):
-                for a, b in zip(seg_a, seg_b):
-                    q = _nearest_on_segment(pos[i], a, b)
-                    gap = np.linalg.norm(q - pos[i])
-                    if gap <= radii[i] + _STOP_LOOKAHEAD and (q - pos[i]) @ e > 0.0:
-                        blocked = True
-                        break
-            if not blocked:
-                speed = min(spec.desired_speed, d / dt, p.v_max)
-                new_vel[i] = e * speed
-            continue
-
-        # SFM agent: goal attraction toward the current target.
-        force = np.zeros(2)
-        if target is not None and not (at_goal and waypoint_idx[i] >= len(spec.waypoints)):
-            to_target = target - pos[i]
-            d = np.linalg.norm(to_target)
-            if d > 1e-9:
-                force += (spec.desired_speed * to_target / d - state.vel[i]) / p.relaxation_time
-            else:
-                force += -state.vel[i] / p.relaxation_time
+            nvx, nvy = (s.position.x - px) / dt, (s.position.y - py) / dt
         else:
-            force += -state.vel[i] / p.relaxation_time
+            # Without a target, d = 0 and the agent gets no goal drive.
+            target = _current_target(spec, waypoint_idx[i])
+            tx, ty = (target.x - px, target.y - py) if target is not None else (0.0, 0.0)
+            d = math.hypot(tx, ty)
+            at_goal = (goal is not None and math.hypot(px - goal.position.x, py - goal.position.y)
+                       <= goal.tolerance)
+            done = at_goal and waypoint_idx[i] >= len(spec.waypoints)
 
-        # Repulsion from the other agents.
-        gaps = dist[i] - (radii[i] + radii)
-        weights = p.repulsion_strength * np.exp(-gaps / p.repulsion_range)
-        weights[i] = 0.0
-        force += np.einsum("j,jd->d", weights, diff[i] / safe[i][:, None])
+            if spec.policy == "scripted_waypoints":
+                if not done and d > 1e-9:
+                    speed = min(spec.desired_speed, d / dt, p.v_max)
+                    nvx, nvy = tx / d * speed, ty / d * speed
 
-        # Repulsion from obstacle segments.
-        for a, b in zip(seg_a, seg_b):
-            q = _nearest_on_segment(pos[i], a, b)
-            away = pos[i] - q
-            gap = np.linalg.norm(away)
-            if gap < 1e-6:
-                continue
-            force += (p.obstacle_strength * math.exp(-(gap - radii[i]) / p.obstacle_range)
-                      * away / gap)
+            elif spec.policy == "straight_line_stop":
+                if not at_goal and d >= 1e-9:
+                    ex, ey = tx / d, ty / d
+                    heading = math.atan2(ey, ex)
+                    blocked = False
+                    for j, (qx, qy) in enumerate(pos):
+                        if j != i and ((qx - px) * ex + (qy - py) * ey > 0.0
+                                       and math.hypot(px - qx, py - qy)
+                                       <= r_i + radii[j] + _STOP_LOOKAHEAD):
+                            blocked = True
+                            break
+                    if not blocked:
+                        for seg in segs:
+                            gx, gy = _away_from_segment(px, py, seg)
+                            if (math.hypot(gx, gy) <= r_i + _STOP_LOOKAHEAD
+                                    and gx * ex + gy * ey < 0.0):
+                                blocked = True
+                                break
+                    if not blocked:
+                        speed = min(spec.desired_speed, d / dt, p.v_max)
+                        nvx, nvy = ex * speed, ey * speed
 
-        v = state.vel[i] + force * dt
-        speed = np.linalg.norm(v)
-        if speed > p.v_max:
-            v = v / speed * p.v_max
-        new_vel[i] = v
+            else:
+                # SFM agent: goal attraction toward the current target.
+                if not done and d > 1e-9:
+                    fx = (spec.desired_speed * tx / d - vx) / p.relaxation_time
+                    fy = (spec.desired_speed * ty / d - vy) / p.relaxation_time
+                else:
+                    fx, fy = -vx / p.relaxation_time, -vy / p.relaxation_time
+                # Repulsion from the other agents.
+                rx = ry = 0.0
+                for j, (qx, qy) in enumerate(pos):
+                    if j == i:
+                        continue
+                    dx, dy = px - qx, py - qy
+                    dist = math.hypot(dx, dy)
+                    weight = p.repulsion_strength * math.exp(
+                        -(dist - (r_i + radii[j])) / p.repulsion_range)
+                    safe = max(dist, 1e-6)
+                    rx += weight * (dx / safe)
+                    ry += weight * (dy / safe)
+                fx += rx
+                fy += ry
+                # Repulsion from obstacle segments, via each closest point.
+                for seg in segs:
+                    gx, gy = _away_from_segment(px, py, seg)
+                    gap = math.hypot(gx, gy)
+                    if gap < 1e-6:
+                        continue
+                    k = p.obstacle_strength * math.exp(-(gap - r_i) / p.obstacle_range)
+                    fx += k * gx / gap
+                    fy += k * gy / gap
+                nvx, nvy = vx + fx * dt, vy + fy * dt
+                speed = math.hypot(nvx, nvy)
+                if speed > p.v_max:
+                    nvx, nvy = nvx / speed * p.v_max, nvy / speed * p.v_max
 
-    new_pos = pos + new_vel * dt
-    speeds = np.linalg.norm(new_vel, axis=1)
-    moving = speeds > 1e-9
-    new_heading[moving] = np.arctan2(new_vel[moving, 1], new_vel[moving, 0])
-    new_heading = wrap_angle(new_heading)  # arctan2 may return exactly -pi
+        nx, ny = px + nvx * dt, py + nvy * dt
+        if math.hypot(nvx, nvy) > 1e-9:
+            heading = math.atan2(nvy, nvx)
+        if goal is not None and math.hypot(nx - goal.position.x,
+                                           ny - goal.position.y) <= goal.tolerance:
+            reached[i] = True
+        new_pos.append((nx, ny))
+        new_vel.append((nvx, nvy))
+        new_heading.append(_wrap(heading))
 
-    reached = state.reached.copy()
-    for i, spec in enumerate(config.agents):
-        if spec.goal is not None and not reached[i]:
-            if np.linalg.norm(new_pos[i] - spec.goal.position.as_array()) <= spec.goal.tolerance:
-                reached[i] = True
-
+    new_pos = np.array(new_pos).reshape(-1, 2)
+    new_vel = np.array(new_vel).reshape(-1, 2)
     if not np.isfinite(new_pos).all() or not np.isfinite(new_vel).all():
         raise InvariantError("/sim", "non-finite state produced")
-    return SimState(t=state.t + dt, pos=new_pos, vel=new_vel, heading=new_heading,
-                    waypoint_idx=waypoint_idx, reached=reached)
-
-
-def _nearest_on_segment(point: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    d = b - a
-    len2 = float(d @ d)
-    if len2 == 0.0:
-        return a
-    t = float(np.clip((point - a) @ d / len2, 0.0, 1.0))
-    return a + t * d
+    return SimState(t=state.t + dt, pos=new_pos, vel=new_vel,
+                    heading=np.array(new_heading, dtype=float),
+                    waypoint_idx=np.array(waypoint_idx, dtype=int),
+                    reached=np.array(reached, dtype=bool))
 
 
 def run(config: SimConfig) -> Episode:
     """Run to max_duration or until every goal-bearing agent has reached its goal."""
     state = init_state(config)
     history = [state]
-    goal_bearing = [a.goal is not None for a in config.agents]
+    goal_bearing = [i for i, a in enumerate(config.agents) if a.goal is not None]
     while state.t < config.max_duration - 1e-9:
         state = step(state, config)
         history.append(state)
-        if any(goal_bearing) and all(
-                r for r, g in zip(state.reached, goal_bearing) if g):
+        reached = state.reached.tolist()
+        if goal_bearing and all(reached[i] for i in goal_bearing):
             break
 
+    # One (T, n, ...) stack per field, converted to floats once.
+    times = [s.t for s in history]
+    pos = np.array([s.pos for s in history]).tolist()
+    vel = np.array([s.vel for s in history]).tolist()
+    heading = np.array([s.heading for s in history]).tolist()
     agents = []
     for i, spec in enumerate(config.agents):
         states = tuple(
-            AgentState(t=float(s.t),
-                       position=Vec2(float(s.pos[i, 0]), float(s.pos[i, 1])),
-                       heading=float(s.heading[i]),
-                       velocity=Vec2(float(s.vel[i, 0]), float(s.vel[i, 1])))
-            for s in history)
+            AgentState(t=t, position=Vec2(*p[i]), heading=h[i], velocity=Vec2(*v[i]))
+            for t, p, v, h in zip(times, pos, vel, heading))
         agents.append(AgentRecord(id=spec.agent_id, kind=spec.kind, radius=spec.radius,
                                   states=states, goal=spec.goal))
     robot_id = next((a.agent_id for a in config.agents if a.kind is AgentKind.ROBOT),

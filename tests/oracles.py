@@ -164,3 +164,152 @@ class WelfordStats:
         if n % 2:
             return ordered[mid]
         return 0.5 * (ordered[mid - 1] + ordered[mid])
+
+
+def reference_step(state, config):
+    """One simulator step with per-agent numpy 2-vectors and (n, n) pairwise arrays.
+
+    The social-force step as first written: an independent formulation of
+    the same forces and policies that `socnav.simulator.step` evaluates on
+    plain floats. It returns a `SimState`.
+    """
+    import numpy as np
+
+    from socnav.core import AgentRecord
+    from socnav.geometry import wrap_angle
+    from socnav.simulator import _STOP_LOOKAHEAD, _WAYPOINT_TOLERANCE, SimState
+
+    def current_target(spec, waypoint_idx):
+        if waypoint_idx < len(spec.waypoints):
+            w = spec.waypoints[waypoint_idx]
+            return np.array([w.x, w.y])
+        if spec.goal is not None:
+            return spec.goal.position.as_array()
+        return None
+
+    def nearest_on_segment(point, a, b):
+        d = b - a
+        len2 = float(d @ d)
+        if len2 == 0.0:
+            return a
+        t = float(np.clip((point - a) @ d / len2, 0.0, 1.0))
+        return a + t * d
+
+    p = config.sfm
+    dt = config.dt
+    pos = state.pos
+    new_vel = np.zeros_like(state.vel)
+    new_heading = state.heading.copy()
+    waypoint_idx = state.waypoint_idx.copy()
+
+    seg_a, seg_b = config.scene.active_segments(state.t)
+    radii = np.array([a.radius for a in config.agents])
+
+    for i, spec in enumerate(config.agents):
+        while waypoint_idx[i] < len(spec.waypoints):
+            w = spec.waypoints[waypoint_idx[i]]
+            if np.linalg.norm(pos[i] - (w.x, w.y)) <= _WAYPOINT_TOLERANCE:
+                waypoint_idx[i] += 1
+            else:
+                break
+
+    diff = pos[:, None, :] - pos[None, :, :]          # (n, n, 2), i - j
+    dist = np.linalg.norm(diff, axis=2)
+    np.fill_diagonal(dist, np.inf)
+    safe = np.maximum(dist, 1e-6)
+
+    for i, spec in enumerate(config.agents):
+        if spec.policy == "replay":
+            t_next = min(state.t + dt, spec.replay_states[-1].t)
+            t_next = max(t_next, spec.replay_states[0].t)
+            record = AgentRecord(id=spec.agent_id, kind=spec.kind, radius=spec.radius,
+                                 states=spec.replay_states, goal=spec.goal)
+            s = interpolate_state(record, t_next)
+            new_vel[i] = ((s.position.x - pos[i, 0]) / dt, (s.position.y - pos[i, 1]) / dt)
+            continue
+
+        target = current_target(spec, int(waypoint_idx[i]))
+        at_goal = False
+        if spec.goal is not None:
+            at_goal = (np.linalg.norm(pos[i] - spec.goal.position.as_array())
+                       <= spec.goal.tolerance)
+
+        if spec.policy == "scripted_waypoints":
+            if target is None or (at_goal and waypoint_idx[i] >= len(spec.waypoints)):
+                continue
+            to_target = target - pos[i]
+            d = np.linalg.norm(to_target)
+            if d > 1e-9:
+                speed = min(spec.desired_speed, d / dt, p.v_max)
+                new_vel[i] = to_target / d * speed
+            continue
+
+        if spec.policy == "straight_line_stop":
+            if target is None or at_goal:
+                continue
+            to_target = target - pos[i]
+            d = np.linalg.norm(to_target)
+            if d < 1e-9:
+                continue
+            e = to_target / d
+            new_heading[i] = math.atan2(e[1], e[0])
+            forward_agent = np.einsum("jd,d->j", -diff[i], e) > 0.0
+            close_agent = dist[i] <= radii[i] + radii + _STOP_LOOKAHEAD
+            blocked = bool(np.any(forward_agent & close_agent))
+            if not blocked and len(seg_a):
+                for a, b in zip(seg_a, seg_b):
+                    q = nearest_on_segment(pos[i], a, b)
+                    gap = np.linalg.norm(q - pos[i])
+                    if gap <= radii[i] + _STOP_LOOKAHEAD and (q - pos[i]) @ e > 0.0:
+                        blocked = True
+                        break
+            if not blocked:
+                speed = min(spec.desired_speed, d / dt, p.v_max)
+                new_vel[i] = e * speed
+            continue
+
+        force = np.zeros(2)
+        if target is not None and not (at_goal and waypoint_idx[i] >= len(spec.waypoints)):
+            to_target = target - pos[i]
+            d = np.linalg.norm(to_target)
+            if d > 1e-9:
+                force += (spec.desired_speed * to_target / d - state.vel[i]) / p.relaxation_time
+            else:
+                force += -state.vel[i] / p.relaxation_time
+        else:
+            force += -state.vel[i] / p.relaxation_time
+
+        gaps = dist[i] - (radii[i] + radii)
+        weights = p.repulsion_strength * np.exp(-gaps / p.repulsion_range)
+        weights[i] = 0.0
+        force += np.einsum("j,jd->d", weights, diff[i] / safe[i][:, None])
+
+        for a, b in zip(seg_a, seg_b):
+            q = nearest_on_segment(pos[i], a, b)
+            away = pos[i] - q
+            gap = np.linalg.norm(away)
+            if gap < 1e-6:
+                continue
+            force += (p.obstacle_strength * math.exp(-(gap - radii[i]) / p.obstacle_range)
+                      * away / gap)
+
+        v = state.vel[i] + force * dt
+        speed = np.linalg.norm(v)
+        if speed > p.v_max:
+            v = v / speed * p.v_max
+        new_vel[i] = v
+
+    new_pos = pos + new_vel * dt
+    speeds = np.linalg.norm(new_vel, axis=1)
+    moving = speeds > 1e-9
+    new_heading[moving] = np.arctan2(new_vel[moving, 1], new_vel[moving, 0])
+    new_heading = wrap_angle(new_heading)  # arctan2 may return exactly -pi
+
+    reached = state.reached.copy()
+    for i, spec in enumerate(config.agents):
+        if spec.goal is not None and not reached[i]:
+            if np.linalg.norm(new_pos[i] - spec.goal.position.as_array()) <= spec.goal.tolerance:
+                reached[i] = True
+
+    return SimState(t=state.t + dt, pos=new_pos, vel=new_vel, heading=new_heading,
+                    waypoint_idx=waypoint_idx, reached=reached)

@@ -1,7 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import socnav
+
+from socnav import cli
 from socnav.cli import main
 from socnav.ingest import parse_episode, serialize_episode
 from socnav.report import parse_summary
@@ -104,6 +111,49 @@ def test_import_tsv(tmp_path):
     assert len(ep.robot.states) == 20
 
 
+def _walk_tsv(tmp_path, rows=None):
+    tsv = tmp_path / "walk.tsv"
+    rows = rows or [f"{f}\tped\t{0.1 * f:.2f}\t0.0" for f in range(20)]
+    tsv.write_text("\n".join(rows))
+    return tsv
+
+
+@pytest.mark.parametrize("hz", ["inf", "nan", "0", "-5"])
+def test_import_rejects_bad_frame_rate(tmp_path, hz):
+    out = tmp_path / "ep.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(socnav.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "socnav.cli", "import", "--tsv", str(_walk_tsv(tmp_path)),
+         f"--hz={hz}", "-o", str(out)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and "/frame_rate" in lines[0]
+    assert not out.exists()
+
+
+def test_import_output_passes_validate(tmp_path):
+    rows = [f"{f}\t{a}\t{0.05 * f + k:.3f}\t{0.5 * k}"
+            for k, a in enumerate("abc") for f in range(k, 30 + 3 * k)]
+    for hz in ("10", "2.5", "120"):
+        out = tmp_path / f"ep{hz}.json"
+        assert main(["import", "--tsv", str(_walk_tsv(tmp_path, rows)), "--hz", hz,
+                     "--robot", "b", "-o", str(out)]) == 0
+        assert main(["validate", str(out)]) == 0
+
+
+def test_import_rejects_episode_that_fails_validation(tmp_path, capsys):
+    # a 50 m jump within one frame exceeds the implied-speed cap
+    rows = ["0\tped\t0.0\t0.0", "1\tped\t50.0\t0.0"]
+    out = tmp_path / "ep.json"
+    assert main(["import", "--tsv", str(_walk_tsv(tmp_path, rows)), "--hz", "10",
+                 "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "exceeds cap" in err
+    assert not out.exists()
+
+
 def test_full_pipeline_compose(tmp_path):
     """simulate -> classify -> compute -> summarize -> compare, via files."""
     eps = tmp_path / "eps"
@@ -152,3 +202,35 @@ def test_threads_env(episode_file, tmp_path, monkeypatch):
         p.write_bytes(serialize_episode(fuzz_episode(i)))
         files.append(str(p))
     assert main(["validate", *files]) == 0
+
+
+@pytest.mark.parametrize("threads, cpus, items, expected", [
+    ("100000", 2, 5, 2),
+    ("100000", 4, 3, 3),
+    ("0", 4, 10, 4),
+    ("junk", 3, 10, 3),
+    ("2", 4, 10, 2),
+    ("100000", 1, 10, None),
+    ("1", 4, 10, None),
+])
+def test_pmap_worker_cap(monkeypatch, threads, cpus, items, expected):
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, values):
+            return map(fn, values)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setenv("SOCNAV_THREADS", threads)
+    assert cli._pmap(lambda x: 2 * x, list(range(items))) == [2 * x for x in range(items)]
+    assert started == ([] if expected is None else [expected])

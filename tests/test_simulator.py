@@ -1,9 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 
-from socnav.core import AgentKind, Goal, MetricParams, ObstacleMap, Vec2, validate_episode
+from socnav.core import (
+    AgentKind,
+    AgentState,
+    Goal,
+    MetricParams,
+    ObstacleMap,
+    Vec2,
+    validate_episode,
+)
 from socnav.errors import UnknownScenario
-from socnav.geometry import segment_blocked
+from socnav.geometry import segment_blocked, wrap_angle
 from socnav.ingest import parse_episode, serialize_episode
 from socnav.metrics import collisions
 from socnav.simulator import (
@@ -16,6 +26,8 @@ from socnav.simulator import (
     run,
     step,
 )
+
+from oracles import reference_step
 
 PARAMS = MetricParams()
 
@@ -181,3 +193,94 @@ class TestScenarioGeometry:
             config = generate_scenario(name, 0)
             humans = [a for a in config.agents if a.kind is AgentKind.HUMAN]
             assert len(humans) >= 5
+
+
+def _assert_steps_match_reference(config):
+    """Feed step and reference_step the same state at every step of a run."""
+    state = init_state(config)
+    steps = 0
+    while state.t < config.max_duration - 1e-9:
+        got, want = step(state, config), reference_step(state, config)
+        where = f"{config.episode_id} at t={state.t:.2f}"
+        assert got.t == want.t, where
+        np.testing.assert_allclose(got.pos, want.pos, rtol=0, atol=1e-9, err_msg=where)
+        np.testing.assert_allclose(got.vel, want.vel, rtol=0, atol=1e-9, err_msg=where)
+        assert np.all(np.abs(wrap_angle(got.heading - want.heading)) <= 1e-9), where
+        assert np.all(np.abs(got.heading) <= np.pi) and not np.any(got.heading == -np.pi), where
+        assert got.waypoint_idx.tolist() == want.waypoint_idx.tolist(), where
+        assert got.reached.tolist() == want.reached.tolist(), where
+        state = got
+        steps += 1
+        if state.reached.all():
+            break
+    assert steps > 0
+
+
+def _human(agent_id, start, goal, policy="sfm", **kwargs):
+    return AgentSpec(agent_id=agent_id, kind=AgentKind.HUMAN, policy=policy,
+                     position=Vec2(*start), goal=Goal(position=Vec2(*goal), tolerance=0.3),
+                     **kwargs)
+
+
+class TestStepMatchesReference:
+    @pytest.mark.parametrize("robot_policy", ("sfm", "straight_line_stop"))
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_scenarios(self, name, robot_policy):
+        _assert_steps_match_reference(generate_scenario(name, 3, robot_policy))
+
+    def test_scripted_waypoints_agent(self):
+        robot = AgentSpec(agent_id="robot", kind=AgentKind.ROBOT, policy="scripted_waypoints",
+                          position=Vec2(0.0, 0.0),
+                          goal=Goal(position=Vec2(2.0, 2.0), tolerance=0.2),
+                          waypoints=(Vec2(2.0, 0.0), Vec2(2.0, 1.0)))
+        config = SimConfig(dt=0.05, max_duration=8.0, episode_id="scripted",
+                           agents=(robot, _human("h0", (4.0, 0.2), (-2.0, 0.0))),
+                           scene=ObstacleMap(segments=((Vec2(-1.0, -0.8), Vec2(5.0, -0.8)),)))
+        _assert_steps_match_reference(config)
+
+    def test_replay_agent(self):
+        states = tuple(AgentState(t=0.1 * i, position=Vec2(0.15 * i, 0.05 * i),
+                                  heading=0.3, velocity=Vec2(1.5, 0.5))
+                       for i in range(30))
+        robot = AgentSpec(agent_id="robot", kind=AgentKind.ROBOT, policy="replay",
+                          position=Vec2(0.0, 0.0), replay_states=states)
+        config = SimConfig(dt=0.05, max_duration=4.0, episode_id="replay",
+                           agents=(robot, _human("h0", (4.0, 0.5), (-2.0, 0.5)),
+                                   _human("h1", (3.0, -1.0), (3.0, 3.0),
+                                          policy="straight_line_stop")))
+        _assert_steps_match_reference(config)
+
+    def test_dynamic_obstacles(self):
+        door = (Vec2(1.5, -1.5), Vec2(1.5, 1.5))
+        scene = ObstacleMap(segments=((Vec2(-3.0, 1.2), Vec2(6.0, 1.2)),
+                                      (Vec2(-3.0, -1.2), Vec2(6.0, -1.2))),
+                            dynamic=((0.0, (door,)), (1.5, ()),
+                                     (3.0, ((Vec2(3.0, 0.2), Vec2(3.5, 0.6)),))))
+        robot = AgentSpec(agent_id="robot", kind=AgentKind.ROBOT, policy="straight_line_stop",
+                          position=Vec2(0.0, -0.4), radius=0.25,
+                          goal=Goal(position=Vec2(5.0, -0.4), tolerance=0.2))
+        config = SimConfig(dt=0.05, max_duration=8.0, episode_id="dynamic", scene=scene,
+                           agents=(robot, _human("h0", (0.5, 0.4), (5.0, 0.4)),
+                                   _human("h1", (5.0, 0.0), (-2.0, 0.0), radius=0.5)))
+        _assert_steps_match_reference(config)
+
+    def test_agent_starting_on_goal(self):
+        config = SimConfig(dt=0.05, max_duration=2.0, episode_id="on-goal",
+                           agents=(_human("h0", (1.0, 1.0), (1.0, 1.0)),
+                                   _human("h1", (1.0, -1.0), (1.0, -1.0),
+                                          policy="straight_line_stop"),
+                                   _human("h2", (3.0, 1.0), (-2.0, 1.0)),
+                                   # nearly on top of h0: inside the 1e-6 m distance floor
+                                   _human("h3", (1.0 + 5e-7, 1.0), (4.0, 1.0))))
+        _assert_steps_match_reference(config)
+
+    def test_westward_heading_wraps_to_pi(self):
+        # goal.y - pos.y is -0.0, so atan2 sees (-0.0, -v) and returns -pi
+        config = SimConfig(dt=0.05, max_duration=1.0, episode_id="west",
+                           agents=(_human("h0", (0.0, 0.0), (-5.0, -0.0),
+                                          policy="scripted_waypoints"),
+                                   _human("h1", (3.0, 0.0), (-5.0, -0.0),
+                                          policy="straight_line_stop")))
+        state = step(init_state(config), config)
+        assert state.heading.tolist() == [math.pi, math.pi]
+        _assert_steps_match_reference(config)
