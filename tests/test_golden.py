@@ -1,0 +1,72 @@
+"""Golden corpus: committed episodes and the exact bytes the toolkit produces for them.
+
+Each directory under ``tests/golden`` holds one input document,
+``episode.json``, and next to it the output of each command on it:
+
+- ``validate.txt``: what ``socnav validate episode.json`` prints on stderr;
+- ``canonical.json``: the canonical serialization of the parsed episode;
+- ``report.json``: ``socnav compute --stepwise episode.json``;
+- ``labels.json``: ``socnav classify episode.json``.
+
+Documents that do not parse (``invalid_*``) have ``validate.txt`` only.
+``tests/golden/README.md`` says what each episode covers. After a change
+that is meant to alter an output, rewrite the expected files with
+``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from socnav.cli import main
+from socnav.ingest import parse_episode, serialize_episode
+
+GOLDEN = Path(__file__).parent / "golden"
+CASES = sorted(p.name for p in GOLDEN.iterdir() if p.is_dir())
+
+
+def outputs(case: Path) -> dict[str, bytes]:
+    """Run every command on ``case/episode.json``; output file name -> bytes."""
+    episode = case / "episode.json"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["validate", str(episode)])
+    out = {"validate.txt": err.getvalue().replace(f"{episode}: ", "episode.json: ").encode()}
+    if code != 0:
+        return out
+    out["canonical.json"] = serialize_episode(parse_episode(episode.read_bytes()))
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in (("report.json", ["compute", "--stepwise"]),
+                           ("labels.json", ["classify"])):
+            target = Path(tmp) / name
+            assert main([*argv, str(episode), "-o", str(target)]) == 0
+            out[name] = target.read_bytes()
+    return out
+
+
+def test_corpus_is_small():
+    assert len(CASES) >= 5
+    assert sum(p.stat().st_size for p in GOLDEN.rglob("*") if p.is_file()) < 200_000
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_outputs_byte_identical(case):
+    got = outputs(GOLDEN / case)
+    want = {p.name: p.read_bytes() for p in (GOLDEN / case).iterdir() if p.name != "episode.json"}
+    assert sorted(got) == sorted(want)
+    assert ("report.json" not in got) == case.startswith("invalid_")
+    for name in want:
+        assert got[name] == want[name], f"{case}/{name} differs"
+
+
+if __name__ == "__main__":
+    for case in CASES:
+        for name, data in outputs(GOLDEN / case).items():
+            (GOLDEN / case / name).write_bytes(data)
+        print(f"wrote {GOLDEN / case}", file=sys.stderr)
