@@ -276,7 +276,8 @@ def synthesize_headings(agent: AgentRecord) -> AgentRecord:
         if speed > 1e-9:
             prev = math.atan2(v[1], v[0])
         headings.append(prev)
-    states = tuple(replace(s, heading=wrap_angle(h)) for s, h in zip(agent.states, headings))
+    states = tuple(AgentState(s.t, s.position, wrap_angle(h), s.velocity)
+                   for s, h in zip(agent.states, headings))
     return replace(agent, states=states)
 
 
@@ -342,6 +343,8 @@ def median_sample_interval(agent: AgentRecord) -> float:
 def check_episode(episode: Episode, v_cap: float = DEFAULT_V_CAP) -> list[tuple[str, str]]:
     """Check every data-model invariant; returns (path, message) violations."""
     issues: list[tuple[str, str]] = []
+    isfinite, hypot = math.isfinite, math.hypot
+    heading_limit = math.pi + 1e-9
 
     ids = [a.id for a in episode.agents]
     if len(set(ids)) != len(ids):
@@ -369,30 +372,33 @@ def check_episode(episode: Episode, v_cap: float = DEFAULT_V_CAP) -> list[tuple[
                 issues.append((f"{base}/goal/tolerance", f"must be > 0, got {agent.goal.tolerance}"))
             if not agent.goal.position.is_finite():
                 issues.append((f"{base}/goal", "position must be finite"))
-        prev = None
+        # Per-sample loop on plain floats; paths are only formatted on a violation.
+        prev_t = prev_x = prev_y = None
         for j, s in enumerate(agent.states):
-            sbase = f"{base}/states/{j}"
-            if not math.isfinite(s.t):
-                issues.append((f"{sbase}/t", "must be finite"))
+            t, heading, vel = s.t, s.heading, s.velocity
+            x, y = s.position.x, s.position.y
+            if not isfinite(t):
+                issues.append((f"{base}/states/{j}/t", "must be finite"))
                 continue
-            if not s.position.is_finite():
-                issues.append((f"{sbase}", "position must be finite"))
+            if not (isfinite(x) and isfinite(y)):
+                issues.append((f"{base}/states/{j}", "position must be finite"))
                 continue
-            if not math.isfinite(s.heading):
-                issues.append((f"{sbase}/theta", "must be finite"))
-            elif abs(s.heading) > math.pi + 1e-9:
-                issues.append((f"{sbase}/theta", f"must lie in (-pi, pi], got {s.heading}"))
-            if s.velocity is not None and not s.velocity.is_finite():
-                issues.append((f"{sbase}/vx", "velocity must be finite"))
-            if prev is not None:
-                if s.t <= prev.t:
-                    issues.append((f"{sbase}/t", f"timestamps must be strictly increasing ({prev.t} -> {s.t})"))
+            if not isfinite(heading):
+                issues.append((f"{base}/states/{j}/theta", "must be finite"))
+            elif abs(heading) > heading_limit:
+                issues.append((f"{base}/states/{j}/theta", f"must lie in (-pi, pi], got {heading}"))
+            if vel is not None and not (isfinite(vel.x) and isfinite(vel.y)):
+                issues.append((f"{base}/states/{j}/vx", "velocity must be finite"))
+            if prev_t is not None:
+                if t <= prev_t:
+                    issues.append((f"{base}/states/{j}/t",
+                                   f"timestamps must be strictly increasing ({prev_t} -> {t})"))
                 else:
-                    speed = math.hypot(s.position.x - prev.position.x,
-                                       s.position.y - prev.position.y) / (s.t - prev.t)
+                    speed = hypot(x - prev_x, y - prev_y) / (t - prev_t)
                     if speed > v_cap:
-                        issues.append((f"{sbase}", f"implied speed {speed:.2f} m/s exceeds cap {v_cap} m/s"))
-            prev = s
+                        issues.append((f"{base}/states/{j}",
+                                       f"implied speed {speed:.2f} m/s exceeds cap {v_cap} m/s"))
+            prev_t, prev_x, prev_y = t, x, y
 
         if robot is not None and agent.states and robot.states:
             if agent.t_start > robot.t_end or agent.t_end < robot.t_start:

@@ -5,6 +5,8 @@ All functions are vectorized over numpy arrays; points are (..., 2) arrays.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
@@ -14,8 +16,15 @@ def wrap_angle(theta):
     """Wrap angles to the half-open interval (-pi, pi].
 
     In-range values pass through bit-exact (a mod round trip would
-    perturb their low bits).
+    perturb their low bits). A built-in float takes a scalar path with no
+    numpy call: Python's float ``%`` follows the same fmod-and-sign rule as
+    ``np.mod``, so both paths give the same bits.
     """
+    if type(theta) is float:
+        if -math.pi < theta <= math.pi:
+            return theta
+        wrapped = theta % TWO_PI
+        return wrapped - TWO_PI if wrapped > math.pi else wrapped
     theta = np.asarray(theta, dtype=float)
     wrapped = np.mod(theta, TWO_PI)
     wrapped = np.where(wrapped > np.pi, wrapped - TWO_PI, wrapped)

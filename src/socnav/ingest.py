@@ -70,14 +70,17 @@ class _Issues:
         return any(i.severity == "error" for i in self.items)
 
 
+def _text(document: bytes | str) -> str:
+    if isinstance(document, str):
+        return document
+    try:
+        return document.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise MalformedDocument(f"not valid UTF-8: {e}") from e
+
+
 def _decode(document: bytes | str):
-    if isinstance(document, bytes):
-        try:
-            text = document.decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise MalformedDocument(f"not valid UTF-8: {e}") from e
-    else:
-        text = document
+    text = _text(document)
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
@@ -85,15 +88,18 @@ def _decode(document: bytes | str):
 
 
 def _number(obj, key, path, issues, required=True, default=None):
+    # The JSON decoder yields exactly float or int for numbers; bool is not int here.
+    value = obj.get(key)
+    if type(value) is float:
+        return value
+    if type(value) is int:
+        return float(value)
     if key not in obj:
         if required:
             issues.error(f"{path}/{key}", "missing required field")
         return default
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        issues.error(f"{path}/{key}", f"expected a number, got {type(value).__name__}")
-        return default
-    return float(value)
+    issues.error(f"{path}/{key}", f"expected a number, got {type(value).__name__}")
+    return default
 
 
 def _string(obj, key, path, issues, required=True, default=None):
@@ -133,9 +139,8 @@ def _parse_state(raw, path, issues) -> tuple[AgentState, bool] | None:
             vel = Vec2(vx, vy)
     if t is None or x is None or y is None:
         return None
-    heading = wrap_angle(theta) if theta is not None else None
-    return AgentState(t=t, position=Vec2(x, y), heading=heading if heading is not None else 0.0,
-                      velocity=vel), theta is not None
+    heading = wrap_angle(theta) if theta is not None else 0.0
+    return AgentState(t, Vec2(x, y), heading, vel), theta is not None
 
 
 def _parse_agent(raw, path, issues, unknown) -> AgentRecord | None:
@@ -442,11 +447,11 @@ def import_tsv(rows: str | bytes, frame_rate: float, robot_id: str | None = None
     does not overlap the robot's are dropped (the episode is robot-centric).
     The result is checked as a parsed episode would be: InvariantError
     names the first violation, so no import yields a file validate rejects.
+    Bytes that are not UTF-8 raise MalformedDocument.
     """
     if not (math.isfinite(frame_rate) and frame_rate > 0):
         raise InvariantError("/frame_rate", f"must be a positive finite number, got {frame_rate}")
-    if isinstance(rows, bytes):
-        rows = rows.decode("utf-8")
+    rows = _text(rows)
 
     samples: dict[str, dict[float, tuple[float, float]]] = {}
     for idx, line in enumerate(rows.splitlines()):

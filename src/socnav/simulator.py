@@ -133,7 +133,7 @@ def init_state(config: SimConfig) -> SimState:
         if target is not None:
             dx, dy = target.x - spec.position.x, target.y - spec.position.y
             if math.hypot(dx, dy) > 1e-9:
-                heading[i] = _wrap(math.atan2(dy, dx))
+                heading[i] = wrap_angle(math.atan2(dy, dx))
     for i, spec in enumerate(config.agents):
         if spec.policy == "replay":
             pos[i] = (spec.replay_states[0].position.x, spec.replay_states[0].position.y)
@@ -154,11 +154,6 @@ def _current_target(spec: AgentSpec, waypoint_idx: int) -> Optional[Vec2]:
 def _replay_record(spec: AgentSpec) -> AgentRecord:
     return AgentRecord(id=spec.agent_id, kind=spec.kind, radius=spec.radius,
                        states=spec.replay_states, goal=spec.goal)
-
-
-def _wrap(theta: float) -> float:
-    """wrap_angle for one float; atan2 may return exactly -pi, which maps to pi."""
-    return theta if -math.pi < theta <= math.pi else wrap_angle(theta)
 
 
 def _away_from_segment(px: float, py: float, seg: tuple) -> tuple[float, float]:
@@ -283,7 +278,7 @@ def step(state: SimState, config: SimConfig) -> SimState:
             reached[i] = True
         new_pos.append((nx, ny))
         new_vel.append((nvx, nvy))
-        new_heading.append(_wrap(heading))
+        new_heading.append(wrap_angle(heading))  # atan2 may return exactly -pi: maps to pi
 
     new_pos = np.array(new_pos).reshape(-1, 2)
     new_vel = np.array(new_vel).reshape(-1, 2)

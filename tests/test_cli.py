@@ -143,6 +143,17 @@ def test_import_output_passes_validate(tmp_path):
         assert main(["validate", str(out)]) == 0
 
 
+def test_import_rejects_non_utf8_tsv(tmp_path, capsys):
+    tsv = tmp_path / "walk.tsv"
+    tsv.write_bytes(b"0\tped\t0.0\t0.0\n1\tped\t0.1\xff\t0.0\n")
+    out = tmp_path / "ep.json"
+    assert main(["import", "--tsv", str(tsv), "--hz", "10", "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "not valid UTF-8" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_import_rejects_episode_that_fails_validation(tmp_path, capsys):
     # a 50 m jump within one frame exceeds the implied-speed cap
     rows = ["0\tped\t0.0\t0.0", "1\tped\t50.0\t0.0"]

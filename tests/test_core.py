@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from socnav.core import (
     validate_episode,
 )
 from socnav.errors import InvariantError, OutOfRange, SingleStateAgent
+from socnav.geometry import wrap_angle
 
 from conftest import fuzz_episode, make_agent, make_episode, straight_robot
 
@@ -184,3 +186,31 @@ def test_interpolation_identity_property(seed, frac):
     assert -math.pi < s.heading <= math.pi + 1e-12
     # derive_velocities idempotence on fuzzed agents
     assert derive_velocities(agent) == agent
+
+
+class TestWrapAngleScalar:
+    """The float path of wrap_angle gives the array path's bits, as a built-in float."""
+
+    EDGES = [v for p in (math.pi, -math.pi) for v in (p, math.nextafter(p, 0.0),
+                                                      math.nextafter(p, 2 * p))]
+    EDGES += [2 * math.pi, -2 * math.pi, 3 * math.pi, -3 * math.pi, 1e300, -1e300,
+              -0.0, 5e-324, math.inf, -math.inf, math.nan]
+
+    @staticmethod
+    def check(value):
+        with np.errstate(invalid="ignore"):
+            want = wrap_angle(np.array([value]))[0]
+            from_numpy_scalar = wrap_angle(np.float64(value))
+        got = wrap_angle(value)
+        assert type(got) is float and type(from_numpy_scalar) is float
+        assert struct.pack("<d", got) == struct.pack("<d", want), value
+        assert struct.pack("<d", from_numpy_scalar) == struct.pack("<d", want), value
+
+    @pytest.mark.parametrize("value", EDGES)
+    def test_edges(self, value):
+        self.check(value)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(allow_nan=True, allow_infinity=True))
+    def test_any_float(self, value):
+        self.check(value)

@@ -11,6 +11,7 @@ from socnav.errors import (
     MalformedRow,
     NoRobot,
     SchemaError,
+    SocnavError,
 )
 from socnav.ingest import (
     import_tsv,
@@ -141,6 +142,46 @@ def test_round_trip_fuzz(seed):
     assert serialize_episode(first) == serialize_episode(again)
 
 
+_STATE_FIELDS = ("t", "x", "y", "theta", "vx", "vy")
+_DROP = object()
+_CORRUPTIONS = {"missing": _DROP, "null": None, "string": "1", "true": True,
+                "int": int, "huge": 1e308}
+
+
+def _full_states():
+    """MINIMAL with every state field present, all with integral values."""
+    d = json.loads(json.dumps(MINIMAL))
+    for s in d["agents"][0]["states"]:
+        s.update(theta=0.0, vx=1.0, vy=0.0)
+    return d
+
+
+def _corrupted_documents():
+    """Single-field corruptions of one state, plus a few whole-document cases."""
+    cases = {"clean": doc(), "bad-json": b"{bad",
+             "no-robot": doc({"robot_under_test": "nobody"})}
+    d = json.loads(json.dumps(MINIMAL))
+    d["agents"][0]["states"][1]["t"] = 0.0
+    cases["repeated-t"] = json.dumps(d).encode()
+    d = json.loads(json.dumps(MINIMAL))
+    d["agents"][0]["states"][0]["vx"] = 1.0
+    cases["vx-without-vy"] = json.dumps(d).encode()
+    for field in _STATE_FIELDS:
+        for name, value in _CORRUPTIONS.items():
+            for j in (0, 1):
+                d = _full_states()
+                state = d["agents"][0]["states"][j]
+                if value is _DROP:
+                    del state[field]
+                else:
+                    state[field] = value(state[field]) if value is int else value
+                cases[f"{field}-{name}-state{j}"] = json.dumps(d).encode()
+    return cases
+
+
+_CORRUPTED_IDS, _CORRUPTED = zip(*_corrupted_documents().items())
+
+
 class TestValidate:
     def test_valid_minimal_is_clean(self):
         assert validate(doc()) == []
@@ -172,20 +213,28 @@ class TestValidate:
         assert any(i.severity == "warning" and "deviates" in i.message for i in issues)
         assert not any(i.severity == "error" for i in issues)
 
-    def test_errors_iff_parse_fails(self):
-        cases = [doc(), b"{bad", doc({"robot_under_test": "nobody"})]
-        d = json.loads(json.dumps(MINIMAL))
-        d["agents"][0]["states"][1]["t"] = 0.0
-        cases.append(json.dumps(d).encode())
-        for raw in cases:
-            issues = validate(raw)
-            has_error = any(i.severity == "error" for i in issues)
-            try:
-                parse_episode(raw)
-                parsed = True
-            except Exception:
-                parsed = False
-            assert parsed == (not has_error)
+    @pytest.mark.parametrize("raw", _CORRUPTED, ids=_CORRUPTED_IDS)
+    def test_errors_iff_parse_fails(self, raw):
+        errors = [i for i in validate(raw) if i.severity == "error"]
+        try:
+            parse_episode(raw)
+        except SocnavError as e:
+            assert errors
+            assert getattr(e, "path", "") == errors[0].path
+        else:
+            assert not errors
+
+    @pytest.mark.parametrize("field", _STATE_FIELDS)
+    @pytest.mark.parametrize("j", [0, 1])
+    def test_int_values_parse_like_floats(self, field, j):
+        twin = _full_states()
+        as_int = _full_states()
+        as_int["agents"][0]["states"][j][field] = int(twin["agents"][0]["states"][j][field])
+        raw_int, raw_float = json.dumps(as_int).encode(), json.dumps(twin).encode()
+        from_int, from_float = parse_episode(raw_int), parse_episode(raw_float)
+        assert from_int == from_float
+        assert serialize_episode(from_int) == serialize_episode(from_float)
+        assert validate(raw_int) == validate(raw_float)
 
 
 class TestImportTsv:
