@@ -6,6 +6,9 @@ Each directory under ``tests/golden`` holds one input document,
 - ``validate.txt``: what ``socnav validate episode.json`` prints on stderr;
 - ``canonical.json``: the canonical serialization of the parsed episode;
 - ``report.json``: ``socnav compute --stepwise episode.json``;
+- ``report_params.json``: ``socnav compute --params params.json episode.json``,
+  where ``tests/golden/params.json`` stops the episode at the first
+  collision and names the robot as the cooperative set;
 - ``labels.json``: ``socnav classify episode.json``.
 
 Documents that do not parse (``invalid_*``) have ``validate.txt`` only.
@@ -28,6 +31,7 @@ from socnav.cli import main
 from socnav.ingest import parse_episode, serialize_episode
 
 GOLDEN = Path(__file__).parent / "golden"
+PARAMS = GOLDEN / "params.json"
 CASES = sorted(p.name for p in GOLDEN.iterdir() if p.is_dir())
 
 
@@ -43,6 +47,7 @@ def outputs(case: Path) -> dict[str, bytes]:
     out["canonical.json"] = serialize_episode(parse_episode(episode.read_bytes()))
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv in (("report.json", ["compute", "--stepwise"]),
+                           ("report_params.json", ["compute", "--params", str(PARAMS)]),
                            ("labels.json", ["classify"])):
             target = Path(tmp) / name
             assert main([*argv, str(episode), "-o", str(target)]) == 0
