@@ -338,6 +338,64 @@ def median_sample_interval(agent: AgentRecord) -> float:
     return float(np.median(np.diff(agent.times)))
 
 
+def default_dt(episode: Episode) -> float:
+    """The robot's median sampling interval, or 1.0 for a single-state robot."""
+    return median_sample_interval(episode.robot) if len(episode.robot.states) >= 2 else 1.0
+
+
+def event_runs(mask: np.ndarray) -> list[tuple[int, int]]:
+    """Maximal contiguous True runs as (start, end) index pairs, end exclusive."""
+    if not mask.any():
+        return []
+    edges = np.diff(np.concatenate([[0], mask.astype(np.int8), [0]]))
+    return list(zip(np.flatnonzero(edges == 1).tolist(),
+                    np.flatnonzero(edges == -1).tolist()))
+
+
+class SampledAgent:
+    """One agent resampled onto a timeline, the view metrics and classifiers share.
+
+    Position and velocity are interpolated linearly and held at the ends. A
+    single-state agent keeps its stored velocity, or gets zero without one.
+    ``active`` marks the steps inside the agent's own time span.
+    """
+
+    def __init__(self, agent: AgentRecord, timeline: np.ndarray):
+        self.agent = agent
+        self.timeline = timeline
+        t = agent.times
+        xy = agent.positions
+        self.pos = np.column_stack([np.interp(timeline, t, xy[:, 0]),
+                                    np.interp(timeline, t, xy[:, 1])])
+        if len(agent.states) >= 2 or agent.states[0].velocity is not None:
+            v = agent.velocities
+            self.vel = np.column_stack([np.interp(timeline, t, v[:, 0]),
+                                        np.interp(timeline, t, v[:, 1])])
+        else:
+            self.vel = np.zeros_like(self.pos)
+        self.active = (timeline >= t[0] - 1e-9) & (timeline <= t[-1] + 1e-9)
+
+    @cached_property
+    def speed(self) -> np.ndarray:
+        return np.linalg.norm(self.vel, axis=1)
+
+    @cached_property
+    def heading(self) -> np.ndarray:
+        """Direction of the velocity while moving, else the interpolated pose heading."""
+        pose = wrap_angle(np.interp(self.timeline, self.agent.times, np.unwrap(self.agent.headings)))
+        return np.where(self.speed > 1e-6, np.arctan2(self.vel[:, 1], self.vel[:, 0]), pose)
+
+    @cached_property
+    def en_route(self) -> np.ndarray:
+        # An agent that has reached its goal is done with its errand; the
+        # residual braking creep after arrival must not read as an approach.
+        goal = self.agent.goal
+        if goal is None:
+            return self.active
+        inside = np.linalg.norm(self.pos - goal.position.as_array(), axis=1) <= goal.tolerance
+        return self.active & ~(np.cumsum(inside) > 0)
+
+
 # --- Validation ------------------------------------------------------------
 
 def check_episode(episode: Episode, v_cap: float = DEFAULT_V_CAP) -> list[tuple[str, str]]:

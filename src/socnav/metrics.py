@@ -15,17 +15,19 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .core import (
     AgentKind,
-    AgentRecord,
     Episode,
     MetricParams,
+    SampledAgent,
     common_timeline,
-    median_sample_interval,
+    default_dt,
+    event_runs,
 )
 from .errors import InvariantError, MissingGoal, TooFewStates
 from .geometry import first_collision_time, point_segment_distance
@@ -98,30 +100,6 @@ class MetricReport:
 
 # --- Sampled view of an episode ---------------------------------------------
 
-class _Track:
-    """One non-robot agent resampled onto the common timeline."""
-
-    __slots__ = ("agent", "pos", "vel", "active", "is_human")
-
-    def __init__(self, agent: AgentRecord, timeline: np.ndarray):
-        self.agent = agent
-        t = agent.times
-        xy = agent.positions
-        self.pos = np.column_stack([np.interp(timeline, t, xy[:, 0]),
-                                    np.interp(timeline, t, xy[:, 1])])
-        if len(agent.states) >= 2:
-            v = agent.velocities
-            self.vel = np.column_stack([np.interp(timeline, t, v[:, 0]),
-                                        np.interp(timeline, t, v[:, 1])])
-        else:
-            v0 = agent.states[0].velocity
-            self.vel = np.tile([v0.x, v0.y] if v0 is not None else [0.0, 0.0],
-                               (len(timeline), 1))
-        eps = 1e-9
-        self.active = (timeline >= t[0] - eps) & (timeline <= t[-1] + eps)
-        self.is_human = agent.kind is AgentKind.HUMAN
-
-
 class _Frames:
     """Everything the metric suite needs, computed once per episode."""
 
@@ -131,36 +109,25 @@ class _Frames:
         self.dt = dt
         self.timeline = common_timeline(episode, dt)
         self.t0 = float(self.timeline[0])
+        self.robot = SampledAgent(episode.robot, self.timeline)
+        self.tracks = [SampledAgent(a, self.timeline) for a in episode.others]
 
-        robot = episode.robot
-        if len(robot.states) >= 2:
-            t = robot.times
-            xy = robot.positions
-            v = robot.velocities
-            self.robot_pos = np.column_stack([np.interp(self.timeline, t, xy[:, 0]),
-                                              np.interp(self.timeline, t, xy[:, 1])])
-            self.robot_vel = np.column_stack([np.interp(self.timeline, t, v[:, 0]),
-                                              np.interp(self.timeline, t, v[:, 1])])
-        else:
-            self.robot_pos = np.repeat(robot.positions, len(self.timeline), axis=0)
-            v0 = robot.states[0].velocity
-            self.robot_vel = np.tile([v0.x, v0.y] if v0 is not None else [0.0, 0.0],
-                                     (len(self.timeline), 1))
-        self.robot = robot
-        self.speed = np.linalg.norm(self.robot_vel, axis=1)
-        self.tracks = [_Track(a, self.timeline) for a in episode.others]
-
-    # -- distances ------------------------------------------------------
-
-    def agent_distances(self, humans_only: bool = False) -> np.ndarray:
-        """(N, M) center-to-center distances; inf where agent inactive."""
-        tracks = [tr for tr in self.tracks if tr.is_human or not humans_only]
-        if not tracks:
+    @cached_property
+    def distances(self) -> np.ndarray:
+        """(N, M) center-to-center distances to each track; inf where inactive."""
+        if not self.tracks:
             return np.full((len(self.timeline), 0), np.inf)
-        d = np.stack([np.linalg.norm(tr.pos - self.robot_pos, axis=1) for tr in tracks], axis=1)
-        act = np.stack([tr.active for tr in tracks], axis=1)
+        d = np.stack([np.linalg.norm(tr.pos - self.robot.pos, axis=1) for tr in self.tracks], axis=1)
+        act = np.stack([tr.active for tr in self.tracks], axis=1)
         return np.where(act, d, np.inf)
 
+    @cached_property
+    def nearest_human(self) -> np.ndarray:
+        """(N,) distance to the nearest active human; inf where there is none."""
+        humans = [tr.agent.kind is AgentKind.HUMAN for tr in self.tracks]
+        return self.distances[:, humans].min(axis=1, initial=np.inf)
+
+    @cached_property
     def obstacle_distances(self) -> np.ndarray:
         """(N,) center-to-nearest-segment distance; inf where no segments."""
         obstacles = self.episode.obstacles
@@ -169,7 +136,7 @@ class _Frames:
             return np.full(n, np.inf)
         if not obstacles.dynamic:
             a, b = obstacles.static_arrays
-            return point_segment_distance(self.robot_pos, a, b).min(axis=1)
+            return point_segment_distance(self.robot.pos, a, b).min(axis=1)
         out = np.full(n, np.inf)
         stamps = np.array([s for s, _ in obstacles.dynamic])
         groups = np.searchsorted(stamps, self.timeline, side="right")
@@ -177,56 +144,39 @@ class _Frames:
             steps = groups == g
             a, b = obstacles.active_segments(float(self.timeline[steps][0]))
             if len(a):
-                out[steps] = point_segment_distance(self.robot_pos[steps], a, b).min(axis=1)
+                out[steps] = point_segment_distance(self.robot.pos[steps], a, b).min(axis=1)
         return out
+
+    @cached_property
+    def collision_events(self) -> tuple[list[float], list[tuple[float, bool]]]:
+        """Wall and agent collision events: (wall start times, [(start time, is_human)]).
+
+        An event is a maximal contiguous run of timeline steps where an
+        overlap holds: per non-robot agent for agent events, against the
+        union of active wall segments for wall events.
+        """
+        r = self.episode.robot.radius
+        wall_starts = [float(self.timeline[s]) for s, _ in event_runs(self.obstacle_distances < r)]
+        agent_events = []
+        for i, tr in enumerate(self.tracks):
+            for s, _ in event_runs(self.distances[:, i] < r + tr.agent.radius):
+                agent_events.append((float(self.timeline[s]), tr.agent.kind is AgentKind.HUMAN))
+        return wall_starts, agent_events
 
 
 def _resolve(episode: Episode, params: Optional[MetricParams], dt: Optional[float]) -> _Frames:
-    if params is None:
-        params = MetricParams()
-    if dt is None:
-        dt = median_sample_interval(episode.robot) if len(episode.robot.states) >= 2 else 1.0
-    return _Frames(episode, params, dt)
-
-
-def _event_runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal contiguous True runs as (start, end) index pairs, end exclusive."""
-    if not mask.any():
-        return []
-    edges = np.diff(np.concatenate([[0], mask.astype(np.int8), [0]]))
-    starts = np.flatnonzero(edges == 1)
-    ends = np.flatnonzero(edges == -1)
-    return list(zip(starts.tolist(), ends.tolist()))
+    return _Frames(episode, params if params is not None else MetricParams(),
+                   dt if dt is not None else default_dt(episode))
 
 
 # --- Collision events --------------------------------------------------------
-
-def _collision_events(frames: _Frames):
-    """Wall/agent collision events as (start_time, category) lists.
-
-    An event is a maximal contiguous run of timeline steps where an overlap
-    holds: per non-robot agent for agent events, against the union of
-    active wall segments for wall events.
-    """
-    r = frames.episode.robot.radius
-    wall_overlap = frames.obstacle_distances() < r
-    wall_starts = [float(frames.timeline[s]) for s, _ in _event_runs(wall_overlap)]
-
-    agent_events = []  # (start_time, is_human)
-    for tr in frames.tracks:
-        dist = np.linalg.norm(tr.pos - frames.robot_pos, axis=1)
-        overlap = tr.active & (dist < r + tr.agent.radius)
-        for s, _ in _event_runs(overlap):
-            agent_events.append((float(frames.timeline[s]), tr.is_human))
-    return wall_starts, agent_events
-
 
 def _termination_time(frames: _Frames) -> Optional[float]:
     """Start time of the k-th collision event when termination is configured."""
     k = frames.params.collision_terminate_count
     if k is None:
         return None
-    wall_starts, agent_events = _collision_events(frames)
+    wall_starts, agent_events = frames.collision_events
     starts = sorted(wall_starts + [t for t, _ in agent_events])
     if len(starts) < k:
         return None
@@ -238,7 +188,7 @@ def _first_reach_time(frames: _Frames) -> Optional[float]:
     goal = frames.episode.robot.goal
     if goal is None:
         raise MissingGoal(f"robot {frames.episode.robot.id!r} has no goal")
-    d = np.linalg.norm(frames.robot_pos - goal.position.as_array(), axis=1)
+    d = np.linalg.norm(frames.robot.pos - goal.position.as_array(), axis=1)
     inside = d <= goal.tolerance
     t_term = _termination_time(frames)
     if t_term is not None:
@@ -271,7 +221,7 @@ def collisions(episode: Episode, params: Optional[MetricParams] = None,
 
 
 def _collisions(frames: _Frames) -> tuple[int, int, int, int]:
-    wall_starts, agent_events = _collision_events(frames)
+    wall_starts, agent_events = frames.collision_events
     wc = len(wall_starts)
     ac = len(agent_events)
     hc = sum(1 for _, is_human in agent_events if is_human)
@@ -306,7 +256,7 @@ def _failure_to_progress(frames: _Frames) -> int:
     goal = frames.episode.robot.goal
     if goal is None:
         raise MissingGoal(f"robot {frames.episode.robot.id!r} has no goal")
-    d = np.linalg.norm(frames.robot_pos - goal.position.as_array(), axis=1)
+    d = np.linalg.norm(frames.robot.pos - goal.position.as_array(), axis=1)
     t = frames.timeline
     eps = frames.params.fp_distance_eps
     window = frames.params.fp_window
@@ -329,9 +279,9 @@ def stalled_time(episode: Episode, params: Optional[MetricParams] = None,
 
 
 def _stalled_time(frames: _Frames) -> float:
-    below = frames.speed < frames.params.stall_speed
+    below = frames.robot.speed < frames.params.stall_speed
     total = 0.0
-    for s, e in _event_runs(below):
+    for s, e in event_runs(below):
         duration = float(frames.timeline[e - 1] - frames.timeline[s])
         if duration >= frames.params.stall_min_duration - 1e-9:
             total += duration
@@ -402,7 +352,7 @@ def velocity_features(episode: Episode, params: Optional[MetricParams] = None,
     if len(episode.robot.states) < 2:
         raise TooFewStates("velocity features need >= 2 states")
     frames = _resolve(episode, params, dt)
-    return _features(frames.speed)
+    return _features(frames.robot.speed)
 
 
 def acceleration_features(episode: Episode, params: Optional[MetricParams] = None,
@@ -413,7 +363,7 @@ def acceleration_features(episode: Episode, params: Optional[MetricParams] = Non
     frames = _resolve(episode, params, dt)
     if len(frames.timeline) < 3:
         raise TooFewStates("timeline too short for a central difference")
-    return _features(_central_first_derivative(frames.timeline, frames.speed))
+    return _features(_central_first_derivative(frames.timeline, frames.robot.speed))
 
 
 def jerk_features(episode: Episode, params: Optional[MetricParams] = None,
@@ -424,7 +374,7 @@ def jerk_features(episode: Episode, params: Optional[MetricParams] = None,
     frames = _resolve(episode, params, dt)
     if len(frames.timeline) < 3:
         raise TooFewStates("timeline too short for a second difference")
-    return _features(_central_second_derivative(frames.timeline, frames.speed))
+    return _features(_central_second_derivative(frames.timeline, frames.robot.speed))
 
 
 def clearing_distance_features(episode: Episode, params: Optional[MetricParams] = None,
@@ -435,7 +385,7 @@ def clearing_distance_features(episode: Episode, params: Optional[MetricParams] 
 
 
 def _clearing_distance(frames: _Frames) -> tuple[float, Optional[float]]:
-    d = frames.obstacle_distances()
+    d = frames.obstacle_distances
     defined = np.isfinite(d)
     if not defined.any():
         return math.inf, None
@@ -461,8 +411,7 @@ def _space_compliance(frames: _Frames, threshold: Optional[float] = None,
                       complement: bool = False) -> float:
     if threshold is None:
         threshold = frames.params.space_threshold
-    nearest = frames.agent_distances(humans_only=True).min(axis=1, initial=np.inf)
-    compliant = float(np.mean(nearest >= threshold))
+    compliant = float(np.mean(frames.nearest_human >= threshold))
     return 1.0 - compliant if complement else compliant
 
 
@@ -474,10 +423,7 @@ def min_distance_to_human(episode: Episode, params: Optional[MetricParams] = Non
 
 
 def _min_distance_to_human(frames: _Frames) -> float:
-    d = frames.agent_distances(humans_only=True)
-    if d.size == 0:
-        return math.inf
-    return float(d.min(initial=np.inf))
+    return float(frames.nearest_human.min())
 
 
 def min_time_to_collision(episode: Episode, params: Optional[MetricParams] = None,
@@ -491,10 +437,10 @@ def _min_time_to_collision(frames: _Frames) -> float:
     r = frames.episode.robot.radius
     best = math.inf
     for tr in frames.tracks:
-        if not tr.is_human or not tr.active.any():
+        if tr.agent.kind is not AgentKind.HUMAN or not tr.active.any():
             continue
-        dp = tr.pos - frames.robot_pos
-        dv = tr.vel - frames.robot_vel
+        dp = tr.pos - frames.robot.pos
+        dv = tr.vel - frames.robot.vel
         tau = first_collision_time(dp, dv, r + tr.agent.radius)
         tau = tau[tr.active]
         if tau.size:
@@ -587,10 +533,10 @@ def compute_all(episode: Episode, params: Optional[MetricParams] = None,
 
     n_states = len(episode.robot.states)
     n_steps = len(frames.timeline)
-    v = _features(frames.speed) if n_states >= 2 else (None, None, None)
-    a = (_central_first_derivative(frames.timeline, frames.speed)
+    v = _features(frames.robot.speed) if n_states >= 2 else (None, None, None)
+    a = (_central_first_derivative(frames.timeline, frames.robot.speed)
          if n_states >= 3 and n_steps >= 3 else None)
-    j = (_central_second_derivative(frames.timeline, frames.speed)
+    j = (_central_second_derivative(frames.timeline, frames.robot.speed)
          if n_states >= 4 and n_steps >= 3 else None)
     for prefix, triple in (("V", v),
                            ("A", _features(a) if a is not None else (None, None, None)),
@@ -613,7 +559,7 @@ def _stepwise_series(frames: _Frames, accel: Optional[np.ndarray],
                      jerk: Optional[np.ndarray]) -> dict[str, StepSeries]:
     t = frames.timeline
     out = {"speed": StepSeries("speed", "m/s", tuple(map(float, t)),
-                               tuple(map(float, frames.speed)))}
+                               tuple(map(float, frames.robot.speed)))}
     if accel is not None:
         out["acceleration"] = StepSeries("acceleration", "m/s^2",
                                          tuple(map(float, t[1:-1])), tuple(map(float, accel)))
@@ -622,16 +568,16 @@ def _stepwise_series(frames: _Frames, accel: Optional[np.ndarray],
                                  tuple(map(float, t[1:-1])), tuple(map(float, jerk)))
     goal = frames.episode.robot.goal
     if goal is not None:
-        d = np.linalg.norm(frames.robot_pos - goal.position.as_array(), axis=1)
+        d = np.linalg.norm(frames.robot.pos - goal.position.as_array(), axis=1)
         out["distance_to_goal"] = StepSeries("distance_to_goal", "m",
                                              tuple(map(float, t)), tuple(map(float, d)))
-    nearest = frames.agent_distances(humans_only=True).min(axis=1, initial=np.inf)
+    nearest = frames.nearest_human
     defined = np.isfinite(nearest)
     if defined.any():
         out["distance_to_nearest_human"] = StepSeries(
             "distance_to_nearest_human", "m",
             tuple(map(float, t[defined])), tuple(map(float, nearest[defined])))
-    od = frames.obstacle_distances()
+    od = frames.obstacle_distances
     defined = np.isfinite(od)
     if defined.any():
         clearance = np.clip(od[defined] - frames.episode.robot.radius, 0.0, None)

@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import AgentKind, AgentRecord, Episode, common_timeline, median_sample_interval
+from .core import AgentKind, Episode, SampledAgent, common_timeline, default_dt, event_runs
 from .errors import InvariantError, MalformedDocument, SchemaError, UnknownCard
 from .geometry import segment_blocked, wrap_angle
 from .ingest import canonical_json_bytes
@@ -329,58 +329,18 @@ def parse_card(document: bytes | str) -> ScenarioCard:
 
 # --- Episode resampling -------------------------------------------------------
 
-class _Sampled:
-    __slots__ = ("agent", "pos", "vel", "speed", "heading", "active", "en_route")
+def smoothed_heading(agent: SampledAgent, half_window: int) -> np.ndarray:
+    """Direction of net displacement over +-half_window steps.
 
-    def __init__(self, agent: AgentRecord, timeline: np.ndarray):
-        t = agent.times
-        xy = agent.positions
-        self.agent = agent
-        self.pos = np.column_stack([np.interp(timeline, t, xy[:, 0]),
-                                    np.interp(timeline, t, xy[:, 1])])
-        if len(agent.states) >= 2:
-            v = agent.velocities
-            self.vel = np.column_stack([np.interp(timeline, t, v[:, 0]),
-                                        np.interp(timeline, t, v[:, 1])])
-        else:
-            self.vel = np.zeros_like(self.pos)
-        self.speed = np.linalg.norm(self.vel, axis=1)
-        raw_heading = np.interp(timeline, t, np.unwrap(agent.headings))
-        moving = self.speed > 1e-6
-        heading = wrap_angle(raw_heading)
-        heading = np.where(moving, np.arctan2(self.vel[:, 1], self.vel[:, 0]), heading)
-        self.heading = heading
-        self.active = (timeline >= t[0] - 1e-9) & (timeline <= t[-1] + 1e-9)
-        # An agent that has reached its goal is done with its errand; the
-        # residual braking creep after arrival must not read as an approach.
-        if agent.goal is not None:
-            inside = (np.linalg.norm(self.pos - agent.goal.position.as_array(), axis=1)
-                      <= agent.goal.tolerance)
-            self.en_route = self.active & ~(np.cumsum(inside) > 0)
-        else:
-            self.en_route = self.active
-
-    def smoothed_heading(self, half_window: int) -> np.ndarray:
-        """Direction of net displacement over +-half_window steps.
-
-        Irons out transient swerves so crowd-flow comparisons see the
-        travel direction, not avoidance wobble.
-        """
-        n = len(self.pos)
-        lo = np.maximum(np.arange(n) - half_window, 0)
-        hi = np.minimum(np.arange(n) + half_window, n - 1)
-        disp = self.pos[hi] - self.pos[lo]
-        length = np.linalg.norm(disp, axis=1)
-        smooth = np.where(length > 1e-6, np.arctan2(disp[:, 1], disp[:, 0]), self.heading)
-        return smooth
-
-
-def _runs(mask: np.ndarray):
-    if not mask.any():
-        return []
-    edges = np.diff(np.concatenate([[0], mask.astype(np.int8), [0]]))
-    return list(zip(np.flatnonzero(edges == 1).tolist(),
-                    np.flatnonzero(edges == -1).tolist()))
+    Irons out transient swerves so crowd-flow comparisons see the
+    travel direction, not avoidance wobble.
+    """
+    n = len(agent.pos)
+    lo = np.maximum(np.arange(n) - half_window, 0)
+    hi = np.minimum(np.arange(n) + half_window, n - 1)
+    disp = agent.pos[hi] - agent.pos[lo]
+    length = np.linalg.norm(disp, axis=1)
+    return np.where(length > 1e-6, np.arctan2(disp[:, 1], disp[:, 0]), agent.heading)
 
 
 def _margin_angle(deviation: np.ndarray, limit: float) -> float:
@@ -396,12 +356,12 @@ def _margin_angle(deviation: np.ndarray, limit: float) -> float:
 # clearance, occlusion, the overtake transition) to the window as a whole.
 
 def _pair_windows(timeline, mask, min_duration):
-    for s, e in _runs(mask):
+    for s, e in event_runs(mask):
         if timeline[e - 1] - timeline[s] >= min_duration:
             yield s, e
 
 
-def _participating(robot: _Sampled, h: _Sampled, p: ClassifierParams) -> np.ndarray:
+def _participating(robot: SampledAgent, h: SampledAgent, p: ClassifierParams) -> np.ndarray:
     return (robot.en_route & h.en_route
             & (robot.speed >= p.approach_speed_min)
             & (h.speed >= p.approach_speed_min))
@@ -478,7 +438,7 @@ def _bridged_windows(timeline, mask, min_duration, bridge):
     moment; the encounter is still one window.
     """
     merged = []
-    for s, e in _runs(mask):
+    for s, e in event_runs(mask):
         if merged and timeline[s] - timeline[merged[-1][1] - 1] <= bridge:
             merged[-1] = (merged[-1][0], e)
         else:
@@ -567,7 +527,7 @@ def _detect_crowd_flow(ep, robot, humans, timeline, p: ClassifierParams, paralle
     if len(humans) < p.min_crowd_size:
         return []
     dt = float(timeline[1] - timeline[0]) if len(timeline) > 1 else 1.0
-    smooth = robot.smoothed_heading(max(1, round(1.5 / dt)))
+    smooth = smoothed_heading(robot, max(1, round(1.5 / dt)))
     moving = np.stack([h.en_route & (h.speed > p.approach_speed_min) for h in humans])
     count = moving.sum(axis=0)
     vx = np.stack([h.vel[:, 0] for h in humans])
@@ -646,11 +606,9 @@ def classify(episode: Episode, cards: Optional[Mapping[str, ScenarioCard]] = Non
     """
     if cards is None:
         cards = builtin_cards()
-    if dt is None:
-        dt = median_sample_interval(episode.robot) if len(episode.robot.states) >= 2 else 1.0
-    timeline = common_timeline(episode, dt)
-    robot = _Sampled(episode.robot, timeline)
-    humans = [_Sampled(a, timeline) for a in episode.agents
+    timeline = common_timeline(episode, dt if dt is not None else default_dt(episode))
+    robot = SampledAgent(episode.robot, timeline)
+    humans = [SampledAgent(a, timeline) for a in episode.agents
               if a.kind is AgentKind.HUMAN and a.id != episode.robot_under_test]
 
     labels: list[ScenarioLabel] = []

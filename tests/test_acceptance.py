@@ -140,7 +140,7 @@ def test_05_derivative_check():
         ep = make_episode([robot])
         from socnav.metrics import _central_second_derivative, _resolve
         frames = _resolve(ep, PARAMS, 0.01)
-        jerk = _central_second_derivative(frames.timeline, frames.speed)
+        jerk = _central_second_derivative(frames.timeline, frames.robot.speed)
         expected = 6.0 * frames.timeline[1:-1]
         rel = np.abs(jerk - expected) / np.abs(expected)
         assert rel.max() <= 0.05, f"max relative error {rel.max():.4f}"

@@ -192,7 +192,7 @@ class TestStalledTime:
         timeline = common_timeline(ep, 0.1)
         from socnav.metrics import _resolve
         frames = _resolve(ep, PARAMS, 0.1)
-        expected = stalled_time_oracle(list(timeline), list(frames.speed),
+        expected = stalled_time_oracle(list(timeline), list(frames.robot.speed),
                                        PARAMS.stall_speed, PARAMS.stall_min_duration)
         assert stalled_time(ep, PARAMS, dt=0.1) == pytest.approx(expected)
 
@@ -273,7 +273,7 @@ class TestKinematicFeatures:
         ep = make_episode([robot])
         from socnav.metrics import _central_second_derivative, _resolve
         frames = _resolve(ep, PARAMS, 0.01)
-        jerk = _central_second_derivative(frames.timeline, frames.speed)
+        jerk = _central_second_derivative(frames.timeline, frames.robot.speed)
         expected = 6.0 * frames.timeline[1:-1]
         assert np.all(np.abs(jerk - expected) <= 0.05 * np.abs(expected))
         _, j_avg, _ = jerk_features(ep, PARAMS, dt=0.01)
@@ -317,7 +317,7 @@ class TestClearingDistance:
         cd_min, cd_avg = clearing_distance_features(ep, PARAMS, dt=0.1)
         seg_a, seg_b = ep.obstacles.static_arrays
         per_step = []
-        for p in frames.robot_pos:
+        for p in frames.robot.pos:
             d = min(scalar_point_segment_distance(p[0], p[1], a[0], a[1], b[0], b[1])
                     for a, b in zip(seg_a, seg_b))
             per_step.append(max(0.0, d - ep.robot.radius))
