@@ -83,7 +83,7 @@ def _decode(document: bytes | str):
     text = _text(document)
     try:
         return json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # also an integer literal past the int-conversion limit
         raise MalformedDocument(f"not valid JSON: {e}") from e
 
 
@@ -93,7 +93,11 @@ def _number(obj, key, path, issues, required=True, default=None):
     if type(value) is float:
         return value
     if type(value) is int:
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            issues.error(f"{path}/{key}", "number out of range")
+            return default
     if key not in obj:
         if required:
             issues.error(f"{path}/{key}", "missing required field")
@@ -211,7 +215,11 @@ def _parse_segment(raw, path, issues):
             or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in raw)):
         issues.error(path, "expected [x1, y1, x2, y2]")
         return None
-    return (Vec2(float(raw[0]), float(raw[1])), Vec2(float(raw[2]), float(raw[3])))
+    try:
+        return (Vec2(float(raw[0]), float(raw[1])), Vec2(float(raw[2]), float(raw[3])))
+    except OverflowError:
+        issues.error(path, "number out of range")
+        return None
 
 
 def _parse_obstacles(raw, issues, unknown) -> ObstacleMap:

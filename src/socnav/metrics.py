@@ -490,8 +490,6 @@ def compute_all(episode: Episode, params: Optional[MetricParams] = None,
     Goal-dependent metrics are None when the robot has no goal; derivative
     features are None when the trajectory is too short for their stencil.
     """
-    if params is None:
-        params = MetricParams()
     frames = _resolve(episode, params, dt)
     p = frames.params
     has_goal = episode.robot.goal is not None

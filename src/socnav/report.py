@@ -125,13 +125,15 @@ def parse_report(document: bytes | str) -> MetricReport:
     try:
         doc = json.loads(document if isinstance(document, str)
                          else document.decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+    except ValueError as e:  # bad UTF-8, bad JSON, or an integer past the conversion limit
         raise MalformedDocument(str(e)) from e
     if not isinstance(doc, dict):
         raise SchemaError("", "report document must be an object")
     for key in ("episode_id", "params", "metrics"):
         if key not in doc:
             raise SchemaError(f"/{key}", "missing required field")
+    if not isinstance(doc["params"], dict):
+        raise SchemaError("/params", "expected an object")
     params_doc = dict(doc["params"])
     dt = params_doc.get("dt", 0.1)
     params = params_from_jsonable(params_doc)
@@ -269,7 +271,7 @@ def parse_summary(document: bytes | str) -> CorpusSummary:
     try:
         doc = json.loads(document if isinstance(document, str)
                          else document.decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+    except ValueError as e:  # bad UTF-8, bad JSON, or an integer past the conversion limit
         raise MalformedDocument(str(e)) from e
     for key in ("n_episodes", "params", "metrics"):
         if key not in doc:

@@ -261,10 +261,17 @@ def _require(obj: Mapping, key: str, path: str, kind=str):
     if key not in obj:
         raise SchemaError(f"{path}/{key}", "missing required field")
     value = obj[key]
-    if kind is float:
+    if kind in (int, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise SchemaError(f"{path}/{key}", "expected a number")
-        return float(value)
+        if kind is int:
+            if isinstance(value, float) and not value.is_integer():
+                raise SchemaError(f"{path}/{key}", "expected an integer")
+            return int(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise SchemaError(f"{path}/{key}", "number out of range") from None
     if not isinstance(value, kind):
         raise SchemaError(f"{path}/{key}", f"expected {kind.__name__}")
     return value
@@ -279,7 +286,7 @@ def parse_card(document: bytes | str) -> ScenarioCard:
             raise MalformedDocument(f"not valid UTF-8: {e}") from e
     try:
         doc = json.loads(document)
-    except json.JSONDecodeError as e:
+    except ValueError as e:
         raise MalformedDocument(f"not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise SchemaError("", "card document must be an object")
@@ -296,8 +303,8 @@ def parse_card(document: bytes | str) -> ScenarioCard:
         kwargs = {}
         for name in _CRITERIA_FIELDS:
             if name in raw:
-                kwargs[name] = (int(raw[name]) if name == "min_crowd_size"
-                                else _require(raw, name, "/usage_guide/labeling_criteria", float))
+                kwargs[name] = _require(raw, name, "/usage_guide/labeling_criteria",
+                                        int if name == "min_crowd_size" else float)
         criteria = ClassifierParams(**kwargs)
     else:
         log.warning("card %r has no labeling_criteria; classification disabled",

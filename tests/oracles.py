@@ -313,3 +313,18 @@ def reference_step(state, config):
 
     return SimState(t=state.t + dt, pos=new_pos, vel=new_vel, heading=new_heading,
                     waypoint_idx=waypoint_idx, reached=reached)
+
+
+def event_runs_oracle(mask):
+    """Maximal True runs as (start, end) index pairs, end exclusive, by a plain scan."""
+    runs = []
+    start = None
+    for k, value in enumerate(mask):
+        if value and start is None:
+            start = k
+        elif not value and start is not None:
+            runs.append((start, k))
+            start = None
+    if start is not None:
+        runs.append((start, len(mask)))
+    return runs

@@ -194,6 +194,65 @@ def test_full_pipeline_compose(tmp_path):
     assert doc["flags"] == []
 
 
+@pytest.mark.parametrize("digits", [401, 5001])
+@pytest.mark.parametrize("command", ["validate", "compute", "classify"])
+def test_out_of_range_number_one_line(episode_file, tmp_path, capsys, command, digits):
+    # 401 digits overflow a float; past 4300 the JSON decoder itself refuses the integer
+    doc = json.loads(episode_file.read_bytes())
+    doc["agents"][0]["states"][0]["x"] = "HUGE"
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(doc).replace('"HUGE"', "1" + "0" * (digits - 1)))
+    assert main([command, str(huge)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert ("number out of range" if digits == 401 else "not valid JSON") in err
+
+
+_BAD_CRITERIA = {f"min_crowd_size-{v.strip(chr(34))}": ("min_crowd_size", v)
+                 for v in ('"x"', "true", "null", "2.5", "Infinity", "NaN")}
+_BAD_CRITERIA["proximity_max-401-digits"] = ("proximity_max", "1" + "0" * 400)
+
+
+@pytest.mark.parametrize("field, value", _BAD_CRITERIA.values(), ids=_BAD_CRITERIA.keys())
+def test_card_bad_criterion_one_line(episode_file, tmp_path, capsys, field, value):
+    from socnav.scenarios import builtin_cards, serialize_card
+    cards = tmp_path / "cards"
+    cards.mkdir()
+    doc = json.loads(serialize_card(builtin_cards()["parallel_traffic"]))
+    doc["usage_guide"]["labeling_criteria"][field] = "BAD"
+    (cards / "card.json").write_text(json.dumps(doc).replace('"BAD"', value))
+    assert main(["classify", "--cards", str(cards), str(episode_file)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert f"/usage_guide/labeling_criteria/{field}" in err
+
+
+def test_card_integral_min_crowd_size_accepted(episode_file, tmp_path):
+    from socnav.scenarios import builtin_cards, serialize_card
+    cards = tmp_path / "cards"
+    cards.mkdir()
+    text = serialize_card(builtin_cards()["parallel_traffic"]).decode()
+    (cards / "card.json").write_text(text.replace('"min_crowd_size":5', '"min_crowd_size":5.0'))
+    assert main(["classify", "--cards", str(cards), str(episode_file),
+                 "-o", str(tmp_path / "labels.json")]) == 0
+
+
+@pytest.mark.parametrize("params, message", [
+    ("5", "/params: expected an object"),
+    ("1" + "0" * 5000, "4300"),  # past the JSON decoder's integer limit
+], ids=["not-object", "5001-digits"])
+def test_summarize_bad_report_params_one_line(episode_file, tmp_path, capsys, params, message):
+    report_file = tmp_path / "report.json"
+    assert main(["compute", str(episode_file), "-o", str(report_file)]) == 0
+    doc = json.loads(report_file.read_bytes())
+    doc["params"] = "BAD"
+    report_file.write_text(json.dumps(doc).replace('"BAD"', params))
+    assert main(["summarize", str(report_file), "-o", str(tmp_path / "summary.json")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert message in err
+
+
 def test_compare_bad_label_spec(tmp_path):
     assert main(["compare", "--label", "nonsense"]) == 2
 

@@ -3,7 +3,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from socnav.core import (
@@ -12,6 +12,7 @@ from socnav.core import (
     Vec2,
     common_timeline,
     derive_velocities,
+    event_runs,
     interpolate_state,
     median_sample_interval,
     validate_episode,
@@ -20,6 +21,7 @@ from socnav.errors import InvariantError, OutOfRange, SingleStateAgent
 from socnav.geometry import wrap_angle
 
 from conftest import fuzz_episode, make_agent, make_episode, straight_robot
+from oracles import event_runs_oracle
 
 
 class TestDeriveVelocities:
@@ -116,6 +118,18 @@ class TestCommonTimeline:
         ep = make_episode([straight_robot(n=7, dt=0.13)])
         tl = common_timeline(ep, 0.05)
         assert np.all(np.diff(tl) > 0)
+
+
+class TestEventRuns:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.booleans(), max_size=64))
+    @example([])
+    @example([True] * 9)
+    @example([False] * 9)
+    @example([True, False] * 5)
+    @example([False, True] * 5)
+    def test_matches_plain_scan(self, mask):
+        assert event_runs(np.array(mask, dtype=bool)) == event_runs_oracle(mask)
 
 
 class TestValidation:

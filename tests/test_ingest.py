@@ -176,6 +176,12 @@ def _corrupted_documents():
                 else:
                     state[field] = value(state[field]) if value is int else value
                 cases[f"{field}-{name}-state{j}"] = json.dumps(d).encode()
+    d = _full_states()
+    d["agents"][0]["states"][1]["x"] = 10 ** 400  # too large for a float
+    cases["x-401-digits-state1"] = json.dumps(d).encode()
+    d = _full_states()
+    d["obstacles"] = {"segments": [[0, 0, 10 ** 400, 1]]}
+    cases["segment-401-digits"] = json.dumps(d).encode()
     return cases
 
 

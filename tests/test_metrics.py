@@ -8,10 +8,12 @@ from socnav.core import (
     Goal,
     MetricParams,
     ObstacleMap,
+    SampledAgent,
     Vec2,
     common_timeline,
 )
 from socnav.errors import MissingGoal, TooFewStates
+import socnav.metrics
 from socnav.metrics import (
     TASKWISE_KEYS,
     acceleration_features,
@@ -398,6 +400,18 @@ class TestDistanceAndTTC:
         assert min_time_to_collision(ep, PARAMS) == 0.0
 
 
+    def test_single_state_human_keeps_stored_velocity(self):
+        robot = straight_robot()  # x = t along +x, t in [0, 1]
+        human = make_agent("h", [(3.0, 0.0)], t0=0.5, velocities=[(-1.0, 0.0)])
+        ep = make_episode([robot, human])
+        timeline = common_timeline(ep, 0.1)
+        sampled = SampledAgent(human, timeline)
+        assert sampled.vel.tolist() == [[-1.0, 0.0]] * len(timeline)
+        assert sampled.active.tolist() == [k == 5 for k in range(len(timeline))]
+        # at t = 0.5: gap 2.5 m, radii 0.6 m, closing at 2 m/s, not 1 m/s
+        assert min_time_to_collision(ep, PARAMS, dt=0.1) == pytest.approx(0.95)
+
+
 class TestAggregatedTime:
     def test_max_rule(self):
         robot = goal_robot(n=31, dt=0.1, speed=1.0, goal_xy=(3.0, 0.0), tolerance=0.05)
@@ -459,6 +473,24 @@ class TestComputeAll:
         assert report.taskwise["SPL"].value is None
         assert report.taskwise["T"].value is None
         assert isinstance(report.taskwise["PL"].value, float)
+
+
+def test_compute_all_measures_obstacles_once(monkeypatch):
+    calls = []
+    real = socnav.metrics.point_segment_distance
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(socnav.metrics, "point_segment_distance", counting)
+    robot = goal_robot(n=31, goal_xy=(3.0, 0.0))
+    wall = ObstacleMap(segments=((Vec2(1.0, -1.0), Vec2(1.0, 1.0)),))
+    ep = make_episode([robot], obstacles=wall)
+    params = MetricParams(collision_terminate_count=1)
+    report = compute_all(ep, params, dt=0.1, include_stepwise=True)
+    assert report.taskwise["WC"].value == 1 and report.taskwise["S"].value is False
+    assert len(calls) == 1
 
 
 class TestInvariances:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from socnav.core import MetricParams
-from socnav.errors import EmptyCorpus
+from socnav.errors import EmptyCorpus, MalformedDocument
 from socnav.metrics import compute_all
 from socnav.report import (
     compare,
@@ -16,6 +16,7 @@ from socnav.report import (
     summarize,
     write_output,
 )
+from socnav.scenarios import parse_card
 
 from conftest import fuzz_episode
 from oracles import WelfordStats
@@ -177,3 +178,9 @@ class TestCompare:
         doc = json.loads(raw)
         assert doc["policies"] == ["a", "b"]
         assert "note" in doc
+
+
+@pytest.mark.parametrize("parse", [parse_report, parse_summary, parse_card])
+def test_integer_past_conversion_limit_is_malformed(parse):
+    with pytest.raises(MalformedDocument, match="4300"):
+        parse(b'{"n": ' + b"1" * 5001 + b"}")
