@@ -3,19 +3,16 @@ summarize, compare, import.
 
 Conventions: diagnostics go to stderr, data goes to ``-o`` targets or
 stdout; exit codes are 0 (ok), 1 (validation/data errors), 2 (usage),
-3 (I/O). Multi-file subcommands process inputs in parallel (capped by
-SOCNAV_THREADS, 0 = auto, and always by the CPU count and the number of
-inputs) and merge results in input order.
+3 (I/O). Multi-file subcommands process their inputs one after another,
+in input order: the work is pure Python, so threads would only contend
+for the interpreter lock.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import ingest, report, scenarios, simulator
@@ -27,25 +24,6 @@ EXIT_OK = 0
 EXIT_DATA = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
-
-
-def _thread_count() -> int:
-    """SOCNAV_THREADS (0 or unset: one per CPU), never more than the CPU count."""
-    cpus = os.cpu_count() or 1
-    try:
-        n = int(os.environ.get("SOCNAV_THREADS", "0"))
-    except ValueError:
-        n = 0
-    return cpus if n <= 0 else min(n, cpus)
-
-
-def _pmap(fn, items):
-    """Parallel map preserving input order."""
-    workers = min(_thread_count(), len(items))
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _read(path: str) -> bytes:
@@ -65,17 +43,13 @@ def _write(data: bytes, out: str | None):
 def _load_params(path: str | None) -> MetricParams:
     if path is None:
         return MetricParams()
-    doc = json.loads(_read(path))
-    return report.params_from_jsonable(doc)
+    return report.params_from_jsonable(ingest.load_json(_read(path)))
 
 
 def _cmd_validate(args) -> int:
-    def check(path):
-        return path, ingest.validate(_read(path))
-
     failed = False
-    for path, issues in _pmap(check, args.files):
-        for issue in issues:
+    for path in args.files:
+        for issue in ingest.validate(_read(path)):
             print(f"{path}: {issue}", file=sys.stderr)
             failed |= issue.severity == "error"
     return EXIT_DATA if failed else EXIT_OK
@@ -97,7 +71,7 @@ def _cmd_simulate(args) -> int:
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    def one(i):
+    for i in range(args.count):
         config = simulator.generate_scenario(args.scenario, args.seed + i,
                                              robot_policy=args.robot_policy)
         config = dataclasses.replace(config,
@@ -106,9 +80,6 @@ def _cmd_simulate(args) -> int:
         path = outdir / f"{args.scenario}_{args.seed}_{i}.json"
         with open(path, "wb") as f:
             f.write(ingest.serialize_episode(episode))
-        return path
-
-    for path in _pmap(one, list(range(args.count))):
         print(f"wrote {path}", file=sys.stderr)
     return EXIT_OK
 
@@ -128,12 +99,10 @@ def _load_cards(directory: str | None):
 def _cmd_classify(args) -> int:
     cards = _load_cards(args.cards)
 
-    def one(path):
+    labels_by_episode = {}
+    for path in args.episodes:
         episode = ingest.parse_episode(_read(path))
-        return episode.episode_id, scenarios.classify(episode, cards=cards)
-
-    results = _pmap(one, args.episodes)
-    labels_by_episode = {epid: labels for epid, labels in results}
+        labels_by_episode[episode.episode_id] = scenarios.classify(episode, cards=cards)
     coverage = scenarios.coverage_report(labels_by_episode)
     doc = {
         "format_version": "1.0",
@@ -157,7 +126,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_summarize(args) -> int:
-    reports = _pmap(lambda path: report.parse_report(_read(path)), args.reports)
+    reports = [report.parse_report(_read(path)) for path in args.reports]
     summary = report.summarize(reports, bins=args.bins)
     _write(report.write_output(summary), args.output)
     return EXIT_OK
@@ -251,9 +220,6 @@ def main(argv=None) -> int:
         return EXIT_IO
     except SocnavError as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except json.JSONDecodeError as e:
-        print(f"error: malformed JSON input: {e}", file=sys.stderr)
         return EXIT_DATA
 
 

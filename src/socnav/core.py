@@ -198,6 +198,11 @@ class Episode:
         return tuple(a for a in self.agents if a.id != self.robot_under_test)
 
 
+# The MetricParams fields that must be positive finite numbers.
+FLOAT_PARAMS = ("space_threshold", "intimate_radius", "personal_radius", "timeout",
+                "fp_distance_eps", "fp_window", "stall_speed", "stall_min_duration")
+
+
 @dataclass(frozen=True)
 class MetricParams:
     """Thresholds and parameters required by the metric suite.
@@ -220,9 +225,7 @@ class MetricParams:
     cooperative_agent_ids: Optional[frozenset[str]] = None
 
     def __post_init__(self):
-        for name in ("space_threshold", "intimate_radius", "personal_radius",
-                     "timeout", "fp_distance_eps", "fp_window",
-                     "stall_speed", "stall_min_duration"):
+        for name in FLOAT_PARAMS:
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and value > 0 and math.isfinite(value)):
                 raise InvariantError(f"/params/{name}", "must be a positive finite number")
@@ -318,8 +321,8 @@ def common_timeline(episode: Episode, dt: float) -> np.ndarray:
     Start inclusive; if the grid does not land on the end of the span, the
     exact end time is appended so the span is always fully covered.
     """
-    if dt <= 0:
-        raise InvariantError("/dt", "must be > 0")
+    if not (dt > 0 and math.isfinite(dt)):
+        raise InvariantError("/dt", f"must be a positive finite number, got {dt}")
     robot = episode.robot
     t0, t1 = robot.t_start, robot.t_end
     span = t1 - t0

@@ -1,5 +1,8 @@
 """Episode interchange parsing, canonical serialization, and TSV import.
 
+Reports, summaries, scenario cards and params files are decoded with the
+same ``load_json`` and path-carrying field readers as episodes.
+
 The JSON field names used here are this toolkit's normative definition of
 the interchange format (see README). Unknown fields are preserved under
 the metadata key ``x-unknown`` so future extensions survive round trips.
@@ -79,13 +82,18 @@ def _text(document: bytes | str) -> str:
         raise MalformedDocument(f"not valid UTF-8: {e}") from e
 
 
-def _decode(document: bytes | str):
+def load_json(document: bytes | str):
+    """The one JSON decode step for every format socnav reads; raises MalformedDocument."""
     text = _text(document)
     try:
         return json.loads(text)
     except ValueError as e:  # also an integer literal past the int-conversion limit
         raise MalformedDocument(f"not valid JSON: {e}") from e
 
+
+# Path-carrying field readers. Each reads ``obj[key]`` and reports a problem
+# at ``path/key`` through ``issues``; a strict sink raises SchemaError there,
+# a collecting one records it and the reader returns ``default``.
 
 def _number(obj, key, path, issues, required=True, default=None):
     # The JSON decoder yields exactly float or int for numbers; bool is not int here.
@@ -106,16 +114,59 @@ def _number(obj, key, path, issues, required=True, default=None):
     return default
 
 
-def _string(obj, key, path, issues, required=True, default=None):
+def _finite(obj, key, path, issues, required=True, default=None, nullable=False):
+    """A finite number as written: an int stays an int, so echoed values keep their bytes."""
+    if nullable and key in obj and obj[key] is None:
+        return None
+    number = _number(obj, key, path, issues, required)
+    if number is None:
+        return default
+    if not math.isfinite(number):
+        issues.error(f"{path}/{key}", "expected a finite number")
+        return default
+    return obj[key]
+
+
+def _integer(obj, key, path, issues, required=True, default=None):
+    """An integral number, 5 or 5.0, as an int."""
+    number = _number(obj, key, path, issues, required)
+    if number is None:
+        return default
+    if not number.is_integer():
+        issues.error(f"{path}/{key}", "expected an integer")
+        return default
+    return int(obj[key])
+
+
+def _typed(obj, key, path, issues, kind, noun, required, default):
     if key not in obj:
         if required:
             issues.error(f"{path}/{key}", "missing required field")
         return default
     value = obj[key]
-    if not isinstance(value, str):
-        issues.error(f"{path}/{key}", f"expected a string, got {type(value).__name__}")
+    if not isinstance(value, kind):
+        issues.error(f"{path}/{key}", f"expected {noun}, got {type(value).__name__}")
         return default
     return value
+
+
+def _string(obj, key, path, issues, required=True, default=None):
+    return _typed(obj, key, path, issues, str, "a string", required, default)
+
+
+def _object(obj, key, path, issues, required=True, default=None):
+    return _typed(obj, key, path, issues, dict, "an object", required, default)
+
+
+def _array(obj, key, path, issues, item=None, required=True, default=None):
+    """An array; with ``item``, a list of its elements read by index (``path/key/3``)."""
+    value = _typed(obj, key, path, issues, list, "an array", required, default)
+    if item is None or value is None:
+        return value
+    if item is _finite and set(map(type, value)) <= {float} and math.isfinite(sum(value)):
+        return value  # what reading each element returns, without a call per element
+    elements = dict(enumerate(value))
+    return [item(elements, i, f"{path}/{key}", issues) for i in elements]
 
 
 def _collect_unknown(obj: dict, known: set, path: str, unknown: dict):
@@ -168,17 +219,14 @@ def _parse_agent(raw, path, issues, unknown) -> AgentRecord | None:
         issues.warning(f"{path}/radius", f"missing; default {DEFAULT_HUMAN_RADIUS} m applied")
 
     goal = None
-    if "goal" in raw:
-        graw = raw["goal"]
-        if not isinstance(graw, dict):
-            issues.error(f"{path}/goal", f"expected an object, got {type(graw).__name__}")
-        else:
-            _collect_unknown(graw, _GOAL_KEYS, f"{path}/goal", unknown)
-            gx = _number(graw, "x", f"{path}/goal", issues)
-            gy = _number(graw, "y", f"{path}/goal", issues)
-            gtol = _number(graw, "tolerance", f"{path}/goal", issues)
-            if gx is not None and gy is not None and gtol is not None:
-                goal = Goal(position=Vec2(gx, gy), tolerance=gtol)
+    graw = _object(raw, "goal", path, issues, required=False)
+    if graw is not None:
+        _collect_unknown(graw, _GOAL_KEYS, f"{path}/goal", unknown)
+        gx = _number(graw, "x", f"{path}/goal", issues)
+        gy = _number(graw, "y", f"{path}/goal", issues)
+        gtol = _number(graw, "tolerance", f"{path}/goal", issues)
+        if gx is not None and gy is not None and gtol is not None:
+            goal = Goal(position=Vec2(gx, gy), tolerance=gtol)
 
     states_raw = raw.get("states")
     if not isinstance(states_raw, list):
@@ -230,22 +278,22 @@ def _parse_obstacles(raw, issues, unknown) -> ObstacleMap:
         return ObstacleMap()
     _collect_unknown(raw, _OBSTACLE_KEYS, "/obstacles", unknown)
     segments = []
-    segs_raw = raw.get("segments", [])
-    if not isinstance(segs_raw, list):
-        issues.error("/obstacles/segments", "expected an array")
-        segs_raw = []
-    for i, sraw in enumerate(segs_raw):
+    for i, sraw in enumerate(_array(raw, "segments", "/obstacles", issues, required=False,
+                                    default=[])):
         seg = _parse_segment(sraw, f"/obstacles/segments/{i}", issues)
         if seg is not None:
             segments.append(seg)
     dynamic = []
-    for k, draw in enumerate(raw.get("dynamic", []) or []):
+    dynamic_raw = (_array(raw, "dynamic", "/obstacles", issues, default=[])
+                   if raw.get("dynamic") is not None else [])
+    for k, draw in enumerate(dynamic_raw):
         if not isinstance(draw, dict):
             issues.error(f"/obstacles/dynamic/{k}", "expected an object")
             continue
         stamp = _number(draw, "t", f"/obstacles/dynamic/{k}", issues)
         dsegs = []
-        for i, sraw in enumerate(draw.get("segments", [])):
+        for i, sraw in enumerate(_array(draw, "segments", f"/obstacles/dynamic/{k}", issues,
+                                        required=False, default=[])):
             seg = _parse_segment(sraw, f"/obstacles/dynamic/{k}/segments/{i}", issues)
             if seg is not None:
                 dsegs.append(seg)
@@ -286,11 +334,7 @@ def _build_episode(doc, issues: _Issues) -> Episode | None:
     obstacles = _parse_obstacles(doc.get("obstacles"), issues, unknown)
 
     labels = []
-    labels_raw = doc.get("labels", [])
-    if not isinstance(labels_raw, list):
-        issues.error("/labels", "expected an array")
-        labels_raw = []
-    for i, lraw in enumerate(labels_raw):
+    for i, lraw in enumerate(_array(doc, "labels", "", issues, required=False, default=[])):
         if not isinstance(lraw, dict):
             issues.error(f"/labels/{i}", "expected an object")
             continue
@@ -302,15 +346,11 @@ def _build_episode(doc, issues: _Issues) -> Episode | None:
             labels.append(EpisodeLabel(scenario=scenario, t_start=t0, t_end=t1))
 
     metadata: dict[str, str] = {}
-    meta_raw = doc.get("metadata", {})
-    if not isinstance(meta_raw, dict):
-        issues.error("/metadata", "expected an object")
-    else:
-        for key, value in meta_raw.items():
-            if not isinstance(value, str):
-                issues.error(f"/metadata/{key}", "metadata values must be strings")
-            else:
-                metadata[key] = value
+    for key, value in _object(doc, "metadata", "", issues, required=False, default={}).items():
+        if not isinstance(value, str):
+            issues.error(f"/metadata/{key}", "metadata values must be strings")
+        else:
+            metadata[key] = value
     if unknown:
         metadata["x-unknown"] = json.dumps(unknown, sort_keys=True, separators=(",", ":"))
 
@@ -327,7 +367,7 @@ def parse_episode(document: bytes | str, v_cap: float = DEFAULT_V_CAP) -> Episod
     Raises MalformedDocument, SchemaError (with a JSON-pointer path), or
     InvariantError (model invariant broken, e.g. non-monotonic timestamps).
     """
-    doc = _decode(document)
+    doc = load_json(document)
     issues = _Issues(strict=True)
     episode = _build_episode(doc, issues)
     if episode is None:
@@ -346,7 +386,7 @@ def validate(document: bytes | str, v_cap: float = DEFAULT_V_CAP) -> list[Valida
     inconsistent velocity fields).
     """
     try:
-        doc = _decode(document)
+        doc = load_json(document)
     except MalformedDocument as e:
         return [ValidationIssue("error", "", str(e))]
     issues = _Issues(strict=False)

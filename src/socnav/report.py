@@ -13,16 +13,16 @@ attached.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import MetricParams
-from .errors import EmptyCorpus, MalformedDocument, SchemaError
-from .ingest import canonical_json_bytes
+from .core import FLOAT_PARAMS, MetricParams
+from .errors import EmptyCorpus, SchemaError
+from .ingest import (_array, _finite, _integer, _Issues, _object, _string,
+                     canonical_json_bytes, load_json)
 from .metrics import TASKWISE_KEYS, UNITS, MetricReport, MetricValue, StepSeries, taxonomy_code
 
 FORMAT_VERSION = "1.0"
@@ -42,14 +42,21 @@ def encode_value(value):
     raise SchemaError("/value", f"cannot encode {type(value).__name__}")
 
 
-def decode_value(raw):
-    if raw == "Infinity":
-        return math.inf
-    if raw == "-Infinity":
-        return -math.inf
-    if isinstance(raw, list):
-        return [decode_value(v) for v in raw]
-    return raw
+def _metric_value(obj, key, path, issues):
+    """null, a bool, a finite number, or "Infinity"/"-Infinity" as ±inf."""
+    value = obj.get(key)
+    if key in obj and (value is None or type(value) is bool):
+        return value
+    if value in ("Infinity", "-Infinity"):
+        return math.inf if value == "Infinity" else -math.inf
+    return _finite(obj, key, path, issues)
+
+
+def _echo_value(obj, key, path, issues):
+    """A parameter echoed in ``params_used``: a metric value or an array of ids."""
+    if isinstance(obj.get(key), list):
+        return _array(obj, key, path, issues, item=_string)
+    return _metric_value(obj, key, path, issues)
 
 
 def params_to_jsonable(params: MetricParams) -> dict:
@@ -69,17 +76,21 @@ def params_to_jsonable(params: MetricParams) -> dict:
 
 
 def params_from_jsonable(doc: Mapping) -> MetricParams:
+    """MetricParams from a params object; every field is checked at ``/params/<name>``."""
     if not isinstance(doc, Mapping):
         raise SchemaError("/params", "expected an object")
-    kwargs = dict(doc)
-    ids = kwargs.pop("cooperative_agent_ids", None)
-    kwargs.pop("dt", None)  # an echo field, not a MetricParams member
-    unknown = set(kwargs) - {
-        "space_threshold", "intimate_radius", "personal_radius",
-        "collision_terminate_count", "timeout", "fp_distance_eps",
-        "fp_window", "stall_speed", "stall_min_duration"}
+    unknown = set(doc) - {*FLOAT_PARAMS, "collision_terminate_count",
+                          "cooperative_agent_ids", "dt"}  # dt: an echo field, not a member
     if unknown:
         raise SchemaError(f"/params/{sorted(unknown)[0]}", "unknown parameter")
+    issues = _Issues(strict=True)
+    kwargs = {name: _finite(doc, name, "/params", issues)
+              for name in FLOAT_PARAMS if name in doc}
+    if doc.get("collision_terminate_count") is not None:
+        kwargs["collision_terminate_count"] = _integer(doc, "collision_terminate_count",
+                                                       "/params", issues)
+    ids = (_array(doc, "cooperative_agent_ids", "/params", issues, item=_string)
+           if doc.get("cooperative_agent_ids") is not None else None)
     return MetricParams(cooperative_agent_ids=frozenset(ids) if ids else None, **kwargs)
 
 
@@ -122,41 +133,41 @@ def write_output(obj) -> bytes:
 
 
 def parse_report(document: bytes | str) -> MetricReport:
-    try:
-        doc = json.loads(document if isinstance(document, str)
-                         else document.decode("utf-8"))
-    except ValueError as e:  # bad UTF-8, bad JSON, or an integer past the conversion limit
-        raise MalformedDocument(str(e)) from e
+    doc = load_json(document)
     if not isinstance(doc, dict):
         raise SchemaError("", "report document must be an object")
-    for key in ("episode_id", "params", "metrics"):
-        if key not in doc:
-            raise SchemaError(f"/{key}", "missing required field")
-    if not isinstance(doc["params"], dict):
-        raise SchemaError("/params", "expected an object")
-    params_doc = dict(doc["params"])
-    dt = params_doc.get("dt", 0.1)
+    issues = _Issues(strict=True)
+    episode_id = _string(doc, "episode_id", "", issues)
+    params_doc = _object(doc, "params", "", issues)
+    metrics = _object(doc, "metrics", "", issues)
+    dt = _finite(params_doc, "dt", "/params", issues, required=False, default=0.1)
     params = params_from_jsonable(params_doc)
     taskwise = {}
-    for name, raw in doc["metrics"].items():
-        if not isinstance(raw, dict) or "value" not in raw:
-            raise SchemaError(f"/metrics/{name}", "expected an object with a value")
+    for name in metrics:
+        at = f"/metrics/{name}"
+        raw = _object(metrics, name, "/metrics", issues)
+        used = _object(raw, "params_used", at, issues, required=False, default={})
         taskwise[name] = MetricValue(
             name=name,
-            value=decode_value(raw["value"]),
-            unit=raw.get("unit", UNITS.get(name, "")),
-            code=raw.get("code", taxonomy_code(name) if name in UNITS else "NHT"),
-            params_used={k: decode_value(v)
-                         for k, v in raw.get("params_used", {}).items()},
+            value=_metric_value(raw, "value", at, issues),
+            unit=_string(raw, "unit", at, issues, required=False,
+                         default=UNITS.get(name, "")),
+            code=_string(raw, "code", at, issues, required=False,
+                         default=taxonomy_code(name) if name in UNITS else "NHT"),
+            params_used={k: _echo_value(used, k, f"{at}/params_used", issues) for k in used},
         )
     stepwise = None
-    if "stepwise" in doc:
-        stepwise = {
-            name: StepSeries(name=name, unit="", timeline=tuple(series["t"]),
-                             values=tuple(series["v"]))
-            for name, series in doc["stepwise"].items()
-        }
-    return MetricReport(episode_id=doc["episode_id"], params=params, dt=dt,
+    series_docs = _object(doc, "stepwise", "", issues, required=False)
+    if series_docs is not None:
+        stepwise = {}
+        for name in series_docs:
+            series = _object(series_docs, name, "/stepwise", issues)
+            at = f"/stepwise/{name}"
+            stepwise[name] = StepSeries(
+                name=name, unit="",
+                timeline=tuple(_array(series, "t", at, issues, item=_finite)),
+                values=tuple(_array(series, "v", at, issues, item=_finite)))
+    return MetricReport(episode_id=episode_id, params=params, dt=dt,
                         taskwise=taskwise, stepwise=stepwise)
 
 
@@ -268,28 +279,32 @@ def summary_to_jsonable(summary: CorpusSummary) -> dict:
 
 
 def parse_summary(document: bytes | str) -> CorpusSummary:
-    try:
-        doc = json.loads(document if isinstance(document, str)
-                         else document.decode("utf-8"))
-    except ValueError as e:  # bad UTF-8, bad JSON, or an integer past the conversion limit
-        raise MalformedDocument(str(e)) from e
-    for key in ("n_episodes", "params", "metrics"):
-        if key not in doc:
-            raise SchemaError(f"/{key}", "missing required field")
+    doc = load_json(document)
+    if not isinstance(doc, dict):
+        raise SchemaError("", "summary document must be an object")
+    issues = _Issues(strict=True)
+    metrics = _object(doc, "metrics", "", issues)
     distributions = {}
-    for name, raw in doc["metrics"].items():
-        d = raw["distribution"]
-        hist = d.get("histogram", {"edges": [], "counts": []})
+    for name in metrics:
+        at = f"/metrics/{name}/distribution"
+        d = _object(_object(metrics, name, "/metrics", issues), "distribution",
+                    f"/metrics/{name}", issues)
+        moments = {key: _finite(d, key, at, issues, nullable=True)
+                   for key in ("mean", "std", "min", "max", "median")}
+        hist = _object(d, "histogram", at, issues, required=False,
+                       default={"edges": [], "counts": []})
         distributions[name] = Distribution(
-            n=d["n"], n_excluded=d["n_excluded"], mean=d["mean"], std=d["std"],
-            min=d["min"], max=d["max"], median=d["median"],
-            edges=tuple(hist["edges"]), counts=tuple(hist["counts"]),
+            n=_integer(d, "n", at, issues), n_excluded=_integer(d, "n_excluded", at, issues),
+            edges=tuple(_array(hist, "edges", f"{at}/histogram", issues, item=_finite)),
+            counts=tuple(_array(hist, "counts", f"{at}/histogram", issues, item=_integer)),
+            **moments,
         )
     return CorpusSummary(
-        n_episodes=doc["n_episodes"],
-        params=params_from_jsonable(doc["params"]),
-        success_rate=doc.get("success_rate"),
-        collision_rate=doc.get("collision_rate"),
+        n_episodes=_integer(doc, "n_episodes", "", issues),
+        params=params_from_jsonable(_object(doc, "params", "", issues)),
+        success_rate=_finite(doc, "success_rate", "", issues, required=False, nullable=True),
+        collision_rate=_finite(doc, "collision_rate", "", issues, required=False,
+                               nullable=True),
         distributions=distributions,
     )
 

@@ -15,7 +15,6 @@ encounters, which is not how the scenario vocabulary is used.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -24,9 +23,10 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .core import AgentKind, Episode, SampledAgent, common_timeline, default_dt, event_runs
-from .errors import InvariantError, MalformedDocument, SchemaError, UnknownCard
+from .errors import InvariantError, SchemaError, UnknownCard
 from .geometry import segment_blocked, wrap_angle
-from .ingest import canonical_json_bytes
+from .ingest import (_array, _integer, _Issues, _number, _object, _string,
+                     canonical_json_bytes, load_json)
 
 log = logging.getLogger(__name__)
 
@@ -39,6 +39,12 @@ CLASSIFIABLE_SCENARIOS = (
     "parallel_traffic",
     "perpendicular_traffic",
 )
+
+
+_CRITERIA_FIELDS = ("facing_angle_max", "approach_speed_min", "min_clearance",
+                    "proximity_max", "crossing_angle_window",
+                    "overtake_speed_ratio_min", "min_crowd_size",
+                    "min_window_duration")
 
 
 @dataclass(frozen=True)
@@ -61,13 +67,13 @@ class ClassifierParams:
     min_window_duration: float = 0.5
 
     def __post_init__(self):
-        for name in ("facing_angle_max", "approach_speed_min", "min_clearance",
-                     "proximity_max", "crossing_angle_window",
-                     "overtake_speed_ratio_min", "min_window_duration"):
-            if getattr(self, name) <= 0:
-                raise InvariantError(f"/classifier/{name}", "must be > 0")
+        for name in _CRITERIA_FIELDS:
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise InvariantError(f"/usage_guide/labeling_criteria/{name}",
+                                     "must be a positive finite number")
         if self.min_crowd_size < 1:
-            raise InvariantError("/classifier/min_crowd_size", "must be >= 1")
+            raise InvariantError("/usage_guide/labeling_criteria/min_crowd_size", "must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -218,12 +224,6 @@ def builtin_cards() -> dict[str, ScenarioCard]:
 
 # --- Card serialization -------------------------------------------------------
 
-_CRITERIA_FIELDS = ("facing_angle_max", "approach_speed_min", "min_clearance",
-                    "proximity_max", "crossing_angle_window",
-                    "overtake_speed_ratio_min", "min_crowd_size",
-                    "min_window_duration")
-
-
 def card_to_jsonable(card: ScenarioCard) -> dict:
     guide: dict = {
         "success_metrics": list(card.usage_guide.success_metrics),
@@ -257,78 +257,48 @@ def serialize_card(card: ScenarioCard) -> bytes:
     return canonical_json_bytes(card_to_jsonable(card))
 
 
-def _require(obj: Mapping, key: str, path: str, kind=str):
-    if key not in obj:
-        raise SchemaError(f"{path}/{key}", "missing required field")
-    value = obj[key]
-    if kind in (int, float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SchemaError(f"{path}/{key}", "expected a number")
-        if kind is int:
-            if isinstance(value, float) and not value.is_integer():
-                raise SchemaError(f"{path}/{key}", "expected an integer")
-            return int(value)
-        try:
-            return float(value)
-        except OverflowError:
-            raise SchemaError(f"{path}/{key}", "number out of range") from None
-    if not isinstance(value, kind):
-        raise SchemaError(f"{path}/{key}", f"expected {kind.__name__}")
-    return value
-
-
 def parse_card(document: bytes | str) -> ScenarioCard:
     """Parse a scenario card; cards without labeling criteria classify nothing."""
-    if isinstance(document, bytes):
-        try:
-            document = document.decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise MalformedDocument(f"not valid UTF-8: {e}") from e
-    try:
-        doc = json.loads(document)
-    except ValueError as e:
-        raise MalformedDocument(f"not valid JSON: {e}") from e
+    doc = load_json(document)
     if not isinstance(doc, dict):
         raise SchemaError("", "card document must be an object")
-
-    ctx = _require(doc, "research_context", "", dict)
-    definition = _require(doc, "definition", "", dict)
-    guide = _require(doc, "usage_guide", "", dict)
+    issues = _Issues(strict=True)
+    ctx = _object(doc, "research_context", "", issues)
+    definition = _object(doc, "definition", "", issues)
+    guide = _object(doc, "usage_guide", "", issues)
 
     criteria = None
-    if "labeling_criteria" in guide:
-        raw = guide["labeling_criteria"]
-        if not isinstance(raw, dict):
-            raise SchemaError("/usage_guide/labeling_criteria", "expected an object")
-        kwargs = {}
-        for name in _CRITERIA_FIELDS:
-            if name in raw:
-                kwargs[name] = _require(raw, name, "/usage_guide/labeling_criteria",
-                                        int if name == "min_crowd_size" else float)
-        criteria = ClassifierParams(**kwargs)
+    raw = _object(guide, "labeling_criteria", "/usage_guide", issues, required=False)
+    if raw is not None:
+        at = "/usage_guide/labeling_criteria"
+        criteria = ClassifierParams(**{
+            name: (_integer if name == "min_crowd_size" else _number)(raw, name, at, issues)
+            for name in _CRITERIA_FIELDS if name in raw})
     else:
         log.warning("card %r has no labeling_criteria; classification disabled",
                     doc.get("name"))
 
     return ScenarioCard(
-        name=_require(doc, "name", ""),
-        description=_require(doc, "description", ""),
-        scenario_type=_require(doc, "scenario_type", ""),
+        name=_string(doc, "name", "", issues),
+        description=_string(doc, "description", "", issues),
+        scenario_type=_string(doc, "scenario_type", "", issues),
         research_context=ResearchContext(
-            location=_require(ctx, "location", "/research_context"),
-            density=_require(ctx, "density", "/research_context"),
-            task=_require(ctx, "task", "/research_context"),
+            location=_string(ctx, "location", "/research_context", issues),
+            density=_string(ctx, "density", "/research_context", issues),
+            task=_string(ctx, "task", "/research_context", issues),
         ),
         definition=ScenarioDefinition(
-            geometric_layout=_require(definition, "geometric_layout", "/definition"),
-            intended_robot_task=_require(definition, "intended_robot_task", "/definition"),
-            intended_human_behavior=_require(definition, "intended_human_behavior", "/definition"),
+            geometric_layout=_string(definition, "geometric_layout", "/definition", issues),
+            intended_robot_task=_string(definition, "intended_robot_task", "/definition",
+                                        issues),
+            intended_human_behavior=_string(definition, "intended_human_behavior",
+                                            "/definition", issues),
         ),
         usage_guide=UsageGuide(
-            success_metrics=tuple(_require(guide, "success_metrics", "/usage_guide", list)),
-            quality_metrics=tuple(_require(guide, "quality_metrics", "/usage_guide", list)),
-            ideal_outcome=_require(guide, "ideal_outcome", "/usage_guide"),
-            failure_modes=tuple(_require(guide, "failure_modes", "/usage_guide", list)),
+            success_metrics=tuple(_array(guide, "success_metrics", "/usage_guide", issues, item=_string)),
+            quality_metrics=tuple(_array(guide, "quality_metrics", "/usage_guide", issues, item=_string)),
+            ideal_outcome=_string(guide, "ideal_outcome", "/usage_guide", issues),
+            failure_modes=tuple(_array(guide, "failure_modes", "/usage_guide", issues, item=_string)),
             labeling_criteria=criteria,
         ),
     )

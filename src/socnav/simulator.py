@@ -363,6 +363,8 @@ def generate_scenario(name: str, variation_seed: int,
     """
     if name not in SCENARIO_NAMES:
         raise UnknownScenario(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")
+    if variation_seed < 0:
+        raise InvariantError("/seed", f"must be a non-negative integer, got {variation_seed}")
     rng = np.random.default_rng(variation_seed)
 
     def jit(scale=0.5):

@@ -1,17 +1,24 @@
+import contextlib
+import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import socnav
 
-from socnav import cli
 from socnav.cli import main
 from socnav.ingest import parse_episode, serialize_episode
 from socnav.report import parse_summary
+from socnav.scenarios import builtin_cards, serialize_card
+from socnav.simulator import SCENARIO_NAMES
 
 from conftest import fuzz_episode
 
@@ -62,10 +69,11 @@ def test_compute_writes_schema_complete_report(episode_file, tmp_path):
 
 def test_compute_with_params_file(episode_file, tmp_path):
     params = tmp_path / "params.json"
-    params.write_text(json.dumps({"space_threshold": 1.0, "timeout": 30.0}))
+    params.write_text(json.dumps({"space_threshold": 1.0, "timeout": 30.0, "fp_window": 12}))
     out = tmp_path / "report.json"
     assert main(["compute", str(episode_file), "--params", str(params),
                  "-o", str(out)]) == 0
+    assert b'"fp_window":12,' in out.read_bytes()  # an integral value is echoed as given
     doc = json.loads(out.read_bytes())
     assert doc["params"]["space_threshold"] == 1.0
     assert doc["metrics"]["SC"]["params_used"]["space_threshold"] == 1.0
@@ -165,6 +173,16 @@ def test_import_rejects_episode_that_fails_validation(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("policy", ["sfm", "straight_line_stop"])
+@pytest.mark.parametrize("scenario", SCENARIO_NAMES)
+def test_simulated_file_passes_validate(tmp_path, capsys, scenario, policy):
+    assert main(["simulate", "--scenario", scenario, "--seed", "3", "--count", "1",
+                 "--robot-policy", policy, "-o", str(tmp_path)]) == 0
+    [path] = tmp_path.glob("*.json")
+    assert main(["validate", str(path)]) == 0
+    assert "error:" not in capsys.readouterr().err
+
+
 def test_full_pipeline_compose(tmp_path):
     """simulate -> classify -> compute -> summarize -> compare, via files."""
     eps = tmp_path / "eps"
@@ -210,12 +228,13 @@ def test_out_of_range_number_one_line(episode_file, tmp_path, capsys, command, d
 
 _BAD_CRITERIA = {f"min_crowd_size-{v.strip(chr(34))}": ("min_crowd_size", v)
                  for v in ('"x"', "true", "null", "2.5", "Infinity", "NaN")}
+_BAD_CRITERIA.update({f"proximity_max-{v}": ("proximity_max", v)
+                      for v in ("NaN", "Infinity", "0", "-1")})
 _BAD_CRITERIA["proximity_max-401-digits"] = ("proximity_max", "1" + "0" * 400)
 
 
 @pytest.mark.parametrize("field, value", _BAD_CRITERIA.values(), ids=_BAD_CRITERIA.keys())
 def test_card_bad_criterion_one_line(episode_file, tmp_path, capsys, field, value):
-    from socnav.scenarios import builtin_cards, serialize_card
     cards = tmp_path / "cards"
     cards.mkdir()
     doc = json.loads(serialize_card(builtin_cards()["parallel_traffic"]))
@@ -228,7 +247,6 @@ def test_card_bad_criterion_one_line(episode_file, tmp_path, capsys, field, valu
 
 
 def test_card_integral_min_crowd_size_accepted(episode_file, tmp_path):
-    from socnav.scenarios import builtin_cards, serialize_card
     cards = tmp_path / "cards"
     cards.mkdir()
     text = serialize_card(builtin_cards()["parallel_traffic"]).decode()
@@ -253,6 +271,145 @@ def test_summarize_bad_report_params_one_line(episode_file, tmp_path, capsys, pa
     assert message in err
 
 
+@pytest.mark.parametrize("argv, path", [
+    (["compute", "EPISODE", "--dt", "nan"], "/dt"),
+    (["compute", "EPISODE", "--dt", "inf"], "/dt"),
+    (["compute", "EPISODE", "--dt", "0"], "/dt"),
+    (["simulate", "--scenario", "frontal_approach", "--seed", "-1"], "/seed"),
+], ids=["dt-nan", "dt-inf", "dt-0", "seed-negative"])
+def test_bad_cli_number_one_line(episode_file, tmp_path, capsys, argv, path):
+    argv = [str(episode_file) if a == "EPISODE" else a for a in argv]
+    assert main([*argv, "-o", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and f"error: {path}: " in err
+    assert sorted(tmp_path.rglob("*.json")) == [episode_file]
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    """A valid file of every format socnav reads, by kind."""
+    root = tmp_path_factory.mktemp("documents")
+    golden = Path(__file__).parent / "golden"
+    episode = golden / "dynamic_obstacles" / "episode.json"
+    docs = {"episode": episode, "params": golden / "params.json",
+            "report": root / "report.json", "summary": root / "summary.json",
+            "card": root / "card.json"}
+    assert main(["compute", str(episode), "--stepwise", "-o", str(docs["report"])]) == 0
+    assert main(["summarize", str(docs["report"]), "-o", str(docs["summary"])]) == 0
+    docs["card"].write_bytes(serialize_card(builtin_cards()["parallel_traffic"]))
+    return docs
+
+
+# The subcommand that reads each format; FILE is the document under test.
+_READERS = {
+    "report": ["summarize", "FILE"],
+    "summary": ["compare", "--label", "a=FILE"],
+    "card": ["classify", "--cards", "DIR", "EPISODE"],
+    "params": ["compute", "EPISODE", "--params", "FILE"],
+    "episode": ["validate", "FILE"],
+}
+
+
+def _run_reader(kind: str, document: bytes, docs: dict, work: Path) -> tuple[int, list[str]]:
+    work.mkdir(exist_ok=True)
+    target = work / "document.json"
+    target.write_bytes(document)
+    argv = [str(docs["episode"]) if a == "EPISODE" else str(work) if a == "DIR"
+            else a.replace("FILE", str(target)) for a in _READERS[kind]]
+    if kind != "episode":
+        argv += ["-o", str(work / "out.out")]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue().splitlines()
+
+
+_DELETE = object()
+
+
+def _edited(path: Path, pointer: tuple, value) -> bytes:
+    """The JSON document at ``path`` with the node at ``pointer`` replaced or deleted."""
+    doc = json.loads(path.read_bytes())
+    if not pointer:
+        return json.dumps(value).encode()
+    node = doc
+    for key in pointer[:-1]:
+        node = node[key]
+    if value is _DELETE:
+        del node[pointer[-1]]
+    else:
+        node[pointer[-1]] = value
+    return json.dumps(doc).encode()
+
+
+@pytest.mark.parametrize("kind, pointer, value, path", [
+    ("report", ("metrics", "S", "value"), "abc", "/metrics/S/value"),
+    ("report", ("metrics", "S", "value"), math.nan, "/metrics/S/value"),
+    ("report", ("stepwise", "speed", "v", 3), "x", "/stepwise/speed/v/3"),
+    ("summary", ("metrics", "S", "distribution"), _DELETE, "/metrics/S/distribution"),
+    ("summary", ("metrics", "S", "distribution", "mean"), math.inf,
+     "/metrics/S/distribution/mean"),
+    ("params", ("timeout",), 10 ** 400, "/params/timeout"),
+    ("params", ("timeout",), True, "/params/timeout"),
+    ("params", ("timeout",), math.nan, "/params/timeout"),
+    ("params", ("collision_terminate_count",), "x", "/params/collision_terminate_count"),
+    ("params", ("cooperative_agent_ids",), "robot", "/params/cooperative_agent_ids"),
+    ("card", ("usage_guide", "success_metrics", 0), 7, "/usage_guide/success_metrics/0"),
+    ("episode", ("obstacles", "dynamic"), 7.5, "/obstacles/dynamic"),
+], ids=["report-value-string", "report-value-nan", "report-stepwise-element",
+        "summary-no-distribution", "summary-mean-infinity", "params-401-digits",
+        "params-bool", "params-nan", "params-count-string", "params-ids-string",
+        "card-metric-not-string", "episode-dynamic-number"])
+def test_bad_field_one_line_with_path(documents, tmp_path, kind, pointer, value, path):
+    document = _edited(documents[kind], pointer, value)
+    code, lines = _run_reader(kind, document, documents, tmp_path)
+    assert code == 1
+    assert len(lines) == 1 and f"{path}: " in lines[0]
+
+
+def test_params_file_not_utf8_one_line(documents, tmp_path):
+    code, lines = _run_reader("params", b'{"timeout": 1\xff}', documents, tmp_path)
+    assert code == 1
+    assert len(lines) == 1 and "not valid UTF-8" in lines[0]
+
+
+def _json_pointers(node, pointer=()):
+    yield pointer
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from _json_pointers(child, (*pointer, key))
+
+
+# Type confusions: each stands for a node another tool, or a careless edit, may write.
+_NODES = [None, True, False, 0, 7, -3, 10 ** 400, "x", "Infinity", math.nan, math.inf,
+          -math.inf, [], {}, [1, "x"]]
+
+
+@pytest.mark.parametrize("kind", sorted(_READERS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_decoding_fuzz(documents, tmp_path_factory, kind, data):
+    """One node replaced or deleted anywhere: exit 0-3, never a traceback, one line per problem."""
+    pointers = list(_json_pointers(json.loads(documents[kind].read_bytes())))
+    pointer = data.draw(st.sampled_from(pointers), label="pointer")
+    value = data.draw(st.sampled_from(_NODES + [_DELETE] if pointer else _NODES), label="node")
+    work = tmp_path_factory.getbasetemp() / f"fuzz-{kind}"
+    code, lines = _run_reader(kind, _edited(documents[kind], pointer, value), documents, work)
+    assert code in (0, 1, 2, 3)
+    if kind == "episode":
+        # validate lists every problem, one line each
+        target = re.escape(str(work / "document.json"))
+        assert all(re.match(rf"{target}: (error|warning): ", line) for line in lines)
+        assert (code == 1) == any(": error: " in line for line in lines)
+    elif code == 1:
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_compare_bad_label_spec(tmp_path):
     assert main(["compare", "--label", "nonsense"]) == 2
 
@@ -262,45 +419,3 @@ def test_stdout_output(episode_file, capsysbinary):
     raw = capsysbinary.readouterr().out
     doc = json.loads(raw)
     assert doc["episode_id"] == "fuzz-1"
-
-
-def test_threads_env(episode_file, tmp_path, monkeypatch):
-    monkeypatch.setenv("SOCNAV_THREADS", "2")
-    files = []
-    for i in range(4):
-        p = tmp_path / f"e{i}.json"
-        p.write_bytes(serialize_episode(fuzz_episode(i)))
-        files.append(str(p))
-    assert main(["validate", *files]) == 0
-
-
-@pytest.mark.parametrize("threads, cpus, items, expected", [
-    ("100000", 2, 5, 2),
-    ("100000", 4, 3, 3),
-    ("0", 4, 10, 4),
-    ("junk", 3, 10, 3),
-    ("2", 4, 10, 2),
-    ("100000", 1, 10, None),
-    ("1", 4, 10, None),
-])
-def test_pmap_worker_cap(monkeypatch, threads, cpus, items, expected):
-    started = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, values):
-            return map(fn, values)
-
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    monkeypatch.setenv("SOCNAV_THREADS", threads)
-    assert cli._pmap(lambda x: 2 * x, list(range(items))) == [2 * x for x in range(items)]
-    assert started == ([] if expected is None else [expected])
