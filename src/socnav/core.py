@@ -1,13 +1,15 @@
 """Episode data model: agents, goals, obstacles, and kinematic derivations.
 
-Everything here is value-semantic and immutable after construction, so
-episodes can be shared freely across parallel workers.
+Everything here is value-semantic and immutable after construction. An
+agent's samples are stored as float64 columns; per-sample objects
+(``AgentState``) are views built on demand.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional
@@ -31,9 +33,6 @@ class Vec2:
     x: float
     y: float
 
-    def norm(self) -> float:
-        return math.hypot(self.x, self.y)
-
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y])
 
@@ -56,8 +55,8 @@ class Goal:
 class AgentState:
     """One timestamped sample: pose plus optional velocity.
 
-    ``heading`` is stored separately from the velocity direction because
-    datasets may lack it; parsers synthesize it from motion when absent.
+    A view built on demand from an agent's columns (``AgentRecord.states``,
+    ``interpolate_state``); ``velocity`` is None where none was stored.
     """
 
     t: float
@@ -66,52 +65,88 @@ class AgentState:
     velocity: Optional[Vec2] = None
 
 
-@dataclass(frozen=True)
+class AgentStates(Sequence):
+    """The samples of an agent as AgentState views, each built when indexed."""
+
+    def __init__(self, agent: AgentRecord):
+        self._agent = agent
+
+    def __len__(self) -> int:
+        return len(self._agent.t)
+
+    def __getitem__(self, j: int) -> AgentState:
+        a = self._agent
+        j = range(len(a.t))[j]
+        vel = Vec2(float(a.vx[j]), float(a.vy[j])) if a.has_vel[j] else None
+        return AgentState(float(a.t[j]), Vec2(float(a.x[j]), float(a.y[j])),
+                          float(a.heading[j]), vel)
+
+
+_COLUMNS = ("t", "x", "y", "heading", "vx", "vy", "has_vel")
+
+
+@dataclass(frozen=True, eq=False)
 class AgentRecord:
+    """One agent's trajectory as float64 columns, one entry per sample.
+
+    ``has_vel`` marks the samples that carry a stored velocity (all of them
+    when ``vx``/``vy`` are given without a mask, none when they are omitted).
+    Stored velocity wins; elsewhere ``vx``/``vy`` hold central differences,
+    one-sided at the endpoints, or zero for a single sample. ``positions``
+    and ``velocities`` are the same columns as (N, 2) arrays. Headings
+    default to 0.
+    """
+
     id: str
     kind: AgentKind
     radius: float
-    states: tuple[AgentState, ...]
+    t: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    heading: Optional[np.ndarray] = None
+    vx: Optional[np.ndarray] = None
+    vy: Optional[np.ndarray] = None
+    has_vel: Optional[np.ndarray] = None
     goal: Optional[Goal] = None
+    positions: np.ndarray = field(init=False, repr=False)
+    velocities: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        t = np.asarray(self.t, dtype=float)
+        n = len(t)
+        given = self.vx is not None
+        has_vel = np.full(n, given) if self.has_vel is None else np.asarray(self.has_vel, bool)
+        # (N, 2) views of (2, N) arrays, so that each column is contiguous.
+        positions = np.array((self.x, self.y), dtype=float).reshape(2, n).T
+        vel = np.array((self.vx, self.vy), dtype=float).reshape(2, n).T if given else np.zeros((n, 2))
+        if not has_vel.all():
+            with np.errstate(all="ignore"):  # columns that fail their checks come here too
+                derived = finite_difference_velocities(t, positions) if n >= 2 else 0.0
+            vel = np.where(has_vel[:, None], vel, derived)
+        heading = np.zeros(n) if self.heading is None else np.asarray(self.heading, dtype=float)
+        for name, value in (("t", t), ("x", positions[:, 0]), ("y", positions[:, 1]),
+                            ("heading", heading), ("vx", vel[:, 0]), ("vy", vel[:, 1]),
+                            ("has_vel", has_vel), ("positions", positions), ("velocities", vel)):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if not isinstance(other, AgentRecord):
+            return NotImplemented
+        return ((self.id, self.kind, self.radius, self.goal)
+                == (other.id, other.kind, other.radius, other.goal)
+                and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in _COLUMNS))
+
+    @property
+    def states(self) -> AgentStates:
+        return AgentStates(self)
 
     @property
     def t_start(self) -> float:
-        return self.states[0].t
+        return float(self.t[0])
 
     @property
     def t_end(self) -> float:
-        return self.states[-1].t
-
-    @cached_property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.states])
-
-    @cached_property
-    def positions(self) -> np.ndarray:
-        """(N, 2) array of sampled positions."""
-        return np.array([(s.position.x, s.position.y) for s in self.states])
-
-    @cached_property
-    def headings(self) -> np.ndarray:
-        return np.array([s.heading for s in self.states])
-
-    @cached_property
-    def velocities(self) -> np.ndarray:
-        """(N, 2) array of velocities, derived by finite differences if absent.
-
-        Stored velocities take precedence sample by sample, matching what
-        derive_velocities would put on the states.
-        """
-        given = [s.velocity for s in self.states]
-        if all(v is not None for v in given):
-            return np.array([(v.x, v.y) for v in given])
-        if len(self.states) < 2:
-            raise SingleStateAgent(f"agent {self.id!r} has a single state and no velocity")
-        fd = finite_difference_velocities(self.times, self.positions)
-        for i, v in enumerate(given):
-            if v is not None:
-                fd[i] = (v.x, v.y)
-        return fd
+        return float(self.t[-1])
 
 
 @dataclass(frozen=True)
@@ -244,44 +279,27 @@ def finite_difference_velocities(t: np.ndarray, xy: np.ndarray) -> np.ndarray:
 
 
 def derive_velocities(agent: AgentRecord) -> AgentRecord:
-    """Fill missing velocities by finite differences.
-
-    States that already carry a velocity are left untouched, which makes
-    the operation idempotent.
-    """
-    n = len(agent.states)
+    """Mark every velocity as stored, keeping the derived values; idempotent."""
+    n = len(agent.t)
     if n < 2:
         raise SingleStateAgent(f"agent {agent.id!r} has {n} state(s); need >= 2")
-    if all(s.velocity is not None for s in agent.states):
+    if agent.has_vel.all():
         return agent
-
-    vel = finite_difference_velocities(agent.times, agent.positions)
-    states = tuple(
-        s if s.velocity is not None else replace(s, velocity=Vec2(float(vel[i, 0]), float(vel[i, 1])))
-        for i, s in enumerate(agent.states)
-    )
-    return replace(agent, states=states)
+    return replace(agent, has_vel=np.ones(n, dtype=bool))
 
 
-def synthesize_headings(agent: AgentRecord) -> AgentRecord:
-    """Set headings from the direction of motion.
+def motion_headings(agent: AgentRecord) -> np.ndarray:
+    """Headings from the direction of motion, one per sample.
 
-    Stationary states carry the previous heading forward; an initially
-    stationary agent defaults to heading 0.
+    Stationary samples carry the previous heading forward; an initially
+    stationary agent gets heading 0. ``math.hypot``/``math.atan2`` keep the
+    bits of the per-sample rule (numpy's differ in the last place).
     """
-    if len(agent.states) < 2:
-        return agent
-    vel = agent.velocities
-    headings = []
-    prev = 0.0
-    for v in vel:
-        speed = math.hypot(v[0], v[1])
-        if speed > 1e-9:
-            prev = math.atan2(v[1], v[0])
-        headings.append(prev)
-    states = tuple(AgentState(s.t, s.position, wrap_angle(h), s.velocity)
-                   for s, h in zip(agent.states, headings))
-    return replace(agent, states=states)
+    vx, vy = agent.vx.tolist(), agent.vy.tolist()
+    moving = np.array(list(map(math.hypot, vx, vy))) > 1e-9
+    angles = np.array(list(map(math.atan2, vy, vx)))
+    last = np.maximum.accumulate(np.where(moving, np.arange(len(vx)), -1))
+    return wrap_angle(np.where(last >= 0, angles[last], 0.0))
 
 
 def interpolate_state(agent: AgentRecord, t: float) -> AgentState:
@@ -290,17 +308,18 @@ def interpolate_state(agent: AgentRecord, t: float) -> AgentState:
     Heading is interpolated along the shorter arc. Velocity is interpolated
     only when both bracketing samples carry one.
     """
-    times = agent.times
+    times = agent.t
     if t < times[0] - 1e-9 or t > times[-1] + 1e-9:
         raise OutOfRange(f"t={t} outside span [{times[0]}, {times[-1]}] of agent {agent.id!r}")
     t = min(max(t, float(times[0])), float(times[-1]))
 
     idx = int(np.searchsorted(times, t, side="right")) - 1
     idx = max(0, min(idx, len(times) - 2)) if len(times) > 1 else 0
-    s0 = agent.states[idx]
-    if len(agent.states) == 1 or t == s0.t:
+    states = agent.states
+    s0 = states[idx]
+    if len(times) == 1 or t == s0.t:
         return s0
-    s1 = agent.states[idx + 1]
+    s1 = states[idx + 1]
     if t == s1.t:
         return s1
 
@@ -336,14 +355,14 @@ def common_timeline(episode: Episode, dt: float) -> np.ndarray:
 
 def median_sample_interval(agent: AgentRecord) -> float:
     """Median spacing of an agent's raw timestamps, the default metric dt."""
-    if len(agent.states) < 2:
+    if len(agent.t) < 2:
         raise SingleStateAgent(f"agent {agent.id!r} has a single state")
-    return float(np.median(np.diff(agent.times)))
+    return float(np.median(np.diff(agent.t)))
 
 
 def default_dt(episode: Episode) -> float:
     """The robot's median sampling interval, or 1.0 for a single-state robot."""
-    return median_sample_interval(episode.robot) if len(episode.robot.states) >= 2 else 1.0
+    return median_sample_interval(episode.robot) if len(episode.robot.t) >= 2 else 1.0
 
 
 def event_runs(mask: np.ndarray) -> list[tuple[int, int]]:
@@ -366,16 +385,11 @@ class SampledAgent:
     def __init__(self, agent: AgentRecord, timeline: np.ndarray):
         self.agent = agent
         self.timeline = timeline
-        t = agent.times
-        xy = agent.positions
-        self.pos = np.column_stack([np.interp(timeline, t, xy[:, 0]),
-                                    np.interp(timeline, t, xy[:, 1])])
-        if len(agent.states) >= 2 or agent.states[0].velocity is not None:
-            v = agent.velocities
-            self.vel = np.column_stack([np.interp(timeline, t, v[:, 0]),
-                                        np.interp(timeline, t, v[:, 1])])
-        else:
-            self.vel = np.zeros_like(self.pos)
+        t = agent.t
+        self.pos = np.column_stack([np.interp(timeline, t, agent.x),
+                                    np.interp(timeline, t, agent.y)])
+        self.vel = np.column_stack([np.interp(timeline, t, agent.vx),
+                                    np.interp(timeline, t, agent.vy)])
         self.active = (timeline >= t[0] - 1e-9) & (timeline <= t[-1] + 1e-9)
 
     @cached_property
@@ -385,7 +399,7 @@ class SampledAgent:
     @cached_property
     def heading(self) -> np.ndarray:
         """Direction of the velocity while moving, else the interpolated pose heading."""
-        pose = wrap_angle(np.interp(self.timeline, self.agent.times, np.unwrap(self.agent.headings)))
+        pose = wrap_angle(np.interp(self.timeline, self.agent.t, np.unwrap(self.agent.heading)))
         return np.where(self.speed > 1e-6, np.arctan2(self.vel[:, 1], self.vel[:, 0]), pose)
 
     @cached_property
@@ -401,11 +415,63 @@ class SampledAgent:
 
 # --- Validation ------------------------------------------------------------
 
+def _sample_issues(base: str, agent: AgentRecord, v_cap: float) -> list[tuple[str, str]]:
+    """Per-sample violations of one agent, checked a column at a time.
+
+    A sample with a non-finite time or position gets that one issue and is
+    skipped; the time and speed checks compare each sample with the last
+    one that was not. Messages are formatted only for violations, and
+    sorted by sample index into the order a per-sample scan reports them.
+    """
+    t, x, y, heading = agent.t, agent.x, agent.y, agent.heading
+    finite_t = np.isfinite(t)
+    good = finite_t & np.isfinite(x) & np.isfinite(y)
+    bad_heading = good & ~(np.abs(heading) <= math.pi + 1e-9)  # also catches nan and inf
+    bad_vel = good & agent.has_vel & ~np.isfinite(agent.velocities).all(axis=1)
+    found = []  # (sample index, rank within the sample, path, message)
+
+    def add(mask, rank, suffix, message):
+        for j in np.flatnonzero(mask).tolist():
+            found.append((j, rank, f"{base}/states/{j}{suffix}", message(j)))
+
+    if not good.all() or bad_heading.any() or bad_vel.any():
+        add(~finite_t, 0, "/t", lambda j: "must be finite")
+        add(finite_t & ~good, 0, "", lambda j: "position must be finite")
+        finite_heading = np.isfinite(heading)
+        add(bad_heading & ~finite_heading, 1, "/theta", lambda j: "must be finite")
+        add(bad_heading & finite_heading, 1, "/theta",
+            lambda j: f"must lie in (-pi, pi], got {float(heading[j])}")
+        add(bad_vel, 2, "/vx", lambda j: "velocity must be finite")
+
+    kept = np.flatnonzero(good)
+    if len(kept) < len(t):
+        t, x, y = t[kept], x[kept], y[kept]
+    with np.errstate(all="ignore"):
+        dt, dx, dy = np.diff(t), np.diff(x), np.diff(y)
+        forward = dt > 0
+        step = np.flatnonzero(forward)
+        if len(step) < len(dt):
+            for k in np.flatnonzero(~forward).tolist():
+                j = int(kept[k + 1])
+                found.append((j, 3, f"{base}/states/{j}/t", "timestamps must be strictly "
+                              f"increasing ({float(t[k])} -> {float(t[k + 1])})"))
+            dt, dx, dy = dt[step], dx[step], dy[step]
+        # np.hypot may differ from math.hypot in the last place, far inside
+        # this margin: it only picks the candidates, math.hypot decides.
+        near = np.flatnonzero(np.hypot(dx, dy) / dt > v_cap * (1 - 1e-9))
+    for k in near.tolist():
+        speed = math.hypot(dx[k], dy[k]) / float(dt[k])
+        if speed > v_cap:
+            j = int(kept[step[k] + 1])
+            found.append((j, 3, f"{base}/states/{j}",
+                          f"implied speed {speed:.2f} m/s exceeds cap {v_cap} m/s"))
+    found.sort()
+    return [(path, message) for _, _, path, message in found]
+
+
 def check_episode(episode: Episode, v_cap: float = DEFAULT_V_CAP) -> list[tuple[str, str]]:
     """Check every data-model invariant; returns (path, message) violations."""
     issues: list[tuple[str, str]] = []
-    isfinite, hypot = math.isfinite, math.hypot
-    heading_limit = math.pi + 1e-9
 
     ids = [a.id for a in episode.agents]
     if len(set(ids)) != len(ids):
@@ -425,7 +491,7 @@ def check_episode(episode: Episode, v_cap: float = DEFAULT_V_CAP) -> list[tuple[
         base = f"/agents/{i}"
         if not (agent.radius > 0 and math.isfinite(agent.radius)):
             issues.append((f"{base}/radius", f"must be > 0, got {agent.radius}"))
-        if not agent.states:
+        if not len(agent.t):
             issues.append((f"{base}/states", "must be non-empty"))
             continue
         if agent.goal is not None:
@@ -433,35 +499,9 @@ def check_episode(episode: Episode, v_cap: float = DEFAULT_V_CAP) -> list[tuple[
                 issues.append((f"{base}/goal/tolerance", f"must be > 0, got {agent.goal.tolerance}"))
             if not agent.goal.position.is_finite():
                 issues.append((f"{base}/goal", "position must be finite"))
-        # Per-sample loop on plain floats; paths are only formatted on a violation.
-        prev_t = prev_x = prev_y = None
-        for j, s in enumerate(agent.states):
-            t, heading, vel = s.t, s.heading, s.velocity
-            x, y = s.position.x, s.position.y
-            if not isfinite(t):
-                issues.append((f"{base}/states/{j}/t", "must be finite"))
-                continue
-            if not (isfinite(x) and isfinite(y)):
-                issues.append((f"{base}/states/{j}", "position must be finite"))
-                continue
-            if not isfinite(heading):
-                issues.append((f"{base}/states/{j}/theta", "must be finite"))
-            elif abs(heading) > heading_limit:
-                issues.append((f"{base}/states/{j}/theta", f"must lie in (-pi, pi], got {heading}"))
-            if vel is not None and not (isfinite(vel.x) and isfinite(vel.y)):
-                issues.append((f"{base}/states/{j}/vx", "velocity must be finite"))
-            if prev_t is not None:
-                if t <= prev_t:
-                    issues.append((f"{base}/states/{j}/t",
-                                   f"timestamps must be strictly increasing ({prev_t} -> {t})"))
-                else:
-                    speed = hypot(x - prev_x, y - prev_y) / (t - prev_t)
-                    if speed > v_cap:
-                        issues.append((f"{base}/states/{j}",
-                                       f"implied speed {speed:.2f} m/s exceeds cap {v_cap} m/s"))
-            prev_t, prev_x, prev_y = t, x, y
+        issues.extend(_sample_issues(base, agent, v_cap))
 
-        if robot is not None and agent.states and robot.states:
+        if robot is not None and len(robot.t):
             if agent.t_start > robot.t_end or agent.t_end < robot.t_start:
                 issues.append((f"{base}/states", "time span does not overlap the robot's"))
 

@@ -26,9 +26,13 @@ def wrap_angle(theta):
         wrapped = theta % TWO_PI
         return wrapped - TWO_PI if wrapped > math.pi else wrapped
     theta = np.asarray(theta, dtype=float)
-    wrapped = np.mod(theta, TWO_PI)
-    wrapped = np.where(wrapped > np.pi, wrapped - TWO_PI, wrapped)
-    wrapped = np.where((theta > -np.pi) & (theta <= np.pi), theta, wrapped)
+    inside = (theta > -np.pi) & (theta <= np.pi)
+    wrapped = theta
+    if not inside.all():
+        with np.errstate(invalid="ignore"):  # inf wraps to nan, as with float %
+            wrapped = np.mod(theta, TWO_PI)
+        wrapped = np.where(wrapped > np.pi, wrapped - TWO_PI, wrapped)
+        wrapped = np.where(inside, theta, wrapped)
     if wrapped.ndim == 0:
         return float(wrapped)
     return wrapped

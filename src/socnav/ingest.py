@@ -12,14 +12,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import repeat
+from operator import contains, itemgetter
+
+import numpy as np
 
 from .core import (
     DEFAULT_HUMAN_RADIUS,
     DEFAULT_V_CAP,
     AgentKind,
     AgentRecord,
-    AgentState,
     Episode,
     EpisodeLabel,
     Goal,
@@ -27,7 +30,7 @@ from .core import (
     Vec2,
     check_episode,
     finite_difference_velocities,
-    synthesize_headings,
+    motion_headings,
 )
 from .errors import InvariantError, MalformedDocument, MalformedRow, NoRobot, SchemaError
 from .geometry import wrap_angle
@@ -37,7 +40,7 @@ FORMAT_VERSION = "1.0"
 _EPISODE_KEYS = {"format_version", "episode_id", "robot_under_test", "agents",
                  "obstacles", "labels", "metadata"}
 _AGENT_KEYS = {"id", "kind", "radius", "goal", "states"}
-_STATE_KEYS = {"t", "x", "y", "theta", "vx", "vy"}
+_STATE_KEYS = ("t", "x", "y", "theta", "vx", "vy")  # in decoding order
 _GOAL_KEYS = {"x", "y", "tolerance"}
 _OBSTACLE_KEYS = {"segments", "dynamic"}
 _LABEL_KEYS = {"scenario", "t_start", "t_end"}
@@ -175,27 +178,92 @@ def _collect_unknown(obj: dict, known: set, path: str, unknown: dict):
             unknown[f"{path}/{key}" if path else f"/{key}"] = obj[key]
 
 
-def _parse_state(raw, path, issues) -> tuple[AgentState, bool] | None:
-    if not isinstance(raw, dict):
-        issues.error(path, f"expected an object, got {type(raw).__name__}")
+class _Absent:
+    """Stands for a field a state omits, so a column's types tell it from any JSON value."""
+
+
+_ABSENT = _Absent()
+_OPTIONAL = {"theta", "vx", "vy"}
+
+
+def _column(states, key, optional):
+    """One field of every state: (float64 column, presence), or None if a
+    value needs a diagnostic.
+
+    Presence is a bool list, or True when every state has the field; an
+    omitted optional field reads 0.0. The column is type-checked as a
+    whole, as ``_array`` does.
+    """
+    try:
+        values = list(map(itemgetter(key), states))
+    except KeyError:
+        if not optional:
+            return None
+        if not any(map(contains, states, repeat(key))):
+            return np.zeros(len(states)), [False] * len(states)
+        values = [s.get(key, _ABSENT) for s in states]
+    kinds = set(map(type, values))
+    present = True
+    if _Absent in kinds:
+        present = [v is not _ABSENT for v in values]
+        values = [v if p else 0.0 for v, p in zip(values, present)]
+        kinds.discard(_Absent)
+    if not kinds <= {float, int}:
         return None
-    t = _number(raw, "t", path, issues)
-    x = _number(raw, "x", path, issues)
-    y = _number(raw, "y", path, issues)
-    theta = _number(raw, "theta", path, issues, required=False)
-    has_vx, has_vy = "vx" in raw, "vy" in raw
+    if int in kinds:
+        try:
+            values = [float(v) for v in values]
+        except OverflowError:
+            return None
+    return np.array(values, dtype=float), present
+
+
+def _state_columns(states):
+    """(t, x, y, theta, has_theta, vx, vy, has_vel, has_unknown) of a states
+    array, or None if some state needs a diagnostic (``_state_diagnostics``)."""
+    if set(map(type, states)) - {dict}:
+        return None
+    columns = [_column(states, key, key in _OPTIONAL) for key in _STATE_KEYS]
+    if any(c is None for c in columns):
+        return None
+    (t, _), (x, _), (y, _), (theta, has_theta), (vx, has_vx), (vy, has_vy) = columns
     if has_vx != has_vy:
-        issues.error(f"{path}/{'vy' if has_vx else 'vx'}", "vx and vy must be given together")
-    vel = None
-    if has_vx and has_vy:
-        vx = _number(raw, "vx", path, issues)
-        vy = _number(raw, "vy", path, issues)
-        if vx is not None and vy is not None:
-            vel = Vec2(vx, vy)
-    if t is None or x is None or y is None:
         return None
-    heading = wrap_angle(theta) if theta is not None else 0.0
-    return AgentState(t, Vec2(x, y), heading, vel), theta is not None
+    n = len(states)
+    known = sum(n if present is True else sum(present) for _, present in columns)
+    has_vel = np.ones(n, dtype=bool) & has_vx
+    return t, x, y, theta, has_theta, vx, vy, has_vel, sum(map(len, states)) != known
+
+
+def _state_diagnostics(states, path, issues) -> list[dict] | None:
+    """Report what is wrong with each state, in field order.
+
+    Returns the states with every reported theta or vx/vy dropped, or None
+    at the first state without a readable time and position.
+    """
+    readable = []
+    for j, raw in enumerate(states):
+        spath = f"{path}/{j}"
+        if not isinstance(raw, dict):
+            issues.error(spath, f"expected an object, got {type(raw).__name__}")
+            return None
+        pose = [_number(raw, key, spath, issues) for key in ("t", "x", "y")]
+        state = dict(raw)
+        if _number(raw, "theta", spath, issues, required=False) is None:
+            state.pop("theta", None)
+        has_vx, has_vy = "vx" in raw, "vy" in raw
+        velocity_ok = has_vx == has_vy
+        if not velocity_ok:
+            issues.error(f"{spath}/{'vy' if has_vx else 'vx'}", "vx and vy must be given together")
+        elif has_vx:
+            velocity_ok = None not in [_number(raw, key, spath, issues) for key in ("vx", "vy")]
+        if not velocity_ok:
+            state.pop("vx", None)
+            state.pop("vy", None)
+        if None in pose:
+            return None
+        readable.append(state)
+    return readable
 
 
 def _parse_agent(raw, path, issues, unknown) -> AgentRecord | None:
@@ -232,29 +300,27 @@ def _parse_agent(raw, path, issues, unknown) -> AgentRecord | None:
     if not isinstance(states_raw, list):
         issues.error(f"{path}/states", "missing or not an array")
         return None
-    states = []
-    any_theta_missing = False
-    for j, sraw in enumerate(states_raw):
-        parsed = _parse_state(sraw, f"{path}/states/{j}", issues)
-        if parsed is None:
+    columns = _state_columns(states_raw)
+    if columns is None:
+        # A bad value in theta, vx or vy is reported and read as omitted.
+        readable = _state_diagnostics(states_raw, f"{path}/states", issues)
+        if readable is None:
             return None
-        state, had_theta = parsed
-        _collect_unknown(sraw, _STATE_KEYS, f"{path}/states/{j}", unknown)
-        any_theta_missing |= not had_theta
-        states.append((state, had_theta))
+        columns = _state_columns(readable)
+    t, x, y, theta, has_theta, vx, vy, has_vel, has_unknown = columns
+    if has_unknown:
+        for j, sraw in enumerate(states_raw):
+            _collect_unknown(sraw, _STATE_KEYS, f"{path}/states/{j}", unknown)
 
     if agent_id is None or kind is None or radius is None:
         return None
-    record = AgentRecord(id=agent_id, kind=kind, radius=radius,
-                         states=tuple(s for s, _ in states), goal=goal)
-    monotonic = all(a[0].t < b[0].t for a, b in zip(states, states[1:]))
-    if any_theta_missing and len(record.states) >= 2 and monotonic:
-        synthesized = synthesize_headings(record)
-        merged = tuple(
-            orig if had_theta else synth
-            for (orig, had_theta), synth in zip(states, synthesized.states)
-        )
-        record = AgentRecord(id=agent_id, kind=kind, radius=radius, states=merged, goal=goal)
+    heading = wrap_angle(theta)
+    record = AgentRecord(id=agent_id, kind=kind, radius=radius, t=t, x=x, y=y,
+                         heading=heading, vx=vx, vy=vy, has_vel=has_vel, goal=goal)
+    if (has_theta is not True and len(t) >= 2
+            and bool(np.all(record.t[1:] > record.t[:-1]))):
+        synthesized = np.where(has_theta, heading, motion_headings(record))
+        record = replace(record, heading=synthesized)
     return record
 
 
@@ -316,20 +382,18 @@ def _build_episode(doc, issues: _Issues) -> Episode | None:
     episode_id = _string(doc, "episode_id", "", issues)
     robot_id = _string(doc, "robot_under_test", "", issues)
 
+    # Every part is decoded even after a broken one, so validate reports it all.
     agents_raw = doc.get("agents")
-    if not isinstance(agents_raw, list):
+    broken = not isinstance(agents_raw, list)
+    if broken:
         issues.error("/agents", "missing or not an array")
-        return None
     agents = []
-    broken = False
-    for i, araw in enumerate(agents_raw):
+    for i, araw in enumerate(agents_raw if not broken else []):
         agent = _parse_agent(araw, f"/agents/{i}", issues, unknown)
         if agent is None:
             broken = True
-            continue
-        agents.append(agent)
-    if broken:
-        return None
+        else:
+            agents.append(agent)
 
     obstacles = _parse_obstacles(doc.get("obstacles"), issues, unknown)
 
@@ -354,7 +418,7 @@ def _build_episode(doc, issues: _Issues) -> Episode | None:
     if unknown:
         metadata["x-unknown"] = json.dumps(unknown, sort_keys=True, separators=(",", ":"))
 
-    if episode_id is None or robot_id is None:
+    if broken or episode_id is None or robot_id is None:
         return None
     return Episode(episode_id=episode_id, robot_under_test=robot_id,
                    agents=tuple(agents), obstacles=obstacles,
@@ -410,18 +474,24 @@ def _velocity_consistency_warnings(episode: Episode,
     """
     out = []
     for i, agent in enumerate(episode.agents):
-        if len(agent.states) < 3 or not any(s.velocity is not None for s in agent.states):
+        inner = np.flatnonzero(agent.has_vel[1:-1]) + 1
+        if not inner.size:
             continue
-        fd = finite_difference_velocities(agent.times, agent.positions)
-        for j in range(1, len(agent.states) - 1):
-            s = agent.states[j]
-            if s.velocity is None:
-                continue
-            dev = math.hypot(s.velocity.x - fd[j, 0], s.velocity.y - fd[j, 1])
-            scale = max(math.hypot(*fd[j]), s.velocity.norm())
+        fd = finite_difference_velocities(agent.t, agent.positions)[inner]
+        vx, vy = agent.vx[inner], agent.vy[inner]
+        with np.errstate(all="ignore"):
+            ex, ey = vx - fd[:, 0], vy - fd[:, 1]
+            # np.hypot may differ from math.hypot in the last place, far inside
+            # this margin: it only picks the candidates, math.hypot decides.
+            dev = np.hypot(ex, ey)
+            scale = np.maximum(np.hypot(fd[:, 0], fd[:, 1]), np.hypot(vx, vy))
+            near = (dev > abs_floor * (1 - 1e-9)) & (dev > rel_tol * scale * (1 - 1e-9))
+        for k in np.flatnonzero(near).tolist():
+            dev = math.hypot(ex[k], ey[k])
+            scale = max(math.hypot(fd[k, 0], fd[k, 1]), math.hypot(vx[k], vy[k]))
             if dev > abs_floor and dev > rel_tol * scale:
                 out.append(ValidationIssue(
-                    "warning", f"/agents/{i}/states/{j}/vx",
+                    "warning", f"/agents/{i}/states/{inner[k]}/vx",
                     f"stored velocity deviates from finite difference by {dev:.3f} m/s (>20%)"))
                 break  # one warning per agent is enough
     return out
@@ -435,13 +505,15 @@ def canonical_json_bytes(obj) -> bytes:
             + "\n").encode("utf-8")
 
 
-def _state_to_json(s: AgentState) -> dict:
-    out = {"t": float(s.t), "x": float(s.position.x), "y": float(s.position.y),
-           "theta": float(s.heading)}
-    if s.velocity is not None:
-        out["vx"] = float(s.velocity.x)
-        out["vy"] = float(s.velocity.y)
-    return out
+def _states_to_json(a: AgentRecord) -> list[dict]:
+    """The agent's columns zipped into per-state objects; vx/vy only where stored."""
+    states = [{"t": t, "x": x, "y": y, "theta": h}
+              for t, x, y, h in zip(a.t.tolist(), a.x.tolist(), a.y.tolist(), a.heading.tolist())]
+    vx, vy = a.vx.tolist(), a.vy.tolist()
+    for j in np.flatnonzero(a.has_vel).tolist():
+        states[j]["vx"] = vx[j]
+        states[j]["vy"] = vy[j]
+    return states
 
 
 def _segment_to_json(seg: tuple[Vec2, Vec2]) -> list[float]:
@@ -453,7 +525,7 @@ def episode_to_jsonable(episode: Episode) -> dict:
     agents = []
     for a in episode.agents:
         entry = {"id": a.id, "kind": a.kind.value, "radius": float(a.radius),
-                 "states": [_state_to_json(s) for s in a.states]}
+                 "states": _states_to_json(a)}
         if a.goal is not None:
             entry["goal"] = {"x": float(a.goal.position.x), "y": float(a.goal.position.y),
                              "tolerance": float(a.goal.tolerance)}
@@ -532,14 +604,12 @@ def import_tsv(rows: str | bytes, frame_rate: float, robot_id: str | None = None
     records = []
     for agent_id in sorted(samples):
         frames = sorted(samples[agent_id])
-        states = tuple(
-            AgentState(t=f / frame_rate, position=Vec2(*samples[agent_id][f]))
-            for f in frames
-        )
+        xy = np.array([samples[agent_id][f] for f in frames])
         kind = AgentKind.ROBOT if agent_id == effective_robot else AgentKind.HUMAN
-        record = AgentRecord(id=agent_id, kind=kind, radius=radius, states=states)
-        if len(record.states) >= 2:
-            record = synthesize_headings(record)
+        record = AgentRecord(id=agent_id, kind=kind, radius=radius,
+                             t=np.array(frames) / frame_rate, x=xy[:, 0], y=xy[:, 1])
+        if len(frames) >= 2:
+            record = replace(record, heading=motion_headings(record))
         records.append(record)
 
     robot = next(r for r in records if r.id == effective_robot)

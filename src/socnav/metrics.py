@@ -349,7 +349,7 @@ def _features(values: np.ndarray) -> tuple[float, float, float]:
 def velocity_features(episode: Episode, params: Optional[MetricParams] = None,
                       dt: Optional[float] = None) -> tuple[float, float, float]:
     """(V_min, V_avg, V_max) of the scalar speed over the timeline."""
-    if len(episode.robot.states) < 2:
+    if len(episode.robot.t) < 2:
         raise TooFewStates("velocity features need >= 2 states")
     frames = _resolve(episode, params, dt)
     return _features(frames.robot.speed)
@@ -358,7 +358,7 @@ def velocity_features(episode: Episode, params: Optional[MetricParams] = None,
 def acceleration_features(episode: Episode, params: Optional[MetricParams] = None,
                           dt: Optional[float] = None) -> tuple[float, float, float]:
     """(A_min, A_avg, A_max) of d(speed)/dt at interior timeline points."""
-    if len(episode.robot.states) < 3:
+    if len(episode.robot.t) < 3:
         raise TooFewStates("acceleration features need >= 3 states")
     frames = _resolve(episode, params, dt)
     if len(frames.timeline) < 3:
@@ -369,7 +369,7 @@ def acceleration_features(episode: Episode, params: Optional[MetricParams] = Non
 def jerk_features(episode: Episode, params: Optional[MetricParams] = None,
                   dt: Optional[float] = None) -> tuple[float, float, float]:
     """(J_min, J_avg, J_max) of the second derivative of the scalar speed."""
-    if len(episode.robot.states) < 4:
+    if len(episode.robot.t) < 4:
         raise TooFewStates("jerk features need >= 4 states")
     frames = _resolve(episode, params, dt)
     if len(frames.timeline) < 3:
@@ -472,7 +472,7 @@ def _aggregated_time(frames: _Frames) -> Optional[float]:
         hits = np.flatnonzero(d <= agent.goal.tolerance)
         if len(hits) == 0:
             return None
-        latest = max(latest, float(agent.times[hits[0]]) - frames.t0)
+        latest = max(latest, float(agent.t[hits[0]]) - frames.t0)
     return latest
 
 
@@ -529,7 +529,7 @@ def compute_all(episode: Episode, params: Optional[MetricParams] = None,
         values["FP"] = _metric("FP", None,
                                {"fp_distance_eps": p.fp_distance_eps, "fp_window": p.fp_window})
 
-    n_states = len(episode.robot.states)
+    n_states = len(episode.robot.t)
     n_steps = len(frames.timeline)
     v = _features(frames.robot.speed) if n_states >= 2 else (None, None, None)
     a = (_central_first_derivative(frames.timeline, frames.robot.speed)

@@ -14,6 +14,7 @@ attached.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -207,6 +208,13 @@ def _as_number(value) -> Optional[float]:
     return value
 
 
+def _finite_bins(lo: float, hi: float, bins: int) -> bool:
+    """Whether np.histogram can cut [lo, hi] into ``bins`` finite-sized bins."""
+    if hi - lo > max(abs(lo), abs(hi)) * (bins * 2.0 ** -40):
+        return True  # thousands of float steps per bin
+    return bool((np.diff(np.linspace(lo, hi, bins + 1)) > 0).all())
+
+
 def _distribution(values: Sequence, bins: int) -> Distribution:
     numbers = [_as_number(v) for v in values]
     # Sorting first makes every reduction independent of report order, so
@@ -219,6 +227,11 @@ def _distribution(values: Sequence, bins: int) -> Distribution:
     lo, hi = float(finite.min()), float(finite.max())
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
+    if not _finite_bins(lo, hi, bins):
+        # The range is lost in the rounding of huge values (a +-0.5 pad
+        # vanishes at 1e16): pad relative to the magnitude instead.
+        pad = max(abs(lo), abs(hi)) * (bins * 2.0 ** -48)
+        lo, hi = max(lo - pad, -sys.float_info.max), min(hi + pad, sys.float_info.max)
     counts, edges = np.histogram(finite, bins=bins, range=(lo, hi))
     std = float(np.std(finite, ddof=1)) if len(finite) > 1 else 0.0
     return Distribution(

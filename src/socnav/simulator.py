@@ -23,7 +23,6 @@ import numpy as np
 from .core import (
     AgentKind,
     AgentRecord,
-    AgentState,
     Episode,
     Goal,
     ObstacleMap,
@@ -83,7 +82,7 @@ class AgentSpec:
     desired_speed: float = 1.0
     radius: float = 0.3
     waypoints: tuple[Vec2, ...] = ()
-    replay_states: tuple[AgentState, ...] = ()
+    replay: Optional[AgentRecord] = None  # the recorded track a replay agent follows
 
     def __post_init__(self):
         if self.policy not in POLICIES:
@@ -91,8 +90,8 @@ class AgentSpec:
                                  f"unknown policy {self.policy!r}")
         if self.desired_speed <= 0:
             raise InvariantError(f"/agents/{self.agent_id}/desired_speed", "must be > 0")
-        if self.policy == "replay" and len(self.replay_states) < 1:
-            raise InvariantError(f"/agents/{self.agent_id}/replay_states", "must be non-empty")
+        if self.policy == "replay" and (self.replay is None or not len(self.replay.t)):
+            raise InvariantError(f"/agents/{self.agent_id}/replay", "must be a non-empty track")
 
 
 @dataclass(frozen=True)
@@ -136,10 +135,11 @@ def init_state(config: SimConfig) -> SimState:
                 heading[i] = wrap_angle(math.atan2(dy, dx))
     for i, spec in enumerate(config.agents):
         if spec.policy == "replay":
-            pos[i] = (spec.replay_states[0].position.x, spec.replay_states[0].position.y)
-            if spec.replay_states[0].velocity is not None:
-                vel[i] = (spec.replay_states[0].velocity.x, spec.replay_states[0].velocity.y)
-            heading[i] = spec.replay_states[0].heading
+            first = spec.replay.states[0]
+            pos[i] = (first.position.x, first.position.y)
+            if first.velocity is not None:
+                vel[i] = (first.velocity.x, first.velocity.y)
+            heading[i] = first.heading
     return SimState(t=0.0, pos=pos, vel=vel, heading=heading,
                     waypoint_idx=np.zeros(n, dtype=int),
                     reached=np.zeros(n, dtype=bool))
@@ -149,11 +149,6 @@ def _current_target(spec: AgentSpec, waypoint_idx: int) -> Optional[Vec2]:
     if waypoint_idx < len(spec.waypoints):
         return spec.waypoints[waypoint_idx]
     return spec.goal.position if spec.goal is not None else None
-
-
-def _replay_record(spec: AgentSpec) -> AgentRecord:
-    return AgentRecord(id=spec.agent_id, kind=spec.kind, radius=spec.radius,
-                       states=spec.replay_states, goal=spec.goal)
 
 
 def _away_from_segment(px: float, py: float, seg: tuple) -> tuple[float, float]:
@@ -195,9 +190,9 @@ def step(state: SimState, config: SimConfig) -> SimState:
         nvx = nvy = 0.0
 
         if spec.policy == "replay":
-            t_next = min(state.t + dt, spec.replay_states[-1].t)
-            t_next = max(t_next, spec.replay_states[0].t)
-            s = interpolate_state(_replay_record(spec), t_next)
+            t_next = min(state.t + dt, spec.replay.t_end)
+            t_next = max(t_next, spec.replay.t_start)
+            s = interpolate_state(spec.replay, t_next)
             nvx, nvy = (s.position.x - px) / dt, (s.position.y - py) / dt
         else:
             # Without a target, d = 0 and the agent gets no goal drive.
@@ -302,24 +297,22 @@ def run(config: SimConfig) -> Episode:
         if goal_bearing and all(reached[i] for i in goal_bearing):
             break
 
-    # One (T, n, ...) stack per field, converted to floats once.
-    times = [s.t for s in history]
-    pos = np.array([s.pos for s in history]).tolist()
-    vel = np.array([s.vel for s in history]).tolist()
-    heading = np.array([s.heading for s in history]).tolist()
-    agents = []
-    for i, spec in enumerate(config.agents):
-        states = tuple(
-            AgentState(t=t, position=Vec2(*p[i]), heading=h[i], velocity=Vec2(*v[i]))
-            for t, p, v, h in zip(times, pos, vel, heading))
-        agents.append(AgentRecord(id=spec.agent_id, kind=spec.kind, radius=spec.radius,
-                                  states=states, goal=spec.goal))
+    # One (T, n, ...) stack per field; agent i's columns are its slices.
+    times = np.array([s.t for s in history])
+    pos = np.array([s.pos for s in history])
+    vel = np.array([s.vel for s in history])
+    heading = np.array([s.heading for s in history])
+    agents = tuple(
+        AgentRecord(id=spec.agent_id, kind=spec.kind, radius=spec.radius, t=times,
+                    x=pos[:, i, 0], y=pos[:, i, 1], heading=heading[:, i],
+                    vx=vel[:, i, 0], vy=vel[:, i, 1], goal=spec.goal)
+        for i, spec in enumerate(config.agents))
     robot_id = next((a.agent_id for a in config.agents if a.kind is AgentKind.ROBOT),
                     config.agents[0].agent_id if config.agents else "robot")
     metadata = {str(k): str(v) for k, v in config.metadata.items()}
     metadata.setdefault("seed", str(config.seed))
     return Episode(episode_id=config.episode_id, robot_under_test=robot_id,
-                   agents=tuple(agents), obstacles=config.scene, metadata=metadata)
+                   agents=agents, obstacles=config.scene, metadata=metadata)
 
 
 # --- Scenario generation ------------------------------------------------------

@@ -2,37 +2,33 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from socnav.core import (
     AgentKind,
     AgentRecord,
-    AgentState,
     Episode,
     Goal,
     ObstacleMap,
     Vec2,
-    synthesize_headings,
+    motion_headings,
 )
 
 
 def make_agent(agent_id, points, dt=0.1, t0=0.0, kind=AgentKind.HUMAN, radius=0.3,
                goal=None, velocities=None, headings=None, times=None):
     """Build an agent from a list of (x, y) points sampled at dt."""
-    states = []
-    for i, (x, y) in enumerate(points):
-        t = times[i] if times is not None else t0 + i * dt
-        vel = None
-        if velocities is not None:
-            vx, vy = velocities[i]
-            vel = Vec2(float(vx), float(vy))
-        heading = float(headings[i]) if headings is not None else 0.0
-        states.append(AgentState(t=float(t), position=Vec2(float(x), float(y)),
-                                 heading=heading, velocity=vel))
-    record = AgentRecord(id=agent_id, kind=kind, radius=radius,
-                         states=tuple(states), goal=goal)
-    if headings is None and len(states) >= 2:
-        record = synthesize_headings(record)
+    xy = np.array(points, dtype=float).reshape(-1, 2)
+    t = np.array(times, dtype=float) if times is not None else t0 + np.arange(len(xy)) * dt
+    vel = np.array(velocities, dtype=float).reshape(-1, 2) if velocities is not None else None
+    record = AgentRecord(id=agent_id, kind=kind, radius=radius, t=t, x=xy[:, 0], y=xy[:, 1],
+                         heading=headings,
+                         vx=None if vel is None else vel[:, 0],
+                         vy=None if vel is None else vel[:, 1], goal=goal)
+    if headings is None and len(t) >= 2:
+        record = replace(record, heading=motion_headings(record))
     return record
 
 
@@ -83,20 +79,13 @@ def rigid_transform(episode: Episode, angle: float, tx: float, ty: float) -> Epi
     def rot_point(p: Vec2) -> Vec2:
         return Vec2(c * p.x - s * p.y + tx, s * p.x + c * p.y + ty)
 
-    def rot_vector(p: Vec2) -> Vec2:
-        return Vec2(c * p.x - s * p.y, s * p.x + c * p.y)
-
     def rot_agent(a: AgentRecord) -> AgentRecord:
-        states = tuple(
-            AgentState(t=st.t, position=rot_point(st.position),
-                       heading=float(np.arctan2(np.sin(st.heading + angle),
-                                                np.cos(st.heading + angle))),
-                       velocity=rot_vector(st.velocity) if st.velocity else None)
-            for st in a.states)
         goal = None
         if a.goal is not None:
             goal = Goal(position=rot_point(a.goal.position), tolerance=a.goal.tolerance)
-        return AgentRecord(id=a.id, kind=a.kind, radius=a.radius, states=states, goal=goal)
+        return replace(a, x=c * a.x - s * a.y + tx, y=s * a.x + c * a.y + ty,
+                       heading=np.arctan2(np.sin(a.heading + angle), np.cos(a.heading + angle)),
+                       vx=c * a.vx - s * a.vy, vy=s * a.vx + c * a.vy, goal=goal)
 
     obstacles = ObstacleMap(
         segments=tuple((rot_point(a), rot_point(b)) for a, b in episode.obstacles.segments),
@@ -111,12 +100,7 @@ def scale_time(episode: Episode, k: float) -> Episode:
     """Stretch all timestamps by k; velocities shrink by 1/k accordingly."""
 
     def scale_agent(a: AgentRecord) -> AgentRecord:
-        states = tuple(
-            AgentState(t=st.t * k, position=st.position, heading=st.heading,
-                       velocity=Vec2(st.velocity.x / k, st.velocity.y / k)
-                       if st.velocity else None)
-            for st in a.states)
-        return AgentRecord(id=a.id, kind=a.kind, radius=a.radius, states=states, goal=a.goal)
+        return replace(a, t=a.t * k, vx=a.vx / k, vy=a.vy / k)
 
     obstacles = ObstacleMap(
         segments=episode.obstacles.segments,

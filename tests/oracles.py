@@ -175,7 +175,6 @@ def reference_step(state, config):
     """
     import numpy as np
 
-    from socnav.core import AgentRecord
     from socnav.geometry import wrap_angle
     from socnav.simulator import _STOP_LOOKAHEAD, _WAYPOINT_TOLERANCE, SimState
 
@@ -220,11 +219,9 @@ def reference_step(state, config):
 
     for i, spec in enumerate(config.agents):
         if spec.policy == "replay":
-            t_next = min(state.t + dt, spec.replay_states[-1].t)
-            t_next = max(t_next, spec.replay_states[0].t)
-            record = AgentRecord(id=spec.agent_id, kind=spec.kind, radius=spec.radius,
-                                 states=spec.replay_states, goal=spec.goal)
-            s = interpolate_state(record, t_next)
+            t_next = min(state.t + dt, spec.replay.t_end)
+            t_next = max(t_next, spec.replay.t_start)
+            s = interpolate_state(spec.replay, t_next)
             new_vel[i] = ((s.position.x - pos[i, 0]) / dt, (s.position.y - pos[i, 1]) / dt)
             continue
 
@@ -328,3 +325,101 @@ def event_runs_oracle(mask):
     if start is not None:
         runs.append((start, len(mask)))
     return runs
+
+
+# --- Per-sample forms of the columnar rules ---------------------------------------
+# The velocity rule, heading synthesis and episode checks as they were first
+# written: one AgentState at a time, on Python floats.
+
+def velocities_oracle(agent):
+    """(N, 2) velocities: stored where given, else finite differences."""
+    import numpy as np
+
+    from socnav.core import finite_difference_velocities
+
+    states = agent.states
+    given = [s.velocity for s in states]
+    if all(v is not None for v in given):
+        return np.array([(v.x, v.y) for v in given]).reshape(-1, 2)
+    times = np.array([s.t for s in states])
+    positions = np.array([(s.position.x, s.position.y) for s in states])
+    fd = finite_difference_velocities(times, positions)
+    for i, v in enumerate(given):
+        if v is not None:
+            fd[i] = (v.x, v.y)
+    return fd
+
+
+def synthesize_headings_oracle(agent):
+    """Headings from the direction of motion; a stationary sample keeps the last one."""
+    from socnav.geometry import wrap_angle
+
+    headings = []
+    prev = 0.0
+    for v in velocities_oracle(agent):
+        speed = math.hypot(v[0], v[1])
+        if speed > 1e-9:
+            prev = math.atan2(v[1], v[0])
+        headings.append(wrap_angle(prev))
+    return headings
+
+
+def sample_issues_oracle(base, agent, v_cap):
+    """check_episode's per-sample loop for one agent: (path, message) violations."""
+    issues = []
+    isfinite, hypot = math.isfinite, math.hypot
+    heading_limit = math.pi + 1e-9
+    prev_t = prev_x = prev_y = None
+    for j, s in enumerate(agent.states):
+        t, heading, vel = s.t, s.heading, s.velocity
+        x, y = s.position.x, s.position.y
+        if not isfinite(t):
+            issues.append((f"{base}/states/{j}/t", "must be finite"))
+            continue
+        if not (isfinite(x) and isfinite(y)):
+            issues.append((f"{base}/states/{j}", "position must be finite"))
+            continue
+        if not isfinite(heading):
+            issues.append((f"{base}/states/{j}/theta", "must be finite"))
+        elif abs(heading) > heading_limit:
+            issues.append((f"{base}/states/{j}/theta", f"must lie in (-pi, pi], got {heading}"))
+        if vel is not None and not (isfinite(vel.x) and isfinite(vel.y)):
+            issues.append((f"{base}/states/{j}/vx", "velocity must be finite"))
+        if prev_t is not None:
+            if t <= prev_t:
+                issues.append((f"{base}/states/{j}/t",
+                               f"timestamps must be strictly increasing ({prev_t} -> {t})"))
+            else:
+                speed = hypot(x - prev_x, y - prev_y) / (t - prev_t)
+                if speed > v_cap:
+                    issues.append((f"{base}/states/{j}",
+                                   f"implied speed {speed:.2f} m/s exceeds cap {v_cap} m/s"))
+        prev_t, prev_x, prev_y = t, x, y
+    return issues
+
+
+def velocity_warnings_oracle(episode, rel_tol=0.2, abs_floor=0.1):
+    """ingest's velocity-consistency warnings, one interior state at a time: (path, message)."""
+    import numpy as np
+
+    from socnav.core import finite_difference_velocities
+
+    out = []
+    for i, agent in enumerate(episode.agents):
+        states = agent.states
+        if len(states) < 3 or not any(s.velocity is not None for s in states):
+            continue
+        times = np.array([s.t for s in states])
+        positions = np.array([(s.position.x, s.position.y) for s in states])
+        fd = finite_difference_velocities(times, positions)
+        for j in range(1, len(states) - 1):
+            s = states[j]
+            if s.velocity is None:
+                continue
+            dev = math.hypot(s.velocity.x - fd[j, 0], s.velocity.y - fd[j, 1])
+            scale = max(math.hypot(*fd[j]), math.hypot(s.velocity.x, s.velocity.y))
+            if dev > abs_floor and dev > rel_tol * scale:
+                out.append((f"/agents/{i}/states/{j}/vx",
+                            f"stored velocity deviates from finite difference by {dev:.3f} m/s (>20%)"))
+                break
+    return out

@@ -254,7 +254,7 @@ def test_10_throughput_reported():
 
 
 def _throughput_episode(rng, index):
-    from socnav.core import AgentRecord, AgentState
+    from socnav.core import AgentRecord
 
     n_steps, n_agents, dt = 500, 10, 0.05
     agents = []
@@ -262,14 +262,11 @@ def _throughput_episode(rng, index):
         start = rng.uniform(-10, 10, 2)
         steps = rng.normal(0.0, 1.2 * dt, (n_steps - 1, 2))
         xy = np.vstack([start, start + np.cumsum(steps, axis=0)])
-        states = tuple(
-            AgentState(t=k * dt, position=Vec2(float(xy[k, 0]), float(xy[k, 1])))
-            for k in range(n_steps))
         kind = AgentKind.ROBOT if a == 0 else AgentKind.HUMAN
         goal = Goal(position=Vec2(*map(float, rng.uniform(-10, 10, 2))),
                     tolerance=0.2) if a == 0 else None
-        agents.append(AgentRecord(id=f"a{a}", kind=kind, radius=0.3,
-                                  states=states, goal=goal))
+        agents.append(AgentRecord(id=f"a{a}", kind=kind, radius=0.3, t=np.arange(n_steps) * dt,
+                                  x=xy[:, 0], y=xy[:, 1], goal=goal))
     return make_episode(agents, robot_id="a0", episode_id=f"tp-{index}")
 
 

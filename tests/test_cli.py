@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -210,6 +211,33 @@ def test_full_pipeline_compose(tmp_path):
     doc = json.loads(table.read_bytes())
     assert doc["policies"] == ["a", "b"]
     assert doc["flags"] == []
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("value", [1e16, -1e16, 1e300])
+def test_summarize_huge_constant_metric(tmp_path, value):
+    doc = json.loads((GOLDEN / "headings_omitted" / "report.json").read_bytes())
+    doc["metrics"]["PL"]["value"] = value
+    files = []
+    for i in range(2):
+        files.append(tmp_path / f"report_{i}.json")
+        files[-1].write_text(json.dumps(doc))
+    out = tmp_path / "summary.json"
+    assert main(["summarize", *map(str, files), "-o", str(out)]) == 0
+    pl = parse_summary(out.read_bytes()).distributions["PL"]
+    assert pl.min == pl.max == value and sum(pl.counts) == 2
+    assert all(a < b for a, b in zip(pl.edges, pl.edges[1:]))
+
+
+def test_summarize_golden_reports_unchanged(tmp_path):
+    """Constant metrics keep their +-0.5 bins: the bytes from before the relative pad."""
+    out = tmp_path / "summary.json"
+    assert main(["summarize", *map(str, sorted(GOLDEN.glob("*/report.json"))),
+                 "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "d16a831b0421d3c373a5fbef4a46dcb2f994c007471c18321ae3ed60c3bb1b11")
 
 
 @pytest.mark.parametrize("digits", [401, 5001])

@@ -192,6 +192,34 @@ class TestValidate:
     def test_valid_minimal_is_clean(self):
         assert validate(doc()) == []
 
+    @pytest.mark.parametrize("agents", ["broken", "not-an-array"])
+    def test_reports_every_part_after_a_broken_agent(self, agents):
+        d = json.loads(json.dumps(MINIMAL))
+        if agents == "broken":
+            d["agents"][0]["states"][0]["x"] = "a"
+        else:
+            d["agents"] = {}
+        d["obstacles"] = {"segments": [[0, 0, 1]]}
+        d["labels"] = [{"scenario": 3, "t_start": 0, "t_end": 1}]
+        d["metadata"] = {"k": 1}
+        document = json.dumps(d).encode()
+        first = "/agents/0/states/0/x" if agents == "broken" else "/agents"
+        assert [i.path for i in validate(document) if i.severity == "error"] == [
+            first, "/obstacles/segments/0", "/labels/0/scenario", "/metadata/k"]
+        with pytest.raises(SchemaError) as err:
+            parse_episode(document)
+        assert err.value.path == first
+
+    def test_bad_theta_or_velocity_reported_and_read_as_omitted(self):
+        # The agent still decodes, so the model checks run on it too.
+        d = json.loads(json.dumps(MINIMAL))
+        d["agents"][0]["states"][0]["theta"] = "north"
+        d["agents"][0]["states"][1].update(vx=True, vy=0.0, t=0.0)
+        assert [(i.path, i.message) for i in validate(json.dumps(d).encode())] == [
+            ("/agents/0/states/0/theta", "expected a number, got str"),
+            ("/agents/0/states/1/vx", "expected a number, got bool"),
+            ("/agents/0/states/1/t", "timestamps must be strictly increasing (0.0 -> 0.0)")]
+
     def test_negative_radius(self):
         d = json.loads(json.dumps(MINIMAL))
         d["agents"][0]["radius"] = -1

@@ -78,7 +78,7 @@ class TestClassify:
         # the window covers (part of) the mutual approach, which ends by the
         # time the pair is closest
         d = np.linalg.norm(ep.robot.positions - ep.humans[0].positions, axis=1)
-        t_closest = ep.robot.times[int(np.argmin(d))]
+        t_closest = ep.robot.t[int(np.argmin(d))]
         assert label.t_start < t_closest + 0.5
 
     def test_stationary_pair_unlabeled(self):

@@ -5,7 +5,7 @@ import pytest
 
 from socnav.core import (
     AgentKind,
-    AgentState,
+    AgentRecord,
     Goal,
     MetricParams,
     ObstacleMap,
@@ -91,11 +91,11 @@ class TestStep:
         assert np.linalg.norm(state.vel[0]) > 0.0
 
     def test_replay_follows_states(self):
-        from socnav.core import AgentState
-        states = tuple(AgentState(t=0.1 * i, position=Vec2(0.2 * i, 0.0))
-                       for i in range(20))
+        i = np.arange(20)
+        track = AgentRecord(id="robot", kind=AgentKind.ROBOT, radius=0.3,
+                            t=0.1 * i, x=0.2 * i, y=np.zeros(20))
         spec = AgentSpec(agent_id="robot", kind=AgentKind.ROBOT, policy="replay",
-                         position=Vec2(0.0, 0.0), replay_states=states)
+                         position=Vec2(0.0, 0.0), replay=track)
         config = SimConfig(dt=0.05, max_duration=1.0, agents=(spec,))
         ep = run(config)
         # at t = 1.0 the replayed trajectory sits at x = 2.0
@@ -239,11 +239,12 @@ class TestStepMatchesReference:
         _assert_steps_match_reference(config)
 
     def test_replay_agent(self):
-        states = tuple(AgentState(t=0.1 * i, position=Vec2(0.15 * i, 0.05 * i),
-                                  heading=0.3, velocity=Vec2(1.5, 0.5))
-                       for i in range(30))
+        i = np.arange(30)
+        track = AgentRecord(id="robot", kind=AgentKind.ROBOT, radius=0.3,
+                            t=0.1 * i, x=0.15 * i, y=0.05 * i, heading=np.full(30, 0.3),
+                            vx=np.full(30, 1.5), vy=np.full(30, 0.5))
         robot = AgentSpec(agent_id="robot", kind=AgentKind.ROBOT, policy="replay",
-                          position=Vec2(0.0, 0.0), replay_states=states)
+                          position=Vec2(0.0, 0.0), replay=track)
         config = SimConfig(dt=0.05, max_duration=4.0, episode_id="replay",
                            agents=(robot, _human("h0", (4.0, 0.5), (-2.0, 0.5)),
                                    _human("h1", (3.0, -1.0), (3.0, 3.0),
