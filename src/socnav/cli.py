@@ -5,7 +5,8 @@ Conventions: diagnostics go to stderr, data goes to ``-o`` targets or
 stdout; exit codes are 0 (ok), 1 (validation/data errors), 2 (usage),
 3 (I/O). Multi-file subcommands process their inputs one after another,
 in input order: the work is pure Python, so threads would only contend
-for the interpreter lock.
+for the interpreter lock. ``simulator`` and ``scenarios`` are imported by
+the subcommands that call them, so the others do not pay for loading them.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from . import ingest, report, scenarios, simulator
+from . import ingest, report
 from .core import MetricParams
-from .errors import SocnavError
+from .errors import InvariantError, SocnavError
 from .metrics import compute_all
 
 EXIT_OK = 0
@@ -64,19 +65,22 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from . import simulator
+
     if args.scenario not in simulator.SCENARIO_NAMES:
         print(f"unknown scenario {args.scenario!r}; choose from "
               f"{', '.join(simulator.SCENARIO_NAMES)}", file=sys.stderr)
         return EXIT_USAGE
+    if args.count < 1:
+        raise InvariantError("/count", f"must be a positive integer, got {args.count}")
     outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
-
     for i in range(args.count):
         config = simulator.generate_scenario(args.scenario, args.seed + i,
                                              robot_policy=args.robot_policy)
         config = dataclasses.replace(config,
                                      episode_id=f"{args.scenario}_{args.seed}_{i}")
         episode = simulator.run(config)
+        outdir.mkdir(parents=True, exist_ok=True)  # only once there is an episode to write
         path = outdir / f"{args.scenario}_{args.seed}_{i}.json"
         with open(path, "wb") as f:
             f.write(ingest.serialize_episode(episode))
@@ -87,6 +91,8 @@ def _cmd_simulate(args) -> int:
 def _load_cards(directory: str | None):
     if directory is None:
         return None
+    from . import scenarios
+
     cards = {}
     for path in sorted(Path(directory).glob("*.json")):
         card = scenarios.parse_card(_read(str(path)))
@@ -97,6 +103,8 @@ def _load_cards(directory: str | None):
 
 
 def _cmd_classify(args) -> int:
+    from . import scenarios
+
     cards = _load_cards(args.cards)
 
     labels_by_episode = {}

@@ -243,12 +243,18 @@ def _distribution(values: Sequence, bins: int) -> Distribution:
     )
 
 
+# Every metric's histogram holds bins + 1 edges in memory and in the summary file.
+MAX_BINS = 10_000
+
+
 def summarize(reports: Sequence[MetricReport], bins: int = 20) -> CorpusSummary:
-    """Distributional summary of a corpus of per-episode reports."""
+    """Distributional summary of a corpus of per-episode reports, ``bins`` in [1, MAX_BINS]."""
     if not reports:
         raise EmptyCorpus("summarize needs at least one report")
     if bins < 1:
         raise SchemaError("/bins", "must be >= 1")
+    if bins > MAX_BINS:
+        raise SchemaError("/bins", f"must be <= {MAX_BINS}, got {bins}")
     names = list(TASKWISE_KEYS)
     extra = [k for k in reports[0].taskwise if k not in TASKWISE_KEYS]
     distributions = {

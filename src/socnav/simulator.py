@@ -9,11 +9,16 @@ goal and freezes whenever anything sits within stopping distance ahead.
 Identical (seed, config) pairs produce byte-identical serialized episodes.
 The step loops over agents on plain Python floats, because crowds are
 small enough that numpy's per-call overhead would dominate; the float
-arithmetic is fixed, so reruns stay byte-identical.
+arithmetic is fixed, so reruns stay byte-identical. `run` keeps its state
+as plain float lists for the whole episode and stacks the history into
+arrays once at the end. The public `init_state` and `step` are array
+wrappers over the same private arithmetic (`_initial`, `_advance`), so a
+loop of `step` visits exactly the states `run` records.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -110,6 +115,8 @@ class SimConfig:
             raise InvariantError("/dt", "must be > 0")
         if self.max_duration <= 0:
             raise InvariantError("/max_duration", "must be > 0")
+        if not self.agents:
+            raise InvariantError("/agents", "must hold at least one agent")
 
 
 @dataclass(frozen=True)
@@ -122,33 +129,43 @@ class SimState:
     reached: np.ndarray   # (n,) bool, sticky goal-reached flags
 
 
-def init_state(config: SimConfig) -> SimState:
-    n = len(config.agents)
-    pos = np.array([[a.position.x, a.position.y] for a in config.agents], dtype=float)
-    vel = np.zeros((n, 2))
-    heading = np.zeros(n)
-    for i, spec in enumerate(config.agents):
-        target = _current_target(spec, 0)
+def _initial(config: SimConfig) -> tuple[list, list, list]:
+    """Start positions, velocities and headings as plain floats."""
+    pos, vel, headings = [], [], []
+    for spec in config.agents:
+        x, y = float(spec.position.x), float(spec.position.y)
+        vx = vy = heading = 0.0
+        target = (spec.waypoints[0] if spec.waypoints
+                  else spec.goal.position if spec.goal is not None else None)
         if target is not None:
             dx, dy = target.x - spec.position.x, target.y - spec.position.y
             if math.hypot(dx, dy) > 1e-9:
-                heading[i] = wrap_angle(math.atan2(dy, dx))
-    for i, spec in enumerate(config.agents):
+                heading = wrap_angle(math.atan2(dy, dx))
         if spec.policy == "replay":
             first = spec.replay.states[0]
-            pos[i] = (first.position.x, first.position.y)
+            x, y = float(first.position.x), float(first.position.y)
             if first.velocity is not None:
-                vel[i] = (first.velocity.x, first.velocity.y)
-            heading[i] = first.heading
-    return SimState(t=0.0, pos=pos, vel=vel, heading=heading,
-                    waypoint_idx=np.zeros(n, dtype=int),
-                    reached=np.zeros(n, dtype=bool))
+                vx, vy = float(first.velocity.x), float(first.velocity.y)
+            heading = float(first.heading)
+        pos.append((x, y))
+        vel.append((vx, vy))
+        headings.append(heading)
+    return pos, vel, headings
 
 
-def _current_target(spec: AgentSpec, waypoint_idx: int) -> Optional[Vec2]:
-    if waypoint_idx < len(spec.waypoints):
-        return spec.waypoints[waypoint_idx]
-    return spec.goal.position if spec.goal is not None else None
+def _as_arrays(t: float, pos: list, vel: list, headings: list, waypoint_idx: list,
+               reached: list) -> SimState:
+    n = len(headings)
+    return SimState(t=t, pos=np.array(pos, dtype=float).reshape(n, 2),
+                    vel=np.array(vel, dtype=float).reshape(n, 2),
+                    heading=np.array(headings, dtype=float),
+                    waypoint_idx=np.array(waypoint_idx, dtype=int),
+                    reached=np.array(reached, dtype=bool))
+
+
+def init_state(config: SimConfig) -> SimState:
+    n = len(config.agents)
+    return _as_arrays(0.0, *_initial(config), [0] * n, [False] * n)
 
 
 def _away_from_segment(px: float, py: float, seg: tuple) -> tuple[float, float]:
@@ -158,95 +175,137 @@ def _away_from_segment(px: float, py: float, seg: tuple) -> tuple[float, float]:
     return px - (ax + u * sx), py - (ay + u * sy)
 
 
-def step(state: SimState, config: SimConfig) -> SimState:
-    """Advance the simulation by one dt; pure function of (state, config)."""
-    p = config.sfm
-    dt = config.dt
-    pos = state.pos.tolist()
-    vel = state.vel.tolist()
-    headings = state.heading.tolist()
-    waypoint_idx = state.waypoint_idx.tolist()
-    reached = state.reached.tolist()
-    seg_a, seg_b = config.scene.active_segments(state.t)
-    segs = []  # (ax, ay, dx, dy, |d|^2) per active segment
-    for (ax, ay), (bx, by) in zip(seg_a.tolist(), seg_b.tolist()):
-        sx, sy = bx - ax, by - ay
-        segs.append((ax, ay, sx, sy, sx * sx + sy * sy))
-    radii = [a.radius for a in config.agents]
-    new_pos, new_vel, new_heading = [], [], []
+class _Plan:
+    """What a step reads from a SimConfig, gathered once per episode.
 
-    for i, spec in enumerate(config.agents):
+    One tuple per agent: (policy, waypoints as (x, y), goal as (x, y,
+    tolerance) or None, desired speed, radius, radius sums with every
+    agent, replay track). Segment tuples are built once per active set.
+    """
+
+    def __init__(self, config: SimConfig):
+        self.dt = config.dt
+        p = config.sfm
+        self.sfm = (p.relaxation_time, p.repulsion_strength, p.repulsion_range,
+                    p.obstacle_strength, p.obstacle_range, p.v_max)
+        radii = [a.radius for a in config.agents]
+        self.agents = tuple(
+            (spec.policy,
+             tuple((w.x, w.y) for w in spec.waypoints),
+             None if spec.goal is None else (spec.goal.position.x, spec.goal.position.y,
+                                             spec.goal.tolerance),
+             spec.desired_speed, r_i, [r_i + r_j for r_j in radii], spec.replay)
+            for spec, r_i in zip(config.agents, radii))
+        self.scene = config.scene
+        self._segments: dict[int, list] = {}
+
+    def segments(self, t: float) -> list:
+        """(ax, ay, dx, dy, |d|^2) per segment active at t."""
+        key = 0  # how many dynamic stamps have passed: it picks the active set
+        for stamp, _ in self.scene.dynamic:
+            if not stamp <= t:
+                break
+            key += 1
+        segs = self._segments.get(key)
+        if segs is None:
+            seg_a, seg_b = self.scene.active_segments(t)
+            segs = self._segments[key] = []
+            for (ax, ay), (bx, by) in zip(seg_a.tolist(), seg_b.tolist()):
+                sx, sy = bx - ax, by - ay
+                segs.append((ax, ay, sx, sy, sx * sx + sy * sy))
+        return segs
+
+
+def _advance(plan: _Plan, t: float, pos: list, vel: list, headings: list,
+             waypoint_idx: list, reached: list) -> tuple[list, list, list]:
+    """The physics of one dt on plain floats.
+
+    Returns the new positions, velocities and headings; advances
+    ``waypoint_idx`` and sets ``reached`` in place.
+    """
+    dt = plan.dt
+    relaxation_time, repulsion_strength, repulsion_range, \
+        obstacle_strength, obstacle_range, v_max = plan.sfm
+    segs = plan.segments(t)
+    hypot, exp, atan2, isfinite = math.hypot, math.exp, math.atan2, math.isfinite
+    new_pos, new_vel, new_heading = [], [], []
+    finite = True
+
+    for i, (policy, waypoints, goal, desired_speed, r_i, r_sum, replay) in enumerate(plan.agents):
         px, py = pos[i]
         vx, vy = vel[i]
-        r_i = radii[i]
         # Advance waypoints while the agent is close enough to the current one.
-        while waypoint_idx[i] < len(spec.waypoints):
-            w = spec.waypoints[waypoint_idx[i]]
-            if math.hypot(px - w.x, py - w.y) > _WAYPOINT_TOLERANCE:
+        n_waypoints = len(waypoints)
+        k = waypoint_idx[i]
+        while k < n_waypoints:
+            wx, wy = waypoints[k]
+            if hypot(px - wx, py - wy) > _WAYPOINT_TOLERANCE:
                 break
-            waypoint_idx[i] += 1
+            k += 1
+        waypoint_idx[i] = k
         heading = headings[i]
-        goal = spec.goal
         nvx = nvy = 0.0
 
-        if spec.policy == "replay":
-            t_next = min(state.t + dt, spec.replay.t_end)
-            t_next = max(t_next, spec.replay.t_start)
-            s = interpolate_state(spec.replay, t_next)
+        if policy == "replay":
+            t_next = min(t + dt, replay.t_end)
+            t_next = max(t_next, replay.t_start)
+            s = interpolate_state(replay, t_next)
             nvx, nvy = (s.position.x - px) / dt, (s.position.y - py) / dt
         else:
             # Without a target, d = 0 and the agent gets no goal drive.
-            target = _current_target(spec, waypoint_idx[i])
-            tx, ty = (target.x - px, target.y - py) if target is not None else (0.0, 0.0)
-            d = math.hypot(tx, ty)
-            at_goal = (goal is not None and math.hypot(px - goal.position.x, py - goal.position.y)
-                       <= goal.tolerance)
-            done = at_goal and waypoint_idx[i] >= len(spec.waypoints)
+            if k < n_waypoints:
+                tx, ty = waypoints[k][0] - px, waypoints[k][1] - py
+            elif goal is not None:
+                tx, ty = goal[0] - px, goal[1] - py
+            else:
+                tx, ty = 0.0, 0.0
+            d = hypot(tx, ty)
+            at_goal = goal is not None and hypot(px - goal[0], py - goal[1]) <= goal[2]
+            done = at_goal and k >= n_waypoints
 
-            if spec.policy == "scripted_waypoints":
+            if policy == "scripted_waypoints":
                 if not done and d > 1e-9:
-                    speed = min(spec.desired_speed, d / dt, p.v_max)
+                    speed = min(desired_speed, d / dt, v_max)
                     nvx, nvy = tx / d * speed, ty / d * speed
 
-            elif spec.policy == "straight_line_stop":
+            elif policy == "straight_line_stop":
                 if not at_goal and d >= 1e-9:
                     ex, ey = tx / d, ty / d
-                    heading = math.atan2(ey, ex)
+                    heading = atan2(ey, ex)
                     blocked = False
                     for j, (qx, qy) in enumerate(pos):
                         if j != i and ((qx - px) * ex + (qy - py) * ey > 0.0
-                                       and math.hypot(px - qx, py - qy)
-                                       <= r_i + radii[j] + _STOP_LOOKAHEAD):
+                                       and hypot(px - qx, py - qy)
+                                       <= r_sum[j] + _STOP_LOOKAHEAD):
                             blocked = True
                             break
                     if not blocked:
                         for seg in segs:
                             gx, gy = _away_from_segment(px, py, seg)
-                            if (math.hypot(gx, gy) <= r_i + _STOP_LOOKAHEAD
+                            if (hypot(gx, gy) <= r_i + _STOP_LOOKAHEAD
                                     and gx * ex + gy * ey < 0.0):
                                 blocked = True
                                 break
                     if not blocked:
-                        speed = min(spec.desired_speed, d / dt, p.v_max)
+                        speed = min(desired_speed, d / dt, v_max)
                         nvx, nvy = ex * speed, ey * speed
 
             else:
                 # SFM agent: goal attraction toward the current target.
                 if not done and d > 1e-9:
-                    fx = (spec.desired_speed * tx / d - vx) / p.relaxation_time
-                    fy = (spec.desired_speed * ty / d - vy) / p.relaxation_time
+                    fx = (desired_speed * tx / d - vx) / relaxation_time
+                    fy = (desired_speed * ty / d - vy) / relaxation_time
                 else:
-                    fx, fy = -vx / p.relaxation_time, -vy / p.relaxation_time
+                    fx, fy = -vx / relaxation_time, -vy / relaxation_time
                 # Repulsion from the other agents.
                 rx = ry = 0.0
                 for j, (qx, qy) in enumerate(pos):
                     if j == i:
                         continue
                     dx, dy = px - qx, py - qy
-                    dist = math.hypot(dx, dy)
-                    weight = p.repulsion_strength * math.exp(
-                        -(dist - (r_i + radii[j])) / p.repulsion_range)
-                    safe = max(dist, 1e-6)
+                    dist = hypot(dx, dy)
+                    weight = repulsion_strength * exp(-(dist - r_sum[j]) / repulsion_range)
+                    safe = 1e-6 if 1e-6 > dist else dist  # max(dist, 1e-6) without the call
                     rx += weight * (dx / safe)
                     ry += weight * (dy / safe)
                 fx += rx
@@ -254,61 +313,74 @@ def step(state: SimState, config: SimConfig) -> SimState:
                 # Repulsion from obstacle segments, via each closest point.
                 for seg in segs:
                     gx, gy = _away_from_segment(px, py, seg)
-                    gap = math.hypot(gx, gy)
+                    gap = hypot(gx, gy)
                     if gap < 1e-6:
                         continue
-                    k = p.obstacle_strength * math.exp(-(gap - r_i) / p.obstacle_range)
-                    fx += k * gx / gap
-                    fy += k * gy / gap
+                    k_obs = obstacle_strength * exp(-(gap - r_i) / obstacle_range)
+                    fx += k_obs * gx / gap
+                    fy += k_obs * gy / gap
                 nvx, nvy = vx + fx * dt, vy + fy * dt
-                speed = math.hypot(nvx, nvy)
-                if speed > p.v_max:
-                    nvx, nvy = nvx / speed * p.v_max, nvy / speed * p.v_max
+                speed = hypot(nvx, nvy)
+                if speed > v_max:
+                    nvx, nvy = nvx / speed * v_max, nvy / speed * v_max
 
         nx, ny = px + nvx * dt, py + nvy * dt
-        if math.hypot(nvx, nvy) > 1e-9:
-            heading = math.atan2(nvy, nvx)
-        if goal is not None and math.hypot(nx - goal.position.x,
-                                           ny - goal.position.y) <= goal.tolerance:
+        if hypot(nvx, nvy) > 1e-9:
+            heading = atan2(nvy, nvx)
+        if goal is not None and hypot(nx - goal[0], ny - goal[1]) <= goal[2]:
             reached[i] = True
+        finite = finite and isfinite(nx) and isfinite(ny) and isfinite(nvx) and isfinite(nvy)
         new_pos.append((nx, ny))
         new_vel.append((nvx, nvy))
         new_heading.append(wrap_angle(heading))  # atan2 may return exactly -pi: maps to pi
 
-    new_pos = np.array(new_pos).reshape(-1, 2)
-    new_vel = np.array(new_vel).reshape(-1, 2)
-    if not np.isfinite(new_pos).all() or not np.isfinite(new_vel).all():
+    if not finite:
         raise InvariantError("/sim", "non-finite state produced")
-    return SimState(t=state.t + dt, pos=new_pos, vel=new_vel,
-                    heading=np.array(new_heading, dtype=float),
-                    waypoint_idx=np.array(waypoint_idx, dtype=int),
-                    reached=np.array(reached, dtype=bool))
+    return new_pos, new_vel, new_heading
+
+
+def step(state: SimState, config: SimConfig) -> SimState:
+    """Advance the simulation by one dt; pure function of (state, config)."""
+    waypoint_idx = state.waypoint_idx.tolist()
+    reached = state.reached.tolist()
+    new = _advance(_Plan(config), state.t, state.pos.tolist(), state.vel.tolist(),
+                   state.heading.tolist(), waypoint_idx, reached)
+    return _as_arrays(state.t + config.dt, *new, waypoint_idx, reached)
 
 
 def run(config: SimConfig) -> Episode:
     """Run to max_duration or until every goal-bearing agent has reached its goal."""
-    state = init_state(config)
-    history = [state]
+    plan = _Plan(config)
+    n = len(config.agents)
+    t = 0.0
+    pos, vel, headings = _initial(config)
+    waypoint_idx, reached = [0] * n, [False] * n
+    times, pos_history, vel_history, heading_history = [t], [pos], [vel], [headings]
     goal_bearing = [i for i, a in enumerate(config.agents) if a.goal is not None]
-    while state.t < config.max_duration - 1e-9:
-        state = step(state, config)
-        history.append(state)
-        reached = state.reached.tolist()
+    while t < config.max_duration - 1e-9:
+        pos, vel, headings = _advance(plan, t, pos, vel, headings, waypoint_idx, reached)
+        t += config.dt
+        times.append(t)
+        pos_history.append(pos)
+        vel_history.append(vel)
+        heading_history.append(headings)
         if goal_bearing and all(reached[i] for i in goal_bearing):
             break
 
     # One (T, n, ...) stack per field; agent i's columns are its slices.
-    times = np.array([s.t for s in history])
-    pos = np.array([s.pos for s in history])
-    vel = np.array([s.vel for s in history])
-    heading = np.array([s.heading for s in history])
+    steps = len(times)
+    flat = itertools.chain.from_iterable
+    times = np.array(times)
+    pos = np.fromiter(flat(flat(pos_history)), float, steps * n * 2).reshape(steps, n, 2)
+    vel = np.fromiter(flat(flat(vel_history)), float, steps * n * 2).reshape(steps, n, 2)
+    heading = np.fromiter(flat(heading_history), float, steps * n).reshape(steps, n)
     agents = tuple(
         AgentRecord(id=spec.agent_id, kind=spec.kind, radius=spec.radius, t=times,
                     x=pos[:, i, 0], y=pos[:, i, 1], heading=heading[:, i],
                     vx=vel[:, i, 0], vy=vel[:, i, 1], goal=spec.goal)
         for i, spec in enumerate(config.agents))
     robot_id = next((a.agent_id for a in config.agents if a.kind is AgentKind.ROBOT),
-                    config.agents[0].agent_id if config.agents else "robot")
+                    config.agents[0].agent_id)
     metadata = {str(k): str(v) for k, v in config.metadata.items()}
     metadata.setdefault("seed", str(config.seed))
     return Episode(episode_id=config.episode_id, robot_under_test=robot_id,

@@ -142,6 +142,17 @@ def test_import_rejects_bad_frame_rate(tmp_path, hz):
     assert not out.exists()
 
 
+def test_cli_import_leaves_simulator_and_scenarios_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(socnav.__file__).parents[1]))
+    code = ("import sys, socnav.cli; "
+            "print(sorted(m for m in ('socnav.simulator', 'socnav.scenarios') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_import_output_passes_validate(tmp_path):
     rows = [f"{f}\t{a}\t{0.05 * f + k:.3f}\t{0.5 * k}"
             for k, a in enumerate("abc") for f in range(k, 30 + 3 * k)]
@@ -304,13 +315,21 @@ def test_summarize_bad_report_params_one_line(episode_file, tmp_path, capsys, pa
     (["compute", "EPISODE", "--dt", "inf"], "/dt"),
     (["compute", "EPISODE", "--dt", "0"], "/dt"),
     (["simulate", "--scenario", "frontal_approach", "--seed", "-1"], "/seed"),
-], ids=["dt-nan", "dt-inf", "dt-0", "seed-negative"])
+    (["simulate", "--scenario", "frontal_approach", "--seed", "1", "--count", "-3"], "/count"),
+    (["simulate", "--scenario", "frontal_approach", "--seed", "1", "--count", "0"], "/count"),
+    (["summarize", "REPORT", "--bins", "10001"], "/bins"),  # one past report.MAX_BINS
+], ids=["dt-nan", "dt-inf", "dt-0", "seed-negative", "count-negative", "count-0",
+        "bins-above-bound"])
 def test_bad_cli_number_one_line(episode_file, tmp_path, capsys, argv, path):
-    argv = [str(episode_file) if a == "EPISODE" else a for a in argv]
+    report_file = tmp_path / "inputs" / "report.json"
+    if "REPORT" in argv:
+        assert main(["compute", str(episode_file), "-o", str(report_file)]) == 0
+    argv = [str(episode_file) if a == "EPISODE" else str(report_file) if a == "REPORT" else a
+            for a in argv]
     assert main([*argv, "-o", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and f"error: {path}: " in err
-    assert sorted(tmp_path.rglob("*.json")) == [episode_file]
+    assert not list(tmp_path.glob("out*"))
 
 
 @pytest.fixture(scope="module")

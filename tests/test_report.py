@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from socnav.core import MetricParams
-from socnav.errors import EmptyCorpus, MalformedDocument
+from socnav.errors import EmptyCorpus, MalformedDocument, SchemaError
 from socnav.metrics import compute_all
 from socnav.report import (
+    MAX_BINS,
     compare,
     params_from_jsonable,
     params_to_jsonable,
@@ -141,6 +142,15 @@ class TestSummarize:
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
             summarize([])
+
+    def test_bins_bound(self):
+        reports = corpus_reports(3)
+        d = summarize(reports, bins=MAX_BINS).distributions["PL"]
+        assert len(d.counts) == MAX_BINS and sum(d.counts) == d.n
+        for bins in (0, MAX_BINS + 1):
+            with pytest.raises(SchemaError) as err:
+                summarize(reports, bins=bins)
+            assert err.value.path == "/bins"
 
     def test_summary_round_trip(self):
         summary = summarize(corpus_reports(6))

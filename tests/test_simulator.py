@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from socnav.core import (
     Vec2,
     validate_episode,
 )
-from socnav.errors import UnknownScenario
+from socnav.errors import InvariantError, UnknownScenario
 from socnav.geometry import segment_blocked, wrap_angle
 from socnav.ingest import parse_episode, serialize_episode
 from socnav.metrics import collisions
@@ -140,6 +141,11 @@ class TestRun:
             assert parse_episode(serialize_episode(ep)) == ep
             assert ep.metadata["scenario"] == name
             assert ep.metadata["seed"] == "11"
+
+    def test_config_without_agents_rejected(self):
+        with pytest.raises(InvariantError) as err:
+            SimConfig(max_duration=0.2)
+        assert err.value.path == "/agents"
 
     def test_unknown_scenario(self):
         with pytest.raises(UnknownScenario):
@@ -285,3 +291,97 @@ class TestStepMatchesReference:
         state = step(init_state(config), config)
         assert state.heading.tolist() == [math.pi, math.pi]
         _assert_steps_match_reference(config)
+
+
+def _run_by_steps(config):
+    """`run`'s loop written with the public `step`: the states it visits."""
+    state = init_state(config)
+    history = [state]
+    goal_bearing = [i for i, a in enumerate(config.agents) if a.goal is not None]
+    while state.t < config.max_duration - 1e-9:
+        state = step(state, config)
+        history.append(state)
+        if goal_bearing and state.reached[goal_bearing].all():
+            break
+    return history
+
+
+def _assert_run_matches_steps(config):
+    """run(config) holds, bit for bit, the states a loop of `step` visits."""
+    history = _run_by_steps(config)
+    ep = run(config)
+    for i, agent in enumerate(ep.agents):
+        where = f"{config.episode_id} agent {agent.id}"
+        assert agent.t.tolist() == [s.t for s in history], where
+        assert agent.positions.tolist() == [s.pos[i].tolist() for s in history], where
+        assert agent.velocities.tolist() == [s.vel[i].tolist() for s in history], where
+        assert agent.heading.tolist() == [s.heading[i] for s in history], where
+
+
+def _replay_track(x):
+    """A robot track along x at 10 Hz with stored headings and velocities."""
+    n = len(x)
+    return AgentRecord(id="robot", kind=AgentKind.ROBOT, radius=0.3,
+                       t=0.1 * np.arange(n), x=np.asarray(x, dtype=float),
+                       y=np.zeros(n), heading=np.zeros(n),
+                       vx=np.full(n, 1.5), vy=np.zeros(n))
+
+
+def _replay_config(track, max_duration=4.0):
+    robot = AgentSpec(agent_id="robot", kind=AgentKind.ROBOT, policy="replay",
+                      position=Vec2(0.0, 0.0), replay=track)
+    return SimConfig(dt=0.05, max_duration=max_duration, episode_id="replay",
+                     agents=(robot, _human("h0", (4.0, 0.5), (-2.0, 0.5)),
+                             _human("h1", (3.0, -1.0), (3.0, 3.0),
+                                    policy="straight_line_stop")))
+
+
+class TestRunMatchesSteps:
+    @pytest.mark.parametrize("robot_policy", ("sfm", "straight_line_stop"))
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_scenarios(self, name, robot_policy):
+        _assert_run_matches_steps(generate_scenario(name, 3, robot_policy))
+
+    def test_scripted_waypoints_agent(self):
+        robot = AgentSpec(agent_id="robot", kind=AgentKind.ROBOT, policy="scripted_waypoints",
+                          position=Vec2(0.0, 0.0),
+                          goal=Goal(position=Vec2(2.0, 2.0), tolerance=0.2),
+                          waypoints=(Vec2(2.0, 0.0), Vec2(2.0, 1.0)))
+        config = SimConfig(dt=0.05, max_duration=8.0, episode_id="scripted",
+                           agents=(robot, _human("h0", (4.0, 0.2), (-2.0, 0.0))),
+                           scene=ObstacleMap(segments=((Vec2(-1.0, -0.8), Vec2(5.0, -0.8)),)))
+        _assert_run_matches_steps(config)
+
+    def test_replay_agent(self):
+        _assert_run_matches_steps(_replay_config(_replay_track(0.15 * np.arange(30))))
+
+    def test_dynamic_obstacles(self):
+        door = (Vec2(1.5, -1.5), Vec2(1.5, 1.5))
+        scene = ObstacleMap(segments=((Vec2(-3.0, 1.2), Vec2(6.0, 1.2)),
+                                      (Vec2(-3.0, -1.2), Vec2(6.0, -1.2))),
+                            dynamic=((0.0, (door,)), (1.5, ()),
+                                     (3.0, ((Vec2(3.0, 0.2), Vec2(3.5, 0.6)),))))
+        robot = AgentSpec(agent_id="robot", kind=AgentKind.ROBOT, policy="straight_line_stop",
+                          position=Vec2(0.0, -0.4), radius=0.25,
+                          goal=Goal(position=Vec2(5.0, -0.4), tolerance=0.2))
+        config = SimConfig(dt=0.05, max_duration=8.0, episode_id="dynamic", scene=scene,
+                           agents=(robot, _human("h0", (0.5, 0.4), (5.0, 0.4)),
+                                   _human("h1", (5.0, 0.0), (-2.0, 0.0), radius=0.5)))
+        _assert_run_matches_steps(config)
+
+    def test_non_finite_state_raised_at_the_same_step(self):
+        # the track jumps by 1e308 m between t = 0.2 and 0.3: the replayed velocity overflows
+        config = _replay_config(_replay_track([0.0, 0.1, 0.2, 1e308, 1e308]))
+        state, steps = init_state(config), 0
+        with pytest.raises(InvariantError) as by_step:
+            while steps < 10:
+                state = step(state, config)
+                steps += 1
+        assert by_step.value.path == "/sim"
+        assert steps == 4  # states 0..4 exist; the step to t = 0.25 fails
+        before = dataclasses.replace(config, max_duration=steps * config.dt)
+        assert len(run(before).robot.t) == steps + 1
+        with pytest.raises(InvariantError) as by_run:
+            run(dataclasses.replace(config, max_duration=(steps + 1) * config.dt))
+        assert by_run.value.path == "/sim"
+        assert by_run.value.message == by_step.value.message == "non-finite state produced"
