@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -153,43 +155,42 @@ class AgentRecord:
 class ObstacleMap:
     """Static line segments plus optional timestamped dynamic segment sets.
 
-    Metrics evaluate against the static set united with the dynamic set
-    whose timestamp is nearest at-or-before the query time.
+    At time t the static segments and the dynamic set with the latest stamp
+    at or before t are active; ``set_index`` is the one place that rule is
+    written. It needs finite, time-ordered stamps (``obstacle_issues``).
     """
 
     segments: tuple[tuple[Vec2, Vec2], ...] = ()
     dynamic: tuple[tuple[float, tuple[tuple[Vec2, Vec2], ...]], ...] = ()
 
     @cached_property
+    def segment_sets(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """(M, 2) endpoint arrays of every set that can be active: index 0 holds
+        the static segments alone, index k those plus the k-th dynamic set."""
+        sets = [self.segments] + [self.segments + segs for _, segs in self.dynamic]
+        return tuple((np.array([(a.x, a.y) for a, _ in s], dtype=float).reshape(-1, 2),
+                      np.array([(b.x, b.y) for _, b in s], dtype=float).reshape(-1, 2))
+                     for s in sets)
+
+    def set_index(self, t):
+        """The number of dynamic stamps at or before t: an index into ``segment_sets``.
+
+        An array of times gives an int array. A scalar goes through
+        ``bisect_right``: the simulator asks every step, and a scalar
+        ``np.searchsorted`` costs microseconds where this costs a tenth of one.
+        """
+        if isinstance(t, np.ndarray):
+            return np.searchsorted([stamp for stamp, _ in self.dynamic], t, side="right")
+        return bisect_right(self.dynamic, t, key=itemgetter(0))
+
+    @property
     def static_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(M, 2) endpoint arrays for the static segments."""
-        if not self.segments:
-            empty = np.zeros((0, 2))
-            return empty, empty
-        a = np.array([(s[0].x, s[0].y) for s in self.segments])
-        b = np.array([(s[1].x, s[1].y) for s in self.segments])
-        return a, b
+        return self.segment_sets[0]
 
     def active_segments(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Endpoint arrays of all segments active at time t."""
-        a, b = self.static_arrays
-        if not self.dynamic:
-            return a, b
-        active = None
-        for stamp, segs in self.dynamic:
-            if stamp <= t:
-                active = segs
-            else:
-                break
-        if not active:
-            return a, b
-        da = np.array([(s[0].x, s[0].y) for s in active])
-        db = np.array([(s[1].x, s[1].y) for s in active])
-        return np.vstack([a, da]), np.vstack([b, db])
-
-    @property
-    def empty(self) -> bool:
-        return not self.segments and not any(segs for _, segs in self.dynamic)
+        return self.segment_sets[self.set_index(t)]
 
 
 @dataclass(frozen=True)
@@ -403,13 +404,18 @@ class SampledAgent:
         return np.where(self.speed > 1e-6, np.arctan2(self.vel[:, 1], self.vel[:, 0]), pose)
 
     @cached_property
+    def goal_distance(self) -> np.ndarray:
+        """Center-to-goal distance at each step; only for an agent with a goal."""
+        return np.linalg.norm(self.pos - self.agent.goal.position.as_array(), axis=1)
+
+    @cached_property
     def en_route(self) -> np.ndarray:
         # An agent that has reached its goal is done with its errand; the
         # residual braking creep after arrival must not read as an approach.
         goal = self.agent.goal
         if goal is None:
             return self.active
-        inside = np.linalg.norm(self.pos - goal.position.as_array(), axis=1) <= goal.tolerance
+        inside = self.goal_distance <= goal.tolerance
         return self.active & ~(np.cumsum(inside) > 0)
 
 
@@ -463,10 +469,36 @@ def _sample_issues(base: str, agent: AgentRecord, v_cap: float) -> list[tuple[st
         speed = math.hypot(dx[k], dy[k]) / float(dt[k])
         if speed > v_cap:
             j = int(kept[step[k] + 1])
+            shown = f"{speed:.2f}" if speed < 1e6 else f"{speed:.3e}"  # not 309 digits at 1e308
             found.append((j, 3, f"{base}/states/{j}",
-                          f"implied speed {speed:.2f} m/s exceeds cap {v_cap} m/s"))
+                          f"implied speed {shown} m/s exceeds cap {v_cap} m/s"))
     found.sort()
     return [(path, message) for _, _, path, message in found]
+
+
+def obstacle_issues(obstacles: ObstacleMap) -> list[tuple[str, str]]:
+    """(path, message) violations: segment ends finite and distinct, dynamic
+    stamps finite and time-ordered (``ObstacleMap.set_index`` relies on it)."""
+    def segment_issues(base, segs):
+        found = []
+        for i, (a, b) in enumerate(segs):
+            if not (a.is_finite() and b.is_finite()):
+                found.append((f"{base}/segments/{i}", "coordinates must be finite"))
+            elif a == b:
+                found.append((f"{base}/segments/{i}", "segment endpoints must be distinct"))
+        return found
+
+    issues = segment_issues("/obstacles", obstacles.segments)
+    latest = -math.inf
+    for k, (stamp, segs) in enumerate(obstacles.dynamic):
+        if not math.isfinite(stamp):
+            issues.append((f"/obstacles/dynamic/{k}/t", "must be finite"))
+        elif stamp < latest:
+            issues.append((f"/obstacles/dynamic/{k}/t", "dynamic sets must be time-ordered"))
+        else:
+            latest = stamp
+        issues.extend(segment_issues(f"/obstacles/dynamic/{k}", segs))
+    return issues
 
 
 def check_episode(episode: Episode, v_cap: float = DEFAULT_V_CAP) -> list[tuple[str, str]]:
@@ -505,24 +537,7 @@ def check_episode(episode: Episode, v_cap: float = DEFAULT_V_CAP) -> list[tuple[
             if agent.t_start > robot.t_end or agent.t_end < robot.t_start:
                 issues.append((f"{base}/states", "time span does not overlap the robot's"))
 
-    for i, (a, b) in enumerate(episode.obstacles.segments):
-        if not (a.is_finite() and b.is_finite()):
-            issues.append((f"/obstacles/segments/{i}", "coordinates must be finite"))
-        elif a == b:
-            issues.append((f"/obstacles/segments/{i}", "segment endpoints must be distinct"))
-    prev_stamp = None
-    for k, (stamp, segs) in enumerate(episode.obstacles.dynamic):
-        if not math.isfinite(stamp):
-            issues.append((f"/obstacles/dynamic/{k}/t", "must be finite"))
-        elif prev_stamp is not None and stamp < prev_stamp:
-            issues.append((f"/obstacles/dynamic/{k}/t", "dynamic sets must be time-ordered"))
-        else:
-            prev_stamp = stamp
-        for i, (a, b) in enumerate(segs):
-            if not (a.is_finite() and b.is_finite()):
-                issues.append((f"/obstacles/dynamic/{k}/segments/{i}", "coordinates must be finite"))
-            elif a == b:
-                issues.append((f"/obstacles/dynamic/{k}/segments/{i}", "segment endpoints must be distinct"))
+    issues.extend(obstacle_issues(episode.obstacles))
 
     for i, label in enumerate(episode.labels):
         if not label.t_start < label.t_end:

@@ -31,6 +31,7 @@ from .core import (
     check_episode,
     finite_difference_velocities,
     motion_headings,
+    validate_episode,
 )
 from .errors import InvariantError, MalformedDocument, MalformedRow, NoRobot, SchemaError
 from .geometry import wrap_angle
@@ -324,16 +325,24 @@ def _parse_agent(raw, path, issues, unknown) -> AgentRecord | None:
     return record
 
 
-def _parse_segment(raw, path, issues):
+def _segment(obj, key, path, issues):
+    """``obj[key]`` as a segment ``[x1, y1, x2, y2]``, or None after reporting it."""
+    raw = obj[key]
     if (not isinstance(raw, list) or len(raw) != 4
             or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in raw)):
-        issues.error(path, "expected [x1, y1, x2, y2]")
+        issues.error(f"{path}/{key}", "expected [x1, y1, x2, y2]")
         return None
     try:
         return (Vec2(float(raw[0]), float(raw[1])), Vec2(float(raw[2]), float(raw[3])))
     except OverflowError:
-        issues.error(path, "number out of range")
+        issues.error(f"{path}/{key}", "number out of range")
         return None
+
+
+def _segments(obj, path, issues) -> tuple:
+    """The readable entries of ``obj["segments"]``, static or of one dynamic set."""
+    raw = _array(obj, "segments", path, issues, item=_segment, required=False, default=[])
+    return tuple(seg for seg in raw if seg is not None)
 
 
 def _parse_obstacles(raw, issues, unknown) -> ObstacleMap:
@@ -343,12 +352,7 @@ def _parse_obstacles(raw, issues, unknown) -> ObstacleMap:
         issues.error("/obstacles", f"expected an object, got {type(raw).__name__}")
         return ObstacleMap()
     _collect_unknown(raw, _OBSTACLE_KEYS, "/obstacles", unknown)
-    segments = []
-    for i, sraw in enumerate(_array(raw, "segments", "/obstacles", issues, required=False,
-                                    default=[])):
-        seg = _parse_segment(sraw, f"/obstacles/segments/{i}", issues)
-        if seg is not None:
-            segments.append(seg)
+    segments = _segments(raw, "/obstacles", issues)
     dynamic = []
     dynamic_raw = (_array(raw, "dynamic", "/obstacles", issues, default=[])
                    if raw.get("dynamic") is not None else [])
@@ -357,16 +361,11 @@ def _parse_obstacles(raw, issues, unknown) -> ObstacleMap:
             issues.error(f"/obstacles/dynamic/{k}", "expected an object")
             continue
         stamp = _number(draw, "t", f"/obstacles/dynamic/{k}", issues)
-        dsegs = []
-        for i, sraw in enumerate(_array(draw, "segments", f"/obstacles/dynamic/{k}", issues,
-                                        required=False, default=[])):
-            seg = _parse_segment(sraw, f"/obstacles/dynamic/{k}/segments/{i}", issues)
-            if seg is not None:
-                dsegs.append(seg)
+        dsegs = _segments(draw, f"/obstacles/dynamic/{k}", issues)
         if stamp is not None:
-            dynamic.append((stamp, tuple(dsegs)))
+            dynamic.append((stamp, dsegs))
     dynamic.sort(key=lambda d: d[0])
-    return ObstacleMap(segments=tuple(segments), dynamic=tuple(dynamic))
+    return ObstacleMap(segments=segments, dynamic=tuple(dynamic))
 
 
 def _build_episode(doc, issues: _Issues) -> Episode | None:
@@ -436,9 +435,7 @@ def parse_episode(document: bytes | str, v_cap: float = DEFAULT_V_CAP) -> Episod
     episode = _build_episode(doc, issues)
     if episode is None:
         raise SchemaError("", "document could not be interpreted")
-    violations = check_episode(episode, v_cap=v_cap)
-    if violations:
-        raise InvariantError(violations[0][0], violations[0][1])
+    validate_episode(episode, v_cap=v_cap)
     return episode
 
 
@@ -621,7 +618,5 @@ def import_tsv(rows: str | bytes, frame_rate: float, robot_id: str | None = None
         agents=kept,
         metadata={"source": "tsv", "frame_rate": repr(float(frame_rate))},
     )
-    violations = check_episode(episode)
-    if violations:
-        raise InvariantError(violations[0][0], violations[0][1])
+    validate_episode(episode)
     return episode

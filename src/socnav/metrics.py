@@ -129,21 +129,14 @@ class _Frames:
 
     @cached_property
     def obstacle_distances(self) -> np.ndarray:
-        """(N,) center-to-nearest-segment distance; inf where no segments."""
+        """(N,) center-to-nearest-segment distance; inf where no segment is active."""
         obstacles = self.episode.obstacles
-        n = len(self.timeline)
-        if obstacles.empty:
-            return np.full(n, np.inf)
-        if not obstacles.dynamic:
-            a, b = obstacles.static_arrays
-            return point_segment_distance(self.robot.pos, a, b).min(axis=1)
-        out = np.full(n, np.inf)
-        stamps = np.array([s for s, _ in obstacles.dynamic])
-        groups = np.searchsorted(stamps, self.timeline, side="right")
-        for g in np.unique(groups):
-            steps = groups == g
-            a, b = obstacles.active_segments(float(self.timeline[steps][0]))
+        out = np.full(len(self.timeline), np.inf)
+        groups = obstacles.set_index(self.timeline)
+        for g in np.unique(groups).tolist():
+            a, b = obstacles.segment_sets[g]
             if len(a):
+                steps = groups == g
                 out[steps] = point_segment_distance(self.robot.pos[steps], a, b).min(axis=1)
         return out
 
@@ -188,8 +181,7 @@ def _first_reach_time(frames: _Frames) -> Optional[float]:
     goal = frames.episode.robot.goal
     if goal is None:
         raise MissingGoal(f"robot {frames.episode.robot.id!r} has no goal")
-    d = np.linalg.norm(frames.robot.pos - goal.position.as_array(), axis=1)
-    inside = d <= goal.tolerance
+    inside = frames.robot.goal_distance <= goal.tolerance
     t_term = _termination_time(frames)
     if t_term is not None:
         inside &= frames.timeline < t_term
@@ -253,10 +245,9 @@ def failure_to_progress(episode: Episode, params: Optional[MetricParams] = None,
 
 
 def _failure_to_progress(frames: _Frames) -> int:
-    goal = frames.episode.robot.goal
-    if goal is None:
+    if frames.episode.robot.goal is None:
         raise MissingGoal(f"robot {frames.episode.robot.id!r} has no goal")
-    d = np.linalg.norm(frames.robot.pos - goal.position.as_array(), axis=1)
+    d = frames.robot.goal_distance
     t = frames.timeline
     eps = frames.params.fp_distance_eps
     window = frames.params.fp_window
@@ -564,11 +555,9 @@ def _stepwise_series(frames: _Frames, accel: Optional[np.ndarray],
     if jerk is not None:
         out["jerk"] = StepSeries("jerk", "m/s^3",
                                  tuple(map(float, t[1:-1])), tuple(map(float, jerk)))
-    goal = frames.episode.robot.goal
-    if goal is not None:
-        d = np.linalg.norm(frames.robot.pos - goal.position.as_array(), axis=1)
-        out["distance_to_goal"] = StepSeries("distance_to_goal", "m",
-                                             tuple(map(float, t)), tuple(map(float, d)))
+    if frames.episode.robot.goal is not None:
+        out["distance_to_goal"] = StepSeries("distance_to_goal", "m", tuple(map(float, t)),
+                                             tuple(map(float, frames.robot.goal_distance)))
     nearest = frames.nearest_human
     defined = np.isfinite(nearest)
     if defined.any():

@@ -215,7 +215,7 @@ def _finite_bins(lo: float, hi: float, bins: int) -> bool:
     return bool((np.diff(np.linspace(lo, hi, bins + 1)) > 0).all())
 
 
-def _distribution(values: Sequence, bins: int) -> Distribution:
+def _distribution(name: str, values: Sequence, bins: int) -> Distribution:
     numbers = [_as_number(v) for v in values]
     # Sorting first makes every reduction independent of report order, so
     # summaries of permuted corpora are byte-identical.
@@ -224,6 +224,11 @@ def _distribution(values: Sequence, bins: int) -> Distribution:
     if len(finite) == 0:
         return Distribution(n=0, n_excluded=excluded, mean=None, std=None,
                             min=None, max=None, median=None, edges=(), counts=())
+    with np.errstate(over="ignore"):
+        mean = float(np.mean(finite))
+        std = float(np.std(finite, ddof=1)) if len(finite) > 1 else 0.0
+    if not (math.isfinite(mean) and math.isfinite(std)):
+        raise SchemaError(f"/metrics/{name}", "mean or std of the values overflows a float")
     lo, hi = float(finite.min()), float(finite.max())
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
@@ -233,10 +238,8 @@ def _distribution(values: Sequence, bins: int) -> Distribution:
         pad = max(abs(lo), abs(hi)) * (bins * 2.0 ** -48)
         lo, hi = max(lo - pad, -sys.float_info.max), min(hi + pad, sys.float_info.max)
     counts, edges = np.histogram(finite, bins=bins, range=(lo, hi))
-    std = float(np.std(finite, ddof=1)) if len(finite) > 1 else 0.0
     return Distribution(
-        n=len(finite), n_excluded=excluded,
-        mean=float(np.mean(finite)), std=std,
+        n=len(finite), n_excluded=excluded, mean=mean, std=std,
         min=float(finite.min()), max=float(finite.max()),
         median=float(np.median(finite)),
         edges=tuple(map(float, edges)), counts=tuple(map(int, counts)),
@@ -258,8 +261,8 @@ def summarize(reports: Sequence[MetricReport], bins: int = 20) -> CorpusSummary:
     names = list(TASKWISE_KEYS)
     extra = [k for k in reports[0].taskwise if k not in TASKWISE_KEYS]
     distributions = {
-        name: _distribution([r.taskwise[name].value for r in reports if name in r.taskwise],
-                            bins)
+        name: _distribution(name, [r.taskwise[name].value for r in reports
+                                   if name in r.taskwise], bins)
         for name in names + extra
     }
     s_dist = distributions.get("S")

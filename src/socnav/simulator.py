@@ -13,7 +13,8 @@ arithmetic is fixed, so reruns stay byte-identical. `run` keeps its state
 as plain float lists for the whole episode and stacks the history into
 arrays once at the end. The public `init_state` and `step` are array
 wrappers over the same private arithmetic (`_initial`, `_advance`), so a
-loop of `step` visits exactly the states `run` records.
+loop of `step` visits exactly the states `run` records. The walls felt at
+time t are the set `ObstacleMap.set_index(t)` picks, as in the metrics.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .core import (
     ObstacleMap,
     Vec2,
     interpolate_state,
+    obstacle_issues,
 )
 from .errors import InvariantError, UnknownScenario
 from .geometry import wrap_angle
@@ -117,6 +119,8 @@ class SimConfig:
             raise InvariantError("/max_duration", "must be > 0")
         if not self.agents:
             raise InvariantError("/agents", "must hold at least one agent")
+        if issues := obstacle_issues(self.scene):
+            raise InvariantError(*issues[0])
 
 
 @dataclass(frozen=True)
@@ -180,7 +184,8 @@ class _Plan:
 
     One tuple per agent: (policy, waypoints as (x, y), goal as (x, y,
     tolerance) or None, desired speed, radius, radius sums with every
-    agent, replay track). Segment tuples are built once per active set.
+    agent, replay track), and the (ax, ay, dx, dy, |d|^2) segment tuples of
+    each of the scene's ``segment_sets``.
     """
 
     def __init__(self, config: SimConfig):
@@ -197,23 +202,13 @@ class _Plan:
              spec.desired_speed, r_i, [r_i + r_j for r_j in radii], spec.replay)
             for spec, r_i in zip(config.agents, radii))
         self.scene = config.scene
-        self._segments: dict[int, list] = {}
-
-    def segments(self, t: float) -> list:
-        """(ax, ay, dx, dy, |d|^2) per segment active at t."""
-        key = 0  # how many dynamic stamps have passed: it picks the active set
-        for stamp, _ in self.scene.dynamic:
-            if not stamp <= t:
-                break
-            key += 1
-        segs = self._segments.get(key)
-        if segs is None:
-            seg_a, seg_b = self.scene.active_segments(t)
-            segs = self._segments[key] = []
+        self.segment_sets = []
+        for seg_a, seg_b in config.scene.segment_sets:
+            segs = []
             for (ax, ay), (bx, by) in zip(seg_a.tolist(), seg_b.tolist()):
                 sx, sy = bx - ax, by - ay
                 segs.append((ax, ay, sx, sy, sx * sx + sy * sy))
-        return segs
+            self.segment_sets.append(segs)
 
 
 def _advance(plan: _Plan, t: float, pos: list, vel: list, headings: list,
@@ -226,7 +221,7 @@ def _advance(plan: _Plan, t: float, pos: list, vel: list, headings: list,
     dt = plan.dt
     relaxation_time, repulsion_strength, repulsion_range, \
         obstacle_strength, obstacle_range, v_max = plan.sfm
-    segs = plan.segments(t)
+    segs = plan.segment_sets[plan.scene.set_index(t)]
     hypot, exp, atan2, isfinite = math.hypot, math.exp, math.atan2, math.isfinite
     new_pos, new_vel, new_heading = [], [], []
     finite = True

@@ -22,6 +22,26 @@ def scalar_point_segment_distance(px, py, ax, ay, bx, by):
     return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
 
 
+def active_segments_oracle(obstacles, t):
+    """(set index, seg_a, seg_b) of the obstacles active at t, by a stamp loop.
+
+    The leading dynamic stamps at or before t are counted and the last of
+    them picks the set, which is stacked under the static segments.
+    """
+    import numpy as np
+
+    def ends(segs, e):
+        return np.array([(s[e].x, s[e].y) for s in segs], dtype=float).reshape(-1, 2)
+
+    index, active = 0, ()
+    for stamp, segs in obstacles.dynamic:
+        if not stamp <= t:
+            break
+        index, active = index + 1, segs
+    return (index, np.vstack([ends(obstacles.segments, 0), ends(active, 0)]),
+            np.vstack([ends(obstacles.segments, 1), ends(active, 1)]))
+
+
 def collision_counts_oracle(episode, params=None, dt=0.1):
     """(C, WC, AC, HC) by per-step overlap scanning plus interval merging."""
     timeline = common_timeline(episode, dt)
@@ -392,8 +412,9 @@ def sample_issues_oracle(base, agent, v_cap):
             else:
                 speed = hypot(x - prev_x, y - prev_y) / (t - prev_t)
                 if speed > v_cap:
+                    shown = f"{speed:.2f}" if speed < 1e6 else f"{speed:.3e}"
                     issues.append((f"{base}/states/{j}",
-                                   f"implied speed {speed:.2f} m/s exceeds cap {v_cap} m/s"))
+                                   f"implied speed {shown} m/s exceeds cap {v_cap} m/s"))
         prev_t, prev_x, prev_y = t, x, y
     return issues
 

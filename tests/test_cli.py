@@ -242,6 +242,31 @@ def test_summarize_huge_constant_metric(tmp_path, value):
     assert all(a < b for a, b in zip(pl.edges, pl.edges[1:]))
 
 
+@pytest.mark.filterwarnings("error")  # no numpy overflow warning either
+def test_summarize_overflowing_moment_one_line(tmp_path, capsys):
+    doc = json.loads((GOLDEN / "headings_omitted" / "report.json").read_bytes())
+    doc["metrics"]["PL"]["value"] = 1.7e308  # the sum of two overflows a float
+    files = []
+    for i in range(2):
+        files.append(tmp_path / f"report_{i}.json")
+        files[-1].write_text(json.dumps(doc))
+    assert main(["summarize", *map(str, files), "-o", str(tmp_path / "summary.json")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: /metrics/PL: mean or std of the values overflows a float"]
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_validate_huge_speed_lines_stay_short(tmp_path, capsys, monkeypatch):
+    doc = json.loads(serialize_episode(fuzz_episode(1)))
+    doc["agents"][0]["states"][1]["x"] = 1e307  # ~1e308 m/s over the 0.1 s steps
+    monkeypatch.chdir(tmp_path)
+    Path("ep.json").write_text(json.dumps(doc))
+    assert main(["validate", "ep.json"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert sum("implied speed 1.000e+308 m/s" in line for line in lines) == 2
+    assert all(len(line) < 100 for line in lines)
+
+
 def test_summarize_golden_reports_unchanged(tmp_path):
     """Constant metrics keep their +-0.5 bins: the bytes from before the relative pad."""
     out = tmp_path / "summary.json"

@@ -94,6 +94,9 @@ WARNING_EXAMPLE = _doc([{"t": 0.0, "x": 0.0, "y": 0.0, "vx": 0.0, "vy": 0.0},
                         {"t": 1.0, "x": 5.0, "y": 0.0,
                          "vx": 0.015689897145633038, "vy": 0.09876146580301175},
                         {"t": 2.0, "x": 0.0, "y": 0.0, "vx": 0.0, "vy": 0.0}])
+# Speeds from 1e6 m/s up print in exponent form, not as 309 digits.
+HUGE_SPEED_EXAMPLE = _doc([{"t": 0.0, "x": 0.0, "y": 0.0}, {"t": 1.0, "x": 2.5e6, "y": 0.0},
+                           {"t": 2.0, "x": 1e308, "y": 0.0}])
 # np.arctan2(0.34, -0.6) differs from math.atan2 in the last place.
 HEADING_EXAMPLE = _doc([{"t": 0.0, "x": 0.0, "y": 0.0, "vx": -0.6, "vy": 0.34},
                         {"t": 1.0, "x": -0.6, "y": 0.34, "vx": -0.6, "vy": 0.34}])
@@ -110,6 +113,7 @@ STATIONARY_EXAMPLE = _doc([{"t": 0.0, "x": 0.0, "y": 0.0, "vx": 0.0, "vy": 1.0},
 @example(WARNING_EXAMPLE, False)
 @example(HEADING_EXAMPLE, False)
 @example(STATIONARY_EXAMPLE, False)
+@example(HUGE_SPEED_EXAMPLE, False)
 def test_columns_match_per_sample_oracles(doc, raw_headings):
     episode = _build_episode(doc, _Issues(strict=False))
     assert episode is not None
@@ -147,3 +151,7 @@ def test_examples_reach_the_rules_they_pin():
     assert [w.path for w in _velocity_consistency_warnings(warned)] == ["/agents/0/states/1/vx"]
     still = _build_episode(STATIONARY_EXAMPLE, _Issues(strict=False))
     assert motion_headings(still.agents[0]).tolist() == [math.pi / 2, math.pi / 2]
+    huge = _build_episode(HUGE_SPEED_EXAMPLE, _Issues(strict=False))
+    assert [m for _, m in _sample_issues("/a", huge.agents[0], DEFAULT_V_CAP)] == [
+        "implied speed 2.500e+06 m/s exceeds cap 10.0 m/s",
+        "implied speed 1.000e+308 m/s exceeds cap 10.0 m/s"]

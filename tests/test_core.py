@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from socnav.core import (
     AgentKind,
     MetricParams,
+    ObstacleMap,
     Vec2,
     common_timeline,
     derive_velocities,
@@ -21,7 +22,7 @@ from socnav.errors import InvariantError, OutOfRange, SingleStateAgent
 from socnav.geometry import wrap_angle
 
 from conftest import fuzz_episode, make_agent, make_episode, straight_robot
-from oracles import event_runs_oracle
+from oracles import active_segments_oracle, event_runs_oracle
 
 
 class TestDeriveVelocities:
@@ -228,3 +229,47 @@ class TestWrapAngleScalar:
     @given(st.floats(allow_nan=True, allow_infinity=True))
     def test_any_float(self, value):
         self.check(value)
+
+
+POINT = st.builds(Vec2, st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
+SEGMENT_SET = st.lists(st.tuples(POINT, POINT), max_size=3).map(tuple)
+
+
+@st.composite
+def obstacle_queries(draw):
+    """A map with sorted stamps (duplicates, negatives, empty sets) and times to query.
+
+    The times sit on each stamp, an ulp either side of it, between stamps,
+    and before the first and after the last.
+    """
+    stamps = sorted(draw(st.lists(st.sampled_from([-2.0, -0.5, 0.0, 1.0]) | st.floats(-10.0, 10.0),
+                                  max_size=5)))
+    obstacles = ObstacleMap(segments=draw(SEGMENT_SET),
+                            dynamic=tuple((stamp, draw(SEGMENT_SET)) for stamp in stamps))
+    near = [v for s in stamps for v in (s, math.nextafter(s, -math.inf),
+                                        math.nextafter(s, math.inf))]
+    times = draw(st.lists(st.sampled_from(near + [-100.0, 100.0]) | st.floats(-20.0, 20.0),
+                          min_size=1, max_size=8))
+    return obstacles, times
+
+
+class TestActiveObstacleSet:
+    """set_index and active_segments against the stamp loop in ``oracles``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(obstacle_queries())
+    @example((ObstacleMap(), [0.0]))
+    @example((ObstacleMap(segments=((Vec2(0, 0), Vec2(1, 0)),)), [-1.0, 0.0]))
+    @example((ObstacleMap(dynamic=((0.0, ()), (0.0, ((Vec2(0, 0), Vec2(1, 0)),)))), [0.0]))
+    def test_matches_stamp_loop(self, case):
+        obstacles, times = case
+        want = [active_segments_oracle(obstacles, t) for t in times]
+        assert obstacles.set_index(np.array(times)).tolist() == [k for k, _, _ in want]
+        for t, (k, seg_a, seg_b) in zip(times, want):
+            assert obstacles.set_index(t) == k
+            got_a, got_b = obstacles.active_segments(t)
+            assert got_a.dtype == got_b.dtype == float
+            assert np.array_equal(got_a, seg_a) and np.array_equal(got_b, seg_b)
+        _, static_a, static_b = active_segments_oracle(obstacles, -math.inf)
+        got_a, got_b = obstacles.static_arrays
+        assert np.array_equal(got_a, static_a) and np.array_equal(got_b, static_b)

@@ -42,6 +42,24 @@ def single_agent_config(max_duration=20.0, desired_speed=1.0, policy="sfm",
     return SimConfig(dt=0.05, max_duration=max_duration, agents=(spec,), scene=scene)
 
 
+WALL = (Vec2(1.0, 1.0), Vec2(2.0, 1.0))
+POINT_WALL = (Vec2(1.0, 1.0), Vec2(1.0, 1.0))
+
+
+@pytest.mark.parametrize("scene, path", [
+    (ObstacleMap(dynamic=((math.nan, (WALL,)),)), "/obstacles/dynamic/0/t"),
+    (ObstacleMap(dynamic=((0.0, ()), (math.inf, (WALL,)))), "/obstacles/dynamic/1/t"),
+    (ObstacleMap(dynamic=((2.0, (WALL,)), (1.0, ()))), "/obstacles/dynamic/1/t"),
+    (ObstacleMap(segments=(WALL, POINT_WALL)), "/obstacles/segments/1"),
+    (ObstacleMap(dynamic=((1.0, (POINT_WALL,)),)), "/obstacles/dynamic/0/segments/0"),
+])
+def test_config_rejects_scene_the_checks_reject(scene, path):
+    """set_index needs finite, time-ordered stamps: a SimConfig scene is checked as an episode's is."""
+    with pytest.raises(InvariantError) as raised:
+        single_agent_config(scene=scene)
+    assert raised.value.path == path
+
+
 class TestStep:
     def test_open_space_goal_reach_time(self):
         # single SFM agent, goal 5 m ahead: at most 1.5x the straight-line time
