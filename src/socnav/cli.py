@@ -5,8 +5,8 @@ Conventions: diagnostics go to stderr, data goes to ``-o`` targets or
 stdout; exit codes are 0 (ok), 1 (validation/data errors), 2 (usage),
 3 (I/O). Multi-file subcommands process their inputs one after another,
 in input order: the work is pure Python, so threads would only contend
-for the interpreter lock. ``simulator`` and ``scenarios`` are imported by
-the subcommands that call them, so the others do not pay for loading them.
+for the interpreter lock. ``simulator``, ``scenarios``, ``report`` and
+``metrics`` are imported only by the subcommands that call them.
 """
 
 from __future__ import annotations
@@ -16,10 +16,9 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from . import ingest, report
+from . import ingest
 from .core import MetricParams
 from .errors import InvariantError, SocnavError
-from .metrics import compute_all
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -41,12 +40,6 @@ def _write(data: bytes, out: str | None):
             f.write(data)
 
 
-def _load_params(path: str | None) -> MetricParams:
-    if path is None:
-        return MetricParams()
-    return report.params_from_jsonable(ingest.load_json(_read(path)))
-
-
 def _cmd_validate(args) -> int:
     failed = False
     for path in args.files:
@@ -57,7 +50,11 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_compute(args) -> int:
-    params = _load_params(args.params)
+    from . import report
+    from .metrics import compute_all
+
+    params = (MetricParams() if args.params is None
+              else report.params_from_jsonable(ingest.load_json(_read(args.params))))
     episode = ingest.parse_episode(_read(args.episode))
     result = compute_all(episode, params, dt=args.dt, include_stepwise=args.stepwise)
     _write(report.write_output(result), args.output)
@@ -134,6 +131,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_summarize(args) -> int:
+    from . import report
+
     reports = [report.parse_report(_read(path)) for path in args.reports]
     summary = report.summarize(reports, bins=args.bins)
     _write(report.write_output(summary), args.output)
@@ -141,6 +140,8 @@ def _cmd_summarize(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from . import report
+
     summaries = {}
     for spec in args.label:
         name, sep, path = spec.partition("=")

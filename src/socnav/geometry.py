@@ -57,37 +57,36 @@ def point_segment_distance(points: np.ndarray, seg_a: np.ndarray, seg_b: np.ndar
     return np.linalg.norm(points[:, None, :] - closest, axis=2)
 
 
-def segments_intersect(p1, p2, q1, q2, eps: float = 1e-12) -> bool:
-    """True if segment [p1, p2] properly or collinearly intersects [q1, q2]."""
-    p1 = np.asarray(p1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
-    q1 = np.asarray(q1, dtype=float)
-    q2 = np.asarray(q2, dtype=float)
-    r = p2 - p1
-    s = q2 - q1
-    denom = r[0] * s[1] - r[1] * s[0]
-    qp = q1 - p1
-    if abs(denom) < eps:
-        # Parallel: intersect only if collinear and overlapping.
-        if abs(qp[0] * r[1] - qp[1] * r[0]) > eps:
-            return False
-        rr = float(r @ r)
-        if rr < eps:
-            return float(np.linalg.norm(qp)) < eps
-        t0 = float(qp @ r) / rr
-        t1 = t0 + float(s @ r) / rr
-        return max(min(t0, t1), 0.0) <= min(max(t0, t1), 1.0)
-    t = (qp[0] * s[1] - qp[1] * s[0]) / denom
-    u = (qp[0] * r[1] - qp[1] * r[0]) / denom
-    return 0.0 <= t <= 1.0 and 0.0 <= u <= 1.0
+def sightlines_blocked(p1, p2, seg_a, seg_b) -> np.ndarray:
+    """For each k, True if the sightline p1[k] -> p2[k] crosses any segment.
 
-
-def segment_blocked(p1: np.ndarray, p2: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray) -> bool:
-    """True if the sightline p1->p2 crosses any of the segments in (seg_a, seg_b)."""
-    for a, b in zip(seg_a, seg_b):
-        if segments_intersect(p1, p2, a, b):
-            return True
-    return False
+    p1, p2: (K, 2); seg_a, seg_b: (M, 2). Returns (K,) bool. Touching counts
+    as crossing. A sightline parallel to a segment (|r x s| < eps) crosses it
+    only if collinear within eps and overlapping; a zero-length one only if
+    it lies within eps of the segment's start.
+    """
+    eps = 1e-12
+    p1 = np.asarray(p1, dtype=float)[:, None, :]
+    seg_a = np.asarray(seg_a, dtype=float).reshape(-1, 2)
+    r = np.asarray(p2, dtype=float)[:, None, :] - p1   # (K, 1, 2)
+    s = np.asarray(seg_b, dtype=float).reshape(-1, 2) - seg_a
+    qp = seg_a - p1                                    # (K, M, 2)
+    rx, ry, sx, sy, qx, qy = r[..., 0], r[..., 1], s[:, 0], s[:, 1], qp[..., 0], qp[..., 1]
+    # np.where keeps one branch per pair; the other may divide by zero.
+    with np.errstate(all="ignore"):
+        denom = rx * sy - ry * sx
+        qp_x_r = qx * ry - qy * rx
+        t = (qx * sy - qy * sx) / denom
+        u = qp_x_r / denom
+        rr = rx * rx + ry * ry
+        t0 = (qx * rx + qy * ry) / rr
+        t1 = t0 + (sx * rx + sy * ry) / rr
+        overlap = np.where(rr < eps, np.sqrt(qx * qx + qy * qy) < eps,
+                           np.maximum(np.minimum(t0, t1), 0.0)
+                           <= np.minimum(np.maximum(t0, t1), 1.0))
+    crossing = np.where(np.abs(denom) < eps, (np.abs(qp_x_r) <= eps) & overlap,
+                        (0.0 <= t) & (t <= 1.0) & (0.0 <= u) & (u <= 1.0))
+    return crossing.any(axis=1)
 
 
 def first_collision_time(dp: np.ndarray, dv: np.ndarray, radius_sum) -> np.ndarray:

@@ -345,12 +345,12 @@ def _segments(obj, path, issues) -> tuple:
     return tuple(seg for seg in raw if seg is not None)
 
 
-def _parse_obstacles(raw, issues, unknown) -> ObstacleMap:
-    if raw is None:
-        return ObstacleMap()
+def _parse_obstacles(raw, issues, unknown) -> tuple[ObstacleMap, list[int]]:
+    """The map, dynamic sets sorted by stamp (NaN last), and each set's index in the file."""
     if not isinstance(raw, dict):
-        issues.error("/obstacles", f"expected an object, got {type(raw).__name__}")
-        return ObstacleMap()
+        if raw is not None:
+            issues.error("/obstacles", f"expected an object, got {type(raw).__name__}")
+        return ObstacleMap(), []
     _collect_unknown(raw, _OBSTACLE_KEYS, "/obstacles", unknown)
     segments = _segments(raw, "/obstacles", issues)
     dynamic = []
@@ -363,12 +363,14 @@ def _parse_obstacles(raw, issues, unknown) -> ObstacleMap:
         stamp = _number(draw, "t", f"/obstacles/dynamic/{k}", issues)
         dsegs = _segments(draw, f"/obstacles/dynamic/{k}", issues)
         if stamp is not None:
-            dynamic.append((stamp, dsegs))
-    dynamic.sort(key=lambda d: d[0])
-    return ObstacleMap(segments=segments, dynamic=tuple(dynamic))
+            dynamic.append((stamp, dsegs, k))
+    dynamic.sort(key=lambda d: (math.isnan(d[0]), d[0]))
+    return (ObstacleMap(segments=segments, dynamic=tuple(d[:2] for d in dynamic)),
+            [d[2] for d in dynamic])
 
 
-def _build_episode(doc, issues: _Issues) -> Episode | None:
+def _build_episode(doc, issues: _Issues, v_cap: float = DEFAULT_V_CAP) -> Episode | None:
+    """Decode and check an episode; each broken model invariant is an InvariantError."""
     if not isinstance(doc, dict):
         issues.error("", f"document root must be an object, got {type(doc).__name__}")
         return None
@@ -394,7 +396,7 @@ def _build_episode(doc, issues: _Issues) -> Episode | None:
         else:
             agents.append(agent)
 
-    obstacles = _parse_obstacles(doc.get("obstacles"), issues, unknown)
+    obstacles, set_in_file = _parse_obstacles(doc.get("obstacles"), issues, unknown)
 
     labels = []
     for i, lraw in enumerate(_array(doc, "labels", "", issues, required=False, default=[])):
@@ -419,9 +421,16 @@ def _build_episode(doc, issues: _Issues) -> Episode | None:
 
     if broken or episode_id is None or robot_id is None:
         return None
-    return Episode(episode_id=episode_id, robot_under_test=robot_id,
-                   agents=tuple(agents), obstacles=obstacles,
-                   labels=tuple(labels), metadata=metadata)
+    episode = Episode(episode_id=episode_id, robot_under_test=robot_id,
+                      agents=tuple(agents), obstacles=obstacles,
+                      labels=tuple(labels), metadata=metadata)
+    for path, message in check_episode(episode, v_cap=v_cap):
+        parts = path.split("/", 4)
+        if parts[1:3] == ["obstacles", "dynamic"]:  # name the set by its place in the file
+            parts[3] = str(set_in_file[int(parts[3])])
+            path = "/".join(parts)
+        issues.error(path, message, kind=InvariantError)
+    return episode
 
 
 def parse_episode(document: bytes | str, v_cap: float = DEFAULT_V_CAP) -> Episode:
@@ -430,12 +439,9 @@ def parse_episode(document: bytes | str, v_cap: float = DEFAULT_V_CAP) -> Episod
     Raises MalformedDocument, SchemaError (with a JSON-pointer path), or
     InvariantError (model invariant broken, e.g. non-monotonic timestamps).
     """
-    doc = load_json(document)
-    issues = _Issues(strict=True)
-    episode = _build_episode(doc, issues)
+    episode = _build_episode(load_json(document), _Issues(strict=True), v_cap=v_cap)
     if episode is None:
         raise SchemaError("", "document could not be interpreted")
-    validate_episode(episode, v_cap=v_cap)
     return episode
 
 
@@ -451,12 +457,9 @@ def validate(document: bytes | str, v_cap: float = DEFAULT_V_CAP) -> list[Valida
     except MalformedDocument as e:
         return [ValidationIssue("error", "", str(e))]
     issues = _Issues(strict=False)
-    episode = _build_episode(doc, issues)
-    if episode is not None:
-        for path, message in check_episode(episode, v_cap=v_cap):
-            issues.items.append(ValidationIssue("error", path, message))
-        if not issues.has_errors:
-            issues.items.extend(_velocity_consistency_warnings(episode))
+    episode = _build_episode(doc, issues, v_cap=v_cap)
+    if episode is not None and not issues.has_errors:
+        issues.items.extend(_velocity_consistency_warnings(episode))
     return issues.items
 
 

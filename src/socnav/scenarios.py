@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import AgentKind, Episode, SampledAgent, common_timeline, default_dt, event_runs
 from .errors import InvariantError, SchemaError, UnknownCard
-from .geometry import segment_blocked, wrap_angle
+from .geometry import sightlines_blocked, wrap_angle
 from .ingest import (_array, _integer, _Issues, _number, _object, _string,
                      canonical_json_bytes, load_json)
 
@@ -471,6 +471,8 @@ def _detect_intersection(ep, robot, humans, timeline, p: ClassifierParams,
                          require_occlusion: bool):
     labels = []
     seg_a, seg_b = ep.obstacles.static_arrays
+    if require_occlusion and len(seg_a) == 0:
+        return []  # no static segment, no blind corner
     name = "blind_corner" if require_occlusion else "intersection"
     for h in humans:
         crossing = np.abs(np.abs(wrap_angle(robot.heading - h.heading)) - math.pi / 2) \
@@ -481,14 +483,9 @@ def _detect_intersection(ep, robot, humans, timeline, p: ClassifierParams,
             sl = slice(s, e)
             if float(dist[sl].min()) > p.proximity_max:
                 continue
-            if require_occlusion:
-                if len(seg_a) == 0:
-                    continue
-                blocked = any(
-                    segment_blocked(robot.pos[k], h.pos[k], seg_a, seg_b)
-                    for k in range(s, e))
-                if not blocked:
-                    continue
+            if require_occlusion and not sightlines_blocked(
+                    robot.pos[sl], h.pos[sl], seg_a, seg_b).any():
+                continue
             confidence = min(
                 _margin_angle(np.abs(np.abs(wrap_angle(robot.heading[sl] - h.heading[sl]))
                                      - math.pi / 2), p.crossing_angle_window),

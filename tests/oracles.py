@@ -22,6 +22,41 @@ def scalar_point_segment_distance(px, py, ax, ay, bx, by):
     return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
 
 
+def segments_intersect(p1, p2, q1, q2, eps: float = 1e-12) -> bool:
+    """True if segment [p1, p2] properly or collinearly intersects [q1, q2]."""
+    import numpy as np
+
+    p1 = np.asarray(p1, dtype=float)
+    p2 = np.asarray(p2, dtype=float)
+    q1 = np.asarray(q1, dtype=float)
+    q2 = np.asarray(q2, dtype=float)
+    r = p2 - p1
+    s = q2 - q1
+    denom = r[0] * s[1] - r[1] * s[0]
+    qp = q1 - p1
+    if abs(denom) < eps:
+        # Parallel: intersect only if collinear and overlapping.
+        if abs(qp[0] * r[1] - qp[1] * r[0]) > eps:
+            return False
+        rr = float(r @ r)
+        if rr < eps:
+            return float(np.linalg.norm(qp)) < eps
+        t0 = float(qp @ r) / rr
+        t1 = t0 + float(s @ r) / rr
+        return max(min(t0, t1), 0.0) <= min(max(t0, t1), 1.0)
+    t = (qp[0] * s[1] - qp[1] * s[0]) / denom
+    u = (qp[0] * r[1] - qp[1] * r[0]) / denom
+    return 0.0 <= t <= 1.0 and 0.0 <= u <= 1.0
+
+
+def segment_blocked(p1, p2, seg_a, seg_b) -> bool:
+    """True if the sightline p1->p2 crosses any of the segments in (seg_a, seg_b)."""
+    for a, b in zip(seg_a, seg_b):
+        if segments_intersect(p1, p2, a, b):
+            return True
+    return False
+
+
 def active_segments_oracle(obstacles, t):
     """(set index, seg_a, seg_b) of the obstacles active at t, by a stamp loop.
 

@@ -145,8 +145,8 @@ def test_import_rejects_bad_frame_rate(tmp_path, hz):
 def test_cli_import_leaves_simulator_and_scenarios_unloaded():
     env = dict(os.environ, PYTHONPATH=str(Path(socnav.__file__).parents[1]))
     code = ("import sys, socnav.cli; "
-            "print(sorted(m for m in ('socnav.simulator', 'socnav.scenarios') "
-            "if m in sys.modules))")
+            "print(sorted(m for m in ('socnav.simulator', 'socnav.scenarios', "
+            "'socnav.metrics', 'socnav.report') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr

@@ -247,6 +247,28 @@ class TestValidate:
         assert any(i.severity == "warning" and "deviates" in i.message for i in issues)
         assert not any(i.severity == "error" for i in issues)
 
+    @pytest.mark.parametrize("dynamic, expected", [
+        # Set 0 (t = 2) sorts after set 1 (t = 1).
+        ([{"t": 2, "segments": [[0, 0, 0, 0]]}, {"t": 1, "segments": []}],
+         [("/obstacles/dynamic/0/segments/0", "segment endpoints must be distinct")]),
+        # Non-finite stamps in an unsorted file: NaN sorts last and unsorts nothing.
+        ([{"t": 2, "segments": []}, {"t": float("nan"), "segments": []},
+          {"t": 1, "segments": [[1, 1, 1, 1]]}, {"t": -float("inf"), "segments": []}],
+         [("/obstacles/dynamic/3/t", "must be finite"),
+          ("/obstacles/dynamic/2/segments/0", "segment endpoints must be distinct"),
+          ("/obstacles/dynamic/1/t", "must be finite")]),
+        # A set that cannot be read does not shift the index of the next.
+        ([5, {"t": 1, "segments": [[1, 1, 1, 1]]}],
+         [("/obstacles/dynamic/0", "expected an object"),
+          ("/obstacles/dynamic/1/segments/0", "segment endpoints must be distinct")]),
+    ])
+    def test_dynamic_set_named_by_its_index_in_the_file(self, dynamic, expected):
+        document = doc(obstacles={"segments": [], "dynamic": dynamic})
+        assert [(i.path, i.message) for i in validate(document)] == expected
+        with pytest.raises(SocnavError) as err:
+            parse_episode(document)
+        assert err.value.path == expected[0][0]
+
     @pytest.mark.parametrize("raw", _CORRUPTED, ids=_CORRUPTED_IDS)
     def test_errors_iff_parse_fails(self, raw):
         errors = [i for i in validate(raw) if i.severity == "error"]

@@ -14,7 +14,7 @@ from socnav.core import (
     validate_episode,
 )
 from socnav.errors import InvariantError, UnknownScenario
-from socnav.geometry import segment_blocked, wrap_angle
+from socnav.geometry import sightlines_blocked, wrap_angle
 from socnav.ingest import parse_episode, serialize_episode
 from socnav.metrics import collisions
 from socnav.simulator import (
@@ -189,14 +189,9 @@ class TestScenarioGeometry:
         ep = run(generate_scenario("blind_corner", 9))
         seg_a, seg_b = ep.obstacles.static_arrays
         robot, human = ep.robot, ep.humans[0]
-        blocked_any = False
-        for i in range(0, min(len(robot.states), len(human.states)), 5):
-            p = robot.positions[i]
-            q = human.positions[i]
-            if segment_blocked(p, q, seg_a, seg_b):
-                blocked_any = True
-                break
-        assert blocked_any, "blind corner must occlude the pair before the encounter"
+        n = min(len(robot.states), len(human.states))
+        blocked = sightlines_blocked(robot.positions[:n:5], human.positions[:n:5], seg_a, seg_b)
+        assert blocked.any(), "blind corner must occlude the pair before the encounter"
 
     def test_overtaking_pass_happens(self):
         ep = run(generate_scenario("robot_overtaking", 3))
