@@ -12,6 +12,10 @@ Each directory under ``tests/golden`` holds one input document,
 - ``labels.json``: ``socnav classify episode.json``.
 
 Documents that do not parse (``invalid_*``) have ``validate.txt`` only.
+``simulated_labels.json`` holds the ``classify`` labels of every built-in
+scenario simulated with each robot policy at seeds 0-2, keyed
+``scenario/policy/seed``, so every detector's windows and confidences
+are pinned on unedited simulator output.
 ``tests/golden/README.md`` says what each episode covers. After a change
 that is meant to alter an output, rewrite the expected files with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
@@ -28,11 +32,14 @@ from pathlib import Path
 import pytest
 
 from socnav.cli import main
-from socnav.ingest import parse_episode, serialize_episode
+from socnav.ingest import canonical_json_bytes, parse_episode, serialize_episode
+from socnav.scenarios import classify
+from socnav.simulator import SCENARIO_NAMES, generate_scenario, run
 
 GOLDEN = Path(__file__).parent / "golden"
 PARAMS = GOLDEN / "params.json"
 CASES = sorted(p.name for p in GOLDEN.iterdir() if p.is_dir())
+SIMULATED_LABELS = GOLDEN / "simulated_labels.json"
 
 
 def outputs(case: Path) -> dict[str, bytes]:
@@ -55,6 +62,20 @@ def outputs(case: Path) -> dict[str, bytes]:
     return out
 
 
+def simulated_labels() -> bytes:
+    """Canonical ``classify`` labels of the simulated scenarios, with confidences."""
+    doc = {}
+    for name in SCENARIO_NAMES:
+        for policy in ("sfm", "straight_line_stop"):
+            for seed in range(3):
+                labels = classify(run(generate_scenario(name, seed, policy)))
+                doc[f"{name}/{policy}/{seed}"] = [
+                    {"scenario": l.scenario, "agent_ids": list(l.agent_ids),
+                     "t_start": l.t_start, "t_end": l.t_end, "confidence": l.confidence}
+                    for l in labels]
+    return canonical_json_bytes(doc)
+
+
 def test_corpus_is_small():
     assert len(CASES) >= 5
     assert sum(p.stat().st_size for p in GOLDEN.rglob("*") if p.is_file()) < 200_000
@@ -70,7 +91,13 @@ def test_outputs_byte_identical(case):
         assert got[name] == want[name], f"{case}/{name} differs"
 
 
+def test_simulated_labels_byte_identical():
+    assert simulated_labels() == SIMULATED_LABELS.read_bytes()
+
+
 if __name__ == "__main__":
+    SIMULATED_LABELS.write_bytes(simulated_labels())
+    print(f"wrote {SIMULATED_LABELS}", file=sys.stderr)
     for case in CASES:
         for name, data in outputs(GOLDEN / case).items():
             (GOLDEN / case / name).write_bytes(data)
