@@ -339,20 +339,24 @@ def _segment(obj, key, path, issues):
         return None
 
 
-def _segments(obj, path, issues) -> tuple:
-    """The readable entries of ``obj["segments"]``, static or of one dynamic set."""
+def _segments(obj, path, issues) -> tuple[tuple, list[int]]:
+    """The readable entries of ``obj["segments"]``, static or of one dynamic set,
+    and the index of each in the file."""
     raw = _array(obj, "segments", path, issues, item=_segment, required=False, default=[])
-    return tuple(seg for seg in raw if seg is not None)
+    kept = [i for i, seg in enumerate(raw) if seg is not None]
+    return tuple(raw[i] for i in kept), kept
 
 
-def _parse_obstacles(raw, issues, unknown) -> tuple[ObstacleMap, list[int]]:
-    """The map, dynamic sets sorted by stamp (NaN last), and each set's index in the file."""
+def _parse_obstacles(raw, issues, unknown) -> tuple[ObstacleMap, dict[str, str]]:
+    """The map, dynamic sets sorted by stamp (NaN last), and the file path of
+    each model path that ``check_episode`` can report under ``/obstacles``."""
     if not isinstance(raw, dict):
         if raw is not None:
             issues.error("/obstacles", f"expected an object, got {type(raw).__name__}")
-        return ObstacleMap(), []
+        return ObstacleMap(), {}
     _collect_unknown(raw, _OBSTACLE_KEYS, "/obstacles", unknown)
-    segments = _segments(raw, "/obstacles", issues)
+    segments, kept = _segments(raw, "/obstacles", issues)
+    in_file = {f"/obstacles/segments/{i}": f"/obstacles/segments/{j}" for i, j in enumerate(kept)}
     dynamic = []
     dynamic_raw = (_array(raw, "dynamic", "/obstacles", issues, default=[])
                    if raw.get("dynamic") is not None else [])
@@ -361,12 +365,16 @@ def _parse_obstacles(raw, issues, unknown) -> tuple[ObstacleMap, list[int]]:
             issues.error(f"/obstacles/dynamic/{k}", "expected an object")
             continue
         stamp = _number(draw, "t", f"/obstacles/dynamic/{k}", issues)
-        dsegs = _segments(draw, f"/obstacles/dynamic/{k}", issues)
+        dsegs, kept = _segments(draw, f"/obstacles/dynamic/{k}", issues)
         if stamp is not None:
-            dynamic.append((stamp, dsegs, k))
+            dynamic.append((stamp, dsegs, k, kept))
     dynamic.sort(key=lambda d: (math.isnan(d[0]), d[0]))
-    return (ObstacleMap(segments=segments, dynamic=tuple(d[:2] for d in dynamic)),
-            [d[2] for d in dynamic])
+    for m, (_, _, k, kept) in enumerate(dynamic):
+        model, file = f"/obstacles/dynamic/{m}", f"/obstacles/dynamic/{k}"
+        in_file[f"{model}/t"] = f"{file}/t"
+        in_file.update((f"{model}/segments/{i}", f"{file}/segments/{j}")
+                       for i, j in enumerate(kept))
+    return ObstacleMap(segments=segments, dynamic=tuple(d[:2] for d in dynamic)), in_file
 
 
 def _build_episode(doc, issues: _Issues, v_cap: float = DEFAULT_V_CAP) -> Episode | None:
@@ -396,7 +404,7 @@ def _build_episode(doc, issues: _Issues, v_cap: float = DEFAULT_V_CAP) -> Episod
         else:
             agents.append(agent)
 
-    obstacles, set_in_file = _parse_obstacles(doc.get("obstacles"), issues, unknown)
+    obstacles, in_file = _parse_obstacles(doc.get("obstacles"), issues, unknown)
 
     labels = []
     for i, lraw in enumerate(_array(doc, "labels", "", issues, required=False, default=[])):
@@ -425,11 +433,8 @@ def _build_episode(doc, issues: _Issues, v_cap: float = DEFAULT_V_CAP) -> Episod
                       agents=tuple(agents), obstacles=obstacles,
                       labels=tuple(labels), metadata=metadata)
     for path, message in check_episode(episode, v_cap=v_cap):
-        parts = path.split("/", 4)
-        if parts[1:3] == ["obstacles", "dynamic"]:  # name the set by its place in the file
-            parts[3] = str(set_in_file[int(parts[3])])
-            path = "/".join(parts)
-        issues.error(path, message, kind=InvariantError)
+        # Name an obstacle set or segment by its place in the file.
+        issues.error(in_file.get(path, path), message, kind=InvariantError)
     return episode
 
 

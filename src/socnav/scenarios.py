@@ -18,6 +18,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -147,79 +148,81 @@ def _card(name, description, scenario_type, layout, robot_task, human_behavior,
     )
 
 
+_BUILTIN_CARDS = {card.name: card for card in (
+    _card("frontal_approach",
+          "A robot and a human walk straight at each other and must pass.",
+          "hallway",
+          "A walkway wide enough that both parties fit side by side.",
+          "Cross the space to a goal on the far side.",
+          "Walk the opposite way, toward the robot.",
+          ["S", "C", "HC"], ["SC", "DH_min", "J_avg"],
+          "Both pass without contact and continue to their goals.",
+          ["Robot contacts the human", "Robot freezes and blocks the lane"]),
+    _card("robot_overtaking",
+          "A robot catches up with a slower human walking the same way and passes.",
+          "hallway",
+          "A walkway with room to pass on one side.",
+          "Reach a goal further down the walkway, faster than the human.",
+          "Walk toward the same end at a slower pace.",
+          ["S", "C", "HC"], ["SC", "DH_min", "V_avg"],
+          "Robot passes with a comfortable margin and merges back.",
+          ["Robot cuts in too close", "Robot tailgates without passing"]),
+    _card("pedestrian_overtaking",
+          "A human catches up with the slower robot and passes it.",
+          "hallway",
+          "A walkway with room to pass on one side.",
+          "Proceed to a goal at a modest pace.",
+          "Approach from behind at higher speed and pass the robot.",
+          ["S", "C", "HC"], ["SC", "DH_min"],
+          "Robot keeps a steady course and yields room for the pass.",
+          ["Robot drifts into the passing human", "Robot stops dead mid-lane"]),
+    _card("intersection",
+          "A robot and a human cross paths roughly at right angles.",
+          "intersection",
+          "Two crossing walkways or an open area with crossing routes.",
+          "Cross to the far side.",
+          "Cross along the perpendicular route at the same time.",
+          ["S", "C", "HC"], ["SC", "DH_min", "TTC"],
+          "Both clear the crossing without contact or hard braking.",
+          ["Robot contacts the human", "Robot stalls inside the crossing"],
+          location="indoor"),
+    _card("blind_corner",
+          "A robot and a human converge on a corner that hides them from "
+          "each other until late.",
+          "hallway",
+          "Two corridor legs joined at a corner that blocks the sightline.",
+          "Travel one leg, turn the corner, continue down the other.",
+          "Travel the crossing leg toward the same corner.",
+          ["S", "C", "HC"], ["SC", "DH_min", "TTC"],
+          "Both negotiate the corner without contact.",
+          ["Contact at the apex", "Robot blocks the corner"],
+          location="indoor"),
+    _card("parallel_traffic",
+          "The robot travels inside a stream of people all heading the same way.",
+          "crowd",
+          "A wide walkway carrying directional foot traffic.",
+          "Travel with the flow to a goal ahead.",
+          "Several people walk the same direction around the robot.",
+          ["S", "C", "HC"], ["SC", "DH_min", "V_avg"],
+          "Robot keeps pace without weaving or crowding anyone.",
+          ["Robot brushes a neighbor", "Robot repeatedly cuts across lanes"],
+          density="crowd"),
+    _card("perpendicular_traffic",
+          "The robot crosses a stream of people moving at right angles to it.",
+          "crowd",
+          "A crossing area where a directional stream intersects the robot route.",
+          "Cross the stream to a goal on the far side.",
+          "Several people walk across the robot's route.",
+          ["S", "C", "HC"], ["SC", "DH_min", "TTC"],
+          "Robot threads a gap without forcing anyone to stop.",
+          ["Robot contacts a crosser", "Robot stalls inside the stream"],
+          density="crowd"),
+)}
+
+
 def builtin_cards() -> dict[str, ScenarioCard]:
-    """Registry of the built-in, machine-classifiable scenario cards."""
-    cards = [
-        _card("frontal_approach",
-              "A robot and a human walk straight at each other and must pass.",
-              "hallway",
-              "A walkway wide enough that both parties fit side by side.",
-              "Cross the space to a goal on the far side.",
-              "Walk the opposite way, toward the robot.",
-              ["S", "C", "HC"], ["SC", "DH_min", "J_avg"],
-              "Both pass without contact and continue to their goals.",
-              ["Robot contacts the human", "Robot freezes and blocks the lane"]),
-        _card("robot_overtaking",
-              "A robot catches up with a slower human walking the same way and passes.",
-              "hallway",
-              "A walkway with room to pass on one side.",
-              "Reach a goal further down the walkway, faster than the human.",
-              "Walk toward the same end at a slower pace.",
-              ["S", "C", "HC"], ["SC", "DH_min", "V_avg"],
-              "Robot passes with a comfortable margin and merges back.",
-              ["Robot cuts in too close", "Robot tailgates without passing"]),
-        _card("pedestrian_overtaking",
-              "A human catches up with the slower robot and passes it.",
-              "hallway",
-              "A walkway with room to pass on one side.",
-              "Proceed to a goal at a modest pace.",
-              "Approach from behind at higher speed and pass the robot.",
-              ["S", "C", "HC"], ["SC", "DH_min"],
-              "Robot keeps a steady course and yields room for the pass.",
-              ["Robot drifts into the passing human", "Robot stops dead mid-lane"]),
-        _card("intersection",
-              "A robot and a human cross paths roughly at right angles.",
-              "intersection",
-              "Two crossing walkways or an open area with crossing routes.",
-              "Cross to the far side.",
-              "Cross along the perpendicular route at the same time.",
-              ["S", "C", "HC"], ["SC", "DH_min", "TTC"],
-              "Both clear the crossing without contact or hard braking.",
-              ["Robot contacts the human", "Robot stalls inside the crossing"],
-              location="indoor"),
-        _card("blind_corner",
-              "A robot and a human converge on a corner that hides them from "
-              "each other until late.",
-              "hallway",
-              "Two corridor legs joined at a corner that blocks the sightline.",
-              "Travel one leg, turn the corner, continue down the other.",
-              "Travel the crossing leg toward the same corner.",
-              ["S", "C", "HC"], ["SC", "DH_min", "TTC"],
-              "Both negotiate the corner without contact.",
-              ["Contact at the apex", "Robot blocks the corner"],
-              location="indoor"),
-        _card("parallel_traffic",
-              "The robot travels inside a stream of people all heading the same way.",
-              "crowd",
-              "A wide walkway carrying directional foot traffic.",
-              "Travel with the flow to a goal ahead.",
-              "Several people walk the same direction around the robot.",
-              ["S", "C", "HC"], ["SC", "DH_min", "V_avg"],
-              "Robot keeps pace without weaving or crowding anyone.",
-              ["Robot brushes a neighbor", "Robot repeatedly cuts across lanes"],
-              density="crowd"),
-        _card("perpendicular_traffic",
-              "The robot crosses a stream of people moving at right angles to it.",
-              "crowd",
-              "A crossing area where a directional stream intersects the robot route.",
-              "Cross the stream to a goal on the far side.",
-              "Several people walk across the robot's route.",
-              ["S", "C", "HC"], ["SC", "DH_min", "TTC"],
-              "Robot threads a gap without forcing anyone to stop.",
-              ["Robot contacts a crosser", "Robot stalls inside the stream"],
-              density="crowd"),
-    ]
-    return {c.name: c for c in cards}
+    """Registry of the built-in, machine-classifiable scenario cards (a fresh dict)."""
+    return dict(_BUILTIN_CARDS)
 
 
 # --- Card serialization -------------------------------------------------------
@@ -331,17 +334,42 @@ def _margin_angle(deviation: np.ndarray, limit: float) -> float:
 # mask, takes each maximal run of at least min_window_duration as a candidate
 # window, then applies the aggregate criteria (minimum distance, passing
 # clearance, occlusion, the overtake transition) to the window as a whole.
+# Pairwise detectors read one ``_Pair`` view per human, built once per episode;
+# all find windows with ``_windows`` and compute each angle deviation once, for
+# the mask and for the confidence margin of every window.
 
-def _pair_windows(timeline, mask, min_duration):
+class _Pair:
+    """The relative quantities of the robot and one human, shared by every detector."""
+
+    def __init__(self, robot: SampledAgent, h: SampledAgent):
+        self.h = h
+        self.dp = h.pos - robot.pos
+        self.dist = np.linalg.norm(self.dp, axis=1)
+        self.turn = robot.heading - h.heading  # unwrapped
+        self.relative = np.abs(wrap_angle(self.turn))
+        self.en_route = robot.en_route & h.en_route
+        self.slower = np.minimum(robot.speed, h.speed)
+
+    def participating(self, p: ClassifierParams) -> np.ndarray:
+        return self.en_route & (self.slower >= p.approach_speed_min)
+
+
+def _windows(timeline, mask, min_duration, bridge=0.0):
+    """Maximal runs of ``mask`` lasting at least ``min_duration`` seconds.
+
+    Runs separated by a gap of at most ``bridge`` seconds are merged first:
+    the lane-change swerve of a pass breaks heading-based masks for a
+    moment, but the encounter is still one window. Bridge 0 merges nothing,
+    even where a ``dt`` finer than the float spacing of the stamps repeats
+    a time.
+    """
+    merged = []
     for s, e in event_runs(mask):
-        if timeline[e - 1] - timeline[s] >= min_duration:
-            yield s, e
-
-
-def _participating(robot: SampledAgent, h: SampledAgent, p: ClassifierParams) -> np.ndarray:
-    return (robot.en_route & h.en_route
-            & (robot.speed >= p.approach_speed_min)
-            & (h.speed >= p.approach_speed_min))
+        if merged and bridge > 0 and timeline[s] - timeline[merged[-1][1] - 1] <= bridge:
+            merged[-1] = (merged[-1][0], e)
+        else:
+            merged.append((s, e))
+    return [(s, e) for s, e in merged if timeline[e - 1] - timeline[s] >= min_duration]
 
 
 _OPEN_SPACE_WIDTH = 20.0
@@ -375,31 +403,28 @@ def _lateral_clearance(ep, midpoint: np.ndarray, axis_heading: float,
     return side[1] + side[-1] - r_sum
 
 
-def _detect_frontal(ep, robot, humans, timeline, p: ClassifierParams):
+def _detect_frontal(ep, robot, pairs, timeline, p: ClassifierParams):
     labels = []
-    r_r = robot.agent.radius
-    for h in humans:
-        opposed = np.abs(wrap_angle(robot.heading - h.heading - math.pi)) <= p.facing_angle_max
-        dp = h.pos - robot.pos
-        dv = h.vel - robot.vel
-        dist = np.linalg.norm(dp, axis=1)
-        closing = -np.einsum("nd,nd->n", dp, dv) / np.maximum(dist, 1e-9)
-        r_sum = r_r + h.agent.radius
+    for pair in pairs:
+        h = pair.h
+        dev = np.abs(wrap_angle(pair.turn - math.pi))
+        closing = (-np.einsum("nd,nd->n", pair.dp, h.vel - robot.vel)
+                   / np.maximum(pair.dist, 1e-9))
+        r_sum = robot.agent.radius + h.agent.radius
         clearance_needed = r_sum + p.min_clearance
-        mask = (_participating(robot, h, p) & opposed
+        mask = (pair.participating(p) & (dev <= p.facing_angle_max)
                 & (closing >= p.approach_speed_min))
-        for s, e in _pair_windows(timeline, mask, p.min_window_duration):
+        for s, e in _windows(timeline, mask, p.min_window_duration):
             sl = slice(s, e)
             # The space must offer room to pass: evaluated at the closest
             # step of the window, perpendicular to the approach.
-            k = s + int(np.argmin(dist[sl]))
+            k = s + int(np.argmin(pair.dist[sl]))
             midpoint = 0.5 * (robot.pos[k] + h.pos[k])
             clearance = _lateral_clearance(ep, midpoint, float(robot.heading[k]), r_sum)
             if clearance < clearance_needed:
                 continue
             confidence = min(
-                _margin_angle(np.abs(wrap_angle(robot.heading[sl] - h.heading[sl] - math.pi)),
-                              p.facing_angle_max),
+                _margin_angle(dev[sl], p.facing_angle_max),
                 float(np.clip(np.median(closing[sl]) / (4 * p.approach_speed_min), 0, 1)),
                 float(np.clip((clearance - clearance_needed) / clearance_needed, 0, 1)),
             )
@@ -408,36 +433,17 @@ def _detect_frontal(ep, robot, humans, timeline, p: ClassifierParams):
     return labels
 
 
-def _bridged_windows(timeline, mask, min_duration, bridge):
-    """Maximal runs, with gaps up to ``bridge`` seconds merged away.
-
-    The lane-change swerve of a pass breaks heading-based masks for a
-    moment; the encounter is still one window.
-    """
-    merged = []
-    for s, e in event_runs(mask):
-        if merged and timeline[s] - timeline[merged[-1][1] - 1] <= bridge:
-            merged[-1] = (merged[-1][0], e)
-        else:
-            merged.append((s, e))
-    return [(s, e) for s, e in merged
-            if timeline[e - 1] - timeline[s] >= min_duration]
-
-
-def _detect_overtaking(ep, robot, humans, timeline, p: ClassifierParams, robot_overtakes: bool):
+def _detect_overtaking(ep, robot, pairs, timeline, p: ClassifierParams, robot_overtakes: bool):
     labels = []
     name = "robot_overtaking" if robot_overtakes else "pedestrian_overtaking"
-    for h in humans:
-        rear_s = robot if robot_overtakes else h
-        front_s = h if robot_overtakes else robot
-        same_dir = np.abs(wrap_angle(robot.heading - h.heading)) <= p.facing_angle_max
-        mask = _participating(robot, h, p) & same_dir
-        dp = front_s.pos - rear_s.pos
+    for pair in pairs:
+        h = pair.h
+        rear_s, front_s, dp = (robot, h, pair.dp) if robot_overtakes else (h, robot, -pair.dp)
+        mask = pair.participating(p) & (pair.relative <= p.facing_angle_max)
         axis = np.column_stack([np.cos(front_s.heading), np.sin(front_s.heading)])
         longitudinal = np.einsum("nd,nd->n", dp, axis)  # >0 while rear is behind
-        dist = np.linalg.norm(dp, axis=1)
-        for s, e in _bridged_windows(timeline, mask, p.min_window_duration,
-                                     bridge=3.0 * p.min_window_duration):
+        for s, e in _windows(timeline, mask, p.min_window_duration,
+                             bridge=3.0 * p.min_window_duration):
             sl = slice(s, e)
             front_speed = np.maximum(np.median(front_s.speed[sl]), 1e-9)
             ratio = float(np.median(rear_s.speed[sl]) / front_speed)
@@ -447,7 +453,7 @@ def _detect_overtaking(ep, robot, humans, timeline, p: ClassifierParams, robot_o
             if not behind[0] or behind[-1]:
                 continue  # must start behind and end ahead
             cross = s + int(np.argmin(behind))  # first step at-or-ahead
-            if dist[cross] > p.proximity_max:
+            if pair.dist[cross] > p.proximity_max:
                 continue  # the pass must happen nearby
             # A pass needs a sustained following phase and a sustained
             # leading phase; momentary lead changes during a swerve do not
@@ -456,30 +462,28 @@ def _detect_overtaking(ep, robot, humans, timeline, p: ClassifierParams, robot_o
                     or timeline[e - 1] - timeline[cross] < p.min_window_duration):
                 continue
             confidence = min(
-                _margin_angle(np.abs(wrap_angle(robot.heading[sl] - h.heading[sl])),
-                              p.facing_angle_max),
+                _margin_angle(pair.relative[sl], p.facing_angle_max),
                 float(np.clip((ratio - p.overtake_speed_ratio_min)
                               / p.overtake_speed_ratio_min, 0, 1)),
-                float(np.clip(1.0 - dist[cross] / p.proximity_max, 0, 1)),
+                float(np.clip(1.0 - pair.dist[cross] / p.proximity_max, 0, 1)),
             )
             labels.append(ScenarioLabel(name, (robot.agent.id, h.agent.id),
                                         float(timeline[s]), float(timeline[e - 1]), confidence))
     return labels
 
 
-def _detect_intersection(ep, robot, humans, timeline, p: ClassifierParams,
+def _detect_intersection(ep, robot, pairs, timeline, p: ClassifierParams,
                          require_occlusion: bool):
     labels = []
     seg_a, seg_b = ep.obstacles.static_arrays
     if require_occlusion and len(seg_a) == 0:
         return []  # no static segment, no blind corner
     name = "blind_corner" if require_occlusion else "intersection"
-    for h in humans:
-        crossing = np.abs(np.abs(wrap_angle(robot.heading - h.heading)) - math.pi / 2) \
-            <= p.crossing_angle_window
-        dist = np.linalg.norm(h.pos - robot.pos, axis=1)
-        mask = _participating(robot, h, p) & crossing
-        for s, e in _pair_windows(timeline, mask, p.min_window_duration):
+    for pair in pairs:
+        h, dist = pair.h, pair.dist
+        dev = np.abs(pair.relative - math.pi / 2)
+        mask = pair.participating(p) & (dev <= p.crossing_angle_window)
+        for s, e in _windows(timeline, mask, p.min_window_duration):
             sl = slice(s, e)
             if float(dist[sl].min()) > p.proximity_max:
                 continue
@@ -487,8 +491,7 @@ def _detect_intersection(ep, robot, humans, timeline, p: ClassifierParams,
                     robot.pos[sl], h.pos[sl], seg_a, seg_b).any():
                 continue
             confidence = min(
-                _margin_angle(np.abs(np.abs(wrap_angle(robot.heading[sl] - h.heading[sl]))
-                                     - math.pi / 2), p.crossing_angle_window),
+                _margin_angle(dev[sl], p.crossing_angle_window),
                 float(np.clip(1.0 - np.min(dist[sl]) / p.proximity_max, 0, 1)),
             )
             labels.append(ScenarioLabel(name, (robot.agent.id, h.agent.id),
@@ -496,34 +499,29 @@ def _detect_intersection(ep, robot, humans, timeline, p: ClassifierParams,
     return labels
 
 
-def _detect_crowd_flow(ep, robot, humans, timeline, p: ClassifierParams, parallel: bool):
+def _detect_crowd_flow(ep, robot, pairs, timeline, p: ClassifierParams, parallel: bool):
     name = "parallel_traffic" if parallel else "perpendicular_traffic"
-    if len(humans) < p.min_crowd_size:
+    if len(pairs) < p.min_crowd_size:
         return []
+    humans = [pair.h for pair in pairs]
     dt = float(timeline[1] - timeline[0]) if len(timeline) > 1 else 1.0
     smooth = smoothed_heading(robot, max(1, round(1.5 / dt)))
     moving = np.stack([h.en_route & (h.speed > p.approach_speed_min) for h in humans])
     count = moving.sum(axis=0)
-    vx = np.stack([h.vel[:, 0] for h in humans])
-    vy = np.stack([h.vel[:, 1] for h in humans])
-    sum_vx = np.where(moving, vx, 0.0).sum(axis=0)
-    sum_vy = np.where(moving, vy, 0.0).sum(axis=0)
-    flow = np.arctan2(sum_vy, sum_vx)
+    velocity = np.where(moving[:, :, None], np.stack([h.vel for h in humans]), 0.0).sum(axis=0)
+    flow = np.arctan2(velocity[:, 1], velocity[:, 0])
     dev = np.abs(wrap_angle(flow - smooth))
-    if parallel:
-        angle_ok = dev <= p.facing_angle_max
-    else:
-        angle_ok = np.abs(dev - math.pi / 2) <= p.crossing_angle_window
-    mask = ((count >= p.min_crowd_size) & angle_ok
+    limit = p.facing_angle_max if parallel else p.crossing_angle_window
+    if not parallel:
+        dev = np.abs(dev - math.pi / 2)
+    mask = ((count >= p.min_crowd_size) & (dev <= limit)
             & robot.en_route & (robot.speed >= p.approach_speed_min))
     labels = []
-    for s, e in _pair_windows(timeline, mask, p.min_window_duration):
+    for s, e in _windows(timeline, mask, p.min_window_duration):
         sl = slice(s, e)
         members = [h.agent.id for i, h in enumerate(humans) if bool(moving[i, sl].any())]
-        limit = p.facing_angle_max if parallel else p.crossing_angle_window
-        measured = dev[sl] if parallel else np.abs(dev[sl] - math.pi / 2)
         confidence = min(
-            _margin_angle(measured, limit),
+            _margin_angle(dev[sl], limit),
             float(np.clip(np.median(count[sl]) / p.min_crowd_size - 0.5, 0, 1)),
         )
         labels.append(ScenarioLabel(name, tuple([robot.agent.id] + members),
@@ -532,13 +530,13 @@ def _detect_crowd_flow(ep, robot, humans, timeline, p: ClassifierParams, paralle
 
 
 _DETECTORS: dict[str, Callable] = {
-    "frontal_approach": lambda *a: _detect_frontal(*a),
-    "robot_overtaking": lambda *a: _detect_overtaking(*a, robot_overtakes=True),
-    "pedestrian_overtaking": lambda *a: _detect_overtaking(*a, robot_overtakes=False),
-    "intersection": lambda *a: _detect_intersection(*a, require_occlusion=False),
-    "blind_corner": lambda *a: _detect_intersection(*a, require_occlusion=True),
-    "parallel_traffic": lambda *a: _detect_crowd_flow(*a, parallel=True),
-    "perpendicular_traffic": lambda *a: _detect_crowd_flow(*a, parallel=False),
+    "frontal_approach": _detect_frontal,
+    "robot_overtaking": partial(_detect_overtaking, robot_overtakes=True),
+    "pedestrian_overtaking": partial(_detect_overtaking, robot_overtakes=False),
+    "intersection": partial(_detect_intersection, require_occlusion=False),
+    "blind_corner": partial(_detect_intersection, require_occlusion=True),
+    "parallel_traffic": partial(_detect_crowd_flow, parallel=True),
+    "perpendicular_traffic": partial(_detect_crowd_flow, parallel=False),
 }
 
 
@@ -579,11 +577,11 @@ def classify(episode: Episode, cards: Optional[Mapping[str, ScenarioCard]] = Non
     a card with criteria but no detector raises UnknownCard.
     """
     if cards is None:
-        cards = builtin_cards()
+        cards = _BUILTIN_CARDS
     timeline = common_timeline(episode, dt if dt is not None else default_dt(episode))
     robot = SampledAgent(episode.robot, timeline)
-    humans = [SampledAgent(a, timeline) for a in episode.agents
-              if a.kind is AgentKind.HUMAN and a.id != episode.robot_under_test]
+    pairs = [_Pair(robot, SampledAgent(a, timeline)) for a in episode.agents
+             if a.kind is AgentKind.HUMAN and a.id != episode.robot_under_test]
 
     labels: list[ScenarioLabel] = []
     for name, card in cards.items():
@@ -593,7 +591,7 @@ def classify(episode: Episode, cards: Optional[Mapping[str, ScenarioCard]] = Non
         if name not in _DETECTORS:
             raise UnknownCard(f"no detector for card {name!r}")
         effective = params if params is not None else criteria
-        labels.extend(_DETECTORS[name](episode, robot, humans, timeline, effective))
+        labels.extend(_DETECTORS[name](episode, robot, pairs, timeline, effective))
 
     labels = _arbitrate(labels)
     labels.sort(key=lambda l: (l.t_start, l.scenario, l.agent_ids))

@@ -247,23 +247,33 @@ class TestValidate:
         assert any(i.severity == "warning" and "deviates" in i.message for i in issues)
         assert not any(i.severity == "error" for i in issues)
 
-    @pytest.mark.parametrize("dynamic, expected", [
+    @pytest.mark.parametrize("obstacles, expected", [
         # Set 0 (t = 2) sorts after set 1 (t = 1).
-        ([{"t": 2, "segments": [[0, 0, 0, 0]]}, {"t": 1, "segments": []}],
+        ({"segments": [], "dynamic": [{"t": 2, "segments": [[0, 0, 0, 0]]},
+                                      {"t": 1, "segments": []}]},
          [("/obstacles/dynamic/0/segments/0", "segment endpoints must be distinct")]),
         # Non-finite stamps in an unsorted file: NaN sorts last and unsorts nothing.
-        ([{"t": 2, "segments": []}, {"t": float("nan"), "segments": []},
-          {"t": 1, "segments": [[1, 1, 1, 1]]}, {"t": -float("inf"), "segments": []}],
+        ({"segments": [], "dynamic": [
+            {"t": 2, "segments": []}, {"t": float("nan"), "segments": []},
+            {"t": 1, "segments": [[1, 1, 1, 1]]}, {"t": -float("inf"), "segments": []}]},
          [("/obstacles/dynamic/3/t", "must be finite"),
           ("/obstacles/dynamic/2/segments/0", "segment endpoints must be distinct"),
           ("/obstacles/dynamic/1/t", "must be finite")]),
         # A set that cannot be read does not shift the index of the next.
-        ([5, {"t": 1, "segments": [[1, 1, 1, 1]]}],
+        ({"segments": [], "dynamic": [5, {"t": 1, "segments": [[1, 1, 1, 1]]}]},
          [("/obstacles/dynamic/0", "expected an object"),
           ("/obstacles/dynamic/1/segments/0", "segment endpoints must be distinct")]),
+        # Nor does a segment that cannot be read shift the index of the next one,
+        # static or dynamic.
+        ({"segments": [[0, 0, 1], [2, 2, 2, 2]]},
+         [("/obstacles/segments/0", "expected [x1, y1, x2, y2]"),
+          ("/obstacles/segments/1", "segment endpoints must be distinct")]),
+        ({"segments": [], "dynamic": [{"t": 1, "segments": [[0, "a", 1, 1], [3, 3, 3, 3]]}]},
+         [("/obstacles/dynamic/0/segments/0", "expected [x1, y1, x2, y2]"),
+          ("/obstacles/dynamic/0/segments/1", "segment endpoints must be distinct")]),
     ])
-    def test_dynamic_set_named_by_its_index_in_the_file(self, dynamic, expected):
-        document = doc(obstacles={"segments": [], "dynamic": dynamic})
+    def test_dynamic_set_named_by_its_index_in_the_file(self, obstacles, expected):
+        document = doc(obstacles=obstacles)
         assert [(i.path, i.message) for i in validate(document)] == expected
         with pytest.raises(SocnavError) as err:
             parse_episode(document)

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from socnav.core import AgentKind
 from socnav.errors import SchemaError, UnknownCard
@@ -14,10 +16,12 @@ from socnav.scenarios import (
     coverage_report,
     parse_card,
     serialize_card,
+    _windows,
 )
 from socnav.simulator import generate_scenario, run
 
 from conftest import fuzz_episode, line_points, make_agent, make_episode, rigid_transform
+from oracles import event_runs_oracle
 
 
 class TestCards:
@@ -27,6 +31,8 @@ class TestCards:
         for name, card in cards.items():
             assert card.name == name
             assert card.usage_guide.labeling_criteria is not None
+        cards.clear()  # each call returns a fresh dict
+        assert set(builtin_cards()) == set(CLASSIFIABLE_SCENARIOS)
 
     def test_frontal_card_parses(self):
         raw = serialize_card(builtin_cards()["frontal_approach"])
@@ -144,6 +150,56 @@ class TestClassify:
             labels = classify(run(generate_scenario(name, seed)))
             hits += any(l.scenario == name for l in labels)
         assert hits >= 4
+
+
+# Steps and durations on a quarter-second grid keep every time exact, so gaps
+# equal to the bridge and windows equal to the minimum duration both occur.
+_QUARTERS = st.integers(1, 8).map(lambda q: q / 4)
+
+
+@st.composite
+def _masked_timelines(draw):
+    mask = draw(st.lists(st.booleans(), max_size=40))
+    steps = draw(st.lists(st.integers(1, 4).map(lambda q: q / 4),
+                          min_size=len(mask), max_size=len(mask)))
+    return np.cumsum([draw(st.integers(-8, 8)) / 4, *steps])[1:], np.array(mask, dtype=bool)
+
+
+class TestWindows:
+    """``_windows`` against a plain scan of the mask's runs."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_masked_timelines(), _QUARTERS | st.just(0.0))
+    @example((np.arange(6.0), np.array([True, True, False, True, True, True])), 2.0)
+    # A dt finer than the float spacing of the stamps repeats a time.
+    @example((np.array([0.0, 0.0, 0.0, 1.0]), np.array([True, False, True, True])), 0.0)
+    def test_runs_that_last_min_duration(self, case, min_duration):
+        timeline, mask = case
+        want = [(s, e) for s, e in event_runs_oracle(mask.tolist())
+                if timeline[e - 1] - timeline[s] >= min_duration]
+        assert _windows(timeline, mask, min_duration) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(_masked_timelines(), _QUARTERS | st.just(0.0), _QUARTERS)
+    @example((np.arange(6.0), np.array([True, False, True, False, False, True])), 0.0, 2.0)
+    def test_gaps_up_to_bridge_merged(self, case, min_duration, bridge):
+        timeline, mask = case
+        runs = event_runs_oracle(mask.tolist())
+        merged = _windows(timeline, mask, 0.0, bridge)
+        groups = [[r for r in runs if s <= r[0] and r[1] <= e] for s, e in merged]
+        # The windows split the runs into groups and span each group ...
+        assert all(groups) and [r for g in groups for r in g] == runs
+        assert merged == [(g[0][0], g[-1][1]) for g in groups]
+
+        def gap(a, b):
+            return timeline[b[0]] - timeline[a[1] - 1]
+
+        # ... every gap inside a window is at most the bridge, and every gap
+        # between two windows is larger.
+        assert all(gap(a, b) <= bridge for g in groups for a, b in zip(g, g[1:]))
+        assert all(gap(a, b) > bridge for a, b in zip(merged, merged[1:]))
+        assert _windows(timeline, mask, min_duration, bridge) == [
+            (s, e) for s, e in merged if timeline[e - 1] - timeline[s] >= min_duration]
 
 
 class TestCoverage:
