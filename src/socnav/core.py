@@ -269,6 +269,14 @@ class MetricParams:
             raise InvariantError("/params/collision_terminate_count", "must be >= 1 or null")
 
 
+def _param_echo(params: MetricParams, name: str):
+    """A parameter as outputs echo it: cooperative ids as a sorted list, or null if none."""
+    value = getattr(params, name)
+    if name == "cooperative_agent_ids":
+        return sorted(value) if value else None
+    return value
+
+
 def finite_difference_velocities(t: np.ndarray, xy: np.ndarray) -> np.ndarray:
     """Central differences at interior samples, one-sided at the endpoints."""
     vel = np.empty_like(xy)

@@ -495,9 +495,10 @@ def _velocity_consistency_warnings(episode: Episode,
             dev = math.hypot(ex[k], ey[k])
             scale = max(math.hypot(fd[k, 0], fd[k, 1]), math.hypot(vx[k], vy[k]))
             if dev > abs_floor and dev > rel_tol * scale:
+                shown = f"{dev:.3f}" if dev < 1e6 else f"{dev:.3e}"  # not 200 digits at 1e200
                 out.append(ValidationIssue(
                     "warning", f"/agents/{i}/states/{inner[k]}/vx",
-                    f"stored velocity deviates from finite difference by {dev:.3f} m/s (>20%)"))
+                    f"stored velocity deviates from finite difference by {shown} m/s (>20%)"))
                 break  # one warning per agent is enough
     return out
 

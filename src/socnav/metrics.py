@@ -16,11 +16,12 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .core import (
+    _param_echo,
     AgentKind,
     Episode,
     MetricParams,
@@ -33,31 +34,6 @@ from .errors import InvariantError, MissingGoal, TooFewStates
 from .geometry import first_collision_time, point_segment_distance
 
 CODE_PATTERN = re.compile(r"^[NSA][HLQS][ST]$")
-
-# Taskwise key set, in reporting order. The first tranche are traditional
-# navigation metrics (code NHT), the second quality/social ones (code SHT).
-TASKWISE_KEYS = (
-    "S", "C", "WC", "AC", "HC", "TO", "FP", "ST", "T", "PL", "SPL",
-    "V_min", "V_avg", "V_max", "A_min", "A_avg", "A_max",
-    "J_min", "J_avg", "J_max", "CD_min", "CD_avg",
-    "SC", "DH_min", "TTC", "AT",
-)
-
-_NHT = {"S", "C", "WC", "AC", "HC", "TO", "FP", "ST", "T", "PL", "SPL"}
-
-UNITS = {
-    "S": "bool", "C": "collisions", "WC": "collisions", "AC": "collisions",
-    "HC": "collisions", "TO": "bool", "FP": "failures", "ST": "s", "T": "s",
-    "PL": "m", "SPL": "1",
-    "V_min": "m/s", "V_avg": "m/s", "V_max": "m/s",
-    "A_min": "m/s^2", "A_avg": "m/s^2", "A_max": "m/s^2",
-    "J_min": "m/s^3", "J_avg": "m/s^3", "J_max": "m/s^3",
-    "CD_min": "m", "CD_avg": "m", "SC": "1", "DH_min": "m", "TTC": "s", "AT": "s",
-}
-
-
-def taxonomy_code(name: str) -> str:
-    return "NHT" if name in _NHT else "SHT"
 
 
 @dataclass(frozen=True)
@@ -156,6 +132,25 @@ class _Frames:
                 agent_events.append((float(self.timeline[s]), tr.agent.kind is AgentKind.HUMAN))
         return wall_starts, agent_events
 
+    @cached_property
+    def clearance(self) -> np.ndarray:
+        """(N,) body-to-obstacle clearance, clipped at 0; inf where no segment is active."""
+        return np.clip(self.obstacle_distances - self.episode.robot.radius, 0.0, None)
+
+    @cached_property
+    def accel(self) -> np.ndarray:
+        """d(speed)/dt at the interior steps, by central differences."""
+        t, y = self.timeline, self.robot.speed
+        return (y[2:] - y[:-2]) / (t[2:] - t[:-2])
+
+    @cached_property
+    def jerk(self) -> np.ndarray:
+        """d²(speed)/dt² at the interior steps, by the three-point second difference."""
+        t, y = self.timeline, self.robot.speed
+        h0 = t[1:-1] - t[:-2]
+        h1 = t[2:] - t[1:-1]
+        return 2.0 * (y[:-2] / (h0 * (h0 + h1)) - y[1:-1] / (h0 * h1) + y[2:] / (h1 * (h0 + h1)))
+
 
 def _resolve(episode: Episode, params: Optional[MetricParams], dt: Optional[float]) -> _Frames:
     return _Frames(episode, params if params is not None else MetricParams(),
@@ -178,10 +173,7 @@ def _termination_time(frames: _Frames) -> Optional[float]:
 
 def _first_reach_time(frames: _Frames) -> Optional[float]:
     """Time of the first step inside goal tolerance, before any termination."""
-    goal = frames.episode.robot.goal
-    if goal is None:
-        raise MissingGoal(f"robot {frames.episode.robot.id!r} has no goal")
-    inside = frames.robot.goal_distance <= goal.tolerance
+    inside = frames.robot.goal_distance <= frames.episode.robot.goal.tolerance
     t_term = _termination_time(frames)
     if t_term is not None:
         inside &= frames.timeline < t_term
@@ -191,28 +183,18 @@ def _first_reach_time(frames: _Frames) -> Optional[float]:
     return float(frames.timeline[hits[0]])
 
 
-# --- Taskwise operations ------------------------------------------------------
-
-def success(episode: Episode, params: Optional[MetricParams] = None,
-            dt: Optional[float] = None) -> bool:
-    """S: whether the robot reaches its goal in time (and before termination)."""
-    frames = _resolve(episode, params, dt)
-    return _success(frames)
-
+# --- Taskwise kernels ----------------------------------------------------------
+# One per row of the metric table below; ``_public`` gives each kernel's
+# name, docstring and return annotation to its public function.
 
 def _success(frames: _Frames) -> bool:
+    """S: whether the robot reaches its goal in time (and before termination)."""
     reach = _first_reach_time(frames)
     return reach is not None and (reach - frames.t0) <= frames.params.timeout + 1e-9
 
 
-def collisions(episode: Episode, params: Optional[MetricParams] = None,
-               dt: Optional[float] = None) -> tuple[int, int, int, int]:
-    """(C, WC, AC, HC): total, wall, agent and human collision event counts."""
-    frames = _resolve(episode, params, dt)
-    return _collisions(frames)
-
-
 def _collisions(frames: _Frames) -> tuple[int, int, int, int]:
+    """(C, WC, AC, HC): total, wall, agent and human collision event counts."""
     wall_starts, agent_events = frames.collision_events
     wc = len(wall_starts)
     ac = len(agent_events)
@@ -220,33 +202,16 @@ def _collisions(frames: _Frames) -> tuple[int, int, int, int]:
     return wc + ac, wc, ac, hc
 
 
-def timeout(episode: Episode, params: Optional[MetricParams] = None,
-            dt: Optional[float] = None) -> bool:
-    """TO: failed, and the robot span ran into the time threshold."""
-    frames = _resolve(episode, params, dt)
-    return _timeout(frames)
-
-
 def _timeout(frames: _Frames) -> bool:
+    """TO: failed, and the robot span ran into the time threshold."""
     robot = frames.episode.robot
-    if robot.goal is None:
-        succeeded = False
-    else:
-        succeeded = _success(frames)
+    succeeded = robot.goal is not None and _success(frames)
     span = robot.t_end - robot.t_start
     return (not succeeded) and span >= frames.params.timeout - 1e-9
 
 
-def failure_to_progress(episode: Episode, params: Optional[MetricParams] = None,
-                        dt: Optional[float] = None) -> int:
-    """FP: count of disjoint windows with no progress toward the goal."""
-    frames = _resolve(episode, params, dt)
-    return _failure_to_progress(frames)
-
-
 def _failure_to_progress(frames: _Frames) -> int:
-    if frames.episode.robot.goal is None:
-        raise MissingGoal(f"robot {frames.episode.robot.id!r} has no goal")
+    """FP: count of disjoint windows with no progress toward the goal."""
     d = frames.robot.goal_distance
     t = frames.timeline
     eps = frames.params.fp_distance_eps
@@ -262,14 +227,8 @@ def _failure_to_progress(frames: _Frames) -> int:
     return count
 
 
-def stalled_time(episode: Episode, params: Optional[MetricParams] = None,
-                 dt: Optional[float] = None) -> float:
-    """ST: total time in sub-threshold-speed runs of at least the minimum length."""
-    frames = _resolve(episode, params, dt)
-    return _stalled_time(frames)
-
-
 def _stalled_time(frames: _Frames) -> float:
+    """ST: total time in sub-threshold-speed runs of at least the minimum length."""
     below = frames.robot.speed < frames.params.stall_speed
     total = 0.0
     for s, e in event_runs(below):
@@ -279,14 +238,8 @@ def _stalled_time(frames: _Frames) -> float:
     return total
 
 
-def time_to_goal(episode: Episode, params: Optional[MetricParams] = None,
-                 dt: Optional[float] = None) -> Optional[float]:
-    """T: first-success time minus episode start; None when not successful."""
-    frames = _resolve(episode, params, dt)
-    return _time_to_goal(frames)
-
-
 def _time_to_goal(frames: _Frames) -> Optional[float]:
+    """T: first-success time minus episode start; None when not successful."""
     if not _success(frames):
         return None
     return _first_reach_time(frames) - frames.t0
@@ -301,17 +254,9 @@ def path_length(episode: Episode, params: Optional[MetricParams] = None,
     return float(np.linalg.norm(np.diff(xy, axis=0), axis=1).sum())
 
 
-def spl(episode: Episode, params: Optional[MetricParams] = None,
-        dt: Optional[float] = None) -> float:
-    """SPL: success weighted by straight-line over max(straight-line, path)."""
-    frames = _resolve(episode, params, dt)
-    return _spl(frames)
-
-
 def _spl(frames: _Frames) -> float:
+    """SPL: success weighted by straight-line over max(straight-line, path)."""
     robot = frames.episode.robot
-    if robot.goal is None:
-        raise MissingGoal(f"robot {robot.id!r} has no goal")
     if not _success(frames):
         return 0.0
     start = robot.positions[0]
@@ -323,64 +268,30 @@ def _spl(frames: _Frames) -> float:
     return straight / max(straight, path_length(frames.episode))
 
 
-def _central_first_derivative(t: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return (y[2:] - y[:-2]) / (t[2:] - t[:-2])
-
-
-def _central_second_derivative(t: np.ndarray, y: np.ndarray) -> np.ndarray:
-    h0 = t[1:-1] - t[:-2]
-    h1 = t[2:] - t[1:-1]
-    return 2.0 * (y[:-2] / (h0 * (h0 + h1)) - y[1:-1] / (h0 * h1) + y[2:] / (h1 * (h0 + h1)))
-
-
 def _features(values: np.ndarray) -> tuple[float, float, float]:
     return float(values.min()), float(values.mean()), float(values.max())
 
 
-def velocity_features(episode: Episode, params: Optional[MetricParams] = None,
-                      dt: Optional[float] = None) -> tuple[float, float, float]:
+def _velocity_features(frames: _Frames) -> tuple[float, float, float]:
     """(V_min, V_avg, V_max) of the scalar speed over the timeline."""
-    if len(episode.robot.t) < 2:
-        raise TooFewStates("velocity features need >= 2 states")
-    frames = _resolve(episode, params, dt)
     return _features(frames.robot.speed)
 
 
-def acceleration_features(episode: Episode, params: Optional[MetricParams] = None,
-                          dt: Optional[float] = None) -> tuple[float, float, float]:
+def _acceleration_features(frames: _Frames) -> tuple[float, float, float]:
     """(A_min, A_avg, A_max) of d(speed)/dt at interior timeline points."""
-    if len(episode.robot.t) < 3:
-        raise TooFewStates("acceleration features need >= 3 states")
-    frames = _resolve(episode, params, dt)
-    if len(frames.timeline) < 3:
-        raise TooFewStates("timeline too short for a central difference")
-    return _features(_central_first_derivative(frames.timeline, frames.robot.speed))
+    return _features(frames.accel)
 
 
-def jerk_features(episode: Episode, params: Optional[MetricParams] = None,
-                  dt: Optional[float] = None) -> tuple[float, float, float]:
+def _jerk_features(frames: _Frames) -> tuple[float, float, float]:
     """(J_min, J_avg, J_max) of the second derivative of the scalar speed."""
-    if len(episode.robot.t) < 4:
-        raise TooFewStates("jerk features need >= 4 states")
-    frames = _resolve(episode, params, dt)
-    if len(frames.timeline) < 3:
-        raise TooFewStates("timeline too short for a second difference")
-    return _features(_central_second_derivative(frames.timeline, frames.robot.speed))
+    return _features(frames.jerk)
 
 
-def clearing_distance_features(episode: Episode, params: Optional[MetricParams] = None,
-                               dt: Optional[float] = None) -> tuple[float, Optional[float]]:
+def _clearing_distance_features(frames: _Frames) -> tuple[float, Optional[float]]:
     """(CD_min, CD_avg): body-to-obstacle clearance; (+inf, None) without obstacles."""
-    frames = _resolve(episode, params, dt)
-    return _clearing_distance(frames)
-
-
-def _clearing_distance(frames: _Frames) -> tuple[float, Optional[float]]:
-    d = frames.obstacle_distances
-    defined = np.isfinite(d)
-    if not defined.any():
+    clearance = frames.clearance[np.isfinite(frames.clearance)]
+    if not clearance.size:
         return math.inf, None
-    clearance = np.clip(d[defined] - frames.episode.robot.radius, 0.0, None)
     return float(clearance.min()), float(clearance.mean())
 
 
@@ -406,25 +317,13 @@ def _space_compliance(frames: _Frames, threshold: Optional[float] = None,
     return 1.0 - compliant if complement else compliant
 
 
-def min_distance_to_human(episode: Episode, params: Optional[MetricParams] = None,
-                          dt: Optional[float] = None) -> float:
-    """DH_min: minimum center-to-center distance to any human; +inf if none."""
-    frames = _resolve(episode, params, dt)
-    return _min_distance_to_human(frames)
-
-
 def _min_distance_to_human(frames: _Frames) -> float:
+    """DH_min: minimum center-to-center distance to any human; +inf if none."""
     return float(frames.nearest_human.min())
 
 
-def min_time_to_collision(episode: Episode, params: Optional[MetricParams] = None,
-                          dt: Optional[float] = None) -> float:
-    """TTC: minimum constant-velocity time to contact with any human."""
-    frames = _resolve(episode, params, dt)
-    return _min_time_to_collision(frames)
-
-
 def _min_time_to_collision(frames: _Frames) -> float:
+    """TTC: minimum constant-velocity time to contact with any human."""
     r = frames.episode.robot.radius
     best = math.inf
     for tr in frames.tracks:
@@ -439,15 +338,9 @@ def _min_time_to_collision(frames: _Frames) -> float:
     return best
 
 
-def aggregated_time(episode: Episode, params: Optional[MetricParams] = None,
-                    dt: Optional[float] = None) -> Optional[float]:
+def _aggregated_time(frames: _Frames) -> Optional[float]:
     """AT: latest first goal-reach time across the cooperative set; None if
     the set is empty/absent or any member never reaches its goal."""
-    frames = _resolve(episode, params, dt)
-    return _aggregated_time(frames)
-
-
-def _aggregated_time(frames: _Frames) -> Optional[float]:
     ids = frames.params.cooperative_agent_ids
     if not ids:
         return None
@@ -467,12 +360,114 @@ def _aggregated_time(frames: _Frames) -> Optional[float]:
     return latest
 
 
+# --- The metric table ------------------------------------------------------------
+
+class _Row(NamedTuple):
+    """One metric family. It is undefined without a robot goal (``needs_goal``), below
+    ``min_states`` robot states, or for a derivative ``stencil`` below 3 timeline steps."""
+
+    keys: tuple[str, ...]
+    unit: str
+    code: str
+    fn: Callable[[_Frames], object]
+    params: tuple[str, ...] = ()  # the MetricParams fields echoed in params_used
+    fixed: tuple[tuple[str, object], ...] = ()  # constant echoes: SC's default reading
+    needs_goal: bool = False
+    min_states: int = 0
+    stencil: str = ""
+
+    def values(self, frames: _Frames) -> tuple:
+        out = self.fn(frames)
+        return (out,) if len(self.keys) == 1 else out
+
+
+_SUCCESS_PARAMS = ("timeout", "collision_terminate_count")
+
+# In reporting order. Navigation metrics are NHT, quality/social ones SHT.
+_ROWS = (
+    _Row(("S",), "bool", "NHT", _success, _SUCCESS_PARAMS, needs_goal=True),
+    _Row(("C", "WC", "AC", "HC"), "collisions", "NHT", _collisions,
+         ("collision_terminate_count",)),
+    _Row(("TO",), "bool", "NHT", _timeout, ("timeout",)),
+    _Row(("FP",), "failures", "NHT", _failure_to_progress, ("fp_distance_eps", "fp_window"),
+         needs_goal=True),
+    _Row(("ST",), "s", "NHT", _stalled_time, ("stall_speed", "stall_min_duration")),
+    _Row(("T",), "s", "NHT", _time_to_goal, _SUCCESS_PARAMS, needs_goal=True),
+    _Row(("PL",), "m", "NHT", lambda frames: path_length(frames.episode)),
+    _Row(("SPL",), "1", "NHT", _spl, _SUCCESS_PARAMS, needs_goal=True),
+    _Row(("V_min", "V_avg", "V_max"), "m/s", "SHT", _velocity_features, min_states=2),
+    _Row(("A_min", "A_avg", "A_max"), "m/s^2", "SHT", _acceleration_features, min_states=3,
+         stencil="central difference"),
+    _Row(("J_min", "J_avg", "J_max"), "m/s^3", "SHT", _jerk_features, min_states=4,
+         stencil="second difference"),
+    _Row(("CD_min", "CD_avg"), "m", "SHT", _clearing_distance_features),
+    _Row(("SC",), "1", "SHT", _space_compliance, ("space_threshold",),
+         fixed=(("complement", False),)),
+    _Row(("DH_min",), "m", "SHT", _min_distance_to_human),
+    _Row(("TTC",), "s", "SHT", _min_time_to_collision),
+    _Row(("AT",), "s", "SHT", _aggregated_time, ("cooperative_agent_ids",)),
+)
+_ROW_OF = {key: row for row in _ROWS for key in row.keys}
+
+TASKWISE_KEYS = tuple(_ROW_OF)
+UNITS = {key: row.unit for key, row in _ROW_OF.items()}
+
+
+def taxonomy_code(name: str) -> str:
+    return _ROW_OF[name].code if name in _ROW_OF else "SHT"
+
+
+def _undefined(row: _Row, episode: Episode, steps: Optional[int] = None) -> Optional[Exception]:
+    """The error saying why ``row`` has no value, or None; the stencil check
+    needs the timeline length ``steps`` and is skipped without it."""
+    robot = episode.robot
+    if row.needs_goal and robot.goal is None:
+        return MissingGoal(f"robot {robot.id!r} has no goal")
+    if len(robot.t) < row.min_states:
+        what = row.fn.__name__[1:].replace("_", " ")
+        return TooFewStates(f"{what} need >= {row.min_states} states")
+    if row.stencil and steps is not None and steps < 3:
+        return TooFewStates(f"timeline too short for a {row.stencil}")
+    return None
+
+
+def _public(fn: Callable[[_Frames], object]) -> Callable:
+    """The public operation of the kernel ``fn``: it raises where ``compute_all`` gives null."""
+    row = next(r for r in _ROWS if r.fn is fn)
+
+    def metric(episode: Episode, params: Optional[MetricParams] = None,
+               dt: Optional[float] = None):
+        error = _undefined(row, episode)
+        if error is None:
+            frames = _resolve(episode, params, dt)
+            error = _undefined(row, episode, len(frames.timeline))
+        if error is not None:
+            raise error
+        return fn(frames)
+
+    metric.__name__ = metric.__qualname__ = fn.__name__[1:]
+    metric.__doc__ = fn.__doc__
+    metric.__annotations__ = {**metric.__annotations__, "return": fn.__annotations__["return"]}
+    return metric
+
+
+success = _public(_success)
+collisions = _public(_collisions)
+timeout = _public(_timeout)
+failure_to_progress = _public(_failure_to_progress)
+stalled_time = _public(_stalled_time)
+time_to_goal = _public(_time_to_goal)
+spl = _public(_spl)
+velocity_features = _public(_velocity_features)
+acceleration_features = _public(_acceleration_features)
+jerk_features = _public(_jerk_features)
+clearing_distance_features = _public(_clearing_distance_features)
+min_distance_to_human = _public(_min_distance_to_human)
+min_time_to_collision = _public(_min_time_to_collision)
+aggregated_time = _public(_aggregated_time)
+
+
 # --- Report assembly ----------------------------------------------------------
-
-def _metric(name: str, value, params_used: Optional[dict] = None) -> MetricValue:
-    return MetricValue(name=name, value=value, unit=UNITS[name],
-                       code=taxonomy_code(name), params_used=params_used or {})
-
 
 def compute_all(episode: Episode, params: Optional[MetricParams] = None,
                 dt: Optional[float] = None, include_stepwise: bool = False) -> MetricReport:
@@ -483,92 +478,34 @@ def compute_all(episode: Episode, params: Optional[MetricParams] = None,
     """
     frames = _resolve(episode, params, dt)
     p = frames.params
-    has_goal = episode.robot.goal is not None
-
-    c, wc, ac, hc = _collisions(frames)
-    term_params = {"collision_terminate_count": p.collision_terminate_count}
-    values = {
-        "C": _metric("C", c, term_params),
-        "WC": _metric("WC", wc, term_params),
-        "AC": _metric("AC", ac, term_params),
-        "HC": _metric("HC", hc, term_params),
-        "TO": _metric("TO", _timeout(frames), {"timeout": p.timeout}),
-        "ST": _metric("ST", _stalled_time(frames),
-                      {"stall_speed": p.stall_speed, "stall_min_duration": p.stall_min_duration}),
-        "PL": _metric("PL", path_length(episode)),
-        "SC": _metric("SC", _space_compliance(frames),
-                      {"space_threshold": p.space_threshold, "complement": False}),
-        "DH_min": _metric("DH_min", _min_distance_to_human(frames)),
-        "TTC": _metric("TTC", _min_time_to_collision(frames)),
-        "AT": _metric("AT", _aggregated_time(frames),
-                      {"cooperative_agent_ids": sorted(p.cooperative_agent_ids)
-                       if p.cooperative_agent_ids else None}),
-    }
-
-    success_params = {"timeout": p.timeout,
-                      "collision_terminate_count": p.collision_terminate_count}
-    if has_goal:
-        values["S"] = _metric("S", _success(frames), success_params)
-        values["T"] = _metric("T", _time_to_goal(frames), success_params)
-        values["SPL"] = _metric("SPL", _spl(frames), success_params)
-        values["FP"] = _metric("FP", _failure_to_progress(frames),
-                               {"fp_distance_eps": p.fp_distance_eps, "fp_window": p.fp_window})
-    else:
-        values["S"] = _metric("S", None, success_params)
-        values["T"] = _metric("T", None, success_params)
-        values["SPL"] = _metric("SPL", None, success_params)
-        values["FP"] = _metric("FP", None,
-                               {"fp_distance_eps": p.fp_distance_eps, "fp_window": p.fp_window})
-
-    n_states = len(episode.robot.t)
-    n_steps = len(frames.timeline)
-    v = _features(frames.robot.speed) if n_states >= 2 else (None, None, None)
-    a = (_central_first_derivative(frames.timeline, frames.robot.speed)
-         if n_states >= 3 and n_steps >= 3 else None)
-    j = (_central_second_derivative(frames.timeline, frames.robot.speed)
-         if n_states >= 4 and n_steps >= 3 else None)
-    for prefix, triple in (("V", v),
-                           ("A", _features(a) if a is not None else (None, None, None)),
-                           ("J", _features(j) if j is not None else (None, None, None))):
-        for suffix, val in zip(("min", "avg", "max"), triple):
-            name = f"{prefix}_{suffix}"
-            values[name] = _metric(name, val)
-
-    cd_min, cd_avg = _clearing_distance(frames)
-    values["CD_min"] = _metric("CD_min", cd_min)
-    values["CD_avg"] = _metric("CD_avg", cd_avg)
-
-    stepwise = _stepwise_series(frames, a, j) if include_stepwise else None
-    ordered = {key: values[key] for key in TASKWISE_KEYS}
+    steps = len(frames.timeline)
+    taskwise = {}
+    for row in _ROWS:
+        defined = _undefined(row, episode, steps) is None
+        values = row.values(frames) if defined else (None,) * len(row.keys)
+        used = {name: _param_echo(p, name) for name in row.params}
+        used.update(row.fixed)
+        for key, value in zip(row.keys, values):
+            taskwise[key] = MetricValue(name=key, value=value, unit=row.unit, code=row.code,
+                                        params_used=used)
+    stepwise = _stepwise_series(frames) if include_stepwise else None
     return MetricReport(episode_id=episode.episode_id, params=p, dt=frames.dt,
-                        taskwise=ordered, stepwise=stepwise)
+                        taskwise=taskwise, stepwise=stepwise)
 
 
-def _stepwise_series(frames: _Frames, accel: Optional[np.ndarray],
-                     jerk: Optional[np.ndarray]) -> dict[str, StepSeries]:
+def _stepwise_series(frames: _Frames) -> dict[str, StepSeries]:
     t = frames.timeline
-    out = {"speed": StepSeries("speed", "m/s", tuple(map(float, t)),
-                               tuple(map(float, frames.robot.speed)))}
-    if accel is not None:
-        out["acceleration"] = StepSeries("acceleration", "m/s^2",
-                                         tuple(map(float, t[1:-1])), tuple(map(float, accel)))
-    if jerk is not None:
-        out["jerk"] = StepSeries("jerk", "m/s^3",
-                                 tuple(map(float, t[1:-1])), tuple(map(float, jerk)))
+    series = [("speed", "m/s", t, frames.robot.speed)]
+    if _undefined(_ROW_OF["A_min"], frames.episode, len(t)) is None:
+        series.append(("acceleration", "m/s^2", t[1:-1], frames.accel))
+    if _undefined(_ROW_OF["J_min"], frames.episode, len(t)) is None:
+        series.append(("jerk", "m/s^3", t[1:-1], frames.jerk))
     if frames.episode.robot.goal is not None:
-        out["distance_to_goal"] = StepSeries("distance_to_goal", "m", tuple(map(float, t)),
-                                             tuple(map(float, frames.robot.goal_distance)))
-    nearest = frames.nearest_human
-    defined = np.isfinite(nearest)
-    if defined.any():
-        out["distance_to_nearest_human"] = StepSeries(
-            "distance_to_nearest_human", "m",
-            tuple(map(float, t[defined])), tuple(map(float, nearest[defined])))
-    od = frames.obstacle_distances
-    defined = np.isfinite(od)
-    if defined.any():
-        clearance = np.clip(od[defined] - frames.episode.robot.radius, 0.0, None)
-        out["clearing_distance"] = StepSeries(
-            "clearing_distance", "m",
-            tuple(map(float, t[defined])), tuple(map(float, clearance)))
-    return out
+        series.append(("distance_to_goal", "m", t, frames.robot.goal_distance))
+    for name, values in (("distance_to_nearest_human", frames.nearest_human),
+                         ("clearing_distance", frames.clearance)):
+        defined = np.isfinite(values)
+        if defined.any():
+            series.append((name, "m", t[defined], values[defined]))
+    return {name: StepSeries(name, unit, tuple(map(float, times)), tuple(map(float, values)))
+            for name, unit, times, values in series}

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import FLOAT_PARAMS, MetricParams
+from .core import FLOAT_PARAMS, MetricParams, _param_echo
 from .errors import EmptyCorpus, SchemaError
 from .ingest import (_array, _finite, _integer, _Issues, _object, _string,
                      canonical_json_bytes, load_json)
@@ -61,27 +61,14 @@ def _echo_value(obj, key, path, issues):
 
 
 def params_to_jsonable(params: MetricParams) -> dict:
-    return {
-        "space_threshold": params.space_threshold,
-        "intimate_radius": params.intimate_radius,
-        "personal_radius": params.personal_radius,
-        "collision_terminate_count": params.collision_terminate_count,
-        "timeout": params.timeout,
-        "fp_distance_eps": params.fp_distance_eps,
-        "fp_window": params.fp_window,
-        "stall_speed": params.stall_speed,
-        "stall_min_duration": params.stall_min_duration,
-        "cooperative_agent_ids": sorted(params.cooperative_agent_ids)
-        if params.cooperative_agent_ids else None,
-    }
+    return {f.name: _param_echo(params, f.name) for f in fields(MetricParams)}
 
 
 def params_from_jsonable(doc: Mapping) -> MetricParams:
     """MetricParams from a params object; every field is checked at ``/params/<name>``."""
     if not isinstance(doc, Mapping):
         raise SchemaError("/params", "expected an object")
-    unknown = set(doc) - {*FLOAT_PARAMS, "collision_terminate_count",
-                          "cooperative_agent_ids", "dt"}  # dt: an echo field, not a member
+    unknown = set(doc) - {f.name for f in fields(MetricParams)} - {"dt"}  # dt: echoed, not a field
     if unknown:
         raise SchemaError(f"/params/{sorted(unknown)[0]}", "unknown parameter")
     issues = _Issues(strict=True)

@@ -475,7 +475,8 @@ def velocity_warnings_oracle(episode, rel_tol=0.2, abs_floor=0.1):
             dev = math.hypot(s.velocity.x - fd[j, 0], s.velocity.y - fd[j, 1])
             scale = max(math.hypot(*fd[j]), math.hypot(s.velocity.x, s.velocity.y))
             if dev > abs_floor and dev > rel_tol * scale:
+                shown = f"{dev:.3f}" if dev < 1e6 else f"{dev:.3e}"
                 out.append((f"/agents/{i}/states/{j}/vx",
-                            f"stored velocity deviates from finite difference by {dev:.3f} m/s (>20%)"))
+                            f"stored velocity deviates from finite difference by {shown} m/s (>20%)"))
                 break
     return out

@@ -138,9 +138,9 @@ def test_05_derivative_check():
                            kind=AgentKind.ROBOT,
                            velocities=[(t ** 3, 0.0) for t in ts])
         ep = make_episode([robot])
-        from socnav.metrics import _central_second_derivative, _resolve
+        from socnav.metrics import _resolve
         frames = _resolve(ep, PARAMS, 0.01)
-        jerk = _central_second_derivative(frames.timeline, frames.robot.speed)
+        jerk = frames.jerk
         expected = 6.0 * frames.timeline[1:-1]
         rel = np.abs(jerk - expected) / np.abs(expected)
         assert rel.max() <= 0.05, f"max relative error {rel.max():.4f}"

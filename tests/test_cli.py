@@ -267,6 +267,17 @@ def test_validate_huge_speed_lines_stay_short(tmp_path, capsys, monkeypatch):
     assert all(len(line) < 100 for line in lines)
 
 
+def test_validate_huge_velocity_deviation_line_stays_short(tmp_path, capsys, monkeypatch):
+    doc = json.loads((GOLDEN / "dynamic_obstacles" / "episode.json").read_bytes())
+    doc["agents"][0]["states"][3]["vx"] = 1e200
+    monkeypatch.chdir(tmp_path)
+    Path("ep.json").write_text(json.dumps(doc))
+    assert main(["validate", "ep.json"]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "warning: /agents/0/states/3/vx" in lines[0]
+    assert "by 1.000e+200 m/s" in lines[0] and len(lines[0]) < 120
+
+
 def test_summarize_golden_reports_unchanged(tmp_path):
     """Constant metrics keep their +-0.5 bins: the bytes from before the relative pad."""
     out = tmp_path / "summary.json"

@@ -1,4 +1,7 @@
+import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,11 +14,13 @@ from socnav.core import (
     SampledAgent,
     Vec2,
     common_timeline,
+    default_dt,
 )
 from socnav.errors import MissingGoal, TooFewStates
 import socnav.metrics
 from socnav.metrics import (
     TASKWISE_KEYS,
+    UNITS,
     acceleration_features,
     aggregated_time,
     clearing_distance_features,
@@ -30,10 +35,12 @@ from socnav.metrics import (
     spl,
     stalled_time,
     success,
+    taxonomy_code,
     time_to_goal,
     timeout,
     velocity_features,
 )
+from socnav.report import params_from_jsonable
 
 from conftest import (
     fuzz_episode,
@@ -273,9 +280,9 @@ class TestKinematicFeatures:
                            kind=AgentKind.ROBOT,
                            velocities=[(t ** 3, 0.0) for t in ts])
         ep = make_episode([robot])
-        from socnav.metrics import _central_second_derivative, _resolve
+        from socnav.metrics import _resolve
         frames = _resolve(ep, PARAMS, 0.01)
-        jerk = _central_second_derivative(frames.timeline, frames.robot.speed)
+        jerk = frames.jerk
         expected = 6.0 * frames.timeline[1:-1]
         assert np.all(np.abs(jerk - expected) <= 0.05 * np.abs(expected))
         _, j_avg, _ = jerk_features(ep, PARAMS, dt=0.01)
@@ -491,6 +498,98 @@ def test_compute_all_measures_obstacles_once(monkeypatch):
     report = compute_all(ep, params, dt=0.1, include_stepwise=True)
     assert report.taskwise["WC"].value == 1 and report.taskwise["S"].value is False
     assert len(calls) == 1
+
+
+def _short_robot_episode(n):
+    robot = make_agent("robot", [(0.1 * i, 0.0) for i in range(n)], dt=0.1,
+                       kind=AgentKind.ROBOT, velocities=[(1.0, 0.0)] * n,
+                       goal=Goal(position=Vec2(0.3, 0.0), tolerance=0.2))
+    human = make_agent("h", [(1.0, 0.1 * i) for i in range(6)], dt=0.1)
+    wall = ObstacleMap(segments=((Vec2(0.5, -1.0), Vec2(0.5, 1.0)),))
+    return make_episode([robot, human], obstacles=wall, episode_id=f"robot-{n}-states")
+
+
+CONSISTENCY_CORPUS = ([fuzz_episode(s) for s in range(3)]
+                      + [fuzz_episode(s, with_goal=False) for s in range(3)]
+                      + [_short_robot_episode(n) for n in range(1, 6)])
+GOLDEN_PARAMS = params_from_jsonable(
+    json.loads((Path(__file__).parent / "golden" / "params.json").read_bytes()))
+
+# Each single-metric function and its keys in compute_all.
+SINGLE_METRICS = (
+    (success, ("S",)),
+    (collisions, ("C", "WC", "AC", "HC")),
+    (timeout, ("TO",)),
+    (failure_to_progress, ("FP",)),
+    (stalled_time, ("ST",)),
+    (time_to_goal, ("T",)),
+    (path_length, ("PL",)),
+    (spl, ("SPL",)),
+    (velocity_features, ("V_min", "V_avg", "V_max")),
+    (acceleration_features, ("A_min", "A_avg", "A_max")),
+    (jerk_features, ("J_min", "J_avg", "J_max")),
+    (clearing_distance_features, ("CD_min", "CD_avg")),
+    (space_compliance, ("SC",)),
+    (min_distance_to_human, ("DH_min",)),
+    (min_time_to_collision, ("TTC",)),
+    (aggregated_time, ("AT",)),
+)
+GOAL_METRICS = {success, failure_to_progress, time_to_goal, spl}
+# Robot states needed, and whether a derivative stencil needs 3 timeline steps.
+STATE_METRICS = {velocity_features: (2, False), acceleration_features: (3, True),
+                 jerk_features: (4, True)}
+
+
+def _expected_error(fn, ep, steps):
+    if fn in GOAL_METRICS and ep.robot.goal is None:
+        return MissingGoal
+    states, stencil = STATE_METRICS.get(fn, (0, False))
+    if len(ep.robot.t) < states or (stencil and steps < 3):
+        return TooFewStates
+    return None
+
+
+@pytest.mark.parametrize("dt", [None, 0.03, 1.0])
+@pytest.mark.parametrize("params", [PARAMS, GOLDEN_PARAMS], ids=["default", "golden"])
+@pytest.mark.parametrize("ep", CONSISTENCY_CORPUS, ids=lambda ep: ep.episode_id)
+def test_single_metric_functions_match_compute_all(ep, params, dt):
+    report = compute_all(ep, params, dt)
+    steps = len(common_timeline(ep, dt if dt is not None else default_dt(ep)))
+    for fn, keys in SINGLE_METRICS:
+        expected = tuple(report.taskwise[key].value for key in keys)
+        error = _expected_error(fn, ep, steps)
+        if error is not None:
+            with pytest.raises(error):
+                fn(ep, params, dt)
+            assert expected == (None,) * len(keys), fn.__name__
+        else:
+            got = fn(ep, params, dt)
+            assert (got if len(keys) > 1 else (got,)) == expected, fn.__name__
+
+
+def _readme_metric_table():
+    """(key, unit, code) for each key of the README's "Metric suite" table, in order."""
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Metric suite", 1)[1].split("\n## ", 1)[0]
+    out = []
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) != 4 or not cells[0].startswith("`"):
+            continue
+        unit = cells[2].replace("²", "^2").replace("³", "^3")
+        for name in re.findall(r"`([^`]+)`", cells[0]):
+            # `V_min/avg/max` stands for V_min, V_avg and V_max
+            head, *tails = name.split("/")
+            prefix = head.rsplit("_", 1)[0] + "_"
+            out.extend((key, unit, cells[3]) for key in [head, *(prefix + t for t in tails)])
+    return out
+
+
+def test_readme_metric_table_matches_the_suite():
+    table = _readme_metric_table()
+    assert [key for key, _, _ in table] == list(TASKWISE_KEYS)
+    for key, unit, code in table:
+        assert (unit, code) == (UNITS[key], taxonomy_code(key)), key
 
 
 class TestInvariances:
