@@ -8,7 +8,6 @@ simulator for corpus generation, and distributional reporting.
 from .core import (
     AgentKind,
     AgentRecord,
-    AgentState,
     Episode,
     EpisodeLabel,
     Goal,
@@ -16,8 +15,6 @@ from .core import (
     ObstacleMap,
     Vec2,
     common_timeline,
-    derive_velocities,
-    interpolate_state,
     validate_episode,
 )
 
@@ -26,7 +23,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AgentKind",
     "AgentRecord",
-    "AgentState",
     "Episode",
     "EpisodeLabel",
     "Goal",
@@ -34,8 +30,6 @@ __all__ = [
     "ObstacleMap",
     "Vec2",
     "common_timeline",
-    "derive_velocities",
-    "interpolate_state",
     "validate_episode",
     "__version__",
 ]

@@ -1,8 +1,9 @@
 """Episode data model: agents, goals, obstacles, and kinematic derivations.
 
 Everything here is value-semantic and immutable after construction. An
-agent's samples are stored as float64 columns; per-sample objects
-(``AgentState``) are views built on demand.
+agent's samples are stored as float64 columns, and every computation reads
+those. ``AgentRecord.states`` is the one per-sample view: ``AgentState``
+objects built on demand, for callers that want one sample at a time.
 """
 
 from __future__ import annotations
@@ -11,14 +12,14 @@ import enum
 import math
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 from typing import Optional
 
 import numpy as np
 
-from .errors import InvariantError, OutOfRange, SingleStateAgent
+from .errors import InvariantError, SingleStateAgent
 from .geometry import wrap_angle
 
 # Sanity cap on consecutive-state speed, used to reject corrupt trajectories.
@@ -57,8 +58,8 @@ class Goal:
 class AgentState:
     """One timestamped sample: pose plus optional velocity.
 
-    A view built on demand from an agent's columns (``AgentRecord.states``,
-    ``interpolate_state``); ``velocity`` is None where none was stored.
+    A view built on demand from an agent's columns (``AgentRecord.states``);
+    ``velocity`` is None where none was stored.
     """
 
     t: float
@@ -188,10 +189,6 @@ class ObstacleMap:
         """(M, 2) endpoint arrays for the static segments."""
         return self.segment_sets[0]
 
-    def active_segments(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Endpoint arrays of all segments active at time t."""
-        return self.segment_sets[self.set_index(t)]
-
 
 @dataclass(frozen=True)
 class EpisodeLabel:
@@ -287,16 +284,6 @@ def finite_difference_velocities(t: np.ndarray, xy: np.ndarray) -> np.ndarray:
     return vel
 
 
-def derive_velocities(agent: AgentRecord) -> AgentRecord:
-    """Mark every velocity as stored, keeping the derived values; idempotent."""
-    n = len(agent.t)
-    if n < 2:
-        raise SingleStateAgent(f"agent {agent.id!r} has {n} state(s); need >= 2")
-    if agent.has_vel.all():
-        return agent
-    return replace(agent, has_vel=np.ones(n, dtype=bool))
-
-
 def motion_headings(agent: AgentRecord) -> np.ndarray:
     """Headings from the direction of motion, one per sample.
 
@@ -311,43 +298,13 @@ def motion_headings(agent: AgentRecord) -> np.ndarray:
     return wrap_angle(np.where(last >= 0, angles[last], 0.0))
 
 
-def interpolate_state(agent: AgentRecord, t: float) -> AgentState:
-    """Linear interpolation of position and velocity at time t.
-
-    Heading is interpolated along the shorter arc. Velocity is interpolated
-    only when both bracketing samples carry one.
-    """
-    times = agent.t
-    if t < times[0] - 1e-9 or t > times[-1] + 1e-9:
-        raise OutOfRange(f"t={t} outside span [{times[0]}, {times[-1]}] of agent {agent.id!r}")
-    t = min(max(t, float(times[0])), float(times[-1]))
-
-    idx = int(np.searchsorted(times, t, side="right")) - 1
-    idx = max(0, min(idx, len(times) - 2)) if len(times) > 1 else 0
-    states = agent.states
-    s0 = states[idx]
-    if len(times) == 1 or t == s0.t:
-        return s0
-    s1 = states[idx + 1]
-    if t == s1.t:
-        return s1
-
-    frac = (t - s0.t) / (s1.t - s0.t)
-    pos = Vec2(s0.position.x + frac * (s1.position.x - s0.position.x),
-               s0.position.y + frac * (s1.position.y - s0.position.y))
-    heading = wrap_angle(s0.heading + frac * wrap_angle(s1.heading - s0.heading))
-    vel = None
-    if s0.velocity is not None and s1.velocity is not None:
-        vel = Vec2(s0.velocity.x + frac * (s1.velocity.x - s0.velocity.x),
-                   s0.velocity.y + frac * (s1.velocity.y - s0.velocity.y))
-    return AgentState(t=t, position=pos, heading=heading, velocity=vel)
-
-
 def common_timeline(episode: Episode, dt: float) -> np.ndarray:
     """Uniform grid over the robot-under-test time span.
 
     Start inclusive; if the grid does not land on the end of the span, the
-    exact end time is appended so the span is always fully covered.
+    exact end time is appended so the span is always fully covered. A dt
+    below the float spacing of the times cannot give a strictly increasing
+    grid, and fails at ``/dt``.
     """
     if not (dt > 0 and math.isfinite(dt)):
         raise InvariantError("/dt", f"must be a positive finite number, got {dt}")
@@ -359,6 +316,9 @@ def common_timeline(episode: Episode, dt: float) -> np.ndarray:
     timeline = np.minimum(timeline, t1)
     if t1 - timeline[-1] > 1e-9 * max(1.0, abs(t1)):
         timeline = np.append(timeline, t1)
+    if not (np.diff(timeline) > 0).all():
+        raise InvariantError("/dt", f"{dt} gives repeated times near t = {t1}: "
+                             "the timeline must strictly increase")
     return timeline
 
 

@@ -47,10 +47,6 @@ class SingleStateAgent(SocnavError):
     """Velocity derivation needs at least two states."""
 
 
-class OutOfRange(SocnavError):
-    """Query time lies outside an agent's recorded time span."""
-
-
 class MissingGoal(SocnavError):
     """A goal-dependent metric was requested for an agent without a goal."""
 

@@ -133,6 +133,25 @@ class _Frames:
         return wall_starts, agent_events
 
     @cached_property
+    def termination_time(self) -> Optional[float]:
+        """Start time of the k-th collision event when termination is configured."""
+        k = self.params.collision_terminate_count
+        if k is None:
+            return None
+        wall_starts, agent_events = self.collision_events
+        starts = sorted(wall_starts + [t for t, _ in agent_events])
+        return starts[k - 1] if len(starts) >= k else None
+
+    @cached_property
+    def reach_time(self) -> Optional[float]:
+        """Time of the robot's first step inside goal tolerance, before any termination."""
+        inside = self.robot.goal_distance <= self.episode.robot.goal.tolerance
+        if self.termination_time is not None:
+            inside &= self.timeline < self.termination_time
+        hits = np.flatnonzero(inside)
+        return float(self.timeline[hits[0]]) if len(hits) else None
+
+    @cached_property
     def clearance(self) -> np.ndarray:
         """(N,) body-to-obstacle clearance, clipped at 0; inf where no segment is active."""
         return np.clip(self.obstacle_distances - self.episode.robot.radius, 0.0, None)
@@ -157,39 +176,13 @@ def _resolve(episode: Episode, params: Optional[MetricParams], dt: Optional[floa
                    dt if dt is not None else default_dt(episode))
 
 
-# --- Collision events --------------------------------------------------------
-
-def _termination_time(frames: _Frames) -> Optional[float]:
-    """Start time of the k-th collision event when termination is configured."""
-    k = frames.params.collision_terminate_count
-    if k is None:
-        return None
-    wall_starts, agent_events = frames.collision_events
-    starts = sorted(wall_starts + [t for t, _ in agent_events])
-    if len(starts) < k:
-        return None
-    return starts[k - 1]
-
-
-def _first_reach_time(frames: _Frames) -> Optional[float]:
-    """Time of the first step inside goal tolerance, before any termination."""
-    inside = frames.robot.goal_distance <= frames.episode.robot.goal.tolerance
-    t_term = _termination_time(frames)
-    if t_term is not None:
-        inside &= frames.timeline < t_term
-    hits = np.flatnonzero(inside)
-    if len(hits) == 0:
-        return None
-    return float(frames.timeline[hits[0]])
-
-
 # --- Taskwise kernels ----------------------------------------------------------
 # One per row of the metric table below; ``_public`` gives each kernel's
 # name, docstring and return annotation to its public function.
 
 def _success(frames: _Frames) -> bool:
     """S: whether the robot reaches its goal in time (and before termination)."""
-    reach = _first_reach_time(frames)
+    reach = frames.reach_time
     return reach is not None and (reach - frames.t0) <= frames.params.timeout + 1e-9
 
 
@@ -242,7 +235,7 @@ def _time_to_goal(frames: _Frames) -> Optional[float]:
     """T: first-success time minus episode start; None when not successful."""
     if not _success(frames):
         return None
-    return _first_reach_time(frames) - frames.t0
+    return frames.reach_time - frames.t0
 
 
 def path_length(episode: Episode, params: Optional[MetricParams] = None,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -33,7 +34,6 @@ from .core import (
     Goal,
     ObstacleMap,
     Vec2,
-    interpolate_state,
     obstacle_issues,
 )
 from .errors import InvariantError, UnknownScenario
@@ -97,8 +97,10 @@ class AgentSpec:
                                  f"unknown policy {self.policy!r}")
         if self.desired_speed <= 0:
             raise InvariantError(f"/agents/{self.agent_id}/desired_speed", "must be > 0")
-        if self.policy == "replay" and (self.replay is None or not len(self.replay.t)):
-            raise InvariantError(f"/agents/{self.agent_id}/replay", "must be a non-empty track")
+        if self.policy == "replay" and (self.replay is None or not len(self.replay.t)
+                                        or not (np.diff(self.replay.t) > 0).all()):
+            raise InvariantError(f"/agents/{self.agent_id}/replay",
+                                 "must be a non-empty track with strictly increasing times")
 
 
 @dataclass(frozen=True)
@@ -146,11 +148,10 @@ def _initial(config: SimConfig) -> tuple[list, list, list]:
             if math.hypot(dx, dy) > 1e-9:
                 heading = wrap_angle(math.atan2(dy, dx))
         if spec.policy == "replay":
-            first = spec.replay.states[0]
-            x, y = float(first.position.x), float(first.position.y)
-            if first.velocity is not None:
-                vx, vy = float(first.velocity.x), float(first.velocity.y)
-            heading = float(first.heading)
+            track = spec.replay
+            x, y, heading = float(track.x[0]), float(track.y[0]), float(track.heading[0])
+            if track.has_vel[0]:
+                vx, vy = float(track.vx[0]), float(track.vy[0])
         pos.append((x, y))
         vel.append((vx, vy))
         headings.append(heading)
@@ -184,8 +185,8 @@ class _Plan:
 
     One tuple per agent: (policy, waypoints as (x, y), goal as (x, y,
     tolerance) or None, desired speed, radius, radius sums with every
-    agent, replay track), and the (ax, ay, dx, dy, |d|^2) segment tuples of
-    each of the scene's ``segment_sets``.
+    agent, replay track as float lists (t, x, y) or None), and the (ax, ay,
+    dx, dy, |d|^2) segment tuples of each of the scene's ``segment_sets``.
     """
 
     def __init__(self, config: SimConfig):
@@ -199,7 +200,9 @@ class _Plan:
              tuple((w.x, w.y) for w in spec.waypoints),
              None if spec.goal is None else (spec.goal.position.x, spec.goal.position.y,
                                              spec.goal.tolerance),
-             spec.desired_speed, r_i, [r_i + r_j for r_j in radii], spec.replay)
+             spec.desired_speed, r_i, [r_i + r_j for r_j in radii],
+             None if spec.replay is None else
+             (spec.replay.t.tolist(), spec.replay.x.tolist(), spec.replay.y.tolist()))
             for spec, r_i in zip(config.agents, radii))
         self.scene = config.scene
         self.segment_sets = []
@@ -209,6 +212,23 @@ class _Plan:
                 sx, sy = bx - ax, by - ay
                 segs.append((ax, ay, sx, sy, sx * sx + sy * sy))
             self.segment_sets.append(segs)
+
+
+def _track_position(track: tuple[list, list, list], t: float) -> tuple[float, float]:
+    """A replay track's position at t, held at the ends of its span.
+
+    Linear between the two samples that bracket t; a sample's own position
+    at its exact stamp.
+    """
+    times, xs, ys = track
+    t = max(min(t, times[-1]), times[0])
+    k = max(0, min(bisect_right(times, t) - 1, len(times) - 2))
+    if t == times[k]:  # always so for a single sample
+        return xs[k], ys[k]
+    if t == times[k + 1]:
+        return xs[k + 1], ys[k + 1]
+    frac = (t - times[k]) / (times[k + 1] - times[k])
+    return xs[k] + frac * (xs[k + 1] - xs[k]), ys[k] + frac * (ys[k + 1] - ys[k])
 
 
 def _advance(plan: _Plan, t: float, pos: list, vel: list, headings: list,
@@ -242,10 +262,8 @@ def _advance(plan: _Plan, t: float, pos: list, vel: list, headings: list,
         nvx = nvy = 0.0
 
         if policy == "replay":
-            t_next = min(t + dt, replay.t_end)
-            t_next = max(t_next, replay.t_start)
-            s = interpolate_state(replay, t_next)
-            nvx, nvy = (s.position.x - px) / dt, (s.position.y - py) / dt
+            qx, qy = _track_position(replay, t + dt)
+            nvx, nvy = (qx - px) / dt, (qy - py) / dt
         else:
             # Without a target, d = 0 and the agent gets no goal drive.
             if k < n_waypoints:

@@ -2,14 +2,66 @@
 
 These deliberately avoid the library's vectorized code paths: plain loops,
 scalar math, and their own geometry, so a bug would have to appear twice
-to go unnoticed.
+to go unnoticed. ``interpolate_state`` and ``derive_velocities`` are the
+per-sample forms the simulator's replay and the metrics were first written
+against; the library itself reads columns.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
-from socnav.core import common_timeline, derive_velocities, interpolate_state
+from socnav.core import AgentState, Vec2, common_timeline
+from socnav.errors import SingleStateAgent
+from socnav.geometry import wrap_angle
+
+
+def derive_velocities(agent):
+    """Mark every velocity as stored, keeping the derived values; idempotent."""
+    import numpy as np
+
+    n = len(agent.t)
+    if n < 2:
+        raise SingleStateAgent(f"agent {agent.id!r} has {n} state(s); need >= 2")
+    if agent.has_vel.all():
+        return agent
+    return replace(agent, has_vel=np.ones(n, dtype=bool))
+
+
+def interpolate_state(agent, t):
+    """Linear interpolation of an agent's AgentState at time t.
+
+    Heading is interpolated along the shorter arc. Velocity is interpolated
+    only when both bracketing samples carry one. A sample's own state comes
+    back at its exact stamp.
+    """
+    import numpy as np
+
+    times = agent.t
+    if t < times[0] - 1e-9 or t > times[-1] + 1e-9:
+        raise ValueError(f"t={t} outside span [{times[0]}, {times[-1]}] of agent {agent.id!r}")
+    t = min(max(t, float(times[0])), float(times[-1]))
+
+    idx = int(np.searchsorted(times, t, side="right")) - 1
+    idx = max(0, min(idx, len(times) - 2)) if len(times) > 1 else 0
+    states = agent.states
+    s0 = states[idx]
+    if len(times) == 1 or t == s0.t:
+        return s0
+    s1 = states[idx + 1]
+    if t == s1.t:
+        return s1
+
+    frac = (t - s0.t) / (s1.t - s0.t)
+    pos = Vec2(s0.position.x + frac * (s1.position.x - s0.position.x),
+               s0.position.y + frac * (s1.position.y - s0.position.y))
+    heading = wrap_angle(s0.heading + frac * wrap_angle(s1.heading - s0.heading))
+    vel = None
+    if s0.velocity is not None and s1.velocity is not None:
+        vel = Vec2(s0.velocity.x + frac * (s1.velocity.x - s0.velocity.x),
+                   s0.velocity.y + frac * (s1.velocity.y - s0.velocity.y))
+    return AgentState(t=t, position=pos, heading=heading, velocity=vel)
 
 
 def scalar_point_segment_distance(px, py, ax, ay, bx, by):
@@ -88,7 +140,7 @@ def collision_counts_oracle(episode, params=None, dt=0.1):
     agent_overlap = {a.id: [] for a in episode.others}
     for t in timeline:
         rs = interpolate_state(robot, float(t))
-        seg_a, seg_b = episode.obstacles.active_segments(float(t))
+        _, seg_a, seg_b = active_segments_oracle(episode.obstacles, float(t))
         hit_wall = False
         for (ax, ay), (bx, by) in zip(seg_a, seg_b):
             if scalar_point_segment_distance(rs.position.x, rs.position.y,
@@ -230,7 +282,6 @@ def reference_step(state, config):
     """
     import numpy as np
 
-    from socnav.geometry import wrap_angle
     from socnav.simulator import _STOP_LOOKAHEAD, _WAYPOINT_TOLERANCE, SimState
 
     def current_target(spec, waypoint_idx):
@@ -256,7 +307,7 @@ def reference_step(state, config):
     new_heading = state.heading.copy()
     waypoint_idx = state.waypoint_idx.copy()
 
-    seg_a, seg_b = config.scene.active_segments(state.t)
+    _, seg_a, seg_b = active_segments_oracle(config.scene, state.t)
     radii = np.array([a.radius for a in config.agents])
 
     for i, spec in enumerate(config.agents):
@@ -407,8 +458,6 @@ def velocities_oracle(agent):
 
 def synthesize_headings_oracle(agent):
     """Headings from the direction of motion; a stationary sample keeps the last one."""
-    from socnav.geometry import wrap_angle
-
     headings = []
     prev = 0.0
     for v in velocities_oracle(agent):

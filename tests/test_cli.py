@@ -19,7 +19,7 @@ from socnav.cli import main
 from socnav.ingest import parse_episode, serialize_episode
 from socnav.report import parse_summary
 from socnav.scenarios import builtin_cards, serialize_card
-from socnav.simulator import SCENARIO_NAMES
+from socnav.simulator import SCENARIO_NAMES, generate_scenario, run
 
 from conftest import fuzz_episode
 
@@ -366,6 +366,22 @@ def test_bad_cli_number_one_line(episode_file, tmp_path, capsys, argv, path):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and f"error: {path}: " in err
     assert not list(tmp_path.glob("out*"))
+
+
+def test_dt_below_the_float_spacing_of_the_stamps_one_line(tmp_path, capsys):
+    """2^44 s on, stamps are 2^-8 s apart as floats: a dt of 1 ms repeats timeline times."""
+    doc = json.loads(serialize_episode(run(generate_scenario("intersection", 0))))
+    for agent in doc["agents"]:
+        for state in agent["states"]:
+            state["t"] += 2.0 ** 44
+    path = tmp_path / "ep.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["compute", str(path), "--dt", "0.001", "-o", str(tmp_path / "out.json")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: /dt: ") and "Traceback" not in err
+    assert not (tmp_path / "out.json").exists()
 
 
 @pytest.fixture(scope="module")

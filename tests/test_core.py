@@ -12,20 +12,20 @@ from socnav.core import (
     ObstacleMap,
     Vec2,
     common_timeline,
-    derive_velocities,
     event_runs,
-    interpolate_state,
     median_sample_interval,
     validate_episode,
 )
-from socnav.errors import InvariantError, OutOfRange, SingleStateAgent
+from socnav.errors import InvariantError, SingleStateAgent
 from socnav.geometry import wrap_angle
 
 from conftest import fuzz_episode, make_agent, make_episode, straight_robot
-from oracles import active_segments_oracle, event_runs_oracle
+from oracles import active_segments_oracle, derive_velocities, event_runs_oracle, interpolate_state
 
 
 class TestDeriveVelocities:
+    """The reference ``derive_velocities`` in ``oracles``."""
+
     def test_constant_speed_line(self):
         agent = make_agent("a", [(0, 0), (1, 0), (2, 0)], dt=1.0)
         out = derive_velocities(agent)
@@ -68,6 +68,8 @@ class TestDeriveVelocities:
 
 
 class TestInterpolateState:
+    """The reference ``interpolate_state`` in ``oracles``, which replay is pinned to."""
+
     def test_midpoint(self):
         agent = make_agent("a", [(0, 0), (2, 0)], dt=2.0)
         s = interpolate_state(agent, 1.0)
@@ -89,7 +91,7 @@ class TestInterpolateState:
 
     def test_out_of_range(self):
         agent = make_agent("a", [(0, 0), (1, 0)], dt=1.0)
-        with pytest.raises(OutOfRange):
+        with pytest.raises(ValueError):
             interpolate_state(agent, 2.5)
 
     def test_velocity_interpolated(self):
@@ -254,7 +256,7 @@ def obstacle_queries(draw):
 
 
 class TestActiveObstacleSet:
-    """set_index and active_segments against the stamp loop in ``oracles``."""
+    """set_index over the prebuilt segment_sets against the stamp loop in ``oracles``."""
 
     @settings(max_examples=300, deadline=None)
     @given(obstacle_queries())
@@ -267,7 +269,7 @@ class TestActiveObstacleSet:
         assert obstacles.set_index(np.array(times)).tolist() == [k for k, _, _ in want]
         for t, (k, seg_a, seg_b) in zip(times, want):
             assert obstacles.set_index(t) == k
-            got_a, got_b = obstacles.active_segments(t)
+            got_a, got_b = obstacles.segment_sets[obstacles.set_index(t)]
             assert got_a.dtype == got_b.dtype == float
             assert np.array_equal(got_a, seg_a) and np.array_equal(got_b, seg_b)
         _, static_a, static_b = active_segments_oracle(obstacles, -math.inf)

@@ -28,7 +28,7 @@ from socnav.simulator import (
     step,
 )
 
-from oracles import reference_step
+from oracles import interpolate_state, reference_step
 
 PARAMS = MetricParams()
 
@@ -164,6 +164,15 @@ class TestRun:
         with pytest.raises(InvariantError) as err:
             SimConfig(max_duration=0.2)
         assert err.value.path == "/agents"
+
+    @pytest.mark.parametrize("t", [[], [0.0, 0.2, 0.1], [0.0, 0.0], [0.0, math.nan]])
+    def test_replay_track_needs_increasing_times(self, t):
+        track = AgentRecord(id="robot", kind=AgentKind.ROBOT, radius=0.3, t=np.array(t),
+                            x=np.zeros(len(t)), y=np.zeros(len(t)))
+        with pytest.raises(InvariantError) as err:
+            AgentSpec(agent_id="robot", kind=AgentKind.ROBOT, policy="replay",
+                      position=Vec2(0.0, 0.0), replay=track)
+        assert err.value.path == "/agents/robot/replay"
 
     def test_unknown_scenario(self):
         with pytest.raises(UnknownScenario):
@@ -398,3 +407,78 @@ class TestRunMatchesSteps:
             run(dataclasses.replace(config, max_duration=(steps + 1) * config.dt))
         assert by_run.value.path == "/sim"
         assert by_run.value.message == by_step.value.message == "non-finite state produced"
+
+
+def _sim_times(dt, max_duration):
+    """The times a run visits, accumulated as `run` and `step` accumulate them."""
+    times = [0.0]
+    while times[-1] < max_duration - 1e-9:
+        times.append(times[-1] + dt)
+    return times
+
+
+def _track(t, heading0=0.4, first_vel=None):
+    """A curved robot track at stamps t; only the first sample may carry a velocity.
+
+    The last y is 1e-17: from the sample before it, y0 + 1 * (1e-17 - y0) rounds
+    to 0.0, so only the rule that returns a sample's own value at its stamp
+    gives 1e-17 there.
+    """
+    t = np.asarray(t, dtype=float)
+    y = -0.2 + np.sin(t)
+    y[-1] = 1e-17
+    has_vel = np.zeros(len(t), dtype=bool)
+    vx, vy = np.zeros(len(t)), np.zeros(len(t))
+    if first_vel is not None:
+        has_vel[0] = True
+        vx[0], vy[0] = first_vel
+    return AgentRecord(id="robot", kind=AgentKind.ROBOT, radius=0.3, t=t,
+                       x=0.3 + 0.7 * t + 0.1 * t * t, y=y,
+                       heading=np.full(len(t), heading0), vx=vx, vy=vy, has_vel=has_vel)
+
+
+REPLAY_CASES = {
+    "off_grid_stamps": (_track([0.0, 0.13, 0.29, 0.41, 0.77, 1.0, 1.37, 1.9, 2.2, 2.61, 3.0]),
+                        0.05, 3.0),
+    "stamps_hit_by_t_plus_dt": (_track(_sim_times(0.07, 1.4)[::2]), 0.07, 1.4),
+    "track_ends_before_max_duration": (_track([0.0, 0.21, 0.5, 0.83, 1.1]), 0.05, 2.5),
+    "track_starts_after_zero": (_track([0.73, 0.9, 1.31, 1.6, 2.05]), 0.05, 2.5),
+    "single_sample": (_track([0.4], first_vel=(0.5, -0.25)), 0.05, 0.5),
+    "first_sample_with_velocity": (_track([0.0, 0.17, 0.42, 0.8], first_vel=(1.25, -0.5)),
+                                   0.07, 1.0),
+    "first_sample_without_velocity": (_track([0.0, 0.17, 0.42, 0.8]), 0.07, 1.0),
+}
+
+
+class TestReplayBitForBit:
+    """Replay follows the reference interpolation of its track, bit for bit.
+
+    The first state is the track's first sample; then each step's velocity is
+    (position at t + dt clamped to the track's span - position) / dt, with the
+    position from the reference ``interpolate_state``.
+    """
+
+    @pytest.mark.parametrize("case", REPLAY_CASES)
+    def test_velocities_from_reference_positions(self, case):
+        track, dt, max_duration = REPLAY_CASES[case]
+        spec = AgentSpec(agent_id="robot", kind=AgentKind.ROBOT, policy="replay",
+                         position=Vec2(9.0, 9.0), replay=track)
+        config = SimConfig(dt=dt, max_duration=max_duration, agents=(spec,))
+        state = init_state(config)
+        stored = [track.vx[0], track.vy[0]] if track.has_vel[0] else [0.0, 0.0]
+        assert (state.pos[0].tolist(), state.vel[0].tolist(), state.heading[0]) == (
+            [track.x[0], track.y[0]], stored, track.heading[0])
+        hits = 0
+        while state.t < max_duration - 1e-9:
+            t_next = max(min(state.t + dt, track.t_end), track.t_start)
+            hits += t_next in track.t.tolist()
+            want = interpolate_state(track, t_next).position
+            nxt = step(state, config)
+            p = state.pos[0].tolist()
+            got, expected = nxt.vel[0].tolist(), [(want.x - p[0]) / dt, (want.y - p[1]) / dt]
+            assert list(map(float.hex, got)) == list(map(float.hex, expected)), state.t
+            state = nxt
+        if case == "stamps_hit_by_t_plus_dt":
+            assert hits >= 5
+        elif case == "off_grid_stamps":
+            assert hits == 1  # only the clamped end
