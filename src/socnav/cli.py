@@ -6,7 +6,9 @@ stdout; exit codes are 0 (ok), 1 (validation/data errors), 2 (usage),
 3 (I/O). Multi-file subcommands process their inputs one after another,
 in input order: the work is pure Python, so threads would only contend
 for the interpreter lock. ``simulator``, ``scenarios``, ``report`` and
-``metrics`` are imported only by the subcommands that call them.
+``metrics`` are imported only by the subcommands that call them. A
+subcommand reads, calls the library and writes; each document format
+lives with its dataclasses in ``ingest``, ``report`` or ``scenarios``.
 """
 
 from __future__ import annotations
@@ -103,30 +105,11 @@ def _cmd_classify(args) -> int:
     from . import scenarios
 
     cards = _load_cards(args.cards)
-
     labels_by_episode = {}
     for path in args.episodes:
         episode = ingest.parse_episode(_read(path))
         labels_by_episode[episode.episode_id] = scenarios.classify(episode, cards=cards)
-    coverage = scenarios.coverage_report(labels_by_episode)
-    doc = {
-        "format_version": "1.0",
-        "episodes": {
-            epid: [
-                {"scenario": l.scenario, "agent_ids": list(l.agent_ids),
-                 "t_start": l.t_start, "t_end": l.t_end, "confidence": l.confidence}
-                for l in labels
-            ]
-            for epid, labels in labels_by_episode.items()
-        },
-        "coverage": {
-            "episode_count": coverage.episode_count,
-            "scenario_counts": coverage.scenario_counts,
-            "labeled_fraction": coverage.labeled_fraction,
-            "unlabeled_fraction": coverage.unlabeled_fraction,
-        },
-    }
-    _write(ingest.canonical_json_bytes(doc), args.output)
+    _write(scenarios.serialize_labels(labels_by_episode), args.output)
     return EXIT_OK
 
 

@@ -486,19 +486,25 @@ def compute_all(episode: Episode, params: Optional[MetricParams] = None,
                         taskwise=taskwise, stepwise=stepwise)
 
 
+STEPWISE_UNITS = {"speed": "m/s", "acceleration": "m/s^2", "jerk": "m/s^3",
+                  "distance_to_goal": "m", "distance_to_nearest_human": "m",
+                  "clearing_distance": "m"}
+
+
 def _stepwise_series(frames: _Frames) -> dict[str, StepSeries]:
     t = frames.timeline
-    series = [("speed", "m/s", t, frames.robot.speed)]
+    series = [("speed", t, frames.robot.speed)]
     if _undefined(_ROW_OF["A_min"], frames.episode, len(t)) is None:
-        series.append(("acceleration", "m/s^2", t[1:-1], frames.accel))
+        series.append(("acceleration", t[1:-1], frames.accel))
     if _undefined(_ROW_OF["J_min"], frames.episode, len(t)) is None:
-        series.append(("jerk", "m/s^3", t[1:-1], frames.jerk))
+        series.append(("jerk", t[1:-1], frames.jerk))
     if frames.episode.robot.goal is not None:
-        series.append(("distance_to_goal", "m", t, frames.robot.goal_distance))
+        series.append(("distance_to_goal", t, frames.robot.goal_distance))
     for name, values in (("distance_to_nearest_human", frames.nearest_human),
                          ("clearing_distance", frames.clearance)):
         defined = np.isfinite(values)
         if defined.any():
-            series.append((name, "m", t[defined], values[defined]))
-    return {name: StepSeries(name, unit, tuple(map(float, times)), tuple(map(float, values)))
-            for name, unit, times, values in series}
+            series.append((name, t[defined], values[defined]))
+    return {name: StepSeries(name, STEPWISE_UNITS[name], tuple(map(float, times)),
+                             tuple(map(float, values)))
+            for name, times, values in series}

@@ -24,7 +24,8 @@ from .core import FLOAT_PARAMS, MetricParams, _param_echo
 from .errors import EmptyCorpus, SchemaError
 from .ingest import (_array, _finite, _integer, _Issues, _object, _string,
                      canonical_json_bytes, load_json)
-from .metrics import TASKWISE_KEYS, UNITS, MetricReport, MetricValue, StepSeries, taxonomy_code
+from .metrics import (STEPWISE_UNITS, TASKWISE_KEYS, UNITS, MetricReport, MetricValue,
+                      StepSeries, taxonomy_code)
 
 FORMAT_VERSION = "1.0"
 
@@ -58,6 +59,11 @@ def _echo_value(obj, key, path, issues):
     if isinstance(obj.get(key), list):
         return _array(obj, key, path, issues, item=_string)
     return _metric_value(obj, key, path, issues)
+
+
+def _unit_and_code(name: str) -> tuple[str, str]:
+    """A metric's unit and taxonomy code; a name outside the suite gets ("", "NHT")."""
+    return (UNITS[name], taxonomy_code(name)) if name in UNITS else ("", "NHT")
 
 
 def params_to_jsonable(params: MetricParams) -> dict:
@@ -135,13 +141,12 @@ def parse_report(document: bytes | str) -> MetricReport:
         at = f"/metrics/{name}"
         raw = _object(metrics, name, "/metrics", issues)
         used = _object(raw, "params_used", at, issues, required=False, default={})
+        unit, code = _unit_and_code(name)
         taskwise[name] = MetricValue(
             name=name,
             value=_metric_value(raw, "value", at, issues),
-            unit=_string(raw, "unit", at, issues, required=False,
-                         default=UNITS.get(name, "")),
-            code=_string(raw, "code", at, issues, required=False,
-                         default=taxonomy_code(name) if name in UNITS else "NHT"),
+            unit=_string(raw, "unit", at, issues, required=False, default=unit),
+            code=_string(raw, "code", at, issues, required=False, default=code),
             params_used={k: _echo_value(used, k, f"{at}/params_used", issues) for k in used},
         )
     stepwise = None
@@ -152,7 +157,7 @@ def parse_report(document: bytes | str) -> MetricReport:
             series = _object(series_docs, name, "/stepwise", issues)
             at = f"/stepwise/{name}"
             stepwise[name] = StepSeries(
-                name=name, unit="",
+                name=name, unit=STEPWISE_UNITS.get(name, ""),
                 timeline=tuple(_array(series, "t", at, issues, item=_finite)),
                 values=tuple(_array(series, "v", at, issues, item=_finite)))
     return MetricReport(episode_id=episode_id, params=params, dt=dt,
@@ -266,17 +271,10 @@ def summarize(reports: Sequence[MetricReport], bins: int = 20) -> CorpusSummary:
 def summary_to_jsonable(summary: CorpusSummary) -> dict:
     metrics = {}
     for name, d in summary.distributions.items():
-        metrics[name] = {
-            "unit": UNITS.get(name, ""),
-            "code": taxonomy_code(name) if name in UNITS else "NHT",
-            "distribution": {
-                "n": d.n,
-                "n_excluded": d.n_excluded,
-                "mean": d.mean, "std": d.std, "min": d.min, "max": d.max,
-                "median": d.median,
-                "histogram": {"edges": list(d.edges), "counts": list(d.counts)},
-            },
-        }
+        dist = dict(vars(d))  # the fields, shallow: asdict would deep-copy
+        dist["histogram"] = {"edges": dist.pop("edges"), "counts": dist.pop("counts")}
+        unit, code = _unit_and_code(name)
+        metrics[name] = {"unit": unit, "code": code, "distribution": dist}
     return {
         "format_version": FORMAT_VERSION,
         "n_episodes": summary.n_episodes,
@@ -376,11 +374,6 @@ def comparison_to_jsonable(comparison: Comparison) -> dict:
         "format_version": FORMAT_VERSION,
         "note": "descriptive comparison; no statistical test was performed",
         "policies": list(comparison.policies),
-        "metrics": {name: dict(per_policy)
-                    for name, per_policy in comparison.means.items()},
-        "flags": [
-            {"metric": f.metric, "policy": f.policy, "baseline": f.baseline,
-             "delta": f.delta}
-            for f in comparison.flags
-        ],
+        "metrics": comparison.means,
+        "flags": [vars(f) for f in comparison.flags],
     }

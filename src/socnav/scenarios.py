@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -42,12 +42,6 @@ CLASSIFIABLE_SCENARIOS = (
 )
 
 
-_CRITERIA_FIELDS = ("facing_angle_max", "approach_speed_min", "min_clearance",
-                    "proximity_max", "crossing_angle_window",
-                    "overtake_speed_ratio_min", "min_crowd_size",
-                    "min_window_duration")
-
-
 @dataclass(frozen=True)
 class ClassifierParams:
     """Thresholds for the labeling criteria.
@@ -68,10 +62,10 @@ class ClassifierParams:
     min_window_duration: float = 0.5
 
     def __post_init__(self):
-        for name in _CRITERIA_FIELDS:
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not (value > 0 and math.isfinite(value)):
-                raise InvariantError(f"/usage_guide/labeling_criteria/{name}",
+                raise InvariantError(f"/usage_guide/labeling_criteria/{f.name}",
                                      "must be a positive finite number")
         if self.min_crowd_size < 1:
             raise InvariantError("/usage_guide/labeling_criteria/min_crowd_size", "must be >= 1")
@@ -227,37 +221,16 @@ def builtin_cards() -> dict[str, ScenarioCard]:
 
 # --- Card serialization -------------------------------------------------------
 
-def card_to_jsonable(card: ScenarioCard) -> dict:
-    guide: dict = {
-        "success_metrics": list(card.usage_guide.success_metrics),
-        "quality_metrics": list(card.usage_guide.quality_metrics),
-        "ideal_outcome": card.usage_guide.ideal_outcome,
-        "failure_modes": list(card.usage_guide.failure_modes),
-    }
-    if card.usage_guide.labeling_criteria is not None:
-        crit = card.usage_guide.labeling_criteria
-        guide["labeling_criteria"] = {
-            name: getattr(crit, name) for name in _CRITERIA_FIELDS}
-    return {
-        "name": card.name,
-        "description": card.description,
-        "scenario_type": card.scenario_type,
-        "research_context": {
-            "location": card.research_context.location,
-            "density": card.research_context.density,
-            "task": card.research_context.task,
-        },
-        "definition": {
-            "geometric_layout": card.definition.geometric_layout,
-            "intended_robot_task": card.definition.intended_robot_task,
-            "intended_human_behavior": card.definition.intended_human_behavior,
-        },
-        "usage_guide": guide,
-    }
-
-
 def serialize_card(card: ScenarioCard) -> bytes:
-    return canonical_json_bytes(card_to_jsonable(card))
+    doc = asdict(card)
+    if card.usage_guide.labeling_criteria is None:
+        del doc["usage_guide"]["labeling_criteria"]
+    return canonical_json_bytes(doc)
+
+
+def _strings(cls, obj, path, issues):
+    """An all-string dataclass read field by field from ``obj``."""
+    return cls(**{f.name: _string(obj, f.name, path, issues) for f in fields(cls)})
 
 
 def parse_card(document: bytes | str) -> ScenarioCard:
@@ -275,8 +248,8 @@ def parse_card(document: bytes | str) -> ScenarioCard:
     if raw is not None:
         at = "/usage_guide/labeling_criteria"
         criteria = ClassifierParams(**{
-            name: (_integer if name == "min_crowd_size" else _number)(raw, name, at, issues)
-            for name in _CRITERIA_FIELDS if name in raw})
+            f.name: (_integer if f.type == "int" else _number)(raw, f.name, at, issues)
+            for f in fields(ClassifierParams) if f.name in raw})
     else:
         log.warning("card %r has no labeling_criteria; classification disabled",
                     doc.get("name"))
@@ -285,18 +258,8 @@ def parse_card(document: bytes | str) -> ScenarioCard:
         name=_string(doc, "name", "", issues),
         description=_string(doc, "description", "", issues),
         scenario_type=_string(doc, "scenario_type", "", issues),
-        research_context=ResearchContext(
-            location=_string(ctx, "location", "/research_context", issues),
-            density=_string(ctx, "density", "/research_context", issues),
-            task=_string(ctx, "task", "/research_context", issues),
-        ),
-        definition=ScenarioDefinition(
-            geometric_layout=_string(definition, "geometric_layout", "/definition", issues),
-            intended_robot_task=_string(definition, "intended_robot_task", "/definition",
-                                        issues),
-            intended_human_behavior=_string(definition, "intended_human_behavior",
-                                            "/definition", issues),
-        ),
+        research_context=_strings(ResearchContext, ctx, "/research_context", issues),
+        definition=_strings(ScenarioDefinition, definition, "/definition", issues),
         usage_guide=UsageGuide(
             success_metrics=tuple(_array(guide, "success_metrics", "/usage_guide", issues, item=_string)),
             quality_metrics=tuple(_array(guide, "quality_metrics", "/usage_guide", issues, item=_string)),
@@ -623,3 +586,14 @@ def coverage_report(labels_by_episode: Mapping[str, Sequence[ScenarioLabel]]) ->
     return CoverageReport(episode_count=n, scenario_counts=counts,
                           labeled_fraction=labeled_fraction,
                           unlabeled_fraction=1.0 - labeled_fraction if n else 0.0)
+
+
+def serialize_labels(labels_by_episode: Mapping[str, Sequence[ScenarioLabel]]) -> bytes:
+    """The ``socnav classify`` document: each episode's labels and the corpus
+    coverage, each object the ``vars`` (the fields) of its dataclass."""
+    return canonical_json_bytes({
+        "format_version": "1.0",
+        "episodes": {episode_id: [vars(label) for label in labels]
+                     for episode_id, labels in labels_by_episode.items()},
+        "coverage": vars(coverage_report(labels_by_episode)),
+    })

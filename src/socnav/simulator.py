@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -73,10 +73,9 @@ class SfmParams:
     v_max: float = 2.0
 
     def __post_init__(self):
-        for name in ("relaxation_time", "repulsion_strength", "repulsion_range",
-                     "obstacle_strength", "obstacle_range", "v_max"):
-            if getattr(self, name) <= 0:
-                raise InvariantError(f"/sfm/{name}", "must be > 0")
+        for f in fields(self):
+            if getattr(self, f.name) <= 0:
+                raise InvariantError(f"/sfm/{f.name}", "must be > 0")
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,13 @@ class TestReportIO:
             assert again.taskwise[name].code == mv.code
         assert write_output(again) == raw
 
+    @pytest.mark.parametrize("kwargs", [{}, {"n_humans": 0, "with_obstacles": False},
+                                        {"with_goal": False}])
+    def test_stepwise_round_trip_equals_report(self, kwargs):
+        report = compute_all(fuzz_episode(1, **kwargs), PARAMS, include_stepwise=True)
+        assert parse_report(write_output(report)) == report
+        assert report.stepwise["speed"].unit == "m/s"
+
     def test_canonical_deterministic(self):
         report = compute_all(fuzz_episode(2), PARAMS)
         assert write_output(report) == write_output(report)
@@ -176,6 +183,11 @@ class TestCompare:
                        for seed in range(40, 50)])
         comparison = compare({"short": a, "long": b})
         assert any(f.metric == "PL" for f in comparison.flags)
+        doc = json.loads(write_output(comparison))
+        assert doc["flags"] == [{"metric": f.metric, "policy": f.policy,
+                                 "baseline": f.baseline, "delta": f.delta}
+                                for f in comparison.flags]
+        assert doc["metrics"] == comparison.means
 
     def test_all_metrics_in_matrix(self):
         from socnav.metrics import TASKWISE_KEYS

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from socnav.core import AgentKind
 from socnav.errors import SchemaError, UnknownCard
+from socnav.ingest import canonical_json_bytes
 from socnav.scenarios import (
     CLASSIFIABLE_SCENARIOS,
     ClassifierParams,
@@ -50,6 +51,7 @@ class TestCards:
         del doc["usage_guide"]["labeling_criteria"]
         card = parse_card(json.dumps(doc))
         assert card.usage_guide.labeling_criteria is None
+        assert serialize_card(card) == canonical_json_bytes(doc)
         # documentation-only cards are skipped by classify
         ep = run(generate_scenario("intersection", 0))
         labels = classify(ep, cards={"intersection": card})
