@@ -12,7 +12,7 @@ import enum
 import math
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from operator import itemgetter
 from typing import Optional
@@ -230,10 +230,20 @@ class Episode:
         """All agents except the robot under test."""
         return tuple(a for a in self.agents if a.id != self.robot_under_test)
 
-
-# The MetricParams fields that must be positive finite numbers.
-FLOAT_PARAMS = ("space_threshold", "intimate_radius", "personal_radius", "timeout",
-                "fp_distance_eps", "fp_window", "stall_speed", "stall_min_duration")
+    def resampled(self, dt: Optional[float] = None) -> tuple:
+        """(dt, timeline, robot, others) on ``common_timeline``, others in file order;
+        dt defaults to the robot's median interval (1.0 for a single state). Built
+        once per dt, kept in ``__dict__`` like ``robot``, and read but never written
+        by the metrics and the classifiers."""
+        views = self.__dict__.setdefault("_resampled", {})
+        key = (type(dt), dt)  # 1 and 1.0 are one key, but are echoed differently
+        if key not in views:
+            if dt is None:
+                dt = median_sample_interval(self.robot) if len(self.robot.t) > 1 else 1.0
+            timeline = common_timeline(self, dt)
+            views[key] = (dt, timeline, SampledAgent(self.robot, timeline),
+                          tuple(SampledAgent(a, timeline) for a in self.others))
+        return views[key]
 
 
 @dataclass(frozen=True)
@@ -264,6 +274,10 @@ class MetricParams:
                 raise InvariantError(f"/params/{name}", "must be a positive finite number")
         if self.collision_terminate_count is not None and self.collision_terminate_count < 1:
             raise InvariantError("/params/collision_terminate_count", "must be >= 1 or null")
+
+
+# The MetricParams fields that must be positive finite numbers.
+FLOAT_PARAMS = tuple(f.name for f in fields(MetricParams) if f.type == "float")
 
 
 def _param_echo(params: MetricParams, name: str):
@@ -329,11 +343,6 @@ def median_sample_interval(agent: AgentRecord) -> float:
     return float(np.median(np.diff(agent.t)))
 
 
-def default_dt(episode: Episode) -> float:
-    """The robot's median sampling interval, or 1.0 for a single-state robot."""
-    return median_sample_interval(episode.robot) if len(episode.robot.t) >= 2 else 1.0
-
-
 def event_runs(mask: np.ndarray) -> list[tuple[int, int]]:
     """Maximal contiguous True runs as (start, end) index pairs, end exclusive."""
     if not mask.any():
@@ -344,7 +353,7 @@ def event_runs(mask: np.ndarray) -> list[tuple[int, int]]:
 
 
 class SampledAgent:
-    """One agent resampled onto a timeline, the view metrics and classifiers share.
+    """One agent on a timeline, the view metrics and classifiers share (``Episode.resampled``).
 
     Position and velocity are interpolated linearly and held at the ends. A
     single-state agent keeps its stored velocity, or gets zero without one.

@@ -432,9 +432,16 @@ def _build_episode(doc, issues: _Issues, v_cap: float = DEFAULT_V_CAP) -> Episod
     episode = Episode(episode_id=episode_id, robot_under_test=robot_id,
                       agents=tuple(agents), obstacles=obstacles,
                       labels=tuple(labels), metadata=metadata)
-    for path, message in check_episode(episode, v_cap=v_cap):
-        # Name an obstacle set or segment by its place in the file.
-        issues.error(in_file.get(path, path), message, kind=InvariantError)
+    # Name an obstacle set or segment by its place in the file. check_episode
+    # visits dynamic sets by stamp; their issues go by set, then t, then segment.
+    found = [(in_file.get(path, path), message) for path, message in check_episode(episode, v_cap)]
+    at = [k for k, (path, _) in enumerate(found) if path.startswith("/obstacles/dynamic/")]
+    in_order = sorted((found[k] for k in at),  # "t" and "segments" rank as -1
+                      key=lambda i: [int(p) if p.isdigit() else -1 for p in i[0].split("/")[3:]])
+    for k, issue in zip(at, in_order):
+        found[k] = issue
+    for path, message in found:
+        issues.error(path, message, kind=InvariantError)
     return episode
 
 

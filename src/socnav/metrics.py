@@ -1,10 +1,10 @@
 """The hand-crafted metric suite, stepwise and taskwise, with taxonomy codes.
 
 Every public operation takes ``(episode, params=None, dt=None)``; steps are
-the samples of ``common_timeline(episode, dt)``, with dt defaulting to the
-robot's median raw sampling interval. All distance computations between
-agents are center-to-center unless a body radius is explicitly involved
-(collisions, clearing distance).
+the samples of ``episode.resampled(dt)``, built once per dt and shared with
+the classifiers; dt defaults to the robot's median raw sampling interval.
+All distances between agents are center-to-center unless a body radius is
+explicitly involved (collisions, clearing distance).
 
 Degenerate results are explicit: minima over empty sets are +inf and
 undefined averages are None, never silent zeros.
@@ -20,16 +20,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .core import (
-    _param_echo,
-    AgentKind,
-    Episode,
-    MetricParams,
-    SampledAgent,
-    common_timeline,
-    default_dt,
-    event_runs,
-)
+from .core import _param_echo, AgentKind, Episode, MetricParams, event_runs
 from .errors import InvariantError, MissingGoal, TooFewStates
 from .geometry import first_collision_time, point_segment_distance
 
@@ -77,16 +68,13 @@ class MetricReport:
 # --- Sampled view of an episode ---------------------------------------------
 
 class _Frames:
-    """Everything the metric suite needs, computed once per episode."""
+    """Everything the metric suite needs, on the episode's resampled view."""
 
-    def __init__(self, episode: Episode, params: MetricParams, dt: float):
+    def __init__(self, episode: Episode, params: Optional[MetricParams], dt: Optional[float]):
         self.episode = episode
-        self.params = params
-        self.dt = dt
-        self.timeline = common_timeline(episode, dt)
+        self.params = params if params is not None else MetricParams()
+        self.dt, self.timeline, self.robot, self.tracks = episode.resampled(dt)
         self.t0 = float(self.timeline[0])
-        self.robot = SampledAgent(episode.robot, self.timeline)
-        self.tracks = [SampledAgent(a, self.timeline) for a in episode.others]
 
     @cached_property
     def distances(self) -> np.ndarray:
@@ -169,11 +157,6 @@ class _Frames:
         h0 = t[1:-1] - t[:-2]
         h1 = t[2:] - t[1:-1]
         return 2.0 * (y[:-2] / (h0 * (h0 + h1)) - y[1:-1] / (h0 * h1) + y[2:] / (h1 * (h0 + h1)))
-
-
-def _resolve(episode: Episode, params: Optional[MetricParams], dt: Optional[float]) -> _Frames:
-    return _Frames(episode, params if params is not None else MetricParams(),
-                   dt if dt is not None else default_dt(episode))
 
 
 # --- Taskwise kernels ----------------------------------------------------------
@@ -298,7 +281,7 @@ def space_compliance(episode: Episode, params: Optional[MetricParams] = None,
     0.5 m threshold this is the usual personal-space-compliance number.
     Distances are center-to-center to suit point-trajectory datasets.
     """
-    frames = _resolve(episode, params, dt)
+    frames = _Frames(episode, params, dt)
     return _space_compliance(frames, threshold=threshold, complement=complement)
 
 
@@ -407,7 +390,7 @@ UNITS = {key: row.unit for key, row in _ROW_OF.items()}
 
 
 def taxonomy_code(name: str) -> str:
-    return _ROW_OF[name].code if name in _ROW_OF else "SHT"
+    return _ROW_OF[name].code if name in _ROW_OF else "NHT"
 
 
 def _undefined(row: _Row, episode: Episode, steps: Optional[int] = None) -> Optional[Exception]:
@@ -432,7 +415,7 @@ def _public(fn: Callable[[_Frames], object]) -> Callable:
                dt: Optional[float] = None):
         error = _undefined(row, episode)
         if error is None:
-            frames = _resolve(episode, params, dt)
+            frames = _Frames(episode, params, dt)
             error = _undefined(row, episode, len(frames.timeline))
         if error is not None:
             raise error
@@ -469,7 +452,7 @@ def compute_all(episode: Episode, params: Optional[MetricParams] = None,
     Goal-dependent metrics are None when the robot has no goal; derivative
     features are None when the trajectory is too short for their stencil.
     """
-    frames = _resolve(episode, params, dt)
+    frames = _Frames(episode, params, dt)
     p = frames.params
     steps = len(frames.timeline)
     taskwise = {}

@@ -63,7 +63,7 @@ def _echo_value(obj, key, path, issues):
 
 def _unit_and_code(name: str) -> tuple[str, str]:
     """A metric's unit and taxonomy code; a name outside the suite gets ("", "NHT")."""
-    return (UNITS[name], taxonomy_code(name)) if name in UNITS else ("", "NHT")
+    return UNITS.get(name, ""), taxonomy_code(name)
 
 
 def params_to_jsonable(params: MetricParams) -> dict:

@@ -1,10 +1,10 @@
 """Scenario cards and pose-based trajectory classifiers.
 
 Each machine-classifiable card carries labeling criteria; its detector
-turns them into per-step predicates on a resampled episode and emits one
-label per maximal window in which they hold. Detectors are deterministic
-and depend only on relative geometry, so labels are invariant under rigid
-transforms of the episode.
+turns them into per-step predicates on the episode's resampled view and
+yields each maximal window in which they hold; ``classify`` makes each a
+label. Detectors are deterministic and depend only on relative geometry,
+so labels are invariant under rigid transforms of the episode.
 
 Overlap arbitration: a blind-corner window explains away plain
 intersection labels for the same pair, and crowd-flow windows explain
@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import AgentKind, Episode, SampledAgent, common_timeline, default_dt, event_runs
+from .core import AgentKind, Episode, SampledAgent, event_runs
 from .errors import InvariantError, SchemaError, UnknownCard
 from .geometry import sightlines_blocked, wrap_angle
 from .ingest import (_array, _integer, _Issues, _number, _object, _string,
@@ -297,9 +297,11 @@ def _margin_angle(deviation: np.ndarray, limit: float) -> float:
 # mask, takes each maximal run of at least min_window_duration as a candidate
 # window, then applies the aggregate criteria (minimum distance, passing
 # clearance, occlusion, the overtake transition) to the window as a whole.
-# Pairwise detectors read one ``_Pair`` view per human, built once per episode;
-# all find windows with ``_windows`` and compute each angle deviation once, for
-# the mask and for the confidence margin of every window.
+# It yields ``(agent_ids, s, e, margins)`` per accepted window (steps s to e-1,
+# one margin in [0, 1] per criterion); ``classify`` names the label after its
+# card, with confidence ``min(margins)``. Pairwise detectors read one ``_Pair``
+# view per human, built once per episode; all find windows with ``_windows``
+# and compute each angle deviation once, for the mask and for the margins.
 
 class _Pair:
     """The relative quantities of the robot and one human, shared by every detector."""
@@ -367,7 +369,6 @@ def _lateral_clearance(ep, midpoint: np.ndarray, axis_heading: float,
 
 
 def _detect_frontal(ep, robot, pairs, timeline, p: ClassifierParams):
-    labels = []
     for pair in pairs:
         h = pair.h
         dev = np.abs(wrap_angle(pair.turn - math.pi))
@@ -386,19 +387,14 @@ def _detect_frontal(ep, robot, pairs, timeline, p: ClassifierParams):
             clearance = _lateral_clearance(ep, midpoint, float(robot.heading[k]), r_sum)
             if clearance < clearance_needed:
                 continue
-            confidence = min(
+            yield (robot.agent.id, h.agent.id), s, e, (
                 _margin_angle(dev[sl], p.facing_angle_max),
                 float(np.clip(np.median(closing[sl]) / (4 * p.approach_speed_min), 0, 1)),
                 float(np.clip((clearance - clearance_needed) / clearance_needed, 0, 1)),
             )
-            labels.append(ScenarioLabel("frontal_approach", (robot.agent.id, h.agent.id),
-                                        float(timeline[s]), float(timeline[e - 1]), confidence))
-    return labels
 
 
 def _detect_overtaking(ep, robot, pairs, timeline, p: ClassifierParams, robot_overtakes: bool):
-    labels = []
-    name = "robot_overtaking" if robot_overtakes else "pedestrian_overtaking"
     for pair in pairs:
         h = pair.h
         rear_s, front_s, dp = (robot, h, pair.dp) if robot_overtakes else (h, robot, -pair.dp)
@@ -424,24 +420,19 @@ def _detect_overtaking(ep, robot, pairs, timeline, p: ClassifierParams, robot_ov
             if (timeline[cross] - timeline[s] < p.min_window_duration
                     or timeline[e - 1] - timeline[cross] < p.min_window_duration):
                 continue
-            confidence = min(
+            yield (robot.agent.id, h.agent.id), s, e, (
                 _margin_angle(pair.relative[sl], p.facing_angle_max),
                 float(np.clip((ratio - p.overtake_speed_ratio_min)
                               / p.overtake_speed_ratio_min, 0, 1)),
                 float(np.clip(1.0 - pair.dist[cross] / p.proximity_max, 0, 1)),
             )
-            labels.append(ScenarioLabel(name, (robot.agent.id, h.agent.id),
-                                        float(timeline[s]), float(timeline[e - 1]), confidence))
-    return labels
 
 
 def _detect_intersection(ep, robot, pairs, timeline, p: ClassifierParams,
                          require_occlusion: bool):
-    labels = []
     seg_a, seg_b = ep.obstacles.static_arrays
     if require_occlusion and len(seg_a) == 0:
-        return []  # no static segment, no blind corner
-    name = "blind_corner" if require_occlusion else "intersection"
+        return  # no static segment, no blind corner
     for pair in pairs:
         h, dist = pair.h, pair.dist
         dev = np.abs(pair.relative - math.pi / 2)
@@ -453,19 +444,15 @@ def _detect_intersection(ep, robot, pairs, timeline, p: ClassifierParams,
             if require_occlusion and not sightlines_blocked(
                     robot.pos[sl], h.pos[sl], seg_a, seg_b).any():
                 continue
-            confidence = min(
+            yield (robot.agent.id, h.agent.id), s, e, (
                 _margin_angle(dev[sl], p.crossing_angle_window),
                 float(np.clip(1.0 - np.min(dist[sl]) / p.proximity_max, 0, 1)),
             )
-            labels.append(ScenarioLabel(name, (robot.agent.id, h.agent.id),
-                                        float(timeline[s]), float(timeline[e - 1]), confidence))
-    return labels
 
 
 def _detect_crowd_flow(ep, robot, pairs, timeline, p: ClassifierParams, parallel: bool):
-    name = "parallel_traffic" if parallel else "perpendicular_traffic"
     if len(pairs) < p.min_crowd_size:
-        return []
+        return
     humans = [pair.h for pair in pairs]
     dt = float(timeline[1] - timeline[0]) if len(timeline) > 1 else 1.0
     smooth = smoothed_heading(robot, max(1, round(1.5 / dt)))
@@ -479,17 +466,13 @@ def _detect_crowd_flow(ep, robot, pairs, timeline, p: ClassifierParams, parallel
         dev = np.abs(dev - math.pi / 2)
     mask = ((count >= p.min_crowd_size) & (dev <= limit)
             & robot.en_route & (robot.speed >= p.approach_speed_min))
-    labels = []
     for s, e in _windows(timeline, mask, p.min_window_duration):
         sl = slice(s, e)
         members = [h.agent.id for i, h in enumerate(humans) if bool(moving[i, sl].any())]
-        confidence = min(
+        yield tuple([robot.agent.id] + members), s, e, (
             _margin_angle(dev[sl], limit),
             float(np.clip(np.median(count[sl]) / p.min_crowd_size - 0.5, 0, 1)),
         )
-        labels.append(ScenarioLabel(name, tuple([robot.agent.id] + members),
-                                    float(timeline[s]), float(timeline[e - 1]), confidence))
-    return labels
 
 
 _DETECTORS: dict[str, Callable] = {
@@ -539,12 +522,9 @@ def classify(episode: Episode, cards: Optional[Mapping[str, ScenarioCard]] = Non
     Cards without labeling criteria are documentation-only and skipped;
     a card with criteria but no detector raises UnknownCard.
     """
-    if cards is None:
-        cards = _BUILTIN_CARDS
-    timeline = common_timeline(episode, dt if dt is not None else default_dt(episode))
-    robot = SampledAgent(episode.robot, timeline)
-    pairs = [_Pair(robot, SampledAgent(a, timeline)) for a in episode.agents
-             if a.kind is AgentKind.HUMAN and a.id != episode.robot_under_test]
+    cards = _BUILTIN_CARDS if cards is None else cards
+    _, timeline, robot, others = episode.resampled(dt)
+    pairs = [_Pair(robot, h) for h in others if h.agent.kind is AgentKind.HUMAN]
 
     labels: list[ScenarioLabel] = []
     for name, card in cards.items():
@@ -554,11 +534,11 @@ def classify(episode: Episode, cards: Optional[Mapping[str, ScenarioCard]] = Non
         if name not in _DETECTORS:
             raise UnknownCard(f"no detector for card {name!r}")
         effective = params if params is not None else criteria
-        labels.extend(_DETECTORS[name](episode, robot, pairs, timeline, effective))
+        windows = _DETECTORS[name](episode, robot, pairs, timeline, effective)
+        labels.extend(ScenarioLabel(name, ids, float(timeline[s]), float(timeline[e - 1]),
+                                    min(margins)) for ids, s, e, margins in windows)
 
-    labels = _arbitrate(labels)
-    labels.sort(key=lambda l: (l.t_start, l.scenario, l.agent_ids))
-    return tuple(labels)
+    return tuple(sorted(_arbitrate(labels), key=lambda l: (l.t_start, l.scenario, l.agent_ids)))
 
 
 # --- Corpus coverage ----------------------------------------------------------

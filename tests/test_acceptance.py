@@ -138,8 +138,8 @@ def test_05_derivative_check():
                            kind=AgentKind.ROBOT,
                            velocities=[(t ** 3, 0.0) for t in ts])
         ep = make_episode([robot])
-        from socnav.metrics import _resolve
-        frames = _resolve(ep, PARAMS, 0.01)
+        from socnav.metrics import _Frames
+        frames = _Frames(ep, PARAMS, 0.01)
         jerk = frames.jerk
         expected = 6.0 * frames.timeline[1:-1]
         rel = np.abs(jerk - expected) / np.abs(expected)

@@ -1,11 +1,14 @@
+import dataclasses
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import socnav.core
 from socnav.core import (
     AgentKind,
     MetricParams,
@@ -18,6 +21,11 @@ from socnav.core import (
 )
 from socnav.errors import InvariantError, SingleStateAgent
 from socnav.geometry import wrap_angle
+from socnav.ingest import parse_episode
+from socnav.metrics import compute_all
+from socnav.report import write_output
+from socnav.scenarios import classify, serialize_labels
+from socnav.simulator import SCENARIO_NAMES, generate_scenario, run
 
 from conftest import fuzz_episode, make_agent, make_episode, straight_robot
 from oracles import active_segments_oracle, derive_velocities, event_runs_oracle, interpolate_state
@@ -121,6 +129,88 @@ class TestCommonTimeline:
         ep = make_episode([straight_robot(n=7, dt=0.13)])
         tl = common_timeline(ep, 0.05)
         assert np.all(np.diff(tl) > 0)
+
+
+class TestResampled:
+    def test_default_dt_and_file_order(self):
+        ep = make_episode([make_agent("h1", [(0, 1)] * 5, dt=0.2),
+                           straight_robot(n=11, dt=0.1),
+                           make_agent("h2", [(0, -1)] * 3, dt=0.5)])
+        dt, timeline, robot, others = ep.resampled()
+        assert dt == median_sample_interval(ep.robot)
+        assert list(timeline) == list(common_timeline(ep, dt))
+        assert robot.agent is ep.robot
+        assert [o.agent.id for o in others] == ["h1", "h2"]
+        assert ep.resampled(0.5)[1].tolist() == [0.0, 0.5, 1.0]
+        single = make_episode([straight_robot(n=1)])
+        assert single.resampled()[0] == 1.0
+
+    def test_built_once_per_dt(self):
+        ep = fuzz_episode(2)
+        view = ep.resampled()
+        assert ep.resampled() is view
+        assert ep.resampled(0.05) is ep.resampled(0.05) is not view
+        # 1 and 1.0 are echoed differently in reports, so each keeps its own dt.
+        assert type(ep.resampled(1)[0]) is int and type(ep.resampled(1.0)[0]) is float
+
+    def test_replace_gets_its_own_view(self):
+        ep = fuzz_episode(2)
+        view = ep.resampled()
+        assert dataclasses.replace(ep).resampled() is not view
+        longer = dataclasses.replace(ep, agents=(straight_robot(n=21, dt=0.1),))
+        _, timeline, robot, others = longer.resampled()
+        assert len(timeline) == 21 and robot.agent is longer.robot and others == ()
+        assert ep.resampled() is view
+
+    def test_classify_and_compute_all_resample_each_agent_once(self, monkeypatch):
+        built = []
+
+        class Counting(socnav.core.SampledAgent):
+            def __init__(self, agent, timeline):
+                built.append(agent.id)
+                super().__init__(agent, timeline)
+
+        monkeypatch.setattr(socnav.core, "SampledAgent", Counting)
+        ep = fuzz_episode(3)
+        classify(ep)
+        compute_all(ep)
+        compute_all(ep, include_stepwise=True)
+        classify(ep)
+        assert sorted(built) == sorted(a.id for a in ep.agents)
+
+
+_GOLDEN = Path(__file__).parent / "golden"
+
+
+def _fresh_episodes():
+    """(id, factory) pairs; each factory call builds a new Episode of the same data."""
+    for case in sorted(p for p in _GOLDEN.iterdir() if p.is_dir()):
+        if not case.name.startswith("invalid_"):
+            yield case.name, lambda case=case: parse_episode((case / "episode.json").read_bytes())
+    for name in SCENARIO_NAMES:
+        yield name, lambda name=name: run(generate_scenario(name, 0, robot_policy="sfm"))
+
+
+@pytest.mark.parametrize("make", [make for _, make in _fresh_episodes()],
+                         ids=[name for name, _ in _fresh_episodes()])
+def test_outputs_do_not_depend_on_the_order_of_classify_and_compute_all(make):
+    def labels(ep, dt):
+        return serialize_labels({ep.episode_id: classify(ep, dt=dt)})
+
+    def report(ep, dt):
+        return write_output(compute_all(ep, dt=dt, include_stepwise=True))
+
+    # Each output from its own fresh episode, then both from one, in either order.
+    expected = {dt: (labels(make(), dt), report(make(), dt)) for dt in (None, 0.05)}
+    for dt in (None, 0.05):
+        first = make()
+        assert (labels(first, dt), report(first, dt)) == expected[dt]
+        later = make()
+        got_report = report(later, dt)
+        assert (labels(later, dt), got_report) == expected[dt]
+    both = make()  # both dts on one episode, each read twice
+    runs = [(labels(both, dt), report(both, dt)) for dt in (None, 0.05, None, 0.05)]
+    assert runs == [expected[None], expected[0.05]] * 2
 
 
 class TestEventRuns:

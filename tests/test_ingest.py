@@ -252,13 +252,13 @@ class TestValidate:
         ({"segments": [], "dynamic": [{"t": 2, "segments": [[0, 0, 0, 0]]},
                                       {"t": 1, "segments": []}]},
          [("/obstacles/dynamic/0/segments/0", "segment endpoints must be distinct")]),
-        # Non-finite stamps in an unsorted file: NaN sorts last and unsorts nothing.
+        # Non-finite stamps in an unsorted file: issues come in file order.
         ({"segments": [], "dynamic": [
             {"t": 2, "segments": []}, {"t": float("nan"), "segments": []},
             {"t": 1, "segments": [[1, 1, 1, 1]]}, {"t": -float("inf"), "segments": []}]},
-         [("/obstacles/dynamic/3/t", "must be finite"),
+         [("/obstacles/dynamic/1/t", "must be finite"),
           ("/obstacles/dynamic/2/segments/0", "segment endpoints must be distinct"),
-          ("/obstacles/dynamic/1/t", "must be finite")]),
+          ("/obstacles/dynamic/3/t", "must be finite")]),
         # A set that cannot be read does not shift the index of the next.
         ({"segments": [], "dynamic": [5, {"t": 1, "segments": [[1, 1, 1, 1]]}]},
          [("/obstacles/dynamic/0", "expected an object"),

@@ -14,7 +14,6 @@ from socnav.core import (
     SampledAgent,
     Vec2,
     common_timeline,
-    default_dt,
 )
 from socnav.errors import MissingGoal, TooFewStates
 import socnav.metrics
@@ -199,8 +198,8 @@ class TestStalledTime:
                            kind=AgentKind.ROBOT)
         ep = make_episode([robot])
         timeline = common_timeline(ep, 0.1)
-        from socnav.metrics import _resolve
-        frames = _resolve(ep, PARAMS, 0.1)
+        from socnav.metrics import _Frames
+        frames = _Frames(ep, PARAMS, 0.1)
         expected = stalled_time_oracle(list(timeline), list(frames.robot.speed),
                                        PARAMS.stall_speed, PARAMS.stall_min_duration)
         assert stalled_time(ep, PARAMS, dt=0.1) == pytest.approx(expected)
@@ -280,8 +279,8 @@ class TestKinematicFeatures:
                            kind=AgentKind.ROBOT,
                            velocities=[(t ** 3, 0.0) for t in ts])
         ep = make_episode([robot])
-        from socnav.metrics import _resolve
-        frames = _resolve(ep, PARAMS, 0.01)
+        from socnav.metrics import _Frames
+        frames = _Frames(ep, PARAMS, 0.01)
         jerk = frames.jerk
         expected = 6.0 * frames.timeline[1:-1]
         assert np.all(np.abs(jerk - expected) <= 0.05 * np.abs(expected))
@@ -320,9 +319,9 @@ class TestClearingDistance:
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_scalar_oracle(self, seed):
         from oracles import scalar_point_segment_distance
-        from socnav.metrics import _resolve
+        from socnav.metrics import _Frames
         ep = fuzz_episode(seed, with_obstacles=True)
-        frames = _resolve(ep, PARAMS, 0.1)
+        frames = _Frames(ep, PARAMS, 0.1)
         cd_min, cd_avg = clearing_distance_features(ep, PARAMS, dt=0.1)
         seg_a, seg_b = ep.obstacles.static_arrays
         per_step = []
@@ -554,7 +553,7 @@ def _expected_error(fn, ep, steps):
 @pytest.mark.parametrize("ep", CONSISTENCY_CORPUS, ids=lambda ep: ep.episode_id)
 def test_single_metric_functions_match_compute_all(ep, params, dt):
     report = compute_all(ep, params, dt)
-    steps = len(common_timeline(ep, dt if dt is not None else default_dt(ep)))
+    steps = len(ep.resampled(dt)[1])
     for fn, keys in SINGLE_METRICS:
         expected = tuple(report.taskwise[key].value for key in keys)
         error = _expected_error(fn, ep, steps)

@@ -159,6 +159,17 @@ class TestSummarize:
                 summarize(reports, bins=bins)
             assert err.value.path == "/bins"
 
+    def test_metric_outside_the_suite_gets_its_taxonomy_code(self):
+        import dataclasses
+        from socnav.metrics import MetricValue, taxonomy_code
+        reports = [dataclasses.replace(r, taskwise={**r.taskwise, "XYZ": MetricValue(
+                       "XYZ", 1.0, "", taxonomy_code("XYZ"))}) for r in corpus_reports(2)]
+        summary = json.loads(write_output(summarize(reports)))
+        assert summary["metrics"]["XYZ"]["code"] == taxonomy_code("XYZ") == "NHT"
+        doc = json.loads(write_output(reports[0]))
+        del doc["metrics"]["XYZ"]["code"]
+        assert parse_report(json.dumps(doc)).taskwise["XYZ"].code == taxonomy_code("XYZ")
+
     def test_summary_round_trip(self):
         summary = summarize(corpus_reports(6))
         again = parse_summary(write_output(summary))
