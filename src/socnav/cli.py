@@ -92,10 +92,12 @@ def _load_cards(directory: str | None):
         return None
     from . import scenarios
 
-    cards = {}
+    cards, source = {}, {}
     for path in sorted(Path(directory).glob("*.json")):
         card = scenarios.parse_card(_read(str(path)))
-        cards[card.name] = card
+        if card.name in cards:
+            raise SocnavError(f"{source[card.name]} and {path} both define card {card.name!r}")
+        cards[card.name], source[card.name] = card, path
     if not cards:
         raise SocnavError(f"no card files found in {directory}")
     return cards
@@ -130,6 +132,9 @@ def _cmd_compare(args) -> int:
         name, sep, path = spec.partition("=")
         if not sep or not name or not path:
             print(f"--label expects NAME=SUMMARY_FILE, got {spec!r}", file=sys.stderr)
+            return EXIT_USAGE
+        if name in summaries:
+            print(f"--label {name!r} is given more than once", file=sys.stderr)
             return EXIT_USAGE
         summaries[name] = report.parse_summary(_read(path))
     comparison = report.compare(summaries)

@@ -23,7 +23,7 @@ from .errors import InvariantError, SingleStateAgent
 from .geometry import wrap_angle
 
 # Sanity cap on consecutive-state speed, used to reject corrupt trajectories.
-DEFAULT_V_CAP = 10.0
+V_CAP = 10.0
 
 # Default body radius applied to point-trajectory datasets.
 DEFAULT_HUMAN_RADIUS = 0.3
@@ -398,7 +398,7 @@ class SampledAgent:
 
 # --- Validation ------------------------------------------------------------
 
-def _sample_issues(base: str, agent: AgentRecord, v_cap: float) -> list[tuple[str, str]]:
+def _sample_issues(base: str, agent: AgentRecord) -> list[tuple[str, str]]:
     """Per-sample violations of one agent, checked a column at a time.
 
     A sample with a non-finite time or position gets that one issue and is
@@ -441,14 +441,14 @@ def _sample_issues(base: str, agent: AgentRecord, v_cap: float) -> list[tuple[st
             dt, dx, dy = dt[step], dx[step], dy[step]
         # np.hypot may differ from math.hypot in the last place, far inside
         # this margin: it only picks the candidates, math.hypot decides.
-        near = np.flatnonzero(np.hypot(dx, dy) / dt > v_cap * (1 - 1e-9))
+        near = np.flatnonzero(np.hypot(dx, dy) / dt > V_CAP * (1 - 1e-9))
     for k in near.tolist():
         speed = math.hypot(dx[k], dy[k]) / float(dt[k])
-        if speed > v_cap:
+        if speed > V_CAP:
             j = int(kept[step[k] + 1])
             shown = f"{speed:.2f}" if speed < 1e6 else f"{speed:.3e}"  # not 309 digits at 1e308
             found.append((j, 3, f"{base}/states/{j}",
-                          f"implied speed {shown} m/s exceeds cap {v_cap} m/s"))
+                          f"implied speed {shown} m/s exceeds cap {V_CAP} m/s"))
     found.sort()
     return [(path, message) for _, _, path, message in found]
 
@@ -478,7 +478,7 @@ def obstacle_issues(obstacles: ObstacleMap) -> list[tuple[str, str]]:
     return issues
 
 
-def check_episode(episode: Episode, v_cap: float = DEFAULT_V_CAP) -> list[tuple[str, str]]:
+def check_episode(episode: Episode) -> list[tuple[str, str]]:
     """Check every data-model invariant; returns (path, message) violations."""
     issues: list[tuple[str, str]] = []
 
@@ -508,7 +508,7 @@ def check_episode(episode: Episode, v_cap: float = DEFAULT_V_CAP) -> list[tuple[
                 issues.append((f"{base}/goal/tolerance", f"must be > 0, got {agent.goal.tolerance}"))
             if not agent.goal.position.is_finite():
                 issues.append((f"{base}/goal", "position must be finite"))
-        issues.extend(_sample_issues(base, agent, v_cap))
+        issues.extend(_sample_issues(base, agent))
 
         if robot is not None and len(robot.t):
             if agent.t_start > robot.t_end or agent.t_end < robot.t_start:
@@ -523,8 +523,8 @@ def check_episode(episode: Episode, v_cap: float = DEFAULT_V_CAP) -> list[tuple[
     return issues
 
 
-def validate_episode(episode: Episode, v_cap: float = DEFAULT_V_CAP) -> None:
+def validate_episode(episode: Episode) -> None:
     """Raise InvariantError naming the first violated field, if any."""
-    issues = check_episode(episode, v_cap=v_cap)
+    issues = check_episode(episode)
     if issues:
         raise InvariantError(issues[0][0], issues[0][1])

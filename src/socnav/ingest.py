@@ -20,7 +20,6 @@ import numpy as np
 
 from .core import (
     DEFAULT_HUMAN_RADIUS,
-    DEFAULT_V_CAP,
     AgentKind,
     AgentRecord,
     Episode,
@@ -377,7 +376,7 @@ def _parse_obstacles(raw, issues, unknown) -> tuple[ObstacleMap, dict[str, str]]
     return ObstacleMap(segments=segments, dynamic=tuple(d[:2] for d in dynamic)), in_file
 
 
-def _build_episode(doc, issues: _Issues, v_cap: float = DEFAULT_V_CAP) -> Episode | None:
+def _build_episode(doc, issues: _Issues) -> Episode | None:
     """Decode and check an episode; each broken model invariant is an InvariantError."""
     if not isinstance(doc, dict):
         issues.error("", f"document root must be an object, got {type(doc).__name__}")
@@ -434,7 +433,7 @@ def _build_episode(doc, issues: _Issues, v_cap: float = DEFAULT_V_CAP) -> Episod
                       labels=tuple(labels), metadata=metadata)
     # Name an obstacle set or segment by its place in the file. check_episode
     # visits dynamic sets by stamp; their issues go by set, then t, then segment.
-    found = [(in_file.get(path, path), message) for path, message in check_episode(episode, v_cap)]
+    found = [(in_file.get(path, path), message) for path, message in check_episode(episode)]
     at = [k for k, (path, _) in enumerate(found) if path.startswith("/obstacles/dynamic/")]
     in_order = sorted((found[k] for k in at),  # "t" and "segments" rank as -1
                       key=lambda i: [int(p) if p.isdigit() else -1 for p in i[0].split("/")[3:]])
@@ -445,19 +444,19 @@ def _build_episode(doc, issues: _Issues, v_cap: float = DEFAULT_V_CAP) -> Episod
     return episode
 
 
-def parse_episode(document: bytes | str, v_cap: float = DEFAULT_V_CAP) -> Episode:
+def parse_episode(document: bytes | str) -> Episode:
     """Parse and fully validate an interchange document.
 
     Raises MalformedDocument, SchemaError (with a JSON-pointer path), or
     InvariantError (model invariant broken, e.g. non-monotonic timestamps).
     """
-    episode = _build_episode(load_json(document), _Issues(strict=True), v_cap=v_cap)
+    episode = _build_episode(load_json(document), _Issues(strict=True))
     if episode is None:
         raise SchemaError("", "document could not be interpreted")
     return episode
 
 
-def validate(document: bytes | str, v_cap: float = DEFAULT_V_CAP) -> list[ValidationIssue]:
+def validate(document: bytes | str) -> list[ValidationIssue]:
     """Report all problems in a document without raising.
 
     The result contains error-severity issues exactly when parse_episode
@@ -469,16 +468,15 @@ def validate(document: bytes | str, v_cap: float = DEFAULT_V_CAP) -> list[Valida
     except MalformedDocument as e:
         return [ValidationIssue("error", "", str(e))]
     issues = _Issues(strict=False)
-    episode = _build_episode(doc, issues, v_cap=v_cap)
+    episode = _build_episode(doc, issues)
     if episode is not None and not issues.has_errors:
         issues.items.extend(_velocity_consistency_warnings(episode))
     return issues.items
 
 
-def _velocity_consistency_warnings(episode: Episode,
-                                   rel_tol: float = 0.2,
-                                   abs_floor: float = 0.1) -> list[ValidationIssue]:
-    """Warn where a stored velocity disagrees with finite differences by >20%.
+def _velocity_consistency_warnings(episode: Episode) -> list[ValidationIssue]:
+    """Warn where a stored velocity disagrees with finite differences by more
+    than 0.1 m/s and by more than 20% of the larger of the two speeds.
 
     Only interior states are checked: the one-sided endpoint differences
     are first-order and legitimately disagree with instantaneous
@@ -497,11 +495,11 @@ def _velocity_consistency_warnings(episode: Episode,
             # this margin: it only picks the candidates, math.hypot decides.
             dev = np.hypot(ex, ey)
             scale = np.maximum(np.hypot(fd[:, 0], fd[:, 1]), np.hypot(vx, vy))
-            near = (dev > abs_floor * (1 - 1e-9)) & (dev > rel_tol * scale * (1 - 1e-9))
+            near = (dev > 0.1 * (1 - 1e-9)) & (dev > 0.2 * scale * (1 - 1e-9))
         for k in np.flatnonzero(near).tolist():
             dev = math.hypot(ex[k], ey[k])
             scale = max(math.hypot(fd[k, 0], fd[k, 1]), math.hypot(vx[k], vy[k]))
-            if dev > abs_floor and dev > rel_tol * scale:
+            if dev > 0.1 and dev > 0.2 * scale:
                 shown = f"{dev:.3f}" if dev < 1e6 else f"{dev:.3e}"  # not 200 digits at 1e200
                 out.append(ValidationIssue(
                     "warning", f"/agents/{i}/states/{inner[k]}/vx",
@@ -568,9 +566,7 @@ def serialize_episode(episode: Episode) -> bytes:
 
 # --- TSV import -------------------------------------------------------------
 
-def import_tsv(rows: str | bytes, frame_rate: float, robot_id: str | None = None,
-               radius: float = DEFAULT_HUMAN_RADIUS,
-               episode_id: str = "tsv-import") -> Episode:
+def import_tsv(rows: str | bytes, frame_rate: float, robot_id: str | None = None) -> Episode:
     """Import a bird's-eye-view trajectory table.
 
     Row format: ``frame_id<TAB>agent_id<TAB>x<TAB>y``; lines starting with
@@ -578,6 +574,7 @@ def import_tsv(rows: str | bytes, frame_rate: float, robot_id: str | None = None
     humans except ``robot_id``; when no robot id is given the first agent
     id (sorted) is promoted to robot under test. Agents whose time span
     does not overlap the robot's are dropped (the episode is robot-centric).
+    Every agent gets ``DEFAULT_HUMAN_RADIUS``; the episode id is "tsv-import".
     The result is checked as a parsed episode would be: InvariantError
     names the first violation, so no import yields a file validate rejects.
     Bytes that are not UTF-8 raise MalformedDocument.
@@ -619,7 +616,7 @@ def import_tsv(rows: str | bytes, frame_rate: float, robot_id: str | None = None
         frames = sorted(samples[agent_id])
         xy = np.array([samples[agent_id][f] for f in frames])
         kind = AgentKind.ROBOT if agent_id == effective_robot else AgentKind.HUMAN
-        record = AgentRecord(id=agent_id, kind=kind, radius=radius,
+        record = AgentRecord(id=agent_id, kind=kind, radius=DEFAULT_HUMAN_RADIUS,
                              t=np.array(frames) / frame_rate, x=xy[:, 0], y=xy[:, 1])
         if len(frames) >= 2:
             record = replace(record, heading=motion_headings(record))
@@ -629,7 +626,7 @@ def import_tsv(rows: str | bytes, frame_rate: float, robot_id: str | None = None
     kept = tuple(r for r in records
                  if r.t_start <= robot.t_end and r.t_end >= robot.t_start)
     episode = Episode(
-        episode_id=episode_id,
+        episode_id="tsv-import",
         robot_under_test=effective_robot,
         agents=kept,
         metadata={"source": "tsv", "frame_rate": repr(float(frame_rate))},

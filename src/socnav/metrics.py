@@ -1,8 +1,9 @@
 """The hand-crafted metric suite, stepwise and taskwise, with taxonomy codes.
 
-Every public operation takes ``(episode, params=None, dt=None)``; steps are
-the samples of ``episode.resampled(dt)``, built once per dt and shared with
-the classifiers; dt defaults to the robot's median raw sampling interval.
+Every public operation takes ``(episode, params=None, dt=None)`` and no
+other setting. Steps are the samples of ``episode.resampled(dt)``, built once
+per dt and shared with the classifiers; dt defaults to the robot's median raw
+sampling interval.
 All distances between agents are center-to-center unless a body radius is
 explicitly involved (collisions, clearing distance).
 
@@ -221,10 +222,9 @@ def _time_to_goal(frames: _Frames) -> Optional[float]:
     return frames.reach_time - frames.t0
 
 
-def path_length(episode: Episode, params: Optional[MetricParams] = None,
-                dt: Optional[float] = None) -> float:
+def _path_length(frames: _Frames) -> float:
     """PL: sum of consecutive displacements of the raw robot positions."""
-    xy = episode.robot.positions
+    xy = frames.episode.robot.positions
     if len(xy) < 2:
         return 0.0
     return float(np.linalg.norm(np.diff(xy, axis=0), axis=1).sum())
@@ -241,7 +241,7 @@ def _spl(frames: _Frames) -> float:
         # Degenerate start-on-goal case: the ratio would report 0 for a
         # success, but SPL = 0 must mean failure.
         return 1.0
-    return straight / max(straight, path_length(frames.episode))
+    return straight / max(straight, _path_length(frames))
 
 
 def _features(values: np.ndarray) -> tuple[float, float, float]:
@@ -271,26 +271,15 @@ def _clearing_distance_features(frames: _Frames) -> tuple[float, Optional[float]
     return float(clearance.min()), float(clearance.mean())
 
 
-def space_compliance(episode: Episode, params: Optional[MetricParams] = None,
-                     dt: Optional[float] = None, threshold: Optional[float] = None,
-                     complement: bool = False) -> float:
-    """SC: fraction of steps keeping at least the threshold distance to humans.
+def _space_compliance(frames: _Frames) -> float:
+    """SC: fraction of steps keeping at least ``params.space_threshold`` to every human.
 
-    The default reading rewards compliance (1.0 is best); pass
-    ``complement=True`` for the violation-ratio reading. At the default
+    The reading rewards compliance (1.0 is best), and reports echo
+    ``complement: false``; the violation ratio is 1 - SC. At the default
     0.5 m threshold this is the usual personal-space-compliance number.
     Distances are center-to-center to suit point-trajectory datasets.
     """
-    frames = _Frames(episode, params, dt)
-    return _space_compliance(frames, threshold=threshold, complement=complement)
-
-
-def _space_compliance(frames: _Frames, threshold: Optional[float] = None,
-                      complement: bool = False) -> float:
-    if threshold is None:
-        threshold = frames.params.space_threshold
-    compliant = float(np.mean(frames.nearest_human >= threshold))
-    return 1.0 - compliant if complement else compliant
+    return float(np.mean(frames.nearest_human >= frames.params.space_threshold))
 
 
 def _min_distance_to_human(frames: _Frames) -> float:
@@ -347,7 +336,7 @@ class _Row(NamedTuple):
     code: str
     fn: Callable[[_Frames], object]
     params: tuple[str, ...] = ()  # the MetricParams fields echoed in params_used
-    fixed: tuple[tuple[str, object], ...] = ()  # constant echoes: SC's default reading
+    fixed: tuple[tuple[str, object], ...] = ()  # constant echoes: SC's one reading
     needs_goal: bool = False
     min_states: int = 0
     stencil: str = ""
@@ -369,7 +358,7 @@ _ROWS = (
          needs_goal=True),
     _Row(("ST",), "s", "NHT", _stalled_time, ("stall_speed", "stall_min_duration")),
     _Row(("T",), "s", "NHT", _time_to_goal, _SUCCESS_PARAMS, needs_goal=True),
-    _Row(("PL",), "m", "NHT", lambda frames: path_length(frames.episode)),
+    _Row(("PL",), "m", "NHT", _path_length),
     _Row(("SPL",), "1", "NHT", _spl, _SUCCESS_PARAMS, needs_goal=True),
     _Row(("V_min", "V_avg", "V_max"), "m/s", "SHT", _velocity_features, min_states=2),
     _Row(("A_min", "A_avg", "A_max"), "m/s^2", "SHT", _acceleration_features, min_states=3,
@@ -433,11 +422,13 @@ timeout = _public(_timeout)
 failure_to_progress = _public(_failure_to_progress)
 stalled_time = _public(_stalled_time)
 time_to_goal = _public(_time_to_goal)
+path_length = _public(_path_length)
 spl = _public(_spl)
 velocity_features = _public(_velocity_features)
 acceleration_features = _public(_acceleration_features)
 jerk_features = _public(_jerk_features)
 clearing_distance_features = _public(_clearing_distance_features)
+space_compliance = _public(_space_compliance)
 min_distance_to_human = _public(_min_distance_to_human)
 min_time_to_collision = _public(_min_time_to_collision)
 aggregated_time = _public(_aggregated_time)

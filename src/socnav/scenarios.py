@@ -514,13 +514,12 @@ def _arbitrate(labels: list[ScenarioLabel]) -> list[ScenarioLabel]:
 
 
 def classify(episode: Episode, cards: Optional[Mapping[str, ScenarioCard]] = None,
-             params: Optional[ClassifierParams] = None,
              dt: Optional[float] = None) -> tuple[ScenarioLabel, ...]:
     """Run every card's detector and return the arbitrated labels.
 
-    ``params`` overrides each card's own labeling criteria when given.
-    Cards without labeling criteria are documentation-only and skipped;
-    a card with criteria but no detector raises UnknownCard.
+    Each detector reads its own card's labeling criteria, the values a card
+    file records. Cards without labeling criteria are documentation-only and
+    skipped; a card with criteria but no detector raises UnknownCard.
     """
     cards = _BUILTIN_CARDS if cards is None else cards
     _, timeline, robot, others = episode.resampled(dt)
@@ -533,8 +532,7 @@ def classify(episode: Episode, cards: Optional[Mapping[str, ScenarioCard]] = Non
             continue
         if name not in _DETECTORS:
             raise UnknownCard(f"no detector for card {name!r}")
-        effective = params if params is not None else criteria
-        windows = _DETECTORS[name](episode, robot, pairs, timeline, effective)
+        windows = _DETECTORS[name](episode, robot, pairs, timeline, criteria)
         labels.extend(ScenarioLabel(name, ids, float(timeline[s]), float(timeline[e - 1]),
                                     min(margins)) for ids, s, e, margins in windows)
 

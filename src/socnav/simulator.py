@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -55,27 +55,21 @@ SCENARIO_NAMES = (
 _WAYPOINT_TOLERANCE = 0.4
 _STOP_LOOKAHEAD = 0.1
 
+# Unit-mass social-force constants (forces are accelerations). The repulsion
+# strength is tuned so that the generated scenarios stay collision-free: with
+# goal drive v/tau ~ 2 m/s^2, a contact repulsion of the same order is too
+# weak to resolve head-on encounters.
+_RELAXATION_TIME = 0.5
+_REPULSION_STRENGTH = 5.0
+_REPULSION_RANGE = 0.3
+_OBSTACLE_STRENGTH = 3.0
+_OBSTACLE_RANGE = 0.2
+_V_MAX = 2.0
 
-@dataclass(frozen=True)
-class SfmParams:
-    """Unit-mass social-force constants (forces are accelerations).
 
-    The repulsion strength is tuned so that the generated scenarios stay
-    collision-free at defaults: with goal drive v/tau ~ 2 m/s^2, a contact
-    repulsion of the same order is too weak to resolve head-on encounters.
-    """
-
-    relaxation_time: float = 0.5
-    repulsion_strength: float = 5.0
-    repulsion_range: float = 0.3
-    obstacle_strength: float = 3.0
-    obstacle_range: float = 0.2
-    v_max: float = 2.0
-
-    def __post_init__(self):
-        for f in fields(self):
-            if getattr(self, f.name) <= 0:
-                raise InvariantError(f"/sfm/{f.name}", "must be > 0")
+def _positive_finite(value, path: str) -> None:
+    if not (value > 0 and math.isfinite(value)):
+        raise InvariantError(path, f"must be a positive finite number, got {value}")
 
 
 @dataclass(frozen=True)
@@ -94,8 +88,8 @@ class AgentSpec:
         if self.policy not in POLICIES:
             raise InvariantError(f"/agents/{self.agent_id}/policy",
                                  f"unknown policy {self.policy!r}")
-        if self.desired_speed <= 0:
-            raise InvariantError(f"/agents/{self.agent_id}/desired_speed", "must be > 0")
+        _positive_finite(self.desired_speed, f"/agents/{self.agent_id}/desired_speed")
+        _positive_finite(self.radius, f"/agents/{self.agent_id}/radius")
         if self.policy == "replay" and (self.replay is None or not len(self.replay.t)
                                         or not (np.diff(self.replay.t) > 0).all()):
             raise InvariantError(f"/agents/{self.agent_id}/replay",
@@ -107,17 +101,14 @@ class SimConfig:
     dt: float = 0.05
     max_duration: float = 30.0
     seed: int = 0
-    sfm: SfmParams = SfmParams()
     scene: ObstacleMap = ObstacleMap()
     agents: tuple[AgentSpec, ...] = ()
     episode_id: str = "sim"
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise InvariantError("/dt", "must be > 0")
-        if self.max_duration <= 0:
-            raise InvariantError("/max_duration", "must be > 0")
+        _positive_finite(self.dt, "/dt")
+        _positive_finite(self.max_duration, "/max_duration")
         if not self.agents:
             raise InvariantError("/agents", "must hold at least one agent")
         if issues := obstacle_issues(self.scene):
@@ -190,9 +181,6 @@ class _Plan:
 
     def __init__(self, config: SimConfig):
         self.dt = config.dt
-        p = config.sfm
-        self.sfm = (p.relaxation_time, p.repulsion_strength, p.repulsion_range,
-                    p.obstacle_strength, p.obstacle_range, p.v_max)
         radii = [a.radius for a in config.agents]
         self.agents = tuple(
             (spec.policy,
@@ -238,8 +226,9 @@ def _advance(plan: _Plan, t: float, pos: list, vel: list, headings: list,
     ``waypoint_idx`` and sets ``reached`` in place.
     """
     dt = plan.dt
-    relaxation_time, repulsion_strength, repulsion_range, \
-        obstacle_strength, obstacle_range, v_max = plan.sfm
+    relaxation_time, repulsion_strength, repulsion_range = \
+        _RELAXATION_TIME, _REPULSION_STRENGTH, _REPULSION_RANGE
+    obstacle_strength, obstacle_range, v_max = _OBSTACLE_STRENGTH, _OBSTACLE_RANGE, _V_MAX
     segs = plan.segment_sets[plan.scene.set_index(t)]
     hypot, exp, atan2, isfinite = math.hypot, math.exp, math.atan2, math.isfinite
     new_pos, new_vel, new_heading = [], [], []
@@ -401,31 +390,30 @@ def run(config: SimConfig) -> Episode:
 
 # --- Scenario generation ------------------------------------------------------
 
-def _corridor(half_width: float, x0: float = -7.0, x1: float = 7.0) -> ObstacleMap:
+def _corridor(half_width: float) -> ObstacleMap:
     return ObstacleMap(segments=(
-        (Vec2(x0, half_width), Vec2(x1, half_width)),
-        (Vec2(x0, -half_width), Vec2(x1, -half_width)),
+        (Vec2(-7.0, half_width), Vec2(7.0, half_width)),
+        (Vec2(-7.0, -half_width), Vec2(7.0, -half_width)),
     ))
 
 
-def _l_corridor(half_width: float = 0.8, reach: float = 6.0) -> ObstacleMap:
-    """L-shaped corridor: horizontal leg along -x, vertical leg along -y."""
+def _l_corridor(half_width: float) -> ObstacleMap:
+    """L-shaped corridor: horizontal leg along -x, vertical leg along -y, each 6 m long."""
     w = half_width
     return ObstacleMap(segments=(
-        (Vec2(-reach, w), Vec2(w, w)),        # outer top
-        (Vec2(w, w), Vec2(w, -reach)),        # outer right
-        (Vec2(-reach, -w), Vec2(-w, -w)),     # inner bottom
-        (Vec2(-w, -w), Vec2(-w, -reach)),     # inner left
+        (Vec2(-6.0, w), Vec2(w, w)),        # outer top
+        (Vec2(w, w), Vec2(w, -6.0)),        # outer right
+        (Vec2(-6.0, -w), Vec2(-w, -w)),     # inner bottom
+        (Vec2(-w, -w), Vec2(-w, -6.0)),     # inner left
     ))
 
 
-def _spec(agent_id, kind, policy, start, goal_xy, speed, waypoints=(), tolerance=0.3,
-          radius=0.3):
+def _spec(agent_id, kind, policy, start, goal_xy, speed, waypoints=()):
     return AgentSpec(
         agent_id=agent_id, kind=kind, policy=policy,
         position=Vec2(float(start[0]), float(start[1])),
-        goal=Goal(position=Vec2(float(goal_xy[0]), float(goal_xy[1])), tolerance=tolerance),
-        desired_speed=float(speed), radius=radius,
+        goal=Goal(position=Vec2(float(goal_xy[0]), float(goal_xy[1])), tolerance=0.3),
+        desired_speed=float(speed), radius=0.3,
         waypoints=tuple(Vec2(float(w[0]), float(w[1])) for w in waypoints),
     )
 

@@ -282,7 +282,9 @@ def reference_step(state, config):
     """
     import numpy as np
 
-    from socnav.simulator import _STOP_LOOKAHEAD, _WAYPOINT_TOLERANCE, SimState
+    from socnav.simulator import (_OBSTACLE_RANGE, _OBSTACLE_STRENGTH, _RELAXATION_TIME,
+                                  _REPULSION_RANGE, _REPULSION_STRENGTH, _STOP_LOOKAHEAD,
+                                  _V_MAX, _WAYPOINT_TOLERANCE, SimState)
 
     def current_target(spec, waypoint_idx):
         if waypoint_idx < len(spec.waypoints):
@@ -300,7 +302,6 @@ def reference_step(state, config):
         t = float(np.clip((point - a) @ d / len2, 0.0, 1.0))
         return a + t * d
 
-    p = config.sfm
     dt = config.dt
     pos = state.pos
     new_vel = np.zeros_like(state.vel)
@@ -343,7 +344,7 @@ def reference_step(state, config):
             to_target = target - pos[i]
             d = np.linalg.norm(to_target)
             if d > 1e-9:
-                speed = min(spec.desired_speed, d / dt, p.v_max)
+                speed = min(spec.desired_speed, d / dt, _V_MAX)
                 new_vel[i] = to_target / d * speed
             continue
 
@@ -367,7 +368,7 @@ def reference_step(state, config):
                         blocked = True
                         break
             if not blocked:
-                speed = min(spec.desired_speed, d / dt, p.v_max)
+                speed = min(spec.desired_speed, d / dt, _V_MAX)
                 new_vel[i] = e * speed
             continue
 
@@ -376,14 +377,14 @@ def reference_step(state, config):
             to_target = target - pos[i]
             d = np.linalg.norm(to_target)
             if d > 1e-9:
-                force += (spec.desired_speed * to_target / d - state.vel[i]) / p.relaxation_time
+                force += (spec.desired_speed * to_target / d - state.vel[i]) / _RELAXATION_TIME
             else:
-                force += -state.vel[i] / p.relaxation_time
+                force += -state.vel[i] / _RELAXATION_TIME
         else:
-            force += -state.vel[i] / p.relaxation_time
+            force += -state.vel[i] / _RELAXATION_TIME
 
         gaps = dist[i] - (radii[i] + radii)
-        weights = p.repulsion_strength * np.exp(-gaps / p.repulsion_range)
+        weights = _REPULSION_STRENGTH * np.exp(-gaps / _REPULSION_RANGE)
         weights[i] = 0.0
         force += np.einsum("j,jd->d", weights, diff[i] / safe[i][:, None])
 
@@ -393,13 +394,13 @@ def reference_step(state, config):
             gap = np.linalg.norm(away)
             if gap < 1e-6:
                 continue
-            force += (p.obstacle_strength * math.exp(-(gap - radii[i]) / p.obstacle_range)
+            force += (_OBSTACLE_STRENGTH * math.exp(-(gap - radii[i]) / _OBSTACLE_RANGE)
                       * away / gap)
 
         v = state.vel[i] + force * dt
         speed = np.linalg.norm(v)
-        if speed > p.v_max:
-            v = v / speed * p.v_max
+        if speed > _V_MAX:
+            v = v / speed * _V_MAX
         new_vel[i] = v
 
     new_pos = pos + new_vel * dt

@@ -513,6 +513,23 @@ def test_compare_bad_label_spec(tmp_path):
     assert main(["compare", "--label", "nonsense"]) == 2
 
 
+def test_compare_repeated_label_one_line(documents, capsys):
+    capsys.readouterr()
+    summary = documents["summary"]
+    assert main(["compare", "--label", f"a={summary}", "--label", f"a={summary}"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["--label 'a' is given more than once"]
+
+
+def test_card_name_in_two_files_one_line(episode_file, tmp_path, capsys):
+    cards = tmp_path / "cards"
+    cards.mkdir()
+    for name in ("one.json", "two.json"):
+        (cards / name).write_bytes(serialize_card(builtin_cards()["parallel_traffic"]))
+    assert main(["classify", "--cards", str(cards), str(episode_file)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {cards / 'one.json'} and {cards / 'two.json'} both define card 'parallel_traffic'"]
+
+
 def test_stdout_output(episode_file, capsysbinary):
     assert main(["compute", str(episode_file)]) == 0
     raw = capsysbinary.readouterr().out

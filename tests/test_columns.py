@@ -16,7 +16,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from socnav.core import DEFAULT_V_CAP, _sample_issues, motion_headings
+from socnav.core import V_CAP, _sample_issues, motion_headings
 from socnav.geometry import wrap_angle
 from socnav.ingest import _build_episode, _Issues, _velocity_consistency_warnings
 
@@ -46,10 +46,10 @@ def agent_states(draw):
         if j:
             move = draw(st.sampled_from(["walk", "cap", "repeat", "back"]))
             dt = draw(st.sampled_from([0.05, 0.1, 0.25, 1.0]))
-            if move == "cap":  # DEFAULT_V_CAP give or take an ulp of x
+            if move == "cap":  # V_CAP give or take an ulp of x
                 angle = draw(st.floats(0.0, 2 * math.pi))
-                x = _ulps(x + DEFAULT_V_CAP * dt * math.cos(angle), draw(st.integers(-1, 1)))
-                y = y + DEFAULT_V_CAP * dt * math.sin(angle)
+                x = _ulps(x + V_CAP * dt * math.cos(angle), draw(st.integers(-1, 1)))
+                y = y + V_CAP * dt * math.sin(angle)
             else:
                 x, y = x + draw(COORD), y + draw(COORD)
             t += {"walk": dt, "cap": dt, "repeat": 0.0, "back": -dt}[move]
@@ -136,8 +136,8 @@ def test_columns_match_per_sample_oracles(doc, raw_headings):
             if raw_headings:  # unwrapped headings, to reach the range check
                 agent = replace(agent, heading=[s.get("theta", 0.0) for s in states])
             base = f"/agents/{i}"
-            assert (_sample_issues(base, agent, DEFAULT_V_CAP)
-                    == sample_issues_oracle(base, agent, DEFAULT_V_CAP))
+            assert (_sample_issues(base, agent)
+                    == sample_issues_oracle(base, agent, V_CAP))
         warnings = [(w.path, w.message) for w in _velocity_consistency_warnings(episode)]
         assert warnings == velocity_warnings_oracle(episode)
 
@@ -145,13 +145,13 @@ def test_columns_match_per_sample_oracles(doc, raw_headings):
 def test_examples_reach_the_rules_they_pin():
     """The examples above sit on the decisions they pin (by math.hypot)."""
     cap = _build_episode(CAP_EXAMPLE, _Issues(strict=False))
-    assert [m for _, m in _sample_issues("/a", cap.agents[0], DEFAULT_V_CAP)] == [
+    assert [m for _, m in _sample_issues("/a", cap.agents[0])] == [
         "implied speed 10.00 m/s exceeds cap 10.0 m/s"]
     warned = _build_episode(WARNING_EXAMPLE, _Issues(strict=False))
     assert [w.path for w in _velocity_consistency_warnings(warned)] == ["/agents/0/states/1/vx"]
     still = _build_episode(STATIONARY_EXAMPLE, _Issues(strict=False))
     assert motion_headings(still.agents[0]).tolist() == [math.pi / 2, math.pi / 2]
     huge = _build_episode(HUGE_SPEED_EXAMPLE, _Issues(strict=False))
-    assert [m for _, m in _sample_issues("/a", huge.agents[0], DEFAULT_V_CAP)] == [
+    assert [m for _, m in _sample_issues("/a", huge.agents[0])] == [
         "implied speed 2.500e+06 m/s exceeds cap 10.0 m/s",
         "implied speed 1.000e+308 m/s exceeds cap 10.0 m/s"]

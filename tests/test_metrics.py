@@ -345,7 +345,6 @@ class TestSpaceCompliance:
         human = make_agent("h", [(i * 0.1, 0.0) for i in range(11)])
         ep = make_episode([robot, human])
         assert space_compliance(ep, PARAMS) == 0.0
-        assert space_compliance(ep, PARAMS, complement=True) == 1.0
 
     def test_half_compliant(self):
         # robot x = 0..0.9, human fixed at 0.95: exactly the 5 steps with
@@ -359,13 +358,13 @@ class TestSpaceCompliance:
 
     def test_monotone_in_threshold(self):
         ep = fuzz_episode(7)
-        values = [space_compliance(ep, PARAMS, threshold=th)
+        values = [space_compliance(ep, MetricParams(space_threshold=th))
                   for th in (0.1, 0.5, 1.0, 2.0, 4.0)]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_sc_zero_threshold(self):
         ep = fuzz_episode(9)
-        assert space_compliance(ep, PARAMS, threshold=1e-12) == 1.0
+        assert space_compliance(ep, MetricParams(space_threshold=1e-12)) == 1.0
 
 
 class TestDistanceAndTTC:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -139,10 +140,14 @@ class TestClassify:
                     for a, b in zip(group, group[1:]):
                         assert a.t_end < b.t_start
 
-    def test_params_override(self):
+    def test_card_criteria_drive_its_detector(self):
         ep = run(generate_scenario("intersection", 1))
-        strict = ClassifierParams(proximity_max=0.01)
-        assert all(l.scenario != "intersection" for l in classify(ep, params=strict))
+        card = builtin_cards()["intersection"]
+        strict = dataclasses.replace(card, usage_guide=dataclasses.replace(
+            card.usage_guide, labeling_criteria=ClassifierParams(proximity_max=0.01)))
+        for given, labeled in ((card, True), (strict, False)):
+            labels = classify(ep, cards={"intersection": given})
+            assert any(l.scenario == "intersection" for l in labels) is labeled
 
     @pytest.mark.parametrize("name", CLASSIFIABLE_SCENARIOS)
     def test_smoke_recall(self, name):

@@ -21,7 +21,7 @@ from socnav.simulator import (
     SCENARIO_NAMES,
     AgentSpec,
     SimConfig,
-    SfmParams,
+    _V_MAX,
     generate_scenario,
     init_state,
     run,
@@ -165,7 +165,22 @@ class TestRun:
             SimConfig(max_duration=0.2)
         assert err.value.path == "/agents"
 
-    @pytest.mark.parametrize("t", [[], [0.0, 0.2, 0.1], [0.0, 0.0], [0.0, math.nan]])
+    @pytest.mark.parametrize("value", [0.0, -0.1, math.inf, math.nan])
+    @pytest.mark.parametrize("field, path", [
+        ("dt", "/dt"), ("max_duration", "/max_duration"),
+        ("desired_speed", "/agents/robot/desired_speed"), ("radius", "/agents/robot/radius"),
+    ])
+    def test_config_values_run_cannot_honour_rejected(self, field, path, value):
+        """An infinite max_duration would never end run's loop: only the constructors run here."""
+        spec = single_agent_config().agents[0]
+        with pytest.raises(InvariantError) as err:
+            if field in ("dt", "max_duration"):
+                SimConfig(agents=(spec,), **{field: value})
+            else:
+                dataclasses.replace(spec, **{field: value})
+        assert err.value.path == path
+
+    @pytest.mark.parametrize("t",[[], [0.0, 0.2, 0.1], [0.0, 0.0], [0.0, math.nan]])
     def test_replay_track_needs_increasing_times(self, t):
         track = AgentRecord(id="robot", kind=AgentKind.ROBOT, radius=0.3, t=np.array(t),
                             x=np.zeros(len(t)), y=np.zeros(len(t)))
@@ -183,7 +198,7 @@ class TestRun:
             ep = run(generate_scenario("random_crossing", seed))
             for agent in ep.agents:
                 speeds = np.linalg.norm(agent.velocities, axis=1)
-                assert np.all(speeds <= SfmParams().v_max + 1e-9)
+                assert np.all(speeds <= _V_MAX + 1e-9)
 
 
 class TestScenarioGeometry:
