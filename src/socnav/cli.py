@@ -9,14 +9,23 @@ for the interpreter lock. ``simulator``, ``scenarios``, ``report`` and
 ``metrics`` are imported only by the subcommands that call them. A
 subcommand reads, calls the library and writes; each document format
 lives with its dataclasses in ``ingest``, ``report`` or ``scenarios``.
+
+BLAS runs single-threaded unless ``OPENBLAS_NUM_THREADS`` is set: socnav
+never hands BLAS enough work to use a second thread, and the idle worker
+pool that ``import numpy`` would otherwise start costs each process CPU
+time at start-up. The variable is set before numpy is first imported, and
+a value the caller set wins.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from pathlib import Path
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before ingest imports numpy
 
 from . import ingest
 from .core import MetricParams

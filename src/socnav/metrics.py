@@ -98,7 +98,7 @@ class _Frames:
         obstacles = self.episode.obstacles
         out = np.full(len(self.timeline), np.inf)
         groups = obstacles.set_index(self.timeline)
-        for g in np.unique(groups).tolist():
+        for g in sorted(set(groups.tolist())):  # np.unique would import numpy.ma
             a, b = obstacles.segment_sets[g]
             if len(a):
                 steps = groups == g

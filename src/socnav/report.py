@@ -20,8 +20,8 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import FLOAT_PARAMS, MetricParams, _param_echo
-from .errors import EmptyCorpus, SchemaError
+from .core import FLOAT_PARAMS, MetricParams, _param_echo, median
+from .errors import EmptyCorpus, InvariantError, SchemaError
 from .ingest import (_array, _finite, _integer, _Issues, _object, _string,
                      canonical_json_bytes, load_json)
 from .metrics import (STEPWISE_UNITS, TASKWISE_KEYS, UNITS, MetricReport, MetricValue,
@@ -233,13 +233,22 @@ def _distribution(name: str, values: Sequence, bins: int) -> Distribution:
     return Distribution(
         n=len(finite), n_excluded=excluded, mean=mean, std=std,
         min=float(finite.min()), max=float(finite.max()),
-        median=float(np.median(finite)),
+        median=float(median(finite)),
         edges=tuple(map(float, edges)), counts=tuple(map(int, counts)),
     )
 
 
 # Every metric's histogram holds bins + 1 edges in memory and in the summary file.
 MAX_BINS = 10_000
+
+
+def _same_params(params: MetricParams, expected: MetricParams, what: str, other: str):
+    """Fail at ``/params/<name>`` on the first field where ``what``'s params differ."""
+    for f in fields(MetricParams):
+        value, want = _param_echo(params, f.name), _param_echo(expected, f.name)
+        if value != want:
+            raise InvariantError(f"/params/{f.name}", f"{what} has {value!r} but {other} has "
+                                 f"{want!r}; results under other params are not comparable")
 
 
 def summarize(reports: Sequence[MetricReport], bins: int = 20) -> CorpusSummary:
@@ -250,18 +259,25 @@ def summarize(reports: Sequence[MetricReport], bins: int = 20) -> CorpusSummary:
         raise SchemaError("/bins", "must be >= 1")
     if bins > MAX_BINS:
         raise SchemaError("/bins", f"must be <= {MAX_BINS}, got {bins}")
-    names = list(TASKWISE_KEYS)
-    extra = [k for k in reports[0].taskwise if k not in TASKWISE_KEYS]
+    first = reports[0]
+    for i, r in enumerate(reports[1:], 2):
+        _same_params(r.params, first.params, f"report {i} (episode {r.episode_id!r})",
+                     f"report 1 (episode {first.episode_id!r})")
+    # The suite, then every other metric in first-seen order; a report
+    # without a metric counts in that metric's n_excluded.
+    names = dict.fromkeys(TASKWISE_KEYS)
+    for r in reports:
+        names.update(dict.fromkeys(r.taskwise))
     distributions = {
-        name: _distribution(name, [r.taskwise[name].value for r in reports
-                                   if name in r.taskwise], bins)
-        for name in names + extra
+        name: _distribution(name, [r.taskwise[name].value if name in r.taskwise else None
+                                   for r in reports], bins)
+        for name in names
     }
     s_dist = distributions.get("S")
     c_dist = distributions.get("C")
     return CorpusSummary(
         n_episodes=len(reports),
-        params=reports[0].params,
+        params=first.params,
         success_rate=s_dist.mean if s_dist and s_dist.n else None,
         collision_rate=c_dist.mean if c_dist and c_dist.n else None,
         distributions=distributions,
@@ -342,6 +358,10 @@ def compare(summaries: Mapping[str, CorpusSummary]) -> Comparison:
     if not summaries:
         raise EmptyCorpus("compare needs at least one summary")
     policies = tuple(summaries)
+    first = policies[0]
+    for policy in policies[1:]:
+        _same_params(summaries[policy].params, summaries[first].params,
+                     f"summary {policy!r}", f"summary {first!r}")
     metric_names: list[str] = []
     for summary in summaries.values():
         for name in summary.distributions:

@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import AgentKind, Episode, SampledAgent, event_runs
+from .core import AgentKind, Episode, SampledAgent, event_runs, median
 from .errors import InvariantError, SchemaError, UnknownCard
 from .geometry import sightlines_blocked, wrap_angle
 from .ingest import (_array, _integer, _Issues, _number, _object, _string,
@@ -288,7 +288,7 @@ def smoothed_heading(agent: SampledAgent, half_window: int) -> np.ndarray:
 
 def _margin_angle(deviation: np.ndarray, limit: float) -> float:
     """1 at zero deviation, 0 at the limit."""
-    return float(np.clip(1.0 - np.median(deviation) / limit, 0.0, 1.0))
+    return float(np.clip(1.0 - median(deviation) / limit, 0.0, 1.0))
 
 
 # --- Detectors ----------------------------------------------------------------
@@ -389,7 +389,7 @@ def _detect_frontal(ep, robot, pairs, timeline, p: ClassifierParams):
                 continue
             yield (robot.agent.id, h.agent.id), s, e, (
                 _margin_angle(dev[sl], p.facing_angle_max),
-                float(np.clip(np.median(closing[sl]) / (4 * p.approach_speed_min), 0, 1)),
+                float(np.clip(median(closing[sl]) / (4 * p.approach_speed_min), 0, 1)),
                 float(np.clip((clearance - clearance_needed) / clearance_needed, 0, 1)),
             )
 
@@ -404,8 +404,8 @@ def _detect_overtaking(ep, robot, pairs, timeline, p: ClassifierParams, robot_ov
         for s, e in _windows(timeline, mask, p.min_window_duration,
                              bridge=3.0 * p.min_window_duration):
             sl = slice(s, e)
-            front_speed = np.maximum(np.median(front_s.speed[sl]), 1e-9)
-            ratio = float(np.median(rear_s.speed[sl]) / front_speed)
+            front_speed = np.maximum(median(front_s.speed[sl]), 1e-9)
+            ratio = float(median(rear_s.speed[sl]) / front_speed)
             if ratio < p.overtake_speed_ratio_min:
                 continue
             behind = longitudinal[sl] > 0
@@ -471,7 +471,7 @@ def _detect_crowd_flow(ep, robot, pairs, timeline, p: ClassifierParams, parallel
         members = [h.agent.id for i, h in enumerate(humans) if bool(moving[i, sl].any())]
         yield tuple([robot.agent.id] + members), s, e, (
             _margin_angle(dev[sl], limit),
-            float(np.clip(np.median(count[sl]) / p.min_crowd_size - 0.5, 0, 1)),
+            float(np.clip(median(count[sl]) / p.min_crowd_size - 0.5, 0, 1)),
         )
 
 

@@ -127,14 +127,21 @@ def _walk_tsv(tmp_path, rows=None):
     return tsv
 
 
+def _child_env(**blas) -> dict:
+    """This checkout's socnav first; OPENBLAS_NUM_THREADS only if given."""
+    env = dict(os.environ, PYTHONPATH=str(Path(socnav.__file__).parents[1]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env.update(blas)
+    return env
+
+
 @pytest.mark.parametrize("hz", ["inf", "nan", "0", "-5"])
 def test_import_rejects_bad_frame_rate(tmp_path, hz):
     out = tmp_path / "ep.json"
-    env = dict(os.environ, PYTHONPATH=str(Path(socnav.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-m", "socnav.cli", "import", "--tsv", str(_walk_tsv(tmp_path)),
          f"--hz={hz}", "-o", str(out)],
-        capture_output=True, text=True, env=env, timeout=60)
+        capture_output=True, text=True, env=_child_env(), timeout=60)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
@@ -142,15 +149,31 @@ def test_import_rejects_bad_frame_rate(tmp_path, hz):
     assert not out.exists()
 
 
-def test_cli_import_leaves_simulator_and_scenarios_unloaded():
-    env = dict(os.environ, PYTHONPATH=str(Path(socnav.__file__).parents[1]))
-    code = ("import sys, socnav.cli; "
+def test_cli_import_leaves_simulator_and_scenarios_unloaded(tmp_path):
+    code = ("import os, sys, socnav; print('numpy' in sys.modules); "
+            "import socnav.cli; print(os.environ['OPENBLAS_NUM_THREADS']); "
             "print(sorted(m for m in ('socnav.simulator', 'socnav.scenarios', "
-            "'socnav.metrics', 'socnav.report') if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=60)
+            "'socnav.metrics', 'socnav.report') if m in sys.modules)); "
+            "print(socnav.cli.main(['compute', sys.argv[1], '-o', sys.argv[2]]), "
+            "'numpy.ma' in sys.modules)")
+    for blas, expected in (({}, "1"), ({"OPENBLAS_NUM_THREADS": "3"}, "3")):
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(GOLDEN / "dynamic_obstacles" / "episode.json"),
+             str(tmp_path / "report.json")],
+            capture_output=True, text=True, env=_child_env(**blas), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["False", expected, "[]", "0 False"]
+
+
+@pytest.mark.parametrize("blas", [{}, {"OPENBLAS_NUM_THREADS": "2"}])
+def test_compute_child_writes_golden_bytes_at_any_blas_thread_count(blas):
+    golden = GOLDEN / "dynamic_obstacles"
+    proc = subprocess.run(
+        [sys.executable, "-m", "socnav.cli", "compute", "--stepwise",
+         str(golden / "episode.json")],
+        capture_output=True, env=_child_env(**blas), timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout == (golden / "report.json").read_bytes()
 
 
 def test_import_output_passes_validate(tmp_path):
@@ -276,6 +299,56 @@ def test_validate_huge_velocity_deviation_line_stays_short(tmp_path, capsys, mon
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and "warning: /agents/0/states/3/vx" in lines[0]
     assert "by 1.000e+200 m/s" in lines[0] and len(lines[0]) < 120
+
+
+def _reports_under_two_params(tmp_path) -> tuple[Path, Path]:
+    episode = str(GOLDEN / "dynamic_obstacles" / "episode.json")
+    params = tmp_path / "params.json"
+    params.write_text('{"space_threshold": 2.0}')
+    first, second = tmp_path / "r1.json", tmp_path / "r2.json"
+    assert main(["compute", episode, "-o", str(first)]) == 0
+    assert main(["compute", episode, "--params", str(params), "-o", str(second)]) == 0
+    return first, second
+
+
+def test_summarize_mixed_params_one_line(tmp_path, capsys):
+    first, second = _reports_under_two_params(tmp_path)
+    out = tmp_path / "summary.json"
+    assert main(["summarize", str(first), str(second), "-o", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: /params/space_threshold: report 2 (episode 'golden_blind_corner') has 2.0 "
+        "but report 1 (episode 'golden_blind_corner') has 0.5; "
+        "results under other params are not comparable"]
+    assert not out.exists()
+
+
+def test_compare_mixed_params_one_line(tmp_path, capsys):
+    first, second = _reports_under_two_params(tmp_path)
+    for report_file, name in ((first, "a"), (second, "b")):
+        assert main(["summarize", str(report_file), "-o", str(tmp_path / f"{name}.json")]) == 0
+    out = tmp_path / "table.json"
+    assert main(["compare", "--label", f"a={tmp_path / 'a.json'}",
+                 "--label", f"b={tmp_path / 'b.json'}", "-o", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: /params/space_threshold: summary 'b' has 2.0 but summary 'a' has 0.5; "
+        "results under other params are not comparable"]
+    assert not out.exists()
+
+
+def test_summarize_extra_metric_from_any_report(tmp_path):
+    plain = GOLDEN / "dynamic_obstacles" / "report.json"
+    doc = json.loads(plain.read_bytes())
+    doc["metrics"]["XYZ"] = {"value": 3.0, "unit": "m", "code": "NHT", "params_used": {}}
+    extra = tmp_path / "extra.json"
+    extra.write_text(json.dumps(doc))
+    summaries = []
+    for order in ((plain, extra), (extra, plain)):
+        out = tmp_path / "summary.json"
+        assert main(["summarize", *map(str, order), "-o", str(out)]) == 0
+        summaries.append(json.loads(out.read_bytes())["metrics"])
+    xyz = summaries[0]["XYZ"]["distribution"]
+    assert (xyz["n"], xyz["n_excluded"], xyz["mean"]) == (1, 1, 3.0)
+    assert summaries[0] == summaries[1]
 
 
 def test_summarize_golden_reports_unchanged(tmp_path):

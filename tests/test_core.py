@@ -16,6 +16,7 @@ from socnav.core import (
     Vec2,
     common_timeline,
     event_runs,
+    median,
     median_sample_interval,
     validate_episode,
 )
@@ -223,6 +224,28 @@ class TestEventRuns:
     @example([False, True] * 5)
     def test_matches_plain_scan(self, mask):
         assert event_runs(np.array(mask, dtype=bool)) == event_runs_oracle(mask)
+
+
+_MEDIAN_FLOATS = st.floats(allow_nan=False) | st.sampled_from([math.inf, -math.inf, math.nan])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_MEDIAN_FLOATS, min_size=1, max_size=40)
+       | st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=1, max_size=40))
+@example([2.0])
+@example([1.0, 2.0])
+@example([3, 1, 2])
+@example([4, 1, 2, 3])
+@example([-0.0])
+@example([-5e-324, 0.0])
+@example([math.inf, -math.inf])
+@example([1.0, math.nan, 2.0])
+@example([1.7e308, 1.7e308])
+def test_median_matches_numpy_bit_for_bit(values):
+    a = np.array(values)
+    with np.errstate(all="ignore"):  # inf - inf and overflow, in both
+        got, want = median(a), np.median(a)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestValidation:
