@@ -5,30 +5,39 @@ Conventions: diagnostics go to stderr, data goes to ``-o`` targets or
 stdout; exit codes are 0 (ok), 1 (validation/data errors), 2 (usage),
 3 (I/O). Multi-file subcommands process their inputs one after another,
 in input order: the work is pure Python, so threads would only contend
-for the interpreter lock. ``simulator``, ``scenarios``, ``report`` and
-``metrics`` are imported only by the subcommands that call them. A
-subcommand reads, calls the library and writes; each document format
-lives with its dataclasses in ``ingest``, ``report`` or ``scenarios``.
+for the interpreter lock. ``compute`` over many episodes runs them all in
+one process and writes ``<dir>/<stem>.json`` for each, the bytes the
+one-episode form writes. A subcommand reads, calls the library and
+writes; each document format lives with its dataclasses in ``ingest``,
+``report`` or ``scenarios``.
 
-BLAS runs single-threaded unless ``OPENBLAS_NUM_THREADS`` is set: socnav
-never hands BLAS enough work to use a second thread, and the idle worker
-pool that ``import numpy`` would otherwise start costs each process CPU
-time at start-up. The variable is set before numpy is first imported, and
-a value the caller set wins.
+Every library module, ``ingest`` and ``core`` too, is imported only by
+the subcommands that call it, so importing this module, ``--help`` and a
+usage error load no numpy. BLAS runs single-threaded unless
+``OPENBLAS_NUM_THREADS`` is set: socnav never hands BLAS enough work to
+use a second thread, and the idle worker pool that ``import numpy`` would
+otherwise start costs each process CPU time at start-up. The variable is
+set when this module is imported, and a value the caller set wins.
+
+``run`` is the process entry (``python -m socnav.cli`` and the ``socnav``
+script). It turns the cyclic garbage collector off, since no subcommand
+makes cyclic garbage that grows with its inputs, and freezes the heap
+before exit, so neither ``import numpy`` nor interpreter finalization
+spends time walking it. ``main`` is the in-process API and leaves the
+collector alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import os
 import sys
 from pathlib import Path
 
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before ingest imports numpy
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before a subcommand imports numpy
 
-from . import ingest
-from .core import MetricParams
 from .errors import InvariantError, SocnavError
 
 EXIT_OK = 0
@@ -52,6 +61,8 @@ def _write(data: bytes, out: str | None):
 
 
 def _cmd_validate(args) -> int:
+    from . import ingest
+
     failed = False
     for path in args.files:
         for issue in ingest.validate(_read(path)):
@@ -61,19 +72,45 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_compute(args) -> int:
-    from . import report
+    out = args.output
+    targets = {}  # report path -> episode path, in input order; empty for one episode
+    if len(args.episodes) > 1:
+        if out in (None, "-"):
+            print("compute: more than one episode needs -o DIRECTORY", file=sys.stderr)
+            return EXIT_USAGE
+        for path in args.episodes:
+            target = Path(out) / f"{Path(path).stem}.json"
+            if target in targets:
+                raise SocnavError(f"{targets[target]} and {path} would both write {target}")
+            targets[target] = path
+
+    from . import ingest, report
+    from .core import MetricParams
     from .metrics import compute_all
 
     params = (MetricParams() if args.params is None
               else report.params_from_jsonable(ingest.load_json(_read(args.params))))
-    episode = ingest.parse_episode(_read(args.episode))
-    result = compute_all(episode, params, dt=args.dt, include_stepwise=args.stepwise)
-    _write(report.write_output(result), args.output)
+
+    def compute(path: str) -> bytes:
+        episode = ingest.parse_episode(_read(path))
+        return report.write_output(
+            compute_all(episode, params, dt=args.dt, include_stepwise=args.stepwise))
+
+    if not targets:
+        _write(compute(args.episodes[0]), out)
+        return EXIT_OK
+    for target, path in targets.items():
+        try:
+            data = compute(path)
+        except SocnavError as e:
+            raise SocnavError(f"{path}: {e}") from None
+        _write(data, str(target))
+        print(f"wrote {target}", file=sys.stderr)
     return EXIT_OK
 
 
 def _cmd_simulate(args) -> int:
-    from . import simulator
+    from . import ingest, simulator
 
     if args.scenario not in simulator.SCENARIO_NAMES:
         print(f"unknown scenario {args.scenario!r}; choose from "
@@ -113,7 +150,7 @@ def _load_cards(directory: str | None):
 
 
 def _cmd_classify(args) -> int:
-    from . import scenarios
+    from . import ingest, scenarios
 
     cards = _load_cards(args.cards)
     labels_by_episode = {}
@@ -152,6 +189,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_import(args) -> int:
+    from . import ingest
+
     episode = ingest.import_tsv(_read(args.tsv), frame_rate=args.hz,
                                 robot_id=args.robot)
     _write(ingest.serialize_episode(episode), args.output)
@@ -168,12 +207,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("files", nargs="+")
     p.set_defaults(fn=_cmd_validate)
 
-    p = sub.add_parser("compute", help="compute the metric suite for one episode")
-    p.add_argument("episode")
+    p = sub.add_parser("compute", help="compute the metric suite for each episode")
+    p.add_argument("episodes", nargs="+")
     p.add_argument("--params", help="MetricParams JSON file")
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--stepwise", action="store_true")
-    p.add_argument("-o", "--output", default=None)
+    p.add_argument("-o", "--output", default=None,
+                   help="report file; a directory for more than one episode")
     p.set_defaults(fn=_cmd_compute)
 
     p = sub.add_parser("simulate", help="generate scenario episodes")
@@ -229,5 +269,13 @@ def main(argv=None) -> int:
         return EXIT_DATA
 
 
+def run():
+    """Process entry: ``main`` with the cyclic collector off and the heap frozen at exit."""
+    gc.disable()
+    code = main()
+    gc.freeze()  # finalization then skips the heap; atexit and flushes still run
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

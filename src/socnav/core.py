@@ -28,6 +28,9 @@ V_CAP = 10.0
 # Default body radius applied to point-trajectory datasets.
 DEFAULT_HUMAN_RADIUS = 0.3
 
+# Most steps a metric timeline may take: 28 h at 10 Hz, 8 MB a column.
+MAX_TIMELINE_STEPS = 10**6
+
 
 @dataclass(frozen=True)
 class Vec2:
@@ -317,14 +320,18 @@ def common_timeline(episode: Episode, dt: float) -> np.ndarray:
 
     Start inclusive; if the grid does not land on the end of the span, the
     exact end time is appended so the span is always fully covered. A dt
-    below the float spacing of the times cannot give a strictly increasing
-    grid, and fails at ``/dt``.
+    that asks for more than ``MAX_TIMELINE_STEPS`` steps fails at ``/dt``
+    before the grid is allocated. A dt below the float spacing of the times
+    cannot give a strictly increasing grid, and fails at ``/dt`` too.
     """
     if not (dt > 0 and math.isfinite(dt)):
         raise InvariantError("/dt", f"must be a positive finite number, got {dt}")
     robot = episode.robot
     t0, t1 = robot.t_start, robot.t_end
     span = t1 - t0
+    if span / dt > MAX_TIMELINE_STEPS:  # an overflow to inf fails here too
+        raise InvariantError("/dt", f"{dt} asks for {span / dt:.3e} timeline steps over "
+                             f"the robot's {span} s; at most {MAX_TIMELINE_STEPS} are allowed")
     n = int(math.floor(span / dt + 1e-9))
     timeline = t0 + dt * np.arange(n + 1)
     timeline = np.minimum(timeline, t1)

@@ -1,5 +1,7 @@
 import contextlib
+import gc
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -16,12 +18,15 @@ from hypothesis import strategies as st
 import socnav
 
 from socnav.cli import main
+from socnav.core import AgentKind
 from socnav.ingest import parse_episode, serialize_episode
 from socnav.report import parse_summary
 from socnav.scenarios import builtin_cards, serialize_card
 from socnav.simulator import SCENARIO_NAMES, generate_scenario, run
 
-from conftest import fuzz_episode
+from conftest import fuzz_episode, make_agent, make_episode
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -151,7 +156,8 @@ def test_import_rejects_bad_frame_rate(tmp_path, hz):
 
 def test_cli_import_leaves_simulator_and_scenarios_unloaded(tmp_path):
     code = ("import os, sys, socnav; print('numpy' in sys.modules); "
-            "import socnav.cli; print(os.environ['OPENBLAS_NUM_THREADS']); "
+            "import socnav.cli; print('numpy' in sys.modules); "
+            "print(os.environ['OPENBLAS_NUM_THREADS']); "
             "print(sorted(m for m in ('socnav.simulator', 'socnav.scenarios', "
             "'socnav.metrics', 'socnav.report') if m in sys.modules)); "
             "print(socnav.cli.main(['compute', sys.argv[1], '-o', sys.argv[2]]), "
@@ -162,7 +168,182 @@ def test_cli_import_leaves_simulator_and_scenarios_unloaded(tmp_path):
              str(tmp_path / "report.json")],
             capture_output=True, text=True, env=_child_env(**blas), timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["False", expected, "[]", "0 False"]
+        assert proc.stdout.splitlines() == ["False", "False", expected, "[]", "0 False"]
+    # -X importtime lists every module a process imports, one per line.
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "socnav.cli", "--help"],
+                          capture_output=True, text=True, env=_child_env(), timeout=60)
+    assert proc.returncode == 0 and proc.stdout.startswith("usage: socnav")
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert {"argparse", "socnav", "socnav.errors"} <= imported
+    assert not {m for m in imported if m == "numpy" or m.startswith("numpy.")}
+
+
+def test_project_script_writes_golden_report():
+    """The ``[project.scripts]`` target, run as the installed script runs it."""
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", pyproject, re.M | re.S)
+    [(module, name)] = re.findall(r'^socnav\s*=\s*"([\w.]+):(\w+)"\s*$', section[1], re.M)
+    assert callable(getattr(importlib.import_module(module), name))
+    golden = GOLDEN / "dynamic_obstacles"
+    # The atexit line shows that exit handlers still run, and in what collector state.
+    code = ("import atexit, gc, sys; atexit.register(lambda: print(gc.isenabled(), "
+            f"gc.get_freeze_count() > 0, file=sys.stderr)); from {module} import {name}; "
+            f"sys.argv[0] = 'socnav'; sys.exit({name}())")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "compute", "--stepwise", str(golden / "episode.json")],
+        capture_output=True, env=_child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (golden / "report.json").read_bytes()
+    assert proc.stderr.splitlines() == [b"False True"]
+    proc = subprocess.run([sys.executable, "-c", code, "compute"],
+                          capture_output=True, env=_child_env(), timeout=60)
+    assert proc.returncode == 2 and b"Traceback" not in proc.stderr
+
+
+VALID_CASES = ("dynamic_obstacles", "headings_omitted", "int_numbers", "theta_wrapped",
+               "velocities_omitted")
+
+
+@pytest.fixture
+def golden_episodes(tmp_path) -> list[Path]:
+    """The valid golden episodes, copied to eps/<case>.json so that their stems differ."""
+    (tmp_path / "eps").mkdir()
+    paths = [tmp_path / "eps" / f"{case}.json" for case in VALID_CASES]
+    for case, path in zip(VALID_CASES, paths):
+        path.write_bytes((GOLDEN / case / "episode.json").read_bytes())
+    return paths
+
+
+@pytest.mark.parametrize("flags, golden", [
+    ([], None),
+    (["--stepwise"], "report.json"),
+    (["--params", str(GOLDEN / "params.json")], "report_params.json"),
+    (["--dt", "0.3"], None),
+    (["--stepwise", "--dt", "0.25", "--params", str(GOLDEN / "params.json")], None),
+], ids=["plain", "stepwise", "params", "dt", "all"])
+def test_batch_compute_matches_single_file_bytes(golden_episodes, tmp_path, capsys, flags,
+                                                 golden):
+    batch = tmp_path / "batch"
+    assert main(["compute", *map(str, golden_episodes), *flags, "-o", str(batch)]) == 0
+    assert sorted(p.name for p in batch.iterdir()) == sorted(p.name for p in golden_episodes)
+    for case, path in zip(VALID_CASES, golden_episodes):
+        single = tmp_path / "single.json"
+        assert main(["compute", str(path), *flags, "-o", str(single)]) == 0
+        assert (batch / path.name).read_bytes() == single.read_bytes()
+        if golden:
+            assert single.read_bytes() == (GOLDEN / case / golden).read_bytes()
+
+
+def test_batch_compute_writes_in_input_order(golden_episodes, tmp_path, capsys):
+    batch = tmp_path / "batch"
+    order = [golden_episodes[i] for i in (3, 0, 4, 1, 2)]
+    assert main(["compute", *map(str, order), "-o", str(batch)]) == 0
+    assert capsys.readouterr().err.splitlines() == [f"wrote {batch / p.name}" for p in order]
+
+
+def test_batch_compute_stem_collision_writes_nothing(golden_episodes, tmp_path, capsys):
+    # The second x.json does not exist: the run must stop before it reads any input.
+    first, second = tmp_path / "sfm" / "x.json", tmp_path / "straight_line_stop" / "x.json"
+    first.parent.mkdir()
+    first.write_bytes(golden_episodes[0].read_bytes())
+    batch = tmp_path / "batch"
+    assert main(["compute", str(golden_episodes[1]), str(first), str(second),
+                 "-o", str(batch)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {first} and {second} would both write {batch / 'x.json'}"]
+    assert not batch.exists()
+
+
+@pytest.mark.parametrize("out", [[], ["-o", "-"]], ids=["no-output", "stdout"])
+def test_batch_compute_needs_a_directory(golden_episodes, capsys, out):
+    assert main(["compute", *map(str, golden_episodes[:2]), *out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["compute: more than one episode needs -o DIRECTORY"]
+
+
+def test_batch_compute_bad_input_stops_with_its_name(golden_episodes, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"format_version": "1.0"}')
+    batch = tmp_path / "batch"
+    assert main(["compute", str(golden_episodes[0]), str(bad), str(golden_episodes[1]),
+                 "-o", str(batch)]) == 1
+    *wrote, err = capsys.readouterr().err.splitlines()
+    assert wrote == [f"wrote {batch / golden_episodes[0].name}"]
+    assert err.startswith(f"error: {bad}: ")
+    assert [p.name for p in batch.iterdir()] == [golden_episodes[0].name]
+
+
+def _cyclic_garbage(argv: list[str]) -> int:
+    """What ``gc.collect()`` finds after ``main(argv)`` ran with the collector off."""
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory) -> tuple[list[str], list[str]]:
+    """Six simulated episodes and their reports, as paths."""
+    root = tmp_path_factory.mktemp("corpus")
+    for name in ("frontal_approach", "intersection"):
+        assert main(["simulate", "--scenario", name, "--seed", "3", "--count", "3",
+                     "-o", str(root / "eps")]) == 0
+    episodes = sorted(str(p) for p in (root / "eps").glob("*.json"))
+    assert main(["compute", *episodes, "-o", str(root / "reports")]) == 0
+    return episodes, sorted(str(p) for p in (root / "reports").glob("*.json"))
+
+
+@pytest.mark.parametrize("command", ["validate", "classify", "compute", "summarize",
+                                     "simulate"])
+def test_cyclic_garbage_does_not_grow_with_the_inputs(corpus, tmp_path, capsys, command):
+    """``run`` turns the cyclic collector off; that is safe only if no subcommand
+    leaves more cyclic garbage for more inputs."""
+    episodes, reports = corpus
+
+    def argv(n: int) -> list[str]:
+        out = str(tmp_path / f"out{n}")
+        if command == "simulate":
+            return ["simulate", "--scenario", "parallel_traffic", "--seed", "0",
+                    "--count", str(n), "-o", out]
+        if command == "compute":  # the one-episode form for n = 1
+            return ["compute", *episodes[:n], "-o", out]
+        inputs = (reports if command == "summarize" else episodes)[:n]
+        return [command, *inputs] + ([] if command == "validate" else ["-o", out])
+
+    _cyclic_garbage(argv(1))  # first-call imports and caches
+    one, many = _cyclic_garbage(argv(1)), _cyclic_garbage(argv(len(episodes)))
+    assert one == many
+
+
+@pytest.mark.parametrize("command, dt", [
+    ("compute", "1e-300"), ("compute-batch", "1e-300"),
+    ("compute", None), ("compute-batch", None), ("classify", None),
+], ids=["compute-dt", "batch-dt", "compute-default", "batch-default", "classify-default"])
+def test_dt_asking_for_too_many_steps_one_line(tmp_path, command, dt):
+    """A timeline of more than MAX_TIMELINE_STEPS steps fails before it is allocated."""
+    # Robot intervals 1e-12, 1e-12 and 30 s: the default dt (their median) asks for 3e13 steps.
+    robot = make_agent("robot", [(0, 0)] * 4, times=[0, 1e-12, 2e-12, 30],
+                       kind=AgentKind.ROBOT)
+    path = tmp_path / "ep.json"
+    path.write_bytes(serialize_episode(make_episode([robot, make_agent("h", [(3, 0)] * 4)])))
+    assert main(["validate", str(path)]) == 0
+    out = tmp_path / "out"
+    inputs = [str(path)] + ([str(GOLDEN / "dynamic_obstacles" / "episode.json")]
+                            if command == "compute-batch" else [])
+    argv = [command.split("-")[0], *inputs, *(["--dt", dt] if dt else []), "-o", str(out)]
+    proc = subprocess.run([sys.executable, "-m", "socnav.cli", *argv],
+                          capture_output=True, text=True, env=_child_env(), timeout=60)
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    prefix = f"error: {path}: " if command == "compute-batch" else "error: "
+    steps = "3.000e+301" if dt else "3.000e+13"
+    assert line.startswith(f"{prefix}/dt: ") and f"asks for {steps} timeline steps" in line
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("blas", [{}, {"OPENBLAS_NUM_THREADS": "2"}])
@@ -246,8 +427,6 @@ def test_full_pipeline_compose(tmp_path):
     assert doc["policies"] == ["a", "b"]
     assert doc["flags"] == []
 
-
-GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.mark.parametrize("value", [1e16, -1e16, 1e300])

@@ -131,6 +131,16 @@ class TestCommonTimeline:
         tl = common_timeline(ep, 0.05)
         assert np.all(np.diff(tl) > 0)
 
+    def test_step_bound(self):
+        ep = make_episode([straight_robot(n=11, dt=0.1)])  # span [0, 1]
+        assert socnav.core.MAX_TIMELINE_STEPS == 10**6
+        assert len(common_timeline(ep, 1.25e-6)) == 800_001
+        for dt, steps in ((0.9e-6, "1.111e+06"), (1e-300, "1.000e+300"), (5e-324, "inf")):
+            with pytest.raises(InvariantError) as e:
+                common_timeline(ep, dt)
+            assert str(e.value) == (f"/dt: {dt} asks for {steps} timeline steps over the "
+                                    "robot's 1.0 s; at most 1000000 are allowed")
+
 
 class TestResampled:
     def test_default_dt_and_file_order(self):
