@@ -5,11 +5,11 @@ Conventions: diagnostics go to stderr, data goes to ``-o`` targets or
 stdout; exit codes are 0 (ok), 1 (validation/data errors), 2 (usage),
 3 (I/O). Multi-file subcommands process their inputs one after another,
 in input order: the work is pure Python, so threads would only contend
-for the interpreter lock. ``compute`` over many episodes runs them all in
-one process and writes ``<dir>/<stem>.json`` for each, the bytes the
-one-episode form writes. A subcommand reads, calls the library and
-writes; each document format lives with its dataclasses in ``ingest``,
-``report`` or ``scenarios``.
+for the interpreter lock. ``compute`` over many episodes (or one, when
+``-o`` ends in ``/`` or is a directory) runs them in one process and
+writes ``<dir>/<stem>.json`` for each, the bytes the one-file form writes.
+A subcommand reads, calls the library and writes; each document format
+lives with its dataclasses in ``ingest``, ``report`` or ``scenarios``.
 
 Every library module, ``ingest`` and ``core`` too, is imported only by
 the subcommands that call it, so importing this module, ``--help`` and a
@@ -73,8 +73,9 @@ def _cmd_validate(args) -> int:
 
 def _cmd_compute(args) -> int:
     out = args.output
-    targets = {}  # report path -> episode path, in input order; empty for one episode
-    if len(args.episodes) > 1:
+    targets = {}  # report path -> episode path, in input order; empty for one file
+    to_dir = out not in (None, "-") and (out.endswith("/") or Path(out).is_dir())
+    if len(args.episodes) > 1 or to_dir:
         if out in (None, "-"):
             print("compute: more than one episode needs -o DIRECTORY", file=sys.stderr)
             return EXIT_USAGE
@@ -213,7 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--stepwise", action="store_true")
     p.add_argument("-o", "--output", default=None,
-                   help="report file; a directory for more than one episode")
+                   help="report file; a directory if many episodes, or if it ends in / or exists")
     p.set_defaults(fn=_cmd_compute)
 
     p = sub.add_parser("simulate", help="generate scenario episodes")

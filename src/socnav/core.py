@@ -271,16 +271,13 @@ class MetricParams:
     cooperative_agent_ids: Optional[frozenset[str]] = None
 
     def __post_init__(self):
-        for name in FLOAT_PARAMS:
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and value > 0 and math.isfinite(value)):
-                raise InvariantError(f"/params/{name}", "must be a positive finite number")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not (isinstance(value, (int, float)) and value > 0
+                                          and math.isfinite(value)):
+                raise InvariantError(f"/params/{f.name}", "must be a positive finite number")
         if self.collision_terminate_count is not None and self.collision_terminate_count < 1:
             raise InvariantError("/params/collision_terminate_count", "must be >= 1 or null")
-
-
-# The MetricParams fields that must be positive finite numbers.
-FLOAT_PARAMS = tuple(f.name for f in fields(MetricParams) if f.type == "float")
 
 
 def _param_echo(params: MetricParams, name: str):

@@ -1,7 +1,11 @@
 """Episode interchange parsing, canonical serialization, and TSV import.
 
 Reports, summaries, scenario cards and params files are decoded with the
-same ``load_json`` and path-carrying field readers as episodes.
+same ``load_json`` and path-carrying field readers as episodes. A card,
+a params object and a summary are read by ``read_dataclass``: each field
+at ``path/<name>``, by the reader its annotation names (``str``, ``int``,
+``float``, ``tuple[T, ...]``, ``frozenset[T]`` or a nested dataclass). A
+field with a default may be absent; an ``Optional`` field may be null.
 
 The JSON field names used here are this toolkit's normative definition of
 the interchange format (see README). Unknown fields are preserved under
@@ -12,7 +16,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+import typing
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from functools import cache
 from itertools import repeat
 from operator import contains, itemgetter
 
@@ -117,10 +123,8 @@ def _number(obj, key, path, issues, required=True, default=None):
     return default
 
 
-def _finite(obj, key, path, issues, required=True, default=None, nullable=False):
+def _finite(obj, key, path, issues, required=True, default=None):
     """A finite number as written: an int stays an int, so echoed values keep their bytes."""
-    if nullable and key in obj and obj[key] is None:
-        return None
     number = _number(obj, key, path, issues, required)
     if number is None:
         return default
@@ -130,14 +134,14 @@ def _finite(obj, key, path, issues, required=True, default=None, nullable=False)
     return obj[key]
 
 
-def _integer(obj, key, path, issues, required=True, default=None):
+def _integer(obj, key, path, issues):
     """An integral number, 5 or 5.0, as an int."""
-    number = _number(obj, key, path, issues, required)
+    number = _number(obj, key, path, issues)
     if number is None:
-        return default
+        return None
     if not number.is_integer():
         issues.error(f"{path}/{key}", "expected an integer")
-        return default
+        return None
     return int(obj[key])
 
 
@@ -170,6 +174,49 @@ def _array(obj, key, path, issues, item=None, required=True, default=None):
         return value  # what reading each element returns, without a call per element
     elements = dict(enumerate(value))
     return [item(elements, i, f"{path}/{key}", issues) for i in elements]
+
+
+_READERS = {str: _string, int: _integer, float: _finite}
+
+
+def _field_reader(hint):
+    """The reader of one annotation; None for a type only ``given`` supplies (a dict)."""
+    origin = typing.get_origin(hint)
+    if origin in (tuple, frozenset):
+        item = _READERS[typing.get_args(hint)[0]]
+        return lambda obj, key, path, issues: origin(_array(obj, key, path, issues, item=item))
+    if is_dataclass(hint):
+        return lambda obj, key, path, issues: read_dataclass(
+            hint, _object(obj, key, path, issues), f"{path}/{key}", issues)
+    return _READERS.get(hint)
+
+
+@cache
+def _fields_of(cls) -> tuple:
+    """(name, reader, default, nullable) per field of ``cls``, from its resolved annotations."""
+    hints = typing.get_type_hints(cls)
+    out = []
+    for f in fields(cls):
+        args = typing.get_args(hints[f.name])
+        nullable = type(None) in args  # Optional[T] is Union[T, None]
+        out.append((f.name, _field_reader(args[0] if nullable else hints[f.name]),
+                    f.default, nullable))
+    return tuple(out)
+
+
+def read_dataclass(cls, obj: dict, path: str, issues, **given):
+    """A dataclass read from ``obj`` under the rule above; ``given`` fields are taken
+    as they are. ``issues`` must be a strict sink: the first problem raises."""
+    for name, read, default, nullable in _fields_of(cls):
+        if name in given:
+            continue
+        if name not in obj and default is not MISSING:
+            given[name] = default
+        elif nullable and name in obj and obj[name] is None:
+            given[name] = None
+        else:
+            given[name] = read(obj, name, path, issues)
+    return cls(**given)
 
 
 def _collect_unknown(obj: dict, known: set, path: str, unknown: dict):

@@ -15,15 +15,15 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import FLOAT_PARAMS, MetricParams, _param_echo, median
+from .core import MetricParams, _param_echo, median
 from .errors import EmptyCorpus, InvariantError, SchemaError
 from .ingest import (_array, _finite, _integer, _Issues, _object, _string,
-                     canonical_json_bytes, load_json)
+                     canonical_json_bytes, load_json, read_dataclass)
 from .metrics import (STEPWISE_UNITS, TASKWISE_KEYS, UNITS, MetricReport, MetricValue,
                       StepSeries, taxonomy_code)
 
@@ -77,15 +77,10 @@ def params_from_jsonable(doc: Mapping) -> MetricParams:
     unknown = set(doc) - {f.name for f in fields(MetricParams)} - {"dt"}  # dt: echoed, not a field
     if unknown:
         raise SchemaError(f"/params/{sorted(unknown)[0]}", "unknown parameter")
-    issues = _Issues(strict=True)
-    kwargs = {name: _finite(doc, name, "/params", issues)
-              for name in FLOAT_PARAMS if name in doc}
-    if doc.get("collision_terminate_count") is not None:
-        kwargs["collision_terminate_count"] = _integer(doc, "collision_terminate_count",
-                                                       "/params", issues)
-    ids = (_array(doc, "cooperative_agent_ids", "/params", issues, item=_string)
-           if doc.get("cooperative_agent_ids") is not None else None)
-    return MetricParams(cooperative_agent_ids=frozenset(ids) if ids else None, **kwargs)
+    params = read_dataclass(MetricParams, doc, "/params", _Issues(strict=True))
+    if params.cooperative_agent_ids == frozenset():  # [] is no cooperative set, as echoed
+        return replace(params, cooperative_agent_ids=None)
+    return params
 
 
 # --- Per-episode report I/O ----------------------------------------------------
@@ -183,9 +178,9 @@ class Distribution:
 class CorpusSummary:
     n_episodes: int
     params: MetricParams
-    success_rate: Optional[float]
-    collision_rate: Optional[float]
     distributions: dict[str, Distribution]
+    success_rate: Optional[float] = None
+    collision_rate: Optional[float] = None
 
 
 def _as_number(value) -> Optional[float]:
@@ -312,24 +307,14 @@ def parse_summary(document: bytes | str) -> CorpusSummary:
         at = f"/metrics/{name}/distribution"
         d = _object(_object(metrics, name, "/metrics", issues), "distribution",
                     f"/metrics/{name}", issues)
-        moments = {key: _finite(d, key, at, issues, nullable=True)
-                   for key in ("mean", "std", "min", "max", "median")}
         hist = _object(d, "histogram", at, issues, required=False,
                        default={"edges": [], "counts": []})
-        distributions[name] = Distribution(
-            n=_integer(d, "n", at, issues), n_excluded=_integer(d, "n_excluded", at, issues),
+        distributions[name] = read_dataclass(
+            Distribution, d, at, issues,
             edges=tuple(_array(hist, "edges", f"{at}/histogram", issues, item=_finite)),
-            counts=tuple(_array(hist, "counts", f"{at}/histogram", issues, item=_integer)),
-            **moments,
-        )
-    return CorpusSummary(
-        n_episodes=_integer(doc, "n_episodes", "", issues),
-        params=params_from_jsonable(_object(doc, "params", "", issues)),
-        success_rate=_finite(doc, "success_rate", "", issues, required=False, nullable=True),
-        collision_rate=_finite(doc, "collision_rate", "", issues, required=False,
-                               nullable=True),
-        distributions=distributions,
-    )
+            counts=tuple(_array(hist, "counts", f"{at}/histogram", issues, item=_integer)))
+    return read_dataclass(CorpusSummary, doc, "", issues, distributions=distributions,
+                          params=params_from_jsonable(_object(doc, "params", "", issues)))
 
 
 # --- Policy comparison -----------------------------------------------------------

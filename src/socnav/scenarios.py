@@ -26,8 +26,7 @@ import numpy as np
 from .core import AgentKind, Episode, SampledAgent, event_runs, median
 from .errors import InvariantError, SchemaError, UnknownCard
 from .geometry import sightlines_blocked, wrap_angle
-from .ingest import (_array, _integer, _Issues, _number, _object, _string,
-                     canonical_json_bytes, load_json)
+from .ingest import _Issues, canonical_json_bytes, load_json, read_dataclass
 
 log = logging.getLogger(__name__)
 
@@ -73,9 +72,9 @@ class ClassifierParams:
 
 @dataclass(frozen=True)
 class ResearchContext:
-    location: str = "generic"
-    density: str = "pedestrian"
-    task: str = "navigation"
+    location: str
+    density: str
+    task: str
 
 
 @dataclass(frozen=True)
@@ -130,7 +129,7 @@ def _card(name, description, scenario_type, layout, robot_task, human_behavior,
           location="generic", density="pedestrian") -> ScenarioCard:
     return ScenarioCard(
         name=name, description=description, scenario_type=scenario_type,
-        research_context=ResearchContext(location=location, density=density),
+        research_context=ResearchContext(location=location, density=density, task="navigation"),
         definition=ScenarioDefinition(geometric_layout=layout,
                                       intended_robot_task=robot_task,
                                       intended_human_behavior=human_behavior),
@@ -228,46 +227,15 @@ def serialize_card(card: ScenarioCard) -> bytes:
     return canonical_json_bytes(doc)
 
 
-def _strings(cls, obj, path, issues):
-    """An all-string dataclass read field by field from ``obj``."""
-    return cls(**{f.name: _string(obj, f.name, path, issues) for f in fields(cls)})
-
-
 def parse_card(document: bytes | str) -> ScenarioCard:
     """Parse a scenario card; cards without labeling criteria classify nothing."""
     doc = load_json(document)
     if not isinstance(doc, dict):
         raise SchemaError("", "card document must be an object")
-    issues = _Issues(strict=True)
-    ctx = _object(doc, "research_context", "", issues)
-    definition = _object(doc, "definition", "", issues)
-    guide = _object(doc, "usage_guide", "", issues)
-
-    criteria = None
-    raw = _object(guide, "labeling_criteria", "/usage_guide", issues, required=False)
-    if raw is not None:
-        at = "/usage_guide/labeling_criteria"
-        criteria = ClassifierParams(**{
-            f.name: (_integer if f.type == "int" else _number)(raw, f.name, at, issues)
-            for f in fields(ClassifierParams) if f.name in raw})
-    else:
-        log.warning("card %r has no labeling_criteria; classification disabled",
-                    doc.get("name"))
-
-    return ScenarioCard(
-        name=_string(doc, "name", "", issues),
-        description=_string(doc, "description", "", issues),
-        scenario_type=_string(doc, "scenario_type", "", issues),
-        research_context=_strings(ResearchContext, ctx, "/research_context", issues),
-        definition=_strings(ScenarioDefinition, definition, "/definition", issues),
-        usage_guide=UsageGuide(
-            success_metrics=tuple(_array(guide, "success_metrics", "/usage_guide", issues, item=_string)),
-            quality_metrics=tuple(_array(guide, "quality_metrics", "/usage_guide", issues, item=_string)),
-            ideal_outcome=_string(guide, "ideal_outcome", "/usage_guide", issues),
-            failure_modes=tuple(_array(guide, "failure_modes", "/usage_guide", issues, item=_string)),
-            labeling_criteria=criteria,
-        ),
-    )
+    card = read_dataclass(ScenarioCard, doc, "", _Issues(strict=True))
+    if card.usage_guide.labeling_criteria is None:
+        log.warning("card %r has no labeling_criteria; classification disabled", card.name)
+    return card
 
 
 # --- Episode resampling -------------------------------------------------------

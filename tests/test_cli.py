@@ -255,6 +255,19 @@ def test_batch_compute_stem_collision_writes_nothing(golden_episodes, tmp_path, 
     assert not batch.exists()
 
 
+@pytest.mark.parametrize("slash", ["/", ""], ids=["trailing-slash", "existing-directory"])
+def test_batch_compute_one_episode_into_a_directory(golden_episodes, tmp_path, capsys, slash):
+    batch = tmp_path / "batch"
+    if not slash:
+        batch.mkdir()
+    episode = golden_episodes[0]
+    assert main(["compute", str(episode), "-o", f"{batch}{slash}"]) == 0
+    assert [p.name for p in batch.iterdir()] == [episode.name]
+    single = tmp_path / "single.json"
+    assert main(["compute", str(episode), "-o", str(single)]) == 0
+    assert (batch / episode.name).read_bytes() == single.read_bytes()
+
+
 @pytest.mark.parametrize("out", [[], ["-o", "-"]], ids=["no-output", "stdout"])
 def test_batch_compute_needs_a_directory(golden_episodes, capsys, out):
     assert main(["compute", *map(str, golden_episodes[:2]), *out]) == 2
@@ -571,6 +584,8 @@ def test_card_bad_criterion_one_line(episode_file, tmp_path, capsys, field, valu
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert f"/usage_guide/labeling_criteria/{field}" in err
+    if field == "proximity_max" and value in ("NaN", "Infinity"):
+        assert err == f"error: /usage_guide/labeling_criteria/{field}: expected a finite number\n"
 
 
 def test_card_integral_min_crowd_size_accepted(episode_file, tmp_path):

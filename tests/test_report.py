@@ -1,14 +1,20 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from socnav.core import MetricParams
 from socnav.errors import EmptyCorpus, MalformedDocument, SchemaError
+from socnav.ingest import canonical_json_bytes, load_json
 from socnav.metrics import compute_all
 from socnav.report import (
     MAX_BINS,
+    CorpusSummary,
+    Distribution,
     compare,
     params_from_jsonable,
     params_to_jsonable,
@@ -17,7 +23,7 @@ from socnav.report import (
     summarize,
     write_output,
 )
-from socnav.scenarios import parse_card
+from socnav.scenarios import ClassifierParams, ScenarioCard, UsageGuide, parse_card, serialize_card
 
 from conftest import fuzz_episode
 from oracles import WelfordStats
@@ -66,10 +72,47 @@ class TestReportIO:
         for name, entry in doc["metrics"].items():
             assert set(entry) == {"value", "unit", "code", "params_used"}
 
-    def test_params_round_trip(self):
-        params = MetricParams(collision_terminate_count=3,
-                              cooperative_agent_ids=frozenset({"a", "b"}))
-        assert params_from_jsonable(params_to_jsonable(params)) == params
+
+# Values the writers emit; an int in a float field must read back as that int.
+_positive = st.floats(min_value=0, exclude_min=True, allow_infinity=False) | st.integers(1, 10**9)
+_number = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-10**9, 10**9)
+_count = st.integers(0, 10**9)
+_params = st.builds(
+    MetricParams, **{f.name: _positive for f in fields(MetricParams) if f.type == "float"},
+    collision_terminate_count=st.none() | st.integers(1, 10**9),
+    cooperative_agent_ids=st.none() | st.frozensets(st.text(), min_size=1, max_size=3))
+_criteria = st.builds(
+    ClassifierParams, **{f.name: _positive for f in fields(ClassifierParams) if f.type == "float"},
+    min_crowd_size=st.integers(1, 10**9))
+_card = st.builds(ScenarioCard, name=st.text(min_size=1),
+                  usage_guide=st.builds(UsageGuide, labeling_criteria=st.none() | _criteria))
+_distribution = st.builds(
+    Distribution, n=_count, n_excluded=_count,
+    **{name: st.none() | _number for name in ("mean", "std", "min", "max", "median")},
+    edges=st.lists(_number, max_size=4).map(tuple), counts=st.lists(_count, max_size=4).map(tuple))
+_summary = st.builds(CorpusSummary, n_episodes=_count, params=_params,
+                     distributions=st.dictionaries(st.text(max_size=6), _distribution, max_size=3),
+                     success_rate=st.none() | _number, collision_rate=st.none() | _number)
+# kind -> (write, parse)
+_FORMATS = {
+    "params": (lambda p: canonical_json_bytes(params_to_jsonable(p)),
+               lambda b: params_from_jsonable(load_json(b))),
+    "card": (serialize_card, parse_card),
+    "summary": (write_output, parse_summary),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(st.just("params"), _params) | st.tuples(st.just("card"), _card)
+       | st.tuples(st.just("summary"), _summary))
+@example(("params", MetricParams(collision_terminate_count=3,
+                                 cooperative_agent_ids=frozenset({"a", "b"}))))
+def test_documents_read_back_as_written(document):
+    kind, value = document
+    write, parse = _FORMATS[kind]
+    raw = write(value)
+    assert parse(raw) == value
+    assert write(parse(raw)) == raw
 
 
 class TestSummarize:

@@ -50,13 +50,17 @@ class TestCards:
     def test_card_without_criteria(self, caplog):
         doc = json.loads(serialize_card(builtin_cards()["intersection"]))
         del doc["usage_guide"]["labeling_criteria"]
-        card = parse_card(json.dumps(doc))
-        assert card.usage_guide.labeling_criteria is None
-        assert serialize_card(card) == canonical_json_bytes(doc)
-        # documentation-only cards are skipped by classify
+        null = {**doc, "usage_guide": {**doc["usage_guide"], "labeling_criteria": None}}
         ep = run(generate_scenario("intersection", 0))
-        labels = classify(ep, cards={"intersection": card})
-        assert labels == ()
+        for raw in (doc, null):  # omitted and null read alike
+            caplog.clear()
+            card = parse_card(json.dumps(raw))
+            assert card.usage_guide.labeling_criteria is None
+            assert [r.getMessage() for r in caplog.records] == [
+                "card 'intersection' has no labeling_criteria; classification disabled"]
+            assert serialize_card(card) == canonical_json_bytes(doc)
+            # documentation-only cards are skipped by classify
+            assert classify(ep, cards={"intersection": card}) == ()
 
     def test_card_schema_error_has_path(self):
         doc = json.loads(serialize_card(builtin_cards()["intersection"]))
