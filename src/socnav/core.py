@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvariantError, SingleStateAgent
+from .errors import InvariantError
 from .geometry import wrap_angle
 
 # Sanity cap on consecutive-state speed, used to reject corrupt trajectories.
@@ -242,7 +242,7 @@ class Episode:
         key = (type(dt), dt)  # 1 and 1.0 are one key, but are echoed differently
         if key not in views:
             if dt is None:
-                dt = median_sample_interval(self.robot) if len(self.robot.t) > 1 else 1.0
+                dt = median_sample_interval(self.robot)
             timeline = common_timeline(self, dt)
             views[key] = (dt, timeline, SampledAgent(self.robot, timeline),
                           tuple(SampledAgent(a, timeline) for a in self.others))
@@ -312,6 +312,12 @@ def motion_headings(agent: AgentRecord) -> np.ndarray:
     return wrap_angle(np.where(last >= 0, angles[last], 0.0))
 
 
+def _too_many_steps(span: float, dt: float) -> str:
+    """Why a grid of ``dt`` over ``span`` has too many steps (inf too), or "" if it has not."""
+    return (f"{dt} asks for {span / dt:.3e} timeline steps over the robot's {span} s; "
+            f"at most {MAX_TIMELINE_STEPS} are allowed" if span / dt > MAX_TIMELINE_STEPS else "")
+
+
 def common_timeline(episode: Episode, dt: float) -> np.ndarray:
     """Uniform grid over the robot-under-test time span.
 
@@ -326,9 +332,8 @@ def common_timeline(episode: Episode, dt: float) -> np.ndarray:
     robot = episode.robot
     t0, t1 = robot.t_start, robot.t_end
     span = t1 - t0
-    if span / dt > MAX_TIMELINE_STEPS:  # an overflow to inf fails here too
-        raise InvariantError("/dt", f"{dt} asks for {span / dt:.3e} timeline steps over "
-                             f"the robot's {span} s; at most {MAX_TIMELINE_STEPS} are allowed")
+    if too_many := _too_many_steps(span, dt):
+        raise InvariantError("/dt", too_many)
     n = int(math.floor(span / dt + 1e-9))
     timeline = t0 + dt * np.arange(n + 1)
     timeline = np.minimum(timeline, t1)
@@ -356,10 +361,9 @@ def median(values) -> np.float64:
 
 
 def median_sample_interval(agent: AgentRecord) -> float:
-    """Median spacing of an agent's raw timestamps, the default metric dt."""
-    if len(agent.t) < 2:
-        raise SingleStateAgent(f"agent {agent.id!r} has a single state")
-    return float(median(np.diff(agent.t)))
+    """Median spacing of an agent's raw timestamps, 1.0 for a single state: of the
+    robot, the default metric dt."""
+    return float(median(np.diff(agent.t))) if len(agent.t) > 1 else 1.0
 
 
 def event_runs(mask: np.ndarray) -> list[tuple[int, int]]:
@@ -527,7 +531,11 @@ def check_episode(episode: Episode) -> list[tuple[str, str]]:
                 issues.append((f"{base}/goal/tolerance", f"must be > 0, got {agent.goal.tolerance}"))
             if not agent.goal.position.is_finite():
                 issues.append((f"{base}/goal", "position must be finite"))
-        issues.extend(_sample_issues(base, agent))
+        samples = _sample_issues(base, agent)
+        issues.extend(samples)
+        if agent is robot and not samples and (too_many := _too_many_steps(
+                agent.t_end - agent.t_start, median_sample_interval(agent))):
+            issues.append((f"{base}/states", f"the default dt {too_many}"))
 
         if robot is not None and len(robot.t):
             if agent.t_start > robot.t_end or agent.t_end < robot.t_start:
@@ -536,7 +544,9 @@ def check_episode(episode: Episode) -> list[tuple[str, str]]:
     issues.extend(obstacle_issues(episode.obstacles))
 
     for i, label in enumerate(episode.labels):
-        if not label.t_start < label.t_end:
+        infinite = [key for key in ("t_start", "t_end") if not math.isfinite(getattr(label, key))]
+        issues.extend((f"/labels/{i}/{key}", "must be finite") for key in infinite)
+        if not infinite and not label.t_start < label.t_end:
             issues.append((f"/labels/{i}", f"t_start must be < t_end ({label.t_start} >= {label.t_end})"))
 
     return issues

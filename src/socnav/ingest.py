@@ -6,6 +6,9 @@ a params object and a summary are read by ``read_dataclass``: each field
 at ``path/<name>``, by the reader its annotation names (``str``, ``int``,
 ``float``, ``tuple[T, ...]``, ``frozenset[T]`` or a nested dataclass). A
 field with a default may be absent; an ``Optional`` field may be null.
+An episode's states are read a field at a time (``_column``): a column of
+plain numbers converts whole, and only one that does not has its entries
+read by ``_number``, so every number in a document obeys one rule.
 
 The JSON field names used here are this toolkit's normative definition of
 the interchange format (see README). Unknown fields are preserved under
@@ -47,7 +50,7 @@ _EPISODE_KEYS = {"format_version", "episode_id", "robot_under_test", "agents",
                  "obstacles", "labels", "metadata"}
 _AGENT_KEYS = {"id", "kind", "radius", "goal", "states"}
 _STATE_KEYS = ("t", "x", "y", "theta", "vx", "vy")  # in decoding order
-_GOAL_KEYS = {"x", "y", "tolerance"}
+_GOAL_KEYS = ("x", "y", "tolerance")  # in decoding order
 _OBSTACLE_KEYS = {"segments", "dynamic"}
 _LABEL_KEYS = {"scenario", "t_start", "t_end"}
 
@@ -102,9 +105,9 @@ def load_json(document: bytes | str):
 
 # Path-carrying field readers. Each reads ``obj[key]`` and reports a problem
 # at ``path/key`` through ``issues``; a strict sink raises SchemaError there,
-# a collecting one records it and the reader returns ``default``.
+# a collecting one records it and the reader returns ``default`` or None.
 
-def _number(obj, key, path, issues, required=True, default=None):
+def _number(obj, key, path, issues, required=True):
     # The JSON decoder yields exactly float or int for numbers; bool is not int here.
     value = obj.get(key)
     if type(value) is float:
@@ -114,13 +117,12 @@ def _number(obj, key, path, issues, required=True, default=None):
             return float(value)
         except OverflowError:
             issues.error(f"{path}/{key}", "number out of range")
-            return default
-    if key not in obj:
+    elif key not in obj:
         if required:
             issues.error(f"{path}/{key}", "missing required field")
-        return default
-    issues.error(f"{path}/{key}", f"expected a number, got {type(value).__name__}")
-    return default
+    else:
+        issues.error(f"{path}/{key}", f"expected a number, got {type(value).__name__}")
+    return None
 
 
 def _finite(obj, key, path, issues, required=True, default=None):
@@ -225,92 +227,75 @@ def _collect_unknown(obj: dict, known: set, path: str, unknown: dict):
             unknown[f"{path}/{key}" if path else f"/{key}"] = obj[key]
 
 
-class _Absent:
-    """Stands for a field a state omits, so a column's types tell it from any JSON value."""
-
-
-_ABSENT = _Absent()
 _OPTIONAL = {"theta", "vx", "vy"}
 
 
-def _column(states, key, optional):
-    """One field of every state: (float64 column, presence), or None if a
-    value needs a diagnostic.
-
-    Presence is a bool list, or True when every state has the field; an
-    omitted optional field reads 0.0. The column is type-checked as a
-    whole, as ``_array`` does.
-    """
+def _entries(states, key, optional):
+    """Every state's ``key``, 0.0 where omitted, and its presence: True if all states
+    have it, False (no values) if an optional key is in none, else a bool list."""
     try:
-        values = list(map(itemgetter(key), states))
+        return list(map(itemgetter(key), states)), True
     except KeyError:
-        if not optional:
-            return None
-        if not any(map(contains, states, repeat(key))):
-            return np.zeros(len(states)), [False] * len(states)
-        values = [s.get(key, _ABSENT) for s in states]
+        present = list(map(contains, states, repeat(key)))
+    if optional and not any(present):
+        return None, False
+    return [s.get(key, 0.0) for s in states], present
+
+
+def _column(states, key, path, issues, values, present):
+    """One field of every state from its ``_entries``: (float64 column, presence),
+    or None if a t/x/y entry cannot be read. Entries are read one by one, by
+    ``_number`` at ``path/<j>/<key>``, only if the column is not all plain numbers.
+    An omitted or unreadable optional entry reads 0.0 and counts as absent."""
+    optional = key in _OPTIONAL
+    if present is False:
+        return np.zeros(len(states)), [False] * len(states)
     kinds = set(map(type, values))
-    present = True
-    if _Absent in kinds:
-        present = [v is not _ABSENT for v in values]
-        values = [v if p else 0.0 for v, p in zip(values, present)]
-        kinds.discard(_Absent)
-    if not kinds <= {float, int}:
-        return None
-    if int in kinds:
+    if kinds <= {float, int} and (present is True or optional):
         try:
-            values = [float(v) for v in values]
+            return np.array(list(map(float, values)) if int in kinds else values,
+                            dtype=float), present
         except OverflowError:
-            return None
-    return np.array(values, dtype=float), present
-
-
-def _state_columns(states):
-    """(t, x, y, theta, has_theta, vx, vy, has_vel, has_unknown) of a states
-    array, or None if some state needs a diagnostic (``_state_diagnostics``)."""
-    if set(map(type, states)) - {dict}:
+            pass
+    numbers = [_number(s, key, f"{path}/{j}", issues, required=not optional)
+               for j, s in enumerate(states)]
+    present = [v is not None for v in numbers]
+    if not (optional or all(present)):
         return None
-    columns = [_column(states, key, key in _OPTIONAL) for key in _STATE_KEYS]
-    if any(c is None for c in columns):
-        return None
-    (t, _), (x, _), (y, _), (theta, has_theta), (vx, has_vx), (vy, has_vy) = columns
-    if has_vx != has_vy:
-        return None
-    n = len(states)
-    known = sum(n if present is True else sum(present) for _, present in columns)
-    has_vel = np.ones(n, dtype=bool) & has_vx
-    return t, x, y, theta, has_theta, vx, vy, has_vel, sum(map(len, states)) != known
+    return np.array([v if p else 0.0 for v, p in zip(numbers, present)]), present
 
 
-def _state_diagnostics(states, path, issues) -> list[dict] | None:
-    """Report what is wrong with each state, in field order.
+def _state_columns(states, path, issues, unknown):
+    """(t, x, y, theta, has_theta, vx, vy, has_vel) of a states array, or None
+    if a state is not an object or a t/x/y entry cannot be read.
 
-    Returns the states with every reported theta or vx/vy dropped, or None
-    at the first state without a readable time and position.
+    Issues go by field (t, x, y, theta, vx/vy pairing, vx, vy), then by
+    state. A state whose vx or vy lacks its partner counts as having neither.
     """
-    readable = []
-    for j, raw in enumerate(states):
-        spath = f"{path}/{j}"
-        if not isinstance(raw, dict):
-            issues.error(spath, f"expected an object, got {type(raw).__name__}")
-            return None
-        pose = [_number(raw, key, spath, issues) for key in ("t", "x", "y")]
-        state = dict(raw)
-        if _number(raw, "theta", spath, issues, required=False) is None:
-            state.pop("theta", None)
-        has_vx, has_vy = "vx" in raw, "vy" in raw
-        velocity_ok = has_vx == has_vy
-        if not velocity_ok:
-            issues.error(f"{spath}/{'vy' if has_vx else 'vx'}", "vx and vy must be given together")
-        elif has_vx:
-            velocity_ok = None not in [_number(raw, key, spath, issues) for key in ("vx", "vy")]
-        if not velocity_ok:
-            state.pop("vx", None)
-            state.pop("vy", None)
-        if None in pose:
-            return None
-        readable.append(state)
-    return readable
+    if set(map(type, states)) - {dict}:
+        for j, raw in enumerate(states):
+            if type(raw) is not dict:
+                issues.error(f"{path}/{j}", f"expected an object, got {type(raw).__name__}")
+        return None
+    entries = [_entries(states, key, key in _OPTIONAL) for key in _STATE_KEYS]
+    columns = [_column(states, key, path, issues, *e) for key, e in zip(_STATE_KEYS[:4], entries)]
+    velocity = states
+    if entries[4][1] != entries[5][1]:  # presence is True, False or a mixed list
+        velocity = [s if ("vx" in s) == ("vy" in s) else {} for s in states]
+        for j, raw in enumerate(states):
+            if velocity[j] is not raw:
+                issues.error(f"{path}/{j}/{'vy' if 'vx' in raw else 'vx'}",
+                             "vx and vy must be given together")
+        entries[4:] = [_entries(velocity, key, True) for key in ("vx", "vy")]
+    columns += [_column(velocity, key, path, issues, *e)
+                for key, e in zip(_STATE_KEYS[4:], entries[4:])]
+    if None in columns[:3]:
+        return None
+    if sum(map(len, states)) != sum(len(states) if p is True else sum(p) for _, p in columns):
+        for j, raw in enumerate(states):  # some state has a key beyond the six
+            _collect_unknown(raw, _STATE_KEYS, f"{path}/{j}", unknown)
+    (t, _), (x, _), (y, _), (theta, has_theta), (vx, has_vx), (vy, has_vy) = columns
+    return t, x, y, theta, has_theta, vx, vy, np.ones(len(t), dtype=bool) & has_vx & has_vy
 
 
 def _parse_agent(raw, path, issues, unknown) -> AgentRecord | None:
@@ -337,27 +322,18 @@ def _parse_agent(raw, path, issues, unknown) -> AgentRecord | None:
     graw = _object(raw, "goal", path, issues, required=False)
     if graw is not None:
         _collect_unknown(graw, _GOAL_KEYS, f"{path}/goal", unknown)
-        gx = _number(graw, "x", f"{path}/goal", issues)
-        gy = _number(graw, "y", f"{path}/goal", issues)
-        gtol = _number(graw, "tolerance", f"{path}/goal", issues)
-        if gx is not None and gy is not None and gtol is not None:
+        gx, gy, gtol = (_number(graw, key, f"{path}/goal", issues) for key in _GOAL_KEYS)
+        if None not in (gx, gy, gtol):
             goal = Goal(position=Vec2(gx, gy), tolerance=gtol)
 
     states_raw = raw.get("states")
     if not isinstance(states_raw, list):
         issues.error(f"{path}/states", "missing or not an array")
         return None
-    columns = _state_columns(states_raw)
+    columns = _state_columns(states_raw, f"{path}/states", issues, unknown)
     if columns is None:
-        # A bad value in theta, vx or vy is reported and read as omitted.
-        readable = _state_diagnostics(states_raw, f"{path}/states", issues)
-        if readable is None:
-            return None
-        columns = _state_columns(readable)
-    t, x, y, theta, has_theta, vx, vy, has_vel, has_unknown = columns
-    if has_unknown:
-        for j, sraw in enumerate(states_raw):
-            _collect_unknown(sraw, _STATE_KEYS, f"{path}/states/{j}", unknown)
+        return None
+    t, x, y, theta, has_theta, vx, vy, has_vel = columns
 
     if agent_id is None or kind is None or radius is None:
         return None
@@ -374,8 +350,7 @@ def _parse_agent(raw, path, issues, unknown) -> AgentRecord | None:
 def _segment(obj, key, path, issues):
     """``obj[key]`` as a segment ``[x1, y1, x2, y2]``, or None after reporting it."""
     raw = obj[key]
-    if (not isinstance(raw, list) or len(raw) != 4
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in raw)):
+    if type(raw) is not list or len(raw) != 4 or not set(map(type, raw)) <= {float, int}:
         issues.error(f"{path}/{key}", "expected [x1, y1, x2, y2]")
         return None
     try:
@@ -459,9 +434,8 @@ def _build_episode(doc, issues: _Issues) -> Episode | None:
             continue
         _collect_unknown(lraw, _LABEL_KEYS, f"/labels/{i}", unknown)
         scenario = _string(lraw, "scenario", f"/labels/{i}", issues)
-        t0 = _number(lraw, "t_start", f"/labels/{i}", issues)
-        t1 = _number(lraw, "t_end", f"/labels/{i}", issues)
-        if scenario is not None and t0 is not None and t1 is not None:
+        t0, t1 = (_number(lraw, key, f"/labels/{i}", issues) for key in ("t_start", "t_end"))
+        if None not in (scenario, t0, t1):
             labels.append(EpisodeLabel(scenario=scenario, t_start=t0, t_end=t1))
 
     metadata: dict[str, str] = {}

@@ -337,25 +337,32 @@ def test_cyclic_garbage_does_not_grow_with_the_inputs(corpus, tmp_path, capsys, 
     ("compute", "1e-300"), ("compute-batch", "1e-300"),
     ("compute", None), ("compute-batch", None), ("classify", None),
 ], ids=["compute-dt", "batch-dt", "compute-default", "batch-default", "classify-default"])
-def test_dt_asking_for_too_many_steps_one_line(tmp_path, command, dt):
-    """A timeline of more than MAX_TIMELINE_STEPS steps fails before it is allocated."""
-    # Robot intervals 1e-12, 1e-12 and 30 s: the default dt (their median) asks for 3e13 steps.
-    robot = make_agent("robot", [(0, 0)] * 4, times=[0, 1e-12, 2e-12, 30],
-                       kind=AgentKind.ROBOT)
-    path = tmp_path / "ep.json"
-    path.write_bytes(serialize_episode(make_episode([robot, make_agent("h", [(3, 0)] * 4)])))
-    assert main(["validate", str(path)]) == 0
-    out = tmp_path / "out"
-    inputs = [str(path)] + ([str(GOLDEN / "dynamic_obstacles" / "episode.json")]
-                            if command == "compute-batch" else [])
+def test_dt_asking_for_too_many_steps_one_line(tmp_path, capsys, command, dt):
+    """A timeline of more than MAX_TIMELINE_STEPS steps is refused in one line before
+    it is allocated: a given dt at /dt, the default dt as soon as the episode is read."""
+    golden = GOLDEN / "dynamic_obstacles" / "episode.json"
+    if dt:
+        path, at, steps = golden, "/dt", "9.800e+300"  # the robot's 9.8 s over 1e-300 s
+    else:
+        # Robot intervals 1e-12, 1e-12 and 30 s: the default dt (their median) asks for 3e13 steps.
+        robot = make_agent("robot", [(0, 0)] * 4, times=[0, 1e-12, 2e-12, 30],
+                           kind=AgentKind.ROBOT)
+        path, at, steps = tmp_path / "ep.json", "/agents/0/states", "3.000e+13"
+        path.write_bytes(serialize_episode(make_episode([robot, make_agent("h", [(3, 0)] * 4)])))
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"{path}: error: {at}: the default dt 1e-12 asks for {steps} timeline steps "
+            "over the robot's 30.0 s; at most 1000000 are allowed\n")
+    out, second = tmp_path / "out", tmp_path / "second.json"
+    second.write_bytes(golden.read_bytes())
+    inputs = [str(path)] + ([str(second)] if command == "compute-batch" else [])
     argv = [command.split("-")[0], *inputs, *(["--dt", dt] if dt else []), "-o", str(out)]
     proc = subprocess.run([sys.executable, "-m", "socnav.cli", *argv],
                           capture_output=True, text=True, env=_child_env(), timeout=60)
     assert proc.returncode == 1 and "Traceback" not in proc.stderr
     [line] = proc.stderr.splitlines()
     prefix = f"error: {path}: " if command == "compute-batch" else "error: "
-    steps = "3.000e+301" if dt else "3.000e+13"
-    assert line.startswith(f"{prefix}/dt: ") and f"asks for {steps} timeline steps" in line
+    assert line.startswith(f"{prefix}{at}: ") and f"asks for {steps} timeline steps" in line
     assert not out.exists()
 
 
@@ -722,10 +729,12 @@ def _edited(path: Path, pointer: tuple, value) -> bytes:
     ("params", ("cooperative_agent_ids",), "robot", "/params/cooperative_agent_ids"),
     ("card", ("usage_guide", "success_metrics", 0), 7, "/usage_guide/success_metrics/0"),
     ("episode", ("obstacles", "dynamic"), 7.5, "/obstacles/dynamic"),
+    ("episode", ("labels",), [{"scenario": "s", "t_start": 1e308, "t_end": math.inf}],
+     "/labels/0/t_end"),
 ], ids=["report-value-string", "report-value-nan", "report-stepwise-element",
         "summary-no-distribution", "summary-mean-infinity", "params-401-digits",
         "params-bool", "params-nan", "params-count-string", "params-ids-string",
-        "card-metric-not-string", "episode-dynamic-number"])
+        "card-metric-not-string", "episode-dynamic-number", "episode-label-infinite"])
 def test_bad_field_one_line_with_path(documents, tmp_path, kind, pointer, value, path):
     document = _edited(documents[kind], pointer, value)
     code, lines = _run_reader(kind, document, documents, tmp_path)

@@ -1,4 +1,6 @@
+import copy
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -187,6 +189,40 @@ def _corrupted_documents():
 
 _CORRUPTED_IDS, _CORRUPTED = zip(*_corrupted_documents().items())
 
+_GOLDEN = {name: json.loads((Path(__file__).parent / "golden" / name / "episode.json").read_text())
+           for name in ("dynamic_obstacles", "headings_omitted", "int_numbers",
+                        "theta_wrapped", "velocities_omitted")}
+_BAD_STATE_VALUES = {"null": None, "bool": False, "string": "1.0", "array": [], "object": {},
+                     "401-digits": 10 ** 400, "deleted": _DROP, "not-an-object": "state"}
+
+
+def _edited_state(name, field, kind):
+    """A valid golden episode with one state edited, and the one error line it
+    must give (None for a valid edit). The edited state is the middle one of the
+    first agent whose middle state has ``field``."""
+    d = copy.deepcopy(_GOLDEN[name])
+    i, agent = next((i, a) for i, a in enumerate(d["agents"])
+                    if field in a["states"][len(a["states"]) // 2])
+    j = len(agent["states"]) // 2
+    path, value = f"/agents/{i}/states/{j}/{field}", _BAD_STATE_VALUES[kind]
+    if kind == "not-an-object":
+        agent["states"][j] = value
+        line = f"/agents/{i}/states/{j}: expected an object, got str"
+    elif value is _DROP:
+        del agent["states"][j][field]
+        line = (None if field == "theta" else f"{path}: vx and vy must be given together"
+                if field in ("vx", "vy") else f"{path}: missing required field")
+    else:
+        agent["states"][j][field] = value
+        line = f"{path}: " + ("number out of range" if kind == "401-digits"
+                              else f"expected a number, got {type(value).__name__}")
+    return json.dumps(d).encode(), line
+
+
+_STATE_EDITS = [(name, field, kind) for name, d in _GOLDEN.items() for field in _STATE_FIELDS
+                if any(field in a["states"][len(a["states"]) // 2] for a in d["agents"])
+                for kind in _BAD_STATE_VALUES if kind != "not-an-object" or field == "t"]
+
 
 class TestValidate:
     def test_valid_minimal_is_clean(self):
@@ -219,6 +255,46 @@ class TestValidate:
             ("/agents/0/states/0/theta", "expected a number, got str"),
             ("/agents/0/states/1/vx", "expected a number, got bool"),
             ("/agents/0/states/1/t", "timestamps must be strictly increasing (0.0 -> 0.0)")]
+
+    @pytest.mark.parametrize("name, field, kind", _STATE_EDITS,
+                             ids=["-".join(case) for case in _STATE_EDITS])
+    def test_one_bad_state_field_one_line(self, name, field, kind):
+        document, line = _edited_state(name, field, kind)
+        errors = [f"{i.path}: {i.message}" for i in validate(document) if i.severity == "error"]
+        if line is None:
+            assert errors == [] and parse_episode(document)
+            return
+        assert errors == [line]
+        with pytest.raises(SchemaError) as err:
+            parse_episode(document)
+        assert str(err.value) == line
+
+    def test_every_state_fault_reported_by_field_then_state(self):
+        d = copy.deepcopy(_GOLDEN["dynamic_obstacles"])
+        states = d["agents"][0]["states"]
+        states[0]["y"] = []
+        states[1]["vx"] = None
+        states[2]["theta"] = True
+        states[3].update(x="a", t="b")
+        del states[4]["vy"]
+        del states[5]["t"]
+        d["agents"][1]["states"][7] = 7
+        d["agents"][1]["states"][9] = None
+        d["agents"][1]["states"][8]["x"] = "hidden by the states that are not objects"
+        document = json.dumps(d).encode()
+        expected = ["/agents/0/states/3/t: expected a number, got str",
+                    "/agents/0/states/5/t: missing required field",
+                    "/agents/0/states/3/x: expected a number, got str",
+                    "/agents/0/states/0/y: expected a number, got list",
+                    "/agents/0/states/2/theta: expected a number, got bool",
+                    "/agents/0/states/4/vy: vx and vy must be given together",
+                    "/agents/0/states/1/vx: expected a number, got NoneType",
+                    "/agents/1/states/7: expected an object, got int",
+                    "/agents/1/states/9: expected an object, got NoneType"]
+        assert [f"{i.path}: {i.message}" for i in validate(document)] == expected
+        with pytest.raises(SchemaError) as err:
+            parse_episode(document)
+        assert str(err.value) == expected[0]
 
     def test_negative_radius(self):
         d = json.loads(json.dumps(MINIMAL))
