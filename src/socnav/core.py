@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
@@ -30,6 +31,13 @@ DEFAULT_HUMAN_RADIUS = 0.3
 
 # Most steps a metric timeline may take: 28 h at 10 Hz, 8 MB a column.
 MAX_TIMELINE_STEPS = 10**6
+
+
+def positive_finite(value, path: str) -> None:
+    """The one rule for a setting that must be a positive finite number: an int
+    or a float (np.float64 is one) above 0 that a float can hold."""
+    if not (isinstance(value, (int, float)) and 0 < value <= sys.float_info.max):
+        raise InvariantError(path, f"must be a positive finite number, got {value}")
 
 
 @dataclass(frozen=True)
@@ -272,10 +280,8 @@ class MetricParams:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "float" and not (isinstance(value, (int, float)) and value > 0
-                                          and math.isfinite(value)):
-                raise InvariantError(f"/params/{f.name}", "must be a positive finite number")
+            if f.type == "float":
+                positive_finite(getattr(self, f.name), f"/params/{f.name}")
         if self.collision_terminate_count is not None and self.collision_terminate_count < 1:
             raise InvariantError("/params/collision_terminate_count", "must be >= 1 or null")
 
@@ -327,8 +333,7 @@ def common_timeline(episode: Episode, dt: float) -> np.ndarray:
     before the grid is allocated. A dt below the float spacing of the times
     cannot give a strictly increasing grid, and fails at ``/dt`` too.
     """
-    if not (dt > 0 and math.isfinite(dt)):
-        raise InvariantError("/dt", f"must be a positive finite number, got {dt}")
+    positive_finite(dt, "/dt")
     robot = episode.robot
     t0, t1 = robot.t_start, robot.t_end
     span = t1 - t0

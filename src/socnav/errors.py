@@ -9,25 +9,25 @@ class MalformedDocument(SocnavError):
     """Input bytes are not a well-formed document (bad UTF-8 or JSON)."""
 
 
-class SchemaError(SocnavError):
-    """Document is well-formed but a field is missing or has the wrong type.
+class _PathError(SocnavError):
+    """An error at a JSON-pointer style ``path``; it reads ``"<path>: <message>"``."""
 
-    Carries a JSON-pointer style ``path`` to the offending location.
+    def __init__(self, path: str, message: str):
+        super().__init__(f"{path}: {message}")
+        self.path = path
+        self.message = message
+
+
+class SchemaError(_PathError):
+    """Document is well-formed but a field is missing or has the wrong type."""
+
+
+class InvariantError(_PathError):
+    """A structurally valid document, or a setting, breaks a data-model invariant.
+
+    ``core.positive_finite`` is the one check of a setting that must be above
+    0 and finite; it raises this at the setting's path.
     """
-
-    def __init__(self, path: str, message: str):
-        super().__init__(f"{path}: {message}")
-        self.path = path
-        self.message = message
-
-
-class InvariantError(SocnavError):
-    """A structurally valid document violates a data-model invariant."""
-
-    def __init__(self, path: str, message: str):
-        super().__init__(f"{path}: {message}")
-        self.path = path
-        self.message = message
 
 
 class MalformedRow(SocnavError):
@@ -41,10 +41,6 @@ class MalformedRow(SocnavError):
 
 class NoRobot(SocnavError):
     """A requested robot agent id is absent from the imported data."""
-
-
-class SingleStateAgent(SocnavError):
-    """Velocity derivation needs at least two states."""
 
 
 class MissingGoal(SocnavError):

@@ -39,6 +39,7 @@ from .core import (
     check_episode,
     finite_difference_velocities,
     motion_headings,
+    positive_finite,
     validate_episode,
 )
 from .errors import InvariantError, MalformedDocument, MalformedRow, NoRobot, SchemaError
@@ -471,10 +472,7 @@ def parse_episode(document: bytes | str) -> Episode:
     Raises MalformedDocument, SchemaError (with a JSON-pointer path), or
     InvariantError (model invariant broken, e.g. non-monotonic timestamps).
     """
-    episode = _build_episode(load_json(document), _Issues(strict=True))
-    if episode is None:
-        raise SchemaError("", "document could not be interpreted")
-    return episode
+    return _build_episode(load_json(document), _Issues(strict=True))
 
 
 def validate(document: bytes | str) -> list[ValidationIssue]:
@@ -600,8 +598,7 @@ def import_tsv(rows: str | bytes, frame_rate: float, robot_id: str | None = None
     names the first violation, so no import yields a file validate rejects.
     Bytes that are not UTF-8 raise MalformedDocument.
     """
-    if not (math.isfinite(frame_rate) and frame_rate > 0):
-        raise InvariantError("/frame_rate", f"must be a positive finite number, got {frame_rate}")
+    positive_finite(frame_rate, "/frame_rate")
     rows = _text(rows)
 
     samples: dict[str, dict[float, tuple[float, float]]] = {}

@@ -347,15 +347,10 @@ def compare(summaries: Mapping[str, CorpusSummary]) -> Comparison:
     for policy in policies[1:]:
         _same_params(summaries[policy].params, summaries[first].params,
                      f"summary {policy!r}", f"summary {first!r}")
-    metric_names: list[str] = []
-    for summary in summaries.values():
-        for name in summary.distributions:
-            if name not in metric_names:
-                metric_names.append(name)
+    metric_names = dict.fromkeys(name for s in summaries.values() for name in s.distributions)
     means = {
-        name: {policy: summaries[policy].distributions.get(
-            name, Distribution(0, 0, None, None, None, None, None, (), ())).mean
-            for policy in policies}
+        name: {policy: getattr(summaries[policy].distributions.get(name), "mean", None)
+               for policy in policies}
         for name in metric_names
     }
     flags = []

@@ -23,22 +23,12 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import AgentKind, Episode, SampledAgent, event_runs, median
+from .core import AgentKind, Episode, SampledAgent, event_runs, median, positive_finite
 from .errors import InvariantError, SchemaError, UnknownCard
 from .geometry import sightlines_blocked, wrap_angle
 from .ingest import _Issues, canonical_json_bytes, load_json, read_dataclass
 
 log = logging.getLogger(__name__)
-
-CLASSIFIABLE_SCENARIOS = (
-    "frontal_approach",
-    "robot_overtaking",
-    "pedestrian_overtaking",
-    "intersection",
-    "blind_corner",
-    "parallel_traffic",
-    "perpendicular_traffic",
-)
 
 
 @dataclass(frozen=True)
@@ -62,10 +52,7 @@ class ClassifierParams:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not (value > 0 and math.isfinite(value)):
-                raise InvariantError(f"/usage_guide/labeling_criteria/{f.name}",
-                                     "must be a positive finite number")
+            positive_finite(getattr(self, f.name), f"/usage_guide/labeling_criteria/{f.name}")
         if self.min_crowd_size < 1:
             raise InvariantError("/usage_guide/labeling_criteria/min_crowd_size", "must be >= 1")
 
@@ -452,6 +439,8 @@ _DETECTORS: dict[str, Callable] = {
     "parallel_traffic": partial(_detect_crowd_flow, parallel=True),
     "perpendicular_traffic": partial(_detect_crowd_flow, parallel=False),
 }
+
+CLASSIFIABLE_SCENARIOS = tuple(_DETECTORS)
 
 
 _CROWD = {"parallel_traffic", "perpendicular_traffic"}

@@ -35,6 +35,7 @@ from .core import (
     ObstacleMap,
     Vec2,
     obstacle_issues,
+    positive_finite,
 )
 from .errors import InvariantError, UnknownScenario
 from .geometry import wrap_angle
@@ -67,11 +68,6 @@ _OBSTACLE_RANGE = 0.2
 _V_MAX = 2.0
 
 
-def _positive_finite(value, path: str) -> None:
-    if not (value > 0 and math.isfinite(value)):
-        raise InvariantError(path, f"must be a positive finite number, got {value}")
-
-
 @dataclass(frozen=True)
 class AgentSpec:
     agent_id: str
@@ -88,8 +84,10 @@ class AgentSpec:
         if self.policy not in POLICIES:
             raise InvariantError(f"/agents/{self.agent_id}/policy",
                                  f"unknown policy {self.policy!r}")
-        _positive_finite(self.desired_speed, f"/agents/{self.agent_id}/desired_speed")
-        _positive_finite(self.radius, f"/agents/{self.agent_id}/radius")
+        positive_finite(self.desired_speed, f"/agents/{self.agent_id}/desired_speed")
+        positive_finite(self.radius, f"/agents/{self.agent_id}/radius")
+        if self.goal is not None:
+            positive_finite(self.goal.tolerance, f"/agents/{self.agent_id}/goal/tolerance")
         if self.policy == "replay" and (self.replay is None or not len(self.replay.t)
                                         or not (np.diff(self.replay.t) > 0).all()):
             raise InvariantError(f"/agents/{self.agent_id}/replay",
@@ -107,8 +105,8 @@ class SimConfig:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        _positive_finite(self.dt, "/dt")
-        _positive_finite(self.max_duration, "/max_duration")
+        positive_finite(self.dt, "/dt")
+        positive_finite(self.max_duration, "/max_duration")
         if not self.agents:
             raise InvariantError("/agents", "must hold at least one agent")
         if issues := obstacle_issues(self.scene):

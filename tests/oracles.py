@@ -13,7 +13,6 @@ import math
 from dataclasses import replace
 
 from socnav.core import AgentState, Vec2, common_timeline
-from socnav.errors import SingleStateAgent
 from socnav.geometry import wrap_angle
 
 
@@ -23,7 +22,7 @@ def derive_velocities(agent):
 
     n = len(agent.t)
     if n < 2:
-        raise SingleStateAgent(f"agent {agent.id!r} has {n} state(s); need >= 2")
+        raise ValueError(f"agent {agent.id!r} has {n} state(s); need >= 2")
     if agent.has_vel.all():
         return agent
     return replace(agent, has_vel=np.ones(n, dtype=bool))

@@ -727,14 +727,18 @@ def _edited(path: Path, pointer: tuple, value) -> bytes:
     ("params", ("timeout",), math.nan, "/params/timeout"),
     ("params", ("collision_terminate_count",), "x", "/params/collision_terminate_count"),
     ("params", ("cooperative_agent_ids",), "robot", "/params/cooperative_agent_ids"),
+    ("params", ("bogus",), 1, "/params/bogus"),
+    ("params", ("timeout",), -1, "/params/timeout"),
     ("card", ("usage_guide", "success_metrics", 0), 7, "/usage_guide/success_metrics/0"),
     ("episode", ("obstacles", "dynamic"), 7.5, "/obstacles/dynamic"),
+    ("episode", ("obstacles",), 5, "/obstacles"),
     ("episode", ("labels",), [{"scenario": "s", "t_start": 1e308, "t_end": math.inf}],
      "/labels/0/t_end"),
 ], ids=["report-value-string", "report-value-nan", "report-stepwise-element",
         "summary-no-distribution", "summary-mean-infinity", "params-401-digits",
         "params-bool", "params-nan", "params-count-string", "params-ids-string",
-        "card-metric-not-string", "episode-dynamic-number", "episode-label-infinite"])
+        "params-unknown", "params-negative", "card-metric-not-string",
+        "episode-dynamic-number", "episode-obstacles-number", "episode-label-infinite"])
 def test_bad_field_one_line_with_path(documents, tmp_path, kind, pointer, value, path):
     document = _edited(documents[kind], pointer, value)
     code, lines = _run_reader(kind, document, documents, tmp_path)

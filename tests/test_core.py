@@ -20,7 +20,7 @@ from socnav.core import (
     median_sample_interval,
     validate_episode,
 )
-from socnav.errors import InvariantError, SingleStateAgent
+from socnav.errors import InvariantError
 from socnav.geometry import wrap_angle
 from socnav.ingest import parse_episode
 from socnav.metrics import compute_all
@@ -60,7 +60,7 @@ class TestDeriveVelocities:
 
     def test_single_state_rejected(self):
         agent = make_agent("a", [(0, 0)])
-        with pytest.raises(SingleStateAgent):
+        with pytest.raises(ValueError):
             derive_velocities(agent)
 
     def test_idempotent(self):

@@ -33,6 +33,7 @@ import pytest
 
 from socnav.cli import main
 from socnav.ingest import canonical_json_bytes, parse_episode, serialize_episode
+from socnav.report import parse_report, write_output
 from socnav.scenarios import classify
 from socnav.simulator import SCENARIO_NAMES, generate_scenario, run
 
@@ -40,6 +41,7 @@ GOLDEN = Path(__file__).parent / "golden"
 PARAMS = GOLDEN / "params.json"
 CASES = sorted(p.name for p in GOLDEN.iterdir() if p.is_dir())
 SIMULATED_LABELS = GOLDEN / "simulated_labels.json"
+REPORTS = sorted(str(p.relative_to(GOLDEN)) for p in GOLDEN.glob("*/report*.json"))
 
 
 def outputs(case: Path) -> dict[str, bytes]:
@@ -89,6 +91,12 @@ def test_outputs_byte_identical(case):
     assert ("report.json" not in got) == case.startswith("invalid_")
     for name in want:
         assert got[name] == want[name], f"{case}/{name} differs"
+
+
+@pytest.mark.parametrize("report", REPORTS)
+def test_report_bytes_survive_parse_and_write(report):
+    raw = (GOLDEN / report).read_bytes()
+    assert write_output(parse_report(raw)) == raw
 
 
 def test_simulated_labels_byte_identical():

@@ -417,6 +417,16 @@ class TestImportTsv:
             import_tsv("0\ta\t0\t0\nbroken line\n", frame_rate=10.0)
         assert err.value.row == 1
 
+    @pytest.mark.parametrize("text, row, message", [
+        ("# a comment and nothing else\n", 0, "no data rows"),
+        ("0\ta\tnan\t0\n", 0, "non-finite value"),
+        ("0\ta\t0\t0\n1\ta\tx\t0\n", 1, "could not convert string to float: 'x'"),
+    ], ids=["comment-only", "nan", "not-a-number"])
+    def test_bad_rows_one_diagnostic(self, text, row, message):
+        with pytest.raises(MalformedRow) as err:
+            import_tsv(text, frame_rate=10.0)
+        assert str(err.value) == f"row {row}: {message}"
+
     def test_default_radius(self):
         ep = import_tsv("0\ta\t0\t0\n1\ta\t0.1\t0\n", frame_rate=10.0)
         assert ep.agents[0].radius == 0.3

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from socnav.core import AgentKind
+from socnav.core import AgentKind, ObstacleMap, Vec2
 from socnav.errors import SchemaError, UnknownCard
 from socnav.ingest import canonical_json_bytes
 from socnav.scenarios import (
@@ -98,6 +98,20 @@ class TestClassify:
         robot = make_agent("robot", [(0.0, 0.0)] * 30, dt=0.1, kind=AgentKind.ROBOT)
         human = make_agent("h", [(3.0, 0.0)] * 30, dt=0.1)
         assert classify(make_episode([robot, human])) == ()
+
+    # Free width between the walls: 0.5 m, below the 0.6 m radius sum plus the
+    # 0.2 m clearance a frontal approach needs.
+    @pytest.mark.parametrize("walls, scenarios", [
+        ((), {"frontal_approach"}),
+        (tuple((Vec2(-3.0, y), Vec2(3.0, y)) for y in (-0.25, 0.25)), set()),
+    ], ids=["open", "no-room-to-pass"])
+    def test_constructed_frontal_approach(self, walls, scenarios):
+        # head-on along x at 1 m/s, radius 0.3, in 0.1 s steps over 4 s
+        robot = make_agent("robot", line_points((-2.0, 0.0), (2.0, 0.0), 41),
+                           dt=0.1, kind=AgentKind.ROBOT)
+        human = make_agent("h", line_points((2.0, 0.0), (-2.0, 0.0), 41), dt=0.1)
+        labels = classify(make_episode([robot, human], obstacles=ObstacleMap(segments=walls)))
+        assert {l.scenario for l in labels} == scenarios
 
     def test_constructed_intersection(self):
         # robot goes east through the origin, human goes north through

@@ -165,20 +165,25 @@ class TestRun:
             SimConfig(max_duration=0.2)
         assert err.value.path == "/agents"
 
-    @pytest.mark.parametrize("value", [0.0, -0.1, math.inf, math.nan])
+    @pytest.mark.parametrize("value", [0.0, -0.1, math.inf, math.nan, "x", np.float32(0.1)])
     @pytest.mark.parametrize("field, path", [
         ("dt", "/dt"), ("max_duration", "/max_duration"),
         ("desired_speed", "/agents/robot/desired_speed"), ("radius", "/agents/robot/radius"),
+        ("tolerance", "/agents/robot/goal/tolerance"),
     ])
     def test_config_values_run_cannot_honour_rejected(self, field, path, value):
-        """An infinite max_duration would never end run's loop: only the constructors run here."""
+        """An infinite max_duration would never end run's loop: only the constructors run here.
+        A goal tolerance of 0 would give an episode that validate refuses."""
         spec = single_agent_config().agents[0]
         with pytest.raises(InvariantError) as err:
             if field in ("dt", "max_duration"):
                 SimConfig(agents=(spec,), **{field: value})
+            elif field == "tolerance":
+                dataclasses.replace(spec, goal=Goal(spec.goal.position, value))
             else:
                 dataclasses.replace(spec, **{field: value})
         assert err.value.path == path
+        assert err.value.message == f"must be a positive finite number, got {value}"
 
     @pytest.mark.parametrize("t",[[], [0.0, 0.2, 0.1], [0.0, 0.0], [0.0, math.nan]])
     def test_replay_track_needs_increasing_times(self, t):
