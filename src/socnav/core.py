@@ -35,8 +35,9 @@ MAX_TIMELINE_STEPS = 10**6
 
 def positive_finite(value, path: str) -> None:
     """The one rule for a setting that must be a positive finite number: an int
-    or a float (np.float64 is one) above 0 that a float can hold."""
-    if not (isinstance(value, (int, float)) and 0 < value <= sys.float_info.max):
+    or a float (np.float64 is one), not a bool, above 0 that a float can hold."""
+    if not (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and 0 < value <= sys.float_info.max):
         raise InvariantError(path, f"must be a positive finite number, got {value}")
 
 
@@ -233,10 +234,6 @@ class Episode:
         raise KeyError(agent_id)
 
     @property
-    def humans(self) -> tuple[AgentRecord, ...]:
-        return tuple(a for a in self.agents if a.kind is AgentKind.HUMAN)
-
-    @property
     def others(self) -> tuple[AgentRecord, ...]:
         """All agents except the robot under test."""
         return tuple(a for a in self.agents if a.id != self.robot_under_test)
@@ -282,7 +279,8 @@ class MetricParams:
         for f in fields(self):
             if f.type == "float":
                 positive_finite(getattr(self, f.name), f"/params/{f.name}")
-        if self.collision_terminate_count is not None and self.collision_terminate_count < 1:
+        count = self.collision_terminate_count
+        if count is not None and (isinstance(count, bool) or count < 1):
             raise InvariantError("/params/collision_terminate_count", "must be >= 1 or null")
 
 

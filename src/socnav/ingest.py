@@ -126,14 +126,14 @@ def _number(obj, key, path, issues, required=True):
     return None
 
 
-def _finite(obj, key, path, issues, required=True, default=None):
+def _finite(obj, key, path, issues):
     """A finite number as written: an int stays an int, so echoed values keep their bytes."""
-    number = _number(obj, key, path, issues, required)
+    number = _number(obj, key, path, issues)
     if number is None:
-        return default
+        return None
     if not math.isfinite(number):
         issues.error(f"{path}/{key}", "expected a finite number")
-        return default
+        return None
     return obj[key]
 
 

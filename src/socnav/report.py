@@ -129,7 +129,7 @@ def parse_report(document: bytes | str) -> MetricReport:
     episode_id = _string(doc, "episode_id", "", issues)
     params_doc = _object(doc, "params", "", issues)
     metrics = _object(doc, "metrics", "", issues)
-    dt = _finite(params_doc, "dt", "/params", issues, required=False, default=0.1)
+    dt = _finite(params_doc, "dt", "/params", issues)
     params = params_from_jsonable(params_doc)
     taskwise = {}
     for name in metrics:

@@ -9,12 +9,11 @@ goal and freezes whenever anything sits within stopping distance ahead.
 Identical (seed, config) pairs produce byte-identical serialized episodes.
 The step loops over agents on plain Python floats, because crowds are
 small enough that numpy's per-call overhead would dominate; the float
-arithmetic is fixed, so reruns stay byte-identical. `run` keeps its state
-as plain float lists for the whole episode and stacks the history into
-arrays once at the end. The public `init_state` and `step` are array
-wrappers over the same private arithmetic (`_initial`, `_advance`), so a
-loop of `step` visits exactly the states `run` records. The walls felt at
-time t are the set `ObstacleMap.set_index(t)` picks, as in the metrics.
+arithmetic is fixed, so reruns stay byte-identical. `run` is the one
+entry: it keeps its state as plain float lists for the whole episode,
+advances it with `_advance`, and stacks the history into arrays once at
+the end. The walls felt at time t are the set `ObstacleMap.set_index(t)`
+picks, as in the metrics.
 """
 
 from __future__ import annotations
@@ -113,16 +112,6 @@ class SimConfig:
             raise InvariantError(*issues[0])
 
 
-@dataclass(frozen=True)
-class SimState:
-    t: float
-    pos: np.ndarray       # (n, 2)
-    vel: np.ndarray       # (n, 2)
-    heading: np.ndarray   # (n,)
-    waypoint_idx: np.ndarray  # (n,) int
-    reached: np.ndarray   # (n,) bool, sticky goal-reached flags
-
-
 def _initial(config: SimConfig) -> tuple[list, list, list]:
     """Start positions, velocities and headings as plain floats."""
     pos, vel, headings = [], [], []
@@ -144,21 +133,6 @@ def _initial(config: SimConfig) -> tuple[list, list, list]:
         vel.append((vx, vy))
         headings.append(heading)
     return pos, vel, headings
-
-
-def _as_arrays(t: float, pos: list, vel: list, headings: list, waypoint_idx: list,
-               reached: list) -> SimState:
-    n = len(headings)
-    return SimState(t=t, pos=np.array(pos, dtype=float).reshape(n, 2),
-                    vel=np.array(vel, dtype=float).reshape(n, 2),
-                    heading=np.array(headings, dtype=float),
-                    waypoint_idx=np.array(waypoint_idx, dtype=int),
-                    reached=np.array(reached, dtype=bool))
-
-
-def init_state(config: SimConfig) -> SimState:
-    n = len(config.agents)
-    return _as_arrays(0.0, *_initial(config), [0] * n, [False] * n)
 
 
 def _away_from_segment(px: float, py: float, seg: tuple) -> tuple[float, float]:
@@ -336,15 +310,6 @@ def _advance(plan: _Plan, t: float, pos: list, vel: list, headings: list,
     if not finite:
         raise InvariantError("/sim", "non-finite state produced")
     return new_pos, new_vel, new_heading
-
-
-def step(state: SimState, config: SimConfig) -> SimState:
-    """Advance the simulation by one dt; pure function of (state, config)."""
-    waypoint_idx = state.waypoint_idx.tolist()
-    reached = state.reached.tolist()
-    new = _advance(_Plan(config), state.t, state.pos.tolist(), state.vel.tolist(),
-                   state.heading.tolist(), waypoint_idx, reached)
-    return _as_arrays(state.t + config.dt, *new, waypoint_idx, reached)
 
 
 def run(config: SimConfig) -> Episode:

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from typing import NamedTuple
 
-from socnav.core import AgentState, Vec2, common_timeline
+from socnav.core import AgentKind, AgentState, Vec2, common_timeline
 from socnav.geometry import wrap_angle
 
 
@@ -166,7 +167,7 @@ def collision_counts_oracle(episode, params=None, dt=0.1):
 
     wc = merge(wall_overlap)
     ac = hc = 0
-    humans = {a.id for a in episode.humans}
+    humans = {a.id for a in episode.agents if a.kind is AgentKind.HUMAN}
     for agent_id, booleans in agent_overlap.items():
         n = merge(booleans)
         ac += n
@@ -272,18 +273,29 @@ class WelfordStats:
         return 0.5 * (ordered[mid - 1] + ordered[mid])
 
 
+class SimState(NamedTuple):
+    """One row of a simulation: arrays over the n agents of a config."""
+
+    t: float
+    pos: np.ndarray           # (n, 2)
+    vel: np.ndarray           # (n, 2)
+    heading: np.ndarray       # (n,)
+    waypoint_idx: np.ndarray  # (n,) int
+    reached: np.ndarray       # (n,) bool, sticky goal-reached flags
+
+
 def reference_step(state, config):
     """One simulator step with per-agent numpy 2-vectors and (n, n) pairwise arrays.
 
     The social-force step as first written: an independent formulation of
-    the same forces and policies that `socnav.simulator.step` evaluates on
-    plain floats. It returns a `SimState`.
+    the same forces and policies that `socnav.simulator.run` evaluates on
+    plain floats, one step at a time. From a `SimState` it returns the next.
     """
     import numpy as np
 
     from socnav.simulator import (_OBSTACLE_RANGE, _OBSTACLE_STRENGTH, _RELAXATION_TIME,
                                   _REPULSION_RANGE, _REPULSION_STRENGTH, _STOP_LOOKAHEAD,
-                                  _V_MAX, _WAYPOINT_TOLERANCE, SimState)
+                                  _V_MAX, _WAYPOINT_TOLERANCE)
 
     def current_target(spec, waypoint_idx):
         if waypoint_idx < len(spec.waypoints):

@@ -729,16 +729,20 @@ def _edited(path: Path, pointer: tuple, value) -> bytes:
     ("params", ("cooperative_agent_ids",), "robot", "/params/cooperative_agent_ids"),
     ("params", ("bogus",), 1, "/params/bogus"),
     ("params", ("timeout",), -1, "/params/timeout"),
+    ("report", ("params", "dt"), _DELETE, "/params/dt"),
     ("card", ("usage_guide", "success_metrics", 0), 7, "/usage_guide/success_metrics/0"),
+    ("card", ("name",), "", "/name"),
     ("episode", ("obstacles", "dynamic"), 7.5, "/obstacles/dynamic"),
     ("episode", ("obstacles",), 5, "/obstacles"),
+    ("episode", ("agents", 1), 5, "/agents/1"),
     ("episode", ("labels",), [{"scenario": "s", "t_start": 1e308, "t_end": math.inf}],
      "/labels/0/t_end"),
 ], ids=["report-value-string", "report-value-nan", "report-stepwise-element",
         "summary-no-distribution", "summary-mean-infinity", "params-401-digits",
         "params-bool", "params-nan", "params-count-string", "params-ids-string",
-        "params-unknown", "params-negative", "card-metric-not-string",
-        "episode-dynamic-number", "episode-obstacles-number", "episode-label-infinite"])
+        "params-unknown", "params-negative", "report-no-dt", "card-metric-not-string",
+        "card-name-empty", "episode-dynamic-number", "episode-obstacles-number",
+        "episode-agent-number", "episode-label-infinite"])
 def test_bad_field_one_line_with_path(documents, tmp_path, kind, pointer, value, path):
     document = _edited(documents[kind], pointer, value)
     code, lines = _run_reader(kind, document, documents, tmp_path)
@@ -808,6 +812,13 @@ def test_card_name_in_two_files_one_line(episode_file, tmp_path, capsys):
     assert main(["classify", "--cards", str(cards), str(episode_file)]) == 1
     assert capsys.readouterr().err.splitlines() == [
         f"error: {cards / 'one.json'} and {cards / 'two.json'} both define card 'parallel_traffic'"]
+
+
+def test_card_dir_without_cards_one_line(episode_file, tmp_path, capsys):
+    cards = tmp_path / "cards"
+    cards.mkdir()
+    assert main(["classify", "--cards", str(cards), str(episode_file)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: no card files found in {cards}"]
 
 
 def test_stdout_output(episode_file, capsysbinary):

@@ -290,6 +290,13 @@ class TestValidation:
         with pytest.raises(InvariantError):
             MetricParams(timeout=0.0)
 
+    @pytest.mark.parametrize("field", ["timeout", "collision_terminate_count"])
+    def test_bool_params_rejected(self, field):
+        """A report would echo ``true``, which parse_report refuses."""
+        with pytest.raises(InvariantError) as err:
+            MetricParams(**{field: True})
+        assert err.value.path == f"/params/{field}"
+
     def test_median_interval(self):
         agent = make_agent("a", [(0, 0), (1, 0), (2, 0)], dt=0.25)
         assert median_sample_interval(agent) == pytest.approx(0.25)

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from socnav.core import AgentKind, ObstacleMap, Vec2
-from socnav.errors import SchemaError, UnknownCard
+from socnav.errors import InvariantError, SchemaError, UnknownCard
 from socnav.ingest import canonical_json_bytes
 from socnav.scenarios import (
     CLASSIFIABLE_SCENARIOS,
@@ -69,6 +69,12 @@ class TestCards:
             parse_card(json.dumps(doc))
         assert "geometric_layout" in err.value.path
 
+    def test_bool_criterion_rejected(self):
+        """serialize_card would write ``true``, which parse_card refuses."""
+        with pytest.raises(InvariantError) as err:
+            ClassifierParams(min_crowd_size=True)
+        assert err.value.path == "/usage_guide/labeling_criteria/min_crowd_size"
+
     def test_unknown_card_with_criteria(self):
         card = builtin_cards()["intersection"]
         weird = ScenarioCard(name="conga_line", description=card.description,
@@ -90,7 +96,7 @@ class TestClassify:
         assert set(label.agent_ids) == {"robot", "h0"}
         # the window covers (part of) the mutual approach, which ends by the
         # time the pair is closest
-        d = np.linalg.norm(ep.robot.positions - ep.humans[0].positions, axis=1)
+        d = np.linalg.norm(ep.robot.positions - ep.agent("h0").positions, axis=1)
         t_closest = ep.robot.t[int(np.argmin(d))]
         assert label.t_start < t_closest + 0.5
 
@@ -99,19 +105,29 @@ class TestClassify:
         human = make_agent("h", [(3.0, 0.0)] * 30, dt=0.1)
         assert classify(make_episode([robot, human])) == ()
 
-    # Free width between the walls: 0.5 m, below the 0.6 m radius sum plus the
-    # 0.2 m clearance a frontal approach needs.
-    @pytest.mark.parametrize("walls, scenarios", [
-        ((), {"frontal_approach"}),
-        (tuple((Vec2(-3.0, y), Vec2(3.0, y)) for y in (-0.25, 0.25)), set()),
-    ], ids=["open", "no-room-to-pass"])
-    def test_constructed_frontal_approach(self, walls, scenarios):
-        # head-on along x at 1 m/s, radius 0.3, in 0.1 s steps over 4 s
-        robot = make_agent("robot", line_points((-2.0, 0.0), (2.0, 0.0), 41),
-                           dt=0.1, kind=AgentKind.ROBOT)
-        human = make_agent("h", line_points((2.0, 0.0), (-2.0, 0.0), 41), dt=0.1)
-        labels = classify(make_episode([robot, human], obstacles=ObstacleMap(segments=walls)))
-        assert {l.scenario for l in labels} == scenarios
+    # no-room-to-pass: free width between the walls 0.5 m, below the 0.6 m radius
+    # sum plus the 0.2 m clearance a frontal approach needs. walls-off-the-normal:
+    # one wall is parallel to the line cast along the normal, the other lies beside
+    # that line, so neither narrows the passage.
+    @pytest.mark.parametrize("walls, labelled", [
+        ((), True),
+        (tuple((Vec2(-3.0, y), Vec2(3.0, y)) for y in (-0.25, 0.25)), False),
+        (((Vec2(5.0, -1.0), Vec2(5.0, 1.0)), (Vec2(3.0, 1.0), Vec2(4.0, 1.0))), True),
+    ], ids=["open", "no-room-to-pass", "walls-off-the-normal"])
+    def test_constructed_frontal_approach(self, walls, labelled):
+        def head_on(walls):
+            # head-on along x at 1 m/s, radius 0.3, in 0.1 s steps over 4 s
+            robot = make_agent("robot", line_points((-2.0, 0.0), (2.0, 0.0), 41),
+                               dt=0.1, kind=AgentKind.ROBOT)
+            human = make_agent("h", line_points((2.0, 0.0), (-2.0, 0.0), 41), dt=0.1)
+            return make_episode([robot, human], obstacles=ObstacleMap(segments=walls))
+
+        labels = classify(head_on(walls))
+        if labelled:
+            assert [(l.scenario, l.confidence) for l in labels] == [("frontal_approach", 1.0)]
+            assert labels == classify(head_on(()))
+        else:
+            assert labels == ()
 
     def test_constructed_intersection(self):
         # robot goes east through the origin, human goes north through

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -23,12 +24,10 @@ from socnav.simulator import (
     SimConfig,
     _V_MAX,
     generate_scenario,
-    init_state,
     run,
-    step,
 )
 
-from oracles import interpolate_state, reference_step
+from oracles import SimState, interpolate_state, reference_step
 
 PARAMS = MetricParams()
 
@@ -40,6 +39,17 @@ def single_agent_config(max_duration=20.0, desired_speed=1.0, policy="sfm",
                      goal=Goal(position=Vec2(*goal_xy), tolerance=0.2),
                      desired_speed=desired_speed)
     return SimConfig(dt=0.05, max_duration=max_duration, agents=(spec,), scene=scene)
+
+
+def first_step(config):
+    """The episode of one dt from config: row 1 is the state after the first step."""
+    return run(dataclasses.replace(config, max_duration=config.dt))
+
+
+def _human(agent_id, start, goal, policy="sfm", **kwargs):
+    return AgentSpec(agent_id=agent_id, kind=AgentKind.HUMAN, policy=policy,
+                     position=Vec2(*start), goal=Goal(position=Vec2(*goal), tolerance=0.3),
+                     **kwargs)
 
 
 WALL = (Vec2(1.0, 1.0), Vec2(2.0, 1.0))
@@ -74,20 +84,19 @@ class TestStep:
         spec = AgentSpec(agent_id="robot", kind=AgentKind.ROBOT, policy="sfm",
                          position=Vec2(5.0, 0.0),
                          goal=Goal(position=Vec2(5.0, 0.0), tolerance=0.2))
-        config = SimConfig(dt=0.05, max_duration=3.0, agents=(spec,))
-        state = init_state(config)
-        for _ in range(40):
-            state = step(state, config)
-        assert np.linalg.norm(state.pos[0] - (5.0, 0.0)) <= 0.2
+        # a far-off walker that does not arrive keeps run going for all 40 steps
+        walker = _human("h0", (-20.0, 0.0), (-40.0, 0.0))
+        ep = run(SimConfig(dt=0.05, max_duration=2.0, agents=(spec, walker)))
+        assert len(ep.robot.t) == 41
+        assert np.all(np.linalg.norm(ep.robot.positions - (5.0, 0.0), axis=1) <= 0.2)
 
     def test_straight_line_stop_freezes_at_wall(self):
         wall = ObstacleMap(segments=((Vec2(0.3, -1.0), Vec2(0.3, 1.0)),))
         config = single_agent_config(policy="straight_line_stop", scene=wall,
                                      goal_xy=(5.0, 0.0))
-        state = init_state(config)
-        nxt = step(state, config)
-        assert tuple(nxt.vel[0]) == (0.0, 0.0)
-        assert tuple(nxt.pos[0]) == tuple(state.pos[0])
+        robot = first_step(config).robot
+        assert tuple(robot.velocities[1]) == (0.0, 0.0)
+        assert tuple(robot.positions[1]) == tuple(robot.positions[0])
 
     def test_straight_line_stop_blocked_by_agent(self):
         robot = AgentSpec(agent_id="robot", kind=AgentKind.ROBOT,
@@ -96,8 +105,7 @@ class TestStep:
         blocker = AgentSpec(agent_id="h", kind=AgentKind.HUMAN, policy="sfm",
                             position=Vec2(0.5, 0.0))  # within 0.3+0.3+0.1
         config = SimConfig(dt=0.05, max_duration=1.0, agents=(robot, blocker))
-        state = step(init_state(config), config)
-        assert tuple(state.vel[0]) == (0.0, 0.0)
+        assert tuple(first_step(config).robot.velocities[1]) == (0.0, 0.0)
 
     def test_straight_line_stop_ignores_rear_agent(self):
         robot = AgentSpec(agent_id="robot", kind=AgentKind.ROBOT,
@@ -106,8 +114,7 @@ class TestStep:
         rear = AgentSpec(agent_id="h", kind=AgentKind.HUMAN, policy="sfm",
                          position=Vec2(-0.5, 0.0))
         config = SimConfig(dt=0.05, max_duration=1.0, agents=(robot, rear))
-        state = step(init_state(config), config)
-        assert np.linalg.norm(state.vel[0]) > 0.0
+        assert np.linalg.norm(first_step(config).robot.velocities[1]) > 0.0
 
     def test_replay_follows_states(self):
         i = np.arange(20)
@@ -132,6 +139,62 @@ class TestStep:
         corner_near = np.min(np.linalg.norm(xs - (2.0, 0.0), axis=1))
         assert corner_near <= 0.45
         assert np.linalg.norm(xs[-1] - (2.0, 2.0)) <= 0.2
+
+
+def _replay_track(x):
+    """A robot track along x at 10 Hz with stored headings and velocities."""
+    n = len(x)
+    return AgentRecord(id="robot", kind=AgentKind.ROBOT, radius=0.3,
+                       t=0.1 * np.arange(n), x=np.asarray(x, dtype=float),
+                       y=np.zeros(n), heading=np.zeros(n),
+                       vx=np.full(n, 1.5), vy=np.zeros(n))
+
+
+def _replay_config(track, max_duration=4.0):
+    robot = AgentSpec(agent_id="robot", kind=AgentKind.ROBOT, policy="replay",
+                      position=Vec2(0.0, 0.0), replay=track)
+    return SimConfig(dt=0.05, max_duration=max_duration, episode_id="replay",
+                     agents=(robot, _human("h0", (4.0, 0.5), (-2.0, 0.5)),
+                             _human("h1", (3.0, -1.0), (3.0, 3.0),
+                                    policy="straight_line_stop")))
+
+
+# sha256 of serialize_episode(run(generate_scenario(name, 3, policy))): any change to
+# the simulator's arithmetic, its stop rule or the episode writer shows here.
+EPISODE_SHA256 = {
+    ("frontal_approach", "sfm"):
+        "d0406eda218f0b7c8cd41850bfa83a71d48bf92dd692ec93b013feb964a09bca",
+    ("frontal_approach", "straight_line_stop"):
+        "59d82cb366de99e773631bbc054e9f1023459ccd49b344eb09d4b37b476e8920",
+    ("robot_overtaking", "sfm"):
+        "dc721ee0f7374878e1248f36719d6e7e57718c55459fda4196d44edb0701ef59",
+    ("robot_overtaking", "straight_line_stop"):
+        "205eff7cc020bd3dd28d79a05daa79f17d251e5ccc3c9800ebe80f8e9d535e3d",
+    ("pedestrian_overtaking", "sfm"):
+        "245d49faf4687dbd895d7583bd25cbcdef59e6af9310c2ffee910979bb886ef5",
+    ("pedestrian_overtaking", "straight_line_stop"):
+        "df71ff4d6decdd4e65e726be53e402dd8dfaf936d99a05b4aefb15d81d00ee6d",
+    ("intersection", "sfm"):
+        "4fee435682c30258108a0bde95d247691ab2a2db56ca62e40998423dc97e77e9",
+    ("intersection", "straight_line_stop"):
+        "41bf057b1dee2aea746ad19b5d975d32196e3c3525fced7c9e0de075a6593547",
+    ("blind_corner", "sfm"):
+        "d6b6aabbf7813d41d4569d3b0377dcfa1dd637f198c3cf80752773a224e4438c",
+    ("blind_corner", "straight_line_stop"):
+        "d78f07e96df50978ee15077c9dda124b4fdc3cf82f3ef1f4f0ae0f280ad00add",
+    ("parallel_traffic", "sfm"):
+        "0b6f7e3252c85e5145974a4998727361f06e7774f2b328e3cac9bafe8caf41c8",
+    ("parallel_traffic", "straight_line_stop"):
+        "4acd521bd3d3079ba82e7a378376e27e275a70253089c0d84861e95cf4ce1f55",
+    ("perpendicular_traffic", "sfm"):
+        "ad91147c28d0b639de94e40d1161417450c442da743081cc25a69eda3300a34b",
+    ("perpendicular_traffic", "straight_line_stop"):
+        "c756205ab42eb29ae086e6d082c8343b27f59717cc59144834aa1e93d3311f5b",
+    ("random_crossing", "sfm"):
+        "9a23d2f864ef641ab2afae486a851d59c4f7c685bb6166dec9433aa9ab24f031",
+    ("random_crossing", "straight_line_stop"):
+        "de5c34d10bd441bb612d464c789a8792dc012e320657a4e5a6a4791f0f2c1bbc",
+}
 
 
 class TestRun:
@@ -165,7 +228,7 @@ class TestRun:
             SimConfig(max_duration=0.2)
         assert err.value.path == "/agents"
 
-    @pytest.mark.parametrize("value", [0.0, -0.1, math.inf, math.nan, "x", np.float32(0.1)])
+    @pytest.mark.parametrize("value", [0.0, -0.1, math.inf, math.nan, "x", np.float32(0.1), True])
     @pytest.mark.parametrize("field, path", [
         ("dt", "/dt"), ("max_duration", "/max_duration"),
         ("desired_speed", "/agents/robot/desired_speed"), ("radius", "/agents/robot/radius"),
@@ -185,6 +248,11 @@ class TestRun:
         assert err.value.path == path
         assert err.value.message == f"must be a positive finite number, got {value}"
 
+    def test_unknown_policy_rejected(self):
+        with pytest.raises(InvariantError) as err:
+            dataclasses.replace(single_agent_config().agents[0], policy="fly")
+        assert err.value.path == "/agents/robot/policy"
+
     @pytest.mark.parametrize("t",[[], [0.0, 0.2, 0.1], [0.0, 0.0], [0.0, math.nan]])
     def test_replay_track_needs_increasing_times(self, t):
         track = AgentRecord(id="robot", kind=AgentKind.ROBOT, radius=0.3, t=np.array(t),
@@ -197,6 +265,23 @@ class TestRun:
     def test_unknown_scenario(self):
         with pytest.raises(UnknownScenario):
             generate_scenario("conga_line", 0)
+
+    def test_non_finite_state_raised_at_the_same_step(self):
+        # the track jumps by 1e308 m between t = 0.2 and 0.3: the replayed velocity overflows
+        config = _replay_config(_replay_track([0.0, 0.1, 0.2, 1e308, 1e308]))
+        steps = 4  # states 0..4 exist; the step to t = 0.25 fails
+        before = dataclasses.replace(config, max_duration=steps * config.dt)
+        assert len(run(before).robot.t) == steps + 1
+        with pytest.raises(InvariantError) as by_run:
+            run(dataclasses.replace(config, max_duration=(steps + 1) * config.dt))
+        assert by_run.value.path == "/sim"
+        assert by_run.value.message == "non-finite state produced"
+
+    @pytest.mark.parametrize("robot_policy", ("sfm", "straight_line_stop"))
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_episode_bytes_pinned(self, name, robot_policy):
+        episode = serialize_episode(run(generate_scenario(name, 3, robot_policy)))
+        assert hashlib.sha256(episode).hexdigest() == EPISODE_SHA256[name, robot_policy]
 
     def test_speeds_capped(self):
         for seed in range(5):
@@ -217,14 +302,14 @@ class TestScenarioGeometry:
     def test_blind_corner_sightline_blocked_early(self):
         ep = run(generate_scenario("blind_corner", 9))
         seg_a, seg_b = ep.obstacles.static_arrays
-        robot, human = ep.robot, ep.humans[0]
+        robot, human = ep.robot, ep.agent("h0")
         n = min(len(robot.states), len(human.states))
         blocked = sightlines_blocked(robot.positions[:n:5], human.positions[:n:5], seg_a, seg_b)
         assert blocked.any(), "blind corner must occlude the pair before the encounter"
 
     def test_overtaking_pass_happens(self):
         ep = run(generate_scenario("robot_overtaking", 3))
-        robot, human = ep.robot, ep.humans[0]
+        robot, human = ep.robot, ep.agent("h0")
         n = min(len(robot.states), len(human.states))
         gap = robot.positions[:n, 0] - human.positions[:n, 0]
         assert gap[0] < 0 and gap[n - 1] > 0  # behind at start, ahead at end
@@ -243,38 +328,43 @@ class TestScenarioGeometry:
             assert len(humans) >= 5
 
 
-def _assert_steps_match_reference(config):
-    """Feed step and reference_step the same state at every step of a run."""
-    state = init_state(config)
-    steps = 0
-    while state.t < config.max_duration - 1e-9:
-        got, want = step(state, config), reference_step(state, config)
-        where = f"{config.episode_id} at t={state.t:.2f}"
-        assert got.t == want.t, where
-        np.testing.assert_allclose(got.pos, want.pos, rtol=0, atol=1e-9, err_msg=where)
-        np.testing.assert_allclose(got.vel, want.vel, rtol=0, atol=1e-9, err_msg=where)
-        assert np.all(np.abs(wrap_angle(got.heading - want.heading)) <= 1e-9), where
-        assert np.all(np.abs(got.heading) <= np.pi) and not np.any(got.heading == -np.pi), where
-        assert got.waypoint_idx.tolist() == want.waypoint_idx.tolist(), where
-        assert got.reached.tolist() == want.reached.tolist(), where
-        state = got
-        steps += 1
-        if state.reached.all():
-            break
-    assert steps > 0
+def _assert_run_matches_reference(config):
+    """Feed reference_step each row run recorded: it must give the next row.
+
+    The reference carries the waypoint indices and the goal-reached flags
+    itself. run stops at the first row where every goal-bearing agent has
+    reached its goal, and otherwise at max_duration.
+    """
+    ep = run(config)
+    times = ep.robot.t.tolist()
+    pos = np.stack([a.positions for a in ep.agents], axis=1)
+    vel = np.stack([a.velocities for a in ep.agents], axis=1)
+    heading = np.stack([a.heading for a in ep.agents], axis=1)
+    n = len(config.agents)
+    goal_bearing = [i for i, a in enumerate(config.agents) if a.goal is not None]
+    waypoint_idx, reached = np.zeros(n, dtype=int), np.zeros(n, dtype=bool)
+    assert len(times) > 1
+    for k in range(len(times) - 1):
+        where = f"{config.episode_id} at t={times[k]:.2f}"
+        want = reference_step(SimState(times[k], pos[k], vel[k], heading[k],
+                                       waypoint_idx, reached), config)
+        assert times[k + 1] == want.t, where
+        np.testing.assert_allclose(pos[k + 1], want.pos, rtol=0, atol=1e-9, err_msg=where)
+        np.testing.assert_allclose(vel[k + 1], want.vel, rtol=0, atol=1e-9, err_msg=where)
+        assert np.all(np.abs(wrap_angle(heading[k + 1] - want.heading)) <= 1e-9), where
+        assert np.all(np.abs(heading[k + 1]) <= np.pi), where
+        assert not np.any(heading[k + 1] == -np.pi), where
+        waypoint_idx, reached = want.waypoint_idx, want.reached
+        all_reached = bool(goal_bearing) and bool(reached[goal_bearing].all())
+        assert not all_reached or k == len(times) - 2, where
+    assert all_reached or times[-1] >= config.max_duration - 1e-9
 
 
-def _human(agent_id, start, goal, policy="sfm", **kwargs):
-    return AgentSpec(agent_id=agent_id, kind=AgentKind.HUMAN, policy=policy,
-                     position=Vec2(*start), goal=Goal(position=Vec2(*goal), tolerance=0.3),
-                     **kwargs)
-
-
-class TestStepMatchesReference:
+class TestRunMatchesReference:
     @pytest.mark.parametrize("robot_policy", ("sfm", "straight_line_stop"))
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_scenarios(self, name, robot_policy):
-        _assert_steps_match_reference(generate_scenario(name, 3, robot_policy))
+        _assert_run_matches_reference(generate_scenario(name, 3, robot_policy))
 
     def test_scripted_waypoints_agent(self):
         robot = AgentSpec(agent_id="robot", kind=AgentKind.ROBOT, policy="scripted_waypoints",
@@ -284,7 +374,7 @@ class TestStepMatchesReference:
         config = SimConfig(dt=0.05, max_duration=8.0, episode_id="scripted",
                            agents=(robot, _human("h0", (4.0, 0.2), (-2.0, 0.0))),
                            scene=ObstacleMap(segments=((Vec2(-1.0, -0.8), Vec2(5.0, -0.8)),)))
-        _assert_steps_match_reference(config)
+        _assert_run_matches_reference(config)
 
     def test_replay_agent(self):
         i = np.arange(30)
@@ -297,7 +387,7 @@ class TestStepMatchesReference:
                            agents=(robot, _human("h0", (4.0, 0.5), (-2.0, 0.5)),
                                    _human("h1", (3.0, -1.0), (3.0, 3.0),
                                           policy="straight_line_stop")))
-        _assert_steps_match_reference(config)
+        _assert_run_matches_reference(config)
 
     def test_dynamic_obstacles(self):
         door = (Vec2(1.5, -1.5), Vec2(1.5, 1.5))
@@ -311,7 +401,7 @@ class TestStepMatchesReference:
         config = SimConfig(dt=0.05, max_duration=8.0, episode_id="dynamic", scene=scene,
                            agents=(robot, _human("h0", (0.5, 0.4), (5.0, 0.4)),
                                    _human("h1", (5.0, 0.0), (-2.0, 0.0), radius=0.5)))
-        _assert_steps_match_reference(config)
+        _assert_run_matches_reference(config)
 
     def test_agent_starting_on_goal(self):
         config = SimConfig(dt=0.05, max_duration=2.0, episode_id="on-goal",
@@ -321,7 +411,17 @@ class TestStepMatchesReference:
                                    _human("h2", (3.0, 1.0), (-2.0, 1.0)),
                                    # nearly on top of h0: inside the 1e-6 m distance floor
                                    _human("h3", (1.0 + 5e-7, 1.0), (4.0, 1.0))))
-        _assert_steps_match_reference(config)
+        _assert_run_matches_reference(config)
+
+    def test_agent_starting_on_a_wall(self):
+        # h0 starts on the wall itself: no direction to push it along, so the wall
+        # exerts no force on the first step
+        config = SimConfig(dt=0.05, max_duration=3.0, episode_id="on-wall",
+                           agents=(_human("h0", (1.0, -0.8), (1.0, 1.0)),
+                                   _human("h1", (3.0, -0.8), (3.0, 1.0),
+                                          policy="straight_line_stop")),
+                           scene=ObstacleMap(segments=((Vec2(-1.0, -0.8), Vec2(5.0, -0.8)),)))
+        _assert_run_matches_reference(config)
 
     def test_westward_heading_wraps_to_pi(self):
         # goal.y - pos.y is -0.0, so atan2 sees (-0.0, -v) and returns -pi
@@ -330,107 +430,12 @@ class TestStepMatchesReference:
                                           policy="scripted_waypoints"),
                                    _human("h1", (3.0, 0.0), (-5.0, -0.0),
                                           policy="straight_line_stop")))
-        state = step(init_state(config), config)
-        assert state.heading.tolist() == [math.pi, math.pi]
-        _assert_steps_match_reference(config)
-
-
-def _run_by_steps(config):
-    """`run`'s loop written with the public `step`: the states it visits."""
-    state = init_state(config)
-    history = [state]
-    goal_bearing = [i for i, a in enumerate(config.agents) if a.goal is not None]
-    while state.t < config.max_duration - 1e-9:
-        state = step(state, config)
-        history.append(state)
-        if goal_bearing and state.reached[goal_bearing].all():
-            break
-    return history
-
-
-def _assert_run_matches_steps(config):
-    """run(config) holds, bit for bit, the states a loop of `step` visits."""
-    history = _run_by_steps(config)
-    ep = run(config)
-    for i, agent in enumerate(ep.agents):
-        where = f"{config.episode_id} agent {agent.id}"
-        assert agent.t.tolist() == [s.t for s in history], where
-        assert agent.positions.tolist() == [s.pos[i].tolist() for s in history], where
-        assert agent.velocities.tolist() == [s.vel[i].tolist() for s in history], where
-        assert agent.heading.tolist() == [s.heading[i] for s in history], where
-
-
-def _replay_track(x):
-    """A robot track along x at 10 Hz with stored headings and velocities."""
-    n = len(x)
-    return AgentRecord(id="robot", kind=AgentKind.ROBOT, radius=0.3,
-                       t=0.1 * np.arange(n), x=np.asarray(x, dtype=float),
-                       y=np.zeros(n), heading=np.zeros(n),
-                       vx=np.full(n, 1.5), vy=np.zeros(n))
-
-
-def _replay_config(track, max_duration=4.0):
-    robot = AgentSpec(agent_id="robot", kind=AgentKind.ROBOT, policy="replay",
-                      position=Vec2(0.0, 0.0), replay=track)
-    return SimConfig(dt=0.05, max_duration=max_duration, episode_id="replay",
-                     agents=(robot, _human("h0", (4.0, 0.5), (-2.0, 0.5)),
-                             _human("h1", (3.0, -1.0), (3.0, 3.0),
-                                    policy="straight_line_stop")))
-
-
-class TestRunMatchesSteps:
-    @pytest.mark.parametrize("robot_policy", ("sfm", "straight_line_stop"))
-    @pytest.mark.parametrize("name", SCENARIO_NAMES)
-    def test_scenarios(self, name, robot_policy):
-        _assert_run_matches_steps(generate_scenario(name, 3, robot_policy))
-
-    def test_scripted_waypoints_agent(self):
-        robot = AgentSpec(agent_id="robot", kind=AgentKind.ROBOT, policy="scripted_waypoints",
-                          position=Vec2(0.0, 0.0),
-                          goal=Goal(position=Vec2(2.0, 2.0), tolerance=0.2),
-                          waypoints=(Vec2(2.0, 0.0), Vec2(2.0, 1.0)))
-        config = SimConfig(dt=0.05, max_duration=8.0, episode_id="scripted",
-                           agents=(robot, _human("h0", (4.0, 0.2), (-2.0, 0.0))),
-                           scene=ObstacleMap(segments=((Vec2(-1.0, -0.8), Vec2(5.0, -0.8)),)))
-        _assert_run_matches_steps(config)
-
-    def test_replay_agent(self):
-        _assert_run_matches_steps(_replay_config(_replay_track(0.15 * np.arange(30))))
-
-    def test_dynamic_obstacles(self):
-        door = (Vec2(1.5, -1.5), Vec2(1.5, 1.5))
-        scene = ObstacleMap(segments=((Vec2(-3.0, 1.2), Vec2(6.0, 1.2)),
-                                      (Vec2(-3.0, -1.2), Vec2(6.0, -1.2))),
-                            dynamic=((0.0, (door,)), (1.5, ()),
-                                     (3.0, ((Vec2(3.0, 0.2), Vec2(3.5, 0.6)),))))
-        robot = AgentSpec(agent_id="robot", kind=AgentKind.ROBOT, policy="straight_line_stop",
-                          position=Vec2(0.0, -0.4), radius=0.25,
-                          goal=Goal(position=Vec2(5.0, -0.4), tolerance=0.2))
-        config = SimConfig(dt=0.05, max_duration=8.0, episode_id="dynamic", scene=scene,
-                           agents=(robot, _human("h0", (0.5, 0.4), (5.0, 0.4)),
-                                   _human("h1", (5.0, 0.0), (-2.0, 0.0), radius=0.5)))
-        _assert_run_matches_steps(config)
-
-    def test_non_finite_state_raised_at_the_same_step(self):
-        # the track jumps by 1e308 m between t = 0.2 and 0.3: the replayed velocity overflows
-        config = _replay_config(_replay_track([0.0, 0.1, 0.2, 1e308, 1e308]))
-        state, steps = init_state(config), 0
-        with pytest.raises(InvariantError) as by_step:
-            while steps < 10:
-                state = step(state, config)
-                steps += 1
-        assert by_step.value.path == "/sim"
-        assert steps == 4  # states 0..4 exist; the step to t = 0.25 fails
-        before = dataclasses.replace(config, max_duration=steps * config.dt)
-        assert len(run(before).robot.t) == steps + 1
-        with pytest.raises(InvariantError) as by_run:
-            run(dataclasses.replace(config, max_duration=(steps + 1) * config.dt))
-        assert by_run.value.path == "/sim"
-        assert by_run.value.message == by_step.value.message == "non-finite state produced"
+        assert [a.heading[1] for a in first_step(config).agents] == [math.pi, math.pi]
+        _assert_run_matches_reference(config)
 
 
 def _sim_times(dt, max_duration):
-    """The times a run visits, accumulated as `run` and `step` accumulate them."""
+    """The times a run visits, accumulated as `run` accumulates them."""
     times = [0.0]
     while times[-1] < max_duration - 1e-9:
         times.append(times[-1] + dt)
@@ -483,21 +488,19 @@ class TestReplayBitForBit:
         track, dt, max_duration = REPLAY_CASES[case]
         spec = AgentSpec(agent_id="robot", kind=AgentKind.ROBOT, policy="replay",
                          position=Vec2(9.0, 9.0), replay=track)
-        config = SimConfig(dt=dt, max_duration=max_duration, agents=(spec,))
-        state = init_state(config)
+        robot = run(SimConfig(dt=dt, max_duration=max_duration, agents=(spec,))).robot
+        times, pos, vel = robot.t.tolist(), robot.positions.tolist(), robot.velocities.tolist()
+        assert times == _sim_times(dt, max_duration)
         stored = [track.vx[0], track.vy[0]] if track.has_vel[0] else [0.0, 0.0]
-        assert (state.pos[0].tolist(), state.vel[0].tolist(), state.heading[0]) == (
+        assert (pos[0], vel[0], robot.heading[0]) == (
             [track.x[0], track.y[0]], stored, track.heading[0])
         hits = 0
-        while state.t < max_duration - 1e-9:
-            t_next = max(min(state.t + dt, track.t_end), track.t_start)
+        for k, t in enumerate(times[:-1]):
+            t_next = max(min(t + dt, track.t_end), track.t_start)
             hits += t_next in track.t.tolist()
             want = interpolate_state(track, t_next).position
-            nxt = step(state, config)
-            p = state.pos[0].tolist()
-            got, expected = nxt.vel[0].tolist(), [(want.x - p[0]) / dt, (want.y - p[1]) / dt]
-            assert list(map(float.hex, got)) == list(map(float.hex, expected)), state.t
-            state = nxt
+            expected = [(want.x - pos[k][0]) / dt, (want.y - pos[k][1]) / dt]
+            assert list(map(float.hex, vel[k + 1])) == list(map(float.hex, expected)), t
         if case == "stamps_hit_by_t_plus_dt":
             assert hits >= 5
         elif case == "off_grid_stamps":
