@@ -140,7 +140,7 @@ def _load_cards(directory: str | None):
     from . import scenarios
 
     cards, source = {}, {}
-    for path in sorted(Path(directory).glob("*.json")):
+    for path in sorted(p for p in Path(directory).iterdir() if p.match("*.json")):
         card = scenarios.parse_card(_read(str(path)))
         if card.name in cards:
             raise SocnavError(f"{source[card.name]} and {path} both define card {card.name!r}")

@@ -13,13 +13,14 @@ arithmetic is fixed, so reruns stay byte-identical. `run` is the one
 entry: it keeps its state as plain float lists for the whole episode,
 advances it with `_advance`, and stacks the history into arrays once at
 the end. The walls felt at time t are the set `ObstacleMap.set_index(t)`
-picks, as in the metrics.
+picks, as in the metrics. Scenario jitter is numpy's PCG64 stream on ints.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
@@ -381,6 +382,45 @@ def _spec(agent_id, kind, policy, start, goal_xy, speed, waypoints=()):
     )
 
 
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _uniform_stream(seed: int):
+    """numpy's ``default_rng(seed).uniform`` on Python ints, bit for bit: ``SeedSequence(seed)``
+    seeds a PCG64 (O'Neill 2014); a draw scales the top 53 bits of one XSL-RR output."""
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    h = 0x43B0D7E5
+
+    def hashmix(value, mult=0x931E8875):
+        nonlocal h
+        value, h = value ^ h, h * mult & _MASK32
+        value = value * h & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    # Every pool word into every other, then the words past the pool into all four.
+    for src, dst in itertools.product(range(max(4, len(words))), range(4)):
+        if src != dst:
+            value = hashmix(pool[src] if src < 4 else words[src])
+            r = (0xCA01F9DD * pool[dst] - 0x4973F715 * value) & _MASK32
+            pool[dst] = r ^ r >> 16
+    h = 0x8B51F9DD
+    w = [hashmix(pool[i % 4], 0x58F38DED) for i in range(8)]
+    # Two little-endian uint64 pairs, each read high word first.
+    inc = ((w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]) << 1 | 1) & _MASK128
+    state = (inc + (w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2])) * _PCG64_MULT + inc
+
+    def uniform(low, high):
+        nonlocal state
+        state = (state * _PCG64_MULT + inc) & _MASK128
+        x, rot = (state >> 64 ^ state) & _MASK64, state >> 122
+        x = (x >> rot | x << (64 - rot)) & _MASK64
+        return low + (high - low) * ((x >> 11) * 2.0 ** -53)
+
+    return uniform
+
+
 def generate_scenario(name: str, variation_seed: int,
                       robot_policy: str = "sfm") -> SimConfig:
     """Instantiate a named scenario layout with seeded jitter.
@@ -393,13 +433,13 @@ def generate_scenario(name: str, variation_seed: int,
         raise UnknownScenario(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")
     if variation_seed < 0:
         raise InvariantError("/seed", f"must be a non-negative integer, got {variation_seed}")
-    rng = np.random.default_rng(variation_seed)
+    uniform = _uniform_stream(operator.index(variation_seed))  # numpy integers too
 
     def jit(scale=0.5):
-        return float(rng.uniform(-scale, scale))
+        return uniform(-scale, scale)
 
     def speed(base):
-        return float(base * (1.0 + rng.uniform(-0.2, 0.2)))
+        return base * (1.0 + uniform(-0.2, 0.2))
 
     agents: list[AgentSpec] = []
     scene = ObstacleMap()
@@ -438,7 +478,7 @@ def generate_scenario(name: str, variation_seed: int,
         scene = _l_corridor(0.8)
         # A shared pace factor carries the +-20% speed variation; the junction
         # arrival gap stays small so the encounter happens at the corner.
-        pace = float(1.0 + rng.uniform(-0.2, 0.2))
+        pace = 1.0 + uniform(-0.2, 0.2)
         agents.append(_spec("robot", AgentKind.ROBOT, robot_policy,
                             (-5.0 + jit(0.3), -0.35 + jit(0.1)), (0.35, -5.0),
                             pace * (1.0 + jit(0.05)),
@@ -475,10 +515,10 @@ def generate_scenario(name: str, variation_seed: int,
         agents.append(_spec("robot", AgentKind.ROBOT, robot_policy,
                             (-4.0 + jit(), jit()), (4.0, 0.0), speed(1.0)))
         for k in range(3):
-            angle = float((2 * k + 1) * math.pi / 3 + rng.uniform(-0.5, 0.5))
-            r0 = 5.0 + float(rng.uniform(0.0, 1.8))  # staggered arrivals at the center
+            angle = (2 * k + 1) * math.pi / 3 + uniform(-0.5, 0.5)
+            r0 = 5.0 + uniform(0.0, 1.8)  # staggered arrivals at the center
             start = (r0 * math.cos(angle), r0 * math.sin(angle))
-            end_angle = angle + math.pi + float(rng.uniform(-0.6, 0.6))
+            end_angle = angle + math.pi + uniform(-0.6, 0.6)
             end = (5.0 * math.cos(end_angle), 5.0 * math.sin(end_angle))
             agents.append(_spec(f"h{k}", AgentKind.HUMAN, "sfm",
                                 (start[0] + jit(), start[1] + jit()), end, speed(1.0)))

@@ -169,14 +169,35 @@ def test_cli_import_leaves_simulator_and_scenarios_unloaded(tmp_path):
             capture_output=True, text=True, env=_child_env(**blas), timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["False", "False", expected, "[]", "0 False"]
-    # -X importtime lists every module a process imports, one per line.
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "socnav.cli", "--help"],
-                          capture_output=True, text=True, env=_child_env(), timeout=60)
+    proc, imported = _cli_imports("--help")
     assert proc.returncode == 0 and proc.stdout.startswith("usage: socnav")
-    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
-                if line.startswith("import time:")}
     assert {"argparse", "socnav", "socnav.errors"} <= imported
     assert not {m for m in imported if m == "numpy" or m.startswith("numpy.")}
+
+
+def _cli_imports(*argv) -> tuple[subprocess.CompletedProcess, set]:
+    """``python -m socnav.cli *argv`` and the modules it imported."""
+    # -X importtime lists every module a process imports, one per line.
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "socnav.cli", *argv],
+                          capture_output=True, text=True, env=_child_env(), timeout=60)
+    return proc, {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                  if line.startswith("import time:")}
+
+
+def test_simulating_process_leaves_numpy_random_unloaded(tmp_path):
+    proc, imported = _cli_imports("simulate", "--scenario", "random_crossing",
+                                  "--seed", str(10**40), "--count", "2", "-o", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert {"numpy", "socnav.simulator"} <= imported
+    assert not {m for m in imported
+                if m in ("secrets", "hashlib") or m.split(".")[:2] == ["numpy", "random"]}
+    code = ("import sys; from socnav.simulator import generate_scenario, run; "
+            "run(generate_scenario('perpendicular_traffic', 7)); "
+            "print('numpy' in sys.modules, 'numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True False\n"
 
 
 def test_project_script_writes_golden_report():
@@ -819,6 +840,16 @@ def test_card_dir_without_cards_one_line(episode_file, tmp_path, capsys):
     cards.mkdir()
     assert main(["classify", "--cards", str(cards), str(episode_file)]) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: no card files found in {cards}"]
+
+
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_cards_path_not_a_directory_is_io_error(episode_file, tmp_path, capsys, kind):
+    cards = tmp_path / "cards"
+    if kind == "file":
+        cards.write_text("{}")
+    assert main(["classify", "--cards", str(cards), str(episode_file)]) == 3
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("I/O error: ") and str(cards) in line
 
 
 def test_stdout_output(episode_file, capsysbinary):

@@ -23,6 +23,7 @@ from socnav.simulator import (
     AgentSpec,
     SimConfig,
     _V_MAX,
+    _uniform_stream,
     generate_scenario,
     run,
 )
@@ -289,6 +290,35 @@ class TestRun:
             for agent in ep.agents:
                 speeds = np.linalg.norm(agent.velocities, axis=1)
                 assert np.all(speeds <= _V_MAX + 1e-9)
+
+
+# Every (low, high) pair generate_scenario draws with.
+_UNIFORM_BOUNDS = ((-0.5, 0.5), (-0.1, 0.1), (-0.15, 0.15), (-0.2, 0.2), (-0.3, 0.3),
+                   (-0.05, 0.05), (-1.5, 1.5), (-0.4, 0.4), (0.0, 1.8), (-0.6, 0.6))
+
+
+class TestUniformStream:
+    """The scenario jitter is numpy's ``default_rng(seed).uniform`` stream, bit for bit."""
+
+    @pytest.mark.parametrize("seeds", [
+        pytest.param(range(2001), id="0-2000"),
+        pytest.param(np.random.default_rng(2023).integers(0, 2**64, 2000, dtype=np.uint64).tolist(),
+                     id="random-below-2**64"),
+        # 2**128 + 1 has five 32-bit words: SeedSequence mixes the fifth in past its 4-word pool.
+        pytest.param([2**32 - 1, 2**32, 2**64, 2**128 + 1, 10**40], id="word-boundaries"),
+    ])
+    def test_matches_numpy_generator(self, seeds):
+        bounds = [_UNIFORM_BOUNDS[k % len(_UNIFORM_BOUNDS)] for k in range(30)]
+        for seed in seeds:
+            ours, oracle = _uniform_stream(seed), np.random.default_rng(seed)
+            assert ([ours(low, high).hex() for low, high in bounds]
+                    == [oracle.uniform(low, high).hex() for low, high in bounds]), seed
+
+    def test_numpy_integer_seed(self):
+        assert generate_scenario("random_crossing", np.uint64(7)) == generate_scenario(
+            "random_crossing", 7)
+        with pytest.raises(TypeError):
+            generate_scenario("random_crossing", 7.0)
 
 
 class TestScenarioGeometry:
