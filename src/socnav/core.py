@@ -282,13 +282,15 @@ class MetricParams:
         count = self.collision_terminate_count
         if count is not None and (isinstance(count, bool) or count < 1):
             raise InvariantError("/params/collision_terminate_count", "must be >= 1 or null")
+        if self.cooperative_agent_ids == frozenset():  # an empty set is no cooperative set
+            object.__setattr__(self, "cooperative_agent_ids", None)
 
 
 def _param_echo(params: MetricParams, name: str):
     """A parameter as outputs echo it: cooperative ids as a sorted list, or null if none."""
     value = getattr(params, name)
-    if name == "cooperative_agent_ids":
-        return sorted(value) if value else None
+    if name == "cooperative_agent_ids" and value is not None:
+        return sorted(value)
     return value
 
 

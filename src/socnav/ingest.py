@@ -9,6 +9,9 @@ field with a default may be absent; an ``Optional`` field may be null.
 An episode's states are read a field at a time (``_column``): a column of
 plain numbers converts whole, and only one that does not has its entries
 read by ``_number``, so every number in a document obeys one rule.
+``import_tsv`` only translates: it writes the table as an episode document
+and builds the episode with the same decoder, so an import obeys every
+rule ``validate`` applies.
 
 The JSON field names used here are this toolkit's normative definition of
 the interchange format (see README). Unknown fields are preserved under
@@ -40,7 +43,6 @@ from .core import (
     finite_difference_velocities,
     motion_headings,
     positive_finite,
-    validate_episode,
 )
 from .errors import InvariantError, MalformedDocument, MalformedRow, NoRobot, SchemaError
 from .geometry import wrap_angle
@@ -594,9 +596,10 @@ def import_tsv(rows: str | bytes, frame_rate: float, robot_id: str | None = None
     id (sorted) is promoted to robot under test. Agents whose time span
     does not overlap the robot's are dropped (the episode is robot-centric).
     Every agent gets ``DEFAULT_HUMAN_RADIUS``; the episode id is "tsv-import".
-    The result is checked as a parsed episode would be: InvariantError
-    names the first violation, so no import yields a file validate rejects.
-    Bytes that are not UTF-8 raise MalformedDocument.
+    The rows become an episode document, which the episode decoder reads as
+    it reads a file: headings and velocities are derived there, and every
+    rule ``validate`` applies holds, the first broken one raising
+    InvariantError. Bytes that are not UTF-8 raise MalformedDocument.
     """
     positive_finite(frame_rate, "/frame_rate")
     rows = _text(rows)
@@ -629,25 +632,19 @@ def import_tsv(rows: str | bytes, frame_rate: float, robot_id: str | None = None
         raise NoRobot(f"agent {robot_id!r} not present in the data")
     effective_robot = robot_id if robot_id is not None else sorted(samples)[0]
 
-    records = []
-    for agent_id in sorted(samples):
-        frames = sorted(samples[agent_id])
-        xy = np.array([samples[agent_id][f] for f in frames])
-        kind = AgentKind.ROBOT if agent_id == effective_robot else AgentKind.HUMAN
-        record = AgentRecord(id=agent_id, kind=kind, radius=DEFAULT_HUMAN_RADIUS,
-                             t=np.array(frames) / frame_rate, x=xy[:, 0], y=xy[:, 1])
-        if len(frames) >= 2:
-            record = replace(record, heading=motion_headings(record))
-        records.append(record)
-
-    robot = next(r for r in records if r.id == effective_robot)
-    kept = tuple(r for r in records
-                 if r.t_start <= robot.t_end and r.t_end >= robot.t_start)
-    episode = Episode(
-        episode_id="tsv-import",
-        robot_under_test=effective_robot,
-        agents=kept,
-        metadata={"source": "tsv", "frame_rate": repr(float(frame_rate))},
-    )
-    validate_episode(episode)
-    return episode
+    rate = float(frame_rate)  # an np.float64 rate would give np.float64 times, not JSON numbers
+    states = {agent_id: [{"t": frame / rate, "x": x, "y": y}
+                         for frame, (x, y) in sorted(samples[agent_id].items())]
+              for agent_id in sorted(samples)}
+    robot = states[effective_robot]
+    doc = {
+        "format_version": FORMAT_VERSION,
+        "episode_id": "tsv-import",
+        "robot_under_test": effective_robot,
+        "agents": [{"id": agent_id, "kind": "robot" if agent_id == effective_robot else "human",
+                    "radius": DEFAULT_HUMAN_RADIUS, "states": s}
+                   for agent_id, s in states.items()
+                   if s[0]["t"] <= robot[-1]["t"] and s[-1]["t"] >= robot[0]["t"]],
+        "metadata": {"source": "tsv", "frame_rate": repr(rate)},
+    }
+    return _build_episode(doc, _Issues(strict=True))

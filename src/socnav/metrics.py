@@ -304,10 +304,10 @@ def _min_time_to_collision(frames: _Frames) -> float:
 
 
 def _aggregated_time(frames: _Frames) -> Optional[float]:
-    """AT: latest first goal-reach time across the cooperative set; None if
-    the set is empty/absent or any member never reaches its goal."""
+    """AT: latest first goal-reach time across the cooperative set; None
+    without one or if any member never reaches its goal."""
     ids = frames.params.cooperative_agent_ids
-    if not ids:
+    if ids is None:
         return None
     latest = 0.0
     for agent_id in sorted(ids):

@@ -15,19 +15,17 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .core import MetricParams, _param_echo, median
 from .errors import EmptyCorpus, InvariantError, SchemaError
-from .ingest import (_array, _finite, _integer, _Issues, _object, _string,
+from .ingest import (FORMAT_VERSION, _array, _finite, _integer, _Issues, _object, _string,
                      canonical_json_bytes, load_json, read_dataclass)
 from .metrics import (STEPWISE_UNITS, TASKWISE_KEYS, UNITS, MetricReport, MetricValue,
                       StepSeries, taxonomy_code)
-
-FORMAT_VERSION = "1.0"
 
 
 # --- Value and params encoding -------------------------------------------------
@@ -77,10 +75,7 @@ def params_from_jsonable(doc: Mapping) -> MetricParams:
     unknown = set(doc) - {f.name for f in fields(MetricParams)} - {"dt"}  # dt: echoed, not a field
     if unknown:
         raise SchemaError(f"/params/{sorted(unknown)[0]}", "unknown parameter")
-    params = read_dataclass(MetricParams, doc, "/params", _Issues(strict=True))
-    if params.cooperative_agent_ids == frozenset():  # [] is no cooperative set, as echoed
-        return replace(params, cooperative_agent_ids=None)
-    return params
+    return read_dataclass(MetricParams, doc, "/params", _Issues(strict=True))
 
 
 # --- Per-episode report I/O ----------------------------------------------------

@@ -26,7 +26,7 @@ import numpy as np
 from .core import AgentKind, Episode, SampledAgent, event_runs, median, positive_finite
 from .errors import InvariantError, SchemaError, UnknownCard
 from .geometry import sightlines_blocked, wrap_angle
-from .ingest import _Issues, canonical_json_bytes, load_json, read_dataclass
+from .ingest import FORMAT_VERSION, _Issues, canonical_json_bytes, load_json, read_dataclass
 
 log = logging.getLogger(__name__)
 
@@ -527,7 +527,7 @@ def serialize_labels(labels_by_episode: Mapping[str, Sequence[ScenarioLabel]]) -
     """The ``socnav classify`` document: each episode's labels and the corpus
     coverage, each object the ``vars`` (the fields) of its dataclass."""
     return canonical_json_bytes({
-        "format_version": "1.0",
+        "format_version": FORMAT_VERSION,
         "episodes": {episode_id: [vars(label) for label in labels]
                      for episode_id, labels in labels_by_episode.items()},
         "coverage": vars(coverage_report(labels_by_episode)),

@@ -6,7 +6,7 @@ integrated with explicit Euler at a fixed dt (unit mass, so forces are
 accelerations). The worst-case baseline policy walks straight toward its
 goal and freezes whenever anything sits within stopping distance ahead.
 
-Identical (seed, config) pairs produce byte-identical serialized episodes.
+Identical configs produce byte-identical serialized episodes.
 The step loops over agents on plain Python floats, because crowds are
 small enough that numpy's per-call overhead would dominate; the float
 arithmetic is fixed, so reruns stay byte-identical. `run` is the one
@@ -98,7 +98,6 @@ class AgentSpec:
 class SimConfig:
     dt: float = 0.05
     max_duration: float = 30.0
-    seed: int = 0
     scene: ObstacleMap = ObstacleMap()
     agents: tuple[AgentSpec, ...] = ()
     episode_id: str = "sim"
@@ -346,10 +345,9 @@ def run(config: SimConfig) -> Episode:
         for i, spec in enumerate(config.agents))
     robot_id = next((a.agent_id for a in config.agents if a.kind is AgentKind.ROBOT),
                     config.agents[0].agent_id)
-    metadata = {str(k): str(v) for k, v in config.metadata.items()}
-    metadata.setdefault("seed", str(config.seed))
     return Episode(episode_id=config.episode_id, robot_under_test=robot_id,
-                   agents=agents, obstacles=config.scene, metadata=metadata)
+                   agents=agents, obstacles=config.scene,
+                   metadata={str(k): str(v) for k, v in config.metadata.items()})
 
 
 # --- Scenario generation ------------------------------------------------------
@@ -427,7 +425,7 @@ def generate_scenario(name: str, variation_seed: int,
 
     Start positions get up to +-0.5 m longitudinal jitter (less laterally in
     narrow corridors) and desired speeds vary +-20 %. The ground-truth
-    scenario name is recorded in the episode metadata.
+    scenario name and the seed are recorded in the episode metadata.
     """
     if name not in SCENARIO_NAMES:
         raise UnknownScenario(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")
@@ -527,9 +525,8 @@ def generate_scenario(name: str, variation_seed: int,
     return SimConfig(
         dt=0.05,
         max_duration=max_duration,
-        seed=variation_seed,
         scene=scene,
         agents=tuple(agents),
         episode_id=f"{name}_{variation_seed}",
-        metadata={"scenario": name, "robot_policy": robot_policy},
+        metadata={"scenario": name, "robot_policy": robot_policy, "seed": str(variation_seed)},
     )

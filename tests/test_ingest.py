@@ -1,9 +1,10 @@
 import copy
 import json
+import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from socnav.core import AgentKind, ObstacleMap, Vec2
@@ -436,3 +437,37 @@ class TestImportTsv:
                         frame_rate=10.0, robot_id="a")
         from socnav.core import validate_episode
         validate_episode(ep)
+
+    def test_equal_times_named_at_t(self):
+        # Distinct frames that divide to one time: the repeated time is the
+        # fault, not a heading the table never had.
+        with pytest.raises(InvariantError) as err:
+            import_tsv("1e-320\ta\t0\t0\n2e-320\ta\t0\t1\n", frame_rate=1e6)
+        assert str(err.value) == ("/agents/0/states/1/t: "
+                                  "timestamps must be strictly increasing (0.0 -> 0.0)")
+
+
+_frame = (st.integers(-3, 40) | st.floats(-3, 40)
+          | st.sampled_from([1e308, 1.7e308, 1e300, 1e-320, 5e-324]))
+_coordinate = (st.floats(-1, 1) | st.sampled_from([1e308, -1e308, 5e-324, -0.0])
+               | st.floats())
+_frame_rate = (st.floats(0.01, 100)
+               | st.sampled_from([0.1, 1e6, 1e-300, 5e-324, 1e300, 1.7e308]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(_frame, st.sampled_from("abc"), _coordinate, _coordinate),
+                     max_size=12),
+       frame_rate=_frame_rate, robot_id=st.none() | st.sampled_from(["a", "b", "zz"]))
+@example(rows=[(0, "a", 0.0, 0.0), (1e308, "a", 0.0, 1.0)], frame_rate=0.1, robot_id=None)
+def test_import_fails_cleanly_or_writes_a_valid_file(rows, frame_rate, robot_id):
+    text = "".join(f"{frame!r}\t{agent}\t{x!r}\t{y!r}\n" for frame, agent, x, y in rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            episode = import_tsv(text, frame_rate=frame_rate, robot_id=robot_id)
+        except (MalformedRow, NoRobot, InvariantError):
+            return
+        raw = serialize_episode(episode)
+        assert not [i for i in validate(raw) if i.severity == "error"]
+        assert parse_episode(raw) == episode

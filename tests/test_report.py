@@ -80,7 +80,7 @@ _count = st.integers(0, 10**9)
 _params = st.builds(
     MetricParams, **{f.name: _positive for f in fields(MetricParams) if f.type == "float"},
     collision_terminate_count=st.none() | st.integers(1, 10**9),
-    cooperative_agent_ids=st.none() | st.frozensets(st.text(), min_size=1, max_size=3))
+    cooperative_agent_ids=st.none() | st.frozensets(st.text(), max_size=3))
 _criteria = st.builds(
     ClassifierParams, **{f.name: _positive for f in fields(ClassifierParams) if f.type == "float"},
     min_crowd_size=st.integers(1, 10**9))
@@ -107,6 +107,7 @@ _FORMATS = {
        | st.tuples(st.just("summary"), _summary))
 @example(("params", MetricParams(collision_terminate_count=3,
                                  cooperative_agent_ids=frozenset({"a", "b"}))))
+@example(("params", MetricParams(cooperative_agent_ids=frozenset())))
 def test_documents_read_back_as_written(document):
     kind, value = document
     write, parse = _FORMATS[kind]
