@@ -2,8 +2,8 @@
 
 Everything here is value-semantic and immutable after construction. An
 agent's samples are stored as float64 columns, and every computation reads
-those. ``AgentRecord.states`` is the one per-sample view: ``AgentState``
-objects built on demand, for callers that want one sample at a time.
+those. ``AgentRecord.states`` is the agent's ``states`` array as the episode
+file holds it, one dict per sample built on each access.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import enum
 import math
 import sys
 from bisect import bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from operator import itemgetter
@@ -64,37 +63,6 @@ class AgentKind(enum.Enum):
 class Goal:
     position: Vec2
     tolerance: float
-
-
-@dataclass(frozen=True)
-class AgentState:
-    """One timestamped sample: pose plus optional velocity.
-
-    A view built on demand from an agent's columns (``AgentRecord.states``);
-    ``velocity`` is None where none was stored.
-    """
-
-    t: float
-    position: Vec2
-    heading: float = 0.0
-    velocity: Optional[Vec2] = None
-
-
-class AgentStates(Sequence):
-    """The samples of an agent as AgentState views, each built when indexed."""
-
-    def __init__(self, agent: AgentRecord):
-        self._agent = agent
-
-    def __len__(self) -> int:
-        return len(self._agent.t)
-
-    def __getitem__(self, j: int) -> AgentState:
-        a = self._agent
-        j = range(len(a.t))[j]
-        vel = Vec2(float(a.vx[j]), float(a.vy[j])) if a.has_vel[j] else None
-        return AgentState(float(a.t[j]), Vec2(float(a.x[j]), float(a.y[j])),
-                          float(a.heading[j]), vel)
 
 
 _COLUMNS = ("t", "x", "y", "heading", "vx", "vy", "has_vel")
@@ -152,8 +120,16 @@ class AgentRecord:
                 and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in _COLUMNS))
 
     @property
-    def states(self) -> AgentStates:
-        return AgentStates(self)
+    def states(self) -> list[dict]:
+        """The samples as the episode file's state objects: t, x, y and theta,
+        plus vx/vy where a velocity is stored. Built on each access."""
+        states = [{"t": t, "x": x, "y": y, "theta": h} for t, x, y, h
+                  in zip(self.t.tolist(), self.x.tolist(), self.y.tolist(), self.heading.tolist())]
+        vx, vy = self.vx.tolist(), self.vy.tolist()
+        for j in np.flatnonzero(self.has_vel).tolist():
+            states[j]["vx"] = vx[j]
+            states[j]["vy"] = vy[j]
+        return states
 
     @property
     def t_start(self) -> float:

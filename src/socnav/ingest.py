@@ -537,17 +537,6 @@ def canonical_json_bytes(obj) -> bytes:
             + "\n").encode("utf-8")
 
 
-def _states_to_json(a: AgentRecord) -> list[dict]:
-    """The agent's columns zipped into per-state objects; vx/vy only where stored."""
-    states = [{"t": t, "x": x, "y": y, "theta": h}
-              for t, x, y, h in zip(a.t.tolist(), a.x.tolist(), a.y.tolist(), a.heading.tolist())]
-    vx, vy = a.vx.tolist(), a.vy.tolist()
-    for j in np.flatnonzero(a.has_vel).tolist():
-        states[j]["vx"] = vx[j]
-        states[j]["vy"] = vy[j]
-    return states
-
-
 def _segment_to_json(seg: tuple[Vec2, Vec2]) -> list[float]:
     a, b = seg
     return [float(a.x), float(a.y), float(b.x), float(b.y)]
@@ -557,7 +546,7 @@ def episode_to_jsonable(episode: Episode) -> dict:
     agents = []
     for a in episode.agents:
         entry = {"id": a.id, "kind": a.kind.value, "radius": float(a.radius),
-                 "states": _states_to_json(a)}
+                 "states": a.states}
         if a.goal is not None:
             entry["goal"] = {"x": float(a.goal.position.x), "y": float(a.goal.position.y),
                              "tolerance": float(a.goal.tolerance)}

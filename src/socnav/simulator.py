@@ -28,6 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    MAX_TIMELINE_STEPS,
     AgentKind,
     AgentRecord,
     Episode,
@@ -106,6 +107,12 @@ class SimConfig:
     def __post_init__(self):
         positive_finite(self.dt, "/dt")
         positive_finite(self.max_duration, "/max_duration")
+        # run may take one step past max_duration / dt, and summing dt moves the
+        # span and the median interval by far less than a step: a margin of two
+        # keeps every episode within check_episode's cap on the robot's steps.
+        if (steps := self.max_duration / self.dt) > MAX_TIMELINE_STEPS - 2:
+            raise InvariantError("/max_duration", f"{self.max_duration} s at dt {self.dt} asks for "
+                                 f"{steps:.3e} steps; at most {MAX_TIMELINE_STEPS - 2} are allowed")
         if not self.agents:
             raise InvariantError("/agents", "must hold at least one agent")
         if issues := obstacle_issues(self.scene):

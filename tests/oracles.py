@@ -4,16 +4,17 @@ These deliberately avoid the library's vectorized code paths: plain loops,
 scalar math, and their own geometry, so a bug would have to appear twice
 to go unnoticed. ``interpolate_state`` and ``derive_velocities`` are the
 per-sample forms the simulator's replay and the metrics were first written
-against; the library itself reads columns.
+against; ``interpolate_state`` returns its own ``State`` record. The
+library itself reads columns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
-from socnav.core import AgentKind, AgentState, Vec2, common_timeline
+from socnav.core import AgentKind, Vec2, common_timeline
 from socnav.geometry import wrap_angle
 
 
@@ -29,8 +30,24 @@ def derive_velocities(agent):
     return replace(agent, has_vel=np.ones(n, dtype=bool))
 
 
+class State(NamedTuple):
+    """One timestamped sample: pose plus a velocity, None where none is stored."""
+
+    t: float
+    position: Vec2
+    heading: float
+    velocity: Optional[Vec2]
+
+
+def _sample(agent, j):
+    """The j-th sample of an agent's columns as a State."""
+    vel = Vec2(float(agent.vx[j]), float(agent.vy[j])) if agent.has_vel[j] else None
+    return State(float(agent.t[j]), Vec2(float(agent.x[j]), float(agent.y[j])),
+                 float(agent.heading[j]), vel)
+
+
 def interpolate_state(agent, t):
-    """Linear interpolation of an agent's AgentState at time t.
+    """Linear interpolation of an agent's State at time t.
 
     Heading is interpolated along the shorter arc. Velocity is interpolated
     only when both bracketing samples carry one. A sample's own state comes
@@ -45,11 +62,10 @@ def interpolate_state(agent, t):
 
     idx = int(np.searchsorted(times, t, side="right")) - 1
     idx = max(0, min(idx, len(times) - 2)) if len(times) > 1 else 0
-    states = agent.states
-    s0 = states[idx]
+    s0 = _sample(agent, idx)
     if len(times) == 1 or t == s0.t:
         return s0
-    s1 = states[idx + 1]
+    s1 = _sample(agent, idx + 1)
     if t == s1.t:
         return s1
 
@@ -61,7 +77,7 @@ def interpolate_state(agent, t):
     if s0.velocity is not None and s1.velocity is not None:
         vel = Vec2(s0.velocity.x + frac * (s1.velocity.x - s0.velocity.x),
                    s0.velocity.y + frac * (s1.velocity.y - s0.velocity.y))
-    return AgentState(t=t, position=pos, heading=heading, velocity=vel)
+    return State(t, pos, heading, vel)
 
 
 def scalar_point_segment_distance(px, py, ax, ay, bx, by):
@@ -132,7 +148,7 @@ def active_segments_oracle(obstacles, t):
 def collision_counts_oracle(episode, params=None, dt=0.1):
     """(C, WC, AC, HC) by per-step overlap scanning plus interval merging."""
     timeline = common_timeline(episode, dt)
-    robot = derive_velocities(episode.robot) if len(episode.robot.states) >= 2 else episode.robot
+    robot = derive_velocities(episode.robot) if len(episode.robot.t) >= 2 else episode.robot
     r_r = episode.robot.radius
 
     # Per-step overlap booleans.
@@ -447,7 +463,7 @@ def event_runs_oracle(mask):
 
 # --- Per-sample forms of the columnar rules ---------------------------------------
 # The velocity rule, heading synthesis and episode checks as they were first
-# written: one AgentState at a time, on Python floats.
+# written: one state object of ``AgentRecord.states`` at a time, on Python floats.
 
 def velocities_oracle(agent):
     """(N, 2) velocities: stored where given, else finite differences."""
@@ -456,15 +472,15 @@ def velocities_oracle(agent):
     from socnav.core import finite_difference_velocities
 
     states = agent.states
-    given = [s.velocity for s in states]
+    given = [(s["vx"], s["vy"]) if "vx" in s else None for s in states]
     if all(v is not None for v in given):
-        return np.array([(v.x, v.y) for v in given]).reshape(-1, 2)
-    times = np.array([s.t for s in states])
-    positions = np.array([(s.position.x, s.position.y) for s in states])
+        return np.array(given).reshape(-1, 2)
+    times = np.array([s["t"] for s in states])
+    positions = np.array([(s["x"], s["y"]) for s in states])
     fd = finite_difference_velocities(times, positions)
     for i, v in enumerate(given):
         if v is not None:
-            fd[i] = (v.x, v.y)
+            fd[i] = v
     return fd
 
 
@@ -487,8 +503,7 @@ def sample_issues_oracle(base, agent, v_cap):
     heading_limit = math.pi + 1e-9
     prev_t = prev_x = prev_y = None
     for j, s in enumerate(agent.states):
-        t, heading, vel = s.t, s.heading, s.velocity
-        x, y = s.position.x, s.position.y
+        t, x, y, heading = s["t"], s["x"], s["y"], s["theta"]
         if not isfinite(t):
             issues.append((f"{base}/states/{j}/t", "must be finite"))
             continue
@@ -499,7 +514,7 @@ def sample_issues_oracle(base, agent, v_cap):
             issues.append((f"{base}/states/{j}/theta", "must be finite"))
         elif abs(heading) > heading_limit:
             issues.append((f"{base}/states/{j}/theta", f"must lie in (-pi, pi], got {heading}"))
-        if vel is not None and not (isfinite(vel.x) and isfinite(vel.y)):
+        if "vx" in s and not (isfinite(s["vx"]) and isfinite(s["vy"])):
             issues.append((f"{base}/states/{j}/vx", "velocity must be finite"))
         if prev_t is not None:
             if t <= prev_t:
@@ -524,17 +539,17 @@ def velocity_warnings_oracle(episode, rel_tol=0.2, abs_floor=0.1):
     out = []
     for i, agent in enumerate(episode.agents):
         states = agent.states
-        if len(states) < 3 or not any(s.velocity is not None for s in states):
+        if len(states) < 3 or not any("vx" in s for s in states):
             continue
-        times = np.array([s.t for s in states])
-        positions = np.array([(s.position.x, s.position.y) for s in states])
+        times = np.array([s["t"] for s in states])
+        positions = np.array([(s["x"], s["y"]) for s in states])
         fd = finite_difference_velocities(times, positions)
         for j in range(1, len(states) - 1):
             s = states[j]
-            if s.velocity is None:
+            if "vx" not in s:
                 continue
-            dev = math.hypot(s.velocity.x - fd[j, 0], s.velocity.y - fd[j, 1])
-            scale = max(math.hypot(*fd[j]), math.hypot(s.velocity.x, s.velocity.y))
+            dev = math.hypot(s["vx"] - fd[j, 0], s["vy"] - fd[j, 1])
+            scale = max(math.hypot(*fd[j]), math.hypot(s["vx"], s["vy"]))
             if dev > abs_floor and dev > rel_tol * scale:
                 shown = f"{dev:.3f}" if dev < 1e6 else f"{dev:.3e}"
                 out.append((f"/agents/{i}/states/{j}/vx",

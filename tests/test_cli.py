@@ -122,7 +122,7 @@ def test_import_tsv(tmp_path):
     assert main(["import", "--tsv", str(tsv), "--hz", "10", "-o", str(out)]) == 0
     ep = parse_episode(out.read_bytes())
     assert ep.robot_under_test == "ped"
-    assert len(ep.robot.states) == 20
+    assert len(ep.robot.t) == 20
 
 
 def _walk_tsv(tmp_path, rows=None):
@@ -138,6 +138,21 @@ def _child_env(**blas) -> dict:
     env.pop("OPENBLAS_NUM_THREADS", None)
     env.update(blas)
     return env
+
+
+def test_cli_chain_script(tmp_path):
+    """``tests/cli_chain.sh``, which CI runs with the installed entry point, run here
+    with shims first on PATH: ``socnav`` is ``python -m socnav.cli`` on this checkout."""
+    shims = tmp_path / "bin"
+    shims.mkdir()
+    for name, command in (("socnav", f'"{sys.executable}" -m socnav.cli'),
+                          ("python", f'"{sys.executable}"')):
+        (shims / name).write_text(f'#!/bin/sh\nexec {command} "$@"\n')
+        (shims / name).chmod(0o755)
+    env = dict(_child_env(), PATH=f"{shims}{os.pathsep}{os.environ['PATH']}", TMPDIR=str(tmp_path))
+    proc = subprocess.run(["bash", "-e", str(Path(__file__).parent / "cli_chain.sh")],
+                          cwd=tmp_path, capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("hz", ["inf", "nan", "0", "-5"])

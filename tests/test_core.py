@@ -29,7 +29,13 @@ from socnav.scenarios import classify, serialize_labels
 from socnav.simulator import SCENARIO_NAMES, generate_scenario, run
 
 from conftest import fuzz_episode, make_agent, make_episode, straight_robot
-from oracles import active_segments_oracle, derive_velocities, event_runs_oracle, interpolate_state
+from oracles import (
+    State,
+    active_segments_oracle,
+    derive_velocities,
+    event_runs_oracle,
+    interpolate_state,
+)
 
 
 class TestDeriveVelocities:
@@ -39,13 +45,13 @@ class TestDeriveVelocities:
         agent = make_agent("a", [(0, 0), (1, 0), (2, 0)], dt=1.0)
         out = derive_velocities(agent)
         for s in out.states:
-            assert s.velocity == Vec2(1.0, 0.0)
+            assert (s["vx"], s["vy"]) == (1.0, 0.0)
 
     def test_stationary(self):
         agent = make_agent("a", [(2, 3)] * 3, dt=1.0)
         out = derive_velocities(agent)
         for s in out.states:
-            assert s.velocity == Vec2(0.0, 0.0)
+            assert (s["vx"], s["vy"]) == (0.0, 0.0)
 
     def test_quadratic_central_difference_exact(self):
         # x(t) = t^2 has exact central differences: vx(0.5) == 2*0.5 == 1.0
@@ -53,10 +59,10 @@ class TestDeriveVelocities:
         agent = make_agent("a", [(t * t, 0.0) for t in ts], times=ts)
         out = derive_velocities(agent)
         i = int(np.argmin(np.abs(ts - 0.5)))
-        assert out.states[i].velocity.x == pytest.approx(1.0, abs=1e-12)
+        assert out.states[i]["vx"] == pytest.approx(1.0, abs=1e-12)
         # interior points match the analytic derivative 2t
         for j in range(1, len(ts) - 1):
-            assert out.states[j].velocity.x == pytest.approx(2 * ts[j], abs=1e-9)
+            assert out.states[j]["vx"] == pytest.approx(2 * ts[j], abs=1e-9)
 
     def test_single_state_rejected(self):
         agent = make_agent("a", [(0, 0)])
@@ -73,7 +79,7 @@ class TestDeriveVelocities:
         agent = make_agent("a", [(0, 0), (1, 0), (2, 0)], dt=1.0,
                            velocities=[(9, 9), (9, 9), (9, 9)])
         out = derive_velocities(agent)
-        assert all(s.velocity == Vec2(9.0, 9.0) for s in out.states)
+        assert all((s["vx"], s["vy"]) == (9.0, 9.0) for s in out.states)
 
 
 class TestInterpolateState:
@@ -87,7 +93,8 @@ class TestInterpolateState:
     def test_exact_sample_identity(self):
         agent = make_agent("a", [(0, 0), (1, 1), (2, 0)], dt=0.5)
         for stored in agent.states:
-            assert interpolate_state(agent, stored.t) == stored
+            assert interpolate_state(agent, stored["t"]) == State(
+                stored["t"], Vec2(stored["x"], stored["y"]), stored["theta"], None)
 
     def test_heading_shorter_arc_through_pi(self):
         agent = make_agent("a", [(0, 0), (1, 0)], dt=1.0, headings=[3.0, -3.0])

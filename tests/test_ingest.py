@@ -22,6 +22,7 @@ from socnav.ingest import (
     serialize_episode,
     validate,
 )
+from socnav.simulator import SCENARIO_NAMES, generate_scenario, run
 
 from conftest import fuzz_episode
 
@@ -61,7 +62,7 @@ class TestParse:
 
     def test_heading_synthesized_from_motion(self):
         ep = parse_episode(doc())
-        assert ep.robot.states[0].heading == pytest.approx(0.0)  # moving along +x
+        assert ep.robot.states[0]["theta"] == pytest.approx(0.0)  # moving along +x
 
     def test_non_monotonic_timestamps(self):
         d = json.loads(json.dumps(MINIMAL))
@@ -132,6 +133,20 @@ class TestSerialize:
                        obstacles=ObstacleMap(segments=ep.obstacles.segments, dynamic=dyn),
                        labels=ep.labels, metadata=ep.metadata)
         assert parse_episode(serialize_episode(ep2)) == ep2
+
+    def test_states_are_the_files_state_lists(self):
+        """``AgentRecord.states`` is each agent's ``states`` array as the file holds it."""
+        for path in sorted((Path(__file__).parent / "golden").glob("*/canonical.json")):
+            raw = path.read_bytes()
+            assert ([a.states for a in parse_episode(raw).agents]
+                    == [a["states"] for a in json.loads(raw)["agents"]]), path.parent.name
+        for name in SCENARIO_NAMES:
+            for policy in ("sfm", "straight_line_stop"):
+                ep = run(generate_scenario(name, 3, robot_policy=policy))
+                written = json.loads(serialize_episode(ep))["agents"]
+                for agent, entry in zip(ep.agents, written, strict=True):
+                    assert agent.states == entry["states"]
+                    assert len(agent.states) == len(agent.t)
 
 
 @settings(max_examples=100, deadline=None)
@@ -384,7 +399,7 @@ class TestImportTsv:
     def test_two_rows(self):
         ep = import_tsv("0\ta\t0.0\t0.0\n10\ta\t1.0\t0.0\n", frame_rate=10.0)
         agent = ep.agents[0]
-        assert [s.t for s in agent.states] == [0.0, 1.0]
+        assert [s["t"] for s in agent.states] == [0.0, 1.0]
         assert ep.robot_under_test == "a"
         assert agent.kind is AgentKind.ROBOT  # promoted in absence of robot_id
 
@@ -399,7 +414,7 @@ class TestImportTsv:
                 rows.append(f"{frame}\t{agent}\t{frame * 0.1:.3f}\t{hash(agent) % 7}")
         ep = import_tsv("\n".join(rows), frame_rate=25.0, robot_id="b")
         assert len(ep.agents) == 3
-        assert all(len(a.states) == 100 for a in ep.agents)
+        assert all(len(a.t) == 100 for a in ep.agents)
         assert ep.robot.id == "b"
         assert sum(a.kind is AgentKind.HUMAN for a in ep.agents) == 2
 

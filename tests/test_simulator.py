@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from socnav.core import (
+    MAX_TIMELINE_STEPS,
     AgentKind,
     AgentRecord,
     Goal,
@@ -126,7 +127,7 @@ class TestStep:
         config = SimConfig(dt=0.05, max_duration=1.0, agents=(spec,))
         ep = run(config)
         # at t = 1.0 the replayed trajectory sits at x = 2.0
-        assert ep.robot.states[-1].position.x == pytest.approx(2.0, abs=1e-6)
+        assert ep.robot.states[-1]["x"] == pytest.approx(2.0, abs=1e-6)
 
     def test_scripted_waypoints_path(self):
         spec = AgentSpec(agent_id="robot", kind=AgentKind.ROBOT,
@@ -203,7 +204,7 @@ class TestRun:
         config = single_agent_config(max_duration=10.0, goal_xy=(100.0, 0.0))
         config = SimConfig(dt=0.05, max_duration=10.0, agents=config.agents)
         ep = run(config)
-        assert len(ep.robot.states) <= 201
+        assert len(ep.robot.t) <= 201
 
     def test_determinism_byte_identical(self):
         for name in ("frontal_approach", "random_crossing"):
@@ -248,6 +249,25 @@ class TestRun:
                 dataclasses.replace(spec, **{field: value})
         assert err.value.path == path
         assert err.value.message == f"must be a positive finite number, got {value}"
+
+    @pytest.mark.parametrize("dt, max_duration, accepted", [
+        (1.0, MAX_TIMELINE_STEPS - 2.0, True),
+        (1.0, math.nextafter(MAX_TIMELINE_STEPS - 2.0, math.inf), False),
+        (0.05, 49_999.0, True), (0.05, 50_000.0, False), (0.05, 1e9, False),
+        (1e-300, 1e300, False),
+    ])
+    def test_config_refuses_more_steps_than_check_episode_allows(self, dt, max_duration, accepted):
+        """run may take one step past max_duration / dt, so the cap sits two steps inside
+        MAX_TIMELINE_STEPS. Only the constructor runs: no million-step episode here."""
+        spec = single_agent_config().agents[0]
+        if accepted:
+            SimConfig(dt=dt, max_duration=max_duration, agents=(spec,))
+            return
+        with pytest.raises(InvariantError) as err:
+            SimConfig(dt=dt, max_duration=max_duration, agents=(spec,))
+        assert err.value.path == "/max_duration"
+        assert err.value.message == (f"{max_duration} s at dt {dt} asks for {max_duration / dt:.3e} "
+                                     f"steps; at most {MAX_TIMELINE_STEPS - 2} are allowed")
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(InvariantError) as err:
@@ -333,14 +353,14 @@ class TestScenarioGeometry:
         ep = run(generate_scenario("blind_corner", 9))
         seg_a, seg_b = ep.obstacles.static_arrays
         robot, human = ep.robot, ep.agent("h0")
-        n = min(len(robot.states), len(human.states))
+        n = min(len(robot.t), len(human.t))
         blocked = sightlines_blocked(robot.positions[:n:5], human.positions[:n:5], seg_a, seg_b)
         assert blocked.any(), "blind corner must occlude the pair before the encounter"
 
     def test_overtaking_pass_happens(self):
         ep = run(generate_scenario("robot_overtaking", 3))
         robot, human = ep.robot, ep.agent("h0")
-        n = min(len(robot.states), len(human.states))
+        n = min(len(robot.t), len(human.t))
         gap = robot.positions[:n, 0] - human.positions[:n, 0]
         assert gap[0] < 0 and gap[n - 1] > 0  # behind at start, ahead at end
 
