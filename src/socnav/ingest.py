@@ -11,7 +11,8 @@ plain numbers converts whole, and only one that does not has its entries
 read by ``_number``, so every number in a document obeys one rule.
 ``import_tsv`` only translates: it writes the table as an episode document
 and builds the episode with the same decoder, so an import obeys every
-rule ``validate`` applies.
+rule ``validate`` applies. ``serialize_episode`` writes the canonical bytes
+one agent at a time, each piece with the settings of ``canonical_json_bytes``.
 
 The JSON field names used here are this toolkit's normative definition of
 the interchange format (see README). Unknown fields are preserved under
@@ -24,7 +25,7 @@ import json
 import math
 import typing
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
-from functools import cache
+from functools import cache, partial
 from itertools import repeat
 from operator import contains, itemgetter
 
@@ -531,10 +532,12 @@ def _velocity_consistency_warnings(episode: Episode) -> list[ValidationIssue]:
 
 # --- Serialization ----------------------------------------------------------
 
+_dumps = partial(json.dumps, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 def canonical_json_bytes(obj) -> bytes:
     """Canonical form: sorted keys, shortest float repr, newline-terminated."""
-    return (json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
-            + "\n").encode("utf-8")
+    return (_dumps(obj) + "\n").encode("utf-8")
 
 
 def _segment_to_json(seg: tuple[Vec2, Vec2]) -> list[float]:
@@ -542,36 +545,38 @@ def _segment_to_json(seg: tuple[Vec2, Vec2]) -> list[float]:
     return [float(a.x), float(a.y), float(b.x), float(b.y)]
 
 
-def episode_to_jsonable(episode: Episode) -> dict:
-    agents = []
-    for a in episode.agents:
-        entry = {"id": a.id, "kind": a.kind.value, "radius": float(a.radius),
-                 "states": a.states}
+def serialize_episode(episode: Episode) -> bytes:
+    """Canonical, byte-deterministic serialization of an episode.
+
+    The bytes are ``canonical_json_bytes`` of the whole document, written one
+    agent at a time: "agents" is the document's first key and "states" an
+    agent's last, so only one agent's state objects and text are alive at once.
+    """
+    out = bytearray(b'{"agents":[')
+    for i, a in enumerate(episode.agents):
+        entry = {"id": a.id, "kind": a.kind.value, "radius": float(a.radius)}
         if a.goal is not None:
             entry["goal"] = {"x": float(a.goal.position.x), "y": float(a.goal.position.y),
                              "tolerance": float(a.goal.tolerance)}
-        agents.append(entry)
+        out += (f'{"," if i else ""}{_dumps(entry)[:-1]},'
+                f'"states":{_dumps(a.states)}}}').encode("utf-8")
     obstacles: dict = {"segments": [_segment_to_json(s) for s in episode.obstacles.segments]}
     if episode.obstacles.dynamic:
         obstacles["dynamic"] = [
             {"t": float(stamp), "segments": [_segment_to_json(s) for s in segs]}
             for stamp, segs in episode.obstacles.dynamic
         ]
-    return {
+    rest = _dumps({
         "format_version": FORMAT_VERSION,
         "episode_id": episode.episode_id,
         "robot_under_test": episode.robot_under_test,
-        "agents": agents,
         "obstacles": obstacles,
         "labels": [{"scenario": l.scenario, "t_start": float(l.t_start), "t_end": float(l.t_end)}
                    for l in episode.labels],
         "metadata": dict(episode.metadata),
-    }
-
-
-def serialize_episode(episode: Episode) -> bytes:
-    """Canonical, byte-deterministic serialization of an episode."""
-    return canonical_json_bytes(episode_to_jsonable(episode))
+    })
+    out += f"],{rest[1:]}\n".encode("utf-8")
+    return bytes(out)
 
 
 # --- TSV import -------------------------------------------------------------

@@ -106,8 +106,16 @@ def report_to_jsonable(report: MetricReport) -> dict:
 
 
 def write_output(obj) -> bytes:
-    """Canonical serialization of a report, summary, or comparison."""
+    """Canonical serialization of a report, summary, or comparison. JSON has no
+    NaN, and a stepwise sample must be finite: either is refused at its path."""
     if isinstance(obj, MetricReport):
+        for name, mv in obj.taskwise.items():
+            if isinstance(mv.value, float) and math.isnan(mv.value):
+                raise InvariantError(f"/metrics/{name}/value", "must not be NaN")
+        for name, series in (obj.stepwise or {}).items():
+            for i, v in enumerate(series.values):
+                if not math.isfinite(v):
+                    raise InvariantError(f"/stepwise/{name}/v/{i}", f"must be finite, got {v}")
         return canonical_json_bytes(report_to_jsonable(obj))
     if isinstance(obj, CorpusSummary):
         return canonical_json_bytes(summary_to_jsonable(obj))

@@ -5,7 +5,9 @@ scalar math, and their own geometry, so a bug would have to appear twice
 to go unnoticed. ``interpolate_state`` and ``derive_velocities`` are the
 per-sample forms the simulator's replay and the metrics were first written
 against; ``interpolate_state`` returns its own ``State`` record. The
-library itself reads columns.
+library itself reads columns. ``reference_serialize_episode`` writes an
+episode from one whole-document dict, where the library writes one agent
+at a time.
 """
 
 from __future__ import annotations
@@ -556,3 +558,40 @@ def velocity_warnings_oracle(episode, rel_tol=0.2, abs_floor=0.1):
                             f"stored velocity deviates from finite difference by {shown} m/s (>20%)"))
                 break
     return out
+
+
+# --- Whole-document episode writer ------------------------------------------------
+
+def reference_serialize_episode(episode) -> bytes:
+    """The canonical episode bytes from one dict of the whole document and one
+    ``json.dumps`` with the canonical settings."""
+    import json
+
+    def segment(seg):
+        a, b = seg
+        return [float(a.x), float(a.y), float(b.x), float(b.y)]
+
+    agents = []
+    for a in episode.agents:
+        entry = {"id": a.id, "kind": a.kind.value, "radius": float(a.radius),
+                 "states": a.states}
+        if a.goal is not None:
+            entry["goal"] = {"x": float(a.goal.position.x), "y": float(a.goal.position.y),
+                             "tolerance": float(a.goal.tolerance)}
+        agents.append(entry)
+    obstacles = {"segments": [segment(s) for s in episode.obstacles.segments]}
+    if episode.obstacles.dynamic:
+        obstacles["dynamic"] = [{"t": float(stamp), "segments": [segment(s) for s in segs]}
+                                for stamp, segs in episode.obstacles.dynamic]
+    document = {
+        "format_version": "1.0",
+        "episode_id": episode.episode_id,
+        "robot_under_test": episode.robot_under_test,
+        "agents": agents,
+        "obstacles": obstacles,
+        "labels": [{"scenario": l.scenario, "t_start": float(l.t_start), "t_end": float(l.t_end)}
+                   for l in episode.labels],
+        "metadata": dict(episode.metadata),
+    }
+    return (json.dumps(document, sort_keys=True, separators=(",", ":"), allow_nan=False)
+            + "\n").encode("utf-8")

@@ -536,6 +536,25 @@ def test_validate_huge_velocity_deviation_line_stays_short(tmp_path, capsys, mon
     assert "by 1.000e+200 m/s" in lines[0] and len(lines[0]) < 120
 
 
+@pytest.mark.parametrize("stepwise", [[], ["--stepwise"]])
+def test_compute_nan_metric_one_line(tmp_path, stepwise):
+    """The 1e200 velocity above makes A_avg NaN, which JSON cannot hold: compute
+    names it in one line, not a traceback, and writes nothing. numpy's warnings
+    about the overflow still come first; a magnitude bound on episodes is the fix."""
+    doc = json.loads((GOLDEN / "dynamic_obstacles" / "episode.json").read_bytes())
+    doc["agents"][0]["states"][3]["vx"] = 1e200
+    path, out = tmp_path / "ep.json", tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run([sys.executable, "-m", "socnav.cli", "compute", str(path), *stepwise,
+                           "-o", str(out)],
+                          capture_output=True, text=True, env=_child_env(), timeout=60)
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    ours = [line for line in proc.stderr.splitlines()
+            if not line.startswith(" ") and ": RuntimeWarning: " not in line]
+    assert ours == ["error: /metrics/A_avg/value: must not be NaN"]
+    assert proc.stderr.splitlines()[-1] == ours[0] and not out.exists()
+
+
 def _reports_under_two_params(tmp_path) -> tuple[Path, Path]:
     episode = str(GOLDEN / "dynamic_obstacles" / "episode.json")
     params = tmp_path / "params.json"

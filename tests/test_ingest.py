@@ -1,13 +1,16 @@
 import copy
 import json
+import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from socnav.core import AgentKind, ObstacleMap, Vec2
+from socnav.core import AgentKind, AgentRecord, Episode, EpisodeLabel, Goal, ObstacleMap, Vec2
 from socnav.errors import (
     InvariantError,
     MalformedDocument,
@@ -25,6 +28,7 @@ from socnav.ingest import (
 from socnav.simulator import SCENARIO_NAMES, generate_scenario, run
 
 from conftest import fuzz_episode
+from oracles import reference_serialize_episode
 
 MINIMAL = {
     "format_version": "1.0",
@@ -147,6 +151,75 @@ class TestSerialize:
                 for agent, entry in zip(ep.agents, written, strict=True):
                     assert agent.states == entry["states"]
                     assert len(agent.states) == len(agent.t)
+
+
+_float = st.floats(allow_nan=False, allow_infinity=False)
+_name = st.text(max_size=4)  # any code point, so non-ASCII too
+_point = st.builds(Vec2, _float, _float)
+_segments = st.lists(st.tuples(_point, _point), max_size=3).map(tuple)
+
+
+@st.composite
+def _agents(draw):
+    n = draw(st.integers(1, 5))
+    column = st.lists(_float, min_size=n, max_size=n).map(np.array)
+    return AgentRecord(
+        id=draw(_name), kind=draw(st.sampled_from(AgentKind)), radius=draw(_float),
+        t=draw(column), x=draw(column), y=draw(column), heading=draw(column),
+        vx=draw(column), vy=draw(column),  # stored only where has_vel is set
+        has_vel=np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n))),
+        goal=draw(st.none() | st.builds(Goal, _point, _float)))
+
+
+_episodes = st.builds(
+    Episode, episode_id=_name, robot_under_test=_name,
+    agents=st.lists(_agents(), max_size=8).map(tuple),
+    obstacles=st.builds(ObstacleMap, segments=_segments,
+                        dynamic=st.lists(st.tuples(_float, _segments), max_size=3).map(tuple)),
+    labels=st.lists(st.builds(EpisodeLabel, _name, _float, _float), max_size=3).map(tuple),
+    metadata=st.dictionaries(_name, _name, max_size=3))
+
+
+class TestSerializeOneAgentAtATime:
+    """``serialize_episode`` writes an agent at a time the bytes that one
+    ``json.dumps`` of the whole document gives."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_episodes)
+    def test_same_bytes_as_the_whole_document_writer(self, episode):
+        assert serialize_episode(episode) == reference_serialize_episode(episode)
+
+    def test_same_bytes_on_goldens_and_scenario_episodes(self):
+        goldens = [parse_episode(p.read_bytes())
+                   for p in sorted((Path(__file__).parent / "golden").glob("*/canonical.json"))]
+        simulated = [run(generate_scenario(name, 3, robot_policy=policy))
+                     for name in SCENARIO_NAMES for policy in ("sfm", "straight_line_stop")]
+        assert len(goldens) == 5 and len(simulated) == 16
+        for episode in goldens + simulated:
+            assert serialize_episode(episode) == reference_serialize_episode(episode)
+
+    def test_nan_state_raises_the_same_error(self):
+        ep = fuzz_episode(3)
+        x = ep.agents[1].x.copy()
+        x[2] = np.nan
+        ep = replace(ep, agents=(ep.agents[0], replace(ep.agents[1], x=x), *ep.agents[2:]))
+        with pytest.raises(ValueError) as ours:
+            serialize_episode(ep)
+        with pytest.raises(ValueError) as reference:
+            reference_serialize_episode(ep)
+        assert str(ours.value) == str(reference.value)
+
+    @pytest.mark.parametrize("name", ["parallel_traffic", "perpendicular_traffic"])
+    def test_transient_memory_below_five_times_the_file(self, name):
+        """The whole-document writer peaks at about ten times its output."""
+        episode = run(generate_scenario(name, 3))
+        tracemalloc.start()
+        try:
+            data = serialize_episode(episode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * len(data), (peak, len(data))
 
 
 @settings(max_examples=100, deadline=None)

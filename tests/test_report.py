@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from socnav.core import MetricParams
-from socnav.errors import EmptyCorpus, MalformedDocument, SchemaError
+from socnav.errors import EmptyCorpus, InvariantError, MalformedDocument, SchemaError
 from socnav.ingest import canonical_json_bytes, load_json
 from socnav.metrics import compute_all
 from socnav.report import (
@@ -64,6 +64,26 @@ class TestReportIO:
         doc = json.loads(write_output(report))
         assert doc["metrics"]["DH_min"]["value"] == "Infinity"
         assert parse_report(write_output(report)).taskwise["DH_min"].value == math.inf
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_values_json_cannot_hold_refused_at_their_path(self, bad):
+        """A NaN metric or a non-finite stepwise sample fails at its path, the
+        metrics first; an infinite metric is written as a string."""
+        report = compute_all(fuzz_episode(1), PARAMS, include_stepwise=True)
+        speed = report.stepwise["speed"]
+        values = list(speed.values)
+        values[3] = bad
+        report = replace(report, stepwise=dict(report.stepwise,
+                                               speed=replace(speed, values=tuple(values))))
+        with pytest.raises(InvariantError, match="^/stepwise/speed/v/3: must be finite"):
+            write_output(report)
+        pl = replace(report.taskwise["PL"], value=bad)
+        report = replace(report, taskwise=dict(report.taskwise, PL=pl))
+        if math.isnan(bad):
+            with pytest.raises(InvariantError, match="^/metrics/PL/value: must not be NaN$"):
+                write_output(report)
+        else:
+            write_output(replace(report, stepwise=None))
 
     def test_schema_fields(self):
         doc = json.loads(write_output(compute_all(fuzz_episode(4), PARAMS)))
