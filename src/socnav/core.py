@@ -3,7 +3,9 @@
 Everything here is value-semantic and immutable after construction. An
 agent's samples are stored as float64 columns, and every computation reads
 those. ``AgentRecord.states`` is the agent's ``states`` array as the episode
-file holds it, one dict per sample built on each access.
+file holds it, one dict per sample built on each access. Points are held
+as the file writes them: a goal is ``(x, y, tolerance)`` and a wall segment
+the float tuple ``(x1, y1, x2, y2)``.
 """
 
 from __future__ import annotations
@@ -40,20 +42,6 @@ def positive_finite(value, path: str) -> None:
         raise InvariantError(path, f"must be a positive finite number, got {value}")
 
 
-@dataclass(frozen=True)
-class Vec2:
-    """2D vector in meters (or m/s when used as a velocity)."""
-
-    x: float
-    y: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
-    def is_finite(self) -> bool:
-        return math.isfinite(self.x) and math.isfinite(self.y)
-
-
 class AgentKind(enum.Enum):
     ROBOT = "robot"
     HUMAN = "human"
@@ -61,7 +49,8 @@ class AgentKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Goal:
-    position: Vec2
+    x: float
+    y: float
     tolerance: float
 
 
@@ -149,17 +138,16 @@ class ObstacleMap:
     written. It needs finite, time-ordered stamps (``obstacle_issues``).
     """
 
-    segments: tuple[tuple[Vec2, Vec2], ...] = ()
-    dynamic: tuple[tuple[float, tuple[tuple[Vec2, Vec2], ...]], ...] = ()
+    segments: tuple[tuple[float, float, float, float], ...] = ()
+    dynamic: tuple[tuple[float, tuple[tuple[float, float, float, float], ...]], ...] = ()
 
     @cached_property
     def segment_sets(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """(M, 2) endpoint arrays of every set that can be active: index 0 holds
         the static segments alone, index k those plus the k-th dynamic set."""
         sets = [self.segments] + [self.segments + segs for _, segs in self.dynamic]
-        return tuple((np.array([(a.x, a.y) for a, _ in s], dtype=float).reshape(-1, 2),
-                      np.array([(b.x, b.y) for _, b in s], dtype=float).reshape(-1, 2))
-                     for s in sets)
+        arrays = [np.array(s, dtype=float).reshape(-1, 4) for s in sets]
+        return tuple((a[:, :2], a[:, 2:]) for a in arrays)
 
     def set_index(self, t):
         """The number of dynamic stamps at or before t: an index into ``segment_sets``.
@@ -387,7 +375,8 @@ class SampledAgent:
     @cached_property
     def goal_distance(self) -> np.ndarray:
         """Center-to-goal distance at each step; only for an agent with a goal."""
-        return np.linalg.norm(self.pos - self.agent.goal.position.as_array(), axis=1)
+        goal = self.agent.goal
+        return np.linalg.norm(self.pos - (goal.x, goal.y), axis=1)
 
     @cached_property
     def en_route(self) -> np.ndarray:
@@ -462,10 +451,10 @@ def obstacle_issues(obstacles: ObstacleMap) -> list[tuple[str, str]]:
     stamps finite and time-ordered (``ObstacleMap.set_index`` relies on it)."""
     def segment_issues(base, segs):
         found = []
-        for i, (a, b) in enumerate(segs):
-            if not (a.is_finite() and b.is_finite()):
+        for i, seg in enumerate(segs):
+            if not all(map(math.isfinite, seg)):
                 found.append((f"{base}/segments/{i}", "coordinates must be finite"))
-            elif a == b:
+            elif seg[:2] == seg[2:]:
                 found.append((f"{base}/segments/{i}", "segment endpoints must be distinct"))
         return found
 
@@ -510,7 +499,7 @@ def check_episode(episode: Episode) -> list[tuple[str, str]]:
         if agent.goal is not None:
             if not (agent.goal.tolerance > 0 and math.isfinite(agent.goal.tolerance)):
                 issues.append((f"{base}/goal/tolerance", f"must be > 0, got {agent.goal.tolerance}"))
-            if not agent.goal.position.is_finite():
+            if not (math.isfinite(agent.goal.x) and math.isfinite(agent.goal.y)):
                 issues.append((f"{base}/goal", "position must be finite"))
         samples = _sample_issues(base, agent)
         issues.extend(samples)

@@ -39,7 +39,6 @@ from .core import (
     EpisodeLabel,
     Goal,
     ObstacleMap,
-    Vec2,
     check_episode,
     finite_difference_velocities,
     motion_headings,
@@ -328,7 +327,7 @@ def _parse_agent(raw, path, issues, unknown) -> AgentRecord | None:
         _collect_unknown(graw, _GOAL_KEYS, f"{path}/goal", unknown)
         gx, gy, gtol = (_number(graw, key, f"{path}/goal", issues) for key in _GOAL_KEYS)
         if None not in (gx, gy, gtol):
-            goal = Goal(position=Vec2(gx, gy), tolerance=gtol)
+            goal = Goal(gx, gy, gtol)
 
     states_raw = raw.get("states")
     if not isinstance(states_raw, list):
@@ -358,7 +357,7 @@ def _segment(obj, key, path, issues):
         issues.error(f"{path}/{key}", "expected [x1, y1, x2, y2]")
         return None
     try:
-        return (Vec2(float(raw[0]), float(raw[1])), Vec2(float(raw[2]), float(raw[3])))
+        return tuple(map(float, raw))
     except OverflowError:
         issues.error(f"{path}/{key}", "number out of range")
         return None
@@ -540,11 +539,6 @@ def canonical_json_bytes(obj) -> bytes:
     return (_dumps(obj) + "\n").encode("utf-8")
 
 
-def _segment_to_json(seg: tuple[Vec2, Vec2]) -> list[float]:
-    a, b = seg
-    return [float(a.x), float(a.y), float(b.x), float(b.y)]
-
-
 def serialize_episode(episode: Episode) -> bytes:
     """Canonical, byte-deterministic serialization of an episode.
 
@@ -556,14 +550,14 @@ def serialize_episode(episode: Episode) -> bytes:
     for i, a in enumerate(episode.agents):
         entry = {"id": a.id, "kind": a.kind.value, "radius": float(a.radius)}
         if a.goal is not None:
-            entry["goal"] = {"x": float(a.goal.position.x), "y": float(a.goal.position.y),
+            entry["goal"] = {"x": float(a.goal.x), "y": float(a.goal.y),
                              "tolerance": float(a.goal.tolerance)}
         out += (f'{"," if i else ""}{_dumps(entry)[:-1]},'
                 f'"states":{_dumps(a.states)}}}').encode("utf-8")
-    obstacles: dict = {"segments": [_segment_to_json(s) for s in episode.obstacles.segments]}
+    obstacles: dict = {"segments": [list(map(float, s)) for s in episode.obstacles.segments]}
     if episode.obstacles.dynamic:
         obstacles["dynamic"] = [
-            {"t": float(stamp), "segments": [_segment_to_json(s) for s in segs]}
+            {"t": float(stamp), "segments": [list(map(float, s)) for s in segs]}
             for stamp, segs in episode.obstacles.dynamic
         ]
     rest = _dumps({

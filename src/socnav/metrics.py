@@ -236,7 +236,7 @@ def _spl(frames: _Frames) -> float:
     if not _success(frames):
         return 0.0
     start = robot.positions[0]
-    straight = float(np.linalg.norm(start - robot.goal.position.as_array()))
+    straight = float(np.linalg.norm(start - (robot.goal.x, robot.goal.y)))
     if straight == 0.0:
         # Degenerate start-on-goal case: the ratio would report 0 for a
         # success, but SPL = 0 must mean failure.
@@ -317,7 +317,7 @@ def _aggregated_time(frames: _Frames) -> Optional[float]:
             return None
         if agent.goal is None:
             return None
-        d = np.linalg.norm(agent.positions - agent.goal.position.as_array(), axis=1)
+        d = np.linalg.norm(agent.positions - (agent.goal.x, agent.goal.y), axis=1)
         hits = np.flatnonzero(d <= agent.goal.tolerance)
         if len(hits) == 0:
             return None

@@ -34,7 +34,6 @@ from .core import (
     Episode,
     Goal,
     ObstacleMap,
-    Vec2,
     obstacle_issues,
     positive_finite,
 )
@@ -74,24 +73,31 @@ class AgentSpec:
     agent_id: str
     kind: AgentKind
     policy: str
-    position: Vec2
+    position: tuple[float, float]
     goal: Optional[Goal] = None
     desired_speed: float = 1.0
     radius: float = 0.3
-    waypoints: tuple[Vec2, ...] = ()
+    waypoints: tuple[tuple[float, float], ...] = ()
     replay: Optional[AgentRecord] = None  # the recorded track a replay agent follows
 
     def __post_init__(self):
+        base = f"/agents/{self.agent_id}"
         if self.policy not in POLICIES:
-            raise InvariantError(f"/agents/{self.agent_id}/policy",
-                                 f"unknown policy {self.policy!r}")
-        positive_finite(self.desired_speed, f"/agents/{self.agent_id}/desired_speed")
-        positive_finite(self.radius, f"/agents/{self.agent_id}/radius")
+            raise InvariantError(f"{base}/policy", f"unknown policy {self.policy!r}")
+        positive_finite(self.desired_speed, f"{base}/desired_speed")
+        positive_finite(self.radius, f"{base}/radius")
+        if not all(map(math.isfinite, self.position)):
+            raise InvariantError(f"{base}/position", "must be finite")
         if self.goal is not None:
-            positive_finite(self.goal.tolerance, f"/agents/{self.agent_id}/goal/tolerance")
+            positive_finite(self.goal.tolerance, f"{base}/goal/tolerance")
+            if not (math.isfinite(self.goal.x) and math.isfinite(self.goal.y)):
+                raise InvariantError(f"{base}/goal", "position must be finite")
+        for k, waypoint in enumerate(self.waypoints):
+            if not all(map(math.isfinite, waypoint)):
+                raise InvariantError(f"{base}/waypoints/{k}", "must be finite")
         if self.policy == "replay" and (self.replay is None or not len(self.replay.t)
                                         or not (np.diff(self.replay.t) > 0).all()):
-            raise InvariantError(f"/agents/{self.agent_id}/replay",
+            raise InvariantError(f"{base}/replay",
                                  "must be a non-empty track with strictly increasing times")
 
 
@@ -123,12 +129,12 @@ def _initial(config: SimConfig) -> tuple[list, list, list]:
     """Start positions, velocities and headings as plain floats."""
     pos, vel, headings = [], [], []
     for spec in config.agents:
-        x, y = float(spec.position.x), float(spec.position.y)
+        x, y = map(float, spec.position)
         vx = vy = heading = 0.0
         target = (spec.waypoints[0] if spec.waypoints
-                  else spec.goal.position if spec.goal is not None else None)
+                  else (spec.goal.x, spec.goal.y) if spec.goal is not None else None)
         if target is not None:
-            dx, dy = target.x - spec.position.x, target.y - spec.position.y
+            dx, dy = target[0] - x, target[1] - y
             if math.hypot(dx, dy) > 1e-9:
                 heading = wrap_angle(math.atan2(dy, dx))
         if spec.policy == "replay":
@@ -152,7 +158,7 @@ def _away_from_segment(px: float, py: float, seg: tuple) -> tuple[float, float]:
 class _Plan:
     """What a step reads from a SimConfig, gathered once per episode.
 
-    One tuple per agent: (policy, waypoints as (x, y), goal as (x, y,
+    One tuple per agent: (policy, waypoints as given, goal as (x, y,
     tolerance) or None, desired speed, radius, radius sums with every
     agent, replay track as float lists (t, x, y) or None), and the (ax, ay,
     dx, dy, |d|^2) segment tuples of each of the scene's ``segment_sets``.
@@ -162,10 +168,8 @@ class _Plan:
         self.dt = config.dt
         radii = [a.radius for a in config.agents]
         self.agents = tuple(
-            (spec.policy,
-             tuple((w.x, w.y) for w in spec.waypoints),
-             None if spec.goal is None else (spec.goal.position.x, spec.goal.position.y,
-                                             spec.goal.tolerance),
+            (spec.policy, spec.waypoints,
+             None if spec.goal is None else (spec.goal.x, spec.goal.y, spec.goal.tolerance),
              spec.desired_speed, r_i, [r_i + r_j for r_j in radii],
              None if spec.replay is None else
              (spec.replay.t.tolist(), spec.replay.x.tolist(), spec.replay.y.tolist()))
@@ -361,8 +365,8 @@ def run(config: SimConfig) -> Episode:
 
 def _corridor(half_width: float) -> ObstacleMap:
     return ObstacleMap(segments=(
-        (Vec2(-7.0, half_width), Vec2(7.0, half_width)),
-        (Vec2(-7.0, -half_width), Vec2(7.0, -half_width)),
+        (-7.0, half_width, 7.0, half_width),
+        (-7.0, -half_width, 7.0, -half_width),
     ))
 
 
@@ -370,21 +374,17 @@ def _l_corridor(half_width: float) -> ObstacleMap:
     """L-shaped corridor: horizontal leg along -x, vertical leg along -y, each 6 m long."""
     w = half_width
     return ObstacleMap(segments=(
-        (Vec2(-6.0, w), Vec2(w, w)),        # outer top
-        (Vec2(w, w), Vec2(w, -6.0)),        # outer right
-        (Vec2(-6.0, -w), Vec2(-w, -w)),     # inner bottom
-        (Vec2(-w, -w), Vec2(-w, -6.0)),     # inner left
+        (-6.0, w, w, w),        # outer top
+        (w, w, w, -6.0),        # outer right
+        (-6.0, -w, -w, -w),     # inner bottom
+        (-w, -w, -w, -6.0),     # inner left
     ))
 
 
 def _spec(agent_id, kind, policy, start, goal_xy, speed, waypoints=()):
-    return AgentSpec(
-        agent_id=agent_id, kind=kind, policy=policy,
-        position=Vec2(float(start[0]), float(start[1])),
-        goal=Goal(position=Vec2(float(goal_xy[0]), float(goal_xy[1])), tolerance=0.3),
-        desired_speed=float(speed), radius=0.3,
-        waypoints=tuple(Vec2(float(w[0]), float(w[1])) for w in waypoints),
-    )
+    return AgentSpec(agent_id=agent_id, kind=kind, policy=policy, position=start,
+                     goal=Goal(*goal_xy, 0.3), desired_speed=float(speed), radius=0.3,
+                     waypoints=waypoints)
 
 
 _MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1

@@ -12,7 +12,6 @@ from socnav.core import (
     Episode,
     Goal,
     ObstacleMap,
-    Vec2,
     motion_headings,
 )
 
@@ -55,7 +54,7 @@ def straight_robot(n=11, dt=0.1, speed=1.0, goal_xy=None, tolerance=0.2, radius=
     points = [(i * dt * speed, 0.0) for i in range(n)]
     goal = None
     if goal_xy is not None:
-        goal = Goal(position=Vec2(*goal_xy), tolerance=tolerance)
+        goal = Goal(*goal_xy, tolerance)
     return make_agent("robot", points, dt=dt, kind=AgentKind.ROBOT,
                       radius=radius, goal=goal)
 
@@ -76,20 +75,23 @@ def rigid_transform(episode: Episode, angle: float, tx: float, ty: float) -> Epi
 
     c, s = math.cos(angle), math.sin(angle)
 
-    def rot_point(p: Vec2) -> Vec2:
-        return Vec2(c * p.x - s * p.y + tx, s * p.x + c * p.y + ty)
+    def rot_point(x, y):
+        return c * x - s * y + tx, s * x + c * y + ty
+
+    def rot_segment(seg):
+        return rot_point(*seg[:2]) + rot_point(*seg[2:])
 
     def rot_agent(a: AgentRecord) -> AgentRecord:
         goal = None
         if a.goal is not None:
-            goal = Goal(position=rot_point(a.goal.position), tolerance=a.goal.tolerance)
+            goal = Goal(*rot_point(a.goal.x, a.goal.y), a.goal.tolerance)
         return replace(a, x=c * a.x - s * a.y + tx, y=s * a.x + c * a.y + ty,
                        heading=np.arctan2(np.sin(a.heading + angle), np.cos(a.heading + angle)),
                        vx=c * a.vx - s * a.vy, vy=s * a.vx + c * a.vy, goal=goal)
 
     obstacles = ObstacleMap(
-        segments=tuple((rot_point(a), rot_point(b)) for a, b in episode.obstacles.segments),
-        dynamic=tuple((t, tuple((rot_point(a), rot_point(b)) for a, b in segs))
+        segments=tuple(map(rot_segment, episode.obstacles.segments)),
+        dynamic=tuple((t, tuple(map(rot_segment, segs)))
                       for t, segs in episode.obstacles.dynamic))
     return Episode(episode_id=episode.episode_id, robot_under_test=episode.robot_under_test,
                    agents=tuple(rot_agent(a) for a in episode.agents),
@@ -116,8 +118,8 @@ def fuzz_episode(seed, n_humans=3, n_steps=40, dt=0.1, with_obstacles=True,
     rng = np.random.default_rng(seed)
     goal = None
     if with_goal:
-        goal = Goal(position=Vec2(float(rng.uniform(-box, box)), float(rng.uniform(-box, box))),
-                    tolerance=float(rng.uniform(0.1, 0.5)))
+        goal = Goal(float(rng.uniform(-box, box)), float(rng.uniform(-box, box)),
+                    float(rng.uniform(0.1, 0.5)))
     robot = random_walk_agent(rng, "robot", n=n_steps, dt=dt, kind=AgentKind.ROBOT,
                               radius=float(rng.uniform(0.2, 0.4)), box=box,
                               speed_scale=rng.uniform(0.5, 2.0), goal=goal)
@@ -136,6 +138,6 @@ def fuzz_episode(seed, n_humans=3, n_steps=40, dt=0.1, with_obstacles=True,
             b = a + rng.uniform(-2.0, 2.0, size=2)
             if np.allclose(a, b):
                 b = a + np.array([0.5, 0.0])
-            segs.append((Vec2(*map(float, a)), Vec2(*map(float, b))))
+            segs.append(tuple(map(float, (*a, *b))))
         obstacles = ObstacleMap(segments=tuple(segs))
     return make_episode(agents, obstacles=obstacles, episode_id=f"fuzz-{seed}")

@@ -16,7 +16,7 @@ import math
 from dataclasses import replace
 from typing import NamedTuple, Optional
 
-from socnav.core import AgentKind, Vec2, common_timeline
+from socnav.core import AgentKind, common_timeline
 from socnav.geometry import wrap_angle
 
 
@@ -32,19 +32,24 @@ def derive_velocities(agent):
     return replace(agent, has_vel=np.ones(n, dtype=bool))
 
 
+class Point(NamedTuple):
+    x: float
+    y: float
+
+
 class State(NamedTuple):
     """One timestamped sample: pose plus a velocity, None where none is stored."""
 
     t: float
-    position: Vec2
+    position: Point
     heading: float
-    velocity: Optional[Vec2]
+    velocity: Optional[Point]
 
 
 def _sample(agent, j):
     """The j-th sample of an agent's columns as a State."""
-    vel = Vec2(float(agent.vx[j]), float(agent.vy[j])) if agent.has_vel[j] else None
-    return State(float(agent.t[j]), Vec2(float(agent.x[j]), float(agent.y[j])),
+    vel = Point(float(agent.vx[j]), float(agent.vy[j])) if agent.has_vel[j] else None
+    return State(float(agent.t[j]), Point(float(agent.x[j]), float(agent.y[j])),
                  float(agent.heading[j]), vel)
 
 
@@ -72,13 +77,13 @@ def interpolate_state(agent, t):
         return s1
 
     frac = (t - s0.t) / (s1.t - s0.t)
-    pos = Vec2(s0.position.x + frac * (s1.position.x - s0.position.x),
-               s0.position.y + frac * (s1.position.y - s0.position.y))
+    pos = Point(s0.position.x + frac * (s1.position.x - s0.position.x),
+                s0.position.y + frac * (s1.position.y - s0.position.y))
     heading = wrap_angle(s0.heading + frac * wrap_angle(s1.heading - s0.heading))
     vel = None
     if s0.velocity is not None and s1.velocity is not None:
-        vel = Vec2(s0.velocity.x + frac * (s1.velocity.x - s0.velocity.x),
-                   s0.velocity.y + frac * (s1.velocity.y - s0.velocity.y))
+        vel = Point(s0.velocity.x + frac * (s1.velocity.x - s0.velocity.x),
+                    s0.velocity.y + frac * (s1.velocity.y - s0.velocity.y))
     return State(t, pos, heading, vel)
 
 
@@ -136,7 +141,7 @@ def active_segments_oracle(obstacles, t):
     import numpy as np
 
     def ends(segs, e):
-        return np.array([(s[e].x, s[e].y) for s in segs], dtype=float).reshape(-1, 2)
+        return np.array([s[2 * e:2 * e + 2] for s in segs], dtype=float).reshape(-1, 2)
 
     index, active = 0, ()
     for stamp, segs in obstacles.dynamic:
@@ -317,10 +322,9 @@ def reference_step(state, config):
 
     def current_target(spec, waypoint_idx):
         if waypoint_idx < len(spec.waypoints):
-            w = spec.waypoints[waypoint_idx]
-            return np.array([w.x, w.y])
+            return np.array(spec.waypoints[waypoint_idx])
         if spec.goal is not None:
-            return spec.goal.position.as_array()
+            return np.array([spec.goal.x, spec.goal.y])
         return None
 
     def nearest_on_segment(point, a, b):
@@ -343,7 +347,7 @@ def reference_step(state, config):
     for i, spec in enumerate(config.agents):
         while waypoint_idx[i] < len(spec.waypoints):
             w = spec.waypoints[waypoint_idx[i]]
-            if np.linalg.norm(pos[i] - (w.x, w.y)) <= _WAYPOINT_TOLERANCE:
+            if np.linalg.norm(pos[i] - w) <= _WAYPOINT_TOLERANCE:
                 waypoint_idx[i] += 1
             else:
                 break
@@ -364,7 +368,7 @@ def reference_step(state, config):
         target = current_target(spec, int(waypoint_idx[i]))
         at_goal = False
         if spec.goal is not None:
-            at_goal = (np.linalg.norm(pos[i] - spec.goal.position.as_array())
+            at_goal = (np.linalg.norm(pos[i] - (spec.goal.x, spec.goal.y))
                        <= spec.goal.tolerance)
 
         if spec.policy == "scripted_waypoints":
@@ -441,7 +445,7 @@ def reference_step(state, config):
     reached = state.reached.copy()
     for i, spec in enumerate(config.agents):
         if spec.goal is not None and not reached[i]:
-            if np.linalg.norm(new_pos[i] - spec.goal.position.as_array()) <= spec.goal.tolerance:
+            if np.linalg.norm(new_pos[i] - (spec.goal.x, spec.goal.y)) <= spec.goal.tolerance:
                 reached[i] = True
 
     return SimState(t=state.t + dt, pos=new_pos, vel=new_vel, heading=new_heading,
@@ -567,21 +571,17 @@ def reference_serialize_episode(episode) -> bytes:
     ``json.dumps`` with the canonical settings."""
     import json
 
-    def segment(seg):
-        a, b = seg
-        return [float(a.x), float(a.y), float(b.x), float(b.y)]
-
     agents = []
     for a in episode.agents:
         entry = {"id": a.id, "kind": a.kind.value, "radius": float(a.radius),
                  "states": a.states}
         if a.goal is not None:
-            entry["goal"] = {"x": float(a.goal.position.x), "y": float(a.goal.position.y),
+            entry["goal"] = {"x": float(a.goal.x), "y": float(a.goal.y),
                              "tolerance": float(a.goal.tolerance)}
         agents.append(entry)
-    obstacles = {"segments": [segment(s) for s in episode.obstacles.segments]}
+    obstacles = {"segments": [list(map(float, s)) for s in episode.obstacles.segments]}
     if episode.obstacles.dynamic:
-        obstacles["dynamic"] = [{"t": float(stamp), "segments": [segment(s) for s in segs]}
+        obstacles["dynamic"] = [{"t": float(stamp), "segments": [list(map(float, s)) for s in segs]}
                                 for stamp, segs in episode.obstacles.dynamic]
     document = {
         "format_version": "1.0",

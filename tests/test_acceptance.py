@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from socnav.cli import main as cli_main
-from socnav.core import AgentKind, Goal, MetricParams, Vec2, validate_episode
+from socnav.core import AgentKind, Goal, MetricParams, validate_episode
 from socnav.geometry import first_collision_time
 from socnav.ingest import parse_episode, serialize_episode
 from socnav.metrics import (
@@ -185,8 +185,8 @@ def test_07_simulator_determinism_and_goal_reach():
         for _ in range(100):
             speed = float(rng.uniform(0.5, 1.8))
             spec = AgentSpec(agent_id="robot", kind=AgentKind.ROBOT, policy="sfm",
-                             position=Vec2(0.0, 0.0),
-                             goal=Goal(position=Vec2(5.0, 0.0), tolerance=0.2),
+                             position=(0.0, 0.0),
+                             goal=Goal(5.0, 0.0, 0.2),
                              desired_speed=speed)
             ep = run(SimConfig(dt=0.05, max_duration=30.0, agents=(spec,)))
             assert ep.robot.t_end <= 1.5 * (5.0 / speed)
@@ -263,8 +263,7 @@ def _throughput_episode(rng, index):
         steps = rng.normal(0.0, 1.2 * dt, (n_steps - 1, 2))
         xy = np.vstack([start, start + np.cumsum(steps, axis=0)])
         kind = AgentKind.ROBOT if a == 0 else AgentKind.HUMAN
-        goal = Goal(position=Vec2(*map(float, rng.uniform(-10, 10, 2))),
-                    tolerance=0.2) if a == 0 else None
+        goal = Goal(*map(float, rng.uniform(-10, 10, 2)), 0.2) if a == 0 else None
         agents.append(AgentRecord(id=f"a{a}", kind=kind, radius=0.3, t=np.arange(n_steps) * dt,
                                   x=xy[:, 0], y=xy[:, 1], goal=goal))
     return make_episode(agents, robot_id="a0", episode_id=f"tp-{index}")

@@ -13,7 +13,6 @@ from socnav.core import (
     AgentKind,
     MetricParams,
     ObstacleMap,
-    Vec2,
     common_timeline,
     event_runs,
     median,
@@ -30,6 +29,7 @@ from socnav.simulator import SCENARIO_NAMES, generate_scenario, run
 
 from conftest import fuzz_episode, make_agent, make_episode, straight_robot
 from oracles import (
+    Point,
     State,
     active_segments_oracle,
     derive_velocities,
@@ -94,7 +94,7 @@ class TestInterpolateState:
         agent = make_agent("a", [(0, 0), (1, 1), (2, 0)], dt=0.5)
         for stored in agent.states:
             assert interpolate_state(agent, stored["t"]) == State(
-                stored["t"], Vec2(stored["x"], stored["y"]), stored["theta"], None)
+                stored["t"], Point(stored["x"], stored["y"]), stored["theta"], None)
 
     def test_heading_shorter_arc_through_pi(self):
         agent = make_agent("a", [(0, 0), (1, 0)], dt=1.0, headings=[3.0, -3.0])
@@ -113,7 +113,7 @@ class TestInterpolateState:
     def test_velocity_interpolated(self):
         agent = make_agent("a", [(0, 0), (2, 0)], dt=2.0, velocities=[(0, 0), (2, 2)])
         s = interpolate_state(agent, 1.0)
-        assert s.velocity == Vec2(1.0, 1.0)
+        assert s.velocity == Point(1.0, 1.0)
 
 
 class TestCommonTimeline:
@@ -310,7 +310,7 @@ class TestValidation:
 
     def test_dynamic_obstacles_must_be_time_ordered(self):
         from socnav.core import ObstacleMap
-        bad = ObstacleMap(dynamic=((2.0, ((Vec2(0, 0), Vec2(1, 0)),)), (1.0, ())))
+        bad = ObstacleMap(dynamic=((2.0, ((0, 0, 1, 0),)), (1.0, ())))
         ep = make_episode([straight_robot()], obstacles=bad)
         with pytest.raises(InvariantError, match="time-ordered"):
             validate_episode(ep)
@@ -370,8 +370,8 @@ class TestWrapAngleScalar:
         self.check(value)
 
 
-POINT = st.builds(Vec2, st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
-SEGMENT_SET = st.lists(st.tuples(POINT, POINT), max_size=3).map(tuple)
+COORD = st.floats(-5.0, 5.0)
+SEGMENT_SET = st.lists(st.tuples(COORD, COORD, COORD, COORD), max_size=3).map(tuple)
 
 
 @st.composite
@@ -398,8 +398,8 @@ class TestActiveObstacleSet:
     @settings(max_examples=300, deadline=None)
     @given(obstacle_queries())
     @example((ObstacleMap(), [0.0]))
-    @example((ObstacleMap(segments=((Vec2(0, 0), Vec2(1, 0)),)), [-1.0, 0.0]))
-    @example((ObstacleMap(dynamic=((0.0, ()), (0.0, ((Vec2(0, 0), Vec2(1, 0)),)))), [0.0]))
+    @example((ObstacleMap(segments=((0, 0, 1, 0),)), [-1.0, 0.0]))
+    @example((ObstacleMap(dynamic=((0.0, ()), (0.0, ((0, 0, 1, 0),)))), [0.0]))
     def test_matches_stamp_loop(self, case):
         obstacles, times = case
         want = [active_segments_oracle(obstacles, t) for t in times]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from socnav.core import AgentKind, AgentRecord, Episode, EpisodeLabel, Goal, ObstacleMap, Vec2
+from socnav.core import AgentKind, AgentRecord, Episode, EpisodeLabel, Goal, ObstacleMap
 from socnav.errors import (
     InvariantError,
     MalformedDocument,
@@ -131,7 +131,7 @@ class TestSerialize:
 
     def test_dynamic_obstacles_round_trip(self):
         ep = fuzz_episode(3)
-        dyn = ((0.5, ((Vec2(0, 0), Vec2(1, 0)),)), (1.5, ()))
+        dyn = ((0.5, ((0, 0, 1, 0),)), (1.5, ()))
         ep2 = type(ep)(episode_id=ep.episode_id, robot_under_test=ep.robot_under_test,
                        agents=ep.agents,
                        obstacles=ObstacleMap(segments=ep.obstacles.segments, dynamic=dyn),
@@ -152,11 +152,29 @@ class TestSerialize:
                     assert agent.states == entry["states"]
                     assert len(agent.states) == len(agent.t)
 
+    def test_points_are_the_files_numbers(self):
+        """A goal is the file's (x, y, tolerance) and a segment its [x1, y1, x2, y2], as
+        float tuples; dynamic sets come in the decoder's stamp order."""
+        for path in sorted((Path(__file__).parent / "golden").glob("*/canonical.json")):
+            raw = path.read_bytes()
+            episode, doc = parse_episode(raw), json.loads(raw)
+            static = tuple(map(tuple, doc["obstacles"]["segments"]))
+            dynamic = tuple((d["t"], tuple(map(tuple, d["segments"])))
+                            for d in sorted(doc["obstacles"].get("dynamic", []),
+                                            key=lambda d: d["t"]))
+            assert (episode.obstacles.segments, episode.obstacles.dynamic) == (static, dynamic)
+            segments = episode.obstacles.segments + tuple(
+                seg for _, segs in episode.obstacles.dynamic for seg in segs)
+            assert {type(v) for seg in segments for v in seg} <= {float}, path.parent.name
+            assert ([None if a.goal is None else (a.goal.x, a.goal.y, a.goal.tolerance)
+                     for a in episode.agents]
+                    == [tuple(a["goal"][k] for k in ("x", "y", "tolerance")) if "goal" in a
+                        else None for a in doc["agents"]]), path.parent.name
+
 
 _float = st.floats(allow_nan=False, allow_infinity=False)
 _name = st.text(max_size=4)  # any code point, so non-ASCII too
-_point = st.builds(Vec2, _float, _float)
-_segments = st.lists(st.tuples(_point, _point), max_size=3).map(tuple)
+_segments = st.lists(st.tuples(_float, _float, _float, _float), max_size=3).map(tuple)
 
 
 @st.composite
@@ -168,7 +186,7 @@ def _agents(draw):
         t=draw(column), x=draw(column), y=draw(column), heading=draw(column),
         vx=draw(column), vy=draw(column),  # stored only where has_vel is set
         has_vel=np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n))),
-        goal=draw(st.none() | st.builds(Goal, _point, _float)))
+        goal=draw(st.none() | st.builds(Goal, _float, _float, _float)))
 
 
 _episodes = st.builds(

@@ -12,7 +12,6 @@ from socnav.core import (
     MetricParams,
     ObstacleMap,
     SampledAgent,
-    Vec2,
     common_timeline,
 )
 from socnav.errors import MissingGoal, TooFewStates
@@ -108,7 +107,7 @@ class TestCollisions:
         assert collisions(ep, PARAMS) == (0, 0, 0, 0)
 
     def test_wall_collision(self):
-        wall = ObstacleMap(segments=((Vec2(0.5, -1.0), Vec2(0.5, 1.0)),))
+        wall = ObstacleMap(segments=((0.5, -1.0, 0.5, 1.0),))
         robot = straight_robot(n=11)  # crosses x=0.5 with radius 0.3
         ep = make_episode([robot], obstacles=wall)
         c, wc, ac, hc = collisions(ep, PARAMS)
@@ -164,7 +163,7 @@ class TestFailureToProgress:
         xs = np.cumsum(rng.normal(0, 0.05, n))
         robot = make_agent("robot", [(x, 0.0) for x in xs], dt=0.1,
                            kind=AgentKind.ROBOT,
-                           goal=Goal(position=Vec2(3.0, 0.0), tolerance=0.2))
+                           goal=Goal(3.0, 0.0, 0.2))
         ep = make_episode([robot])
         params = MetricParams(fp_window=2.0, fp_distance_eps=0.05)
         d = np.abs(xs - 3.0)
@@ -235,7 +234,7 @@ class TestPathAndSPL:
         xs = np.concatenate([np.linspace(0, -0.5, 6), np.linspace(-0.4, 1.0, 15)])
         robot = make_agent("robot", [(x, 0.0) for x in xs], dt=0.1,
                            kind=AgentKind.ROBOT,
-                           goal=Goal(position=Vec2(1.0, 0.0), tolerance=0.05))
+                           goal=Goal(1.0, 0.0, 0.05))
         ep = make_episode([robot])
         p = path_length(ep)
         expected = 1.0 / max(1.0, p)
@@ -303,7 +302,7 @@ class TestKinematicFeatures:
 
 class TestClearingDistance:
     def test_parallel_wall(self):
-        wall = ObstacleMap(segments=((Vec2(-5.0, 1.0), Vec2(5.0, 1.0)),))
+        wall = ObstacleMap(segments=((-5.0, 1.0, 5.0, 1.0),))
         robot = straight_robot(n=11, radius=0.3)  # y = 0, wall at y = 1
         ep = make_episode([robot], obstacles=wall)
         cd_min, cd_avg = clearing_distance_features(ep, PARAMS)
@@ -421,9 +420,9 @@ class TestAggregatedTime:
     def test_max_rule(self):
         robot = goal_robot(n=31, dt=0.1, speed=1.0, goal_xy=(3.0, 0.0), tolerance=0.05)
         a = make_agent("a", line_points((0, 1), (3, 1), 31), dt=0.1,
-                       goal=Goal(position=Vec2(3.0, 1.0), tolerance=0.15))
+                       goal=Goal(3.0, 1.0, 0.15))
         b = make_agent("b", line_points((0, 2), (1.5, 2), 31), dt=0.1,
-                       goal=Goal(position=Vec2(1.5, 2.0), tolerance=0.15))
+                       goal=Goal(1.5, 2.0, 0.15))
         ep = make_episode([robot, a, b])
         params = MetricParams(cooperative_agent_ids=frozenset({"a", "b"}))
         at = aggregated_time(ep, params)
@@ -437,7 +436,7 @@ class TestAggregatedTime:
     def test_unreached_none(self):
         robot = goal_robot()
         a = make_agent("a", [(0, 1)] * 11, dt=0.1,
-                       goal=Goal(position=Vec2(9.0, 9.0), tolerance=0.1))
+                       goal=Goal(9.0, 9.0, 0.1))
         ep = make_episode([robot, a])
         params = MetricParams(cooperative_agent_ids=frozenset({"a"}))
         assert aggregated_time(ep, params) is None
@@ -490,7 +489,7 @@ def test_compute_all_measures_obstacles_once(monkeypatch):
 
     monkeypatch.setattr(socnav.metrics, "point_segment_distance", counting)
     robot = goal_robot(n=31, goal_xy=(3.0, 0.0))
-    wall = ObstacleMap(segments=((Vec2(1.0, -1.0), Vec2(1.0, 1.0)),))
+    wall = ObstacleMap(segments=((1.0, -1.0, 1.0, 1.0),))
     ep = make_episode([robot], obstacles=wall)
     params = MetricParams(collision_terminate_count=1)
     report = compute_all(ep, params, dt=0.1, include_stepwise=True)
@@ -501,9 +500,9 @@ def test_compute_all_measures_obstacles_once(monkeypatch):
 def _short_robot_episode(n):
     robot = make_agent("robot", [(0.1 * i, 0.0) for i in range(n)], dt=0.1,
                        kind=AgentKind.ROBOT, velocities=[(1.0, 0.0)] * n,
-                       goal=Goal(position=Vec2(0.3, 0.0), tolerance=0.2))
+                       goal=Goal(0.3, 0.0, 0.2))
     human = make_agent("h", [(1.0, 0.1 * i) for i in range(6)], dt=0.1)
-    wall = ObstacleMap(segments=((Vec2(0.5, -1.0), Vec2(0.5, 1.0)),))
+    wall = ObstacleMap(segments=((0.5, -1.0, 0.5, 1.0),))
     return make_episode([robot, human], obstacles=wall, episode_id=f"robot-{n}-states")
 
 
@@ -644,7 +643,7 @@ class TestInvariances:
         # starts exactly on the goal, wanders, returns: still a success
         robot = make_agent("robot", [(0, 0), (1, 0), (0.5, 0), (0, 0)], dt=1.0,
                            kind=AgentKind.ROBOT,
-                           goal=Goal(position=Vec2(0.0, 0.0), tolerance=0.2))
+                           goal=Goal(0.0, 0.0, 0.2))
         ep = make_episode([robot])
         assert success(ep, PARAMS)
         assert spl(ep, PARAMS) == 1.0

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from socnav.core import AgentKind, ObstacleMap, Vec2
+from socnav.core import AgentKind, ObstacleMap
 from socnav.errors import InvariantError, SchemaError, UnknownCard
 from socnav.ingest import canonical_json_bytes
 from socnav.scenarios import (
@@ -111,8 +111,8 @@ class TestClassify:
     # that line, so neither narrows the passage.
     @pytest.mark.parametrize("walls, labelled", [
         ((), True),
-        (tuple((Vec2(-3.0, y), Vec2(3.0, y)) for y in (-0.25, 0.25)), False),
-        (((Vec2(5.0, -1.0), Vec2(5.0, 1.0)), (Vec2(3.0, 1.0), Vec2(4.0, 1.0))), True),
+        (tuple((-3.0, y, 3.0, y) for y in (-0.25, 0.25)), False),
+        (((5.0, -1.0, 5.0, 1.0), (3.0, 1.0, 4.0, 1.0)), True),
     ], ids=["open", "no-room-to-pass", "walls-off-the-normal"])
     def test_constructed_frontal_approach(self, walls, labelled):
         def head_on(walls):

@@ -12,13 +12,14 @@ from socnav.core import (
     Goal,
     MetricParams,
     ObstacleMap,
-    Vec2,
     validate_episode,
 )
 from socnav.errors import InvariantError, UnknownScenario
 from socnav.geometry import sightlines_blocked, wrap_angle
 from socnav.ingest import parse_episode, serialize_episode
-from socnav.metrics import collisions
+from socnav.metrics import collisions, compute_all
+from socnav.report import write_output
+from socnav.scenarios import classify, serialize_labels
 from socnav.simulator import (
     SCENARIO_NAMES,
     AgentSpec,
@@ -37,8 +38,8 @@ PARAMS = MetricParams()
 def single_agent_config(max_duration=20.0, desired_speed=1.0, policy="sfm",
                         scene=ObstacleMap(), goal_xy=(5.0, 0.0)):
     spec = AgentSpec(agent_id="robot", kind=AgentKind.ROBOT, policy=policy,
-                     position=Vec2(0.0, 0.0),
-                     goal=Goal(position=Vec2(*goal_xy), tolerance=0.2),
+                     position=(0.0, 0.0),
+                     goal=Goal(*goal_xy, 0.2),
                      desired_speed=desired_speed)
     return SimConfig(dt=0.05, max_duration=max_duration, agents=(spec,), scene=scene)
 
@@ -50,12 +51,12 @@ def first_step(config):
 
 def _human(agent_id, start, goal, policy="sfm", **kwargs):
     return AgentSpec(agent_id=agent_id, kind=AgentKind.HUMAN, policy=policy,
-                     position=Vec2(*start), goal=Goal(position=Vec2(*goal), tolerance=0.3),
+                     position=start, goal=Goal(*goal, 0.3),
                      **kwargs)
 
 
-WALL = (Vec2(1.0, 1.0), Vec2(2.0, 1.0))
-POINT_WALL = (Vec2(1.0, 1.0), Vec2(1.0, 1.0))
+WALL = (1.0, 1.0, 2.0, 1.0)
+POINT_WALL = (1.0, 1.0, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("scene, path", [
@@ -84,8 +85,8 @@ class TestStep:
 
     def test_agent_at_goal_stays(self):
         spec = AgentSpec(agent_id="robot", kind=AgentKind.ROBOT, policy="sfm",
-                         position=Vec2(5.0, 0.0),
-                         goal=Goal(position=Vec2(5.0, 0.0), tolerance=0.2))
+                         position=(5.0, 0.0),
+                         goal=Goal(5.0, 0.0, 0.2))
         # a far-off walker that does not arrive keeps run going for all 40 steps
         walker = _human("h0", (-20.0, 0.0), (-40.0, 0.0))
         ep = run(SimConfig(dt=0.05, max_duration=2.0, agents=(spec, walker)))
@@ -93,7 +94,7 @@ class TestStep:
         assert np.all(np.linalg.norm(ep.robot.positions - (5.0, 0.0), axis=1) <= 0.2)
 
     def test_straight_line_stop_freezes_at_wall(self):
-        wall = ObstacleMap(segments=((Vec2(0.3, -1.0), Vec2(0.3, 1.0)),))
+        wall = ObstacleMap(segments=((0.3, -1.0, 0.3, 1.0),))
         config = single_agent_config(policy="straight_line_stop", scene=wall,
                                      goal_xy=(5.0, 0.0))
         robot = first_step(config).robot
@@ -102,19 +103,19 @@ class TestStep:
 
     def test_straight_line_stop_blocked_by_agent(self):
         robot = AgentSpec(agent_id="robot", kind=AgentKind.ROBOT,
-                          policy="straight_line_stop", position=Vec2(0.0, 0.0),
-                          goal=Goal(position=Vec2(5.0, 0.0), tolerance=0.2))
+                          policy="straight_line_stop", position=(0.0, 0.0),
+                          goal=Goal(5.0, 0.0, 0.2))
         blocker = AgentSpec(agent_id="h", kind=AgentKind.HUMAN, policy="sfm",
-                            position=Vec2(0.5, 0.0))  # within 0.3+0.3+0.1
+                            position=(0.5, 0.0))  # within 0.3+0.3+0.1
         config = SimConfig(dt=0.05, max_duration=1.0, agents=(robot, blocker))
         assert tuple(first_step(config).robot.velocities[1]) == (0.0, 0.0)
 
     def test_straight_line_stop_ignores_rear_agent(self):
         robot = AgentSpec(agent_id="robot", kind=AgentKind.ROBOT,
-                          policy="straight_line_stop", position=Vec2(0.0, 0.0),
-                          goal=Goal(position=Vec2(5.0, 0.0), tolerance=0.2))
+                          policy="straight_line_stop", position=(0.0, 0.0),
+                          goal=Goal(5.0, 0.0, 0.2))
         rear = AgentSpec(agent_id="h", kind=AgentKind.HUMAN, policy="sfm",
-                         position=Vec2(-0.5, 0.0))
+                         position=(-0.5, 0.0))
         config = SimConfig(dt=0.05, max_duration=1.0, agents=(robot, rear))
         assert np.linalg.norm(first_step(config).robot.velocities[1]) > 0.0
 
@@ -123,7 +124,7 @@ class TestStep:
         track = AgentRecord(id="robot", kind=AgentKind.ROBOT, radius=0.3,
                             t=0.1 * i, x=0.2 * i, y=np.zeros(20))
         spec = AgentSpec(agent_id="robot", kind=AgentKind.ROBOT, policy="replay",
-                         position=Vec2(0.0, 0.0), replay=track)
+                         position=(0.0, 0.0), replay=track)
         config = SimConfig(dt=0.05, max_duration=1.0, agents=(spec,))
         ep = run(config)
         # at t = 1.0 the replayed trajectory sits at x = 2.0
@@ -131,9 +132,9 @@ class TestStep:
 
     def test_scripted_waypoints_path(self):
         spec = AgentSpec(agent_id="robot", kind=AgentKind.ROBOT,
-                         policy="scripted_waypoints", position=Vec2(0.0, 0.0),
-                         goal=Goal(position=Vec2(2.0, 2.0), tolerance=0.2),
-                         waypoints=(Vec2(2.0, 0.0),))
+                         policy="scripted_waypoints", position=(0.0, 0.0),
+                         goal=Goal(2.0, 2.0, 0.2),
+                         waypoints=((2.0, 0.0),))
         config = SimConfig(dt=0.05, max_duration=10.0, agents=(spec,))
         ep = run(config)
         xs = ep.robot.positions
@@ -154,7 +155,7 @@ def _replay_track(x):
 
 def _replay_config(track, max_duration=4.0):
     robot = AgentSpec(agent_id="robot", kind=AgentKind.ROBOT, policy="replay",
-                      position=Vec2(0.0, 0.0), replay=track)
+                      position=(0.0, 0.0), replay=track)
     return SimConfig(dt=0.05, max_duration=max_duration, episode_id="replay",
                      agents=(robot, _human("h0", (4.0, 0.5), (-2.0, 0.5)),
                              _human("h1", (3.0, -1.0), (3.0, 3.0),
@@ -163,6 +164,8 @@ def _replay_config(track, max_duration=4.0):
 
 # sha256 of serialize_episode(run(generate_scenario(name, 3, policy))): any change to
 # the simulator's arithmetic, its stop rule or the episode writer shows here.
+CORPUS_SHA256 = "97c1725fd530da8689776641a9c38295564eebbcfa3784b3e8b8ea42f298629a"
+
 EPISODE_SHA256 = {
     ("frontal_approach", "sfm"):
         "d0406eda218f0b7c8cd41850bfa83a71d48bf92dd692ec93b013feb964a09bca",
@@ -244,7 +247,7 @@ class TestRun:
             if field in ("dt", "max_duration"):
                 SimConfig(agents=(spec,), **{field: value})
             elif field == "tolerance":
-                dataclasses.replace(spec, goal=Goal(spec.goal.position, value))
+                dataclasses.replace(spec, goal=Goal(spec.goal.x, spec.goal.y, value))
             else:
                 dataclasses.replace(spec, **{field: value})
         assert err.value.path == path
@@ -274,13 +277,42 @@ class TestRun:
             dataclasses.replace(single_agent_config().agents[0], policy="fly")
         assert err.value.path == "/agents/robot/policy"
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_start_must_be_finite(self, value):
+        """A NaN start would only fail mid-run, as a non-finite state at /sim."""
+        with pytest.raises(InvariantError) as err:
+            dataclasses.replace(single_agent_config().agents[0], position=(0.0, value))
+        assert (err.value.path, err.value.message) == ("/agents/robot/position", "must be finite")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_goal_must_be_finite(self, value):
+        """A NaN goal would run to an episode the writer cannot write; the message is
+        check_episode's. A far but finite goal still runs."""
+        spec = single_agent_config().agents[0]
+        with pytest.raises(InvariantError) as err:
+            dataclasses.replace(spec, goal=Goal(value, 0.0, 0.2))
+        assert (err.value.path, err.value.message) == ("/agents/robot/goal",
+                                                       "position must be finite")
+        far = dataclasses.replace(spec, goal=Goal(1e308, 0.0, 0.2))
+        validate_episode(parse_episode(serialize_episode(
+            run(SimConfig(dt=0.1, max_duration=3.0, agents=(far,))))))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_waypoints_must_be_finite(self, value):
+        """A NaN waypoint would be passed by without a word."""
+        with pytest.raises(InvariantError) as err:
+            dataclasses.replace(single_agent_config().agents[0],
+                                waypoints=((1.0, 0.0), (value, 1.0)))
+        assert (err.value.path, err.value.message) == ("/agents/robot/waypoints/1",
+                                                       "must be finite")
+
     @pytest.mark.parametrize("t",[[], [0.0, 0.2, 0.1], [0.0, 0.0], [0.0, math.nan]])
     def test_replay_track_needs_increasing_times(self, t):
         track = AgentRecord(id="robot", kind=AgentKind.ROBOT, radius=0.3, t=np.array(t),
                             x=np.zeros(len(t)), y=np.zeros(len(t)))
         with pytest.raises(InvariantError) as err:
             AgentSpec(agent_id="robot", kind=AgentKind.ROBOT, policy="replay",
-                      position=Vec2(0.0, 0.0), replay=track)
+                      position=(0.0, 0.0), replay=track)
         assert err.value.path == "/agents/robot/replay"
 
     def test_unknown_scenario(self):
@@ -303,6 +335,22 @@ class TestRun:
     def test_episode_bytes_pinned(self, name, robot_policy):
         episode = serialize_episode(run(generate_scenario(name, 3, robot_policy)))
         assert hashlib.sha256(episode).hexdigest() == EPISODE_SHA256[name, robot_policy]
+
+    def test_corpus_outputs_pinned(self):
+        """One digest over every scenario, both robot policies and three seeds (the last
+        past numpy's 4-word seed pool): each episode's bytes and stepwise report, then
+        each policy's labels document."""
+        digest = hashlib.sha256()
+        for robot_policy in ("sfm", "straight_line_stop"):
+            labels = {}
+            for name in SCENARIO_NAMES:
+                for seed in (0, 7, 2**128 + 1):
+                    ep = run(generate_scenario(name, seed, robot_policy))
+                    digest.update(serialize_episode(ep))
+                    digest.update(write_output(compute_all(ep, include_stepwise=True)))
+                    labels[ep.episode_id] = classify(ep)
+            digest.update(serialize_labels(labels))
+        assert digest.hexdigest() == CORPUS_SHA256
 
     def test_speeds_capped(self):
         for seed in range(5):
@@ -346,7 +394,7 @@ class TestScenarioGeometry:
         config = generate_scenario("frontal_approach", 5)
         robot = next(a for a in config.agents if a.kind is AgentKind.ROBOT)
         human = next(a for a in config.agents if a.kind is AgentKind.HUMAN)
-        width = abs(config.scene.segments[0][0].y - config.scene.segments[1][0].y)
+        width = abs(config.scene.segments[0][1] - config.scene.segments[1][1])
         assert width > 2 * (robot.radius + human.radius)
 
     def test_blind_corner_sightline_blocked_early(self):
@@ -418,12 +466,12 @@ class TestRunMatchesReference:
 
     def test_scripted_waypoints_agent(self):
         robot = AgentSpec(agent_id="robot", kind=AgentKind.ROBOT, policy="scripted_waypoints",
-                          position=Vec2(0.0, 0.0),
-                          goal=Goal(position=Vec2(2.0, 2.0), tolerance=0.2),
-                          waypoints=(Vec2(2.0, 0.0), Vec2(2.0, 1.0)))
+                          position=(0.0, 0.0),
+                          goal=Goal(2.0, 2.0, 0.2),
+                          waypoints=((2.0, 0.0), (2.0, 1.0)))
         config = SimConfig(dt=0.05, max_duration=8.0, episode_id="scripted",
                            agents=(robot, _human("h0", (4.0, 0.2), (-2.0, 0.0))),
-                           scene=ObstacleMap(segments=((Vec2(-1.0, -0.8), Vec2(5.0, -0.8)),)))
+                           scene=ObstacleMap(segments=((-1.0, -0.8, 5.0, -0.8),)))
         _assert_run_matches_reference(config)
 
     def test_replay_agent(self):
@@ -432,7 +480,7 @@ class TestRunMatchesReference:
                             t=0.1 * i, x=0.15 * i, y=0.05 * i, heading=np.full(30, 0.3),
                             vx=np.full(30, 1.5), vy=np.full(30, 0.5))
         robot = AgentSpec(agent_id="robot", kind=AgentKind.ROBOT, policy="replay",
-                          position=Vec2(0.0, 0.0), replay=track)
+                          position=(0.0, 0.0), replay=track)
         config = SimConfig(dt=0.05, max_duration=4.0, episode_id="replay",
                            agents=(robot, _human("h0", (4.0, 0.5), (-2.0, 0.5)),
                                    _human("h1", (3.0, -1.0), (3.0, 3.0),
@@ -440,14 +488,14 @@ class TestRunMatchesReference:
         _assert_run_matches_reference(config)
 
     def test_dynamic_obstacles(self):
-        door = (Vec2(1.5, -1.5), Vec2(1.5, 1.5))
-        scene = ObstacleMap(segments=((Vec2(-3.0, 1.2), Vec2(6.0, 1.2)),
-                                      (Vec2(-3.0, -1.2), Vec2(6.0, -1.2))),
+        door = (1.5, -1.5, 1.5, 1.5)
+        scene = ObstacleMap(segments=((-3.0, 1.2, 6.0, 1.2),
+                                      (-3.0, -1.2, 6.0, -1.2)),
                             dynamic=((0.0, (door,)), (1.5, ()),
-                                     (3.0, ((Vec2(3.0, 0.2), Vec2(3.5, 0.6)),))))
+                                     (3.0, ((3.0, 0.2, 3.5, 0.6),))))
         robot = AgentSpec(agent_id="robot", kind=AgentKind.ROBOT, policy="straight_line_stop",
-                          position=Vec2(0.0, -0.4), radius=0.25,
-                          goal=Goal(position=Vec2(5.0, -0.4), tolerance=0.2))
+                          position=(0.0, -0.4), radius=0.25,
+                          goal=Goal(5.0, -0.4, 0.2))
         config = SimConfig(dt=0.05, max_duration=8.0, episode_id="dynamic", scene=scene,
                            agents=(robot, _human("h0", (0.5, 0.4), (5.0, 0.4)),
                                    _human("h1", (5.0, 0.0), (-2.0, 0.0), radius=0.5)))
@@ -470,7 +518,7 @@ class TestRunMatchesReference:
                            agents=(_human("h0", (1.0, -0.8), (1.0, 1.0)),
                                    _human("h1", (3.0, -0.8), (3.0, 1.0),
                                           policy="straight_line_stop")),
-                           scene=ObstacleMap(segments=((Vec2(-1.0, -0.8), Vec2(5.0, -0.8)),)))
+                           scene=ObstacleMap(segments=((-1.0, -0.8, 5.0, -0.8),)))
         _assert_run_matches_reference(config)
 
     def test_westward_heading_wraps_to_pi(self):
@@ -537,7 +585,7 @@ class TestReplayBitForBit:
     def test_velocities_from_reference_positions(self, case):
         track, dt, max_duration = REPLAY_CASES[case]
         spec = AgentSpec(agent_id="robot", kind=AgentKind.ROBOT, policy="replay",
-                         position=Vec2(9.0, 9.0), replay=track)
+                         position=(9.0, 9.0), replay=track)
         robot = run(SimConfig(dt=dt, max_duration=max_duration, agents=(spec,))).robot
         times, pos, vel = robot.t.tolist(), robot.positions.tolist(), robot.velocities.tolist()
         assert times == _sim_times(dt, max_duration)
