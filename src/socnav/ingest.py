@@ -13,6 +13,9 @@ read by ``_number``, so every number in a document obeys one rule.
 and builds the episode with the same decoder, so an import obeys every
 rule ``validate`` applies. ``serialize_episode`` writes the canonical bytes
 one agent at a time, each piece with the settings of ``canonical_json_bytes``.
+``validate`` answers from the last document ``parse_episode`` decoded, so
+a caller that loads, then checks the same bytes decodes them once; at most
+one document is held.
 
 The JSON field names used here are this toolkit's normative definition of
 the interchange format (see README). Unknown fields are preserved under
@@ -102,7 +105,7 @@ def load_json(document: bytes | str):
     text = _text(document)
     try:
         return json.loads(text)
-    except ValueError as e:  # also an integer literal past the int-conversion limit
+    except (ValueError, RecursionError) as e:  # past the int-digit or nesting limit too
         raise MalformedDocument(f"not valid JSON: {e}") from e
 
 
@@ -468,13 +471,26 @@ def _build_episode(doc, issues: _Issues) -> Episode | None:
     return episode
 
 
+# The issues ``validate`` would report for the last document ``parse_episode``
+# decoded, ``{document: issues}`` with at most one bytes or str key, so that
+# parsing and then validating the same bytes decodes them once. A parse drops
+# the entry before it decodes: one document is held at a time.
+_last: dict = {}
+
+
 def parse_episode(document: bytes | str) -> Episode:
     """Parse and fully validate an interchange document.
 
     Raises MalformedDocument, SchemaError (with a JSON-pointer path), or
     InvariantError (model invariant broken, e.g. non-monotonic timestamps).
     """
-    return _build_episode(load_json(document), _Issues(strict=True))
+    global _last
+    _last = {}
+    issues = _Issues(strict=True)
+    episode = _build_episode(load_json(document), issues)
+    if type(document) in (bytes, str):
+        _last = {document: tuple(issues.items + _velocity_consistency_warnings(episode))}
+    return episode
 
 
 def validate(document: bytes | str) -> list[ValidationIssue]:
@@ -484,6 +500,9 @@ def validate(document: bytes | str) -> list[ValidationIssue]:
     would raise; warnings flag recoverable oddities (defaults applied,
     inconsistent velocity fields).
     """
+    known = _last.get(document) if type(document) in (bytes, str) else None
+    if known is not None:
+        return list(known)
     try:
         doc = load_json(document)
     except MalformedDocument as e:
@@ -508,9 +527,9 @@ def _velocity_consistency_warnings(episode: Episode) -> list[ValidationIssue]:
         inner = np.flatnonzero(agent.has_vel[1:-1]) + 1
         if not inner.size:
             continue
-        fd = finite_difference_velocities(agent.t, agent.positions)[inner]
         vx, vy = agent.vx[inner], agent.vy[inner]
         with np.errstate(all="ignore"):
+            fd = finite_difference_velocities(agent.t, agent.positions)[inner]
             ex, ey = vx - fd[:, 0], vy - fd[:, 1]
             # np.hypot may differ from math.hypot in the last place, far inside
             # this margin: it only picks the candidates, math.hypot decides.

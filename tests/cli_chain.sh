@@ -52,3 +52,16 @@ got=0
 socnav compute eps/frontal_approach_7_1.json --params bad_params.json 2> params.err || got=$?
 test "$got" = 1
 printf 'error: /params/timeout: must be a positive finite number, got -1\n' | cmp - params.err
+mkdir goldens
+for dir in "$golden"/*/; do
+  case "$dir" in */invalid_*/) ;; *) cp "$dir/episode.json" "goldens/$(basename "$dir").json" ;; esac
+done
+socnav compute goldens/*.json -o golden-reports/ 2> batch.err
+for f in goldens/*.json; do echo "wrote golden-reports/${f#goldens/}"; done | cmp - batch.err
+test "$(wc -l < batch.err)" = 5
+python -c 'print("[" * 200000 + "]" * 200000)' > nested.json
+got=0
+socnav validate nested.json 2> nested.err || got=$?
+test "$got" = 1
+test "$(wc -l < nested.err)" = 1
+if grep Traceback nested.err; then exit 1; fi

@@ -1,7 +1,9 @@
-"""Shared builders for hand-constructed and fuzzed test episodes."""
+"""Shared builders for hand-constructed and fuzzed test episodes, and for edited JSON documents."""
 
 from __future__ import annotations
 
+import copy
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -141,3 +143,35 @@ def fuzz_episode(seed, n_humans=3, n_steps=40, dt=0.1, with_obstacles=True,
             segs.append(tuple(map(float, (*a, *b))))
         obstacles = ObstacleMap(segments=tuple(segs))
     return make_episode(agents, obstacles=obstacles, episode_id=f"fuzz-{seed}")
+
+
+DELETE = object()
+
+
+def json_pointers(node, pointer=()):
+    """The pointer of every node in a decoded JSON document, as key tuples; () first."""
+    yield pointer
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from json_pointers(child, (*pointer, key))
+
+
+def edited(doc, pointer: tuple, value) -> bytes:
+    """The JSON bytes of ``doc`` with the node at ``pointer`` replaced, or deleted
+    for ``DELETE``; ``doc`` itself is left as it is."""
+    if not pointer:
+        return json.dumps(value).encode()
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in pointer[:-1]:
+        node = node[key]
+    if value is DELETE:
+        del node[pointer[-1]]
+    else:
+        node[pointer[-1]] = value
+    return json.dumps(doc).encode()

@@ -24,7 +24,7 @@ from socnav.report import parse_summary
 from socnav.scenarios import builtin_cards, serialize_card
 from socnav.simulator import SCENARIO_NAMES, generate_scenario, run
 
-from conftest import fuzz_episode, make_agent, make_episode
+from conftest import DELETE, edited, fuzz_episode, json_pointers, make_agent, make_episode
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -738,12 +738,13 @@ _READERS = {
 }
 
 
-def _run_reader(kind: str, document: bytes, docs: dict, work: Path) -> tuple[int, list[str]]:
+def _run_reader(kind: str, document: bytes, docs: dict, work: Path,
+                command: list[str] | None = None) -> tuple[int, list[str]]:
     work.mkdir(exist_ok=True)
     target = work / "document.json"
     target.write_bytes(document)
     argv = [str(docs["episode"]) if a == "EPISODE" else str(work) if a == "DIR"
-            else a.replace("FILE", str(target)) for a in _READERS[kind]]
+            else a.replace("FILE", str(target)) for a in command or _READERS[kind]]
     if kind != "episode":
         argv += ["-o", str(work / "out.out")]
     err = io.StringIO()
@@ -752,29 +753,11 @@ def _run_reader(kind: str, document: bytes, docs: dict, work: Path) -> tuple[int
     return code, err.getvalue().splitlines()
 
 
-_DELETE = object()
-
-
-def _edited(path: Path, pointer: tuple, value) -> bytes:
-    """The JSON document at ``path`` with the node at ``pointer`` replaced or deleted."""
-    doc = json.loads(path.read_bytes())
-    if not pointer:
-        return json.dumps(value).encode()
-    node = doc
-    for key in pointer[:-1]:
-        node = node[key]
-    if value is _DELETE:
-        del node[pointer[-1]]
-    else:
-        node[pointer[-1]] = value
-    return json.dumps(doc).encode()
-
-
 @pytest.mark.parametrize("kind, pointer, value, path", [
     ("report", ("metrics", "S", "value"), "abc", "/metrics/S/value"),
     ("report", ("metrics", "S", "value"), math.nan, "/metrics/S/value"),
     ("report", ("stepwise", "speed", "v", 3), "x", "/stepwise/speed/v/3"),
-    ("summary", ("metrics", "S", "distribution"), _DELETE, "/metrics/S/distribution"),
+    ("summary", ("metrics", "S", "distribution"), DELETE, "/metrics/S/distribution"),
     ("summary", ("metrics", "S", "distribution", "mean"), math.inf,
      "/metrics/S/distribution/mean"),
     ("params", ("timeout",), 10 ** 400, "/params/timeout"),
@@ -784,7 +767,7 @@ def _edited(path: Path, pointer: tuple, value) -> bytes:
     ("params", ("cooperative_agent_ids",), "robot", "/params/cooperative_agent_ids"),
     ("params", ("bogus",), 1, "/params/bogus"),
     ("params", ("timeout",), -1, "/params/timeout"),
-    ("report", ("params", "dt"), _DELETE, "/params/dt"),
+    ("report", ("params", "dt"), DELETE, "/params/dt"),
     ("card", ("usage_guide", "success_metrics", 0), 7, "/usage_guide/success_metrics/0"),
     ("card", ("name",), "", "/name"),
     ("episode", ("obstacles", "dynamic"), 7.5, "/obstacles/dynamic"),
@@ -799,28 +782,28 @@ def _edited(path: Path, pointer: tuple, value) -> bytes:
         "card-name-empty", "episode-dynamic-number", "episode-obstacles-number",
         "episode-agent-number", "episode-label-infinite"])
 def test_bad_field_one_line_with_path(documents, tmp_path, kind, pointer, value, path):
-    document = _edited(documents[kind], pointer, value)
+    document = edited(json.loads(documents[kind].read_bytes()), pointer, value)
     code, lines = _run_reader(kind, document, documents, tmp_path)
     assert code == 1
     assert len(lines) == 1 and f"{path}: " in lines[0]
+
+
+@pytest.mark.parametrize("nesting", ["array", "object"])
+@pytest.mark.parametrize("kind, command", [*_READERS.items(), ("episode", ["compute", "FILE"])],
+                         ids=[*_READERS, "episode-compute"])
+def test_deeply_nested_document_one_line(documents, tmp_path, kind, command, nesting):
+    """Past the recursion limit the JSON decoder raises RecursionError, not ValueError."""
+    opened, closed = ("[", "]") if nesting == "array" else ('{"a":', "}")
+    document = opened * 200_000 + ("" if nesting == "array" else "1") + closed * 200_000
+    code, lines = _run_reader(kind, document.encode(), documents, tmp_path, command)
+    assert code == 1
+    assert len(lines) == 1 and "not valid JSON: maximum recursion depth exceeded" in lines[0]
 
 
 def test_params_file_not_utf8_one_line(documents, tmp_path):
     code, lines = _run_reader("params", b'{"timeout": 1\xff}', documents, tmp_path)
     assert code == 1
     assert len(lines) == 1 and "not valid UTF-8" in lines[0]
-
-
-def _json_pointers(node, pointer=()):
-    yield pointer
-    if isinstance(node, dict):
-        children = node.items()
-    elif isinstance(node, list):
-        children = enumerate(node)
-    else:
-        return
-    for key, child in children:
-        yield from _json_pointers(child, (*pointer, key))
 
 
 # Type confusions: each stands for a node another tool, or a careless edit, may write.
@@ -833,11 +816,11 @@ _NODES = [None, True, False, 0, 7, -3, 10 ** 400, "x", "Infinity", math.nan, mat
 @given(data=st.data())
 def test_decoding_fuzz(documents, tmp_path_factory, kind, data):
     """One node replaced or deleted anywhere: exit 0-3, never a traceback, one line per problem."""
-    pointers = list(_json_pointers(json.loads(documents[kind].read_bytes())))
-    pointer = data.draw(st.sampled_from(pointers), label="pointer")
-    value = data.draw(st.sampled_from(_NODES + [_DELETE] if pointer else _NODES), label="node")
+    doc = json.loads(documents[kind].read_bytes())
+    pointer = data.draw(st.sampled_from(list(json_pointers(doc))), label="pointer")
+    value = data.draw(st.sampled_from(_NODES + [DELETE] if pointer else _NODES), label="node")
     work = tmp_path_factory.getbasetemp() / f"fuzz-{kind}"
-    code, lines = _run_reader(kind, _edited(documents[kind], pointer, value), documents, work)
+    code, lines = _run_reader(kind, edited(doc, pointer, value), documents, work)
     assert code in (0, 1, 2, 3)
     if kind == "episode":
         # validate lists every problem, one line each

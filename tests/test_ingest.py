@@ -19,6 +19,7 @@ from socnav.errors import (
     SchemaError,
     SocnavError,
 )
+from socnav import ingest
 from socnav.ingest import (
     import_tsv,
     parse_episode,
@@ -27,7 +28,7 @@ from socnav.ingest import (
 )
 from socnav.simulator import SCENARIO_NAMES, generate_scenario, run
 
-from conftest import fuzz_episode
+from conftest import DELETE, edited, fuzz_episode, json_pointers
 from oracles import reference_serialize_episode
 
 MINIMAL = {
@@ -430,6 +431,17 @@ class TestValidate:
         assert any(i.severity == "warning" and "deviates" in i.message for i in issues)
         assert not any(i.severity == "error" for i in issues)
 
+    def test_velocity_check_overflow_is_quiet(self):
+        # Each step is 9 m/s, but the central difference overflows: x2 - x0 is inf.
+        d = json.loads(json.dumps(MINIMAL))
+        d["agents"][0]["states"] = [{"t": t, "x": x, "y": 0.0, "vx": 9.0, "vy": 0.0}
+                                    for t, x in ((0.0, -0.9e308), (1e307, 0.0), (2e307, 0.9e308))]
+        document = json.dumps(d).encode()
+        ingest._last.clear()
+        assert validate(document) == []  # decodes the document itself
+        assert parse_episode(document).robot.x.tolist() == [-0.9e308, 0.0, 0.9e308]
+        assert validate(document) == []  # answered from parse_episode's decode
+
     @pytest.mark.parametrize("obstacles, expected", [
         # Set 0 (t = 2) sorts after set 1 (t = 1).
         ({"segments": [], "dynamic": [{"t": 2, "segments": [[0, 0, 0, 0]]},
@@ -484,6 +496,78 @@ class TestValidate:
         assert from_int == from_float
         assert serialize_episode(from_int) == serialize_episode(from_float)
         assert validate(raw_int) == validate(raw_float)
+
+
+def _outcome(fn, document):
+    """What ``fn`` gives: validate's issue list, parse_episode's episode, or the
+    type, path and message of what it raised."""
+    try:
+        return fn(document)
+    except SocnavError as e:
+        return type(e), getattr(e, "path", None), str(e)
+
+
+def _fresh(fn, document):
+    ingest._last.clear()
+    return _outcome(fn, document)
+
+
+# Call orders: "v"/"p" validate/parse the document under test, "V"/"P" a second
+# one, given as a str.
+_ORDERS = ("v", "p", "vp", "pv", "vv", "pp", "vpvp", "pvpv", "vVp", "pPv", "vPp", "pVv", "vVpP")
+_SECOND = json.dumps(_GOLDEN["headings_omitted"])
+
+
+def _check_call_orders(document):
+    """``validate`` and ``parse_episode`` give what they give fresh in every call order;
+    the memo holds one document at most, and none after a parse_episode that raised."""
+    fresh = {(doc, fn): _fresh(fn, doc) for doc in (document, _SECOND)
+             for fn in (validate, parse_episode)}
+    for order in _ORDERS:
+        ingest._last.clear()
+        for step in order:
+            doc = document if step.islower() else _SECOND
+            fn = validate if step in "vV" else parse_episode
+            got = _outcome(fn, doc)
+            assert got == fresh[doc, fn], (order, step)
+            assert len(ingest._last) <= 1
+            if fn is parse_episode and not isinstance(got, Episode):
+                assert ingest._last == {}
+    ingest._last.clear()
+    for fn in (parse_episode, validate):
+        assert _outcome(fn, bytearray(document)) == fresh[document, fn]
+        assert ingest._last == {}
+
+
+_ORDER_INPUTS = {f"golden-{p.parent.name}": p.read_bytes()
+                 for p in sorted((Path(__file__).parent / "golden").glob("*/episode.json"))}
+_ORDER_INPUTS.update(zip(_CORRUPTED_IDS, _CORRUPTED))
+_NODE_VALUES = st.sampled_from([DELETE, None, True, "x", 10 ** 400, -1.0, 1e308, 0, [], {}])
+
+
+@st.composite
+def _order_documents(draw):
+    """An arbitrary episode's bytes (mostly invalid), or a valid fuzzed one's with
+    at most one node replaced or deleted."""
+    if draw(st.booleans()):
+        return serialize_episode(draw(_episodes))
+    d = json.loads(serialize_episode(fuzz_episode(draw(st.integers(0, 10_000)), n_steps=6)))
+    pointer = draw(st.sampled_from(list(json_pointers(d))))
+    return edited(d, pointer, draw(_NODE_VALUES)) if pointer else json.dumps(d).encode()
+
+
+class TestCallOrder:
+    """``validate`` answers from the last document ``parse_episode`` decoded
+    (``ingest._last``); no call order may show it."""
+
+    @pytest.mark.parametrize("document", _ORDER_INPUTS.values(), ids=_ORDER_INPUTS.keys())
+    def test_goldens_and_corrupted(self, document):
+        _check_call_orders(document)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_order_documents())
+    def test_fuzzed(self, document):
+        _check_call_orders(document)
 
 
 class TestImportTsv:
