@@ -46,9 +46,14 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-def _read(path: str) -> bytes:
+def _load(path: str, decode):
+    """``decode`` of the bytes at ``path``; a data error names the file first."""
     with open(path, "rb") as f:
-        return f.read()
+        data = f.read()
+    try:
+        return decode(data)
+    except SocnavError as e:
+        raise SocnavError(f"{path}: {e}") from None
 
 
 def _write(data: bytes, out: str | None):
@@ -65,7 +70,7 @@ def _cmd_validate(args) -> int:
 
     failed = False
     for path in args.files:
-        for issue in ingest.validate(_read(path)):
+        for issue in _load(path, ingest.validate):
             print(f"{path}: {issue}", file=sys.stderr)
             failed |= issue.severity == "error"
     return EXIT_DATA if failed else EXIT_OK
@@ -73,40 +78,35 @@ def _cmd_validate(args) -> int:
 
 def _cmd_compute(args) -> int:
     out = args.output
-    targets = {}  # report path -> episode path, in input order; empty for one file
     to_dir = out not in (None, "-") and (out.endswith("/") or Path(out).is_dir())
-    if len(args.episodes) > 1 or to_dir:
-        if out in (None, "-"):
-            print("compute: more than one episode needs -o DIRECTORY", file=sys.stderr)
-            return EXIT_USAGE
-        for path in args.episodes:
-            target = Path(out) / f"{Path(path).stem}.json"
-            if target in targets:
-                raise SocnavError(f"{targets[target]} and {path} would both write {target}")
-            targets[target] = path
+    batch = len(args.episodes) > 1 or to_dir
+    if batch and out in (None, "-"):
+        print("compute: more than one episode needs -o DIRECTORY", file=sys.stderr)
+        return EXIT_USAGE
+    targets = {}  # report path -> episode path, in input order
+    for path in args.episodes:
+        target = str(Path(out) / f"{Path(path).stem}.json") if batch else out
+        if target in targets:
+            raise SocnavError(f"{targets[target]} and {path} would both write {target}")
+        targets[target] = path
 
     from . import ingest, report
-    from .core import MetricParams
+    from .core import MetricParams, positive_finite
     from .metrics import compute_all
 
-    params = (MetricParams() if args.params is None
-              else report.params_from_jsonable(ingest.load_json(_read(args.params))))
+    if args.dt is not None:
+        positive_finite(args.dt, "/dt")  # an option, not a fault of any one file
+    params = (MetricParams() if args.params is None else _load(
+        args.params, lambda data: report.params_from_jsonable(ingest.load_json(data))))
 
-    def compute(path: str) -> bytes:
-        episode = ingest.parse_episode(_read(path))
-        return report.write_output(
-            compute_all(episode, params, dt=args.dt, include_stepwise=args.stepwise))
+    def compute(data: bytes) -> bytes:
+        return report.write_output(compute_all(ingest.parse_episode(data), params, dt=args.dt,
+                                               include_stepwise=args.stepwise))
 
-    if not targets:
-        _write(compute(args.episodes[0]), out)
-        return EXIT_OK
     for target, path in targets.items():
-        try:
-            data = compute(path)
-        except SocnavError as e:
-            raise SocnavError(f"{path}: {e}") from None
-        _write(data, str(target))
-        print(f"wrote {target}", file=sys.stderr)
+        _write(_load(path, compute), target)
+        if batch:
+            print(f"wrote {target}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -141,7 +141,7 @@ def _load_cards(directory: str | None):
 
     cards, source = {}, {}
     for path in sorted(p for p in Path(directory).iterdir() if p.match("*.json")):
-        card = scenarios.parse_card(_read(str(path)))
+        card = _load(str(path), scenarios.parse_card)
         if card.name in cards:
             raise SocnavError(f"{source[card.name]} and {path} both define card {card.name!r}")
         cards[card.name], source[card.name] = card, path
@@ -156,7 +156,7 @@ def _cmd_classify(args) -> int:
     cards = _load_cards(args.cards)
     labels_by_episode = {}
     for path in args.episodes:
-        episode = ingest.parse_episode(_read(path))
+        episode = _load(path, ingest.parse_episode)
         labels_by_episode[episode.episode_id] = scenarios.classify(episode, cards=cards)
     _write(scenarios.serialize_labels(labels_by_episode), args.output)
     return EXIT_OK
@@ -165,7 +165,7 @@ def _cmd_classify(args) -> int:
 def _cmd_summarize(args) -> int:
     from . import report
 
-    reports = [report.parse_report(_read(path)) for path in args.reports]
+    reports = [_load(path, report.parse_report) for path in args.reports]
     summary = report.summarize(reports, bins=args.bins)
     _write(report.write_output(summary), args.output)
     return EXIT_OK
@@ -183,7 +183,7 @@ def _cmd_compare(args) -> int:
         if name in summaries:
             print(f"--label {name!r} is given more than once", file=sys.stderr)
             return EXIT_USAGE
-        summaries[name] = report.parse_summary(_read(path))
+        summaries[name] = _load(path, report.parse_summary)
     comparison = report.compare(summaries)
     _write(report.write_output(comparison), args.output)
     return EXIT_OK
@@ -191,9 +191,11 @@ def _cmd_compare(args) -> int:
 
 def _cmd_import(args) -> int:
     from . import ingest
+    from .core import positive_finite
 
-    episode = ingest.import_tsv(_read(args.tsv), frame_rate=args.hz,
-                                robot_id=args.robot)
+    positive_finite(args.hz, "/frame_rate")  # an option, not a fault of the table
+    episode = _load(args.tsv, lambda data: ingest.import_tsv(data, frame_rate=args.hz,
+                                                             robot_id=args.robot))
     _write(ingest.serialize_episode(episode), args.output)
     return EXIT_OK
 

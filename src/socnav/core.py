@@ -520,10 +520,3 @@ def check_episode(episode: Episode) -> list[tuple[str, str]]:
             issues.append((f"/labels/{i}", f"t_start must be < t_end ({label.t_start} >= {label.t_end})"))
 
     return issues
-
-
-def validate_episode(episode: Episode) -> None:
-    """Raise InvariantError naming the first violated field, if any."""
-    issues = check_episode(episode)
-    if issues:
-        raise InvariantError(issues[0][0], issues[0][1])

@@ -43,14 +43,6 @@ class NoRobot(SocnavError):
     """A requested robot agent id is absent from the imported data."""
 
 
-class MissingGoal(SocnavError):
-    """A goal-dependent metric was requested for an agent without a goal."""
-
-
-class TooFewStates(SocnavError):
-    """Not enough samples for the requested derivative stencil."""
-
-
 class UnknownCard(SocnavError):
     """A scenario card requests classification but no detector exists for it."""
 

@@ -1,9 +1,10 @@
 """The hand-crafted metric suite, stepwise and taskwise, with taxonomy codes.
 
-Every public operation takes ``(episode, params=None, dt=None)`` and no
-other setting. Steps are the samples of ``episode.resampled(dt)``, built once
-per dt and shared with the classifiers; dt defaults to the robot's median raw
-sampling interval.
+``compute_all(episode, params=None, dt=None)`` is the one entry: it gives
+every metric of the table below, null where the episode cannot define it.
+Steps are the samples of ``episode.resampled(dt)``, built once per dt and
+shared with the classifiers; dt defaults to the robot's median raw sampling
+interval.
 All distances between agents are center-to-center unless a body radius is
 explicitly involved (collisions, clearing distance).
 
@@ -22,7 +23,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .core import _param_echo, AgentKind, Episode, MetricParams, event_runs
-from .errors import InvariantError, MissingGoal, TooFewStates
+from .errors import InvariantError
 from .geometry import first_collision_time, point_segment_distance
 
 CODE_PATTERN = re.compile(r"^[NSA][HLQS][ST]$")
@@ -161,8 +162,6 @@ class _Frames:
 
 
 # --- Taskwise kernels ----------------------------------------------------------
-# One per row of the metric table below; ``_public`` gives each kernel's
-# name, docstring and return annotation to its public function.
 
 def _success(frames: _Frames) -> bool:
     """S: whether the robot reaches its goal in time (and before termination)."""
@@ -339,7 +338,7 @@ class _Row(NamedTuple):
     fixed: tuple[tuple[str, object], ...] = ()  # constant echoes: SC's one reading
     needs_goal: bool = False
     min_states: int = 0
-    stencil: str = ""
+    stencil: bool = False
 
     def values(self, frames: _Frames) -> tuple:
         out = self.fn(frames)
@@ -362,9 +361,9 @@ _ROWS = (
     _Row(("SPL",), "1", "NHT", _spl, _SUCCESS_PARAMS, needs_goal=True),
     _Row(("V_min", "V_avg", "V_max"), "m/s", "SHT", _velocity_features, min_states=2),
     _Row(("A_min", "A_avg", "A_max"), "m/s^2", "SHT", _acceleration_features, min_states=3,
-         stencil="central difference"),
+         stencil=True),
     _Row(("J_min", "J_avg", "J_max"), "m/s^3", "SHT", _jerk_features, min_states=4,
-         stencil="second difference"),
+         stencil=True),
     _Row(("CD_min", "CD_avg"), "m", "SHT", _clearing_distance_features),
     _Row(("SC",), "1", "SHT", _space_compliance, ("space_threshold",),
          fixed=(("complement", False),)),
@@ -382,56 +381,11 @@ def taxonomy_code(name: str) -> str:
     return _ROW_OF[name].code if name in _ROW_OF else "NHT"
 
 
-def _undefined(row: _Row, episode: Episode, steps: Optional[int] = None) -> Optional[Exception]:
-    """The error saying why ``row`` has no value, or None; the stencil check
-    needs the timeline length ``steps`` and is skipped without it."""
+def _defined(row: _Row, episode: Episode, steps: int) -> bool:
+    """Whether ``row`` has a value on ``episode`` over a timeline of ``steps`` steps."""
     robot = episode.robot
-    if row.needs_goal and robot.goal is None:
-        return MissingGoal(f"robot {robot.id!r} has no goal")
-    if len(robot.t) < row.min_states:
-        what = row.fn.__name__[1:].replace("_", " ")
-        return TooFewStates(f"{what} need >= {row.min_states} states")
-    if row.stencil and steps is not None and steps < 3:
-        return TooFewStates(f"timeline too short for a {row.stencil}")
-    return None
-
-
-def _public(fn: Callable[[_Frames], object]) -> Callable:
-    """The public operation of the kernel ``fn``: it raises where ``compute_all`` gives null."""
-    row = next(r for r in _ROWS if r.fn is fn)
-
-    def metric(episode: Episode, params: Optional[MetricParams] = None,
-               dt: Optional[float] = None):
-        error = _undefined(row, episode)
-        if error is None:
-            frames = _Frames(episode, params, dt)
-            error = _undefined(row, episode, len(frames.timeline))
-        if error is not None:
-            raise error
-        return fn(frames)
-
-    metric.__name__ = metric.__qualname__ = fn.__name__[1:]
-    metric.__doc__ = fn.__doc__
-    metric.__annotations__ = {**metric.__annotations__, "return": fn.__annotations__["return"]}
-    return metric
-
-
-success = _public(_success)
-collisions = _public(_collisions)
-timeout = _public(_timeout)
-failure_to_progress = _public(_failure_to_progress)
-stalled_time = _public(_stalled_time)
-time_to_goal = _public(_time_to_goal)
-path_length = _public(_path_length)
-spl = _public(_spl)
-velocity_features = _public(_velocity_features)
-acceleration_features = _public(_acceleration_features)
-jerk_features = _public(_jerk_features)
-clearing_distance_features = _public(_clearing_distance_features)
-space_compliance = _public(_space_compliance)
-min_distance_to_human = _public(_min_distance_to_human)
-min_time_to_collision = _public(_min_time_to_collision)
-aggregated_time = _public(_aggregated_time)
+    return (not (row.needs_goal and robot.goal is None) and len(robot.t) >= row.min_states
+            and not (row.stencil and steps < 3))
 
 
 # --- Report assembly ----------------------------------------------------------
@@ -448,7 +402,7 @@ def compute_all(episode: Episode, params: Optional[MetricParams] = None,
     steps = len(frames.timeline)
     taskwise = {}
     for row in _ROWS:
-        defined = _undefined(row, episode, steps) is None
+        defined = _defined(row, episode, steps)
         values = row.values(frames) if defined else (None,) * len(row.keys)
         used = {name: _param_echo(p, name) for name in row.params}
         used.update(row.fixed)
@@ -468,9 +422,9 @@ STEPWISE_UNITS = {"speed": "m/s", "acceleration": "m/s^2", "jerk": "m/s^3",
 def _stepwise_series(frames: _Frames) -> dict[str, StepSeries]:
     t = frames.timeline
     series = [("speed", t, frames.robot.speed)]
-    if _undefined(_ROW_OF["A_min"], frames.episode, len(t)) is None:
+    if _defined(_ROW_OF["A_min"], frames.episode, len(t)):
         series.append(("acceleration", t[1:-1], frames.accel))
-    if _undefined(_ROW_OF["J_min"], frames.episode, len(t)) is None:
+    if _defined(_ROW_OF["J_min"], frames.episode, len(t)):
         series.append(("jerk", t[1:-1], frames.jerk))
     if frames.episode.robot.goal is not None:
         series.append(("distance_to_goal", t, frames.robot.goal_distance))

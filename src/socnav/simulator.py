@@ -40,7 +40,7 @@ from .core import (
 from .errors import InvariantError, UnknownScenario
 from .geometry import wrap_angle
 
-POLICIES = ("sfm", "straight_line_stop", "replay", "scripted_waypoints")
+POLICIES = ("sfm", "straight_line_stop", "replay")
 
 SCENARIO_NAMES = (
     "frontal_approach",
@@ -245,14 +245,8 @@ def _advance(plan: _Plan, t: float, pos: list, vel: list, headings: list,
                 tx, ty = 0.0, 0.0
             d = hypot(tx, ty)
             at_goal = goal is not None and hypot(px - goal[0], py - goal[1]) <= goal[2]
-            done = at_goal and k >= n_waypoints
 
-            if policy == "scripted_waypoints":
-                if not done and d > 1e-9:
-                    speed = min(desired_speed, d / dt, v_max)
-                    nvx, nvy = tx / d * speed, ty / d * speed
-
-            elif policy == "straight_line_stop":
+            if policy == "straight_line_stop":
                 if not at_goal and d >= 1e-9:
                     ex, ey = tx / d, ty / d
                     heading = atan2(ey, ex)
@@ -276,7 +270,7 @@ def _advance(plan: _Plan, t: float, pos: list, vel: list, headings: list,
 
             else:
                 # SFM agent: goal attraction toward the current target.
-                if not done and d > 1e-9:
+                if not (at_goal and k >= n_waypoints) and d > 1e-9:
                     fx = (desired_speed * tx / d - vx) / relaxation_time
                     fy = (desired_speed * ty / d - vy) / relaxation_time
                 else:

@@ -17,6 +17,15 @@ socnav simulate --scenario random_crossing --seed 340282366920938463463374607431
 diff -r big big-again
 socnav validate eps/*.json
 socnav classify eps/*.json -o labels.json
+mkdir cards
+python -c '
+import sys
+from socnav.scenarios import builtin_cards, serialize_card
+for name, card in builtin_cards().items():
+    open(f"{sys.argv[1]}/{name}.json", "wb").write(serialize_card(card))
+' cards
+socnav classify eps/*.json --cards cards -o labels-cards.json
+cmp labels.json labels-cards.json
 socnav compute eps/frontal_approach_7_0.json --stepwise -o reports/0.json
 socnav compute eps/frontal_approach_7_1.json -o reports/1.json
 socnav compute eps/*.json -o batch/
@@ -37,7 +46,7 @@ printf '0\trobot\t0.0\t0.0\n1e308\trobot\t0.1\t0.0\n' > far.tsv
 got=0
 socnav import --tsv far.tsv --hz 0.1 2> far.err || got=$?
 test "$got" = 1
-printf 'error: /agents/0/states/1/t: must be finite\n' | cmp - far.err
+printf 'error: far.tsv: /agents/0/states/1/t: must be finite\n' | cmp - far.err
 socnav compute --stepwise "$golden/dynamic_obstacles/episode.json" -o golden.json
 cmp golden.json "$golden/dynamic_obstacles/report.json"
 for dir in "$golden"/*/; do
@@ -51,7 +60,15 @@ printf '{"timeout": -1}' > bad_params.json
 got=0
 socnav compute eps/frontal_approach_7_1.json --params bad_params.json 2> params.err || got=$?
 test "$got" = 1
-printf 'error: /params/timeout: must be a positive finite number, got -1\n' | cmp - params.err
+printf 'error: bad_params.json: /params/timeout: must be a positive finite number, got -1\n' | cmp - params.err
+printf '{"cooperative_agent_ids": ["robot"]}' > coop_params.json
+socnav compute eps/frontal_approach_7_0.json --params coop_params.json -o coop.json
+python -c '
+import json, sys
+at = json.load(open(sys.argv[1]))["metrics"]["AT"]["value"]
+assert type(at) is float, at
+print("AT", at)
+' coop.json
 mkdir goldens
 for dir in "$golden"/*/; do
   case "$dir" in */invalid_*/) ;; *) cp "$dir/episode.json" "goldens/$(basename "$dir").json" ;; esac

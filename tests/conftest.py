@@ -1,4 +1,5 @@
-"""Shared builders for hand-constructed and fuzzed test episodes, and for edited JSON documents."""
+"""Shared builders for hand-constructed and fuzzed test episodes and for edited JSON
+documents, and a reader of the values ``compute_all`` reports."""
 
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from socnav.core import (
     ObstacleMap,
     motion_headings,
 )
+from socnav.metrics import compute_all
 
 
 def make_agent(agent_id, points, dt=0.1, t0=0.0, kind=AgentKind.HUMAN, radius=0.3,
@@ -112,6 +114,14 @@ def scale_time(episode: Episode, k: float) -> Episode:
     return Episode(episode_id=episode.episode_id, robot_under_test=episode.robot_under_test,
                    agents=tuple(scale_agent(a) for a in episode.agents),
                    obstacles=obstacles, labels=episode.labels, metadata=episode.metadata)
+
+
+def metric(episode, keys, params=None, dt=None):
+    """``compute_all``'s value of the taskwise key ``keys``; a tuple of values for a tuple of keys."""
+    taskwise = compute_all(episode, params, dt).taskwise
+    if isinstance(keys, str):
+        return taskwise[keys].value
+    return tuple(taskwise[key].value for key in keys)
 
 
 def fuzz_episode(seed, n_humans=3, n_steps=40, dt=0.1, with_obstacles=True,

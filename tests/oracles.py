@@ -371,16 +371,6 @@ def reference_step(state, config):
             at_goal = (np.linalg.norm(pos[i] - (spec.goal.x, spec.goal.y))
                        <= spec.goal.tolerance)
 
-        if spec.policy == "scripted_waypoints":
-            if target is None or (at_goal and waypoint_idx[i] >= len(spec.waypoints)):
-                continue
-            to_target = target - pos[i]
-            d = np.linalg.norm(to_target)
-            if d > 1e-9:
-                speed = min(spec.desired_speed, d / dt, _V_MAX)
-                new_vel[i] = to_target / d * speed
-            continue
-
         if spec.policy == "straight_line_stop":
             if target is None or at_goal:
                 continue

@@ -13,18 +13,10 @@ import numpy as np
 import pytest
 
 from socnav.cli import main as cli_main
-from socnav.core import AgentKind, Goal, MetricParams, validate_episode
+from socnav.core import AgentKind, Goal, MetricParams, check_episode
 from socnav.geometry import first_collision_time
 from socnav.ingest import parse_episode, serialize_episode
-from socnav.metrics import (
-    TASKWISE_KEYS,
-    acceleration_features,
-    collisions,
-    compute_all,
-    jerk_features,
-    spl,
-    success,
-)
+from socnav.metrics import TASKWISE_KEYS, compute_all
 from socnav.report import summarize
 from socnav.scenarios import CLASSIFIABLE_SCENARIOS, builtin_cards, classify, \
     parse_card, serialize_card
@@ -36,7 +28,7 @@ from socnav.simulator import (
     run,
 )
 
-from conftest import fuzz_episode, make_agent, make_episode, straight_robot
+from conftest import fuzz_episode, make_agent, make_episode, metric, straight_robot
 from oracles import WelfordStats, collision_counts_oracle, ttc_forward_stepping
 
 PARAMS = MetricParams()
@@ -81,13 +73,13 @@ def test_02_spl_properties():
         t0 = time.monotonic()
         for seed in range(200):
             ep = fuzz_episode(seed)
-            value = spl(ep, PARAMS, dt=0.1)
+            value, succeeded = metric(ep, ("SPL", "S"), PARAMS, dt=0.1)
             assert 0.0 <= value <= 1.0
-            assert (value == 0.0) == (not success(ep, PARAMS, dt=0.1))
+            assert (value == 0.0) == (not succeeded)
         # straight-line successes score 1 within 1e-9
         for n in (6, 11, 31):
             ep = make_episode([straight_robot(n=n, goal_xy=((n - 1) * 0.1, 0.0))])
-            assert abs(spl(ep, PARAMS) - 1.0) <= 1e-9
+            assert abs(metric(ep, "SPL", PARAMS) - 1.0) <= 1e-9
         elapsed = time.monotonic() - t0
         assert elapsed < 5.0, f"took {elapsed:.2f}s"
 
@@ -126,7 +118,7 @@ def test_04_collision_oracle():
     with criterion(4, "collision counts equal the interval-merge oracle on 200 fuzzed episodes"):
         for seed in range(200):
             ep = fuzz_episode(seed, n_humans=5, n_steps=30, box=1.5)
-            got = collisions(ep, PARAMS, dt=0.1)
+            got = metric(ep, ("C", "WC", "AC", "HC"), PARAMS, dt=0.1)
             expected = collision_counts_oracle(ep, PARAMS, dt=0.1)
             assert got == expected, f"seed {seed}: {got} != {expected}"
 
@@ -148,8 +140,8 @@ def test_05_derivative_check():
         const = make_agent("robot", [(0.1 * i, 0.0) for i in range(21)], dt=0.1,
                            kind=AgentKind.ROBOT, velocities=[(1.0, 0.0)] * 21)
         ep2 = make_episode([const])
-        for lo, avg, hi in (acceleration_features(ep2, PARAMS),
-                            jerk_features(ep2, PARAMS)):
+        a_and_j = metric(ep2, ("A_min", "A_avg", "A_max", "J_min", "J_avg", "J_max"), PARAMS)
+        for lo, avg, hi in (a_and_j[:3], a_and_j[3:]):
             assert abs(lo) <= 1e-9 and abs(avg) <= 1e-9 and abs(hi) <= 1e-9
 
 
@@ -194,7 +186,7 @@ def test_07_simulator_determinism_and_goal_reach():
             assert d <= 0.2
         for name in SCENARIO_NAMES:
             for seed in (0, 1, 2):
-                validate_episode(run(generate_scenario(name, seed)))  # rejects NaN
+                assert check_episode(run(generate_scenario(name, seed))) == []  # rejects NaN
 
 
 def test_08_round_trip():

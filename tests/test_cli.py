@@ -397,8 +397,7 @@ def test_dt_asking_for_too_many_steps_one_line(tmp_path, capsys, command, dt):
                           capture_output=True, text=True, env=_child_env(), timeout=60)
     assert proc.returncode == 1 and "Traceback" not in proc.stderr
     [line] = proc.stderr.splitlines()
-    prefix = f"error: {path}: " if command == "compute-batch" else "error: "
-    assert line.startswith(f"{prefix}{at}: ") and f"asks for {steps} timeline steps" in line
+    assert line.startswith(f"error: {path}: {at}: ") and f"asks for {steps} timeline steps" in line
     assert not out.exists()
 
 
@@ -551,7 +550,7 @@ def test_compute_nan_metric_one_line(tmp_path, stepwise):
     assert proc.returncode == 1 and "Traceback" not in proc.stderr
     ours = [line for line in proc.stderr.splitlines()
             if not line.startswith(" ") and ": RuntimeWarning: " not in line]
-    assert ours == ["error: /metrics/A_avg/value: must not be NaN"]
+    assert ours == [f"error: {path}: /metrics/A_avg/value: must not be NaN"]
     assert proc.stderr.splitlines()[-1] == ours[0] and not out.exists()
 
 
@@ -647,7 +646,8 @@ def test_card_bad_criterion_one_line(episode_file, tmp_path, capsys, field, valu
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert f"/usage_guide/labeling_criteria/{field}" in err
     if field == "proximity_max" and value in ("NaN", "Infinity"):
-        assert err == f"error: /usage_guide/labeling_criteria/{field}: expected a finite number\n"
+        assert err == (f"error: {cards / 'card.json'}: /usage_guide/labeling_criteria/{field}: "
+                       "expected a finite number\n")
 
 
 def test_card_integral_min_crowd_size_accepted(episode_file, tmp_path):
@@ -709,7 +709,8 @@ def test_dt_below_the_float_spacing_of_the_stamps_one_line(tmp_path, capsys):
     capsys.readouterr()
     assert main(["compute", str(path), "--dt", "0.001", "-o", str(tmp_path / "out.json")]) == 1
     err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and err.startswith("error: /dt: ") and "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}: /dt: ")
+    assert "Traceback" not in err
     assert not (tmp_path / "out.json").exists()
 
 

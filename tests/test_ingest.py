@@ -10,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from socnav.core import AgentKind, AgentRecord, Episode, EpisodeLabel, Goal, ObstacleMap
+from socnav.core import (AgentKind, AgentRecord, Episode, EpisodeLabel, Goal, ObstacleMap,
+                         check_episode)
 from socnav.errors import (
     InvariantError,
     MalformedDocument,
@@ -625,8 +626,7 @@ class TestImportTsv:
     def test_import_validates(self):
         ep = import_tsv("0\ta\t0\t0\n5\ta\t0.2\t0.1\n3\tb\t1\t1\n8\tb\t1.2\t0.9\n",
                         frame_rate=10.0, robot_id="a")
-        from socnav.core import validate_episode
-        validate_episode(ep)
+        assert check_episode(ep) == []
 
     def test_equal_times_named_at_t(self):
         # Distinct frames that divide to one time: the repeated time is the

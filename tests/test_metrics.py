@@ -14,30 +14,8 @@ from socnav.core import (
     SampledAgent,
     common_timeline,
 )
-from socnav.errors import MissingGoal, TooFewStates
 import socnav.metrics
-from socnav.metrics import (
-    TASKWISE_KEYS,
-    UNITS,
-    acceleration_features,
-    aggregated_time,
-    clearing_distance_features,
-    collisions,
-    compute_all,
-    failure_to_progress,
-    jerk_features,
-    min_distance_to_human,
-    min_time_to_collision,
-    path_length,
-    space_compliance,
-    spl,
-    stalled_time,
-    success,
-    taxonomy_code,
-    time_to_goal,
-    timeout,
-    velocity_features,
-)
+from socnav.metrics import TASKWISE_KEYS, UNITS, _Frames, compute_all, taxonomy_code
 from socnav.report import params_from_jsonable
 
 from conftest import (
@@ -45,6 +23,7 @@ from conftest import (
     line_points,
     make_agent,
     make_episode,
+    metric,
     rigid_transform,
     scale_time,
     straight_robot,
@@ -57,6 +36,17 @@ from oracles import (
 )
 
 PARAMS = MetricParams()
+GOAL_KEYS = ("S", "T", "SPL", "FP")
+COLLISIONS = ("C", "WC", "AC", "HC")
+V_KEYS = ("V_min", "V_avg", "V_max")
+A_KEYS = ("A_min", "A_avg", "A_max")
+J_KEYS = ("J_min", "J_avg", "J_max")
+CD_KEYS = ("CD_min", "CD_avg")
+
+
+def null_keys(episode, params=None, dt=None):
+    """The taskwise keys that ``compute_all`` leaves null."""
+    return {key for key, m in compute_all(episode, params, dt).taskwise.items() if m.value is None}
 
 
 def goal_robot(n=11, dt=0.1, speed=1.0, goal_xy=(1.0, 0.0), tolerance=0.2):
@@ -66,29 +56,30 @@ def goal_robot(n=11, dt=0.1, speed=1.0, goal_xy=(1.0, 0.0), tolerance=0.2):
 class TestSuccess:
     def test_reaches_goal(self):
         ep = make_episode([goal_robot(goal_xy=(1.05, 0.0))])
-        assert success(ep, PARAMS) is True
+        assert metric(ep, "S", PARAMS) is True
 
     def test_never_in_tolerance(self):
         ep = make_episode([goal_robot(goal_xy=(50.0, 0.0))])
-        assert success(ep, PARAMS) is False
+        assert metric(ep, "S", PARAMS) is False
 
     def test_timeout_blocks_success(self):
         # reaching at t = 5 with timeout 4 does not count
         robot = straight_robot(n=51, dt=0.1, speed=1.0, goal_xy=(5.0, 0.0))
         ep = make_episode([robot])
-        assert success(ep, MetricParams(timeout=4.0)) is False
-        assert success(ep, MetricParams(timeout=6.0)) is True
+        assert metric(ep, "S", MetricParams(timeout=4.0)) is False
+        assert metric(ep, "S", MetricParams(timeout=6.0)) is True
 
     def test_collision_termination_blocks_success(self):
         robot = straight_robot(n=51, dt=0.1, speed=1.0, goal_xy=(5.0, 0.0))
         human = make_agent("h", [(2.0, 0.0)] * 51, dt=0.1)
         ep = make_episode([robot, human])
-        assert success(ep, MetricParams(collision_terminate_count=1)) is False
-        assert success(ep, PARAMS) is True
+        assert metric(ep, "S", MetricParams(collision_terminate_count=1)) is False
+        assert metric(ep, "S", PARAMS) is True
 
     def test_missing_goal(self):
-        with pytest.raises(MissingGoal):
-            success(make_episode([straight_robot()]), PARAMS)
+        # AT (no cooperative set) and CD_avg (no obstacles) are null with a goal too
+        ep = make_episode([straight_robot()])
+        assert null_keys(ep, PARAMS) == {*GOAL_KEYS, "AT", "CD_avg"}
 
 
 class TestCollisions:
@@ -97,26 +88,26 @@ class TestCollisions:
         robot = straight_robot(n=21, dt=0.5, speed=1.0)  # x = 0..10
         human = make_agent("h", [(5.0, 0.0)] * 21, dt=0.5)
         ep = make_episode([robot, human])
-        c, wc, ac, hc = collisions(ep, PARAMS, dt=0.5)
+        c, wc, ac, hc = metric(ep, COLLISIONS, PARAMS, dt=0.5)
         assert (c, wc, ac, hc) == (1, 0, 1, 1)
 
     def test_no_overlap(self):
         robot = straight_robot(n=11)
         human = make_agent("h", [(0.0, 5.0)] * 11)
         ep = make_episode([robot, human])
-        assert collisions(ep, PARAMS) == (0, 0, 0, 0)
+        assert metric(ep, COLLISIONS, PARAMS) == (0, 0, 0, 0)
 
     def test_wall_collision(self):
         wall = ObstacleMap(segments=((0.5, -1.0, 0.5, 1.0),))
         robot = straight_robot(n=11)  # crosses x=0.5 with radius 0.3
         ep = make_episode([robot], obstacles=wall)
-        c, wc, ac, hc = collisions(ep, PARAMS)
+        c, wc, ac, hc = metric(ep, COLLISIONS, PARAMS)
         assert (c, wc, ac, hc) == (1, 1, 0, 0)
 
     def test_c_equals_wc_plus_ac(self):
         for seed in range(10):
             ep = fuzz_episode(seed, n_humans=4)
-            c, wc, ac, hc = collisions(ep, PARAMS)
+            c, wc, ac, hc = metric(ep, COLLISIONS, PARAMS)
             assert c == wc + ac
             assert 0 <= hc <= ac
 
@@ -124,36 +115,36 @@ class TestCollisions:
     def test_matches_interval_merge_oracle(self, seed):
         # dense episodes: small box, many slow agents, fixed dt
         ep = fuzz_episode(seed, n_humans=5, n_steps=30, box=1.5)
-        assert collisions(ep, PARAMS, dt=0.1) == collision_counts_oracle(ep, PARAMS, dt=0.1)
+        assert metric(ep, COLLISIONS, PARAMS, dt=0.1) == collision_counts_oracle(ep, PARAMS, dt=0.1)
 
 
 class TestTimeout:
     def test_success_means_no_timeout(self):
         ep = make_episode([goal_robot()])
-        assert timeout(ep, MetricParams(timeout=10.0)) is False
+        assert metric(ep, "TO", MetricParams(timeout=10.0)) is False
 
     def test_long_failure_times_out(self):
         robot = straight_robot(n=1201, dt=0.1, speed=0.0, goal_xy=(50.0, 0.0))  # 120 s
         ep = make_episode([robot])
-        assert timeout(ep, MetricParams(timeout=100.0)) is True
+        assert metric(ep, "TO", MetricParams(timeout=100.0)) is True
 
     def test_short_failure_is_not_timeout(self):
         robot = straight_robot(n=501, dt=0.1, speed=0.0, goal_xy=(50.0, 0.0))  # 50 s
         ep = make_episode([robot])
-        assert timeout(ep, MetricParams(timeout=100.0)) is False
+        assert metric(ep, "TO", MetricParams(timeout=100.0)) is False
 
 
 class TestFailureToProgress:
     def test_monotone_approach(self):
         ep = make_episode([goal_robot(n=41, goal_xy=(4.0, 0.0))])
-        assert failure_to_progress(ep, PARAMS) == 0
+        assert metric(ep, "FP", PARAMS) == 0
 
     def test_stationary_two_windows(self):
         # 2 x fp_window of no progress, away from the goal
         params = MetricParams(fp_window=5.0, fp_distance_eps=0.1)
         robot = straight_robot(n=101, dt=0.1, speed=0.0, goal_xy=(10.0, 0.0))  # 10 s still
         ep = make_episode([robot])
-        assert failure_to_progress(ep, params) == 2
+        assert metric(ep, "FP", params) == 2
 
     @pytest.mark.parametrize("seed", range(20))
     def test_oscillating_matches_oracle(self, seed):
@@ -168,18 +159,18 @@ class TestFailureToProgress:
         params = MetricParams(fp_window=2.0, fp_distance_eps=0.05)
         d = np.abs(xs - 3.0)
         expected = failure_to_progress_oracle(ts, list(d), 0.05, 2.0)
-        assert failure_to_progress(ep, params, dt=0.1) == expected
+        assert metric(ep, "FP", params, dt=0.1) == expected
 
 
 class TestStalledTime:
     def test_constant_speed_never_stalls(self):
         ep = make_episode([straight_robot(n=21, speed=1.0)])
-        assert stalled_time(ep, PARAMS) == 0.0
+        assert metric(ep, "ST", PARAMS) == 0.0
 
     def test_stationary_full_span(self):
         robot = straight_robot(n=101, dt=0.1, speed=0.0)
         ep = make_episode([robot])
-        assert stalled_time(ep, MetricParams(stall_min_duration=1.0)) == pytest.approx(10.0)
+        assert metric(ep, "ST", MetricParams(stall_min_duration=1.0)) == pytest.approx(10.0)
 
     @pytest.mark.parametrize("seed", range(15))
     def test_stop_go_matches_oracle(self, seed):
@@ -197,37 +188,36 @@ class TestStalledTime:
                            kind=AgentKind.ROBOT)
         ep = make_episode([robot])
         timeline = common_timeline(ep, 0.1)
-        from socnav.metrics import _Frames
         frames = _Frames(ep, PARAMS, 0.1)
         expected = stalled_time_oracle(list(timeline), list(frames.robot.speed),
                                        PARAMS.stall_speed, PARAMS.stall_min_duration)
-        assert stalled_time(ep, PARAMS, dt=0.1) == pytest.approx(expected)
+        assert metric(ep, "ST", PARAMS, dt=0.1) == pytest.approx(expected)
 
 
 class TestPathAndSPL:
     def test_three_four_five(self):
         robot = make_agent("robot", [(0, 0), (3, 0), (3, 4)], dt=1.0,
                            kind=AgentKind.ROBOT)
-        assert path_length(make_episode([robot])) == pytest.approx(7.0)
+        assert metric(make_episode([robot]), "PL") == pytest.approx(7.0)
 
     def test_single_state(self):
         robot = make_agent("robot", [(0, 0)], kind=AgentKind.ROBOT)
-        assert path_length(make_episode([robot])) == 0.0
+        assert metric(make_episode([robot]), "PL") == 0.0
 
     def test_circle_circumference(self):
         angles = np.radians(np.arange(361))
         pts = [(math.cos(a), math.sin(a)) for a in angles]
         robot = make_agent("robot", pts, dt=0.01, kind=AgentKind.ROBOT)
-        pl = path_length(make_episode([robot]))
+        pl = metric(make_episode([robot]), "PL")
         assert pl == pytest.approx(2 * math.pi, rel=1e-3)
 
     def test_spl_straight_line_success(self):
         ep = make_episode([goal_robot(goal_xy=(1.0, 0.0))])
-        assert spl(ep, PARAMS) == pytest.approx(1.0, abs=1e-9)
+        assert metric(ep, "SPL", PARAMS) == pytest.approx(1.0, abs=1e-9)
 
     def test_spl_failure_zero(self):
         ep = make_episode([goal_robot(goal_xy=(10.0, 0.0))])
-        assert spl(ep, PARAMS) == 0.0
+        assert metric(ep, "SPL", PARAMS) == 0.0
 
     def test_spl_detour_half(self):
         # path twice the straight-line distance: out 0.5 and back, then to goal
@@ -236,17 +226,17 @@ class TestPathAndSPL:
                            kind=AgentKind.ROBOT,
                            goal=Goal(1.0, 0.0, 0.05))
         ep = make_episode([robot])
-        p = path_length(ep)
+        p = metric(ep, "PL")
         expected = 1.0 / max(1.0, p)
-        assert spl(ep, PARAMS) == pytest.approx(expected)
-        assert spl(ep, PARAMS) == pytest.approx(0.5, abs=0.01)
+        assert metric(ep, "SPL", PARAMS) == pytest.approx(expected)
+        assert metric(ep, "SPL", PARAMS) == pytest.approx(0.5, abs=0.01)
 
     def test_time_to_goal(self):
         ep = make_episode([goal_robot(n=11, dt=0.1, speed=1.0, goal_xy=(0.85, 0.0),
                                       tolerance=0.06)])
-        assert time_to_goal(ep, PARAMS) == pytest.approx(0.8)
+        assert metric(ep, "T", PARAMS) == pytest.approx(0.8)
         ep_fail = make_episode([goal_robot(goal_xy=(10.0, 0.0))])
-        assert time_to_goal(ep_fail, PARAMS) is None
+        assert metric(ep_fail, "T", PARAMS) is None
 
 
 class TestKinematicFeatures:
@@ -255,9 +245,9 @@ class TestKinematicFeatures:
         robot = make_agent("robot", [(0.1 * i, 0.0) for i in range(21)], dt=0.1,
                            kind=AgentKind.ROBOT, velocities=vels)
         ep = make_episode([robot])
-        assert acceleration_features(ep, PARAMS) == pytest.approx((0, 0, 0), abs=1e-9)
-        assert jerk_features(ep, PARAMS) == pytest.approx((0, 0, 0), abs=1e-9)
-        vmin, vavg, vmax = velocity_features(ep, PARAMS)
+        assert metric(ep, A_KEYS, PARAMS) == pytest.approx((0, 0, 0), abs=1e-9)
+        assert metric(ep, J_KEYS, PARAMS) == pytest.approx((0, 0, 0), abs=1e-9)
+        vmin, vavg, vmax = metric(ep, V_KEYS, PARAMS)
         assert (vmin, vavg, vmax) == pytest.approx((1, 1, 1), abs=1e-9)
 
     def test_linear_speed(self):
@@ -266,8 +256,8 @@ class TestKinematicFeatures:
         robot = make_agent("robot", [(t * t / 2, 0.0) for t in ts], times=ts,
                            kind=AgentKind.ROBOT, velocities=[(t, 0.0) for t in ts])
         ep = make_episode([robot])
-        _, a_avg, _ = acceleration_features(ep, PARAMS, dt=0.05)
-        _, j_avg, _ = jerk_features(ep, PARAMS, dt=0.05)
+        _, a_avg, _ = metric(ep, A_KEYS, PARAMS, dt=0.05)
+        _, j_avg, _ = metric(ep, J_KEYS, PARAMS, dt=0.05)
         assert a_avg == pytest.approx(1.0, abs=1e-6)
         assert j_avg == pytest.approx(0.0, abs=1e-6)
 
@@ -278,25 +268,24 @@ class TestKinematicFeatures:
                            kind=AgentKind.ROBOT,
                            velocities=[(t ** 3, 0.0) for t in ts])
         ep = make_episode([robot])
-        from socnav.metrics import _Frames
         frames = _Frames(ep, PARAMS, 0.01)
         jerk = frames.jerk
         expected = 6.0 * frames.timeline[1:-1]
         assert np.all(np.abs(jerk - expected) <= 0.05 * np.abs(expected))
-        _, j_avg, _ = jerk_features(ep, PARAMS, dt=0.01)
+        _, j_avg, _ = metric(ep, J_KEYS, PARAMS, dt=0.01)
         assert j_avg == pytest.approx(np.mean(expected), rel=0.05)
 
     def test_too_few_states(self):
         robot = make_agent("robot", [(0, 0), (1, 0), (2, 0)], dt=1.0,
                            kind=AgentKind.ROBOT)
-        with pytest.raises(TooFewStates):
-            jerk_features(make_episode([robot]), PARAMS)
+        # the robot has no goal, the episode no obstacles and no cooperative set
+        assert null_keys(make_episode([robot]), PARAMS) == {*J_KEYS, *GOAL_KEYS, "AT", "CD_avg"}
 
     def test_min_le_avg_le_max(self):
         for seed in range(10):
             ep = fuzz_episode(seed)
-            for fn in (velocity_features, acceleration_features, jerk_features):
-                lo, avg, hi = fn(ep, PARAMS)
+            for keys in (V_KEYS, A_KEYS, J_KEYS):
+                lo, avg, hi = metric(ep, keys, PARAMS)
                 assert lo <= avg + 1e-12 <= hi + 1e-12
 
 
@@ -305,23 +294,22 @@ class TestClearingDistance:
         wall = ObstacleMap(segments=((-5.0, 1.0, 5.0, 1.0),))
         robot = straight_robot(n=11, radius=0.3)  # y = 0, wall at y = 1
         ep = make_episode([robot], obstacles=wall)
-        cd_min, cd_avg = clearing_distance_features(ep, PARAMS)
+        cd_min, cd_avg = metric(ep, CD_KEYS, PARAMS)
         assert cd_min == pytest.approx(0.7)
         assert cd_avg == pytest.approx(0.7)
 
     def test_no_obstacles(self):
         ep = make_episode([straight_robot()])
-        cd_min, cd_avg = clearing_distance_features(ep, PARAMS)
+        cd_min, cd_avg = metric(ep, CD_KEYS, PARAMS)
         assert cd_min == math.inf
         assert cd_avg is None
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_scalar_oracle(self, seed):
         from oracles import scalar_point_segment_distance
-        from socnav.metrics import _Frames
         ep = fuzz_episode(seed, with_obstacles=True)
         frames = _Frames(ep, PARAMS, 0.1)
-        cd_min, cd_avg = clearing_distance_features(ep, PARAMS, dt=0.1)
+        cd_min, cd_avg = metric(ep, CD_KEYS, PARAMS, dt=0.1)
         seg_a, seg_b = ep.obstacles.static_arrays
         per_step = []
         for p in frames.robot.pos:
@@ -337,13 +325,13 @@ class TestSpaceCompliance:
         robot = straight_robot(n=11)
         human = make_agent("h", [(0.0, 3.0)] * 11)
         ep = make_episode([robot, human])
-        assert space_compliance(ep, PARAMS) == 1.0
+        assert metric(ep, "SC", PARAMS) == 1.0
 
     def test_always_overlapping(self):
         robot = straight_robot(n=11)
         human = make_agent("h", [(i * 0.1, 0.0) for i in range(11)])
         ep = make_episode([robot, human])
-        assert space_compliance(ep, PARAMS) == 0.0
+        assert metric(ep, "SC", PARAMS) == 0.0
 
     def test_half_compliant(self):
         # robot x = 0..0.9, human fixed at 0.95: exactly the 5 steps with
@@ -353,17 +341,17 @@ class TestSpaceCompliance:
         ep = make_episode([robot, human])
         compliant = sum(abs(0.1 * i - 0.95) >= 0.5 for i in range(10))
         assert compliant == 5
-        assert space_compliance(ep, PARAMS, dt=0.1) == pytest.approx(0.5)
+        assert metric(ep, "SC", PARAMS, dt=0.1) == pytest.approx(0.5)
 
     def test_monotone_in_threshold(self):
         ep = fuzz_episode(7)
-        values = [space_compliance(ep, MetricParams(space_threshold=th))
+        values = [metric(ep, "SC", MetricParams(space_threshold=th))
                   for th in (0.1, 0.5, 1.0, 2.0, 4.0)]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_sc_zero_threshold(self):
         ep = fuzz_episode(9)
-        assert space_compliance(ep, MetricParams(space_threshold=1e-12)) == 1.0
+        assert metric(ep, "SC", MetricParams(space_threshold=1e-12)) == 1.0
 
 
 class TestDistanceAndTTC:
@@ -371,11 +359,11 @@ class TestDistanceAndTTC:
         robot = straight_robot(n=11)
         human = make_agent("h", [(0.5, 1.0)] * 11)
         ep = make_episode([robot, human])
-        assert min_distance_to_human(ep, PARAMS) == pytest.approx(1.0)
+        assert metric(ep, "DH_min", PARAMS) == pytest.approx(1.0)
 
     def test_no_humans_inf(self):
         ep = make_episode([straight_robot()])
-        assert min_distance_to_human(ep, PARAMS) == math.inf
+        assert metric(ep, "DH_min", PARAMS) == math.inf
 
     def test_head_on_closed_form(self):
         # robot at origin moving +x at 1, human at (10, 0) moving -x at 1
@@ -384,7 +372,7 @@ class TestDistanceAndTTC:
         human = make_agent("h", [(10.0, 0.0)], velocities=[(-1.0, 0.0)],
                            times=[0.0])
         ep = make_episode([robot, human])
-        ttc = min_time_to_collision(ep, PARAMS)
+        ttc = metric(ep, "TTC", PARAMS)
         assert ttc == pytest.approx((10 - 0.6) / 2, abs=1e-9)
         oracle = ttc_forward_stepping(0, 0, 1, 0, 10, 0, -1, 0, 0.6)
         assert abs(ttc - oracle) <= 1e-2
@@ -394,14 +382,14 @@ class TestDistanceAndTTC:
                            kind=AgentKind.ROBOT)
         human = make_agent("h", [(5.0, 0.0), (5.2, 0.0)], dt=0.1)
         ep = make_episode([robot, human])
-        assert min_time_to_collision(ep, PARAMS) == math.inf
+        assert metric(ep, "TTC", PARAMS) == math.inf
 
     def test_already_overlapping_zero(self):
         robot = make_agent("robot", [(0.0, 0.0), (0.1, 0.0)], dt=0.1,
                            kind=AgentKind.ROBOT)
         human = make_agent("h", [(0.2, 0.0), (0.3, 0.0)], dt=0.1)
         ep = make_episode([robot, human])
-        assert min_time_to_collision(ep, PARAMS) == 0.0
+        assert metric(ep, "TTC", PARAMS) == 0.0
 
 
     def test_single_state_human_keeps_stored_velocity(self):
@@ -413,7 +401,7 @@ class TestDistanceAndTTC:
         assert sampled.vel.tolist() == [[-1.0, 0.0]] * len(timeline)
         assert sampled.active.tolist() == [k == 5 for k in range(len(timeline))]
         # at t = 0.5: gap 2.5 m, radii 0.6 m, closing at 2 m/s, not 1 m/s
-        assert min_time_to_collision(ep, PARAMS, dt=0.1) == pytest.approx(0.95)
+        assert metric(ep, "TTC", PARAMS, dt=0.1) == pytest.approx(0.95)
 
 
 class TestAggregatedTime:
@@ -425,13 +413,13 @@ class TestAggregatedTime:
                        goal=Goal(1.5, 2.0, 0.15))
         ep = make_episode([robot, a, b])
         params = MetricParams(cooperative_agent_ids=frozenset({"a", "b"}))
-        at = aggregated_time(ep, params)
+        at = metric(ep, "AT", params)
         # a reaches |3 - x| <= 0.15 at x = 2.85 -> t = 2.85; b at t halfway
         assert at == pytest.approx(2.9, abs=0.11)
 
     def test_empty_set_none(self):
         ep = make_episode([goal_robot()])
-        assert aggregated_time(ep, PARAMS) is None
+        assert metric(ep, "AT", PARAMS) is None
 
     def test_unreached_none(self):
         robot = goal_robot()
@@ -439,7 +427,7 @@ class TestAggregatedTime:
                        goal=Goal(9.0, 9.0, 0.1))
         ep = make_episode([robot, a])
         params = MetricParams(cooperative_agent_ids=frozenset({"a"}))
-        assert aggregated_time(ep, params) is None
+        assert metric(ep, "AT", params) is None
 
 
 class TestComputeAll:
@@ -512,56 +500,38 @@ CONSISTENCY_CORPUS = ([fuzz_episode(s) for s in range(3)]
 GOLDEN_PARAMS = params_from_jsonable(
     json.loads((Path(__file__).parent / "golden" / "params.json").read_bytes()))
 
-# Each single-metric function and its keys in compute_all.
-SINGLE_METRICS = (
-    (success, ("S",)),
-    (collisions, ("C", "WC", "AC", "HC")),
-    (timeout, ("TO",)),
-    (failure_to_progress, ("FP",)),
-    (stalled_time, ("ST",)),
-    (time_to_goal, ("T",)),
-    (path_length, ("PL",)),
-    (spl, ("SPL",)),
-    (velocity_features, ("V_min", "V_avg", "V_max")),
-    (acceleration_features, ("A_min", "A_avg", "A_max")),
-    (jerk_features, ("J_min", "J_avg", "J_max")),
-    (clearing_distance_features, ("CD_min", "CD_avg")),
-    (space_compliance, ("SC",)),
-    (min_distance_to_human, ("DH_min",)),
-    (min_time_to_collision, ("TTC",)),
-    (aggregated_time, ("AT",)),
-)
-GOAL_METRICS = {success, failure_to_progress, time_to_goal, spl}
-# Robot states needed, and whether a derivative stencil needs 3 timeline steps.
-STATE_METRICS = {velocity_features: (2, False), acceleration_features: (3, True),
-                 jerk_features: (4, True)}
+# Robot states each kinematic family needs, and whether its derivative
+# stencil needs 3 timeline steps.
+KINEMATIC = {V_KEYS: (2, False), A_KEYS: (3, True), J_KEYS: (4, True)}
+# Keys whose kernel may give None: T without success, CD_avg without
+# obstacles, AT without a cooperative set that reaches its goals.
+VALUE_NULLS = {"T", "CD_avg", "AT"}
 
 
-def _expected_error(fn, ep, steps):
-    if fn in GOAL_METRICS and ep.robot.goal is None:
-        return MissingGoal
-    states, stencil = STATE_METRICS.get(fn, (0, False))
-    if len(ep.robot.t) < states or (stencil and steps < 3):
-        return TooFewStates
-    return None
+def _expected_null(ep, steps):
+    null = set(GOAL_KEYS) if ep.robot.goal is None else set()
+    for keys, (states, stencil) in KINEMATIC.items():
+        if len(ep.robot.t) < states or (stencil and steps < 3):
+            null.update(keys)
+    return null
 
 
 @pytest.mark.parametrize("dt", [None, 0.03, 1.0])
 @pytest.mark.parametrize("params", [PARAMS, GOLDEN_PARAMS], ids=["default", "golden"])
 @pytest.mark.parametrize("ep", CONSISTENCY_CORPUS, ids=lambda ep: ep.episode_id)
-def test_single_metric_functions_match_compute_all(ep, params, dt):
+def test_undefined_metrics_are_exactly_null(ep, params, dt):
+    """compute_all nulls exactly the keys the episode cannot define; every other
+    key holds its kernel's value, which is None only for a key of VALUE_NULLS."""
     report = compute_all(ep, params, dt)
-    steps = len(ep.resampled(dt)[1])
-    for fn, keys in SINGLE_METRICS:
-        expected = tuple(report.taskwise[key].value for key in keys)
-        error = _expected_error(fn, ep, steps)
-        if error is not None:
-            with pytest.raises(error):
-                fn(ep, params, dt)
-            assert expected == (None,) * len(keys), fn.__name__
+    frames = _Frames(ep, params, dt)
+    expected = _expected_null(ep, len(frames.timeline))
+    for row in socnav.metrics._ROWS:
+        got = tuple(report.taskwise[key].value for key in row.keys)
+        if expected.isdisjoint(row.keys):
+            assert got == row.values(frames), row.keys
+            assert all(v is not None or k in VALUE_NULLS for k, v in zip(row.keys, got)), row.keys
         else:
-            got = fn(ep, params, dt)
-            assert (got if len(keys) > 1 else (got,)) == expected, fn.__name__
+            assert expected.issuperset(row.keys) and got == (None,) * len(row.keys), row.keys
 
 
 def _readme_metric_table():
@@ -594,14 +564,14 @@ class TestInvariances:
     def test_rigid_transform_invariance(self, seed):
         ep = fuzz_episode(seed)
         moved = rigid_transform(ep, angle=1.1, tx=20.0, ty=-7.0)
-        assert path_length(moved) == pytest.approx(path_length(ep), abs=1e-9)
-        assert min_distance_to_human(moved, PARAMS, dt=0.1) == pytest.approx(
-            min_distance_to_human(ep, PARAMS, dt=0.1), abs=1e-9)
-        assert space_compliance(moved, PARAMS, dt=0.1) == pytest.approx(
-            space_compliance(ep, PARAMS, dt=0.1), abs=1e-12)
-        assert collisions(moved, PARAMS, dt=0.1) == collisions(ep, PARAMS, dt=0.1)
-        cd_m = clearing_distance_features(moved, PARAMS, dt=0.1)
-        cd_o = clearing_distance_features(ep, PARAMS, dt=0.1)
+        assert metric(moved, "PL") == pytest.approx(metric(ep, "PL"), abs=1e-9)
+        assert metric(moved, "DH_min", PARAMS, dt=0.1) == pytest.approx(
+            metric(ep, "DH_min", PARAMS, dt=0.1), abs=1e-9)
+        assert metric(moved, "SC", PARAMS, dt=0.1) == pytest.approx(
+            metric(ep, "SC", PARAMS, dt=0.1), abs=1e-12)
+        assert metric(moved, COLLISIONS, PARAMS, dt=0.1) == metric(ep, COLLISIONS, PARAMS, dt=0.1)
+        cd_m = metric(moved, CD_KEYS, PARAMS, dt=0.1)
+        cd_o = metric(ep, CD_KEYS, PARAMS, dt=0.1)
         assert cd_m[0] == pytest.approx(cd_o[0], abs=1e-9)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -614,19 +584,19 @@ class TestInvariances:
                               fp_window=params.fp_window * k,
                               stall_speed=params.stall_speed / k,
                               stall_min_duration=params.stall_min_duration * k)
-        assert path_length(slow) == pytest.approx(path_length(ep), abs=1e-9)
-        assert success(slow, scaled, dt=0.1 * k) == success(ep, params, dt=0.1)
-        t_fast = time_to_goal(ep, params, dt=0.1)
-        t_slow = time_to_goal(slow, scaled, dt=0.1 * k)
+        assert metric(slow, "PL") == pytest.approx(metric(ep, "PL"), abs=1e-9)
+        assert metric(slow, "S", scaled, dt=0.1 * k) == metric(ep, "S", params, dt=0.1)
+        t_fast = metric(ep, "T", params, dt=0.1)
+        t_slow = metric(slow, "T", scaled, dt=0.1 * k)
         if t_fast is None:
             assert t_slow is None
         else:
             assert t_slow == pytest.approx(k * t_fast, rel=1e-9)
-        st_fast = stalled_time(ep, params, dt=0.1)
-        st_slow = stalled_time(slow, scaled, dt=0.1 * k)
+        st_fast = metric(ep, "ST", params, dt=0.1)
+        st_slow = metric(slow, "ST", scaled, dt=0.1 * k)
         assert st_slow == pytest.approx(k * st_fast, rel=1e-9, abs=1e-9)
-        ttc_fast = min_time_to_collision(ep, params, dt=0.1)
-        ttc_slow = min_time_to_collision(slow, scaled, dt=0.1 * k)
+        ttc_fast = metric(ep, "TTC", params, dt=0.1)
+        ttc_slow = metric(slow, "TTC", scaled, dt=0.1 * k)
         if math.isinf(ttc_fast):
             assert math.isinf(ttc_slow)
         else:
@@ -635,9 +605,9 @@ class TestInvariances:
     @pytest.mark.parametrize("seed", range(20))
     def test_spl_bounds(self, seed):
         ep = fuzz_episode(seed)
-        value = spl(ep, PARAMS)
+        value = metric(ep, "SPL", PARAMS)
         assert 0.0 <= value <= 1.0
-        assert (value == 0.0) == (not success(ep, PARAMS))
+        assert (value == 0.0) == (not metric(ep, "S", PARAMS))
 
     def test_spl_zero_iff_failure_on_degenerate_start(self):
         # starts exactly on the goal, wanders, returns: still a success
@@ -645,5 +615,5 @@ class TestInvariances:
                            kind=AgentKind.ROBOT,
                            goal=Goal(0.0, 0.0, 0.2))
         ep = make_episode([robot])
-        assert success(ep, PARAMS)
-        assert spl(ep, PARAMS) == 1.0
+        assert metric(ep, "S", PARAMS)
+        assert metric(ep, "SPL", PARAMS) == 1.0

@@ -12,12 +12,12 @@ from socnav.core import (
     Goal,
     MetricParams,
     ObstacleMap,
-    validate_episode,
+    check_episode,
 )
 from socnav.errors import InvariantError, UnknownScenario
 from socnav.geometry import sightlines_blocked, wrap_angle
 from socnav.ingest import parse_episode, serialize_episode
-from socnav.metrics import collisions, compute_all
+from socnav.metrics import compute_all
 from socnav.report import write_output
 from socnav.scenarios import classify, serialize_labels
 from socnav.simulator import (
@@ -30,6 +30,7 @@ from socnav.simulator import (
     run,
 )
 
+from conftest import metric
 from oracles import SimState, interpolate_state, reference_step
 
 PARAMS = MetricParams()
@@ -130,9 +131,9 @@ class TestStep:
         # at t = 1.0 the replayed trajectory sits at x = 2.0
         assert ep.robot.states[-1]["x"] == pytest.approx(2.0, abs=1e-6)
 
-    def test_scripted_waypoints_path(self):
+    def test_waypoints_path(self):
         spec = AgentSpec(agent_id="robot", kind=AgentKind.ROBOT,
-                         policy="scripted_waypoints", position=(0.0, 0.0),
+                         policy="sfm", position=(0.0, 0.0),
                          goal=Goal(2.0, 2.0, 0.2),
                          waypoints=((2.0, 0.0),))
         config = SimConfig(dt=0.05, max_duration=10.0, agents=(spec,))
@@ -223,7 +224,7 @@ class TestRun:
     def test_episodes_validate_and_round_trip(self):
         for name in SCENARIO_NAMES:
             ep = run(generate_scenario(name, 11))
-            validate_episode(ep)
+            assert check_episode(ep) == []
             assert parse_episode(serialize_episode(ep)) == ep
             assert ep.metadata["scenario"] == name
             assert ep.metadata["seed"] == "11"
@@ -294,8 +295,8 @@ class TestRun:
         assert (err.value.path, err.value.message) == ("/agents/robot/goal",
                                                        "position must be finite")
         far = dataclasses.replace(spec, goal=Goal(1e308, 0.0, 0.2))
-        validate_episode(parse_episode(serialize_episode(
-            run(SimConfig(dt=0.1, max_duration=3.0, agents=(far,))))))
+        assert check_episode(parse_episode(serialize_episode(
+            run(SimConfig(dt=0.1, max_duration=3.0, agents=(far,)))))) == []
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_waypoints_must_be_finite(self, value):
@@ -416,7 +417,7 @@ class TestScenarioGeometry:
     def test_zero_collisions_at_defaults(self, name):
         for seed in (0, 17, 31):
             ep = run(generate_scenario(name, seed))
-            c, wc, ac, hc = collisions(ep, PARAMS, dt=0.05)
+            c = metric(ep, "C", PARAMS, dt=0.05)
             assert c == 0, f"{name} seed {seed}: {c} collision(s)"
 
     def test_crowd_scenarios_have_crowds(self):
@@ -464,12 +465,12 @@ class TestRunMatchesReference:
     def test_scenarios(self, name, robot_policy):
         _assert_run_matches_reference(generate_scenario(name, 3, robot_policy))
 
-    def test_scripted_waypoints_agent(self):
-        robot = AgentSpec(agent_id="robot", kind=AgentKind.ROBOT, policy="scripted_waypoints",
+    def test_waypoints_agent(self):
+        robot = AgentSpec(agent_id="robot", kind=AgentKind.ROBOT, policy="sfm",
                           position=(0.0, 0.0),
                           goal=Goal(2.0, 2.0, 0.2),
                           waypoints=((2.0, 0.0), (2.0, 1.0)))
-        config = SimConfig(dt=0.05, max_duration=8.0, episode_id="scripted",
+        config = SimConfig(dt=0.05, max_duration=8.0, episode_id="waypoints",
                            agents=(robot, _human("h0", (4.0, 0.2), (-2.0, 0.0))),
                            scene=ObstacleMap(segments=((-1.0, -0.8, 5.0, -0.8),)))
         _assert_run_matches_reference(config)
@@ -525,10 +526,8 @@ class TestRunMatchesReference:
         # goal.y - pos.y is -0.0, so atan2 sees (-0.0, -v) and returns -pi
         config = SimConfig(dt=0.05, max_duration=1.0, episode_id="west",
                            agents=(_human("h0", (0.0, 0.0), (-5.0, -0.0),
-                                          policy="scripted_waypoints"),
-                                   _human("h1", (3.0, 0.0), (-5.0, -0.0),
-                                          policy="straight_line_stop")))
-        assert [a.heading[1] for a in first_step(config).agents] == [math.pi, math.pi]
+                                          policy="straight_line_stop"),))
+        assert first_step(config).agents[0].heading[1] == math.pi
         _assert_run_matches_reference(config)
 
 
