@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import copy
 import json
+import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -75,8 +77,6 @@ def random_walk_agent(rng, agent_id, n=50, dt=0.1, kind=AgentKind.HUMAN,
 
 def rigid_transform(episode: Episode, angle: float, tx: float, ty: float) -> Episode:
     """Rotate by angle about the origin, then translate by (tx, ty)."""
-    import math
-
     c, s = math.cos(angle), math.sin(angle)
 
     def rot_point(x, y):
@@ -185,3 +185,90 @@ def edited(doc, pointer: tuple, value) -> bytes:
     else:
         node[pointer[-1]] = value
     return json.dumps(doc).encode()
+
+
+def crowd_document(seed: int) -> bytes:
+    """A seeded crowd episode as episode-file bytes, for the crowd digest.
+
+    The robot crosses a plaza along +x with a goal. Around it walk 12 to 16
+    humans: a stream along its path (with it on odd seeds, against it on
+    even ones), a stream across it, a frontal walker, a slow walker the robot
+    overtakes, a fast one that overtakes the robot and one standing human. A
+    second robot (a non-human other agent) crosses too. Stream members enter
+    after the robot starts or leave before it ends. Agents sample at their
+    own rates, and some carry no ``theta`` or no ``vx``/``vy``. There are
+    static walls and two dynamic obstacle sets.
+    """
+    rng = random.Random(f"crowd/{seed}")
+    duration = 16.0
+
+    def walker(start, end, speed, t0=0.0, t1=duration, dt=0.1, sway=0.0,
+               theta=True, vel=True):
+        (x0, y0), (x1, y1) = start, end
+        length = math.hypot(x1 - x0, y1 - y0)
+        ux, uy = ((x1 - x0) / length, (y1 - y0) / length) if length else (0.0, 0.0)
+        phase = rng.uniform(0.0, 6.28)
+        states = []
+        for k in range(int(round((t1 - t0) / dt)) + 1):
+            t = round(t0 + k * dt, 4)
+            s = min(speed * (t - t0), length)
+            wobble = sway * math.sin(2.0 * t + phase)
+            state = {"t": t, "x": round(x0 + s * ux - wobble * uy, 4),
+                     "y": round(y0 + s * uy + wobble * ux, 4)}
+            moving = s < length
+            if theta:
+                state["theta"] = round(math.atan2(uy, ux), 4)
+            if vel:
+                state["vx"] = round(speed * ux if moving else 0.0, 4)
+                state["vy"] = round(speed * uy if moving else 0.0, 4)
+            states.append(state)
+        return states
+
+    def j(lo, hi):
+        return rng.uniform(lo, hi)
+
+    speed = j(0.9, 1.1)
+    agents = [{"id": "robot", "kind": "robot", "radius": 0.3,
+               "goal": {"x": 8.0, "y": 0.0, "tolerance": 0.3},
+               "states": walker((-8.0, 0.0), (8.0, 0.0), speed, sway=0.02)}]
+    humans = []
+    flow = 1 if seed % 2 else -1  # with the robot, or against it
+    for k in range(rng.randint(4, 6)):  # the parallel stream
+        lane = (1 if k % 2 else -1) * (1.2 + 0.6 * (k // 2)) + j(-0.1, 0.1)
+        x0 = -9.5 + j(-1.0, 1.0)
+        t0 = round(j(0.5, 2.0), 1) if k % 3 == 2 else 0.0
+        t1 = round(duration - j(1.0, 3.0), 1) if k % 3 == 1 else duration
+        humans.append(walker((flow * x0, lane), (flow * (x0 + 22.0), lane), j(0.85, 1.2), t0, t1,
+                             dt=0.1 if k % 2 else 0.2, sway=0.03, theta=k % 4 != 1,
+                             vel=k % 3 != 0))
+    count = rng.randint(4, 6)
+    for k in range(count):  # the perpendicular stream
+        x0 = -1.0 + 6.0 * k / (count - 1) + j(-0.2, 0.2)
+        y0 = -7.0 - 0.3 * k if k % 2 else -5.0  # behind the south wall, or inside it
+        t0 = round(j(0.0, 2.0) + (0.0 if k % 2 else 2.0), 1)
+        humans.append(walker((x0, y0), (x0, 9.0), j(0.9, 1.2), t0,
+                             sway=0.03, theta=k % 2 == 0, vel=k != 1))
+    humans.append(walker((9.0, 0.4), (-9.0, 0.4), j(0.9, 1.1), sway=0.02))  # frontal
+    humans.append(walker((-5.0, -0.35), (9.0, -0.35), j(0.4, 0.5), dt=0.25,
+                         theta=False))  # overtaken by the robot
+    humans.append(walker((-12.0, 0.35), (9.0, 0.35), j(1.5, 1.7), sway=0.02))  # overtakes it
+    spot = (j(-6.0, 6.0), j(4.0, 6.0))
+    humans.append(walker(spot, spot, 0.0, dt=0.5, vel=False))  # standing
+    for k, states in enumerate(humans):
+        agents.append({"id": f"h{k}", "kind": "human", "radius": round(j(0.25, 0.35), 3),
+                       "states": states})
+    agents.append({"id": "bot2", "kind": "robot", "radius": 0.35,
+                   "goal": {"x": -6.0, "y": 6.0, "tolerance": 0.3},
+                   "states": walker((6.0, -6.0), (-6.0, 6.0), 0.8, t0=1.0, t1=14.0)})
+    wall = round(j(6.5, 7.5), 2)
+    doc = {
+        "format_version": "1.0", "episode_id": f"crowd_{seed}", "robot_under_test": "robot",
+        "agents": agents,
+        "obstacles": {"segments": [[-10.0, wall, -2.0, wall], [2.0, wall, 10.0, wall],
+                                   [-10.0, -wall, 10.0, -wall], [10.0, -wall, 10.0, wall]],
+                      "dynamic": [{"t": 3.0, "segments": [[-3.0, -2.5, -3.0, -1.5]]},
+                                  {"t": 9.0, "segments": [[4.0, 1.5, 4.0, 2.5],
+                                                          [5.0, -2.0, 6.0, -2.0]]}]},
+        "labels": [], "metadata": {"source": "crowd"},
+    }
+    return json.dumps(doc, sort_keys=True).encode()

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 
 from socnav.core import AgentKind, ObstacleMap
 from socnav.errors import InvariantError, SchemaError, UnknownCard
-from socnav.ingest import canonical_json_bytes
+from socnav.ingest import canonical_json_bytes, parse_episode
+from socnav.metrics import compute_all
+from socnav.report import write_output
 from socnav.scenarios import (
     CLASSIFIABLE_SCENARIOS,
     ClassifierParams,
@@ -18,11 +21,12 @@ from socnav.scenarios import (
     coverage_report,
     parse_card,
     serialize_card,
+    serialize_labels,
     _windows,
 )
 from socnav.simulator import generate_scenario, run
 
-from conftest import fuzz_episode, line_points, make_agent, make_episode, rigid_transform
+from conftest import crowd_document, fuzz_episode, line_points, make_agent, make_episode, rigid_transform
 from oracles import event_runs_oracle
 
 
@@ -271,3 +275,23 @@ class TestCoverage:
         report = coverage_report(corpus)
         assert 0.0 <= report.unlabeled_fraction <= 1.0
         assert report.episode_count == 5
+
+
+# sha256 over crowd_document(seed) for seeds 0-7 and dt None and 0.05: each episode's
+# labels document, then its stepwise report. Any change to a label, a margin or a
+# metric of a crowd shows here.
+CROWD_SHA256 = "2df2fb96cd923cad786b09cf10f2645c770251b8ec40d4a0e81534d2e2e7f041"
+
+
+def test_crowd_outputs_pinned():
+    digest = hashlib.sha256()
+    seen = set()
+    for seed in range(8):
+        ep = parse_episode(crowd_document(seed))
+        for dt in (None, 0.05):
+            labels = classify(ep, dt=dt)
+            seen.update(label.scenario for label in labels)
+            digest.update(serialize_labels({ep.episode_id: labels}))
+            digest.update(write_output(compute_all(ep, dt=dt, include_stepwise=True)))
+    assert seen == set(CLASSIFIABLE_SCENARIOS)
+    assert digest.hexdigest() == CROWD_SHA256
