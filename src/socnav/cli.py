@@ -13,11 +13,12 @@ lives with its dataclasses in ``ingest``, ``report`` or ``scenarios``.
 
 Every library module, ``ingest`` and ``core`` too, is imported only by
 the subcommands that call it, so importing this module, ``--help`` and a
-usage error load no numpy. BLAS runs single-threaded unless
-``OPENBLAS_NUM_THREADS`` is set: socnav never hands BLAS enough work to
-use a second thread, and the idle worker pool that ``import numpy`` would
-otherwise start costs each process CPU time at start-up. The variable is
-set when this module is imported, and a value the caller set wins.
+usage error load no numpy, and no ``dataclasses`` (nor its ``inspect``).
+BLAS runs single-threaded unless ``OPENBLAS_NUM_THREADS`` is set: socnav
+never hands BLAS enough work to use a second thread, and the idle worker
+pool that ``import numpy`` would otherwise start costs each process CPU
+time at start-up. The variable is set when this module is imported, and a
+value the caller set wins.
 
 ``run`` is the process entry (``python -m socnav.cli`` and the ``socnav``
 script). It turns the cyclic garbage collector off, since no subcommand
@@ -30,7 +31,6 @@ collector alone.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import os
 import sys
@@ -111,6 +111,8 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    import dataclasses
+
     from . import ingest, simulator
 
     if args.scenario not in simulator.SCENARIO_NAMES:

@@ -203,18 +203,19 @@ class Episode:
         return tuple(a for a in self.agents if a.id != self.robot_under_test)
 
     def resampled(self, dt: Optional[float] = None) -> tuple:
-        """(dt, timeline, robot, others) on ``common_timeline``, others in file order;
-        dt defaults to the robot's median interval (1.0 for a single state). Built
-        once per dt, kept in ``__dict__`` like ``robot``, and read but never written
-        by the metrics and the classifiers."""
+        """(dt, timeline, robot, others, pairs) on ``common_timeline``: the robot, the
+        other agents as one block in file order, and the robot against each; dt defaults
+        to the robot's median interval (1.0 for a single state). Built once per dt, kept
+        in ``__dict__`` like ``robot``, and never written by metrics or classifiers."""
         views = self.__dict__.setdefault("_resampled", {})
         key = (type(dt), dt)  # 1 and 1.0 are one key, but are echoed differently
         if key not in views:
             if dt is None:
                 dt = median_sample_interval(self.robot)
             timeline = common_timeline(self, dt)
-            views[key] = (dt, timeline, SampledAgent(self.robot, timeline),
-                          tuple(SampledAgent(a, timeline) for a in self.others))
+            robot = SampledAgents(self.robot, timeline)
+            others = SampledAgents(self.others, timeline)
+            views[key] = (dt, timeline, robot, others, RobotPairs(robot, others))
         return views[key]
 
 
@@ -344,49 +345,83 @@ def event_runs(mask: np.ndarray) -> list[tuple[int, int]]:
                     np.flatnonzero(edges == -1).tolist()))
 
 
-class SampledAgent:
-    """One agent on a timeline, the view metrics and classifiers share (``Episode.resampled``).
+class SampledAgents:
+    """Agents on a timeline, the view metrics and classifiers share (``Episode.resampled``).
 
-    Position and velocity are interpolated linearly and held at the ends. A
-    single-state agent keeps its stored velocity, or gets zero without one.
-    ``active`` marks the steps inside the agent's own time span.
+    One agent gives its own arrays, ``pos`` and ``vel`` (T, 2) and the rest (T,);
+    a tuple of agents one block, a row per agent in order: (A, T, 2) and (A, T).
+    Position and velocity are interpolated linearly, an agent at a time on its own
+    raw times, and held at the ends; a single-state agent keeps its stored velocity,
+    or gets zero. ``active`` marks the steps inside each agent's own time span, and
+    ``goal_distance`` is NaN without a goal. ``heading`` waits for its first use.
     """
 
-    def __init__(self, agent: AgentRecord, timeline: np.ndarray):
-        self.agent = agent
+    def __init__(self, agents, timeline: np.ndarray):
+        single = isinstance(agents, AgentRecord)
+        self.agents = (agents,) if single else tuple(agents)
         self.timeline = timeline
-        t = agent.t
-        self.pos = np.column_stack([np.interp(timeline, t, agent.x),
-                                    np.interp(timeline, t, agent.y)])
-        self.vel = np.column_stack([np.interp(timeline, t, agent.vx),
-                                    np.interp(timeline, t, agent.vy)])
-        self.active = (timeline >= t[0] - 1e-9) & (timeline <= t[-1] + 1e-9)
-
-    @cached_property
-    def speed(self) -> np.ndarray:
-        return np.linalg.norm(self.vel, axis=1)
+        block = np.empty((2, len(self.agents), len(timeline), 2))  # positions, velocities
+        for i, a in enumerate(self.agents):
+            for k, column in enumerate((a.x, a.y, a.vx, a.vy)):
+                block[k // 2, i, :, k % 2] = np.interp(timeline, a.t, column)
+        pos, vel = block
+        starts, ends = (np.array([a.t[j] for a in self.agents])[:, None] for j in (0, -1))
+        active = (timeline >= starts - 1e-9) & (timeline <= ends + 1e-9)
+        goals = np.array([(a.goal.x, a.goal.y, a.goal.tolerance) if a.goal else (np.nan,) * 3
+                          for a in self.agents]).reshape(-1, 1, 3)
+        goal_distance = np.linalg.norm(pos - goals[..., :2], axis=-1)
+        # An agent that has reached its goal is done with its errand; the
+        # residual braking creep after arrival must not read as an approach.
+        en_route = active & ~(np.cumsum(goal_distance <= goals[..., 2], axis=-1) > 0)
+        (self.pos, self.vel, self.active, self.speed, self.goal_distance, self.en_route,
+         self.radius) = (x[0] if single else x for x in (
+            pos, vel, active, np.linalg.norm(vel, axis=-1), goal_distance, en_route,
+            np.array([a.radius for a in self.agents])))
 
     @cached_property
     def heading(self) -> np.ndarray:
         """Direction of the velocity while moving, else the interpolated pose heading."""
-        pose = wrap_angle(np.interp(self.timeline, self.agent.t, np.unwrap(self.agent.heading)))
-        return np.where(self.speed > 1e-6, np.arctan2(self.vel[:, 1], self.vel[:, 0]), pose)
+        pose = np.array([np.interp(self.timeline, a.t, np.unwrap(a.heading))
+                         for a in self.agents]).reshape(self.speed.shape)
+        return np.where(self.speed > 1e-6, np.arctan2(self.vel[..., 1], self.vel[..., 0]),
+                        wrap_angle(pose))
+
+
+class RobotPairs:
+    """The robot against each other agent of a view, a row per agent as in ``others``:
+    what metrics and classifiers read of each relation. ``human`` marks the rows of
+    humans, the only ones a classifier reads; fields of headings wait for first use."""
+
+    def __init__(self, robot: SampledAgents, others: SampledAgents):
+        self.robot, self.others = robot, others
+        self.human = np.array([a.kind is AgentKind.HUMAN for a in others.agents], dtype=bool)
+        self.dp = others.pos - robot.pos  # (A, T, 2) offset of each agent from the robot
+        self.dist = np.linalg.norm(self.dp, axis=-1)
+        self.en_route = robot.en_route & others.en_route
+        self.slower = np.minimum(robot.speed, others.speed)
+
+    def participating(self, speed_min: float) -> np.ndarray:
+        """Steps where a human and the robot are both en route, at ``speed_min`` or faster."""
+        return self.human[:, None] & self.en_route & (self.slower >= speed_min)
 
     @cached_property
-    def goal_distance(self) -> np.ndarray:
-        """Center-to-goal distance at each step; only for an agent with a goal."""
-        goal = self.agent.goal
-        return np.linalg.norm(self.pos - (goal.x, goal.y), axis=1)
+    def turn(self) -> np.ndarray:
+        return self.robot.heading - self.others.heading  # unwrapped
 
     @cached_property
-    def en_route(self) -> np.ndarray:
-        # An agent that has reached its goal is done with its errand; the
-        # residual braking creep after arrival must not read as an approach.
-        goal = self.agent.goal
-        if goal is None:
-            return self.active
-        inside = self.goal_distance <= goal.tolerance
-        return self.active & ~(np.cumsum(inside) > 0)
+    def relative(self) -> np.ndarray:
+        return np.abs(wrap_angle(self.turn))  # the angle between the headings, in [0, pi]
+
+    @cached_property
+    def travel(self) -> np.ndarray:
+        """The robot's direction of travel, which crowd flows are compared with: of its
+        net displacement over +-1.5 s, so swerves do not turn it, or its heading
+        where that is under 1e-6 m."""
+        t, pos, steps = self.robot.timeline, self.robot.pos, np.arange(len(self.robot.pos))
+        half = max(1, round(1.5 / (float(t[1] - t[0]) if len(t) > 1 else 1.0)))
+        disp = pos[np.minimum(steps + half, len(t) - 1)] - pos[np.maximum(steps - half, 0)]
+        return np.where(np.linalg.norm(disp, axis=1) > 1e-6,
+                        np.arctan2(disp[:, 1], disp[:, 0]), self.robot.heading)
 
 
 # --- Validation ------------------------------------------------------------

@@ -10,10 +10,11 @@ class MalformedDocument(SocnavError):
 
 
 class _PathError(SocnavError):
-    """An error at a JSON-pointer style ``path``; it reads ``"<path>: <message>"``."""
+    """An error at a JSON-pointer style ``path``; it reads ``"<path>: <message>"``, or
+    the message alone at the document root, whose pointer is ``""``."""
 
     def __init__(self, path: str, message: str):
-        super().__init__(f"{path}: {message}")
+        super().__init__(f"{path}: {message}" if path else message)
         self.path = path
         self.message = message
 

@@ -68,7 +68,8 @@ class ValidationIssue:
     message: str
 
     def __str__(self) -> str:
-        return f"{self.severity}: {self.path}: {self.message}"
+        where = f"{self.path}: " if self.path else ""  # the document root
+        return f"{self.severity}: {where}{self.message}"
 
 
 class _Issues:

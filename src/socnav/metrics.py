@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .core import _param_echo, AgentKind, Episode, MetricParams, event_runs
+from .core import _param_echo, Episode, MetricParams, event_runs
 from .errors import InvariantError
 from .geometry import first_collision_time, point_segment_distance
 
@@ -75,23 +75,18 @@ class _Frames:
     def __init__(self, episode: Episode, params: Optional[MetricParams], dt: Optional[float]):
         self.episode = episode
         self.params = params if params is not None else MetricParams()
-        self.dt, self.timeline, self.robot, self.tracks = episode.resampled(dt)
+        self.dt, self.timeline, self.robot, self.others, self.pairs = episode.resampled(dt)
         self.t0 = float(self.timeline[0])
 
     @cached_property
     def distances(self) -> np.ndarray:
-        """(N, M) center-to-center distances to each track; inf where inactive."""
-        if not self.tracks:
-            return np.full((len(self.timeline), 0), np.inf)
-        d = np.stack([np.linalg.norm(tr.pos - self.robot.pos, axis=1) for tr in self.tracks], axis=1)
-        act = np.stack([tr.active for tr in self.tracks], axis=1)
-        return np.where(act, d, np.inf)
+        """(M, N) center-to-center distance of each other agent; inf where inactive."""
+        return np.where(self.others.active, self.pairs.dist, np.inf)
 
     @cached_property
     def nearest_human(self) -> np.ndarray:
         """(N,) distance to the nearest active human; inf where there is none."""
-        humans = [tr.agent.kind is AgentKind.HUMAN for tr in self.tracks]
-        return self.distances[:, humans].min(axis=1, initial=np.inf)
+        return self.distances[self.pairs.human].min(axis=0, initial=np.inf)
 
     @cached_property
     def obstacle_distances(self) -> np.ndarray:
@@ -116,10 +111,10 @@ class _Frames:
         """
         r = self.episode.robot.radius
         wall_starts = [float(self.timeline[s]) for s, _ in event_runs(self.obstacle_distances < r)]
-        agent_events = []
-        for i, tr in enumerate(self.tracks):
-            for s, _ in event_runs(self.distances[:, i] < r + tr.agent.radius):
-                agent_events.append((float(self.timeline[s]), tr.agent.kind is AgentKind.HUMAN))
+        overlap = self.distances < r + self.others.radius[:, None]
+        agent_events = [(float(self.timeline[s]), bool(self.pairs.human[i]))
+                        for i in np.flatnonzero(overlap.any(axis=1)).tolist()
+                        for s, _ in event_runs(overlap[i])]
         return wall_starts, agent_events
 
     @cached_property
@@ -288,18 +283,11 @@ def _min_distance_to_human(frames: _Frames) -> float:
 
 def _min_time_to_collision(frames: _Frames) -> float:
     """TTC: minimum constant-velocity time to contact with any human."""
-    r = frames.episode.robot.radius
-    best = math.inf
-    for tr in frames.tracks:
-        if tr.agent.kind is not AgentKind.HUMAN or not tr.active.any():
-            continue
-        dp = tr.pos - frames.robot.pos
-        dv = tr.vel - frames.robot.vel
-        tau = first_collision_time(dp, dv, r + tr.agent.radius)
-        tau = tau[tr.active]
-        if tau.size:
-            best = min(best, float(tau.min()))
-    return best
+    others = frames.others
+    rows = frames.pairs.human & others.active.any(axis=1)
+    tau = first_collision_time(frames.pairs.dp[rows], others.vel[rows] - frames.robot.vel,
+                               frames.episode.robot.radius + others.radius[rows, None])
+    return float(tau[others.active[rows]].min(initial=math.inf))
 
 
 def _aggregated_time(frames: _Frames) -> Optional[float]:

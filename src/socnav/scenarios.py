@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import AgentKind, Episode, SampledAgent, event_runs, median, positive_finite
+from .core import Episode, event_runs, median, positive_finite
 from .errors import InvariantError, SchemaError, UnknownCard
 from .geometry import sightlines_blocked, wrap_angle
 from .ingest import FORMAT_VERSION, _Issues, canonical_json_bytes, load_json, read_dataclass
@@ -225,22 +225,6 @@ def parse_card(document: bytes | str) -> ScenarioCard:
     return card
 
 
-# --- Episode resampling -------------------------------------------------------
-
-def smoothed_heading(agent: SampledAgent, half_window: int) -> np.ndarray:
-    """Direction of net displacement over +-half_window steps.
-
-    Irons out transient swerves so crowd-flow comparisons see the
-    travel direction, not avoidance wobble.
-    """
-    n = len(agent.pos)
-    lo = np.maximum(np.arange(n) - half_window, 0)
-    hi = np.minimum(np.arange(n) + half_window, n - 1)
-    disp = agent.pos[hi] - agent.pos[lo]
-    length = np.linalg.norm(disp, axis=1)
-    return np.where(length > 1e-6, np.arctan2(disp[:, 1], disp[:, 0]), agent.heading)
-
-
 def _margin_angle(deviation: np.ndarray, limit: float) -> float:
     """1 at zero deviation, 0 at the limit."""
     return float(np.clip(1.0 - median(deviation) / limit, 0.0, 1.0))
@@ -254,25 +238,10 @@ def _margin_angle(deviation: np.ndarray, limit: float) -> float:
 # clearance, occlusion, the overtake transition) to the window as a whole.
 # It yields ``(agent_ids, s, e, margins)`` per accepted window (steps s to e-1,
 # one margin in [0, 1] per criterion); ``classify`` names the label after its
-# card, with confidence ``min(margins)``. Pairwise detectors read one ``_Pair``
-# view per human, built once per episode; all find windows with ``_windows``
-# and compute each angle deviation once, for the mask and for the margins.
-
-class _Pair:
-    """The relative quantities of the robot and one human, shared by every detector."""
-
-    def __init__(self, robot: SampledAgent, h: SampledAgent):
-        self.h = h
-        self.dp = h.pos - robot.pos
-        self.dist = np.linalg.norm(self.dp, axis=1)
-        self.turn = robot.heading - h.heading  # unwrapped
-        self.relative = np.abs(wrap_angle(self.turn))
-        self.en_route = robot.en_route & h.en_route
-        self.slower = np.minimum(robot.speed, h.speed)
-
-    def participating(self, p: ClassifierParams) -> np.ndarray:
-        return self.en_route & (self.slower >= p.approach_speed_min)
-
+# card, with confidence ``min(margins)``. Each detector builds its mask for
+# all humans at once from the view's ``core.RobotPairs`` block, and cuts
+# windows only in the rows where it holds (``_row_windows``). Each angle
+# deviation is computed once, for the mask and for the margins.
 
 def _windows(timeline, mask, min_duration, bridge=0.0):
     """Maximal runs of ``mask`` lasting at least ``min_duration`` seconds.
@@ -283,13 +252,24 @@ def _windows(timeline, mask, min_duration, bridge=0.0):
     even where a ``dt`` finer than the float spacing of the stamps repeats
     a time.
     """
+    return [(s, e) for _, s, e in _row_windows(timeline, mask[None], min_duration, bridge)]
+
+
+def _row_windows(timeline, mask, min_duration, bridge=0.0):
+    """(row, s, e) for each ``_windows`` window of each row of the (A, T) ``mask``. The
+    rows are laid end to end, a False step after each, for one ``event_runs``."""
+    width = mask.shape[1] + 1
+    runs = event_runs(np.concatenate([mask, np.zeros((len(mask), 1), bool)], axis=1).ravel())
     merged = []
-    for s, e in event_runs(mask):
-        if merged and bridge > 0 and timeline[s] - timeline[merged[-1][1] - 1] <= bridge:
-            merged[-1] = (merged[-1][0], e)
+    for start, end in runs:
+        i, s = divmod(start, width)
+        e = end - i * width
+        if (merged and merged[-1][0] == i and bridge > 0
+                and timeline[s] - timeline[merged[-1][2] - 1] <= bridge):
+            merged[-1] = (i, merged[-1][1], e)
         else:
-            merged.append((s, e))
-    return [(s, e) for s, e in merged if timeline[e - 1] - timeline[s] >= min_duration]
+            merged.append((i, s, e))
+    return [(i, s, e) for i, s, e in merged if timeline[e - 1] - timeline[s] >= min_duration]
 
 
 _OPEN_SPACE_WIDTH = 20.0
@@ -323,99 +303,93 @@ def _lateral_clearance(ep, midpoint: np.ndarray, axis_heading: float,
     return side[1] + side[-1] - r_sum
 
 
-def _detect_frontal(ep, robot, pairs, timeline, p: ClassifierParams):
-    for pair in pairs:
-        h = pair.h
-        dev = np.abs(wrap_angle(pair.turn - math.pi))
-        closing = (-np.einsum("nd,nd->n", pair.dp, h.vel - robot.vel)
-                   / np.maximum(pair.dist, 1e-9))
-        r_sum = robot.agent.radius + h.agent.radius
+def _detect_frontal(ep, pairs, timeline, p: ClassifierParams):
+    robot, others = pairs.robot, pairs.others
+    dev = np.abs(wrap_angle(pairs.turn - math.pi))
+    closing = (-np.einsum("...d,...d->...", pairs.dp, others.vel - robot.vel)
+               / np.maximum(pairs.dist, 1e-9))
+    mask = (pairs.participating(p.approach_speed_min) & (dev <= p.facing_angle_max)
+            & (closing >= p.approach_speed_min))
+    for i, s, e in _row_windows(timeline, mask, p.min_window_duration):
+        sl = slice(s, e)
+        r_sum = ep.robot.radius + others.agents[i].radius
         clearance_needed = r_sum + p.min_clearance
-        mask = (pair.participating(p) & (dev <= p.facing_angle_max)
-                & (closing >= p.approach_speed_min))
-        for s, e in _windows(timeline, mask, p.min_window_duration):
-            sl = slice(s, e)
-            # The space must offer room to pass: evaluated at the closest
-            # step of the window, perpendicular to the approach.
-            k = s + int(np.argmin(pair.dist[sl]))
-            midpoint = 0.5 * (robot.pos[k] + h.pos[k])
-            clearance = _lateral_clearance(ep, midpoint, float(robot.heading[k]), r_sum)
-            if clearance < clearance_needed:
-                continue
-            yield (robot.agent.id, h.agent.id), s, e, (
-                _margin_angle(dev[sl], p.facing_angle_max),
-                float(np.clip(median(closing[sl]) / (4 * p.approach_speed_min), 0, 1)),
-                float(np.clip((clearance - clearance_needed) / clearance_needed, 0, 1)),
-            )
+        # The space must offer room to pass: evaluated at the closest
+        # step of the window, perpendicular to the approach.
+        k = s + int(np.argmin(pairs.dist[i, sl]))
+        midpoint = 0.5 * (robot.pos[k] + others.pos[i, k])
+        clearance = _lateral_clearance(ep, midpoint, float(robot.heading[k]), r_sum)
+        if clearance < clearance_needed:
+            continue
+        yield (ep.robot.id, others.agents[i].id), s, e, (
+            _margin_angle(dev[i, sl], p.facing_angle_max),
+            float(np.clip(median(closing[i, sl]) / (4 * p.approach_speed_min), 0, 1)),
+            float(np.clip((clearance - clearance_needed) / clearance_needed, 0, 1)),
+        )
 
 
-def _detect_overtaking(ep, robot, pairs, timeline, p: ClassifierParams, robot_overtakes: bool):
-    for pair in pairs:
-        h = pair.h
-        rear_s, front_s, dp = (robot, h, pair.dp) if robot_overtakes else (h, robot, -pair.dp)
-        mask = pair.participating(p) & (pair.relative <= p.facing_angle_max)
-        axis = np.column_stack([np.cos(front_s.heading), np.sin(front_s.heading)])
-        longitudinal = np.einsum("nd,nd->n", dp, axis)  # >0 while rear is behind
-        for s, e in _windows(timeline, mask, p.min_window_duration,
-                             bridge=3.0 * p.min_window_duration):
-            sl = slice(s, e)
-            front_speed = np.maximum(median(front_s.speed[sl]), 1e-9)
-            ratio = float(median(rear_s.speed[sl]) / front_speed)
-            if ratio < p.overtake_speed_ratio_min:
-                continue
-            behind = longitudinal[sl] > 0
-            if not behind[0] or behind[-1]:
-                continue  # must start behind and end ahead
-            cross = s + int(np.argmin(behind))  # first step at-or-ahead
-            if pair.dist[cross] > p.proximity_max:
-                continue  # the pass must happen nearby
-            # A pass needs a sustained following phase and a sustained
-            # leading phase; momentary lead changes during a swerve do not
-            # make an overtake.
-            if (timeline[cross] - timeline[s] < p.min_window_duration
-                    or timeline[e - 1] - timeline[cross] < p.min_window_duration):
-                continue
-            yield (robot.agent.id, h.agent.id), s, e, (
-                _margin_angle(pair.relative[sl], p.facing_angle_max),
-                float(np.clip((ratio - p.overtake_speed_ratio_min)
-                              / p.overtake_speed_ratio_min, 0, 1)),
-                float(np.clip(1.0 - pair.dist[cross] / p.proximity_max, 0, 1)),
-            )
+def _detect_overtaking(ep, pairs, timeline, p: ClassifierParams, robot_overtakes: bool):
+    robot, others = pairs.robot, pairs.others
+    mask = pairs.participating(p.approach_speed_min) & (pairs.relative <= p.facing_angle_max)
+    for i, s, e in _row_windows(timeline, mask, p.min_window_duration,
+                                bridge=3.0 * p.min_window_duration):
+        sl, dist = slice(s, e), pairs.dist[i]
+        h, r = (others.speed[i], others.heading[i]), (robot.speed, robot.heading)
+        (rear_speed, _), (front_speed, front_heading) = (r, h) if robot_overtakes else (h, r)
+        dp = pairs.dp[i] if robot_overtakes else -pairs.dp[i]
+        ratio = float(median(rear_speed[sl]) / np.maximum(median(front_speed[sl]), 1e-9))
+        if ratio < p.overtake_speed_ratio_min:
+            continue
+        axis = np.column_stack([np.cos(front_heading), np.sin(front_heading)])
+        behind = np.einsum("nd,nd->n", dp, axis)[sl] > 0  # the rear is behind
+        if not behind[0] or behind[-1]:
+            continue  # must start behind and end ahead
+        cross = s + int(np.argmin(behind))  # first step at-or-ahead
+        if dist[cross] > p.proximity_max:
+            continue  # the pass must happen nearby
+        # A pass needs a sustained following phase and a sustained
+        # leading phase; momentary lead changes during a swerve do not
+        # make an overtake.
+        if (timeline[cross] - timeline[s] < p.min_window_duration
+                or timeline[e - 1] - timeline[cross] < p.min_window_duration):
+            continue
+        yield (ep.robot.id, others.agents[i].id), s, e, (
+            _margin_angle(pairs.relative[i, sl], p.facing_angle_max),
+            float(np.clip((ratio - p.overtake_speed_ratio_min)
+                          / p.overtake_speed_ratio_min, 0, 1)),
+            float(np.clip(1.0 - dist[cross] / p.proximity_max, 0, 1)),
+        )
 
 
-def _detect_intersection(ep, robot, pairs, timeline, p: ClassifierParams,
-                         require_occlusion: bool):
+def _detect_intersection(ep, pairs, timeline, p: ClassifierParams, require_occlusion: bool):
     seg_a, seg_b = ep.obstacles.static_arrays
     if require_occlusion and len(seg_a) == 0:
         return  # no static segment, no blind corner
-    for pair in pairs:
-        h, dist = pair.h, pair.dist
-        dev = np.abs(pair.relative - math.pi / 2)
-        mask = pair.participating(p) & (dev <= p.crossing_angle_window)
-        for s, e in _windows(timeline, mask, p.min_window_duration):
-            sl = slice(s, e)
-            if float(dist[sl].min()) > p.proximity_max:
-                continue
-            if require_occlusion and not sightlines_blocked(
-                    robot.pos[sl], h.pos[sl], seg_a, seg_b).any():
-                continue
-            yield (robot.agent.id, h.agent.id), s, e, (
-                _margin_angle(dev[sl], p.crossing_angle_window),
-                float(np.clip(1.0 - np.min(dist[sl]) / p.proximity_max, 0, 1)),
-            )
+    dev = np.abs(pairs.relative - math.pi / 2)
+    mask = pairs.participating(p.approach_speed_min) & (dev <= p.crossing_angle_window)
+    for i, s, e in _row_windows(timeline, mask, p.min_window_duration):
+        sl, dist = slice(s, e), pairs.dist[i, s:e]
+        if float(dist.min()) > p.proximity_max:
+            continue
+        if require_occlusion and not sightlines_blocked(
+                pairs.robot.pos[sl], pairs.others.pos[i, sl], seg_a, seg_b).any():
+            continue
+        yield (ep.robot.id, pairs.others.agents[i].id), s, e, (
+            _margin_angle(dev[i, sl], p.crossing_angle_window),
+            float(np.clip(1.0 - np.min(dist) / p.proximity_max, 0, 1)),
+        )
 
 
-def _detect_crowd_flow(ep, robot, pairs, timeline, p: ClassifierParams, parallel: bool):
-    if len(pairs) < p.min_crowd_size:
+def _detect_crowd_flow(ep, pairs, timeline, p: ClassifierParams, parallel: bool):
+    if pairs.human.sum() < p.min_crowd_size:
         return
-    humans = [pair.h for pair in pairs]
-    dt = float(timeline[1] - timeline[0]) if len(timeline) > 1 else 1.0
-    smooth = smoothed_heading(robot, max(1, round(1.5 / dt)))
-    moving = np.stack([h.en_route & (h.speed > p.approach_speed_min) for h in humans])
+    robot, others = pairs.robot, pairs.others
+    moving = pairs.human[:, None] & others.en_route & (others.speed > p.approach_speed_min)
     count = moving.sum(axis=0)
-    velocity = np.where(moving[:, :, None], np.stack([h.vel for h in humans]), 0.0).sum(axis=0)
+    # Summed over the human rows alone: a zero row between them would make a -0.0 sum 0.0.
+    velocity = np.where(moving[:, :, None], others.vel, 0.0)[pairs.human].sum(axis=0)
     flow = np.arctan2(velocity[:, 1], velocity[:, 0])
-    dev = np.abs(wrap_angle(flow - smooth))
+    dev = np.abs(wrap_angle(flow - pairs.travel))
     limit = p.facing_angle_max if parallel else p.crossing_angle_window
     if not parallel:
         dev = np.abs(dev - math.pi / 2)
@@ -423,8 +397,8 @@ def _detect_crowd_flow(ep, robot, pairs, timeline, p: ClassifierParams, parallel
             & robot.en_route & (robot.speed >= p.approach_speed_min))
     for s, e in _windows(timeline, mask, p.min_window_duration):
         sl = slice(s, e)
-        members = [h.agent.id for i, h in enumerate(humans) if bool(moving[i, sl].any())]
-        yield tuple([robot.agent.id] + members), s, e, (
+        members = [others.agents[i].id for i in np.flatnonzero(moving[:, sl].any(axis=1)).tolist()]
+        yield tuple([ep.robot.id] + members), s, e, (
             _margin_angle(dev[sl], limit),
             float(np.clip(median(count[sl]) / p.min_crowd_size - 0.5, 0, 1)),
         )
@@ -479,8 +453,7 @@ def classify(episode: Episode, cards: Optional[Mapping[str, ScenarioCard]] = Non
     skipped; a card with criteria but no detector raises UnknownCard.
     """
     cards = _BUILTIN_CARDS if cards is None else cards
-    _, timeline, robot, others = episode.resampled(dt)
-    pairs = [_Pair(robot, h) for h in others if h.agent.kind is AgentKind.HUMAN]
+    _, timeline, _, _, pairs = episode.resampled(dt)
 
     labels: list[ScenarioLabel] = []
     for name, card in cards.items():
@@ -489,7 +462,7 @@ def classify(episode: Episode, cards: Optional[Mapping[str, ScenarioCard]] = Non
             continue
         if name not in _DETECTORS:
             raise UnknownCard(f"no detector for card {name!r}")
-        windows = _DETECTORS[name](episode, robot, pairs, timeline, criteria)
+        windows = _DETECTORS[name](episode, pairs, timeline, criteria)
         labels.extend(ScenarioLabel(name, ids, float(timeline[s]), float(timeline[e - 1]),
                                     min(margins)) for ids, s, e, margins in windows)
 

@@ -7,7 +7,8 @@ per-sample forms the simulator's replay and the metrics were first written
 against; ``interpolate_state`` returns its own ``State`` record. The
 library itself reads columns. ``reference_serialize_episode`` writes an
 episode from one whole-document dict, where the library writes one agent
-at a time.
+at a time. ``sampled_agent_oracle`` resamples one agent alone, where the
+library resamples all the others as one block.
 """
 
 from __future__ import annotations
@@ -440,6 +441,41 @@ def reference_step(state, config):
 
     return SimState(t=state.t + dt, pos=new_pos, vel=new_vel, heading=new_heading,
                     waypoint_idx=waypoint_idx, reached=reached)
+
+
+def sampled_agent_oracle(agent, timeline) -> dict:
+    """One agent alone on a timeline, as the per-agent view computed it before the
+    view became a block: ``pos``, ``vel``, ``active``, ``speed``, ``heading``,
+    ``en_route`` and, with a goal, ``goal_distance`` by name. The block's rows must
+    equal these bit for bit."""
+    import numpy as np
+
+    t = agent.t
+    pos = np.column_stack([np.interp(timeline, t, agent.x), np.interp(timeline, t, agent.y)])
+    vel = np.column_stack([np.interp(timeline, t, agent.vx), np.interp(timeline, t, agent.vy)])
+    active = (timeline >= t[0] - 1e-9) & (timeline <= t[-1] + 1e-9)
+    speed = np.linalg.norm(vel, axis=1)
+    pose = wrap_angle(np.interp(timeline, t, np.unwrap(agent.heading)))
+    heading = np.where(speed > 1e-6, np.arctan2(vel[:, 1], vel[:, 0]), pose)
+    view = {"pos": pos, "vel": vel, "active": active, "speed": speed, "heading": heading,
+            "en_route": active}
+    if agent.goal is not None:
+        view["goal_distance"] = np.linalg.norm(pos - (agent.goal.x, agent.goal.y), axis=1)
+        view["en_route"] = active & ~(np.cumsum(view["goal_distance"] <= agent.goal.tolerance) > 0)
+    return view
+
+
+def smoothed_heading_oracle(sampled: dict, timeline) -> np.ndarray:
+    """Direction of net displacement over +-1.5 s of a ``sampled_agent_oracle`` view,
+    its heading where that displacement is under 1e-6 m."""
+    import numpy as np
+
+    n = len(timeline)
+    half = max(1, round(1.5 / (float(timeline[1] - timeline[0]) if n > 1 else 1.0)))
+    pos = sampled["pos"]
+    disp = pos[np.minimum(np.arange(n) + half, n - 1)] - pos[np.maximum(np.arange(n) - half, 0)]
+    return np.where(np.linalg.norm(disp, axis=1) > 1e-6, np.arctan2(disp[:, 1], disp[:, 0]),
+                    sampled["heading"])
 
 
 def event_runs_oracle(mask):

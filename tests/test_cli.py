@@ -188,6 +188,7 @@ def test_cli_import_leaves_simulator_and_scenarios_unloaded(tmp_path):
     assert proc.returncode == 0 and proc.stdout.startswith("usage: socnav")
     assert {"argparse", "socnav", "socnav.errors"} <= imported
     assert not {m for m in imported if m == "numpy" or m.startswith("numpy.")}
+    assert "dataclasses" not in imported
 
 
 def _cli_imports(*argv) -> tuple[subprocess.CompletedProcess, set]:
@@ -799,6 +800,25 @@ def test_deeply_nested_document_one_line(documents, tmp_path, kind, command, nes
     code, lines = _run_reader(kind, document.encode(), documents, tmp_path, command)
     assert code == 1
     assert len(lines) == 1 and "not valid JSON: maximum recursion depth exceeded" in lines[0]
+
+
+_ROOT_MESSAGES = {"report": "report document must be an object",
+                  "summary": "summary document must be an object",
+                  "card": "card document must be an object",
+                  "episode": "document root must be an object, got list"}
+
+
+@pytest.mark.parametrize("kind, command", [(kind, _READERS[kind]) for kind in _ROOT_MESSAGES]
+                         + [("episode", ["compute", "FILE"])],
+                         ids=[*_ROOT_MESSAGES, "episode-compute"])
+def test_document_root_not_an_object_one_line(documents, tmp_path, kind, command):
+    """An error at the document root, whose pointer is empty, reads as the file name
+    and the message, with no empty path between them."""
+    code, lines = _run_reader(kind, b"[]", documents, tmp_path, command)
+    target, message = tmp_path / "document.json", _ROOT_MESSAGES[kind]
+    assert code == 1
+    assert lines == ([f"{target}: error: {message}"] if command[0] == "validate"
+                     else [f"error: {target}: {message}"])
 
 
 def test_params_file_not_utf8_one_line(documents, tmp_path):

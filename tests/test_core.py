@@ -27,7 +27,7 @@ from socnav.report import write_output
 from socnav.scenarios import classify, serialize_labels
 from socnav.simulator import SCENARIO_NAMES, generate_scenario, run
 
-from conftest import fuzz_episode, make_agent, make_episode, straight_robot
+from conftest import crowd_document, fuzz_episode, make_agent, make_episode, straight_robot
 from oracles import (
     Point,
     State,
@@ -35,6 +35,8 @@ from oracles import (
     derive_velocities,
     event_runs_oracle,
     interpolate_state,
+    sampled_agent_oracle,
+    smoothed_heading_oracle,
 )
 
 
@@ -154,11 +156,12 @@ class TestResampled:
         ep = make_episode([make_agent("h1", [(0, 1)] * 5, dt=0.2),
                            straight_robot(n=11, dt=0.1),
                            make_agent("h2", [(0, -1)] * 3, dt=0.5)])
-        dt, timeline, robot, others = ep.resampled()
+        dt, timeline, robot, others, pairs = ep.resampled()
         assert dt == median_sample_interval(ep.robot)
         assert list(timeline) == list(common_timeline(ep, dt))
-        assert robot.agent is ep.robot
-        assert [o.agent.id for o in others] == ["h1", "h2"]
+        assert robot.agents[0] is ep.robot
+        assert [o.id for o in others.agents] == ["h1", "h2"]
+        assert pairs.robot is robot and pairs.others is others
         assert ep.resampled(0.5)[1].tolist() == [0.0, 0.5, 1.0]
         single = make_episode([straight_robot(n=1)])
         assert single.resampled()[0] == 1.0
@@ -176,25 +179,57 @@ class TestResampled:
         view = ep.resampled()
         assert dataclasses.replace(ep).resampled() is not view
         longer = dataclasses.replace(ep, agents=(straight_robot(n=21, dt=0.1),))
-        _, timeline, robot, others = longer.resampled()
-        assert len(timeline) == 21 and robot.agent is longer.robot and others == ()
+        _, timeline, robot, others, pairs = longer.resampled()
+        assert len(timeline) == 21 and robot.agents[0] is longer.robot and others.agents == ()
+        assert others.pos.shape == (0, 21, 2) and pairs.dist.shape == (0, 21)
         assert ep.resampled() is view
 
     def test_classify_and_compute_all_resample_each_agent_once(self, monkeypatch):
         built = []
 
-        class Counting(socnav.core.SampledAgent):
-            def __init__(self, agent, timeline):
-                built.append(agent.id)
-                super().__init__(agent, timeline)
+        class Counting(socnav.core.SampledAgents):
+            def __init__(self, agents, timeline):
+                super().__init__(agents, timeline)
+                built.extend(a.id for a in self.agents)
 
-        monkeypatch.setattr(socnav.core, "SampledAgent", Counting)
+        monkeypatch.setattr(socnav.core, "SampledAgents", Counting)
         ep = fuzz_episode(3)
         classify(ep)
         compute_all(ep)
         compute_all(ep, include_stepwise=True)
         classify(ep)
         assert sorted(built) == sorted(a.id for a in ep.agents)
+
+    @pytest.mark.parametrize("dt", [None, 0.05])
+    @pytest.mark.parametrize("ep", [*(parse_episode(crowd_document(seed)) for seed in range(3)),
+                                    *(fuzz_episode(seed, n_humans=6) for seed in range(3)),
+                                    make_episode([straight_robot(n=1)])],
+                             ids=lambda ep: ep.episode_id)
+    def test_rows_equal_the_per_agent_view(self, ep, dt):
+        """Each row of the block, and each row of the pair block, is bit for bit what
+        the per-agent view of ``oracles.sampled_agent_oracle`` gives for that agent."""
+        def same(got, want):
+            got, want = np.asarray(got), np.asarray(want)
+            return got.dtype == want.dtype and got.shape == want.shape and (
+                got.tobytes() == want.tobytes())
+
+        _, timeline, robot, others, pairs = ep.resampled(dt)
+        alone = sampled_agent_oracle(ep.robot, timeline)
+        for name, want in alone.items():
+            assert same(getattr(robot, name), want), ("robot", name)
+        assert same(pairs.travel, smoothed_heading_oracle(alone, timeline))
+        assert pairs.human.tolist() == [a.kind is AgentKind.HUMAN for a in ep.others]
+        for i, agent in enumerate(ep.others):
+            row = sampled_agent_oracle(agent, timeline)
+            for name, want in row.items():
+                assert same(getattr(others, name)[i], want), (agent.id, name)
+            dp = row["pos"] - alone["pos"]
+            turn = alone["heading"] - row["heading"]
+            for name, want in (("dp", dp), ("dist", np.linalg.norm(dp, axis=1)), ("turn", turn),
+                               ("relative", np.abs(wrap_angle(turn))),
+                               ("en_route", alone["en_route"] & row["en_route"]),
+                               ("slower", np.minimum(alone["speed"], row["speed"]))):
+                assert same(getattr(pairs, name)[i], want), (agent.id, name)
 
 
 _GOLDEN = Path(__file__).parent / "golden"

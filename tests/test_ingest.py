@@ -661,3 +661,14 @@ def test_import_fails_cleanly_or_writes_a_valid_file(rows, frame_rate, robot_id)
         raw = serialize_episode(episode)
         assert not [i for i in validate(raw) if i.severity == "error"]
         assert parse_episode(raw) == episode
+
+
+def test_root_error_reads_without_its_empty_path():
+    """The document root's pointer is "": the text leaves it out, ``.path`` keeps it."""
+    (issue,) = validate(b"[]")
+    assert issue.path == "" and str(issue) == "error: document root must be an object, got list"
+    with pytest.raises(SchemaError) as e:
+        parse_episode(b"[]")
+    assert e.value.path == "" and str(e.value) == "document root must be an object, got list"
+    assert str(InvariantError("/dt", "must be positive")) == "/dt: must be positive"
+    assert str(ingest.ValidationIssue("warning", "/a", "m")) == "warning: /a: m"

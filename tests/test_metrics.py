@@ -11,7 +11,7 @@ from socnav.core import (
     Goal,
     MetricParams,
     ObstacleMap,
-    SampledAgent,
+    SampledAgents,
     common_timeline,
 )
 import socnav.metrics
@@ -397,7 +397,7 @@ class TestDistanceAndTTC:
         human = make_agent("h", [(3.0, 0.0)], t0=0.5, velocities=[(-1.0, 0.0)])
         ep = make_episode([robot, human])
         timeline = common_timeline(ep, 0.1)
-        sampled = SampledAgent(human, timeline)
+        sampled = SampledAgents(human, timeline)
         assert sampled.vel.tolist() == [[-1.0, 0.0]] * len(timeline)
         assert sampled.active.tolist() == [k == 5 for k in range(len(timeline))]
         # at t = 0.5: gap 2.5 m, radii 0.6 m, closing at 2 m/s, not 1 m/s
