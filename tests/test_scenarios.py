@@ -16,12 +16,14 @@ from socnav.scenarios import (
     CLASSIFIABLE_SCENARIOS,
     ClassifierParams,
     ScenarioCard,
+    ScenarioLabel,
     builtin_cards,
     classify,
     coverage_report,
     parse_card,
     serialize_card,
     serialize_labels,
+    _arbitrate,
     _windows,
 )
 from socnav.simulator import generate_scenario, run
@@ -245,6 +247,38 @@ class TestWindows:
         assert all(gap(a, b) > bridge for a, b in zip(merged, merged[1:]))
         assert _windows(timeline, mask, min_duration, bridge) == [
             (s, e) for s, e in merged if timeline[e - 1] - timeline[s] >= min_duration]
+
+
+def _label(scenario, *humans, t_start=0.0, t_end=1.0):
+    return ScenarioLabel(scenario, ("robot", *humans), t_start, t_end, 0.5)
+
+
+class TestArbitrate:
+    """``_arbitrate`` on hand-built label lists: what each rule drops and keeps."""
+
+    def test_crowd_label_drops_every_pairwise_label_of_the_episode(self):
+        # crowd_document(1): a 2.3 s crowd window hides pairwise labels far longer than it.
+        crowd = _label("parallel_traffic", "h3", "h4", "h5", "h6", "h7", t_end=2.3)
+        corners = [_label("blind_corner", "h12", t_start=1.0, t_end=4.0),
+                   _label("blind_corner", "h9", t_start=6.0, t_end=9.0)]
+        pairwise = [_label("robot_overtaking", "h13", t_end=15.7),
+                    _label("pedestrian_overtaking", "h14", t_end=13.9),
+                    _label("frontal_approach", "h12", t_end=8.8),
+                    _label("intersection", "h2", t_start=20.0, t_end=21.0)]
+        assert _arbitrate([crowd, *pairwise, *corners]) == [crowd, *corners]
+        assert _arbitrate(pairwise[:1] + [crowd]) == [crowd]
+        perpendicular = _label("perpendicular_traffic", "h3", "h4", t_start=30.0, t_end=31.0)
+        assert _arbitrate([*pairwise, perpendicular]) == [perpendicular]
+
+    def test_blind_corner_drops_intersection_and_frontal_of_its_pair(self):
+        corner = _label("blind_corner", "h1", t_start=2.0, t_end=3.0)
+        kept = [_label("intersection", "h2"),
+                _label("robot_overtaking", "h1"),
+                _label("pedestrian_overtaking", "h1", t_start=5.0, t_end=6.0)]
+        dropped = [_label("intersection", "h1", t_start=8.0, t_end=9.0),
+                   _label("frontal_approach", "h1", t_start=0.0, t_end=9.0)]
+        assert _arbitrate([dropped[0], *kept, corner, dropped[1]]) == [*kept, corner]
+        assert _arbitrate([*kept, *dropped]) == [*kept, *dropped]  # no corner, nothing dropped
 
 
 class TestCoverage:
