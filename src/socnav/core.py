@@ -345,6 +345,28 @@ def event_runs(mask: np.ndarray) -> list[tuple[int, int]]:
                     np.flatnonzero(edges == -1).tolist()))
 
 
+def windows(timeline: np.ndarray, mask: np.ndarray, min_duration: float,
+            bridge: float = 0.0) -> list[tuple[int, int, int]]:
+    """(row, s, e) for each run of steps s to e-1 of a row of the (A, T) ``mask`` that
+    lasts at least ``min_duration`` seconds, once the runs of a row apart by at most
+    ``bridge`` seconds are merged (a pass's lane-change swerve breaks its mask for a
+    moment); bridge 0 merges nothing, even where a fine ``dt`` repeats a time. The rows
+    are laid end to end, a False step after each, for one ``event_runs``: no run or
+    bridge crosses a row's end."""
+    width = mask.shape[1] + 1
+    runs = event_runs(np.concatenate([mask, np.zeros((len(mask), 1), bool)], axis=1).ravel())
+    merged = []
+    for start, end in runs:
+        i, s = divmod(start, width)
+        e = end - i * width
+        if (merged and merged[-1][0] == i and bridge > 0
+                and timeline[s] - timeline[merged[-1][2] - 1] <= bridge):
+            merged[-1] = (i, merged[-1][1], e)
+        else:
+            merged.append((i, s, e))
+    return [(i, s, e) for i, s, e in merged if timeline[e - 1] - timeline[s] >= min_duration]
+
+
 class SampledAgents:
     """Agents on a timeline, the view metrics and classifiers share (``Episode.resampled``).
 

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .core import _param_echo, Episode, MetricParams, event_runs
+from .core import _param_echo, Episode, MetricParams, windows
 from .errors import InvariantError
 from .geometry import first_collision_time, point_segment_distance
 
@@ -109,13 +109,11 @@ class _Frames:
         overlap holds: per non-robot agent for agent events, against the
         union of active wall segments for wall events.
         """
-        r = self.episode.robot.radius
-        wall_starts = [float(self.timeline[s]) for s, _ in event_runs(self.obstacle_distances < r)]
-        overlap = self.distances < r + self.others.radius[:, None]
-        agent_events = [(float(self.timeline[s]), bool(self.pairs.human[i]))
-                        for i in np.flatnonzero(overlap.any(axis=1)).tolist()
-                        for s, _ in event_runs(overlap[i])]
-        return wall_starts, agent_events
+        r, t = self.episode.robot.radius, self.timeline
+        walls = windows(t, (self.obstacle_distances < r)[None], 0.0)
+        overlaps = windows(t, self.distances < r + self.others.radius[:, None], 0.0)
+        return ([float(t[s]) for _, s, _ in walls],
+                [(float(t[s]), bool(self.pairs.human[i])) for i, s, _ in overlaps])
 
     @cached_property
     def termination_time(self) -> Optional[float]:
@@ -200,12 +198,11 @@ def _failure_to_progress(frames: _Frames) -> int:
 
 def _stalled_time(frames: _Frames) -> float:
     """ST: total time in sub-threshold-speed runs of at least the minimum length."""
-    below = frames.robot.speed < frames.params.stall_speed
+    t, params = frames.timeline, frames.params
     total = 0.0
-    for s, e in event_runs(below):
-        duration = float(frames.timeline[e - 1] - frames.timeline[s])
-        if duration >= frames.params.stall_min_duration - 1e-9:
-            total += duration
+    for _, s, e in windows(t, (frames.robot.speed < params.stall_speed)[None],
+                           params.stall_min_duration - 1e-9):
+        total += float(t[e - 1] - t[s])
     return total
 
 

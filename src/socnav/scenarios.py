@@ -6,11 +6,13 @@ yields each maximal window in which they hold; ``classify`` makes each a
 label. Detectors are deterministic and depend only on relative geometry,
 so labels are invariant under rigid transforms of the episode.
 
-Overlap arbitration: a blind-corner window explains away plain
-intersection labels for the same pair, and crowd-flow windows explain
-away pairwise overtaking/intersection labels inside them. Without this,
-every crowd episode would also be labeled with its constituent pairwise
-encounters, which is not how the scenario vocabulary is used.
+Overlap arbitration: a blind-corner label explains away the plain
+intersection and frontal-approach labels of its own robot-human pair, and
+any crowd-flow label explains away every frontal, overtaking and
+intersection label of the episode, whatever their times or agents.
+Without this, every crowd episode would also be labeled with its
+constituent pairwise encounters, which is not how the scenario vocabulary
+is used. A card key that names no field of the card is refused.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import Episode, event_runs, median, positive_finite
+from .core import Episode, median, positive_finite, windows
 from .errors import InvariantError, SchemaError, UnknownCard
 from .geometry import sightlines_blocked, wrap_angle
 from .ingest import FORMAT_VERSION, _Issues, canonical_json_bytes, load_json, read_dataclass
@@ -214,12 +216,22 @@ def serialize_card(card: ScenarioCard) -> bytes:
     return canonical_json_bytes(doc)
 
 
+def _refuse_unknown(doc: dict, known: dict, path: str = ""):
+    """SchemaError at the first key of ``doc``, at any depth, that ``known`` lacks."""
+    for key, value in doc.items():
+        if key not in known:
+            raise SchemaError(f"{path}/{key}", "unknown field")
+        if isinstance(value, dict):
+            _refuse_unknown(value, known[key], f"{path}/{key}")
+
+
 def parse_card(document: bytes | str) -> ScenarioCard:
     """Parse a scenario card; cards without labeling criteria classify nothing."""
     doc = load_json(document)
     if not isinstance(doc, dict):
         raise SchemaError("", "card document must be an object")
     card = read_dataclass(ScenarioCard, doc, "", _Issues(strict=True))
+    _refuse_unknown(doc, asdict(card))
     if card.usage_guide.labeling_criteria is None:
         log.warning("card %r has no labeling_criteria; classification disabled", card.name)
     return card
@@ -239,38 +251,9 @@ def _margin_angle(deviation: np.ndarray, limit: float) -> float:
 # It yields ``(agent_ids, s, e, margins)`` per accepted window (steps s to e-1,
 # one margin in [0, 1] per criterion); ``classify`` names the label after its
 # card, with confidence ``min(margins)``. Each detector builds its mask for
-# all humans at once from the view's ``core.RobotPairs`` block, and cuts
-# windows only in the rows where it holds (``_row_windows``). Each angle
+# all humans at once from the view's ``core.RobotPairs`` block, and cuts the
+# windows of every row with one ``core.windows`` call. Each angle
 # deviation is computed once, for the mask and for the margins.
-
-def _windows(timeline, mask, min_duration, bridge=0.0):
-    """Maximal runs of ``mask`` lasting at least ``min_duration`` seconds.
-
-    Runs separated by a gap of at most ``bridge`` seconds are merged first:
-    the lane-change swerve of a pass breaks heading-based masks for a
-    moment, but the encounter is still one window. Bridge 0 merges nothing,
-    even where a ``dt`` finer than the float spacing of the stamps repeats
-    a time.
-    """
-    return [(s, e) for _, s, e in _row_windows(timeline, mask[None], min_duration, bridge)]
-
-
-def _row_windows(timeline, mask, min_duration, bridge=0.0):
-    """(row, s, e) for each ``_windows`` window of each row of the (A, T) ``mask``. The
-    rows are laid end to end, a False step after each, for one ``event_runs``."""
-    width = mask.shape[1] + 1
-    runs = event_runs(np.concatenate([mask, np.zeros((len(mask), 1), bool)], axis=1).ravel())
-    merged = []
-    for start, end in runs:
-        i, s = divmod(start, width)
-        e = end - i * width
-        if (merged and merged[-1][0] == i and bridge > 0
-                and timeline[s] - timeline[merged[-1][2] - 1] <= bridge):
-            merged[-1] = (i, merged[-1][1], e)
-        else:
-            merged.append((i, s, e))
-    return [(i, s, e) for i, s, e in merged if timeline[e - 1] - timeline[s] >= min_duration]
-
 
 _OPEN_SPACE_WIDTH = 20.0
 
@@ -310,7 +293,7 @@ def _detect_frontal(ep, pairs, timeline, p: ClassifierParams):
                / np.maximum(pairs.dist, 1e-9))
     mask = (pairs.participating(p.approach_speed_min) & (dev <= p.facing_angle_max)
             & (closing >= p.approach_speed_min))
-    for i, s, e in _row_windows(timeline, mask, p.min_window_duration):
+    for i, s, e in windows(timeline, mask, p.min_window_duration):
         sl = slice(s, e)
         r_sum = ep.robot.radius + others.agents[i].radius
         clearance_needed = r_sum + p.min_clearance
@@ -331,8 +314,7 @@ def _detect_frontal(ep, pairs, timeline, p: ClassifierParams):
 def _detect_overtaking(ep, pairs, timeline, p: ClassifierParams, robot_overtakes: bool):
     robot, others = pairs.robot, pairs.others
     mask = pairs.participating(p.approach_speed_min) & (pairs.relative <= p.facing_angle_max)
-    for i, s, e in _row_windows(timeline, mask, p.min_window_duration,
-                                bridge=3.0 * p.min_window_duration):
+    for i, s, e in windows(timeline, mask, p.min_window_duration, 3.0 * p.min_window_duration):
         sl, dist = slice(s, e), pairs.dist[i]
         h, r = (others.speed[i], others.heading[i]), (robot.speed, robot.heading)
         (rear_speed, _), (front_speed, front_heading) = (r, h) if robot_overtakes else (h, r)
@@ -367,7 +349,7 @@ def _detect_intersection(ep, pairs, timeline, p: ClassifierParams, require_occlu
         return  # no static segment, no blind corner
     dev = np.abs(pairs.relative - math.pi / 2)
     mask = pairs.participating(p.approach_speed_min) & (dev <= p.crossing_angle_window)
-    for i, s, e in _row_windows(timeline, mask, p.min_window_duration):
+    for i, s, e in windows(timeline, mask, p.min_window_duration):
         sl, dist = slice(s, e), pairs.dist[i, s:e]
         if float(dist.min()) > p.proximity_max:
             continue
@@ -395,7 +377,7 @@ def _detect_crowd_flow(ep, pairs, timeline, p: ClassifierParams, parallel: bool)
         dev = np.abs(dev - math.pi / 2)
     mask = ((count >= p.min_crowd_size) & (dev <= limit)
             & robot.en_route & (robot.speed >= p.approach_speed_min))
-    for s, e in _windows(timeline, mask, p.min_window_duration):
+    for _, s, e in windows(timeline, mask[None], p.min_window_duration):
         sl = slice(s, e)
         members = [others.agents[i].id for i in np.flatnonzero(moving[:, sl].any(axis=1)).tolist()]
         yield tuple([ep.robot.id] + members), s, e, (
@@ -417,31 +399,14 @@ _DETECTORS: dict[str, Callable] = {
 CLASSIFIABLE_SCENARIOS = tuple(_DETECTORS)
 
 
-_CROWD = {"parallel_traffic", "perpendicular_traffic"}
-
-# A crowd-flow or occluded-corner finding explains the whole encounter, so
-# its pairwise shadows (the same agents also read as plain intersections,
-# approaches or passes) are dropped for the episode.
-_SUPPRESSED_BY = {
-    "intersection": ("blind_corner", "perpendicular_traffic", "parallel_traffic"),
-    "frontal_approach": ("blind_corner", "perpendicular_traffic", "parallel_traffic"),
-    "robot_overtaking": ("parallel_traffic", "perpendicular_traffic"),
-    "pedestrian_overtaking": ("parallel_traffic", "perpendicular_traffic"),
-}
-
-
 def _arbitrate(labels: list[ScenarioLabel]) -> list[ScenarioLabel]:
-    kept = []
-    for label in labels:
-        winners = _SUPPRESSED_BY.get(label.scenario, ())
-        shadowed = any(
-            other.scenario in winners
-            and (other.scenario in _CROWD
-                 or set(label.agent_ids) <= set(other.agent_ids))
-            for other in labels)
-        if not shadowed:
-            kept.append(label)
-    return kept
+    """The labels that explain an encounter best (module docstring), in their order."""
+    if any(l.scenario in ("parallel_traffic", "perpendicular_traffic") for l in labels):
+        return [l for l in labels if l.scenario not in (
+            "frontal_approach", "robot_overtaking", "pedestrian_overtaking", "intersection")]
+    corners = {l.agent_ids for l in labels if l.scenario == "blind_corner"}
+    return [l for l in labels if not (
+        l.scenario in ("intersection", "frontal_approach") and l.agent_ids in corners)]
 
 
 def classify(episode: Episode, cards: Optional[Mapping[str, ScenarioCard]] = None,
@@ -462,9 +427,9 @@ def classify(episode: Episode, cards: Optional[Mapping[str, ScenarioCard]] = Non
             continue
         if name not in _DETECTORS:
             raise UnknownCard(f"no detector for card {name!r}")
-        windows = _DETECTORS[name](episode, pairs, timeline, criteria)
+        found = _DETECTORS[name](episode, pairs, timeline, criteria)
         labels.extend(ScenarioLabel(name, ids, float(timeline[s]), float(timeline[e - 1]),
-                                    min(margins)) for ids, s, e, margins in windows)
+                                    min(margins)) for ids, s, e, margins in found)
 
     return tuple(sorted(_arbitrate(labels), key=lambda l: (l.t_start, l.scenario, l.agent_ids)))
 

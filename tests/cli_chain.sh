@@ -26,6 +26,18 @@ for name, card in builtin_cards().items():
 ' cards
 socnav classify eps/*.json --cards cards -o labels-cards.json
 cmp labels.json labels-cards.json
+mkdir misspelled
+python -c '
+import json, sys
+from socnav.scenarios import builtin_cards, serialize_card
+doc = json.loads(serialize_card(builtin_cards()["intersection"]))
+doc["usage_guide"]["labeling_criteria"]["proximity_maxx"] = 0.01
+open(f"{sys.argv[1]}/intersection.json", "w").write(json.dumps(doc))
+' misspelled
+got=0
+socnav classify eps/*.json --cards misspelled 2> misspelled.err || got=$?
+test "$got" = 1
+printf 'error: misspelled/intersection.json: /usage_guide/labeling_criteria/proximity_maxx: unknown field\n' | cmp - misspelled.err
 socnav compute eps/frontal_approach_7_0.json --stepwise -o reports/0.json
 socnav compute eps/frontal_approach_7_1.json -o reports/1.json
 socnav compute eps/*.json -o batch/

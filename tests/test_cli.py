@@ -772,6 +772,10 @@ def _run_reader(kind: str, document: bytes, docs: dict, work: Path,
     ("report", ("params", "dt"), DELETE, "/params/dt"),
     ("card", ("usage_guide", "success_metrics", 0), 7, "/usage_guide/success_metrics/0"),
     ("card", ("name",), "", "/name"),
+    ("card", ("nmae",), "x", "/nmae"),
+    ("card", ("research_context", "locaton"), "x", "/research_context/locaton"),
+    ("card", ("usage_guide", "labeling_criteria", "proximity_maxx"), 0.01,
+     "/usage_guide/labeling_criteria/proximity_maxx"),
     ("episode", ("obstacles", "dynamic"), 7.5, "/obstacles/dynamic"),
     ("episode", ("obstacles",), 5, "/obstacles"),
     ("episode", ("agents", 1), 5, "/agents/1"),
@@ -781,7 +785,8 @@ def _run_reader(kind: str, document: bytes, docs: dict, work: Path,
         "summary-no-distribution", "summary-mean-infinity", "params-401-digits",
         "params-bool", "params-nan", "params-count-string", "params-ids-string",
         "params-unknown", "params-negative", "report-no-dt", "card-metric-not-string",
-        "card-name-empty", "episode-dynamic-number", "episode-obstacles-number",
+        "card-name-empty", "card-unknown-root", "card-unknown-nested",
+        "card-unknown-criterion", "episode-dynamic-number", "episode-obstacles-number",
         "episode-agent-number", "episode-label-infinite"])
 def test_bad_field_one_line_with_path(documents, tmp_path, kind, pointer, value, path):
     document = edited(json.loads(documents[kind].read_bytes()), pointer, value)

@@ -18,6 +18,7 @@ from socnav.core import (
     median,
     check_episode,
     median_sample_interval,
+    windows,
 )
 from socnav.errors import InvariantError
 from socnav.geometry import wrap_angle
@@ -276,6 +277,104 @@ class TestEventRuns:
     @example([False, True] * 5)
     def test_matches_plain_scan(self, mask):
         assert event_runs(np.array(mask, dtype=bool)) == event_runs_oracle(mask)
+
+
+# Steps and durations on a quarter-second grid keep every time exact, so gaps
+# equal to the bridge and windows equal to the minimum duration both occur.
+_QUARTERS = st.integers(1, 8).map(lambda q: q / 4)
+
+
+@st.composite
+def _masked_timelines(draw):
+    mask = draw(st.lists(st.booleans(), max_size=40))
+    steps = draw(st.lists(st.integers(1, 4).map(lambda q: q / 4),
+                          min_size=len(mask), max_size=len(mask)))
+    return np.cumsum([draw(st.integers(-8, 8)) / 4, *steps])[1:], np.array(mask, dtype=bool)
+
+
+def _one_row_windows(timeline, mask, min_duration, bridge=0.0):
+    """The (s, e) windows of ``windows`` on a one-row ``mask``."""
+    return [(s, e) for _, s, e in windows(timeline, mask[None], min_duration, bridge)]
+
+
+class TestWindows:
+    """``core.windows`` on one row against a plain scan of the mask's runs."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_masked_timelines(), _QUARTERS | st.just(0.0))
+    @example((np.arange(6.0), np.array([True, True, False, True, True, True])), 2.0)
+    # A dt finer than the float spacing of the stamps repeats a time.
+    @example((np.array([0.0, 0.0, 0.0, 1.0]), np.array([True, False, True, True])), 0.0)
+    def test_runs_that_last_min_duration(self, case, min_duration):
+        timeline, mask = case
+        want = [(s, e) for s, e in event_runs_oracle(mask.tolist())
+                if timeline[e - 1] - timeline[s] >= min_duration]
+        assert _one_row_windows(timeline, mask, min_duration) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(_masked_timelines(), _QUARTERS | st.just(0.0), _QUARTERS)
+    @example((np.arange(6.0), np.array([True, False, True, False, False, True])), 0.0, 2.0)
+    def test_gaps_up_to_bridge_merged(self, case, min_duration, bridge):
+        timeline, mask = case
+        runs = event_runs_oracle(mask.tolist())
+        merged = _one_row_windows(timeline, mask, 0.0, bridge)
+        groups = [[r for r in runs if s <= r[0] and r[1] <= e] for s, e in merged]
+        # The windows split the runs into groups and span each group ...
+        assert all(groups) and [r for g in groups for r in g] == runs
+        assert merged == [(g[0][0], g[-1][1]) for g in groups]
+
+        def gap(a, b):
+            return timeline[b[0]] - timeline[a[1] - 1]
+
+        # ... every gap inside a window is at most the bridge, and every gap
+        # between two windows is larger.
+        assert all(gap(a, b) <= bridge for g in groups for a, b in zip(g, g[1:]))
+        assert all(gap(a, b) > bridge for a, b in zip(merged, merged[1:]))
+        assert _one_row_windows(timeline, mask, min_duration, bridge) == [
+            (s, e) for s, e in merged if timeline[e - 1] - timeline[s] >= min_duration]
+
+
+@st.composite
+def _masked_rows(draw):
+    """A timeline and an (A, T) mask on it: ``_masked_timelines`` and up to 3 more rows."""
+    timeline, first = draw(_masked_timelines())
+    rows = [first.tolist(), *draw(st.lists(
+        st.lists(st.booleans(), min_size=len(first), max_size=len(first)), max_size=3))]
+    return timeline, np.array(rows, dtype=bool).reshape(len(rows), len(first))
+
+
+class TestWindowRows:
+    """``core.windows`` on (A, T) masks: each row is cut as if it stood alone."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_masked_rows(), _QUARTERS | st.just(0.0), _QUARTERS | st.just(0.0))
+    @example((np.arange(4.0), np.array([[False, True, True, True], [True, True, False, True]])),
+             0.0, 2.0)
+    def test_each_row_as_the_one_row_call(self, case, min_duration, bridge):
+        timeline, mask = case
+        assert windows(timeline, mask, min_duration, bridge) == [
+            (i, s, e) for i, row in enumerate(mask)
+            for s, e in _one_row_windows(timeline, row, min_duration, bridge)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(_masked_rows())
+    @example((np.arange(3.0), np.array([[True, True, True], [True, False, True]])))
+    def test_a_run_at_a_rows_end_ends_there(self, case):
+        timeline, mask = case
+        found = windows(timeline, mask, 0.0)
+        assert all(e <= mask.shape[1] for _, _, e in found)
+        assert [i for i, _, e in found if e == mask.shape[1]] == np.flatnonzero(
+            mask[:, -1] if mask.shape[1] else []).tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_masked_rows())
+    @example((np.arange(4.0), np.array([[False, False, True, True], [True, True, False, False]])))
+    def test_bridge_never_joins_two_rows(self, case):
+        timeline, mask = case
+        # A bridge longer than the timeline merges every run of a row, and no more.
+        want = [(i, int(np.argmax(row)), len(row) - int(np.argmax(row[::-1])))
+                for i, row in enumerate(mask) if row.any()]
+        assert windows(timeline, mask, 0.0, bridge=1e6) == want
 
 
 _MEDIAN_FLOATS = st.floats(allow_nan=False) | st.sampled_from([math.inf, -math.inf, math.nan])
