@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import tracemalloc
 import warnings
@@ -540,10 +541,47 @@ def _check_call_orders(document):
         assert ingest._last == {}
 
 
-_ORDER_INPUTS = {f"golden-{p.parent.name}": p.read_bytes()
-                 for p in sorted((Path(__file__).parent / "golden").glob("*/episode.json"))}
-_ORDER_INPUTS.update(zip(_CORRUPTED_IDS, _CORRUPTED))
-_NODE_VALUES = st.sampled_from([DELETE, None, True, "x", 10 ** 400, -1.0, 1e308, 0, [], {}])
+_GOLDEN_DOCUMENTS = {f"golden-{p.parent.name}": p.read_bytes()
+                     for p in sorted((Path(__file__).parent / "golden").glob("*/episode.json"))}
+_ORDER_INPUTS = {**_GOLDEN_DOCUMENTS, **dict(zip(_CORRUPTED_IDS, _CORRUPTED))}
+_NODE_VALUES = [DELETE, None, True, "x", 10 ** 400, -1.0, 1e308, 0, [], {}]
+
+
+def _node_edits():
+    """Each golden episode, a valid one cut to the first four states of each agent,
+    with each node replaced or deleted twice, by the values of
+    ``_NODE_VALUES`` in turn."""
+    for name, document in _GOLDEN_DOCUMENTS.items():
+        d = json.loads(document)
+        for agent in d["agents"] if "invalid" not in name else ():
+            agent["states"] = agent["states"][:4]
+        pointers = list(json_pointers(d))[1:]
+        for k in range(2 * len(pointers)):
+            yield edited(d, pointers[k // 2], _NODE_VALUES[k % len(_NODE_VALUES)])
+
+
+# sha256 over, for each golden, each _CORRUPTED document and each _node_edits
+# document: parse_episode's outcome (the type, path and message of what it raised,
+# or the sha256 of the episode's canonical bytes) and validate's lines. Any change
+# to what the episode decoder accepts, refuses or reports shows here.
+DECODE_SHA256 = "d65e8569026224a65f392ed52bdd5a184c03c070991676cc7d077faa7e1176ed"
+
+
+def test_decoder_outcomes_pinned():
+    digest = hashlib.sha256()
+    invalid = 0
+    for document in (*_ORDER_INPUTS.values(), *_node_edits()):
+        outcome = _outcome(parse_episode, document)
+        if isinstance(outcome, Episode):
+            outcome = hashlib.sha256(serialize_episode(outcome)).hexdigest()
+        else:
+            invalid += 1
+            outcome = f"{outcome[0].__name__} {outcome[1]!r} {outcome[2]}"
+        digest.update(f"{outcome}\n".encode())
+        digest.update("".join(f"{issue}\n" for issue in validate(document)).encode())
+        digest.update(b"--\n")
+    assert invalid >= 1500
+    assert digest.hexdigest() == DECODE_SHA256
 
 
 @st.composite
@@ -554,7 +592,8 @@ def _order_documents(draw):
         return serialize_episode(draw(_episodes))
     d = json.loads(serialize_episode(fuzz_episode(draw(st.integers(0, 10_000)), n_steps=6)))
     pointer = draw(st.sampled_from(list(json_pointers(d))))
-    return edited(d, pointer, draw(_NODE_VALUES)) if pointer else json.dumps(d).encode()
+    value = draw(st.sampled_from(_NODE_VALUES))
+    return edited(d, pointer, value) if pointer else json.dumps(d).encode()
 
 
 class TestCallOrder:
