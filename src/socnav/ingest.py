@@ -13,9 +13,10 @@ read by ``_number``, so every number in a document obeys one rule.
 and builds the episode with the same decoder, so an import obeys every
 rule ``validate`` applies. ``serialize_episode`` writes the canonical bytes
 one agent at a time, each piece with the settings of ``canonical_json_bytes``.
-``validate`` answers from the last document ``parse_episode`` decoded, so
-a caller that loads, then checks the same bytes decodes them once; at most
-one document is held.
+An episode is read by one collecting walk, kept for the last document only:
+``parse_episode`` raises its first error and ``validate`` reports them all, so
+loading and checking the same bytes or str, in either order, decodes them once.
+A ``bytearray`` is read as its bytes.
 
 The JSON field names used here are this toolkit's normative definition of
 the interchange format (see README). Unknown fields are preserved under
@@ -28,7 +29,7 @@ import json
 import math
 import typing
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from itertools import repeat
 from operator import contains, itemgetter
 
@@ -73,23 +74,27 @@ class ValidationIssue:
 
 
 class _Issues:
-    """Collects issues during a walk; can short-circuit for strict parsing."""
+    """Collects issues during a walk and the first error's (kind, path, message);
+    a strict sink raises that error instead, for readers that build as they walk."""
 
-    def __init__(self, strict: bool):
+    def __init__(self, strict: bool = False):
         self.strict = strict
         self.items: list[ValidationIssue] = []
+        self.first_error = None
 
     def error(self, path: str, message: str, kind=SchemaError):
         if self.strict:
             raise kind(path, message)
+        self.first_error = self.first_error or (kind, path, message)
         self.items.append(ValidationIssue("error", path, message))
 
     def warning(self, path: str, message: str):
         self.items.append(ValidationIssue("warning", path, message))
 
-    @property
-    def has_errors(self) -> bool:
-        return any(i.severity == "error" for i in self.items)
+    def raise_first(self):
+        if self.first_error:
+            kind, path, message = self.first_error
+            raise kind(path, message)
 
 
 def _text(document: bytes | str) -> str:
@@ -472,25 +477,24 @@ def _build_episode(doc, issues: _Issues) -> Episode | None:
     return episode
 
 
-# The issues ``validate`` would report for the last document ``parse_episode``
-# decoded, ``{document: issues}`` with at most one bytes or str key, so that
-# parsing and then validating the same bytes decodes them once. A parse drops
-# the entry before it decodes: one document is held at a time.
-_last: dict = {}
+@lru_cache(maxsize=1)
+def _decode(document: bytes | str) -> tuple[Episode | None, _Issues]:
+    """The episode (None if it cannot be built) and the issues of one collecting
+    walk of the last document; MalformedDocument raises and is not kept."""
+    issues = _Issues()
+    return _build_episode(load_json(document), issues), issues
 
 
 def parse_episode(document: bytes | str) -> Episode:
     """Parse and fully validate an interchange document.
 
     Raises MalformedDocument, SchemaError (with a JSON-pointer path), or
-    InvariantError (model invariant broken, e.g. non-monotonic timestamps).
+    InvariantError (model invariant broken, e.g. non-monotonic timestamps):
+    the first error ``validate`` reports. Parsing the same document twice
+    in a row returns the same Episode object, so it must not be written to.
     """
-    global _last
-    _last = {}
-    issues = _Issues(strict=True)
-    episode = _build_episode(load_json(document), issues)
-    if type(document) in (bytes, str):
-        _last = {document: tuple(issues.items + _velocity_consistency_warnings(episode))}
+    episode, issues = _decode(bytes(document) if type(document) is bytearray else document)
+    issues.raise_first()
     return episode
 
 
@@ -501,18 +505,11 @@ def validate(document: bytes | str) -> list[ValidationIssue]:
     would raise; warnings flag recoverable oddities (defaults applied,
     inconsistent velocity fields).
     """
-    known = _last.get(document) if type(document) in (bytes, str) else None
-    if known is not None:
-        return list(known)
     try:
-        doc = load_json(document)
+        episode, issues = _decode(bytes(document) if type(document) is bytearray else document)
     except MalformedDocument as e:
         return [ValidationIssue("error", "", str(e))]
-    issues = _Issues(strict=False)
-    episode = _build_episode(doc, issues)
-    if episode is not None and not issues.has_errors:
-        issues.items.extend(_velocity_consistency_warnings(episode))
-    return issues.items
+    return issues.items + ([] if issues.first_error else _velocity_consistency_warnings(episode))
 
 
 def _velocity_consistency_warnings(episode: Episode) -> list[ValidationIssue]:
@@ -655,4 +652,7 @@ def import_tsv(rows: str | bytes, frame_rate: float, robot_id: str | None = None
                    if s[0]["t"] <= robot[-1]["t"] and s[-1]["t"] >= robot[0]["t"]],
         "metadata": {"source": "tsv", "frame_rate": repr(rate)},
     }
-    return _build_episode(doc, _Issues(strict=True))
+    issues = _Issues()
+    episode = _build_episode(doc, issues)
+    issues.raise_first()
+    return episode

@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # The README's command chain against the `socnav` and `python` first on PATH:
 # reruns diffed byte for byte, exit codes, exact error lines and the golden
-# files. Runs in a new temporary directory; run it as
+# files. Runs in a new temporary directory, removed on every exit; run it as
 #   bash -e tests/cli_chain.sh
 set -e
 golden="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)/golden"
-cd "$(mktemp -d)"
+work="$(mktemp -d)"
+trap 'rm -rf "$work"' EXIT
+cd "$work"
 socnav --help
 socnav simulate --scenario frontal_approach --seed 7 --count 2 -o eps/
 socnav simulate --scenario frontal_approach --seed 7 --count 2 -o eps-again/

@@ -142,7 +142,8 @@ def _child_env(**blas) -> dict:
 
 def test_cli_chain_script(tmp_path):
     """``tests/cli_chain.sh``, which CI runs with the installed entry point, run here
-    with shims first on PATH: ``socnav`` is ``python -m socnav.cli`` on this checkout."""
+    with shims first on PATH: ``socnav`` is ``python -m socnav.cli`` on this checkout.
+    The script's temporary directory is gone after it."""
     shims = tmp_path / "bin"
     shims.mkdir()
     for name, command in (("socnav", f'"{sys.executable}" -m socnav.cli'),
@@ -153,6 +154,7 @@ def test_cli_chain_script(tmp_path):
     proc = subprocess.run(["bash", "-e", str(Path(__file__).parent / "cli_chain.sh")],
                           cwd=tmp_path, capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["bin"]
 
 
 @pytest.mark.parametrize("hz", ["inf", "nan", "0", "-5"])

@@ -115,7 +115,7 @@ STATIONARY_EXAMPLE = _doc([{"t": 0.0, "x": 0.0, "y": 0.0, "vx": 0.0, "vy": 1.0},
 @example(STATIONARY_EXAMPLE, False)
 @example(HUGE_SPEED_EXAMPLE, False)
 def test_columns_match_per_sample_oracles(doc, raw_headings):
-    episode = _build_episode(doc, _Issues(strict=False))
+    episode = _build_episode(doc, _Issues())
     assert episode is not None
     with np.errstate(all="ignore"):
         for i, (raw, agent) in enumerate(zip(doc["agents"], episode.agents)):
@@ -144,14 +144,14 @@ def test_columns_match_per_sample_oracles(doc, raw_headings):
 
 def test_examples_reach_the_rules_they_pin():
     """The examples above sit on the decisions they pin (by math.hypot)."""
-    cap = _build_episode(CAP_EXAMPLE, _Issues(strict=False))
+    cap = _build_episode(CAP_EXAMPLE, _Issues())
     assert [m for _, m in _sample_issues("/a", cap.agents[0])] == [
         "implied speed 10.00 m/s exceeds cap 10.0 m/s"]
-    warned = _build_episode(WARNING_EXAMPLE, _Issues(strict=False))
+    warned = _build_episode(WARNING_EXAMPLE, _Issues())
     assert [w.path for w in _velocity_consistency_warnings(warned)] == ["/agents/0/states/1/vx"]
-    still = _build_episode(STATIONARY_EXAMPLE, _Issues(strict=False))
+    still = _build_episode(STATIONARY_EXAMPLE, _Issues())
     assert motion_headings(still.agents[0]).tolist() == [math.pi / 2, math.pi / 2]
-    huge = _build_episode(HUGE_SPEED_EXAMPLE, _Issues(strict=False))
+    huge = _build_episode(HUGE_SPEED_EXAMPLE, _Issues())
     assert [m for _, m in _sample_issues("/a", huge.agents[0])] == [
         "implied speed 2.500e+06 m/s exceeds cap 10.0 m/s",
         "implied speed 1.000e+308 m/s exceeds cap 10.0 m/s"]

@@ -439,10 +439,10 @@ class TestValidate:
         d["agents"][0]["states"] = [{"t": t, "x": x, "y": 0.0, "vx": 9.0, "vy": 0.0}
                                     for t, x in ((0.0, -0.9e308), (1e307, 0.0), (2e307, 0.9e308))]
         document = json.dumps(d).encode()
-        ingest._last.clear()
+        ingest._decode.cache_clear()
         assert validate(document) == []  # decodes the document itself
         assert parse_episode(document).robot.x.tolist() == [-0.9e308, 0.0, 0.9e308]
-        assert validate(document) == []  # answered from parse_episode's decode
+        assert validate(document) == []  # answered from the same decode
 
     @pytest.mark.parametrize("obstacles, expected", [
         # Set 0 (t = 2) sorts after set 1 (t = 1).
@@ -510,7 +510,7 @@ def _outcome(fn, document):
 
 
 def _fresh(fn, document):
-    ingest._last.clear()
+    ingest._decode.cache_clear()
     return _outcome(fn, document)
 
 
@@ -521,24 +521,19 @@ _SECOND = json.dumps(_GOLDEN["headings_omitted"])
 
 
 def _check_call_orders(document):
-    """``validate`` and ``parse_episode`` give what they give fresh in every call order;
-    the memo holds one document at most, and none after a parse_episode that raised."""
+    """``validate`` and ``parse_episode`` give what they give fresh in every call
+    order, and for a ``bytearray`` what they give for its bytes."""
     fresh = {(doc, fn): _fresh(fn, doc) for doc in (document, _SECOND)
              for fn in (validate, parse_episode)}
     for order in _ORDERS:
-        ingest._last.clear()
+        ingest._decode.cache_clear()
         for step in order:
             doc = document if step.islower() else _SECOND
             fn = validate if step in "vV" else parse_episode
-            got = _outcome(fn, doc)
-            assert got == fresh[doc, fn], (order, step)
-            assert len(ingest._last) <= 1
-            if fn is parse_episode and not isinstance(got, Episode):
-                assert ingest._last == {}
-    ingest._last.clear()
+            assert _outcome(fn, doc) == fresh[doc, fn], (order, step)
     for fn in (parse_episode, validate):
+        ingest._decode.cache_clear()
         assert _outcome(fn, bytearray(document)) == fresh[document, fn]
-        assert ingest._last == {}
 
 
 _GOLDEN_DOCUMENTS = {f"golden-{p.parent.name}": p.read_bytes()
@@ -597,8 +592,8 @@ def _order_documents(draw):
 
 
 class TestCallOrder:
-    """``validate`` answers from the last document ``parse_episode`` decoded
-    (``ingest._last``); no call order may show it."""
+    """``validate`` and ``parse_episode`` share one decode of the last document
+    (``ingest._decode``); no call order may show it."""
 
     @pytest.mark.parametrize("document", _ORDER_INPUTS.values(), ids=_ORDER_INPUTS.keys())
     def test_goldens_and_corrupted(self, document):
@@ -608,6 +603,51 @@ class TestCallOrder:
     @given(_order_documents())
     def test_fuzzed(self, document):
         _check_call_orders(document)
+
+
+def _count_decodes(monkeypatch) -> list:
+    """A list that gains an entry at each episode walk from here on, the memo cleared."""
+    walks = []
+    build = ingest._build_episode
+    monkeypatch.setattr(ingest, "_build_episode",
+                        lambda doc, issues: walks.append(doc) or build(doc, issues))
+    ingest._decode.cache_clear()
+    return walks
+
+
+class TestOneDecode:
+    """A document is walked once, whichever of ``parse_episode`` and ``validate``
+    reads it first, and a ``bytearray`` is read as its bytes."""
+
+    @pytest.mark.parametrize("name", ["int_numbers", "invalid_model"])
+    @pytest.mark.parametrize("as_type", [bytes, str])
+    @pytest.mark.parametrize("first, then", [(parse_episode, validate),
+                                             (validate, parse_episode)])
+    def test_either_order(self, monkeypatch, name, as_type, first, then):
+        document = _GOLDEN_DOCUMENTS[f"golden-{name}"]
+        document = document if as_type is bytes else document.decode()
+        walks = _count_decodes(monkeypatch)
+        _outcome(first, document)
+        _outcome(then, document)
+        assert len(walks) == 1
+
+    def test_validate_after_parse_reports_velocity_warnings(self):
+        document = _GOLDEN_DOCUMENTS["golden-int_numbers"]
+        fresh = _fresh(validate, document)
+        assert sum("deviates" in issue.message for issue in fresh) == 6
+        ingest._decode.cache_clear()
+        parse_episode(document)
+        assert validate(document) == fresh
+
+    @pytest.mark.parametrize("name", ["int_numbers", "invalid_model"])
+    def test_bytearray_reads_as_its_bytes(self, monkeypatch, name):
+        document = _GOLDEN_DOCUMENTS[f"golden-{name}"]
+        fresh = {fn: _fresh(fn, document) for fn in (parse_episode, validate)}
+        walks = _count_decodes(monkeypatch)
+        for fn in (parse_episode, validate):
+            assert _outcome(fn, bytearray(document)) == fresh[fn]
+            assert _outcome(fn, document) == fresh[fn]
+        assert len(walks) == 1
 
 
 class TestImportTsv:
