@@ -173,13 +173,13 @@ def json_pointers(node, pointer=()):
 
 def edited(doc, pointer: tuple, value) -> bytes:
     """The JSON bytes of ``doc`` with the node at ``pointer`` replaced, or deleted
-    for ``DELETE``; ``doc`` itself is left as it is."""
+    for ``DELETE``; ``doc`` itself is left as it is: only the containers on the
+    pointer's path are copied."""
     if not pointer:
         return json.dumps(value).encode()
-    doc = copy.deepcopy(doc)
-    node = doc
+    doc = node = copy.copy(doc)
     for key in pointer[:-1]:
-        node = node[key]
+        node[key] = node = copy.copy(node[key])
     if value is DELETE:
         del node[pointer[-1]]
     else:

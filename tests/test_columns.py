@@ -39,8 +39,11 @@ def _ulps(value: float, k: int) -> float:
 
 @st.composite
 def agent_states(draw):
-    """States with repeats, reversals, steps at the speed cap and bad values."""
+    """States with repeats, reversals, steps at the speed cap and bad values. An
+    agent may carry no theta, or no vx/vy, in any of its states."""
     t, x, y = draw(st.floats(-10.0, 10.0)), draw(st.floats(-5.0, 5.0)), draw(st.floats(-5.0, 5.0))
+    theta, velocity = draw(st.booleans()), draw(st.booleans())
+    bad_fields = [None, None, None, "t", "x"] + ["theta"] * theta + ["vx"] * velocity
     states = []
     for j in range(draw(st.integers(1, 7))):
         if j:
@@ -54,12 +57,12 @@ def agent_states(draw):
                 x, y = x + draw(COORD), y + draw(COORD)
             t += {"walk": dt, "cap": dt, "repeat": 0.0, "back": -dt}[move]
         state = {"t": t, "x": x, "y": y}
-        bad = draw(st.sampled_from([None, None, None, "t", "x", "theta", "vx"]))
+        bad = draw(st.sampled_from(bad_fields))
         if bad is not None:
             state[bad] = draw(NON_FINITE)
-        if bad != "theta" and draw(st.booleans()):
+        if theta and bad != "theta" and draw(st.booleans()):
             state["theta"] = draw(st.floats(-4.0, 4.0))
-        if bad == "vx" or draw(st.booleans()):
+        if bad == "vx" or (velocity and draw(st.booleans())):
             state.setdefault("vx", draw(st.floats(-3.0, 3.0)))
             state["vy"] = draw(st.floats(-3.0, 3.0))
         states.append(state)
@@ -70,7 +73,7 @@ def agent_states(draw):
 def episodes(draw):
     agents = [{"id": f"a{i}", "kind": "robot" if i == 0 else "human", "radius": 0.3,
                "states": draw(agent_states())}
-              for i in range(draw(st.integers(1, 3)))]
+              for i in range(draw(st.integers(1, 5)))]
     return {"format_version": "1.0", "episode_id": "e", "robot_under_test": "a0",
             "agents": agents}
 
@@ -106,6 +109,13 @@ STATIONARY_EXAMPLE = _doc([{"t": 0.0, "x": 0.0, "y": 0.0, "vx": 0.0, "vy": 1.0},
                            {"t": 1.0, "x": 0.0, "y": 1.0,
                             "vx": 3.4576417511786237e-10, "vy": 9.383214455638667e-10}])
 
+# A single-state agent between two others: the first one's last sample moves, and
+# neither its velocity nor its heading may reach the agents after it.
+BLOCK_EXAMPLE = _doc([{"t": 0.0, "x": 0.0, "y": 0.0}, {"t": 1.0, "x": 1.0, "y": 1.0}],
+                     [{"t": 0.5, "x": 3.0, "y": 0.0}],
+                     [{"t": 0.0, "x": 0.0, "y": 2.0}, {"t": 1.0, "x": 0.0, "y": 2.0},
+                      {"t": 2.0, "x": 0.5, "y": 2.0}])
+
 
 @settings(max_examples=300, deadline=None)
 @given(episodes(), st.booleans())
@@ -114,6 +124,7 @@ STATIONARY_EXAMPLE = _doc([{"t": 0.0, "x": 0.0, "y": 0.0, "vx": 0.0, "vy": 1.0},
 @example(HEADING_EXAMPLE, False)
 @example(STATIONARY_EXAMPLE, False)
 @example(HUGE_SPEED_EXAMPLE, False)
+@example(BLOCK_EXAMPLE, False)
 def test_columns_match_per_sample_oracles(doc, raw_headings):
     episode = _build_episode(doc, _Issues())
     assert episode is not None

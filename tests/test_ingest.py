@@ -30,7 +30,7 @@ from socnav.ingest import (
 )
 from socnav.simulator import SCENARIO_NAMES, generate_scenario, run
 
-from conftest import DELETE, edited, fuzz_episode, json_pointers
+from conftest import DELETE, crowd_document, edited, fuzz_episode, json_pointers
 from oracles import reference_serialize_episode
 
 MINIMAL = {
@@ -539,14 +539,17 @@ def _check_call_orders(document):
 _GOLDEN_DOCUMENTS = {f"golden-{p.parent.name}": p.read_bytes()
                      for p in sorted((Path(__file__).parent / "golden").glob("*/episode.json"))}
 _ORDER_INPUTS = {**_GOLDEN_DOCUMENTS, **dict(zip(_CORRUPTED_IDS, _CORRUPTED))}
+# Agents that differ in carrying theta and vx/vy, a second robot, late entries
+# and dynamic obstacles, in one document.
+_CROWD_DOCUMENTS = {f"crowd-{seed}": crowd_document(seed) for seed in (0, 1)}
 _NODE_VALUES = [DELETE, None, True, "x", 10 ** 400, -1.0, 1e308, 0, [], {}]
 
 
 def _node_edits():
-    """Each golden episode, a valid one cut to the first four states of each agent,
-    with each node replaced or deleted twice, by the values of
+    """Each golden and crowd episode, a valid one cut to the first four states of
+    each agent, with each node replaced or deleted twice, by the values of
     ``_NODE_VALUES`` in turn."""
-    for name, document in _GOLDEN_DOCUMENTS.items():
+    for name, document in {**_GOLDEN_DOCUMENTS, **_CROWD_DOCUMENTS}.items():
         d = json.loads(document)
         for agent in d["agents"] if "invalid" not in name else ():
             agent["states"] = agent["states"][:4]
@@ -555,17 +558,17 @@ def _node_edits():
             yield edited(d, pointers[k // 2], _NODE_VALUES[k % len(_NODE_VALUES)])
 
 
-# sha256 over, for each golden, each _CORRUPTED document and each _node_edits
-# document: parse_episode's outcome (the type, path and message of what it raised,
-# or the sha256 of the episode's canonical bytes) and validate's lines. Any change
-# to what the episode decoder accepts, refuses or reports shows here.
-DECODE_SHA256 = "d65e8569026224a65f392ed52bdd5a184c03c070991676cc7d077faa7e1176ed"
+# sha256 over, for each golden, each _CORRUPTED document, each crowd document and
+# each _node_edits document: parse_episode's outcome (the type, path and message of
+# what it raised, or the sha256 of the episode's canonical bytes) and validate's
+# lines. Any change to what the episode decoder accepts, refuses or reports shows here.
+DECODE_SHA256 = "222590a99f946f2059a4c4f9d5851f327086d70c1dfad6f11f86d31f4ae79eab"
 
 
 def test_decoder_outcomes_pinned():
     digest = hashlib.sha256()
     invalid = 0
-    for document in (*_ORDER_INPUTS.values(), *_node_edits()):
+    for document in (*_ORDER_INPUTS.values(), *_CROWD_DOCUMENTS.values(), *_node_edits()):
         outcome = _outcome(parse_episode, document)
         if isinstance(outcome, Episode):
             outcome = hashlib.sha256(serialize_episode(outcome)).hexdigest()
