@@ -2,10 +2,10 @@
 
 Everything here is value-semantic and immutable after construction. An
 agent's samples are stored as float64 columns, and every computation reads
-those. ``AgentRecord.states`` is the agent's ``states`` array as the episode
-file holds it, one dict per sample built on each access. Points are held
-as the file writes them: a goal is ``(x, y, tolerance)`` and a wall segment
-the float tuple ``(x1, y1, x2, y2)``.
+those; a decoded episode's columns are read-only. ``AgentRecord.states`` is
+the agent's ``states`` array as the episode file holds it, one dict per
+sample built on each access. Points are held as the file writes them: a goal
+is ``(x, y, tolerance)`` and a wall segment the float tuple ``(x1, y1, x2, y2)``.
 """
 
 from __future__ import annotations
@@ -61,12 +61,12 @@ _COLUMNS = ("t", "x", "y", "heading", "vx", "vy", "has_vel")
 class AgentRecord:
     """One agent's trajectory as float64 columns, one entry per sample.
 
-    ``has_vel`` marks the samples that carry a stored velocity (all of them
-    when ``vx``/``vy`` are given without a mask, none when they are omitted).
-    Stored velocity wins; elsewhere ``vx``/``vy`` hold central differences,
-    one-sided at the endpoints, or zero for a single sample. ``positions``
-    and ``velocities`` are the same columns as (N, 2) arrays. Headings
-    default to 0.
+    Columns given as float64 arrays are kept, not copied: a decoded episode's
+    are read-only. ``vx``/``vy``, when given, are every sample's velocity and
+    ``has_vel`` marks those the file stores (all by default); omitted, they are
+    central differences, one-sided at the ends or zero for a single sample, and
+    none is stored. ``positions`` and ``velocities`` are the same columns as
+    (N, 2) arrays, built on each access. Headings default to 0.
     """
 
     id: str
@@ -80,26 +80,21 @@ class AgentRecord:
     vy: Optional[np.ndarray] = None
     has_vel: Optional[np.ndarray] = None
     goal: Optional[Goal] = None
-    positions: np.ndarray = field(init=False, repr=False)
-    velocities: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
         n = len(t)
+        x, y = (np.asarray(c, dtype=float).reshape(n) for c in (self.x, self.y))
         given = self.vx is not None
+        vx, vy = ((np.asarray(c, dtype=float).reshape(n) for c in (self.vx, self.vy)) if given
+                  else differences(t, np.array((x, y)), np.array([0, n])))
         has_vel = np.full(n, given) if self.has_vel is None else np.asarray(self.has_vel, bool)
-        # (N, 2) views of (2, N) arrays, so that each column is contiguous.
-        positions = np.array((self.x, self.y), dtype=float).reshape(2, n).T
-        vel = np.array((self.vx, self.vy), dtype=float).reshape(2, n).T if given else np.zeros((n, 2))
-        if not has_vel.all():
-            with np.errstate(all="ignore"):  # columns that fail their checks come here too
-                derived = finite_difference_velocities(t, positions) if n >= 2 else 0.0
-            vel = np.where(has_vel[:, None], vel, derived)
         heading = np.zeros(n) if self.heading is None else np.asarray(self.heading, dtype=float)
-        for name, value in (("t", t), ("x", positions[:, 0]), ("y", positions[:, 1]),
-                            ("heading", heading), ("vx", vel[:, 0]), ("vy", vel[:, 1]),
-                            ("has_vel", has_vel), ("positions", positions), ("velocities", vel)):
+        for name, value in zip(_COLUMNS, (t, x, y, heading, vx, vy, has_vel)):
             object.__setattr__(self, name, value)
+
+    positions = property(lambda self: np.array((self.x, self.y)).T)
+    velocities = property(lambda self: np.array((self.vx, self.vy)).T)
 
     def __eq__(self, other):
         if not isinstance(other, AgentRecord):
@@ -259,28 +254,39 @@ def _param_echo(params: MetricParams, name: str):
     return value
 
 
-def finite_difference_velocities(t: np.ndarray, xy: np.ndarray) -> np.ndarray:
-    """Central differences at interior samples, one-sided at the endpoints."""
-    vel = np.empty_like(xy)
-    vel[0] = (xy[1] - xy[0]) / (t[1] - t[0])
-    vel[-1] = (xy[-1] - xy[-2]) / (t[-1] - t[-2])
-    if len(t) > 2:
-        vel[1:-1] = (xy[2:] - xy[:-2]) / (t[2:] - t[:-2])[:, None]
-    return vel
+def agent_rows(lengths) -> tuple[np.ndarray, np.ndarray]:
+    """(offsets, owner) of agents of these lengths laid end to end: agent i holds rows
+    ``offsets[i]`` to ``offsets[i + 1] - 1``, and row k belongs to agent ``owner[k]``."""
+    offsets = np.zeros(len(lengths) + 1, dtype=np.intp)
+    np.cumsum(lengths, out=offsets[1:])
+    return offsets, np.repeat(np.arange(len(lengths)), offsets[1:] - offsets[:-1])
 
 
-def motion_headings(agent: AgentRecord) -> np.ndarray:
-    """Headings from the direction of motion, one per sample.
+def differences(t: np.ndarray, columns: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The (K, N) rates of change over times t of (K, N) columns of agents laid end to
+    end at ``offsets``: central, one-sided at an agent's ends, zero for a single sample."""
+    starts, ends = offsets[:-1], offsets[1:] - 1
+    two = ends > starts  # agents of two samples or more
+    lo = np.concatenate((starts[two], ends[two] - 1))
+    rates = np.empty_like(columns)
+    with np.errstate(all="ignore"):  # columns that fail their checks come here too
+        rates[:, 1:-1] = (columns[:, 2:] - columns[:, :-2]) / (t[2:] - t[:-2])
+        rates[:, np.concatenate((starts[two], ends[two]))] = (
+            (columns[:, lo + 1] - columns[:, lo]) / (t[lo + 1] - t[lo]))
+    rates[:, starts[ends == starts]] = 0.0
+    return rates
 
-    Stationary samples carry the previous heading forward; an initially
-    stationary agent gets heading 0. ``math.hypot``/``math.atan2`` keep the
-    bits of the per-sample rule (numpy's differ in the last place).
-    """
-    vx, vy = agent.vx.tolist(), agent.vy.tolist()
+
+def motion_headings(vx: np.ndarray, vy: np.ndarray, first) -> np.ndarray:
+    """Headings from the direction of motion (vx, vy): a stationary sample carries
+    forward the last moving one's at or after ``first``, its agent's first index,
+    else 0. ``math.hypot``/``math.atan2`` keep the bits of the per-sample rule
+    (numpy's differ in the last place)."""
+    vx, vy = vx.tolist(), vy.tolist()
     moving = np.array(list(map(math.hypot, vx, vy))) > 1e-9
     angles = np.array(list(map(math.atan2, vy, vx)))
     last = np.maximum.accumulate(np.where(moving, np.arange(len(vx)), -1))
-    return wrap_angle(np.where(last >= 0, angles[last], 0.0))
+    return wrap_angle(np.where(last >= first, angles[last], 0.0))
 
 
 def _too_many_steps(span: float, dt: float) -> str:
@@ -448,59 +454,61 @@ class RobotPairs:
 
 # --- Validation ------------------------------------------------------------
 
-def _sample_issues(base: str, agent: AgentRecord) -> list[tuple[str, str]]:
-    """Per-sample violations of one agent, checked a column at a time.
-
-    A sample with a non-finite time or position gets that one issue and is
-    skipped; the time and speed checks compare each sample with the last
-    one that was not. Messages are formatted only for violations, and
-    sorted by sample index into the order a per-sample scan reports them.
-    """
-    t, x, y, heading = agent.t, agent.x, agent.y, agent.heading
+def _sample_issues(agents) -> list[list[tuple[str, str]]]:
+    """Per-sample violations of each agent (at ``/agents/<i>``), checked a column
+    at a time with the agents laid end to end. A sample with a non-finite time
+    or position gets that one issue and is skipped; the time and speed checks
+    compare each sample with the last one of its agent that was not. Messages
+    are formatted only for violations, and sorted by sample index into the
+    order a per-sample scan of each agent reports them."""
+    out = [[] for _ in agents]
+    if not agents:
+        return out
+    t, x, y, heading, vx, vy, has_vel = (np.concatenate([getattr(a, c) for a in agents])
+                                         for c in _COLUMNS)
+    offsets, owner = agent_rows([len(a.t) for a in agents])
     finite_t = np.isfinite(t)
     good = finite_t & np.isfinite(x) & np.isfinite(y)
     bad_heading = good & ~(np.abs(heading) <= math.pi + 1e-9)  # also catches nan and inf
-    bad_vel = good & agent.has_vel & ~np.isfinite(agent.velocities).all(axis=1)
-    found = []  # (sample index, rank within the sample, path, message)
+    bad_vel = good & has_vel & ~(np.isfinite(vx) & np.isfinite(vy))
+    found = []  # (agent, sample index, rank within the sample, path, message)
 
-    def add(mask, rank, suffix, message):
-        for j in np.flatnonzero(mask).tolist():
-            found.append((j, rank, f"{base}/states/{j}{suffix}", message(j)))
+    def add(k, rank, suffix, message):
+        i, j = int(owner[k]), k - int(offsets[owner[k]])
+        found.append((i, j, rank, f"/agents/{i}/states/{j}{suffix}", message))
 
     if not good.all() or bad_heading.any() or bad_vel.any():
-        add(~finite_t, 0, "/t", lambda j: "must be finite")
-        add(finite_t & ~good, 0, "", lambda j: "position must be finite")
         finite_heading = np.isfinite(heading)
-        add(bad_heading & ~finite_heading, 1, "/theta", lambda j: "must be finite")
-        add(bad_heading & finite_heading, 1, "/theta",
-            lambda j: f"must lie in (-pi, pi], got {float(heading[j])}")
-        add(bad_vel, 2, "/vx", lambda j: "velocity must be finite")
+        for mask, rank, suffix, message in (
+                (~finite_t, 0, "/t", "must be finite"),
+                (finite_t & ~good, 0, "", "position must be finite"),
+                (bad_heading & ~finite_heading, 1, "/theta", "must be finite"),
+                (bad_vel, 2, "/vx", "velocity must be finite")):
+            for k in np.flatnonzero(mask).tolist():
+                add(k, rank, suffix, message)
+        for k in np.flatnonzero(bad_heading & finite_heading).tolist():
+            add(k, 1, "/theta", f"must lie in (-pi, pi], got {float(heading[k])}")
 
     kept = np.flatnonzero(good)
-    if len(kept) < len(t):
-        t, x, y = t[kept], x[kept], y[kept]
+    t, x, y, agent = t[kept], x[kept], y[kept], owner[kept]
     with np.errstate(all="ignore"):
-        dt, dx, dy = np.diff(t), np.diff(x), np.diff(y)
+        dt, dx, dy = t[1:] - t[:-1], x[1:] - x[:-1], y[1:] - y[:-1]
+        within = agent[1:] == agent[:-1]  # no step crosses from one agent to the next
         forward = dt > 0
-        step = np.flatnonzero(forward)
-        if len(step) < len(dt):
-            for k in np.flatnonzero(~forward).tolist():
-                j = int(kept[k + 1])
-                found.append((j, 3, f"{base}/states/{j}/t", "timestamps must be strictly "
-                              f"increasing ({float(t[k])} -> {float(t[k + 1])})"))
-            dt, dx, dy = dt[step], dx[step], dy[step]
         # np.hypot may differ from math.hypot in the last place, far inside
         # this margin: it only picks the candidates, math.hypot decides.
-        near = np.flatnonzero(np.hypot(dx, dy) / dt > V_CAP * (1 - 1e-9))
-    for k in near.tolist():
+        near = within & forward & (np.hypot(dx, dy) / dt > V_CAP * (1 - 1e-9))
+    for k in np.flatnonzero(within & ~forward).tolist():
+        add(int(kept[k + 1]), 3, "/t", "timestamps must be strictly increasing "
+            f"({float(t[k])} -> {float(t[k + 1])})")
+    for k in np.flatnonzero(near).tolist():
         speed = math.hypot(dx[k], dy[k]) / float(dt[k])
         if speed > V_CAP:
-            j = int(kept[step[k] + 1])
             shown = f"{speed:.2f}" if speed < 1e6 else f"{speed:.3e}"  # not 309 digits at 1e308
-            found.append((j, 3, f"{base}/states/{j}",
-                          f"implied speed {shown} m/s exceeds cap {V_CAP} m/s"))
-    found.sort()
-    return [(path, message) for _, _, path, message in found]
+            add(int(kept[k + 1]), 3, "", f"implied speed {shown} m/s exceeds cap {V_CAP} m/s")
+    for i, _, _, path, message in sorted(found):
+        out[i].append((path, message))
+    return out
 
 
 def obstacle_issues(obstacles: ObstacleMap) -> list[tuple[str, str]]:
@@ -546,7 +554,7 @@ def check_episode(episode: Episode) -> list[tuple[str, str]]:
     elif robot.kind is not AgentKind.ROBOT:
         issues.append(("/robot_under_test", f"agent {robot.id!r} is not of kind robot"))
 
-    for i, agent in enumerate(episode.agents):
+    for i, (agent, samples) in enumerate(zip(episode.agents, _sample_issues(episode.agents))):
         base = f"/agents/{i}"
         if not (agent.radius > 0 and math.isfinite(agent.radius)):
             issues.append((f"{base}/radius", f"must be > 0, got {agent.radius}"))
@@ -558,7 +566,6 @@ def check_episode(episode: Episode) -> list[tuple[str, str]]:
                 issues.append((f"{base}/goal/tolerance", f"must be > 0, got {agent.goal.tolerance}"))
             if not (math.isfinite(agent.goal.x) and math.isfinite(agent.goal.y)):
                 issues.append((f"{base}/goal", "position must be finite"))
-        samples = _sample_issues(base, agent)
         issues.extend(samples)
         if agent is robot and not samples and (too_many := _too_many_steps(
                 agent.t_end - agent.t_start, median_sample_interval(agent))):

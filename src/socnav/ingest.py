@@ -6,9 +6,10 @@ a params object and a summary are read by ``read_dataclass``: each field
 at ``path/<name>``, by the reader its annotation names (``str``, ``int``,
 ``float``, ``tuple[T, ...]``, ``frozenset[T]`` or a nested dataclass). A
 field with a default may be absent; an ``Optional`` field may be null.
-An episode's states are read a field at a time (``_column``): a column of
-plain numbers converts whole, and only one that does not has its entries
-read by ``_number``, so every number in a document obeys one rule.
+An episode's states, all agents' laid end to end at agent offsets, are read,
+derived and checked as one block, a field at a time (``_column``): a column of
+plain numbers converts whole, and only one that is not has its entries read by
+``_number``, so every number obeys one rule; issues keep a per-agent walk's order.
 ``import_tsv`` only translates: it writes the table as an episode document
 and builds the episode with the same decoder, so an import obeys every
 rule ``validate`` applies. ``serialize_episode`` writes the canonical bytes
@@ -28,9 +29,9 @@ from __future__ import annotations
 import json
 import math
 import typing
-from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from functools import cache, lru_cache, partial
-from itertools import repeat
+from itertools import chain, repeat
 from operator import contains, itemgetter
 
 import numpy as np
@@ -43,8 +44,9 @@ from .core import (
     EpisodeLabel,
     Goal,
     ObstacleMap,
+    agent_rows,
     check_episode,
-    finite_difference_velocities,
+    differences,
     motion_headings,
     positive_finite,
 )
@@ -251,66 +253,100 @@ def _entries(states, key, optional):
         present = list(map(contains, states, repeat(key)))
     if optional and not any(present):
         return None, False
-    return [s.get(key, 0.0) for s in states], present
+    return list(map(dict.get, states, repeat(key), repeat(0.0))), present
 
 
-def _column(states, key, path, issues, values, present):
-    """One field of every state from its ``_entries``: (float64 column, presence),
-    or None if a t/x/y entry cannot be read. Entries are read one by one, by
-    ``_number`` at ``path/<j>/<key>``, only if the column is not all plain numbers.
-    An omitted or unreadable optional entry reads 0.0 and counts as absent."""
+def _places(lists) -> list[tuple[int, str]]:
+    """The agent and the path of each state of ``lists`` laid end to end."""
+    return [(i, f"/agents/{i}/states/{j}") for i, own in enumerate(lists) for j in range(len(own))]
+
+
+def _column(states, key, lists, walks, values, present):
+    """One field of the block's states from its ``_entries``: (float64 column, presence).
+    Entries are read by ``_number`` into their agent's walk only if the column is not all
+    plain numbers; an omitted or unreadable optional entry reads 0.0 and counts as absent."""
     optional = key in _OPTIONAL
     if present is False:
         return np.zeros(len(states)), [False] * len(states)
     kinds = set(map(type, values))
     if kinds <= {float, int} and (present is True or optional):
         try:
-            return np.array(list(map(float, values)) if int in kinds else values,
-                            dtype=float), present
+            return np.fromiter(values, float, len(values)), present  # float() of each
         except OverflowError:
             pass
-    numbers = [_number(s, key, f"{path}/{j}", issues, required=not optional)
-               for j, s in enumerate(states)]
+    numbers = [_number(s, key, path, walks[i], required=not optional)
+               for s, (i, path) in zip(states, _places(lists))]
     present = [v is not None for v in numbers]
-    if not (optional or all(present)):
-        return None
     return np.array([v if p else 0.0 for v, p in zip(numbers, present)]), present
 
 
-def _state_columns(states, path, issues, unknown):
-    """(t, x, y, theta, has_theta, vx, vy, has_vel) of a states array, or None
-    if a state is not an object or a t/x/y entry cannot be read.
-
-    Issues go by field (t, x, y, theta, vx/vy pairing, vx, vy), then by
-    state. A state whose vx or vy lacks its partner counts as having neither.
-    """
-    if set(map(type, states)) - {dict}:
-        for j, raw in enumerate(states):
+def _state_columns(lists, unknown) -> list[tuple[_Issues, dict | None]]:
+    """Every agent's states array (or None) laid end to end and decoded as one block:
+    per agent, the issues a walk of its states finds, by field (t, x, y, theta, vx/vy
+    pairing, vx, vy) then by state, and its ``AgentRecord`` columns as read-only slices
+    of the block, or None if a state is not an object (each such state is then its only
+    issue) or a t/x/y entry cannot be read. An unpaired vx or vy counts as neither."""
+    walks = [_Issues() for _ in lists]
+    readable = [isinstance(own, list) for own in lists]
+    lists = [own if ok else [] for own, ok in zip(lists, readable)]
+    states = list(chain.from_iterable(lists))
+    try:
+        keys = sum(map(dict.__len__, states))  # TypeError: a state is not an object
+    except TypeError:
+        for raw, (i, path) in zip(states, _places(lists)):
             if type(raw) is not dict:
-                issues.error(f"{path}/{j}", f"expected an object, got {type(raw).__name__}")
-        return None
+                walks[i].error(path, f"expected an object, got {type(raw).__name__}")
+                readable[i] = False
+        lists = [own if ok else [] for own, ok in zip(lists, readable)]
+        states = list(chain.from_iterable(lists))
+        keys = sum(map(len, states))
+    offsets, owner = agent_rows(list(map(len, lists)))
+
     entries = [_entries(states, key, key in _OPTIONAL) for key in _STATE_KEYS]
-    columns = [_column(states, key, path, issues, *e) for key, e in zip(_STATE_KEYS[:4], entries)]
+    columns = [_column(states, key, lists, walks, *e) for key, e in zip(_STATE_KEYS[:4], entries)]
     velocity = states
     if entries[4][1] != entries[5][1]:  # presence is True, False or a mixed list
         velocity = [s if ("vx" in s) == ("vy" in s) else {} for s in states]
-        for j, raw in enumerate(states):
-            if velocity[j] is not raw:
-                issues.error(f"{path}/{j}/{'vy' if 'vx' in raw else 'vx'}",
-                             "vx and vy must be given together")
+        for raw, kept, (i, path) in zip(states, velocity, _places(lists)):
+            if kept is not raw:
+                walks[i].error(f"{path}/{'vy' if 'vx' in raw else 'vx'}",
+                               "vx and vy must be given together")
         entries[4:] = [_entries(velocity, key, True) for key in ("vx", "vy")]
-    columns += [_column(velocity, key, path, issues, *e)
+    columns += [_column(velocity, key, lists, walks, *e)
                 for key, e in zip(_STATE_KEYS[4:], entries[4:])]
-    if None in columns[:3]:
-        return None
-    if sum(map(len, states)) != sum(len(states) if p is True else sum(p) for _, p in columns):
-        for j, raw in enumerate(states):  # some state has a key beyond the six
-            _collect_unknown(raw, _STATE_KEYS, f"{path}/{j}", unknown)
+    for _, present in columns[:3]:
+        if present is not True:
+            for p, (i, _) in zip(present, _places(lists)):
+                readable[i] = readable[i] and p
+    if keys != sum(len(states) if p is True else sum(p) for _, p in columns):
+        for raw, (_, path) in zip(states, _places(lists)):  # a key beyond the six
+            _collect_unknown(raw, _STATE_KEYS, path, unknown)
+
     (t, _), (x, _), (y, _), (theta, has_theta), (vx, has_vx), (vy, has_vy) = columns
-    return t, x, y, theta, has_theta, vx, vy, np.ones(len(t), dtype=bool) & has_vx & has_vy
+    has_theta = np.ones(len(t), dtype=bool) & has_theta
+    has_vel = np.ones(len(t), dtype=bool) & has_vx & has_vy
+    if not has_vel.all():
+        vx, vy = np.where(has_vel, (vx, vy), differences(t, np.array((x, y)), offsets))
+    heading = wrap_angle(theta)
+    if not has_theta.all():
+        # Headings are synthesized for the agents with a sample lacking theta,
+        # two samples or more, and strictly increasing times.
+        stalled = owner[1:][(owner[1:] == owner[:-1]) & ~(t[1:] > t[:-1])]
+        synthesize = ((np.bincount(owner[~has_theta], minlength=len(lists)) > 0)
+                      & (np.bincount(stalled, minlength=len(lists)) == 0) & (np.diff(offsets) >= 2))
+        rows = np.flatnonzero(synthesize[owner])
+        motion = motion_headings(vx[rows], vy[rows], np.searchsorted(rows, offsets[owner[rows]]))
+        heading[rows] = np.where(has_theta[rows], heading[rows], motion)
+    block = {"t": t, "x": x, "y": y, "heading": heading, "vx": vx, "vy": vy, "has_vel": has_vel}
+    for column in block.values():
+        column.flags.writeable = False  # a parsed episode is shared: see parse_episode
+    ends = offsets.tolist()
+    return [(walk, {name: column[start:end] for name, column in block.items()} if ok else None)
+            for walk, ok, start, end in zip(walks, readable, ends, ends[1:])]
 
 
-def _parse_agent(raw, path, issues, unknown) -> AgentRecord | None:
+def _parse_agent(raw, path, issues, unknown, walk, columns) -> dict | None:
+    """The ``AgentRecord`` fields of ``raw`` and its states' ``walk`` and ``columns``, or None."""
     if not isinstance(raw, dict):
         issues.error(path, f"expected an object, got {type(raw).__name__}")
         return None
@@ -338,25 +374,14 @@ def _parse_agent(raw, path, issues, unknown) -> AgentRecord | None:
         if None not in (gx, gy, gtol):
             goal = Goal(gx, gy, gtol)
 
-    states_raw = raw.get("states")
-    if not isinstance(states_raw, list):
+    if not isinstance(raw.get("states"), list):
         issues.error(f"{path}/states", "missing or not an array")
         return None
-    columns = _state_columns(states_raw, f"{path}/states", issues, unknown)
-    if columns is None:
+    for issue in walk.items:
+        issues.error(issue.path, issue.message)
+    if columns is None or agent_id is None or kind is None or radius is None:
         return None
-    t, x, y, theta, has_theta, vx, vy, has_vel = columns
-
-    if agent_id is None or kind is None or radius is None:
-        return None
-    heading = wrap_angle(theta)
-    record = AgentRecord(id=agent_id, kind=kind, radius=radius, t=t, x=x, y=y,
-                         heading=heading, vx=vx, vy=vy, has_vel=has_vel, goal=goal)
-    if (has_theta is not True and len(t) >= 2
-            and bool(np.all(record.t[1:] > record.t[:-1]))):
-        synthesized = np.where(has_theta, heading, motion_headings(record))
-        record = replace(record, heading=synthesized)
-    return record
+    return dict(id=agent_id, kind=kind, radius=radius, goal=goal, **columns)
 
 
 def _segment(obj, key, path, issues):
@@ -429,9 +454,12 @@ def _build_episode(doc, issues: _Issues) -> Episode | None:
     broken = not isinstance(agents_raw, list)
     if broken:
         issues.error("/agents", "missing or not an array")
+        agents_raw = []
+    states = _state_columns([raw.get("states") if isinstance(raw, dict) else None
+                             for raw in agents_raw], unknown)
     agents = []
-    for i, araw in enumerate(agents_raw if not broken else []):
-        agent = _parse_agent(araw, f"/agents/{i}", issues, unknown)
+    for i, (araw, (walk, columns)) in enumerate(zip(agents_raw, states)):
+        agent = _parse_agent(araw, f"/agents/{i}", issues, unknown, walk, columns)
         if agent is None:
             broken = True
         else:
@@ -462,7 +490,7 @@ def _build_episode(doc, issues: _Issues) -> Episode | None:
     if broken or episode_id is None or robot_id is None:
         return None
     episode = Episode(episode_id=episode_id, robot_under_test=robot_id,
-                      agents=tuple(agents), obstacles=obstacles,
+                      agents=tuple(AgentRecord(**agent) for agent in agents), obstacles=obstacles,
                       labels=tuple(labels), metadata=metadata)
     # Name an obstacle set or segment by its place in the file. check_episode
     # visits dynamic sets by stamp; their issues go by set, then t, then segment.
@@ -491,7 +519,7 @@ def parse_episode(document: bytes | str) -> Episode:
     Raises MalformedDocument, SchemaError (with a JSON-pointer path), or
     InvariantError (model invariant broken, e.g. non-monotonic timestamps):
     the first error ``validate`` reports. Parsing the same document twice
-    in a row returns the same Episode object, so it must not be written to.
+    in a row returns the same Episode object: its columns are read-only.
     """
     episode, issues = _decode(bytes(document) if type(document) is bytearray else document)
     issues.raise_first()
@@ -514,36 +542,41 @@ def validate(document: bytes | str) -> list[ValidationIssue]:
 
 def _velocity_consistency_warnings(episode: Episode) -> list[ValidationIssue]:
     """Warn where a stored velocity disagrees with finite differences by more
-    than 0.1 m/s and by more than 20% of the larger of the two speeds.
-
-    Only interior states are checked: the one-sided endpoint differences
-    are first-order and legitimately disagree with instantaneous
-    velocities whenever the agent is accelerating.
-    """
-    out = []
-    for i, agent in enumerate(episode.agents):
-        inner = np.flatnonzero(agent.has_vel[1:-1]) + 1
-        if not inner.size:
+    than 0.1 m/s and by more than 20% of the larger of the two speeds, at the
+    first such interior state of each agent, the agents laid end to end. The
+    one-sided endpoint differences are first-order and legitimately disagree
+    with instantaneous velocities whenever the agent is accelerating."""
+    if not episode.agents:
+        return []
+    t, x, y, vx, vy, has_vel = (np.concatenate([getattr(a, c) for a in episode.agents])
+                                for c in ("t", "x", "y", "vx", "vy", "has_vel"))
+    offsets, owner = agent_rows([len(a.t) for a in episode.agents])
+    j = np.arange(len(t)) - offsets[owner]  # the index of each state in its agent
+    inner = np.flatnonzero(has_vel & (j > 0) & (j < np.diff(offsets)[owner] - 1))
+    if not inner.size:
+        return []
+    vx, vy, before, after = vx[inner], vy[inner], inner - 1, inner + 1
+    with np.errstate(all="ignore"):  # an interior state's finite difference is central
+        fx, fy = ((c[after] - c[before]) / (t[after] - t[before]) for c in (x, y))
+        ex, ey = vx - fx, vy - fy
+        # np.hypot may differ from math.hypot in the last place, far inside
+        # this margin: it only picks the candidates, math.hypot decides.
+        dev = np.hypot(ex, ey)
+        scale = np.maximum(np.hypot(fx, fy), np.hypot(vx, vy))
+        near = (dev > 0.1 * (1 - 1e-9)) & (dev > 0.2 * scale * (1 - 1e-9))
+    found = {}  # the first warning of each agent
+    candidates = np.flatnonzero(near)
+    for k, i in zip(candidates.tolist(), owner[inner[candidates]].tolist()):
+        if i in found:
             continue
-        vx, vy = agent.vx[inner], agent.vy[inner]
-        with np.errstate(all="ignore"):
-            fd = finite_difference_velocities(agent.t, agent.positions)[inner]
-            ex, ey = vx - fd[:, 0], vy - fd[:, 1]
-            # np.hypot may differ from math.hypot in the last place, far inside
-            # this margin: it only picks the candidates, math.hypot decides.
-            dev = np.hypot(ex, ey)
-            scale = np.maximum(np.hypot(fd[:, 0], fd[:, 1]), np.hypot(vx, vy))
-            near = (dev > 0.1 * (1 - 1e-9)) & (dev > 0.2 * scale * (1 - 1e-9))
-        for k in np.flatnonzero(near).tolist():
-            dev = math.hypot(ex[k], ey[k])
-            scale = max(math.hypot(fd[k, 0], fd[k, 1]), math.hypot(vx[k], vy[k]))
-            if dev > 0.1 and dev > 0.2 * scale:
-                shown = f"{dev:.3f}" if dev < 1e6 else f"{dev:.3e}"  # not 200 digits at 1e200
-                out.append(ValidationIssue(
-                    "warning", f"/agents/{i}/states/{inner[k]}/vx",
-                    f"stored velocity deviates from finite difference by {shown} m/s (>20%)"))
-                break  # one warning per agent is enough
-    return out
+        dev = math.hypot(ex[k], ey[k])
+        scale = max(math.hypot(fx[k], fy[k]), math.hypot(vx[k], vy[k]))
+        if dev > 0.1 and dev > 0.2 * scale:
+            shown = f"{dev:.3f}" if dev < 1e6 else f"{dev:.3e}"  # not 200 digits at 1e200
+            found[i] = ValidationIssue(
+                "warning", f"/agents/{i}/states/{j[inner[k]]}/vx",
+                f"stored velocity deviates from finite difference by {shown} m/s (>20%)")
+    return list(found.values())
 
 
 # --- Serialization ----------------------------------------------------------

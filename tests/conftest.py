@@ -33,7 +33,7 @@ def make_agent(agent_id, points, dt=0.1, t0=0.0, kind=AgentKind.HUMAN, radius=0.
                          vx=None if vel is None else vel[:, 0],
                          vy=None if vel is None else vel[:, 1], goal=goal)
     if headings is None and len(t) >= 2:
-        record = replace(record, heading=motion_headings(record))
+        record = replace(record, heading=motion_headings(record.vx, record.vy, 0))
     return record
 
 

@@ -497,11 +497,24 @@ def event_runs_oracle(mask):
 # The velocity rule, heading synthesis and episode checks as they were first
 # written: one state object of ``AgentRecord.states`` at a time, on Python floats.
 
+def finite_differences_oracle(times, positions):
+    """(N, 2) central differences of positions, one-sided at the two ends: a
+    sample at a time, on numpy floats (a zero time step gives inf or nan)."""
+    import numpy as np
+
+    n = len(times)
+    out = np.empty((n, 2))
+    for j in range(n):
+        lo, hi = max(j - 1, 0), min(j + 1, n - 1)
+        dt = times[hi] - times[lo]
+        out[j] = ((positions[hi][0] - positions[lo][0]) / dt,
+                  (positions[hi][1] - positions[lo][1]) / dt)
+    return out
+
+
 def velocities_oracle(agent):
     """(N, 2) velocities: stored where given, else finite differences."""
     import numpy as np
-
-    from socnav.core import finite_difference_velocities
 
     states = agent.states
     given = [(s["vx"], s["vy"]) if "vx" in s else None for s in states]
@@ -509,7 +522,7 @@ def velocities_oracle(agent):
         return np.array(given).reshape(-1, 2)
     times = np.array([s["t"] for s in states])
     positions = np.array([(s["x"], s["y"]) for s in states])
-    fd = finite_difference_velocities(times, positions)
+    fd = finite_differences_oracle(times, positions)
     for i, v in enumerate(given):
         if v is not None:
             fd[i] = v
@@ -566,8 +579,6 @@ def velocity_warnings_oracle(episode, rel_tol=0.2, abs_floor=0.1):
     """ingest's velocity-consistency warnings, one interior state at a time: (path, message)."""
     import numpy as np
 
-    from socnav.core import finite_difference_velocities
-
     out = []
     for i, agent in enumerate(episode.agents):
         states = agent.states
@@ -575,7 +586,7 @@ def velocity_warnings_oracle(episode, rel_tol=0.2, abs_floor=0.1):
             continue
         times = np.array([s["t"] for s in states])
         positions = np.array([(s["x"], s["y"]) for s in states])
-        fd = finite_difference_velocities(times, positions)
+        fd = finite_differences_oracle(times, positions)
         for j in range(1, len(states) - 1):
             s = states[j]
             if "vx" not in s:

@@ -548,14 +548,25 @@ _NODE_VALUES = [DELETE, None, True, "x", 10 ** 400, -1.0, 1e308, 0, [], {}]
 def _node_edits():
     """Each golden and crowd episode, a valid one cut to the first four states of
     each agent, with each node replaced or deleted twice, by the values of
-    ``_NODE_VALUES`` in turn."""
+    ``_NODE_VALUES`` in turn. The bytes are ``edited``'s: an edit inside one agent
+    dumps that agent alone and joins it with the text of the rest, as
+    ``json.dumps`` writes the whole document."""
     for name, document in {**_GOLDEN_DOCUMENTS, **_CROWD_DOCUMENTS}.items():
         d = json.loads(document)
         for agent in d["agents"] if "invalid" not in name else ():
             agent["states"] = agent["states"][:4]
         pointers = list(json_pointers(d))[1:]
+        texts = {f"{json.dumps(key)}: ": json.dumps(value) for key, value in d.items()}
+        agents = [json.dumps(a) for a in d["agents"]] if type(d.get("agents")) is list else []
         for k in range(2 * len(pointers)):
-            yield edited(d, pointers[k // 2], _NODE_VALUES[k % len(_NODE_VALUES)])
+            pointer, value = pointers[k // 2], _NODE_VALUES[k % len(_NODE_VALUES)]
+            if pointer[0] != "agents" or len(pointer) < 3 or not agents:
+                yield edited(d, pointer, value)
+                continue
+            i = pointer[1]
+            one = edited(d["agents"][i], pointer[2:], value).decode()
+            texts['"agents": '] = f"[{', '.join(agents[:i] + [one] + agents[i + 1:])}]"
+            yield f"{{{', '.join(key + text for key, text in texts.items())}}}".encode()
 
 
 # sha256 over, for each golden, each _CORRUPTED document, each crowd document and
@@ -651,6 +662,41 @@ class TestOneDecode:
             assert _outcome(fn, bytearray(document)) == fresh[fn]
             assert _outcome(fn, document) == fresh[fn]
         assert len(walks) == 1
+
+
+class TestOneBlock:
+    """An episode's agents are decoded as one block: each record is built once, and
+    the block is read-only, so a caller cannot change what a later parse returns."""
+
+    def test_each_agent_built_once(self, monkeypatch):
+        built = []
+        post_init = AgentRecord.__post_init__
+        monkeypatch.setattr(AgentRecord, "__post_init__",
+                            lambda self: built.append(self.id) or post_init(self))
+        ingest._decode.cache_clear()
+        episode = parse_episode(crowd_document(0))
+        assert len(episode.agents) >= 12
+        assert built == [a.id for a in episode.agents]
+
+    def test_write_to_a_parsed_episode_raises(self):
+        document = crowd_document(0)
+        ingest._decode.cache_clear()
+        episode = parse_episode(document)
+        for agent in episode.agents:
+            for name in ("t", "x", "y", "heading", "vx", "vy", "has_vel"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(agent, name)[0] = 99.0
+            agent.positions[0] = agent.velocities[0] = 99.0  # a fresh array on each access
+        again = parse_episode(document)
+        ingest._decode.cache_clear()
+        assert again == parse_episode(document)
+        assert again is not parse_episode(document)
+
+    def test_arrays_passed_to_a_record_keep_their_flags(self):
+        x = np.zeros(3)
+        record = AgentRecord(id="a", kind=AgentKind.HUMAN, radius=0.3, t=np.arange(3.0), x=x, y=x)
+        record.x[0] = 1.0  # the caller's own array, as given
+        assert x.flags.writeable and x[0] == 1.0
 
 
 class TestImportTsv:
