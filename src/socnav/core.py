@@ -1,11 +1,11 @@
 """Episode data model: agents, goals, obstacles, and kinematic derivations.
 
 Everything here is value-semantic and immutable after construction. An
-agent's samples are stored as float64 columns, and every computation reads
-those; a decoded episode's columns are read-only. ``AgentRecord.states`` is
-the agent's ``states`` array as the episode file holds it, one dict per
-sample built on each access. Points are held as the file writes them: a goal
-is ``(x, y, tolerance)`` and a wall segment the float tuple ``(x1, y1, x2, y2)``.
+agent's samples are float64 columns, every one given; a decoded or simulated
+episode's are read-only. ``Episode.columns`` lays every agent's end to end
+once, for the checks; the resampled view is one block, robot first. Points
+are held as the file writes them: a goal is ``(x, y, tolerance)`` and a wall
+segment the float tuple ``(x1, y1, x2, y2)``.
 """
 
 from __future__ import annotations
@@ -61,12 +61,10 @@ _COLUMNS = ("t", "x", "y", "heading", "vx", "vy", "has_vel")
 class AgentRecord:
     """One agent's trajectory as float64 columns, one entry per sample.
 
-    Columns given as float64 arrays are kept, not copied: a decoded episode's
-    are read-only. ``vx``/``vy``, when given, are every sample's velocity and
-    ``has_vel`` marks those the file stores (all by default); omitted, they are
-    central differences, one-sided at the ends or zero for a single sample, and
-    none is stored. ``positions`` and ``velocities`` are the same columns as
-    (N, 2) arrays, built on each access. Headings default to 0.
+    Every column is given and kept as given, not copied: a decoded or simulated
+    episode's are read-only. ``vx``/``vy`` are every sample's velocity, and
+    ``has_vel`` marks those the file stores. ``positions`` is x and y as an
+    (N, 2) array, built on each access.
     """
 
     id: str
@@ -75,26 +73,13 @@ class AgentRecord:
     t: np.ndarray
     x: np.ndarray
     y: np.ndarray
-    heading: Optional[np.ndarray] = None
-    vx: Optional[np.ndarray] = None
-    vy: Optional[np.ndarray] = None
-    has_vel: Optional[np.ndarray] = None
+    heading: np.ndarray
+    vx: np.ndarray
+    vy: np.ndarray
+    has_vel: np.ndarray
     goal: Optional[Goal] = None
 
-    def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
-        n = len(t)
-        x, y = (np.asarray(c, dtype=float).reshape(n) for c in (self.x, self.y))
-        given = self.vx is not None
-        vx, vy = ((np.asarray(c, dtype=float).reshape(n) for c in (self.vx, self.vy)) if given
-                  else differences(t, np.array((x, y)), np.array([0, n])))
-        has_vel = np.full(n, given) if self.has_vel is None else np.asarray(self.has_vel, bool)
-        heading = np.zeros(n) if self.heading is None else np.asarray(self.heading, dtype=float)
-        for name, value in zip(_COLUMNS, (t, x, y, heading, vx, vy, has_vel)):
-            object.__setattr__(self, name, value)
-
     positions = property(lambda self: np.array((self.x, self.y)).T)
-    velocities = property(lambda self: np.array((self.vx, self.vy)).T)
 
     def __eq__(self, other):
         if not isinstance(other, AgentRecord):
@@ -197,20 +182,32 @@ class Episode:
         """All agents except the robot under test."""
         return tuple(a for a in self.agents if a.id != self.robot_under_test)
 
+    @cached_property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The ``_COLUMNS`` of every agent laid end to end in file order, then their
+        ``(offsets, owner)`` (``agent_rows``): nine read-only arrays, built on first use."""
+        empty = (np.empty(0),) * 6 + (np.empty(0, bool),)  # the dtypes of no agents
+        block = (*(np.concatenate([e, *(getattr(a, c) for a in self.agents)])
+                   for c, e in zip(_COLUMNS, empty)),
+                 *agent_rows([len(a.t) for a in self.agents]))
+        for column in block:
+            column.flags.writeable = False
+        return block
+
     def resampled(self, dt: Optional[float] = None) -> tuple:
-        """(dt, timeline, robot, others, pairs) on ``common_timeline``: the robot, the
-        other agents as one block in file order, and the robot against each; dt defaults
-        to the robot's median interval (1.0 for a single state). Built once per dt, kept
-        in ``__dict__`` like ``robot``, and never written by metrics or classifiers."""
+        """(dt, timeline, robot, others, pairs) on ``common_timeline``: one view of the
+        robot and then the other agents in file order, cut into the robot's row, the
+        others' block and the robot against each; dt defaults to the robot's median
+        interval (1.0 for a single state). Built once per dt, kept in ``__dict__`` like
+        ``robot``, and never written by metrics or classifiers."""
         views = self.__dict__.setdefault("_resampled", {})
         key = (type(dt), dt)  # 1 and 1.0 are one key, but are echoed differently
         if key not in views:
             if dt is None:
                 dt = median_sample_interval(self.robot)
-            timeline = common_timeline(self, dt)
-            robot = SampledAgents(self.robot, timeline)
-            others = SampledAgents(self.others, timeline)
-            views[key] = (dt, timeline, robot, others, RobotPairs(robot, others))
+            view = SampledAgents((self.robot, *self.others), common_timeline(self, dt))
+            robot, others = view[0], view[1:]
+            views[key] = (dt, view.timeline, robot, others, RobotPairs(robot, others))
         return views[key]
 
 
@@ -376,43 +373,48 @@ def windows(timeline: np.ndarray, mask: np.ndarray, min_duration: float,
 class SampledAgents:
     """Agents on a timeline, the view metrics and classifiers share (``Episode.resampled``).
 
-    One agent gives its own arrays, ``pos`` and ``vel`` (T, 2) and the rest (T,);
-    a tuple of agents one block, a row per agent in order: (A, T, 2) and (A, T).
-    Position and velocity are interpolated linearly, an agent at a time on its own
-    raw times, and held at the ends; a single-state agent keeps its stored velocity,
-    or gets zero. ``active`` marks the steps inside each agent's own time span, and
-    ``goal_distance`` is NaN without a goal. ``heading`` waits for its first use.
+    A row per agent in order: ``pos`` and ``vel`` (A, T, 2), ``radius`` (A,) and the
+    rest (A, T). ``view[rows]`` is the view of some rows, each row's arrays as they
+    are: a slice gives a block, an int one agent's (T, 2) and (T,) arrays with
+    ``agents`` its record. Position, velocity and pose heading are interpolated
+    linearly, an agent at a time on its own raw times, and held at the ends; a
+    single-state agent keeps its stored velocity, or gets zero. ``active`` marks the
+    steps inside each agent's own time span, ``goal_distance`` is NaN without a goal,
+    and ``heading`` is the direction of the velocity while moving, else the pose.
     """
 
     def __init__(self, agents, timeline: np.ndarray):
-        single = isinstance(agents, AgentRecord)
-        self.agents = (agents,) if single else tuple(agents)
-        self.timeline = timeline
-        block = np.empty((2, len(self.agents), len(timeline), 2))  # positions, velocities
+        self.agents, self.timeline = tuple(agents), timeline
+        lengths = [len(a.t) for a in self.agents]
+        headings = np.zeros((len(lengths), max(lengths, default=0)))
         for i, a in enumerate(self.agents):
+            headings[i, :lengths[i]] = a.heading
+        headings = np.unwrap(headings, axis=1)  # the zeros after a row's end change none of it
+        block = np.empty((2, len(lengths), len(timeline), 2))  # positions, velocities
+        pose = np.empty(block.shape[1:3])
+        for i, (a, n) in enumerate(zip(self.agents, lengths)):
             for k, column in enumerate((a.x, a.y, a.vx, a.vy)):
                 block[k // 2, i, :, k % 2] = np.interp(timeline, a.t, column)
-        pos, vel = block
+            pose[i] = np.interp(timeline, a.t, headings[i, :n])
+        self.pos, self.vel = block
         starts, ends = (np.array([a.t[j] for a in self.agents])[:, None] for j in (0, -1))
-        active = (timeline >= starts - 1e-9) & (timeline <= ends + 1e-9)
+        self.active = (timeline >= starts - 1e-9) & (timeline <= ends + 1e-9)
         goals = np.array([(a.goal.x, a.goal.y, a.goal.tolerance) if a.goal else (np.nan,) * 3
                           for a in self.agents]).reshape(-1, 1, 3)
-        goal_distance = np.linalg.norm(pos - goals[..., :2], axis=-1)
+        self.goal_distance = np.linalg.norm(self.pos - goals[..., :2], axis=-1)
         # An agent that has reached its goal is done with its errand; the
         # residual braking creep after arrival must not read as an approach.
-        en_route = active & ~(np.cumsum(goal_distance <= goals[..., 2], axis=-1) > 0)
-        (self.pos, self.vel, self.active, self.speed, self.goal_distance, self.en_route,
-         self.radius) = (x[0] if single else x for x in (
-            pos, vel, active, np.linalg.norm(vel, axis=-1), goal_distance, en_route,
-            np.array([a.radius for a in self.agents])))
+        self.en_route = self.active & ~(np.cumsum(self.goal_distance <= goals[..., 2], axis=-1) > 0)
+        self.speed = np.linalg.norm(self.vel, axis=-1)
+        self.heading = np.where(self.speed > 1e-6, np.arctan2(self.vel[..., 1], self.vel[..., 0]),
+                                wrap_angle(pose))
+        self.radius = np.array([a.radius for a in self.agents])
 
-    @cached_property
-    def heading(self) -> np.ndarray:
-        """Direction of the velocity while moving, else the interpolated pose heading."""
-        pose = np.array([np.interp(self.timeline, a.t, np.unwrap(a.heading))
-                         for a in self.agents]).reshape(self.speed.shape)
-        return np.where(self.speed > 1e-6, np.arctan2(self.vel[..., 1], self.vel[..., 0]),
-                        wrap_angle(pose))
+    def __getitem__(self, rows) -> SampledAgents:
+        view = object.__new__(type(self))
+        view.__dict__ = {name: value if name == "timeline" else value[rows]
+                         for name, value in vars(self).items()}
+        return view
 
 
 class RobotPairs:
@@ -454,19 +456,15 @@ class RobotPairs:
 
 # --- Validation ------------------------------------------------------------
 
-def _sample_issues(agents) -> list[list[tuple[str, str]]]:
+def _sample_issues(episode: Episode) -> list[list[tuple[str, str]]]:
     """Per-sample violations of each agent (at ``/agents/<i>``), checked a column
-    at a time with the agents laid end to end. A sample with a non-finite time
+    at a time on ``Episode.columns``. A sample with a non-finite time
     or position gets that one issue and is skipped; the time and speed checks
     compare each sample with the last one of its agent that was not. Messages
     are formatted only for violations, and sorted by sample index into the
     order a per-sample scan of each agent reports them."""
-    out = [[] for _ in agents]
-    if not agents:
-        return out
-    t, x, y, heading, vx, vy, has_vel = (np.concatenate([getattr(a, c) for a in agents])
-                                         for c in _COLUMNS)
-    offsets, owner = agent_rows([len(a.t) for a in agents])
+    out = [[] for _ in episode.agents]
+    t, x, y, heading, vx, vy, has_vel, offsets, owner = episode.columns
     finite_t = np.isfinite(t)
     good = finite_t & np.isfinite(x) & np.isfinite(y)
     bad_heading = good & ~(np.abs(heading) <= math.pi + 1e-9)  # also catches nan and inf
@@ -554,7 +552,7 @@ def check_episode(episode: Episode) -> list[tuple[str, str]]:
     elif robot.kind is not AgentKind.ROBOT:
         issues.append(("/robot_under_test", f"agent {robot.id!r} is not of kind robot"))
 
-    for i, (agent, samples) in enumerate(zip(episode.agents, _sample_issues(episode.agents))):
+    for i, (agent, samples) in enumerate(zip(episode.agents, _sample_issues(episode))):
         base = f"/agents/{i}"
         if not (agent.radius > 0 and math.isfinite(agent.radius)):
             issues.append((f"{base}/radius", f"must be > 0, got {agent.radius}"))

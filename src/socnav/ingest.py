@@ -543,14 +543,10 @@ def validate(document: bytes | str) -> list[ValidationIssue]:
 def _velocity_consistency_warnings(episode: Episode) -> list[ValidationIssue]:
     """Warn where a stored velocity disagrees with finite differences by more
     than 0.1 m/s and by more than 20% of the larger of the two speeds, at the
-    first such interior state of each agent, the agents laid end to end. The
+    first such interior state of each agent, on ``Episode.columns``. The
     one-sided endpoint differences are first-order and legitimately disagree
     with instantaneous velocities whenever the agent is accelerating."""
-    if not episode.agents:
-        return []
-    t, x, y, vx, vy, has_vel = (np.concatenate([getattr(a, c) for a in episode.agents])
-                                for c in ("t", "x", "y", "vx", "vy", "has_vel"))
-    offsets, owner = agent_rows([len(a.t) for a in episode.agents])
+    t, x, y, _, vx, vy, has_vel, offsets, owner = episode.columns
     j = np.arange(len(t)) - offsets[owner]  # the index of each state in its agent
     inner = np.flatnonzero(has_vel & (j > 0) & (j < np.diff(offsets)[owner] - 1))
     if not inner.size:

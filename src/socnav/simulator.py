@@ -11,9 +11,9 @@ The step loops over agents on plain Python floats, because crowds are
 small enough that numpy's per-call overhead would dominate; the float
 arithmetic is fixed, so reruns stay byte-identical. `run` is the one
 entry: it keeps its state as plain float lists for the whole episode,
-advances it with `_advance`, and stacks the history into arrays once at
-the end. The walls felt at time t are the set `ObstacleMap.set_index(t)`
-picks, as in the metrics. Scenario jitter is numpy's PCG64 stream on ints.
+advances it with `_advance`, and stacks the history into read-only arrays
+once at the end. The walls felt at time t are `ObstacleMap.set_index(t)`'s
+set, as in the metrics. Scenario jitter is numpy's PCG64 stream on ints.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -40,7 +39,7 @@ from .core import (
 from .errors import InvariantError, UnknownScenario
 from .geometry import wrap_angle
 
-POLICIES = ("sfm", "straight_line_stop", "replay")
+POLICIES = ("sfm", "straight_line_stop")
 
 SCENARIO_NAMES = (
     "frontal_approach",
@@ -78,7 +77,6 @@ class AgentSpec:
     desired_speed: float = 1.0
     radius: float = 0.3
     waypoints: tuple[tuple[float, float], ...] = ()
-    replay: Optional[AgentRecord] = None  # the recorded track a replay agent follows
 
     def __post_init__(self):
         base = f"/agents/{self.agent_id}"
@@ -95,10 +93,6 @@ class AgentSpec:
         for k, waypoint in enumerate(self.waypoints):
             if not all(map(math.isfinite, waypoint)):
                 raise InvariantError(f"{base}/waypoints/{k}", "must be finite")
-        if self.policy == "replay" and (self.replay is None or not len(self.replay.t)
-                                        or not (np.diff(self.replay.t) > 0).all()):
-            raise InvariantError(f"{base}/replay",
-                                 "must be a non-empty track with strictly increasing times")
 
 
 @dataclass(frozen=True)
@@ -126,26 +120,20 @@ class SimConfig:
 
 
 def _initial(config: SimConfig) -> tuple[list, list, list]:
-    """Start positions, velocities and headings as plain floats."""
-    pos, vel, headings = [], [], []
+    """Start positions, velocities (zero) and headings as plain floats."""
+    pos, headings = [], []
     for spec in config.agents:
         x, y = map(float, spec.position)
-        vx = vy = heading = 0.0
+        heading = 0.0
         target = (spec.waypoints[0] if spec.waypoints
                   else (spec.goal.x, spec.goal.y) if spec.goal is not None else None)
         if target is not None:
             dx, dy = target[0] - x, target[1] - y
             if math.hypot(dx, dy) > 1e-9:
                 heading = wrap_angle(math.atan2(dy, dx))
-        if spec.policy == "replay":
-            track = spec.replay
-            x, y, heading = float(track.x[0]), float(track.y[0]), float(track.heading[0])
-            if track.has_vel[0]:
-                vx, vy = float(track.vx[0]), float(track.vy[0])
         pos.append((x, y))
-        vel.append((vx, vy))
         headings.append(heading)
-    return pos, vel, headings
+    return pos, [(0.0, 0.0)] * len(pos), headings
 
 
 def _away_from_segment(px: float, py: float, seg: tuple) -> tuple[float, float]:
@@ -158,10 +146,9 @@ def _away_from_segment(px: float, py: float, seg: tuple) -> tuple[float, float]:
 class _Plan:
     """What a step reads from a SimConfig, gathered once per episode.
 
-    One tuple per agent: (policy, waypoints as given, goal as (x, y,
-    tolerance) or None, desired speed, radius, radius sums with every
-    agent, replay track as float lists (t, x, y) or None), and the (ax, ay,
-    dx, dy, |d|^2) segment tuples of each of the scene's ``segment_sets``.
+    One tuple per agent: (policy, waypoints as given, goal as (x, y, tolerance)
+    or None, desired speed, radius and radius sums with every agent), and the
+    (ax, ay, dx, dy, |d|^2) segment tuples of each of the scene's ``segment_sets``.
     """
 
     def __init__(self, config: SimConfig):
@@ -170,9 +157,7 @@ class _Plan:
         self.agents = tuple(
             (spec.policy, spec.waypoints,
              None if spec.goal is None else (spec.goal.x, spec.goal.y, spec.goal.tolerance),
-             spec.desired_speed, r_i, [r_i + r_j for r_j in radii],
-             None if spec.replay is None else
-             (spec.replay.t.tolist(), spec.replay.x.tolist(), spec.replay.y.tolist()))
+             spec.desired_speed, r_i, [r_i + r_j for r_j in radii])
             for spec, r_i in zip(config.agents, radii))
         self.scene = config.scene
         self.segment_sets = []
@@ -182,23 +167,6 @@ class _Plan:
                 sx, sy = bx - ax, by - ay
                 segs.append((ax, ay, sx, sy, sx * sx + sy * sy))
             self.segment_sets.append(segs)
-
-
-def _track_position(track: tuple[list, list, list], t: float) -> tuple[float, float]:
-    """A replay track's position at t, held at the ends of its span.
-
-    Linear between the two samples that bracket t; a sample's own position
-    at its exact stamp.
-    """
-    times, xs, ys = track
-    t = max(min(t, times[-1]), times[0])
-    k = max(0, min(bisect_right(times, t) - 1, len(times) - 2))
-    if t == times[k]:  # always so for a single sample
-        return xs[k], ys[k]
-    if t == times[k + 1]:
-        return xs[k + 1], ys[k + 1]
-    frac = (t - times[k]) / (times[k + 1] - times[k])
-    return xs[k] + frac * (xs[k + 1] - xs[k]), ys[k] + frac * (ys[k + 1] - ys[k])
 
 
 def _advance(plan: _Plan, t: float, pos: list, vel: list, headings: list,
@@ -217,7 +185,7 @@ def _advance(plan: _Plan, t: float, pos: list, vel: list, headings: list,
     new_pos, new_vel, new_heading = [], [], []
     finite = True
 
-    for i, (policy, waypoints, goal, desired_speed, r_i, r_sum, replay) in enumerate(plan.agents):
+    for i, (policy, waypoints, goal, desired_speed, r_i, r_sum) in enumerate(plan.agents):
         px, py = pos[i]
         vx, vy = vel[i]
         # Advance waypoints while the agent is close enough to the current one.
@@ -232,75 +200,71 @@ def _advance(plan: _Plan, t: float, pos: list, vel: list, headings: list,
         heading = headings[i]
         nvx = nvy = 0.0
 
-        if policy == "replay":
-            qx, qy = _track_position(replay, t + dt)
-            nvx, nvy = (qx - px) / dt, (qy - py) / dt
+        # Without a target, d = 0 and the agent gets no goal drive.
+        if k < n_waypoints:
+            tx, ty = waypoints[k][0] - px, waypoints[k][1] - py
+        elif goal is not None:
+            tx, ty = goal[0] - px, goal[1] - py
         else:
-            # Without a target, d = 0 and the agent gets no goal drive.
-            if k < n_waypoints:
-                tx, ty = waypoints[k][0] - px, waypoints[k][1] - py
-            elif goal is not None:
-                tx, ty = goal[0] - px, goal[1] - py
-            else:
-                tx, ty = 0.0, 0.0
-            d = hypot(tx, ty)
-            at_goal = goal is not None and hypot(px - goal[0], py - goal[1]) <= goal[2]
+            tx, ty = 0.0, 0.0
+        d = hypot(tx, ty)
+        at_goal = goal is not None and hypot(px - goal[0], py - goal[1]) <= goal[2]
 
-            if policy == "straight_line_stop":
-                if not at_goal and d >= 1e-9:
-                    ex, ey = tx / d, ty / d
-                    heading = atan2(ey, ex)
-                    blocked = False
-                    for j, (qx, qy) in enumerate(pos):
-                        if j != i and ((qx - px) * ex + (qy - py) * ey > 0.0
-                                       and hypot(px - qx, py - qy)
-                                       <= r_sum[j] + _STOP_LOOKAHEAD):
+        if policy == "straight_line_stop":
+            if not at_goal and d >= 1e-9:
+                ex, ey = tx / d, ty / d
+                heading = atan2(ey, ex)
+                blocked = False
+                for j, (qx, qy) in enumerate(pos):
+                    if j != i and ((qx - px) * ex + (qy - py) * ey > 0.0
+                                   and hypot(px - qx, py - qy)
+                                   <= r_sum[j] + _STOP_LOOKAHEAD):
+                        blocked = True
+                        break
+                if not blocked:
+                    for seg in segs:
+                        gx, gy = _away_from_segment(px, py, seg)
+                        if (hypot(gx, gy) <= r_i + _STOP_LOOKAHEAD
+                                and gx * ex + gy * ey < 0.0):
                             blocked = True
                             break
-                    if not blocked:
-                        for seg in segs:
-                            gx, gy = _away_from_segment(px, py, seg)
-                            if (hypot(gx, gy) <= r_i + _STOP_LOOKAHEAD
-                                    and gx * ex + gy * ey < 0.0):
-                                blocked = True
-                                break
-                    if not blocked:
-                        speed = min(desired_speed, d / dt, v_max)
-                        nvx, nvy = ex * speed, ey * speed
+                if not blocked:
+                    speed = min(desired_speed, d / dt, v_max)
+                    nvx, nvy = ex * speed, ey * speed
 
+        else:
+            # SFM agent: goal attraction toward the current target.
+            if not (at_goal and k >= n_waypoints) and d > 1e-9:
+                fx = (desired_speed * tx / d - vx) / relaxation_time
+                fy = (desired_speed * ty / d - vy) / relaxation_time
             else:
-                # SFM agent: goal attraction toward the current target.
-                if not (at_goal and k >= n_waypoints) and d > 1e-9:
-                    fx = (desired_speed * tx / d - vx) / relaxation_time
-                    fy = (desired_speed * ty / d - vy) / relaxation_time
-                else:
-                    fx, fy = -vx / relaxation_time, -vy / relaxation_time
-                # Repulsion from the other agents.
-                rx = ry = 0.0
-                for j, (qx, qy) in enumerate(pos):
-                    if j == i:
-                        continue
-                    dx, dy = px - qx, py - qy
-                    dist = hypot(dx, dy)
-                    weight = repulsion_strength * exp(-(dist - r_sum[j]) / repulsion_range)
-                    safe = 1e-6 if 1e-6 > dist else dist  # max(dist, 1e-6) without the call
-                    rx += weight * (dx / safe)
-                    ry += weight * (dy / safe)
-                fx += rx
-                fy += ry
-                # Repulsion from obstacle segments, via each closest point.
-                for seg in segs:
-                    gx, gy = _away_from_segment(px, py, seg)
-                    gap = hypot(gx, gy)
-                    if gap < 1e-6:
-                        continue
-                    k_obs = obstacle_strength * exp(-(gap - r_i) / obstacle_range)
-                    fx += k_obs * gx / gap
-                    fy += k_obs * gy / gap
-                nvx, nvy = vx + fx * dt, vy + fy * dt
-                speed = hypot(nvx, nvy)
-                if speed > v_max:
-                    nvx, nvy = nvx / speed * v_max, nvy / speed * v_max
+                fx, fy = -vx / relaxation_time, -vy / relaxation_time
+            # Repulsion from the other agents.
+            rx = ry = 0.0
+            for j, (qx, qy) in enumerate(pos):
+                if j == i:
+                    continue
+                dx, dy = px - qx, py - qy
+                dist = hypot(dx, dy)
+                weight = repulsion_strength * exp(-(dist - r_sum[j]) / repulsion_range)
+                safe = 1e-6 if 1e-6 > dist else dist  # max(dist, 1e-6) without the call
+                rx += weight * (dx / safe)
+                ry += weight * (dy / safe)
+            fx += rx
+            fy += ry
+            # Repulsion from obstacle segments, via each closest point.
+            for seg in segs:
+                gx, gy = _away_from_segment(px, py, seg)
+                gap = hypot(gx, gy)
+                if gap < 1e-6:
+                    continue
+                k_obs = obstacle_strength * exp(-(gap - r_i) / obstacle_range)
+                fx += k_obs * gx / gap
+                fy += k_obs * gy / gap
+            nvx, nvy = vx + fx * dt, vy + fy * dt
+            speed = hypot(nvx, nvy)
+            if speed > v_max:
+                nvx, nvy = nvx / speed * v_max, nvy / speed * v_max
 
         nx, ny = px + nvx * dt, py + nvy * dt
         if hypot(nvx, nvy) > 1e-9:
@@ -343,10 +307,13 @@ def run(config: SimConfig) -> Episode:
     pos = np.fromiter(flat(flat(pos_history)), float, steps * n * 2).reshape(steps, n, 2)
     vel = np.fromiter(flat(flat(vel_history)), float, steps * n * 2).reshape(steps, n, 2)
     heading = np.fromiter(flat(heading_history), float, steps * n).reshape(steps, n)
+    has_vel = np.ones(steps, bool)
+    for column in (times, pos, vel, heading, has_vel):
+        column.flags.writeable = False
     agents = tuple(
         AgentRecord(id=spec.agent_id, kind=spec.kind, radius=spec.radius, t=times,
                     x=pos[:, i, 0], y=pos[:, i, 1], heading=heading[:, i],
-                    vx=vel[:, i, 0], vy=vel[:, i, 1], goal=spec.goal)
+                    vx=vel[:, i, 0], vy=vel[:, i, 1], has_vel=has_vel, goal=spec.goal)
         for i, spec in enumerate(config.agents))
     robot_id = next((a.agent_id for a in config.agents if a.kind is AgentKind.ROBOT),
                     config.agents[0].agent_id)

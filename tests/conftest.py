@@ -17,6 +17,7 @@ from socnav.core import (
     Episode,
     Goal,
     ObstacleMap,
+    differences,
     motion_headings,
 )
 from socnav.metrics import compute_all
@@ -24,17 +25,21 @@ from socnav.metrics import compute_all
 
 def make_agent(agent_id, points, dt=0.1, t0=0.0, kind=AgentKind.HUMAN, radius=0.3,
                goal=None, velocities=None, headings=None, times=None):
-    """Build an agent from a list of (x, y) points sampled at dt."""
+    """Build an agent from a list of (x, y) points sampled at dt. Velocities left out
+    are central differences, one-sided at the ends or zero for a single sample, and
+    none is stored; headings left out are the direction of motion (0 for one sample)."""
     xy = np.array(points, dtype=float).reshape(-1, 2)
     t = np.array(times, dtype=float) if times is not None else t0 + np.arange(len(xy)) * dt
-    vel = np.array(velocities, dtype=float).reshape(-1, 2) if velocities is not None else None
-    record = AgentRecord(id=agent_id, kind=kind, radius=radius, t=t, x=xy[:, 0], y=xy[:, 1],
-                         heading=headings,
-                         vx=None if vel is None else vel[:, 0],
-                         vy=None if vel is None else vel[:, 1], goal=goal)
-    if headings is None and len(t) >= 2:
-        record = replace(record, heading=motion_headings(record.vx, record.vy, 0))
-    return record
+    n = len(t)
+    if velocities is None:
+        vx, vy = differences(t, xy.T, np.array([0, n]))
+    else:
+        vx, vy = np.array(velocities, dtype=float).reshape(-1, 2).T
+    if headings is None:
+        headings = motion_headings(vx, vy, 0) if n >= 2 else np.zeros(n)
+    return AgentRecord(id=agent_id, kind=kind, radius=radius, t=t, x=xy[:, 0], y=xy[:, 1],
+                       heading=np.array(headings, dtype=float), vx=vx, vy=vy,
+                       has_vel=np.full(n, velocities is not None), goal=goal)
 
 
 def line_points(start, end, n):

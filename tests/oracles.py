@@ -3,12 +3,12 @@
 These deliberately avoid the library's vectorized code paths: plain loops,
 scalar math, and their own geometry, so a bug would have to appear twice
 to go unnoticed. ``interpolate_state`` and ``derive_velocities`` are the
-per-sample forms the simulator's replay and the metrics were first written
-against; ``interpolate_state`` returns its own ``State`` record. The
-library itself reads columns. ``reference_serialize_episode`` writes an
-episode from one whole-document dict, where the library writes one agent
-at a time. ``sampled_agent_oracle`` resamples one agent alone, where the
-library resamples all the others as one block.
+per-sample forms the metrics were first written against;
+``interpolate_state`` returns its own ``State`` record. The library itself
+reads columns. ``reference_serialize_episode`` writes an episode from one
+whole-document dict, where the library writes one agent at a time.
+``sampled_agent_oracle`` resamples one agent alone, where the library
+resamples every agent of an episode as one block.
 """
 
 from __future__ import annotations
@@ -359,13 +359,6 @@ def reference_step(state, config):
     safe = np.maximum(dist, 1e-6)
 
     for i, spec in enumerate(config.agents):
-        if spec.policy == "replay":
-            t_next = min(state.t + dt, spec.replay.t_end)
-            t_next = max(t_next, spec.replay.t_start)
-            s = interpolate_state(spec.replay, t_next)
-            new_vel[i] = ((s.position.x - pos[i, 0]) / dt, (s.position.y - pos[i, 1]) / dt)
-            continue
-
         target = current_target(spec, int(waypoint_idx[i]))
         at_goal = False
         if spec.goal is not None:

@@ -246,8 +246,6 @@ def test_10_throughput_reported():
 
 
 def _throughput_episode(rng, index):
-    from socnav.core import AgentRecord
-
     n_steps, n_agents, dt = 500, 10, 0.05
     agents = []
     for a in range(n_agents):
@@ -256,8 +254,8 @@ def _throughput_episode(rng, index):
         xy = np.vstack([start, start + np.cumsum(steps, axis=0)])
         kind = AgentKind.ROBOT if a == 0 else AgentKind.HUMAN
         goal = Goal(*map(float, rng.uniform(-10, 10, 2)), 0.2) if a == 0 else None
-        agents.append(AgentRecord(id=f"a{a}", kind=kind, radius=0.3, t=np.arange(n_steps) * dt,
-                                  x=xy[:, 0], y=xy[:, 1], goal=goal))
+        agents.append(make_agent(f"a{a}", xy, dt=dt, kind=kind, goal=goal,
+                                 headings=np.zeros(n_steps)))
     return make_episode(agents, robot_id="a0", episode_id=f"tp-{index}")
 
 

@@ -134,7 +134,8 @@ def test_columns_match_per_sample_oracles(doc, raw_headings):
             states = raw["states"]
             n = len(states)
             if n >= 2:
-                assert _bits(agent.velocities) == _bits(velocities_oracle(agent))
+                velocities = np.column_stack((agent.vx, agent.vy))
+                assert _bits(velocities) == _bits(velocities_oracle(agent))
                 synthesized = synthesize_headings_oracle(agent)
                 assert _bits(motion_headings(agent.vx, agent.vy, 0)) == _bits(synthesized)
             # Decoding: a given theta wrapped, a missing one synthesized when
@@ -146,10 +147,10 @@ def test_columns_match_per_sample_oracles(doc, raw_headings):
                     for j, s in enumerate(states)]
             assert _bits(agent.heading) == _bits(want)
             if raw_headings:  # unwrapped headings, to reach the range check
-                agent = replace(agent, heading=[s.get("theta", 0.0) for s in states])
+                agent = replace(agent, heading=np.array([s.get("theta", 0.0) for s in states]))
             checked.append(agent)
-        assert _sample_issues(checked) == [sample_issues_oracle(f"/agents/{i}", agent, V_CAP)
-                                           for i, agent in enumerate(checked)]
+        assert _sample_issues(replace(episode, agents=tuple(checked))) == [
+            sample_issues_oracle(f"/agents/{i}", agent, V_CAP) for i, agent in enumerate(checked)]
         warnings = [(w.path, w.message) for w in _velocity_consistency_warnings(episode)]
         assert warnings == velocity_warnings_oracle(episode)
 
@@ -157,7 +158,7 @@ def test_columns_match_per_sample_oracles(doc, raw_headings):
 def test_examples_reach_the_rules_they_pin():
     """The examples above sit on the decisions they pin (by math.hypot)."""
     cap = _build_episode(CAP_EXAMPLE, _Issues())
-    assert [m for _, m in _sample_issues(cap.agents)[0]] == [
+    assert [m for _, m in _sample_issues(cap)[0]] == [
         "implied speed 10.00 m/s exceeds cap 10.0 m/s"]
     warned = _build_episode(WARNING_EXAMPLE, _Issues())
     assert [w.path for w in _velocity_consistency_warnings(warned)] == ["/agents/0/states/1/vx"]
@@ -165,6 +166,6 @@ def test_examples_reach_the_rules_they_pin():
     assert motion_headings(still.agents[0].vx, still.agents[0].vy, 0).tolist() == [
         math.pi / 2, math.pi / 2]
     huge = _build_episode(HUGE_SPEED_EXAMPLE, _Issues())
-    assert [m for _, m in _sample_issues(huge.agents)[0]] == [
+    assert [m for _, m in _sample_issues(huge)[0]] == [
         "implied speed 2.500e+06 m/s exceeds cap 10.0 m/s",
         "implied speed 1.000e+308 m/s exceeds cap 10.0 m/s"]

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import struct
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +11,12 @@ from hypothesis import strategies as st
 
 import socnav.core
 from socnav.core import (
+    _COLUMNS,
     AgentKind,
+    Episode,
     MetricParams,
     ObstacleMap,
+    agent_rows,
     common_timeline,
     event_runs,
     median,
@@ -22,7 +26,8 @@ from socnav.core import (
 )
 from socnav.errors import InvariantError
 from socnav.geometry import wrap_angle
-from socnav.ingest import parse_episode
+from socnav import ingest
+from socnav.ingest import parse_episode, validate
 from socnav.metrics import compute_all
 from socnav.report import write_output
 from socnav.scenarios import classify, serialize_labels
@@ -86,7 +91,7 @@ class TestDeriveVelocities:
 
 
 class TestInterpolateState:
-    """The reference ``interpolate_state`` in ``oracles``, which replay is pinned to."""
+    """The reference ``interpolate_state`` in ``oracles``, which metric oracles read."""
 
     def test_midpoint(self):
         agent = make_agent("a", [(0, 0), (2, 0)], dt=2.0)
@@ -152,6 +157,60 @@ class TestCommonTimeline:
                                     "robot's 1.0 s; at most 1000000 are allowed")
 
 
+def _crossing_pi() -> Episode:
+    """Agents of different lengths and rates, standing still for a while, whose pose
+    headings cross +-pi: the view unwraps them as one zero-padded block."""
+    robot = make_agent("robot", [(0.1 * min(i, 4), 0.0) for i in range(11)],
+                       kind=AgentKind.ROBOT, headings=wrap_angle(np.linspace(2.8, 3.8, 11)))
+    still = make_agent("h1", [(1.0, 1.0)] * 5, dt=0.25,
+                       headings=wrap_angle(np.linspace(3.0, 3.6, 5)))
+    longer = make_agent("h2", [(0.0, -1.0)] * 17, dt=0.07, t0=0.2,
+                        headings=wrap_angle(np.linspace(-2.9, -3.9, 17)))
+    return make_episode([still, robot, longer], episode_id="crossing_pi")
+
+
+class TestColumns:
+    """``Episode.columns``: every agent's columns end to end, read-only and built once."""
+
+    @pytest.mark.parametrize("make", [lambda: parse_episode(crowd_document(1)),
+                                      lambda: run(generate_scenario("parallel_traffic", 3)),
+                                      _crossing_pi, lambda: make_episode([])],
+                             ids=["decoded", "simulated", "make_agent", "no_agents"])
+    def test_the_agents_end_to_end(self, make):
+        ep = make()
+        block = ep.columns
+        assert ep.columns is block and len(block) == len(_COLUMNS) + 2
+        for name, column in zip(_COLUMNS, block):
+            parts = [getattr(a, name) for a in ep.agents]
+            want = (np.concatenate(parts) if parts
+                    else np.empty(0, bool if name == "has_vel" else float))
+            assert column.dtype == want.dtype and column.tobytes() == want.tobytes(), name
+        offsets, owner = agent_rows([len(a.t) for a in ep.agents])
+        assert block[-2].tolist() == offsets.tolist() and block[-1].tolist() == owner.tolist()
+        assert not any(column.flags.writeable for column in block)
+
+    def test_no_agents_is_checked(self):
+        assert check_episode(make_episode([])) == [
+            ("/robot_under_test", "does not resolve to an agent: 'robot'")]
+
+    def test_parse_then_validate_builds_it_once(self, monkeypatch):
+        built = []
+
+        def counting(episode):
+            built.append(episode.episode_id)
+            return columns(episode)
+
+        columns = Episode.columns.func
+        counted = cached_property(counting)
+        counted.__set_name__(Episode, "columns")
+        monkeypatch.setattr(Episode, "columns", counted)
+        document = crowd_document(2)
+        ingest._decode.cache_clear()
+        episode = parse_episode(document)
+        assert validate(document) == validate(document)
+        assert built == [episode.episode_id]
+
+
 class TestResampled:
     def test_default_dt_and_file_order(self):
         ep = make_episode([make_agent("h1", [(0, 1)] * 5, dt=0.2),
@@ -160,7 +219,7 @@ class TestResampled:
         dt, timeline, robot, others, pairs = ep.resampled()
         assert dt == median_sample_interval(ep.robot)
         assert list(timeline) == list(common_timeline(ep, dt))
-        assert robot.agents[0] is ep.robot
+        assert robot.agents is ep.robot
         assert [o.id for o in others.agents] == ["h1", "h2"]
         assert pairs.robot is robot and pairs.others is others
         assert ep.resampled(0.5)[1].tolist() == [0.0, 0.5, 1.0]
@@ -181,7 +240,7 @@ class TestResampled:
         assert dataclasses.replace(ep).resampled() is not view
         longer = dataclasses.replace(ep, agents=(straight_robot(n=21, dt=0.1),))
         _, timeline, robot, others, pairs = longer.resampled()
-        assert len(timeline) == 21 and robot.agents[0] is longer.robot and others.agents == ()
+        assert len(timeline) == 21 and robot.agents is longer.robot and others.agents == ()
         assert others.pos.shape == (0, 21, 2) and pairs.dist.shape == (0, 21)
         assert ep.resampled() is view
 
@@ -204,7 +263,10 @@ class TestResampled:
     @pytest.mark.parametrize("dt", [None, 0.05])
     @pytest.mark.parametrize("ep", [*(parse_episode(crowd_document(seed)) for seed in range(3)),
                                     *(fuzz_episode(seed, n_humans=6) for seed in range(3)),
-                                    make_episode([straight_robot(n=1)])],
+                                    run(generate_scenario("blind_corner", 3)),
+                                    run(generate_scenario("perpendicular_traffic", 5,
+                                                          "straight_line_stop")),
+                                    _crossing_pi(), make_episode([straight_robot(n=1)])],
                              ids=lambda ep: ep.episode_id)
     def test_rows_equal_the_per_agent_view(self, ep, dt):
         """Each row of the block, and each row of the pair block, is bit for bit what

@@ -666,35 +666,49 @@ class TestOneDecode:
 
 class TestOneBlock:
     """An episode's agents are decoded as one block: each record is built once, and
-    the block is read-only, so a caller cannot change what a later parse returns."""
+    the block is read-only, so a caller cannot change what a later parse returns. A
+    simulated episode is read-only too."""
 
     def test_each_agent_built_once(self, monkeypatch):
         built = []
-        post_init = AgentRecord.__post_init__
-        monkeypatch.setattr(AgentRecord, "__post_init__",
-                            lambda self: built.append(self.id) or post_init(self))
+        init = AgentRecord.__init__
+
+        def counting(self, **columns):
+            init(self, **columns)
+            built.append(self.id)
+
+        monkeypatch.setattr(AgentRecord, "__init__", counting)
         ingest._decode.cache_clear()
         episode = parse_episode(crowd_document(0))
         assert len(episode.agents) >= 12
         assert built == [a.id for a in episode.agents]
 
-    def test_write_to_a_parsed_episode_raises(self):
-        document = crowd_document(0)
-        ingest._decode.cache_clear()
-        episode = parse_episode(document)
+    @staticmethod
+    def _assert_read_only(episode):
         for agent in episode.agents:
             for name in ("t", "x", "y", "heading", "vx", "vy", "has_vel"):
                 with pytest.raises(ValueError, match="read-only"):
                     getattr(agent, name)[0] = 99.0
-            agent.positions[0] = agent.velocities[0] = 99.0  # a fresh array on each access
+            agent.positions[0] = 99.0  # a fresh array on each access
+
+    def test_write_to_a_parsed_episode_raises(self):
+        document = crowd_document(0)
+        ingest._decode.cache_clear()
+        episode = parse_episode(document)
+        self._assert_read_only(episode)
         again = parse_episode(document)
         ingest._decode.cache_clear()
         assert again == parse_episode(document)
         assert again is not parse_episode(document)
 
+    def test_write_to_a_simulated_episode_raises(self):
+        episode = run(generate_scenario("frontal_approach", 3))
+        self._assert_read_only(episode)
+
     def test_arrays_passed_to_a_record_keep_their_flags(self):
         x = np.zeros(3)
-        record = AgentRecord(id="a", kind=AgentKind.HUMAN, radius=0.3, t=np.arange(3.0), x=x, y=x)
+        record = AgentRecord(id="a", kind=AgentKind.HUMAN, radius=0.3, t=np.arange(3.0), x=x,
+                             y=x, heading=x, vx=x, vy=x, has_vel=np.ones(3, bool))
         record.x[0] = 1.0  # the caller's own array, as given
         assert x.flags.writeable and x[0] == 1.0
 

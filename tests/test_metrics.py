@@ -11,7 +11,6 @@ from socnav.core import (
     Goal,
     MetricParams,
     ObstacleMap,
-    SampledAgents,
     common_timeline,
 )
 import socnav.metrics
@@ -396,8 +395,8 @@ class TestDistanceAndTTC:
         robot = straight_robot()  # x = t along +x, t in [0, 1]
         human = make_agent("h", [(3.0, 0.0)], t0=0.5, velocities=[(-1.0, 0.0)])
         ep = make_episode([robot, human])
-        timeline = common_timeline(ep, 0.1)
-        sampled = SampledAgents(human, timeline)
+        _, timeline, _, others, _ = ep.resampled(0.1)
+        sampled = others[0]
         assert sampled.vel.tolist() == [[-1.0, 0.0]] * len(timeline)
         assert sampled.active.tolist() == [k == 5 for k in range(len(timeline))]
         # at t = 0.5: gap 2.5 m, radii 0.6 m, closing at 2 m/s, not 1 m/s

@@ -8,7 +8,6 @@ import pytest
 from socnav.core import (
     MAX_TIMELINE_STEPS,
     AgentKind,
-    AgentRecord,
     Goal,
     MetricParams,
     ObstacleMap,
@@ -31,7 +30,7 @@ from socnav.simulator import (
 )
 
 from conftest import metric
-from oracles import SimState, interpolate_state, reference_step
+from oracles import SimState, reference_step
 
 PARAMS = MetricParams()
 
@@ -99,7 +98,7 @@ class TestStep:
         config = single_agent_config(policy="straight_line_stop", scene=wall,
                                      goal_xy=(5.0, 0.0))
         robot = first_step(config).robot
-        assert tuple(robot.velocities[1]) == (0.0, 0.0)
+        assert (robot.vx[1], robot.vy[1]) == (0.0, 0.0)
         assert tuple(robot.positions[1]) == tuple(robot.positions[0])
 
     def test_straight_line_stop_blocked_by_agent(self):
@@ -109,7 +108,8 @@ class TestStep:
         blocker = AgentSpec(agent_id="h", kind=AgentKind.HUMAN, policy="sfm",
                             position=(0.5, 0.0))  # within 0.3+0.3+0.1
         config = SimConfig(dt=0.05, max_duration=1.0, agents=(robot, blocker))
-        assert tuple(first_step(config).robot.velocities[1]) == (0.0, 0.0)
+        robot = first_step(config).robot
+        assert (robot.vx[1], robot.vy[1]) == (0.0, 0.0)
 
     def test_straight_line_stop_ignores_rear_agent(self):
         robot = AgentSpec(agent_id="robot", kind=AgentKind.ROBOT,
@@ -118,18 +118,8 @@ class TestStep:
         rear = AgentSpec(agent_id="h", kind=AgentKind.HUMAN, policy="sfm",
                          position=(-0.5, 0.0))
         config = SimConfig(dt=0.05, max_duration=1.0, agents=(robot, rear))
-        assert np.linalg.norm(first_step(config).robot.velocities[1]) > 0.0
-
-    def test_replay_follows_states(self):
-        i = np.arange(20)
-        track = AgentRecord(id="robot", kind=AgentKind.ROBOT, radius=0.3,
-                            t=0.1 * i, x=0.2 * i, y=np.zeros(20))
-        spec = AgentSpec(agent_id="robot", kind=AgentKind.ROBOT, policy="replay",
-                         position=(0.0, 0.0), replay=track)
-        config = SimConfig(dt=0.05, max_duration=1.0, agents=(spec,))
-        ep = run(config)
-        # at t = 1.0 the replayed trajectory sits at x = 2.0
-        assert ep.robot.states[-1]["x"] == pytest.approx(2.0, abs=1e-6)
+        robot = first_step(config).robot
+        assert math.hypot(robot.vx[1], robot.vy[1]) > 0.0
 
     def test_waypoints_path(self):
         spec = AgentSpec(agent_id="robot", kind=AgentKind.ROBOT,
@@ -143,24 +133,6 @@ class TestStep:
         corner_near = np.min(np.linalg.norm(xs - (2.0, 0.0), axis=1))
         assert corner_near <= 0.45
         assert np.linalg.norm(xs[-1] - (2.0, 2.0)) <= 0.2
-
-
-def _replay_track(x):
-    """A robot track along x at 10 Hz with stored headings and velocities."""
-    n = len(x)
-    return AgentRecord(id="robot", kind=AgentKind.ROBOT, radius=0.3,
-                       t=0.1 * np.arange(n), x=np.asarray(x, dtype=float),
-                       y=np.zeros(n), heading=np.zeros(n),
-                       vx=np.full(n, 1.5), vy=np.zeros(n))
-
-
-def _replay_config(track, max_duration=4.0):
-    robot = AgentSpec(agent_id="robot", kind=AgentKind.ROBOT, policy="replay",
-                      position=(0.0, 0.0), replay=track)
-    return SimConfig(dt=0.05, max_duration=max_duration, episode_id="replay",
-                     agents=(robot, _human("h0", (4.0, 0.5), (-2.0, 0.5)),
-                             _human("h1", (3.0, -1.0), (3.0, 3.0),
-                                    policy="straight_line_stop")))
 
 
 # sha256 of serialize_episode(run(generate_scenario(name, 3, policy))): any change to
@@ -307,23 +279,16 @@ class TestRun:
         assert (err.value.path, err.value.message) == ("/agents/robot/waypoints/1",
                                                        "must be finite")
 
-    @pytest.mark.parametrize("t",[[], [0.0, 0.2, 0.1], [0.0, 0.0], [0.0, math.nan]])
-    def test_replay_track_needs_increasing_times(self, t):
-        track = AgentRecord(id="robot", kind=AgentKind.ROBOT, radius=0.3, t=np.array(t),
-                            x=np.zeros(len(t)), y=np.zeros(len(t)))
-        with pytest.raises(InvariantError) as err:
-            AgentSpec(agent_id="robot", kind=AgentKind.ROBOT, policy="replay",
-                      position=(0.0, 0.0), replay=track)
-        assert err.value.path == "/agents/robot/replay"
-
     def test_unknown_scenario(self):
         with pytest.raises(UnknownScenario):
             generate_scenario("conga_line", 0)
 
     def test_non_finite_state_raised_at_the_same_step(self):
-        # the track jumps by 1e308 m between t = 0.2 and 0.3: the replayed velocity overflows
-        config = _replay_config(_replay_track([0.0, 0.1, 0.2, 1e308, 1e308]))
-        steps = 4  # states 0..4 exist; the step to t = 0.25 fails
+        # a wall from x = -1e308 to 1e308 appears at t = 0.2: its squared length
+        # overflows, and the robot's wall force with it
+        wall = ObstacleMap(dynamic=((0.2, ((-1e308, 1.0, 1e308, 1.0),)),))
+        config = single_agent_config(scene=wall)
+        steps = 4  # states 0..4 exist; the step from t = 0.2 fails
         before = dataclasses.replace(config, max_duration=steps * config.dt)
         assert len(run(before).robot.t) == steps + 1
         with pytest.raises(InvariantError) as by_run:
@@ -357,7 +322,7 @@ class TestRun:
         for seed in range(5):
             ep = run(generate_scenario("random_crossing", seed))
             for agent in ep.agents:
-                speeds = np.linalg.norm(agent.velocities, axis=1)
+                speeds = np.hypot(agent.vx, agent.vy)
                 assert np.all(speeds <= _V_MAX + 1e-9)
 
 
@@ -437,7 +402,7 @@ def _assert_run_matches_reference(config):
     ep = run(config)
     times = ep.robot.t.tolist()
     pos = np.stack([a.positions for a in ep.agents], axis=1)
-    vel = np.stack([a.velocities for a in ep.agents], axis=1)
+    vel = np.stack([np.column_stack((a.vx, a.vy)) for a in ep.agents], axis=1)
     heading = np.stack([a.heading for a in ep.agents], axis=1)
     n = len(config.agents)
     goal_bearing = [i for i, a in enumerate(config.agents) if a.goal is not None]
@@ -473,19 +438,6 @@ class TestRunMatchesReference:
         config = SimConfig(dt=0.05, max_duration=8.0, episode_id="waypoints",
                            agents=(robot, _human("h0", (4.0, 0.2), (-2.0, 0.0))),
                            scene=ObstacleMap(segments=((-1.0, -0.8, 5.0, -0.8),)))
-        _assert_run_matches_reference(config)
-
-    def test_replay_agent(self):
-        i = np.arange(30)
-        track = AgentRecord(id="robot", kind=AgentKind.ROBOT, radius=0.3,
-                            t=0.1 * i, x=0.15 * i, y=0.05 * i, heading=np.full(30, 0.3),
-                            vx=np.full(30, 1.5), vy=np.full(30, 0.5))
-        robot = AgentSpec(agent_id="robot", kind=AgentKind.ROBOT, policy="replay",
-                          position=(0.0, 0.0), replay=track)
-        config = SimConfig(dt=0.05, max_duration=4.0, episode_id="replay",
-                           agents=(robot, _human("h0", (4.0, 0.5), (-2.0, 0.5)),
-                                   _human("h1", (3.0, -1.0), (3.0, 3.0),
-                                          policy="straight_line_stop")))
         _assert_run_matches_reference(config)
 
     def test_dynamic_obstacles(self):
@@ -529,76 +481,3 @@ class TestRunMatchesReference:
                                           policy="straight_line_stop"),))
         assert first_step(config).agents[0].heading[1] == math.pi
         _assert_run_matches_reference(config)
-
-
-def _sim_times(dt, max_duration):
-    """The times a run visits, accumulated as `run` accumulates them."""
-    times = [0.0]
-    while times[-1] < max_duration - 1e-9:
-        times.append(times[-1] + dt)
-    return times
-
-
-def _track(t, heading0=0.4, first_vel=None):
-    """A curved robot track at stamps t; only the first sample may carry a velocity.
-
-    The last y is 1e-17: from the sample before it, y0 + 1 * (1e-17 - y0) rounds
-    to 0.0, so only the rule that returns a sample's own value at its stamp
-    gives 1e-17 there.
-    """
-    t = np.asarray(t, dtype=float)
-    y = -0.2 + np.sin(t)
-    y[-1] = 1e-17
-    has_vel = np.zeros(len(t), dtype=bool)
-    vx, vy = np.zeros(len(t)), np.zeros(len(t))
-    if first_vel is not None:
-        has_vel[0] = True
-        vx[0], vy[0] = first_vel
-    return AgentRecord(id="robot", kind=AgentKind.ROBOT, radius=0.3, t=t,
-                       x=0.3 + 0.7 * t + 0.1 * t * t, y=y,
-                       heading=np.full(len(t), heading0), vx=vx, vy=vy, has_vel=has_vel)
-
-
-REPLAY_CASES = {
-    "off_grid_stamps": (_track([0.0, 0.13, 0.29, 0.41, 0.77, 1.0, 1.37, 1.9, 2.2, 2.61, 3.0]),
-                        0.05, 3.0),
-    "stamps_hit_by_t_plus_dt": (_track(_sim_times(0.07, 1.4)[::2]), 0.07, 1.4),
-    "track_ends_before_max_duration": (_track([0.0, 0.21, 0.5, 0.83, 1.1]), 0.05, 2.5),
-    "track_starts_after_zero": (_track([0.73, 0.9, 1.31, 1.6, 2.05]), 0.05, 2.5),
-    "single_sample": (_track([0.4], first_vel=(0.5, -0.25)), 0.05, 0.5),
-    "first_sample_with_velocity": (_track([0.0, 0.17, 0.42, 0.8], first_vel=(1.25, -0.5)),
-                                   0.07, 1.0),
-    "first_sample_without_velocity": (_track([0.0, 0.17, 0.42, 0.8]), 0.07, 1.0),
-}
-
-
-class TestReplayBitForBit:
-    """Replay follows the reference interpolation of its track, bit for bit.
-
-    The first state is the track's first sample; then each step's velocity is
-    (position at t + dt clamped to the track's span - position) / dt, with the
-    position from the reference ``interpolate_state``.
-    """
-
-    @pytest.mark.parametrize("case", REPLAY_CASES)
-    def test_velocities_from_reference_positions(self, case):
-        track, dt, max_duration = REPLAY_CASES[case]
-        spec = AgentSpec(agent_id="robot", kind=AgentKind.ROBOT, policy="replay",
-                         position=(9.0, 9.0), replay=track)
-        robot = run(SimConfig(dt=dt, max_duration=max_duration, agents=(spec,))).robot
-        times, pos, vel = robot.t.tolist(), robot.positions.tolist(), robot.velocities.tolist()
-        assert times == _sim_times(dt, max_duration)
-        stored = [track.vx[0], track.vy[0]] if track.has_vel[0] else [0.0, 0.0]
-        assert (pos[0], vel[0], robot.heading[0]) == (
-            [track.x[0], track.y[0]], stored, track.heading[0])
-        hits = 0
-        for k, t in enumerate(times[:-1]):
-            t_next = max(min(t + dt, track.t_end), track.t_start)
-            hits += t_next in track.t.tolist()
-            want = interpolate_state(track, t_next).position
-            expected = [(want.x - pos[k][0]) / dt, (want.y - pos[k][1]) / dt]
-            assert list(map(float.hex, vel[k + 1])) == list(map(float.hex, expected)), t
-        if case == "stamps_hit_by_t_plus_dt":
-            assert hits >= 5
-        elif case == "off_grid_stamps":
-            assert hits == 1  # only the clamped end
