@@ -476,6 +476,8 @@ def _build_episode(doc, issues: _Issues) -> Episode | None:
         scenario = _string(lraw, "scenario", f"/labels/{i}", issues)
         t0, t1 = (_number(lraw, key, f"/labels/{i}", issues) for key in ("t_start", "t_end"))
         if None not in (scenario, t0, t1):
+            in_file.update((f"/labels/{len(labels)}{key}", f"/labels/{i}{key}")
+                           for key in ("", "/t_start", "/t_end"))
             labels.append(EpisodeLabel(scenario=scenario, t_start=t0, t_end=t1))
 
     metadata: dict[str, str] = {}
@@ -492,7 +494,7 @@ def _build_episode(doc, issues: _Issues) -> Episode | None:
     episode = Episode(episode_id=episode_id, robot_under_test=robot_id,
                       agents=tuple(AgentRecord(**agent) for agent in agents), obstacles=obstacles,
                       labels=tuple(labels), metadata=metadata)
-    # Name an obstacle set or segment by its place in the file. check_episode
+    # Name an obstacle set, segment or label by its place in the file. check_episode
     # visits dynamic sets by stamp; their issues go by set, then t, then segment.
     found = [(in_file.get(path, path), message) for path, message in check_episode(episode)]
     at = [k for k, (path, _) in enumerate(found) if path.startswith("/obstacles/dynamic/")]
@@ -551,9 +553,9 @@ def _velocity_consistency_warnings(episode: Episode) -> list[ValidationIssue]:
     inner = np.flatnonzero(has_vel & (j > 0) & (j < np.diff(offsets)[owner] - 1))
     if not inner.size:
         return []
-    vx, vy, before, after = vx[inner], vy[inner], inner - 1, inner + 1
-    with np.errstate(all="ignore"):  # an interior state's finite difference is central
-        fx, fy = ((c[after] - c[before]) / (t[after] - t[before]) for c in (x, y))
+    vx, vy = vx[inner], vy[inner]
+    fx, fy = differences(t, np.array((x, y)), offsets)[:, inner]  # central at an interior state
+    with np.errstate(all="ignore"):
         ex, ey = vx - fx, vy - fy
         # np.hypot may differ from math.hypot in the last place, far inside
         # this margin: it only picks the candidates, math.hypot decides.

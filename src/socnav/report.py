@@ -20,7 +20,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import MetricParams, _param_echo, median
+from .core import MetricParams, _param_echo, median, positive_finite
 from .errors import EmptyCorpus, InvariantError, SchemaError
 from .ingest import (FORMAT_VERSION, _array, _finite, _integer, _Issues, _object, _string,
                      canonical_json_bytes, load_json, read_dataclass)
@@ -133,6 +133,7 @@ def parse_report(document: bytes | str) -> MetricReport:
     params_doc = _object(doc, "params", "", issues)
     metrics = _object(doc, "metrics", "", issues)
     dt = _finite(params_doc, "dt", "/params", issues)
+    positive_finite(dt, "/params/dt")
     params = params_from_jsonable(params_doc)
     taskwise = {}
     for name in metrics:

@@ -10,10 +10,13 @@ Identical configs produce byte-identical serialized episodes.
 The step loops over agents on plain Python floats, because crowds are
 small enough that numpy's per-call overhead would dominate; the float
 arithmetic is fixed, so reruns stay byte-identical. `run` is the one
-entry: it keeps its state as plain float lists for the whole episode,
-advances it with `_advance`, and stacks the history into read-only arrays
+entry: one pass over the config gives the per-agent and wall tuples and
+the start state, which stays plain float lists for the whole episode;
+`_advance` steps it, and the history is stacked into read-only arrays
 once at the end. The walls felt at time t are `ObstacleMap.set_index(t)`'s
-set, as in the metrics. Scenario jitter is numpy's PCG64 stream on ints.
+set, as in the metrics. A `SimConfig` holds a robot agent and unique ids,
+as `validate` asks of an episode; the first robot is the robot under test.
+Scenario jitter is numpy's PCG64 stream on ints.
 """
 
 from __future__ import annotations
@@ -113,27 +116,15 @@ class SimConfig:
         if (steps := self.max_duration / self.dt) > MAX_TIMELINE_STEPS - 2:
             raise InvariantError("/max_duration", f"{self.max_duration} s at dt {self.dt} asks for "
                                  f"{steps:.3e} steps; at most {MAX_TIMELINE_STEPS - 2} are allowed")
-        if not self.agents:
-            raise InvariantError("/agents", "must hold at least one agent")
+        # The episode's robot under test is its first robot agent; validate refuses
+        # an episode without one, and one whose agent ids repeat.
+        if not any(a.kind is AgentKind.ROBOT for a in self.agents):
+            raise InvariantError("/agents", "must hold a robot agent")
+        ids = [a.agent_id for a in self.agents]
+        if dupes := sorted({i for i in ids if ids.count(i) > 1}):
+            raise InvariantError("/agents", f"duplicate agent ids: {dupes}")
         if issues := obstacle_issues(self.scene):
             raise InvariantError(*issues[0])
-
-
-def _initial(config: SimConfig) -> tuple[list, list, list]:
-    """Start positions, velocities (zero) and headings as plain floats."""
-    pos, headings = [], []
-    for spec in config.agents:
-        x, y = map(float, spec.position)
-        heading = 0.0
-        target = (spec.waypoints[0] if spec.waypoints
-                  else (spec.goal.x, spec.goal.y) if spec.goal is not None else None)
-        if target is not None:
-            dx, dy = target[0] - x, target[1] - y
-            if math.hypot(dx, dy) > 1e-9:
-                heading = wrap_angle(math.atan2(dy, dx))
-        pos.append((x, y))
-        headings.append(heading)
-    return pos, [(0.0, 0.0)] * len(pos), headings
 
 
 def _away_from_segment(px: float, py: float, seg: tuple) -> tuple[float, float]:
@@ -143,49 +134,22 @@ def _away_from_segment(px: float, py: float, seg: tuple) -> tuple[float, float]:
     return px - (ax + u * sx), py - (ay + u * sy)
 
 
-class _Plan:
-    """What a step reads from a SimConfig, gathered once per episode.
-
-    One tuple per agent: (policy, waypoints as given, goal as (x, y, tolerance)
-    or None, desired speed, radius and radius sums with every agent), and the
-    (ax, ay, dx, dy, |d|^2) segment tuples of each of the scene's ``segment_sets``.
-    """
-
-    def __init__(self, config: SimConfig):
-        self.dt = config.dt
-        radii = [a.radius for a in config.agents]
-        self.agents = tuple(
-            (spec.policy, spec.waypoints,
-             None if spec.goal is None else (spec.goal.x, spec.goal.y, spec.goal.tolerance),
-             spec.desired_speed, r_i, [r_i + r_j for r_j in radii])
-            for spec, r_i in zip(config.agents, radii))
-        self.scene = config.scene
-        self.segment_sets = []
-        for seg_a, seg_b in config.scene.segment_sets:
-            segs = []
-            for (ax, ay), (bx, by) in zip(seg_a.tolist(), seg_b.tolist()):
-                sx, sy = bx - ax, by - ay
-                segs.append((ax, ay, sx, sy, sx * sx + sy * sy))
-            self.segment_sets.append(segs)
-
-
-def _advance(plan: _Plan, t: float, pos: list, vel: list, headings: list,
+def _advance(dt: float, plan: list, segs: list, pos: list, vel: list, headings: list,
              waypoint_idx: list, reached: list) -> tuple[list, list, list]:
-    """The physics of one dt on plain floats.
+    """The physics of one dt on plain floats, with ``run``'s agent tuples and the
+    segment tuples of the walls active now.
 
     Returns the new positions, velocities and headings; advances
     ``waypoint_idx`` and sets ``reached`` in place.
     """
-    dt = plan.dt
     relaxation_time, repulsion_strength, repulsion_range = \
         _RELAXATION_TIME, _REPULSION_STRENGTH, _REPULSION_RANGE
     obstacle_strength, obstacle_range, v_max = _OBSTACLE_STRENGTH, _OBSTACLE_RANGE, _V_MAX
-    segs = plan.segment_sets[plan.scene.set_index(t)]
     hypot, exp, atan2, isfinite = math.hypot, math.exp, math.atan2, math.isfinite
     new_pos, new_vel, new_heading = [], [], []
     finite = True
 
-    for i, (policy, waypoints, goal, desired_speed, r_i, r_sum) in enumerate(plan.agents):
+    for i, (policy, waypoints, goal, desired_speed, r_i, r_sum) in enumerate(plan):
         px, py = pos[i]
         vx, vy = vel[i]
         # Advance waypoints while the agent is close enough to the current one.
@@ -283,16 +247,39 @@ def _advance(plan: _Plan, t: float, pos: list, vel: list, headings: list,
 
 def run(config: SimConfig) -> Episode:
     """Run to max_duration or until every goal-bearing agent has reached its goal."""
-    plan = _Plan(config)
-    n = len(config.agents)
-    t = 0.0
-    pos, vel, headings = _initial(config)
-    waypoint_idx, reached = [0] * n, [False] * n
+    # One tuple per agent: (policy, waypoints as given, goal as (x, y, tolerance)
+    # or None, desired speed, radius and radius sums with every agent). An agent
+    # starts at rest, facing its first waypoint, else its goal, else +x.
+    radii = [a.radius for a in config.agents]
+    plan, pos, headings = [], [], []
+    for spec in config.agents:
+        goal = None if spec.goal is None else (spec.goal.x, spec.goal.y, spec.goal.tolerance)
+        plan.append((spec.policy, spec.waypoints, goal, spec.desired_speed, spec.radius,
+                     [spec.radius + r for r in radii]))
+        x, y = map(float, spec.position)
+        target = spec.waypoints[0] if spec.waypoints else goal
+        heading = 0.0
+        if target is not None and math.hypot(target[0] - x, target[1] - y) > 1e-9:
+            heading = wrap_angle(math.atan2(target[1] - y, target[0] - x))
+        pos.append((x, y))
+        headings.append(heading)
+    # The (ax, ay, dx, dy, |d|^2) segment tuples of each of the scene's segment_sets.
+    segment_sets = []
+    for seg_a, seg_b in config.scene.segment_sets:
+        segs = []
+        for (ax, ay), (bx, by) in zip(seg_a.tolist(), seg_b.tolist()):
+            sx, sy = bx - ax, by - ay
+            segs.append((ax, ay, sx, sy, sx * sx + sy * sy))
+        segment_sets.append(segs)
+
+    n, t, dt = len(plan), 0.0, config.dt
+    vel, waypoint_idx, reached = [(0.0, 0.0)] * n, [0] * n, [False] * n
     times, pos_history, vel_history, heading_history = [t], [pos], [vel], [headings]
     goal_bearing = [i for i, a in enumerate(config.agents) if a.goal is not None]
     while t < config.max_duration - 1e-9:
-        pos, vel, headings = _advance(plan, t, pos, vel, headings, waypoint_idx, reached)
-        t += config.dt
+        segs = segment_sets[config.scene.set_index(t)]
+        pos, vel, headings = _advance(dt, plan, segs, pos, vel, headings, waypoint_idx, reached)
+        t += dt
         times.append(t)
         pos_history.append(pos)
         vel_history.append(vel)
@@ -315,8 +302,7 @@ def run(config: SimConfig) -> Episode:
                     x=pos[:, i, 0], y=pos[:, i, 1], heading=heading[:, i],
                     vx=vel[:, i, 0], vy=vel[:, i, 1], has_vel=has_vel, goal=spec.goal)
         for i, spec in enumerate(config.agents))
-    robot_id = next((a.agent_id for a in config.agents if a.kind is AgentKind.ROBOT),
-                    config.agents[0].agent_id)
+    robot_id = next(a.agent_id for a in config.agents if a.kind is AgentKind.ROBOT)
     return Episode(episode_id=config.episode_id, robot_under_test=robot_id,
                    agents=agents, obstacles=config.scene,
                    metadata={str(k): str(v) for k, v in config.metadata.items()})

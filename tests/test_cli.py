@@ -772,6 +772,7 @@ def _run_reader(kind: str, document: bytes, docs: dict, work: Path,
     ("params", ("bogus",), 1, "/params/bogus"),
     ("params", ("timeout",), -1, "/params/timeout"),
     ("report", ("params", "dt"), DELETE, "/params/dt"),
+    ("report", ("params", "dt"), -1, "/params/dt"),
     ("card", ("usage_guide", "success_metrics", 0), 7, "/usage_guide/success_metrics/0"),
     ("card", ("name",), "", "/name"),
     ("card", ("nmae",), "x", "/nmae"),
@@ -786,7 +787,8 @@ def _run_reader(kind: str, document: bytes, docs: dict, work: Path,
 ], ids=["report-value-string", "report-value-nan", "report-stepwise-element",
         "summary-no-distribution", "summary-mean-infinity", "params-401-digits",
         "params-bool", "params-nan", "params-count-string", "params-ids-string",
-        "params-unknown", "params-negative", "report-no-dt", "card-metric-not-string",
+        "params-unknown", "params-negative", "report-no-dt", "report-negative-dt",
+        "card-metric-not-string",
         "card-name-empty", "card-unknown-root", "card-unknown-nested",
         "card-unknown-criterion", "episode-dynamic-number", "episode-obstacles-number",
         "episode-agent-number", "episode-label-infinite"])

@@ -476,6 +476,22 @@ class TestValidate:
             parse_episode(document)
         assert err.value.path == expected[0][0]
 
+    @pytest.mark.parametrize("labels, expected", [
+        ([{"scenario": "s", "t_start": "bad", "t_end": 2.0},
+          {"scenario": "s", "t_start": 3.0, "t_end": 1.0}],
+         [("/labels/0/t_start", "expected a number, got str"),
+          ("/labels/1", "t_start must be < t_end (3.0 >= 1.0)")]),
+        ([7, {"scenario": "s", "t_start": "1e999", "t_end": 2.0}],
+         [("/labels/0", "expected an object"), ("/labels/1/t_start", "must be finite")]),
+    ], ids=["unreadable-field", "not-an-object"])
+    def test_label_named_by_its_index_in_the_file(self, labels, expected):
+        """A label the decoder cannot read does not shift the index of the next."""
+        document = doc(labels=labels).replace(b'"1e999"', b"1e999")
+        assert [(i.path, i.message) for i in validate(document)] == expected
+        with pytest.raises(SocnavError) as err:
+            parse_episode(document)
+        assert err.value.path == expected[0][0]
+
     @pytest.mark.parametrize("raw", _CORRUPTED, ids=_CORRUPTED_IDS)
     def test_errors_iff_parse_fails(self, raw):
         errors = [i for i in validate(raw) if i.severity == "error"]

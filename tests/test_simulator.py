@@ -15,7 +15,7 @@ from socnav.core import (
 )
 from socnav.errors import InvariantError, UnknownScenario
 from socnav.geometry import sightlines_blocked, wrap_angle
-from socnav.ingest import parse_episode, serialize_episode
+from socnav.ingest import parse_episode, serialize_episode, validate
 from socnav.metrics import compute_all
 from socnav.report import write_output
 from socnav.scenarios import classify, serialize_labels
@@ -49,8 +49,8 @@ def first_step(config):
     return run(dataclasses.replace(config, max_duration=config.dt))
 
 
-def _human(agent_id, start, goal, policy="sfm", **kwargs):
-    return AgentSpec(agent_id=agent_id, kind=AgentKind.HUMAN, policy=policy,
+def _human(agent_id, start, goal, policy="sfm", kind=AgentKind.HUMAN, **kwargs):
+    return AgentSpec(agent_id=agent_id, kind=kind, policy=policy,
                      position=start, goal=Goal(*goal, 0.3),
                      **kwargs)
 
@@ -205,6 +205,26 @@ class TestRun:
         with pytest.raises(InvariantError) as err:
             SimConfig(max_duration=0.2)
         assert err.value.path == "/agents"
+
+    @pytest.mark.parametrize("agents, message", [
+        ((_human("h", (0.0, 0.0), (1.0, 0.0)),), "must hold a robot agent"),
+        ((_human("a", (0.0, 0.0), (1.0, 0.0), kind=AgentKind.ROBOT),
+          _human("b", (0.0, 2.0), (1.0, 2.0)), _human("a", (0.0, 4.0), (1.0, 4.0))),
+         "duplicate agent ids: ['a']"),
+    ], ids=["no-robot", "duplicate-id"])
+    def test_config_whose_episode_validate_refuses_rejected(self, agents, message):
+        """Without the refusal, run would write an episode that validate rejects."""
+        with pytest.raises(InvariantError) as err:
+            SimConfig(max_duration=0.2, agents=agents)
+        assert (err.value.path, err.value.message) == ("/agents", message)
+
+    def test_robot_need_not_be_the_first_agent(self):
+        robot = single_agent_config().agents[0]
+        config = SimConfig(max_duration=1.0,
+                           agents=(_human("h0", (0.0, 2.0), (5.0, 2.0)), robot))
+        ep = run(config)
+        assert ep.robot_under_test == "robot"
+        assert validate(serialize_episode(ep)) == []
 
     @pytest.mark.parametrize("value", [0.0, -0.1, math.inf, math.nan, "x", np.float32(0.1), True])
     @pytest.mark.parametrize("field, path", [
@@ -456,7 +476,7 @@ class TestRunMatchesReference:
 
     def test_agent_starting_on_goal(self):
         config = SimConfig(dt=0.05, max_duration=2.0, episode_id="on-goal",
-                           agents=(_human("h0", (1.0, 1.0), (1.0, 1.0)),
+                           agents=(_human("h0", (1.0, 1.0), (1.0, 1.0), kind=AgentKind.ROBOT),
                                    _human("h1", (1.0, -1.0), (1.0, -1.0),
                                           policy="straight_line_stop"),
                                    _human("h2", (3.0, 1.0), (-2.0, 1.0)),
@@ -468,7 +488,7 @@ class TestRunMatchesReference:
         # h0 starts on the wall itself: no direction to push it along, so the wall
         # exerts no force on the first step
         config = SimConfig(dt=0.05, max_duration=3.0, episode_id="on-wall",
-                           agents=(_human("h0", (1.0, -0.8), (1.0, 1.0)),
+                           agents=(_human("h0", (1.0, -0.8), (1.0, 1.0), kind=AgentKind.ROBOT),
                                    _human("h1", (3.0, -0.8), (3.0, 1.0),
                                           policy="straight_line_stop")),
                            scene=ObstacleMap(segments=((-1.0, -0.8, 5.0, -0.8),)))
@@ -477,7 +497,7 @@ class TestRunMatchesReference:
     def test_westward_heading_wraps_to_pi(self):
         # goal.y - pos.y is -0.0, so atan2 sees (-0.0, -v) and returns -pi
         config = SimConfig(dt=0.05, max_duration=1.0, episode_id="west",
-                           agents=(_human("h0", (0.0, 0.0), (-5.0, -0.0),
+                           agents=(_human("h0", (0.0, 0.0), (-5.0, -0.0), kind=AgentKind.ROBOT,
                                           policy="straight_line_stop"),))
         assert first_step(config).agents[0].heading[1] == math.pi
         _assert_run_matches_reference(config)
