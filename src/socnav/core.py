@@ -115,7 +115,7 @@ class ObstacleMap:
 
     At time t the static segments and the dynamic set with the latest stamp
     at or before t are active; ``set_index`` is the one place that rule is
-    written. It needs finite, time-ordered stamps (``obstacle_issues``).
+    written. It needs finite stamps in time order (a file's are sorted as read).
     """
 
     segments: tuple[tuple[float, float, float, float], ...] = ()
@@ -509,18 +509,23 @@ def _sample_issues(episode: Episode) -> list[list[tuple[str, str]]]:
     return out
 
 
-def obstacle_issues(obstacles: ObstacleMap) -> list[tuple[str, str]]:
-    """(path, message) violations: segment ends finite and distinct, dynamic
-    stamps finite and time-ordered (``ObstacleMap.set_index`` relies on it)."""
-    def segment_issues(base, segs):
-        found = []
-        for i, seg in enumerate(segs):
-            if not all(map(math.isfinite, seg)):
-                found.append((f"{base}/segments/{i}", "coordinates must be finite"))
-            elif seg[:2] == seg[2:]:
-                found.append((f"{base}/segments/{i}", "segment endpoints must be distinct"))
-        return found
+def segment_issues(base: str, segs) -> list[tuple[str, str]]:
+    """(path, message) violations of segment ``i`` at ``base/segments/i``: ends finite
+    and distinct. A None entry, one the decoder could not read, is skipped."""
+    found = []
+    for i, seg in enumerate(segs):
+        if seg is None:
+            continue
+        if not all(map(math.isfinite, seg)):
+            found.append((f"{base}/segments/{i}", "coordinates must be finite"))
+        elif seg[:2] == seg[2:]:
+            found.append((f"{base}/segments/{i}", "segment endpoints must be distinct"))
+    return found
 
+
+def obstacle_issues(obstacles: ObstacleMap) -> list[tuple[str, str]]:
+    """(path, message) violations of a ``SimConfig`` scene: ``segment_issues``, and dynamic
+    stamps finite and time-ordered (``ObstacleMap.set_index`` relies on it)."""
     issues = segment_issues("/obstacles", obstacles.segments)
     latest = -math.inf
     for k, (stamp, segs) in enumerate(obstacles.dynamic):
@@ -535,7 +540,8 @@ def obstacle_issues(obstacles: ObstacleMap) -> list[tuple[str, str]]:
 
 
 def check_episode(episode: Episode) -> list[tuple[str, str]]:
-    """Check every data-model invariant; returns (path, message) violations."""
+    """Check the agents' model invariants; returns (path, message) violations. The decoder
+    checks obstacles and labels where it reads them, and ``SimConfig`` a scene's obstacles."""
     issues: list[tuple[str, str]] = []
 
     ids = [a.id for a in episode.agents]
@@ -572,13 +578,4 @@ def check_episode(episode: Episode) -> list[tuple[str, str]]:
         if robot is not None and len(robot.t):
             if agent.t_start > robot.t_end or agent.t_end < robot.t_start:
                 issues.append((f"{base}/states", "time span does not overlap the robot's"))
-
-    issues.extend(obstacle_issues(episode.obstacles))
-
-    for i, label in enumerate(episode.labels):
-        infinite = [key for key in ("t_start", "t_end") if not math.isfinite(getattr(label, key))]
-        issues.extend((f"/labels/{i}/{key}", "must be finite") for key in infinite)
-        if not infinite and not label.t_start < label.t_end:
-            issues.append((f"/labels/{i}", f"t_start must be < t_end ({label.t_start} >= {label.t_end})"))
-
     return issues

@@ -10,6 +10,8 @@ An episode's states, all agents' laid end to end at agent offsets, are read,
 derived and checked as one block, a field at a time (``_column``): a column of
 plain numbers converts whole, and only one that is not has its entries read by
 ``_number``, so every number obeys one rule; issues keep a per-agent walk's order.
+Each obstacle segment, dynamic stamp and label is checked where it is read, at its
+index in the file; those issues follow ``check_episode``'s agent issues.
 ``import_tsv`` only translates: it writes the table as an episode document
 and builds the episode with the same decoder, so an import obeys every
 rule ``validate`` applies. ``serialize_episode`` writes the canonical bytes
@@ -49,6 +51,7 @@ from .core import (
     differences,
     motion_headings,
     positive_finite,
+    segment_issues,
 )
 from .errors import InvariantError, MalformedDocument, MalformedRow, NoRobot, SchemaError
 from .geometry import wrap_angle
@@ -397,42 +400,38 @@ def _segment(obj, key, path, issues):
         return None
 
 
-def _segments(obj, path, issues) -> tuple[tuple, list[int]]:
-    """The readable entries of ``obj["segments"]``, static or of one dynamic set,
-    and the index of each in the file."""
+def _segments(obj, path, issues, checks) -> tuple:
+    """The readable entries of ``obj["segments"]``, static or of one dynamic set;
+    their ends are checked into ``checks``, each at its index in the file."""
     raw = _array(obj, "segments", path, issues, item=_segment, required=False, default=[])
-    kept = [i for i, seg in enumerate(raw) if seg is not None]
-    return tuple(raw[i] for i in kept), kept
+    checks += segment_issues(path, raw)
+    return tuple(filter(None, raw))
 
 
-def _parse_obstacles(raw, issues, unknown) -> tuple[ObstacleMap, dict[str, str]]:
-    """The map, dynamic sets sorted by stamp (NaN last), and the file path of
-    each model path that ``check_episode`` can report under ``/obstacles``."""
+def _parse_obstacles(raw, issues, unknown, checks) -> ObstacleMap:
+    """The map, its dynamic sets sorted by stamp. A set whose stamp cannot be read is
+    dropped unchecked; a non-finite stamp is an issue, so that map is never read."""
     if not isinstance(raw, dict):
         if raw is not None:
             issues.error("/obstacles", f"expected an object, got {type(raw).__name__}")
-        return ObstacleMap(), {}
+        return ObstacleMap()
     _collect_unknown(raw, _OBSTACLE_KEYS, "/obstacles", unknown)
-    segments, kept = _segments(raw, "/obstacles", issues)
-    in_file = {f"/obstacles/segments/{i}": f"/obstacles/segments/{j}" for i, j in enumerate(kept)}
+    segments = _segments(raw, "/obstacles", issues, checks)
     dynamic = []
     dynamic_raw = (_array(raw, "dynamic", "/obstacles", issues, default=[])
                    if raw.get("dynamic") is not None else [])
     for k, draw in enumerate(dynamic_raw):
+        path = f"/obstacles/dynamic/{k}"
         if not isinstance(draw, dict):
-            issues.error(f"/obstacles/dynamic/{k}", "expected an object")
+            issues.error(path, "expected an object")
             continue
-        stamp = _number(draw, "t", f"/obstacles/dynamic/{k}", issues)
-        dsegs, kept = _segments(draw, f"/obstacles/dynamic/{k}", issues)
+        stamp = _number(draw, "t", path, issues)
+        if stamp is not None and not math.isfinite(stamp):
+            checks.append((f"{path}/t", "must be finite"))
+        segs = _segments(draw, path, issues, [] if stamp is None else checks)
         if stamp is not None:
-            dynamic.append((stamp, dsegs, k, kept))
-    dynamic.sort(key=lambda d: (math.isnan(d[0]), d[0]))
-    for m, (_, _, k, kept) in enumerate(dynamic):
-        model, file = f"/obstacles/dynamic/{m}", f"/obstacles/dynamic/{k}"
-        in_file[f"{model}/t"] = f"{file}/t"
-        in_file.update((f"{model}/segments/{i}", f"{file}/segments/{j}")
-                       for i, j in enumerate(kept))
-    return ObstacleMap(segments=segments, dynamic=tuple(d[:2] for d in dynamic)), in_file
+            dynamic.append((stamp, segs))
+    return ObstacleMap(segments=segments, dynamic=tuple(sorted(dynamic, key=itemgetter(0))))
 
 
 def _build_episode(doc, issues: _Issues) -> Episode | None:
@@ -465,7 +464,8 @@ def _build_episode(doc, issues: _Issues) -> Episode | None:
         else:
             agents.append(agent)
 
-    obstacles, in_file = _parse_obstacles(doc.get("obstacles"), issues, unknown)
+    checks = []  # the model rules of obstacles and labels, broken where they are read
+    obstacles = _parse_obstacles(doc.get("obstacles"), issues, unknown, checks)
 
     labels = []
     for i, lraw in enumerate(_array(doc, "labels", "", issues, required=False, default=[])):
@@ -476,8 +476,10 @@ def _build_episode(doc, issues: _Issues) -> Episode | None:
         scenario = _string(lraw, "scenario", f"/labels/{i}", issues)
         t0, t1 = (_number(lraw, key, f"/labels/{i}", issues) for key in ("t_start", "t_end"))
         if None not in (scenario, t0, t1):
-            in_file.update((f"/labels/{len(labels)}{key}", f"/labels/{i}{key}")
-                           for key in ("", "/t_start", "/t_end"))
+            infinite = [key for key, v in (("t_start", t0), ("t_end", t1)) if not math.isfinite(v)]
+            checks += [(f"/labels/{i}/{key}", "must be finite") for key in infinite]
+            if not infinite and not t0 < t1:
+                checks.append((f"/labels/{i}", f"t_start must be < t_end ({t0} >= {t1})"))
             labels.append(EpisodeLabel(scenario=scenario, t_start=t0, t_end=t1))
 
     metadata: dict[str, str] = {}
@@ -494,15 +496,7 @@ def _build_episode(doc, issues: _Issues) -> Episode | None:
     episode = Episode(episode_id=episode_id, robot_under_test=robot_id,
                       agents=tuple(AgentRecord(**agent) for agent in agents), obstacles=obstacles,
                       labels=tuple(labels), metadata=metadata)
-    # Name an obstacle set, segment or label by its place in the file. check_episode
-    # visits dynamic sets by stamp; their issues go by set, then t, then segment.
-    found = [(in_file.get(path, path), message) for path, message in check_episode(episode)]
-    at = [k for k, (path, _) in enumerate(found) if path.startswith("/obstacles/dynamic/")]
-    in_order = sorted((found[k] for k in at),  # "t" and "segments" rank as -1
-                      key=lambda i: [int(p) if p.isdigit() else -1 for p in i[0].split("/")[3:]])
-    for k, issue in zip(at, in_order):
-        found[k] = issue
-    for path, message in found:
+    for path, message in check_episode(episode) + checks:
         issues.error(path, message, kind=InvariantError)
     return episode
 

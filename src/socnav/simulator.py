@@ -83,6 +83,10 @@ class AgentSpec:
 
     def __post_init__(self):
         base = f"/agents/{self.agent_id}"
+        if not isinstance(self.agent_id, str):
+            raise InvariantError(base, f"expected a string, got {type(self.agent_id).__name__}")
+        if not isinstance(self.kind, AgentKind):
+            raise InvariantError(f"{base}/kind", f"expected an AgentKind, got {self.kind!r}")
         if self.policy not in POLICIES:
             raise InvariantError(f"{base}/policy", f"unknown policy {self.policy!r}")
         positive_finite(self.desired_speed, f"{base}/desired_speed")
@@ -108,6 +112,8 @@ class SimConfig:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.episode_id, str):
+            raise InvariantError("/episode_id", f"expected a string, got {type(self.episode_id).__name__}")
         positive_finite(self.dt, "/dt")
         positive_finite(self.max_duration, "/max_duration")
         # run may take one step past max_duration / dt, and summing dt moves the

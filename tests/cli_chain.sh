@@ -83,6 +83,19 @@ at = json.load(open(sys.argv[1]))["metrics"]["AT"]["value"]
 assert type(at) is float, at
 print("AT", at)
 ' coop.json
+printf '{"collision_terminate_count": 1}' > terminate_params.json
+socnav compute "$golden/int_numbers/episode.json" -o untouched.json
+socnav compute "$golden/int_numbers/episode.json" --params terminate_params.json -o terminated.json
+python -c '
+import json, sys
+untouched, terminated = (json.load(open(f)) for f in sys.argv[1:])
+m = untouched["metrics"]
+assert (m["C"]["value"], m["S"]["value"], m["T"]["value"]) == (2, True, 9.0), m
+m = terminated["metrics"]
+assert terminated["params"]["collision_terminate_count"] == 1, terminated["params"]
+assert m["S"]["params_used"]["collision_terminate_count"] == 1, m["S"]
+assert (m["C"]["value"], m["S"]["value"], m["T"]["value"]) == (2, False, None), m
+' untouched.json terminated.json
 mkdir goldens
 for dir in "$golden"/*/; do
   case "$dir" in */invalid_*/) ;; *) cp "$dir/episode.json" "goldens/$(basename "$dir").json" ;; esac

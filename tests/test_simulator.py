@@ -270,6 +270,27 @@ class TestRun:
             dataclasses.replace(single_agent_config().agents[0], policy="fly")
         assert err.value.path == "/agents/robot/policy"
 
+    def test_ids_that_are_not_strings_rejected(self):
+        """validate reads an id only as a string: an int would run to an episode it refuses."""
+        spec = single_agent_config().agents[0]
+        with pytest.raises(InvariantError) as err:
+            SimConfig(agents=(spec,), episode_id=7)
+        assert (err.value.path, err.value.message) == ("/episode_id", "expected a string, got int")
+        with pytest.raises(InvariantError) as err:
+            dataclasses.replace(spec, agent_id=7)
+        assert (err.value.path, err.value.message) == ("/agents/7", "expected a string, got int")
+
+    def test_kind_must_be_an_agent_kind(self):
+        """A str kind would run, and the writer would fail on it; a lone robot given as
+        "robot" is refused at its kind, not as a config without a robot."""
+        with pytest.raises(InvariantError) as err:
+            _human("h", (0.0, 2.0), (1.0, 2.0), kind="human")
+        assert (err.value.path, err.value.message) == (
+            "/agents/h/kind", "expected an AgentKind, got 'human'")
+        with pytest.raises(InvariantError) as err:
+            SimConfig(agents=(dataclasses.replace(single_agent_config().agents[0], kind="robot"),))
+        assert err.value.path == "/agents/robot/kind"
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_start_must_be_finite(self, value):
         """A NaN start would only fail mid-run, as a non-finite state at /sim."""
